@@ -2,9 +2,8 @@
 
 The package provides four related iteration schemes built on one canonical
 block subproblem (sequential two-block, all-parallel, mixed two-phase, and
-mixed with backtracking), variable-partition heuristics, majorant surrogate
-constructors with smoothness certificates, benchmark problem builders, and
-rate-bound diagnostics.
+mixed with backtracking), variable-partition heuristics, benchmark problem
+builders with a joint smooth coupling term, and rate-bound diagnostics.
 """
 
 from .blockspace import (
@@ -31,7 +30,6 @@ from .blockspace import (
     gram_cross_is_zero,
     residual,
     stack_rows,
-    weighted_norm_sq,
 )
 from .diagnostics import (
     AssumptionError,
@@ -84,19 +82,6 @@ from .solvers import (
     madmm_step,
     run,
 )
-from .surrogates import (
-    AnchorError,
-    SmoothnessCert,
-    SmoothQuadCoupling,
-    Surrogate,
-    SurrogateSpec,
-    combine_linear,
-    combine_transitive,
-    lipschitz_gradient_surrogate,
-    proximal_gradient_surrogate,
-    proximal_surrogate,
-    quad_coupling_smoothness,
-    quad_surrogate_parallel,
-)
+from .surrogates import SmoothQuadCoupling
 
 __version__ = "0.1.0"

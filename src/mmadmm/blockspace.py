@@ -38,7 +38,6 @@ __all__ = [
     "residual",
     "estimate_op_norm_sq",
     "gram_cross_is_zero",
-    "weighted_norm_sq",
     "combined_op_norm_sq",
     "stack_rows",
     "detect_row_groups",
@@ -759,20 +758,18 @@ def _cross_norm_sq(
 
 @dataclass(frozen=True)
 class WeightMatrix:
-    """Per-block proximal weight ``G_i`` in one of five forms.
+    """Per-block proximal weight ``G_i`` in one of four forms.
 
     form:
         ``zero``                        G = 0
         ``scaled-identity``             G = eta I
         ``scaled-identity-minus-gram``  G = eta I - A^T A   (PSD iff eta >= ||A||_2^2)
         ``scaled-gram``                 G = gram_coef A^T A + eta I
-        ``explicit``                    dense SPD matrix
     """
 
     form: str
     eta: float = 0.0
     op: Optional[BlockOperator] = None
-    matrix: Optional[np.ndarray] = None
     gram_coef: float = 0.0
 
     _FORMS = (
@@ -780,7 +777,6 @@ class WeightMatrix:
         "scaled-identity",
         "scaled-identity-minus-gram",
         "scaled-gram",
-        "explicit",
     )
 
     def __post_init__(self):
@@ -792,12 +788,6 @@ class WeightMatrix:
             raise InvalidWeightError("minus-gram form needs its operator")
         if self.form == "scaled-gram" and self.op is None:
             raise InvalidWeightError("scaled-gram form needs its operator")
-        if self.form == "explicit":
-            if self.matrix is None:
-                raise InvalidWeightError("explicit form needs a matrix")
-            object.__setattr__(
-                self, "matrix", np.asarray(self.matrix, dtype=float)
-            )
 
     # -- constructors -------------------------------------------------
 
@@ -819,124 +809,50 @@ class WeightMatrix:
     ) -> "WeightMatrix":
         return cls("scaled-gram", eta=float(ridge), op=op, gram_coef=float(coef))
 
-    @classmethod
-    def explicit(cls, matrix: np.ndarray) -> "WeightMatrix":
-        return cls("explicit", matrix=matrix)
-
     # -- evaluation ---------------------------------------------------
 
-    def norm_sq(self, v: np.ndarray, paired_op: Optional[BlockOperator] = None):
+    def norm_sq(self, v: np.ndarray) -> float:
+        """``v^T G v``; raises when a minus-gram weight is not PSD at ``v``."""
         v = np.asarray(v, dtype=float)
         if self.form == "zero":
             return 0.0
         if self.form == "scaled-identity":
             return self.eta * float(np.vdot(v, v))
-        if self.form == "scaled-identity-minus-gram":
-            op = self.op or paired_op
-            av = op.apply(v)
-            val = self.eta * float(np.vdot(v, v)) - float(np.vdot(av, av))
-            floor = -1e-12 * max(self.eta * float(np.vdot(v, v)), 1.0)
-            if val < floor:
-                raise InvalidWeightError(
-                    "negative weighted norm: eta is below the Gram norm"
-                )
-            return max(val, 0.0)
+        av = self.op.apply(v)
         if self.form == "scaled-gram":
-            av = self.op.apply(v)
             return self.gram_coef * float(np.vdot(av, av)) + self.eta * float(
                 np.vdot(v, v)
             )
-        flat = v.ravel()
-        return float(flat @ self.matrix @ flat)
+        val = self.eta * float(np.vdot(v, v)) - float(np.vdot(av, av))
+        floor = -1e-12 * max(self.eta * float(np.vdot(v, v)), 1.0)
+        if val < floor:
+            raise InvalidWeightError(
+                "negative weighted norm: eta is below the Gram norm"
+            )
+        return max(val, 0.0)
 
     def mat_vec(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=float)
-        if self.form == "zero":
-            return np.zeros_like(v)
-        if self.form == "scaled-identity":
-            return self.eta * v
-        if self.form == "scaled-identity-minus-gram":
-            return self.eta * v - self.op.gram_apply(v)
-        if self.form == "scaled-gram":
-            return self.gram_coef * self.op.gram_apply(v) + self.eta * v
-        return (self.matrix @ v.ravel()).reshape(v.shape)
+        iso, coef, op = self.iso_split()
+        out = iso * v
+        if coef != 0.0:
+            out = out + coef * op.gram_apply(v)
+        return out
 
     def to_dense(self, shape: tuple) -> np.ndarray:
         """Materialize as a dense matrix on the flattened block (small sizes)."""
-        dim = _size(tuple(shape))
-        if self.form == "explicit":
-            return self.matrix.copy()
-        out = np.zeros((dim, dim))
-        basis = np.zeros(dim)
-        for j in range(dim):
-            basis[:] = 0.0
-            basis[j] = 1.0
-            out[:, j] = self.mat_vec(basis.reshape(shape)).ravel()
-        return out
+        shape = tuple(shape)
+        return _columns(self.mat_vec, shape, shape)
 
     def iso_split(self) -> tuple:
-        """Decompose as ``iso * I + gram_coef * A^T A`` when form allows.
-
-        Returns ``(iso, gram_coef, op)`` or ``None`` for explicit forms.
-        """
+        """``(iso, gram_coef, op)`` with ``G = iso I + gram_coef A^T A``."""
         if self.form == "zero":
             return (0.0, 0.0, None)
         if self.form == "scaled-identity":
             return (self.eta, 0.0, None)
         if self.form == "scaled-identity-minus-gram":
             return (self.eta, -1.0, self.op)
-        if self.form == "scaled-gram":
-            return (self.eta, self.gram_coef, self.op)
-        return None
-
-    # -- certificate arithmetic (combination rules) --------------------
-
-    def scale(self, a: float) -> "WeightMatrix":
-        if a < 0:
-            raise InvalidWeightError("weights scale by nonnegative factors")
-        if self.form == "zero" or a == 0.0:
-            return WeightMatrix.zero()
-        if self.form == "scaled-identity":
-            return WeightMatrix.scaled_identity(a * self.eta)
-        if self.form == "explicit":
-            return WeightMatrix.explicit(a * self.matrix)
-        return WeightMatrix.scaled_gram(
-            a * self.gram_coef if self.form == "scaled-gram" else -a,
-            self.op,
-            ridge=a * self.eta,
-        )
-
-    def add(self, other: "WeightMatrix", shape: Optional[tuple] = None):
-        if self.form == "zero":
-            return other
-        if other.form == "zero":
-            return self
-        if self.form == "scaled-identity" and other.form == "scaled-identity":
-            return WeightMatrix.scaled_identity(self.eta + other.eta)
-        a, b = self.iso_split(), other.iso_split()
-        if a is not None and b is not None:
-            iso = a[0] + b[0]
-            ops = {id(t[2]): t[2] for t in (a, b) if t[2] is not None}
-            if len(ops) <= 1:
-                coef = a[1] + b[1]
-                op = a[2] or b[2]
-                if coef == 0.0 or op is None:
-                    return WeightMatrix.scaled_identity(iso)
-                return WeightMatrix.scaled_gram(coef, op, ridge=iso)
-        if shape is None:
-            raise InvalidWeightError(
-                "cannot add structurally unrelated weights without a shape"
-            )
-        return WeightMatrix.explicit(self.to_dense(shape) + other.to_dense(shape))
-
-
-def weighted_norm_sq(
-    v: np.ndarray,
-    G: WeightMatrix,
-    paired_op: Optional[BlockOperator] = None,
-) -> float:
-    """``v^T G v`` for any supported weight form."""
-    return G.norm_sq(v, paired_op=paired_op)
+        return (self.eta, self.gram_coef, self.op)
 
 
 # ---------------------------------------------------------------------------
@@ -1045,16 +961,22 @@ def detect_row_groups(A: BlockOperatorFamily) -> BlockOperatorFamily:
     return BlockOperatorFamily(A.operators, A.out_shape, row_groups=tuple(groups))
 
 
+def _columns(apply, in_shape: tuple, out_shape: tuple) -> np.ndarray:
+    """Dense matrix of a linear map between block shapes, one column per entry."""
+    dim = _size(in_shape)
+    out = np.zeros((_size(out_shape), dim))
+    basis = np.zeros(dim)
+    for j in range(dim):
+        basis[:] = 0.0
+        basis[j] = 1.0
+        out[:, j] = apply(basis.reshape(in_shape)).ravel()
+    return out
+
+
+def _op_dense(op: BlockOperator) -> np.ndarray:
+    return _columns(op.apply, op.in_shape, op.out_shape)
+
+
 def dense_matrix(A: BlockOperatorFamily) -> np.ndarray:
     """Materialize the stacked constraint matrix (small problems only)."""
-    cols = []
-    for op in A.operators:
-        dim = _size(op.in_shape)
-        basis = np.zeros(dim)
-        block_cols = np.zeros((_size(A.out_shape), dim))
-        for j in range(dim):
-            basis[:] = 0.0
-            basis[j] = 1.0
-            block_cols[:, j] = op.apply(basis.reshape(op.in_shape)).ravel()
-        cols.append(block_cols)
-    return np.hstack(cols)
+    return np.hstack([_op_dense(op) for op in A.operators])

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import fields
 from typing import Optional
 
 from . import fileio, problems
@@ -47,18 +48,15 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+# Run keys shared with SolverConfig take their defaults and types from its
+# fields; the rest are CLI-only.
+_CONFIG_FIELDS = tuple(
+    f for f in fields(SolverConfig) if f.name not in ("partition", "weights")
+)
+
 _DEFAULTS = {
     "solver": "madmm",
-    "beta0": 1e-4,
-    "rho": 1.1,
-    "beta_max": 1e6,
-    "max_iter": 10000,
-    "eps_primal": 1e-4,
-    "eps_step": 1e-4,
-    "tau": 1.3,
-    "mu": 2.0,
-    "eta_scale": 0.01,
-    "schedule": "geometric",
+    **{f.name: f.default for f in _CONFIG_FIELDS},
     "workers": 1,
     "partition": "auto",
     "n1": None,
@@ -67,16 +65,7 @@ _DEFAULTS = {
 
 _CASTS = {
     "solver": str,
-    "beta0": float,
-    "rho": float,
-    "beta_max": float,
-    "max_iter": int,
-    "eps_primal": float,
-    "eps_step": float,
-    "tau": float,
-    "mu": float,
-    "eta_scale": float,
-    "schedule": str,
+    **{f.name: type(f.default) for f in _CONFIG_FIELDS},
     "workers": int,
     "partition": str,
     "n1": int,
@@ -153,17 +142,7 @@ def _resolve_partition(problem, cfg):
 def _solver_config(cfg, partition) -> SolverConfig:
     try:
         return SolverConfig(
-            beta0=cfg["beta0"],
-            rho=cfg["rho"],
-            beta_max=cfg["beta_max"],
-            max_iter=cfg["max_iter"],
-            eps_primal=cfg["eps_primal"],
-            eps_step=cfg["eps_step"],
-            tau=cfg["tau"],
-            mu=cfg["mu"],
-            eta_scale=cfg["eta_scale"],
-            schedule=cfg["schedule"],
-            partition=partition,
+            **{f.name: cfg[f.name] for f in _CONFIG_FIELDS}, partition=partition
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc

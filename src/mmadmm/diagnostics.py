@@ -13,9 +13,16 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .blockspace import BlockVector, WeightMatrix
+from .blockspace import BlockVector, WeightMatrix, _op_dense
 from .partition import Partition
-from .solvers import SolverConfig, ergodic_average, run
+from .solvers import (
+    BacktrackingConsistencyError,
+    DivergenceError,
+    SolverConfig,
+    UnsupportedSubproblemError,
+    ergodic_average,
+    run,
+)
 
 __all__ = [
     "AssumptionError",
@@ -103,26 +110,21 @@ def kkt_gap(
 # ---------------------------------------------------------------------------
 
 
-def _op_dense(op) -> np.ndarray:
-    dim = int(np.prod(op.in_shape)) if op.in_shape else 1
-    out_dim = int(np.prod(op.out_shape)) if op.out_shape else 1
-    cols = np.zeros((out_dim, dim))
-    basis = np.zeros(dim)
-    for j in range(dim):
-        basis[:] = 0.0
-        basis[j] = 1.0
-        cols[:, j] = op.apply(basis.reshape(op.in_shape)).ravel()
-    return cols
-
-
 def _stack_dense(problem, blocks: Sequence[int]) -> np.ndarray:
     return np.hstack([_op_dense(problem.family.operators[i]) for i in blocks])
+
+
+def _smooth_weight(problem, i: int) -> WeightMatrix:
+    """Block ``i``'s weight ``L_i`` in the joint smooth term (zero if none)."""
+    if problem.smooth is None:
+        return WeightMatrix.zero()
+    return problem.smooth.cert[i]
 
 
 def _block_quad_dense(problem, i: int, G: WeightMatrix, beta0: float) -> np.ndarray:
     """Dense ``(1/beta0) L_i + A_i^T A_i + G_i`` on the flattened block."""
     shape = problem.block_shapes[i]
-    L = problem.recommended_surrogate.cert.per_block_L[i]
+    L = _smooth_weight(problem, i)
     Ai = _op_dense(problem.family.operators[i])
     return (1.0 / beta0) * L.to_dense(shape) + Ai.T @ Ai + G.to_dense(shape)
 
@@ -251,7 +253,7 @@ def theorem_H0(
     groups = []
     if kind == "gs":
         shape1 = problem.block_shapes[0]
-        L1 = problem.recommended_surrogate.cert.per_block_L[0]
+        L1 = _smooth_weight(problem, 0)
         H1 = (1.0 / beta0) * L1.to_dense(shape1) + G[0].to_dense(shape1)
         H2 = _block_quad_dense(problem, 1, G[1], beta0)
         groups = [((0,), H1), ((1,), H2)]
@@ -431,7 +433,9 @@ def oracle_solve(
     """High-accuracy reference solve with term-by-term KKT verification.
 
     Returns ``None`` when the verification fails (including infeasible
-    instances, caught by the residual floor).
+    instances, caught by the residual floor) or when the solver rejects the
+    problem, diverges, or hits a linear-algebra failure. Any other error,
+    such as a misuse of the solver kind, propagates.
 
     The default configuration keeps the penalty moderate (adaptive schedule,
     capped at 1e4) and iterates until steps are near machine precision: the
@@ -450,7 +454,12 @@ def oracle_solve(
     )
     try:
         result = run(problem, solver_kind, config)
-    except Exception:
+    except (
+        DivergenceError,
+        UnsupportedSubproblemError,
+        BacktrackingConsistencyError,
+        np.linalg.LinAlgError,
+    ):
         return None
     x, lam = result.state.x, result.state.lam
     ok, report = verify_kkt(problem, x, lam, tol=target_tol)

@@ -1,11 +1,10 @@
 """Benchmark problem builders and their synthetic data generators.
 
 Every builder returns a :class:`ProblemSpec` wiring block terms, constraint
-rows, an optional joint smooth term, and recommendations (partition,
-surrogate tags) for the solvers. Data generation is deterministic: one
-``SeedSequence`` per problem is split into per-block child streams (PCG64),
-so block ``i``'s draws do not depend on how many other blocks exist before
-it is generated.
+rows, an optional joint smooth term, and a recommended partition for the
+solvers. Data generation is deterministic: one ``SeedSequence`` per problem
+is split into per-block child streams (PCG64), so block ``i``'s draws do not
+depend on how many other blocks exist before it is generated.
 """
 
 from __future__ import annotations
@@ -23,12 +22,11 @@ from .blockspace import (
     NegationOp,
     RightMultiplyOp,
     ScaledIdentityOp,
-    WeightMatrix,
     stack_rows,
 )
 from .partition import Partition
 from .prox import ProxFunction
-from .surrogates import SmoothnessCert, SmoothQuadCoupling, SurrogateSpec
+from .surrogates import SmoothQuadCoupling
 
 __all__ = [
     "DataGenSpec",
@@ -144,23 +142,10 @@ class ProblemSpec:
             if not in_row and self.terms[i] is None and not in_smooth:
                 raise ValueError(f"block {i} appears nowhere in the problem")
         self.family, self.b = stack_rows(self.rows, self.block_shapes)
-        self.recommended_surrogate = self._surrogate_spec()
 
     @property
     def n(self) -> int:
         return len(self.block_shapes)
-
-    def _surrogate_spec(self) -> SurrogateSpec:
-        tags = []
-        L = []
-        for i in range(self.n):
-            if self.smooth is not None and self.smooth.ops[i] is not None:
-                tags.append("proximal-gradient")
-                L.append(self.smooth.cert[i])
-            else:
-                tags.append("exact")
-                L.append(WeightMatrix.zero())
-        return SurrogateSpec(tuple(tags), SmoothnessCert.of(L))
 
     def objective(self, x: BlockVector) -> float:
         total = 0.0

@@ -26,7 +26,7 @@ import logging
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -97,6 +97,7 @@ class BacktrackingConsistencyError(RuntimeError):
     """Backtracking kept failing past the provably safe weight level."""
 
 
+@dataclass
 class SolverConfig:
     """Run parameters shared by all solver kinds.
 
@@ -107,51 +108,51 @@ class SolverConfig:
     block's scaled step ``beta ||x_i^{k+1} - x_i^k|| / max(||b||, 1)`` falls
     below ``eps_primal``. ``weights`` overrides the automatic per-block
     proximal weights; ``partition`` may be a Partition or ``"auto"``.
+    Numeric fields are coerced to ``float``/``int`` and must be finite.
     """
 
-    def __init__(
-        self,
-        beta0: float = 1e-4,
-        rho: float = 1.1,
-        beta_max: float = 1e6,
-        max_iter: int = 10000,
-        eps_primal: float = 1e-4,
-        eps_step: float = 1e-4,
-        tau: float = 1.3,
-        mu: float = 2.0,
-        eta_scale: float = 0.01,
-        schedule: str = "geometric",
-        partition="auto",
-        weights: Optional[Sequence[WeightMatrix]] = None,
-    ):
-        if beta0 <= 0:
+    beta0: float = 1e-4
+    rho: float = 1.1
+    beta_max: float = 1e6
+    max_iter: int = 10000
+    eps_primal: float = 1e-4
+    eps_step: float = 1e-4
+    tau: float = 1.3
+    mu: float = 2.0
+    eta_scale: float = 0.01
+    schedule: str = "geometric"
+    partition: object = "auto"
+    weights: Optional[Sequence[WeightMatrix]] = None
+
+    def __post_init__(self):
+        for f in fields(self):
+            if isinstance(f.default, (int, float)):
+                value = float(getattr(self, f.name))
+                if not math.isfinite(value):
+                    raise ValueError(f"{f.name} must be finite, got {value}")
+                setattr(self, f.name, type(f.default)(value))
+        if self.beta0 <= 0:
             raise ValueError("beta0 must be positive")
-        if beta_max < beta0:
+        if self.beta_max < self.beta0:
             raise ValueError("beta_max must be at least beta0")
-        if rho < 1:
+        if self.rho < 1:
             raise ValueError("rho must be at least 1 (nondecreasing penalty)")
-        if max_iter < 0:
+        if self.max_iter < 0:
             raise ValueError("max_iter must be nonnegative")
-        if tau <= 0:
+        if self.eps_primal < 0:
+            raise ValueError("eps_primal must be nonnegative")
+        if self.eps_step < 0:
+            raise ValueError("eps_step must be nonnegative")
+        if self.tau <= 0:
             raise ValueError("tau must be positive")
-        if mu <= 1:
+        if self.mu <= 1:
             raise ValueError("mu must exceed 1")
-        if eta_scale <= 0:
+        if self.eta_scale <= 0:
             raise ValueError("eta_scale must be positive")
-        if schedule not in ("geometric", "adaptive"):
-            raise ValueError(f"unknown schedule {schedule!r}")
-        self.beta0 = float(beta0)
-        self.rho = float(rho)
-        self.beta_max = float(beta_max)
-        self.max_iter = int(max_iter)
-        self.eps_primal = float(eps_primal)
-        self.eps_step = float(eps_step)
-        self.tau = float(tau)
-        self.mu = float(mu)
-        self.eta_scale = float(eta_scale)
-        self.schedule = schedule
-        self.partition = partition
-        self.weights = None if weights is None else tuple(weights)
+        if self.schedule not in ("geometric", "adaptive"):
+            raise ValueError(f"unknown schedule {self.schedule!r}")
+        if self.weights is not None:
+            self.weights = tuple(self.weights)
 
 
 @dataclass
@@ -223,7 +224,8 @@ def phase_smoothness(A: BlockOperatorFamily, blocks: Sequence[int]) -> dict:
 
     With declared row groups, ``eta'_i`` sums ``k_g ||A_{g,i}||_2^2`` over the
     groups touching block ``i``, where ``k_g`` counts only blocks of this
-    phase acting on group ``g``. Without structure it falls back to
+    phase acting on group ``g``; a coupled block outside every declared group
+    raises ``ValueError``. Without structure it falls back to
     ``n_eff ||A_i||_2^2`` with ``n_eff`` the phase's nonzero blocks.
 
     Returns ``{i: (eta_i, alone_i)}`` where ``alone_i`` is true when no other
@@ -234,7 +236,9 @@ def phase_smoothness(A: BlockOperatorFamily, blocks: Sequence[int]) -> dict:
     if A.row_groups:
         etas = {i: 0.0 for i in members}
         alone = {i: True for i in members}
+        seen = set()
         for g in A.row_groups:
+            seen.update(g.active)
             act = [i for i in g.active if i in members]
             k = len(act)
             for i in act:
@@ -242,6 +246,8 @@ def phase_smoothness(A: BlockOperatorFamily, blocks: Sequence[int]) -> dict:
                 if k > 1:
                     alone[i] = False
         for i in members:
+            if i not in seen and A.operators[i].op_norm_sq > 0.0:
+                raise ValueError(f"block {i} acts outside every declared row group")
             out[i] = (etas[i], alone[i])
     else:
         live = [i for i in members if A.operators[i].op_norm_sq > 0.0]
@@ -388,12 +394,7 @@ class _BlockPlan:
 def _plan_block(problem, i: int, G: WeightMatrix, smooth_eta: float) -> _BlockPlan:
     op = problem.family.operators[i]
     prox_part, fold_iso = _folded_term(problem.terms[i])
-    split = G.iso_split()
-    if split is None:
-        raise UnsupportedSubproblemError(
-            f"block {i}: explicit weight matrices have no registered solve path"
-        )
-    _, coef, gop = split
+    _, coef, gop = G.iso_split()
     if gop is not None and gop is not op:
         raise UnsupportedSubproblemError(
             f"block {i}: weight Gram must be built from the block's own operator"
@@ -477,13 +478,15 @@ def _solve_block(plan: _BlockPlan, q_iso: float, q_gram: float, lin: np.ndarray)
 def subproblem_value(
     plan: _BlockPlan, q_iso: float, q_gram: float, lin: np.ndarray, v: np.ndarray
 ) -> float:
-    """Evaluate a block's assembled model (constants dropped) at ``v``."""
+    """Evaluate a block's assembled model (constants dropped) at ``v``.
+
+    A folded quadratic term is already part of ``q_iso``.
+    """
     val = 0.5 * q_iso * float(np.vdot(v, v)) + float(np.vdot(lin, v))
     if q_gram != 0.0:
         val += 0.5 * q_gram * float(np.vdot(v, plan.op.gram_apply(v)))
     if plan.prox_term is not None:
         val += plan.prox_term.value(v)
-    val += 0.5 * plan.fold_iso * float(np.vdot(v, v))
     return val
 
 

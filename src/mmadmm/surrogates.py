@@ -1,348 +1,20 @@
-"""Majorant first-order surrogates and their smoothness certificates.
+"""The joint smooth coupling term and its per-block smoothness certificate.
 
-A surrogate of ``f`` near an anchor ``kappa`` majorizes ``f``, touches it at
-the anchor, separates over blocks, and keeps the approximation error below
-``0.5 * sum_i ||x_i - kappa_i||^2_{L_i}``. The constructors here build the
-three catalog surrogates (proximal, Lipschitz-gradient, proximal-gradient),
-the parallel surrogate of the quadratic coupling ``0.5 ||A x - b||^2``, and
-the certified combination rules.
+The solvers majorize this term by its linearization at the phase anchor plus
+``0.5 * eta_i ||x_i - y_i||^2`` per block, with ``eta_i`` read from
+``SmoothQuadCoupling.cert``; that majorant is part of the block model that
+``solvers.assemble_block`` builds.
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .blockspace import (
-    BlockOperatorFamily,
-    BlockVector,
-    WeightMatrix,
-)
+from .blockspace import BlockVector, WeightMatrix
 
-__all__ = [
-    "SmoothnessCert",
-    "Surrogate",
-    "SurrogateSpec",
-    "QuadCouplingCert",
-    "SmoothQuadCoupling",
-    "AnchorError",
-    "proximal_surrogate",
-    "lipschitz_gradient_surrogate",
-    "proximal_gradient_surrogate",
-    "quad_coupling_smoothness",
-    "quad_surrogate_parallel",
-    "combine_linear",
-    "combine_transitive",
-]
-
-
-class AnchorError(ValueError):
-    """Raised when combined surrogates are anchored at different points."""
-
-
-@dataclass(frozen=True)
-class SmoothnessCert:
-    """Per-block proximity weights ``L_i`` and strong-convexity weights ``P_i``."""
-
-    per_block_L: tuple
-    per_block_P: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "per_block_L", tuple(self.per_block_L))
-        object.__setattr__(self, "per_block_P", tuple(self.per_block_P))
-        if len(self.per_block_L) != len(self.per_block_P):
-            raise ValueError("L and P lists must align")
-
-    @classmethod
-    def of(cls, weights: Sequence[WeightMatrix]) -> "SmoothnessCert":
-        """Certificate with ``P_i = L_i`` (all catalog surrogates)."""
-        w = tuple(weights)
-        return cls(w, w)
-
-
-class Surrogate:
-    """A separable majorant of a target function, anchored at ``kappa``.
-
-    Attributes
-    ----------
-    value : callable
-        Evaluates the surrogate.
-    target : callable
-        Evaluates the function being majorized (used by property tests).
-    anchor : ndarray or BlockVector
-    cert : SmoothnessCert
-    """
-
-    def __init__(self, value: Callable, target: Callable, anchor, cert: SmoothnessCert):
-        self.value = value
-        self.target = target
-        self.anchor = anchor
-        self.cert = cert
-
-    def error_bound(self, x) -> float:
-        """``0.5 * sum_i ||x_i - kappa_i||^2_{L_i}`` at ``x``."""
-        diffs = _block_diffs(x, self.anchor)
-        return 0.5 * sum(
-            L.norm_sq(d) for L, d in zip(self.cert.per_block_L, diffs)
-        )
-
-
-@dataclass(frozen=True)
-class SurrogateSpec:
-    """Per-block surrogate choice used by the solvers.
-
-    tags entries: ``exact`` (use the block term as is), ``proximal``,
-    ``lipschitz-gradient`` (linearize the block's own smooth term), or
-    ``proximal-gradient`` (linearize the problem's joint smooth term, keep
-    the block's prox term). ``cert`` carries the per-block ``L_i``; anchors
-    are supplied by the solver at each iteration.
-    """
-
-    tags: tuple
-    cert: SmoothnessCert
-
-    def __post_init__(self):
-        object.__setattr__(self, "tags", tuple(self.tags))
-        allowed = {"exact", "proximal", "lipschitz-gradient", "proximal-gradient"}
-        for tag in self.tags:
-            if tag not in allowed:
-                raise ValueError(f"unknown surrogate tag {tag!r}")
-        if len(self.tags) != len(self.cert.per_block_L):
-            raise ValueError("one certificate entry per block is required")
-
-
-# ---------------------------------------------------------------------------
-# Catalog constructors
-# ---------------------------------------------------------------------------
-
-
-def proximal_surrogate(f, kappa, L: WeightMatrix) -> Surrogate:
-    """``f(x) + 0.5 ||x - kappa||^2_L``; certificate (L, L)."""
-    f_val = _as_value(f)
-    kappa = _freeze(kappa)
-
-    def value(x):
-        diffs = _block_diffs(x, kappa)
-        return f_val(x) + 0.5 * _cert_quad([L] * len(diffs), diffs)
-
-    cert = SmoothnessCert.of([L] * _block_count(kappa))
-    return Surrogate(value, f_val, kappa, cert)
-
-
-def lipschitz_gradient_surrogate(f, kappa, cert: Sequence[WeightMatrix]) -> Surrogate:
-    """Linearization plus per-block quadratics for an ``{L_i}``-smooth ``f``."""
-    f_val, f_grad = _as_value(f), _as_grad(f)
-    kappa = _freeze(kappa)
-    L = tuple(cert)
-    f_k = f_val(kappa)
-    g_k = f_grad(kappa)
-
-    def value(x):
-        diffs = _block_diffs(x, kappa)
-        return f_k + _inner(g_k, x, kappa) + 0.5 * _cert_quad(L, diffs)
-
-    return Surrogate(value, f_val, kappa, SmoothnessCert.of(L))
-
-
-def proximal_gradient_surrogate(
-    f1, f2, kappa, cert: Sequence[WeightMatrix]
-) -> Surrogate:
-    """Linearize the smooth part ``f1``, keep the prox part ``f2``."""
-    f1_val, f1_grad = _as_value(f1), _as_grad(f1)
-    f2_val = _as_value(f2)
-    kappa = _freeze(kappa)
-    L = tuple(cert)
-    f1_k = f1_val(kappa)
-    g_k = f1_grad(kappa)
-
-    def value(x):
-        diffs = _block_diffs(x, kappa)
-        return (
-            f1_k + _inner(g_k, x, kappa) + 0.5 * _cert_quad(L, diffs) + f2_val(x)
-        )
-
-    def target(x):
-        return f1_val(x) + f2_val(x)
-
-    return Surrogate(value, target, kappa, SmoothnessCert.of(L))
-
-
-# ---------------------------------------------------------------------------
-# Quadratic coupling
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class QuadCouplingCert:
-    """Smoothness weights ``L'_i`` for ``0.5 ||A x - b||^2``.
-
-    derivation: ``dense-default`` (``L'_i = n A_i^T A_i`` bounded by
-    ``n ||A_i||_2^2 I``), ``row-group-aware`` (per-group block counts), or
-    ``user-supplied``.
-    """
-
-    per_block_Lprime: tuple
-    derivation: str
-
-    def etas(self) -> tuple:
-        """Scalar bounds ``eta'_i`` with ``L'_i <= eta'_i I``."""
-        return tuple(L.eta for L in self.per_block_Lprime)
-
-
-def quad_coupling_smoothness(A: BlockOperatorFamily) -> QuadCouplingCert:
-    """Structure-aware smoothness certificate of ``0.5 ||A x - b||^2``.
-
-    With declared row groups, ``eta'_i = sum over groups g containing i of
-    k_g * ||A_{g,i}||_2^2`` where ``k_g`` counts the blocks acting on group
-    g. Without structure, ``eta'_i = n ||A_i||_2^2``.
-    """
-    n = A.n
-    if A.row_groups:
-        etas = [0.0] * n
-        seen = [False] * n
-        for group in A.row_groups:
-            k = group.count()
-            for i in group.active:
-                etas[i] += k * group.norm_sq_of(i)
-                seen[i] = True
-        for i in range(n):
-            if not seen[i] and A.operators[i].op_norm_sq > 0.0:
-                raise ValueError(
-                    f"block {i} acts outside every declared row group"
-                )
-        derivation = "row-group-aware"
-    else:
-        etas = [n * op.op_norm_sq for op in A.operators]
-        derivation = "dense-default"
-    weights = tuple(WeightMatrix.scaled_identity(e) for e in etas)
-    return QuadCouplingCert(weights, derivation)
-
-
-def quad_surrogate_parallel(
-    A: BlockOperatorFamily,
-    b: np.ndarray,
-    y: BlockVector,
-    G: Sequence[WeightMatrix],
-) -> Surrogate:
-    """Parallel majorant of ``r(x) = 0.5 ||A x - b||^2`` anchored at ``y``.
-
-    Requires ``G_i >= L'_i - A_i^T A_i``; a violation is reported as a
-    warning because backtracking evaluates tentative weights below the
-    certified level on purpose. When every ``G_i`` has the
-    scaled-identity-minus-gram form the surrogate also exposes the
-    equivalent linearized evaluation via ``linearized_value``.
-    """
-    b = np.asarray(b, dtype=float)
-    y = _freeze(y)
-    G = tuple(G)
-    n = A.n
-    cert = quad_coupling_smoothness(A)
-    for i, (g, eta_req) in enumerate(zip(G, cert.etas())):
-        split = g.iso_split()
-        if split is None:
-            continue
-        iso, coef, _ = split
-        # With G = iso I + coef A^T A, majorization needs iso + (1+coef) c >= eta' c
-        # for the top Gram eigenvalue c; check the scalar sufficient condition.
-        c = A.operators[i].op_norm_sq
-        if iso + (1.0 + coef) * c < eta_req - 1e-9 * max(eta_req, 1.0):
-            warnings.warn(
-                f"block {i} weight may not majorize the coupling "
-                f"(iso {iso:.3g} + gram leaves gap below eta' {eta_req:.3g})",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-
-    Ay = A.apply(y)
-    res_y = Ay - b
-    base = float(np.vdot(res_y, res_y))
-
-    def value(x):
-        if x.shapes != y.shapes:
-            raise ValueError("surrogate evaluated with mismatched shapes")
-        total = 0.5 * (1 - n) * base
-        for i in range(n):
-            op = A.operators[i]
-            shifted = op.apply(x[i]) + res_y - op.apply(y[i])
-            total += 0.5 * float(np.vdot(shifted, shifted))
-            total += 0.5 * G[i].norm_sq(x[i] - y[i])
-        return total
-
-    def target(x):
-        r = A.apply(x) - b
-        return 0.5 * float(np.vdot(r, r))
-
-    surr = Surrogate(value, target, y, SmoothnessCert.of(cert.per_block_Lprime))
-
-    def linearized_value(x):
-        total = 0.5 * base
-        for i in range(n):
-            if G[i].form not in ("scaled-identity-minus-gram",):
-                raise ValueError(
-                    "linearized form needs scaled-identity-minus-gram weights"
-                )
-            d = x[i] - y[i]
-            total += float(np.vdot(d, A.operators[i].adjoint(res_y)))
-            total += 0.5 * G[i].eta * float(np.vdot(d, d))
-        return total
-
-    surr.linearized_value = linearized_value
-    return surr
-
-
-# ---------------------------------------------------------------------------
-# Combination rules
-# ---------------------------------------------------------------------------
-
-
-def combine_linear(s1: Surrogate, s2: Surrogate, a1: float, a2: float) -> Surrogate:
-    """``a1 s1 + a2 s2`` majorizes ``a1 f + a2 f'`` with weights ``a1 L + a2 L'``."""
-    if a1 <= 0 or a2 <= 0:
-        raise ValueError("combination coefficients must be positive")
-    _require_same_anchor(s1, s2)
-    L = tuple(
-        l1.scale(a1).add(l2.scale(a2))
-        for l1, l2 in zip(s1.cert.per_block_L, s2.cert.per_block_L)
-    )
-
-    def value(x):
-        return a1 * s1.value(x) + a2 * s2.value(x)
-
-    def target(x):
-        return a1 * s1.target(x) + a2 * s2.target(x)
-
-    return Surrogate(value, target, s1.anchor, SmoothnessCert.of(L))
-
-
-def combine_transitive(outer: Surrogate, inner: Surrogate) -> Surrogate:
-    """A surrogate of a surrogate of ``f`` majorizes ``f`` with ``L + L''``."""
-    _require_same_anchor(outer, inner)
-    L = tuple(
-        lo.add(li)
-        for lo, li in zip(outer.cert.per_block_L, inner.cert.per_block_L)
-    )
-    return Surrogate(outer.value, inner.target, inner.anchor, SmoothnessCert.of(L))
-
-
-def _require_same_anchor(a: Surrogate, b: Surrogate) -> None:
-    ka, kb = a.anchor, b.anchor
-    if isinstance(ka, BlockVector) != isinstance(kb, BlockVector):
-        raise AnchorError("surrogates anchored on different spaces")
-    if isinstance(ka, BlockVector):
-        if ka.shapes != kb.shapes or any(
-            not np.array_equal(x, y) for x, y in zip(ka.blocks, kb.blocks)
-        ):
-            raise AnchorError("surrogates must share the same anchor")
-    elif not np.array_equal(ka, kb):
-        raise AnchorError("surrogates must share the same anchor")
-
-
-# ---------------------------------------------------------------------------
-# Joint smooth coupling term (non-separable objectives)
-# ---------------------------------------------------------------------------
+__all__ = ["SmoothQuadCoupling"]
 
 
 class SmoothQuadCoupling:
@@ -388,44 +60,3 @@ class SmoothQuadCoupling:
                 for i in range(len(self.ops))
             ]
         )
-
-
-# ---------------------------------------------------------------------------
-# Small generic helpers (single block arrays or BlockVectors)
-# ---------------------------------------------------------------------------
-
-
-def _block_count(x) -> int:
-    return x.n if isinstance(x, BlockVector) else 1
-
-
-def _freeze(x):
-    return x.copy() if isinstance(x, BlockVector) else np.array(x, dtype=float)
-
-
-def _block_diffs(x, kappa):
-    if isinstance(kappa, BlockVector):
-        return [a - b for a, b in zip(x.blocks, kappa.blocks)]
-    return [np.asarray(x, dtype=float) - kappa]
-
-
-def _cert_quad(L, diffs) -> float:
-    return sum(w.norm_sq(d) for w, d in zip(L, diffs))
-
-
-def _inner(g, x, kappa) -> float:
-    if isinstance(kappa, BlockVector):
-        return g.dot(x - kappa)
-    return float(np.vdot(g, np.asarray(x, dtype=float) - kappa))
-
-
-def _as_value(f) -> Callable:
-    if callable(f) and not hasattr(f, "value"):
-        return f
-    return f.value
-
-
-def _as_grad(f) -> Callable:
-    if hasattr(f, "grad"):
-        return f.grad
-    raise TypeError("smooth terms must provide a grad() method")

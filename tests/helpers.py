@@ -2,14 +2,24 @@
 
 Everything here recomputes expected values from first principles (dense
 numpy linear algebra, grid searches) so the library is checked against an
-implementation that shares none of its code paths.
+implementation that shares none of its code paths. The surrogate-axiom
+probe at the end evaluates the solvers' own block model and judges it
+against the augmented Lagrangian and dense curvature built here.
 """
+
+import math
 
 import numpy as np
 
-from mmadmm.blockspace import DenseMatrixOp, ScaledIdentityOp
+from mmadmm.blockspace import BlockVector, DenseMatrixOp, ScaledIdentityOp
 from mmadmm.problems import ProblemSpec
 from mmadmm.prox import ProxFunction
+from mmadmm.solvers import (
+    SolverConfig,
+    assemble_block,
+    prepare_context,
+    subproblem_value,
+)
 
 
 def l1_toy():
@@ -88,3 +98,154 @@ def refine_min(objective, lo, hi, steps=201, rounds=4):
 def random_blocks(rng, shapes, scale=1.0):
     """List of random dense arrays matching the given shapes."""
     return [scale * rng.standard_normal(s) for s in shapes]
+
+
+# ---------------------------------------------------------------------------
+# Surrogate axioms on the block model the solvers run
+# ---------------------------------------------------------------------------
+
+_NONNEG_KINDS = ("l1-nonneg", "indicator-nonneg")
+
+
+def surrogate_axiom_gaps(
+    problem,
+    kind,
+    seed=0,
+    config=None,
+    value=subproblem_value,
+    anchors=3,
+    samples=10,
+):
+    """Majorization gaps of every phase model that ``run`` builds for ``kind``.
+
+    The weights are the ones ``prepare_context`` picks (or
+    ``config.weights``). For each phase ``P``, at a random anchor ``y``
+    inside the domain with a random multiplier ``lam`` and penalty ``beta``,
+    each probe ``x`` (equal to ``y`` outside ``P``) gives
+
+        gap = sum_{i in P} [m_i(x_i) - m_i(y_i)] - [Phi(x) - Phi(y)],
+
+    where ``m_i`` is ``value`` on block ``i``'s assembled ``(q_iso, q_gram,
+    lin)`` and ``Phi(x) = f(x) + <lam, Ax - b> + beta/2 ||Ax - b||^2``. The
+    axioms ask for ``0 <= gap <= bound`` with
+    ``bound = 1/2 sum_i (beta ||d_i||^2_{G_i} + beta ||A_i d_i||^2 +
+    eta_i ||d_i||^2)``, ``d = x - y`` and ``eta_i`` the smooth-term weight:
+    the lower bound is majorization, the upper one touching at ``y`` to
+    second order. Probes are random steps plus one step along the
+    eigenvector of the phase's dense curvature gap with the smallest
+    eigenvalue, where majorization fails first.
+
+    Returns ``(gap, bound, scale)`` triples, ``scale = max(|Phi(x) - Phi(y)|, 1)``.
+    """
+    rng = np.random.default_rng(seed)
+    ctx = prepare_context(problem, kind, config or SolverConfig())
+    A, b, smooth = problem.family, problem.b, ctx.smooth
+    shapes = problem.block_shapes
+    nonneg = [t is not None and t.kind in _NONNEG_KINDS for t in problem.terms]
+
+    def phi(x, lam, beta):
+        r = A.apply(x) - b
+        return (
+            problem.objective(x)
+            + float(np.vdot(lam, r))
+            + 0.5 * beta * float(np.vdot(r, r))
+        )
+
+    out = []
+    for blocks in (ctx.partition.b1, ctx.partition.b2):
+        if not blocks:
+            continue
+        sizes = [int(np.prod(shapes[i])) for i in blocks]
+        offsets = np.cumsum([0] + sizes)
+        A_d = [op_dense(A.operators[i]) for i in blocks]
+        G_d = [ctx.G0[i].to_dense(shapes[i]) for i in blocks]
+        eta = [ctx.plans[i].smooth_eta for i in blocks]
+        A_P = np.hstack(A_d)
+        B_P = None
+        if smooth is not None:
+            B_P = np.hstack(
+                [
+                    op_dense(smooth.ops[i])
+                    if smooth.ops[i] is not None
+                    else np.zeros((smooth.offset.size, sz))
+                    for i, sz in zip(blocks, sizes)
+                ]
+            )
+        for _ in range(anchors):
+            y = [
+                np.abs(rng.standard_normal(s)) + 0.1
+                if nonneg[i]
+                else rng.standard_normal(s)
+                for i, s in enumerate(shapes)
+            ]
+            lam = rng.standard_normal(A.out_shape)
+            beta = float(10.0 ** rng.uniform(-1.0, 1.0))
+            y_bv = BlockVector(y)
+            s_full = A.apply(y_bv) - b + lam / beta
+            smooth_res = smooth.residual(y_bv) if smooth is not None else None
+            models = {
+                i: assemble_block(ctx, i, y_bv, s_full, beta, ctx.G0[i], smooth_res)
+                for i in blocks
+            }
+
+            # Curvature gap: the quadratic form of gap in d = x - y.
+            H = np.zeros((offsets[-1], offsets[-1]))
+            for k, sz in enumerate(sizes):
+                lo, hi = offsets[k], offsets[k + 1]
+                H[lo:hi, lo:hi] = beta * (G_d[k] + A_d[k].T @ A_d[k])
+                H[lo:hi, lo:hi] += eta[k] * np.eye(sz)
+            H -= beta * A_P.T @ A_P
+            if B_P is not None:
+                H -= smooth.weight * B_P.T @ B_P
+            worst = np.linalg.eigh(0.5 * (H + H.T))[1][:, 0]
+            step = 1.0
+            for k, i in enumerate(blocks):
+                v_i, y_i = worst[offsets[k] : offsets[k + 1]], y[i].ravel()
+                if nonneg[i] and np.any(v_i < 0.0):
+                    neg = v_i < 0.0
+                    step = min(step, 0.5 * float(np.min(y_i[neg] / -v_i[neg])))
+            moves = [
+                {
+                    i: step * worst[offsets[k] : offsets[k + 1]].reshape(shapes[i])
+                    for k, i in enumerate(blocks)
+                }
+            ]
+            for _ in range(samples):
+                size = 10.0 ** rng.uniform(-3.0, 0.5)
+                moves.append(
+                    {i: size * rng.standard_normal(shapes[i]) for i in blocks}
+                )
+
+            phi_y = phi(y_bv, lam, beta)
+            for move in moves:
+                x = list(y)
+                for i in blocks:
+                    x[i] = np.abs(y[i] + move[i]) if nonneg[i] else y[i] + move[i]
+                d_phi = phi(BlockVector(x), lam, beta) - phi_y
+                d_model = sum(
+                    value(ctx.plans[i], *models[i], x[i])
+                    - value(ctx.plans[i], *models[i], y[i])
+                    for i in blocks
+                )
+                bound = 0.0
+                for k, i in enumerate(blocks):
+                    d = (x[i] - y[i]).ravel()
+                    a_d = A_d[k] @ d
+                    bound += 0.5 * (
+                        beta * float(d @ G_d[k] @ d)
+                        + beta * float(a_d @ a_d)
+                        + eta[k] * float(d @ d)
+                    )
+                out.append((d_model - d_phi, bound, max(abs(d_phi), 1.0)))
+    return out
+
+
+def surrogate_axioms_hold(gaps, rtol=1e-10):
+    """Whether every ``(gap, bound, scale)`` satisfies ``0 <= gap <= bound``.
+
+    Both sides allow ``rtol * scale`` of rounding; a non-finite gap fails.
+    """
+    return all(
+        math.isfinite(gap) and -rtol * scale <= gap <= bound + rtol * scale
+        for gap, bound, scale in gaps
+    )

@@ -434,10 +434,16 @@ class TestOracles:
             eps_step=1e-12,
             max_iter=400,
         )
-        assert oracle_solve(problem, config=config) is None
+        # One block: the mixed default kind has no partition, so run it all-parallel.
+        assert oracle_solve(problem, solver_kind="jacobi", config=config) is None
 
     def test_oracle_swallows_solver_rejection(self):
         smooth = SmoothQuadCoupling(1.0, (ScaledIdentityOp(1.0, (2,)),), np.zeros(2))
         problem = _single(None, np.ones(2), smooth=smooth)
         config = SolverConfig(max_iter=10)
         assert oracle_solve(problem, solver_kind="l-admm-ps", config=config) is None
+
+    def test_oracle_propagates_misuse(self):
+        problem = quad_problem(3, d=4, dims=(2, 2, 3), weights=(1.0, 2.0, 1.5))
+        with pytest.raises(ValueError, match="needs n = 2"):
+            oracle_solve(problem, solver_kind="gs", config=SolverConfig(max_iter=5))

@@ -152,10 +152,7 @@ class TestLatentLRR:
         assert all(t.kind == "nuclear" for t in problem.terms)
         assert problem.smooth is not None
         assert problem.smooth.weight == 0.4
-        assert problem.recommended_surrogate.tags == (
-            "proximal-gradient",
-            "proximal-gradient",
-        )
+        assert problem.smooth.support == (0, 1)
 
     def test_two_block_objective(self):
         X = self._X()

@@ -79,6 +79,17 @@ class TestSolverConfig:
             ({"mu": 1.0}, "mu must exceed 1"),
             ({"eta_scale": 0.0}, "eta_scale must be positive"),
             ({"schedule": "linear"}, "unknown schedule"),
+            ({"beta0": math.nan}, "beta0 must be finite"),
+            ({"rho": math.nan}, "rho must be finite"),
+            ({"beta_max": math.nan}, "beta_max must be finite"),
+            ({"beta_max": math.inf}, "beta_max must be finite"),
+            ({"max_iter": math.inf}, "max_iter must be finite"),
+            ({"eps_step": math.nan}, "eps_step must be finite"),
+            ({"mu": math.nan}, "mu must be finite"),
+            ({"eta_scale": math.nan}, "eta_scale must be finite"),
+            ({"tau": math.inf}, "tau must be finite"),
+            ({"eps_primal": -1.0}, "eps_primal must be nonnegative"),
+            ({"eps_step": -1e-3}, "eps_step must be nonnegative"),
         ],
     )
     def test_validation(self, kwargs, message):
@@ -231,14 +242,17 @@ def _model_value(op, term, q_iso, q_gram, lin, v):
 
 class TestBlockSolve:
     def _check_minimum(self, op, term, plan, q_iso, q_gram, lin, v, rng):
-        best = _model_value(op, term, q_iso, q_gram, lin, v)
+        # A folded quadratic term is part of q_iso, as assemble_block builds
+        # it; the reference model evaluates that term on its own instead.
+        iso = q_iso - plan.fold_iso
+        best = _model_value(op, term, iso, q_gram, lin, v)
         assert best == pytest.approx(
             subproblem_value(plan, q_iso, q_gram, lin, v), abs=1e-12
         )
         for scale in (1e-2, 1e-5):
             for _ in range(25):
                 probe = v + scale * rng.standard_normal(v.shape)
-                assert best <= _model_value(op, term, q_iso, q_gram, lin, probe) + 1e-10
+                assert best <= _model_value(op, term, iso, q_gram, lin, probe) + 1e-10
 
     def test_prox_path_scalar_gram(self):
         rng = np.random.default_rng(86)
@@ -271,6 +285,17 @@ class TestBlockSolve:
         assert np.linalg.norm(system) <= 1e-10
         self._check_minimum(op, None, plan, 0.7, 1.3, lin, v, rng)
 
+    def test_eig_path_folded_quadratic_term(self):
+        rng = np.random.default_rng(93)
+        op = DenseMatrixOp(rng.standard_normal((5, 3)))
+        term = ProxFunction("sq-frobenius", 2.0)
+        plan = _plan_block(_mini(op, term), 0, WeightMatrix.scaled_identity(0.3), 0.0)
+        assert plan.path == "eig" and plan.fold_iso == 2.0
+        lin = rng.standard_normal(3)
+        q_iso = plan.fold_iso + 0.7
+        v = _solve_block(plan, q_iso, 1.3, lin)
+        self._check_minimum(op, term, plan, q_iso, 1.3, lin, v, rng)
+
     def test_eig_path_left_gram(self):
         rng = np.random.default_rng(89)
         op = LeftMultiplyOp(rng.standard_normal((5, 3)), (3, 2))
@@ -290,11 +315,6 @@ class TestBlockSolve:
         v = _solve_block(plan, 0.5, 2.0, lin)
         system = 0.5 * v + 2.0 * op.gram_apply(v) + lin
         assert np.linalg.norm(system) <= 1e-10
-
-    def test_explicit_weight_rejected(self):
-        op = DenseMatrixOp(np.eye(3))
-        with pytest.raises(UnsupportedSubproblemError, match="no registered solve"):
-            _plan_block(_mini(op, None), 0, WeightMatrix.explicit(np.eye(3)), 0.0)
 
     def test_foreign_gram_rejected(self):
         op = DenseMatrixOp(np.eye(3))
