@@ -1,9 +1,11 @@
 """Block-splitting solvers for linearly constrained convex problems.
 
-The package provides four related iteration schemes built on one canonical
-block subproblem (sequential two-block, all-parallel, mixed two-phase, and
-mixed with backtracking), variable-partition heuristics, benchmark problem
-builders with a joint smooth coupling term, and rate-bound diagnostics.
+Every solver kind (sequential two-block, all-parallel, mixed two-phase,
+mixed with backtracking, and the parallel presets) is a two-phase partition
+of the blocks plus a proximal-weight rule, run by one ``step`` over one
+canonical block subproblem. Around the solvers sit variable-partition
+heuristics, benchmark problem builders with a joint smooth coupling term,
+and rate-bound diagnostics.
 """
 
 from .blockspace import (
@@ -76,11 +78,8 @@ from .solvers import (
     default_weights,
     dual_update,
     ergodic_average,
-    gs_admm_step,
-    jacobi_admm_step,
-    madmm_bt_step,
-    madmm_step,
     run,
+    step,
 )
 from .surrogates import SmoothQuadCoupling
 

@@ -107,8 +107,6 @@ def _merge_config(args) -> dict:
         raise ConfigError(
             f"unknown solver {cfg['solver']!r}; options: {', '.join(SOLVER_KINDS)}"
         )
-    if cfg["schedule"] not in ("geometric", "adaptive"):
-        raise ConfigError(f"unknown schedule {cfg['schedule']!r}")
     return cfg
 
 

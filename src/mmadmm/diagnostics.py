@@ -20,6 +20,7 @@ from .solvers import (
     DivergenceError,
     SolverConfig,
     UnsupportedSubproblemError,
+    _resolve_partition,
     ergodic_average,
     run,
 )
@@ -39,6 +40,10 @@ __all__ = [
     "oracle_solve",
     "quadratic_oracle",
 ]
+
+
+# Solver kinds with a rate bound; the presets have none.
+_RATE_KINDS = ("gs", "jacobi", "madmm", "madmm-bt")
 
 
 class AssumptionError(ValueError):
@@ -121,12 +126,14 @@ def _smooth_weight(problem, i: int) -> WeightMatrix:
     return problem.smooth.cert[i]
 
 
-def _block_quad_dense(problem, i: int, G: WeightMatrix, beta0: float) -> np.ndarray:
-    """Dense ``(1/beta0) L_i + A_i^T A_i + G_i`` on the flattened block."""
+def _block_quad_dense(problem, i: int, G: WeightMatrix, beta0=None) -> np.ndarray:
+    """Dense ``A_i^T A_i + G_i`` (plus ``L_i/beta0`` when given) on the flat block."""
     shape = problem.block_shapes[i]
-    L = _smooth_weight(problem, i)
     Ai = _op_dense(problem.family.operators[i])
-    return (1.0 / beta0) * L.to_dense(shape) + Ai.T @ Ai + G.to_dense(shape)
+    M = Ai.T @ Ai + G.to_dense(shape)
+    if beta0 is not None:
+        M += (1.0 / beta0) * _smooth_weight(problem, i).to_dense(shape)
+    return M
 
 
 def _check_psd(H: np.ndarray, label: str) -> None:
@@ -155,20 +162,20 @@ def _spec_norm_sq_dense(M: np.ndarray) -> float:
     return float(s[0]) ** 2 if s.size else 0.0
 
 
-def _diag_minus_cross(problem, blocks, G, beta0=None) -> np.ndarray:
-    """``Diag{A_i^T A_i + G_i} - A_B^T A_B`` (plus ``L_i/beta0`` when given)."""
+def _block_diag(problem, blocks, G, beta0=None) -> np.ndarray:
+    """``Diag{A_i^T A_i + G_i}`` over ``blocks`` (plus ``L_i/beta0`` when given)."""
     sizes = [int(np.prod(problem.block_shapes[i])) for i in blocks]
-    total = sum(sizes)
-    M = np.zeros((total, total))
+    M = np.zeros((sum(sizes), sum(sizes)))
     off = 0
     for i, sz in zip(blocks, sizes):
-        if beta0 is None:
-            Ai = _op_dense(problem.family.operators[i])
-            blockM = Ai.T @ Ai + G[i].to_dense(problem.block_shapes[i])
-        else:
-            blockM = _block_quad_dense(problem, i, G[i], beta0)
-        M[off : off + sz, off : off + sz] = blockM
+        M[off : off + sz, off : off + sz] = _block_quad_dense(problem, i, G[i], beta0)
         off += sz
+    return M
+
+
+def _diag_minus_cross(problem, blocks, G, beta0=None) -> np.ndarray:
+    """``Diag{A_i^T A_i + G_i} - A_B^T A_B`` (plus ``L_i/beta0`` when given)."""
+    M = _block_diag(problem, blocks, G, beta0)
     if blocks:
         AB = _stack_dense(problem, blocks)
         M -= AB.T @ AB
@@ -189,40 +196,23 @@ def theorem_alpha(
 ) -> float:
     """Penalty coefficient ``alpha`` of the averaged-iterate rate bound.
 
-    ``gs``: ``min{1/2, sigma_min^2(G_2) / (2 ||A_2||_2^2)}``;
-    ``jacobi``: the same with ``Diag{A_i^T A_i + G_i} - A^T A`` and ``A``;
-    ``madmm``: restricted to the second super block;
-    ``madmm-bt``: ``min{1/2, tau / (2 ||A_{B2}||_2^2)}``.
+    ``min{1/2, sigma_min^2(Diag{A_i^T A_i + G_i} - A_B2^T A_B2) / (2 ||A_B2||_2^2)}``
+    over the second phase ``B2`` of the kind's partition: ``(1,)`` for
+    ``gs``, every block for ``jacobi``, ``partition.b2`` for ``madmm``.
+    ``madmm-bt`` uses ``tau`` in place of ``sigma_min^2``.
     """
-    if kind == "gs":
-        G2 = G[1].to_dense(problem.block_shapes[1])
-        a2 = _spec_norm_sq_dense(_op_dense(problem.family.operators[1]))
-        if a2 == 0.0:
-            return 0.5
-        return min(0.5, _sigma_min_sq(G2) / (2.0 * a2))
-    if kind == "jacobi":
-        blocks = tuple(range(problem.family.n))
-        M = _diag_minus_cross(problem, blocks, G)
-        a_sq = _spec_norm_sq_dense(_stack_dense(problem, blocks))
-        if a_sq == 0.0:
-            return 0.5
-        return min(0.5, _sigma_min_sq(M) / (2.0 * a_sq))
-    if kind == "madmm":
-        if partition is None:
-            raise ValueError("the mixed scheme needs its partition")
-        M = _diag_minus_cross(problem, partition.b2, G)
-        a_sq = _spec_norm_sq_dense(_stack_dense(problem, partition.b2))
-        if a_sq == 0.0:
-            return 0.5
-        return min(0.5, _sigma_min_sq(M) / (2.0 * a_sq))
+    if kind not in _RATE_KINDS:
+        raise ValueError(f"no rate constant for solver kind {kind!r}")
+    if kind == "madmm-bt" and tau is None:
+        raise ValueError("the backtracking scheme needs partition and tau")
+    b2 = _resolve_partition(problem, kind, partition).b2
+    a_sq = _spec_norm_sq_dense(_stack_dense(problem, b2))
+    if a_sq == 0.0:
+        return 0.5
     if kind == "madmm-bt":
-        if partition is None or tau is None:
-            raise ValueError("the backtracking scheme needs partition and tau")
-        a_sq = _spec_norm_sq_dense(_stack_dense(problem, partition.b2))
-        if a_sq == 0.0:
-            return 0.5
         return min(0.5, tau / (2.0 * a_sq))
-    raise ValueError(f"no rate constant for solver kind {kind!r}")
+    M = _diag_minus_cross(problem, b2, G)
+    return min(0.5, _sigma_min_sq(M) / (2.0 * a_sq))
 
 
 @dataclass(frozen=True)
@@ -242,39 +232,22 @@ def theorem_H0(
 ) -> H0Bundle:
     """Assemble the initial weighting matrices of the rate bound.
 
-    ``gs``: ``H_1 = L_1/beta0 + G_1``, ``H_2 = L_2/beta0 + A_2^T A_2 + G_2``;
-    ``jacobi``: ``H_i = L_i/beta0 + A_i^T A_i + G_i`` per block;
-    ``madmm``: first super block gets the cross Gram subtracted, second keeps
-    the block-diagonal form. The dual part is ``(1/beta0)^2 I`` in all cases.
-    Raises :class:`AssumptionError` when a matrix is not PSD.
+    Over the kind's partition, the first phase ``B1`` gets
+    ``Diag{L_i/beta0 + A_i^T A_i + G_i} - A_B1^T A_B1`` and the second phase
+    the block-diagonal ``Diag{L_i/beta0 + A_i^T A_i + G_i}``; an empty phase
+    has no group. The dual part is ``(1/beta0)^2 I``. Raises
+    :class:`AssumptionError` when a matrix is not PSD.
     """
     if beta0 <= 0:
         raise ValueError("beta0 must be positive")
-    groups = []
-    if kind == "gs":
-        shape1 = problem.block_shapes[0]
-        L1 = _smooth_weight(problem, 0)
-        H1 = (1.0 / beta0) * L1.to_dense(shape1) + G[0].to_dense(shape1)
-        H2 = _block_quad_dense(problem, 1, G[1], beta0)
-        groups = [((0,), H1), ((1,), H2)]
-    elif kind == "jacobi":
-        for i in range(problem.family.n):
-            groups.append(((i,), _block_quad_dense(problem, i, G[i], beta0)))
-    elif kind in ("madmm", "madmm-bt"):
-        if partition is None:
-            raise ValueError("the mixed scheme needs its partition")
-        H1 = _diag_minus_cross(problem, partition.b1, G, beta0=beta0)
-        sizes = [int(np.prod(problem.block_shapes[i])) for i in partition.b2]
-        H2 = np.zeros((sum(sizes), sum(sizes)))
-        off = 0
-        for i, sz in zip(partition.b2, sizes):
-            H2[off : off + sz, off : off + sz] = _block_quad_dense(
-                problem, i, G[i], beta0
-            )
-            off += sz
-        groups = [(tuple(partition.b1), H1), (tuple(partition.b2), H2)]
-    else:
+    if kind not in _RATE_KINDS:
         raise ValueError(f"no rate bound for solver kind {kind!r}")
+    part = _resolve_partition(problem, kind, partition)
+    groups = []
+    if part.b1:
+        groups.append((part.b1, _diag_minus_cross(problem, part.b1, G, beta0=beta0)))
+    if part.b2:
+        groups.append((part.b2, _block_diag(problem, part.b2, G, beta0=beta0)))
     for idx, H in groups:
         _check_psd(H, f"initial metric over blocks {idx}")
     return H0Bundle(tuple(groups), (1.0 / beta0) ** 2)

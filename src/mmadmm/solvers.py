@@ -1,23 +1,23 @@
 """Solver engines for linearly constrained block-separable problems.
 
-Four iteration schemes share one canonical block subproblem. Each outer
-iteration minimizes, block by block, a separable upper model of the
-augmented Lagrangian built from the block's objective term, the penalty
-coupling anchored at the phase's reference point, and a proximal weight
-``G_i``:
+Every solver kind is one scheme: a partition of the blocks into two phases
+plus a rule for the proximal weights, run by :func:`step`. Each outer
+iteration updates the first phase's blocks in parallel, anchored at the
+previous iterate, then the second phase's blocks in parallel, anchored at
+the result; an empty phase does nothing. Each block minimizes the same
+canonical subproblem: a separable upper model of the augmented Lagrangian
+built from the block's objective term, the penalty coupling anchored at the
+phase's reference point, and a proximal weight ``G_i``.
 
-- sequential two-block scheme (``gs``): block 1 then block 2, each seeing
-  the other's latest value;
-- all-parallel scheme (``jacobi``): every block anchored at the previous
-  iterate;
-- mixed scheme (``madmm``): blocks split into two super blocks, updated
-  sequentially, with parallel updates inside each;
+- sequential two-block scheme (``gs``): the partition ``((0,), (1,))``;
+- all-parallel scheme (``jacobi``): the partition ``((), all)``;
+- mixed scheme (``madmm``): a user or heuristic partition ``(B1, B2)``;
 - mixed scheme with backtracking (``madmm-bt``): proximal weights start
   small and are inflated by ``mu`` until the per-phase acceptance
-  inequalities hold.
+  inequality holds.
 
 Reference presets ``l-admm-ps``, ``pl-admm-ps``, and ``gl-admm-ps`` run the
-all-parallel scheme with the classical weight choices.
+all-parallel partition with the classical weight choices.
 """
 
 from __future__ import annotations
@@ -49,10 +49,7 @@ __all__ = [
     "DivergenceError",
     "BacktrackingConsistencyError",
     "dual_update",
-    "gs_admm_step",
-    "jacobi_admm_step",
-    "madmm_step",
-    "madmm_bt_step",
+    "step",
     "run",
     "ergodic_average",
     "default_weights",
@@ -73,6 +70,7 @@ SOLVER_KINDS = (
     "pl-admm-ps",
     "gl-admm-ps",
 )
+_ALL_PARALLEL = ("jacobi", "l-admm-ps", "pl-admm-ps", "gl-admm-ps")
 
 # Strictness margin for proximal weights that must dominate the coupling
 # curvature strictly (second phase and all-parallel updates). First-phase
@@ -298,15 +296,16 @@ def default_weights(problem, kind: str, partition: Optional[Partition] = None):
     3. otherwise ``G_i = eta I - A_i^T A_i`` with ``eta = margin eta'_i``,
        which cancels the Gram and yields a proximal-step update.
 
-    The margin is 1 for first-phase blocks and slightly above 1 elsewhere,
-    where the curvature bound must be dominated strictly.
+    The phases are those of the kind's partition; the mixed kinds need
+    ``partition``, the others ignore it. The margin is 1 for first-phase
+    blocks and slightly above 1 elsewhere, where the curvature bound must be
+    dominated strictly.
     """
     A = problem.family
     n = A.n
-    phases = _phase_layout(kind, n, partition)
     G = [WeightMatrix.zero()] * n
     info = ["unconstrained"] * n
-    for blocks, margin in phases:
+    for blocks, margin in _phases(_resolve_partition(problem, kind, partition)):
         sm = phase_smoothness(A, blocks)
         for i in blocks:
             op = A.operators[i]
@@ -331,18 +330,44 @@ def default_weights(problem, kind: str, partition: Optional[Partition] = None):
     return G, info
 
 
-def _phase_layout(kind: str, n: int, partition: Optional[Partition]):
+def _resolve_partition(problem, kind: str, requested=None) -> Partition:
+    """The partition whose two phases define solver ``kind`` on ``problem``.
+
+    ``gs`` is ``((0,), (1,))`` and needs two blocks; ``jacobi`` and the
+    presets are ``((), all)``. The mixed kinds take ``requested``: a
+    Partition covering every block, or ``"auto"`` for the problem's
+    recommended partition, else the case-I heuristic.
+    """
+    n = problem.family.n
     if kind == "gs":
         if n != 2:
             raise ValueError("the sequential two-block solver needs n = 2")
-        return [((0,), MARGIN_EQ), ((1,), MARGIN_STRICT)]
-    if kind in ("jacobi", "l-admm-ps", "pl-admm-ps", "gl-admm-ps"):
-        return [(tuple(range(n)), MARGIN_STRICT)]
-    if kind in ("madmm", "madmm-bt"):
-        if partition is None:
-            raise ValueError("the mixed solver needs a partition")
-        return [(partition.b1, MARGIN_EQ), (partition.b2, MARGIN_STRICT)]
-    raise ValueError(f"unknown solver kind {kind!r}")
+        return Partition((0,), (1,), case="user")
+    if kind in _ALL_PARALLEL:
+        return Partition((), tuple(range(n)), case="user")
+    if kind not in ("madmm", "madmm-bt"):
+        raise ValueError(f"unknown solver kind {kind!r}; options: {SOLVER_KINDS}")
+    if isinstance(requested, Partition):
+        if not requested.covers(n):
+            raise ValueError("partition does not cover all blocks")
+        return requested
+    if requested is None:
+        raise ValueError("the mixed scheme needs its partition")
+    if requested != "auto":
+        raise ValueError(f"unrecognized partition spec {requested!r}")
+    if problem.recommended_partition is not None:
+        return problem.recommended_partition
+    if n < 2:
+        raise ValueError(
+            f"solver kind {kind!r} cannot choose a partition for {n} block; "
+            "pass a Partition, such as Partition((0,), ())"
+        )
+    return case1_partition(list(problem.family.norms_sq()), problem.family)
+
+
+def _phases(partition: Partition):
+    """``((b1, margin), (b2, margin))``: the two phases of every scheme."""
+    return ((partition.b1, MARGIN_EQ), (partition.b2, MARGIN_STRICT))
 
 
 def _preset_weights(problem, kind: str):
@@ -515,14 +540,10 @@ def assemble_block(
         q_iso += beta * iso
         lin -= beta * G.mat_vec(yi)
     if plan.smooth_eta > 0.0 and smooth_res is not None:
-        grad = ctx.smooth.weight * op_adjoint_of_smooth(ctx, i, smooth_res)
+        grad = ctx.smooth.weight * ctx.smooth.ops[i].adjoint(smooth_res)
         q_iso += plan.smooth_eta
         lin += grad - plan.smooth_eta * yi
     return q_iso, q_gram, lin
-
-
-def op_adjoint_of_smooth(ctx, i, smooth_res):
-    return ctx.smooth.ops[i].adjoint(smooth_res)
 
 
 # ---------------------------------------------------------------------------
@@ -535,7 +556,7 @@ class _RunContext:
     problem: object
     kind: str
     config: SolverConfig
-    partition: Optional[Partition]
+    partition: Partition
     plans: list
     G0: list
     etas0: Optional[list]
@@ -554,33 +575,11 @@ class _RunContext:
         return self.problem.b
 
 
-def _resolve_partition(problem, kind: str, config: SolverConfig) -> Optional[Partition]:
-    n = problem.family.n
-    if kind == "gs":
-        if n != 2:
-            raise ValueError("the sequential two-block solver needs n = 2")
-        return Partition((0,), (1,), case="user")
-    if kind in ("jacobi", "l-admm-ps", "pl-admm-ps", "gl-admm-ps"):
-        return Partition((), tuple(range(n)), case="user")
-    part = config.partition
-    if isinstance(part, Partition):
-        if not part.covers(n):
-            raise ValueError("partition does not cover all blocks")
-        return part
-    if part in (None, "auto"):
-        if problem.recommended_partition is not None:
-            return problem.recommended_partition
-        return case1_partition(list(problem.family.norms_sq()), problem.family)
-    raise ValueError(f"unrecognized partition spec {part!r}")
-
-
 def prepare_context(
     problem, kind: str, config: SolverConfig, workers: int = 1
 ) -> _RunContext:
     """Validate solvability of every block and freeze the solve plans."""
-    if kind not in SOLVER_KINDS:
-        raise ValueError(f"unknown solver kind {kind!r}; options: {SOLVER_KINDS}")
-    partition = _resolve_partition(problem, kind, config)
+    partition = _resolve_partition(problem, kind, config.partition)
     smooth = problem.smooth
     linearize = smooth is not None and (
         problem.linearize_smooth or kind in ("pl-admm-ps",)
@@ -638,7 +637,7 @@ def _bt_initial_weights(problem, partition: Partition, eta_scale: float):
     A = problem.family
     G = [WeightMatrix.zero()] * A.n
     etas = [0.0] * A.n
-    for blocks in (partition.b1, partition.b2):
+    for blocks, _ in _phases(partition):
         nj = len(blocks)
         for i in blocks:
             op = A.operators[i]
@@ -661,10 +660,10 @@ def _run_phase(
     lam: np.ndarray,
     beta: float,
     G: Sequence[WeightMatrix],
-) -> dict:
-    """Update ``blocks`` in parallel, all anchored at ``y``; returns new values."""
+) -> BlockVector:
+    """Update ``blocks`` in parallel, all anchored at ``y``; returns the new iterate."""
     if not blocks:
-        return {}
+        return y
     s_full = ctx.A.apply(y) - ctx.b + lam / beta
     smooth_res = None
     if ctx.smooth is not None and ctx.smooth_linearize:
@@ -678,95 +677,56 @@ def _run_phase(
         results = list(ctx.executor.map(work, blocks))
     else:
         results = [work(i) for i in blocks]
-    return dict(zip(blocks, results))
-
-
-def _apply_updates(x: BlockVector, updates: dict) -> BlockVector:
-    if not updates:
-        return x
-    blocks = list(x.blocks)
-    for i, v in updates.items():
-        blocks[i] = v
-    return BlockVector(blocks)
+    # One construction for the whole phase: replacing block by block would
+    # rebuild the vector once per block.
+    new = list(y.blocks)
+    for i, v in zip(blocks, results):
+        new[i] = v
+    return BlockVector(new)
 
 
 # ---------------------------------------------------------------------------
-# Steps
+# The step
 # ---------------------------------------------------------------------------
 
 
-def gs_admm_step(state: SolverState, ctx: _RunContext):
-    """Two-block sequential sweep, dual ascent, penalty advance."""
-    x_prev = state.x
-    first = _run_phase(ctx, (0,), x_prev, state.lam, state.beta, state.G)
-    mid = _apply_updates(x_prev, first)
-    second = _run_phase(ctx, (1,), mid, state.lam, state.beta, state.G)
-    x_new = _apply_updates(mid, second)
-    return _commit(state, ctx, x_new, backtracks=0)
+def step(state: SolverState, ctx: _RunContext):
+    """One outer iteration: the partition's two phases, then dual and penalty.
 
-
-def jacobi_admm_step(state: SolverState, ctx: _RunContext):
-    """All-parallel sweep anchored at the previous iterate."""
-    blocks = tuple(range(ctx.A.n))
-    updates = _run_phase(ctx, blocks, state.x, state.lam, state.beta, state.G)
-    x_new = _apply_updates(state.x, updates)
-    return _commit(state, ctx, x_new, backtracks=0)
-
-
-def madmm_step(state: SolverState, ctx: _RunContext):
-    """Two parallel phases in sequence over the partition's super blocks."""
-    part = ctx.partition
-    x_prev = state.x
-    first = _run_phase(ctx, part.b1, x_prev, state.lam, state.beta, state.G)
-    mid = _apply_updates(x_prev, first)
-    second = _run_phase(ctx, part.b2, mid, state.lam, state.beta, state.G)
-    x_new = _apply_updates(mid, second)
-    return _commit(state, ctx, x_new, backtracks=0)
-
-
-def madmm_bt_step(state: SolverState, ctx: _RunContext):
-    """Mixed step with per-phase weight inflation until acceptance holds.
-
-    Phase one is recomputed with weights scaled by ``mu`` until the combined
-    coupling of its step is dominated by the per-block quadratics; phase two
-    likewise until its step passes the ``tau`` margin test. Accepted weights
-    carry over to the next iteration.
+    Each phase updates its blocks in parallel, anchored at the iterate the
+    previous phase left. Under ``madmm-bt`` a phase is recomputed with its
+    weights scaled by ``mu`` until :func:`_bt_accept` holds, with ``tau = 0``
+    for the first phase and ``config.tau`` for the second; accepted weights
+    carry over to the next iteration. Returns the residual, the penalty the
+    iteration used, and its backtrack count.
     """
-    part = ctx.partition
-    A = ctx.A
+    backtracking = ctx.kind == "madmm-bt"
     mu = ctx.config.mu
-    x_prev = state.x
+    x = state.x
     backtracks = 0
-
-    cap1 = _rescale_cap(ctx, part.b1, state.etas, mu)
-    while True:
-        first = _run_phase(ctx, part.b1, x_prev, state.lam, state.beta, state.G)
-        if _bt_phase1_ok(ctx, part.b1, x_prev, first, state.etas):
-            break
-        _bt_scale(ctx, part.b1, state, mu)
-        backtracks += 1
-        cap1 -= 1
-        if cap1 < 0:
-            raise BacktrackingConsistencyError(
-                "first-phase acceptance kept failing beyond the safe weight level"
-            )
-    mid = _apply_updates(x_prev, first)
-
-    cap2 = _rescale_cap(ctx, part.b2, state.etas, mu)
-    while True:
-        second = _run_phase(ctx, part.b2, mid, state.lam, state.beta, state.G)
-        if _bt_phase2_ok(ctx, part.b2, x_prev, second, state.etas):
-            break
-        _bt_scale(ctx, part.b2, state, mu)
-        backtracks += 1
-        cap2 -= 1
-        if cap2 < 0:
-            raise BacktrackingConsistencyError(
-                "second-phase acceptance kept failing beyond the safe weight level"
-            )
-    x_new = _apply_updates(mid, second)
+    for (blocks, _), tau in zip(_phases(ctx.partition), (0.0, ctx.config.tau)):
+        cap = _rescale_cap(ctx, blocks, state.etas, mu) if backtracking else 0
+        while True:
+            x_new = _run_phase(ctx, blocks, x, state.lam, state.beta, state.G)
+            if not backtracking or _bt_accept(ctx, blocks, x, x_new, state.etas, tau):
+                break
+            _bt_scale(ctx, blocks, state, mu)
+            backtracks += 1
+            cap -= 1
+            if cap < 0:
+                raise BacktrackingConsistencyError(
+                    f"phase acceptance (tau={tau:g}) kept failing beyond the "
+                    "safe weight level"
+                )
+        x = x_new
     state.backtrack_count += backtracks
-    return _commit(state, ctx, x_new, backtracks=backtracks)
+    resid = ctx.A.apply(x) - ctx.b
+    state.lam = dual_update(state.lam, state.beta, resid)
+    beta_used = state.beta
+    state.beta = _next_beta(ctx, state.beta, x, state.x)
+    state.x = x
+    state.k += 1
+    return resid, beta_used, backtracks
 
 
 def _rescale_cap(ctx, blocks, etas, mu: float) -> int:
@@ -789,24 +749,13 @@ def _bt_scale(ctx, blocks, state: SolverState, mu: float) -> None:
         )
 
 
-def _bt_phase1_ok(ctx, blocks, x_prev, updates, etas) -> bool:
-    # ||A_{B1} d_{B1}||^2 <= sum_i eta_i ||d_i||^2 (weights in eta form).
-    lhs_vec = np.zeros(ctx.A.out_shape)
-    rhs = 0.0
-    for i in blocks:
-        op = ctx.A.operators[i]
-        if op.op_norm_sq == 0.0:
-            continue
-        d = updates[i] - x_prev[i]
-        lhs_vec += op.apply(d)
-        rhs += etas[i] * float(np.vdot(d, d))
-    return float(np.vdot(lhs_vec, lhs_vec)) <= rhs
+def _bt_accept(ctx, blocks, anchor, updates, etas, tau: float) -> bool:
+    """``tau ||d||^2 <= sum_i eta_i ||d_i||^2 - ||sum_i A_i d_i||^2`` over ``blocks``.
 
-
-def _bt_phase2_ok(ctx, blocks, x_prev, updates, etas) -> bool:
-    # tau ||d_{B2}||^2 <= sum_i eta_i ||d_i||^2 - ||A_{B2} d_{B2}||^2,
-    # restricted to constraint-coupled blocks.
-    tau = ctx.config.tau
+    ``d_i = updates[i] - anchor[i]``, restricted to constraint-coupled
+    blocks. At ``tau = 0`` this is the first phase's test
+    ``||A d||^2 <= sum_i eta_i ||d_i||^2``.
+    """
     lhs = 0.0
     quad = 0.0
     a_vec = np.zeros(ctx.A.out_shape)
@@ -814,22 +763,12 @@ def _bt_phase2_ok(ctx, blocks, x_prev, updates, etas) -> bool:
         op = ctx.A.operators[i]
         if op.op_norm_sq == 0.0:
             continue
-        d = updates[i] - x_prev[i]
+        d = updates[i] - anchor[i]
         dsq = float(np.vdot(d, d))
         lhs += dsq
         quad += etas[i] * dsq
         a_vec += op.apply(d)
     return tau * lhs <= quad - float(np.vdot(a_vec, a_vec))
-
-
-def _commit(state: SolverState, ctx: _RunContext, x_new: BlockVector, backtracks: int):
-    resid = ctx.A.apply(x_new) - ctx.b
-    state.lam = dual_update(state.lam, state.beta, resid)
-    beta_used = state.beta
-    state.beta = _next_beta(ctx, state.beta, x_new, state.x)
-    state.x = x_new
-    state.k += 1
-    return resid, beta_used, backtracks
 
 
 def _next_beta(ctx, beta: float, x_new: BlockVector, x_prev: BlockVector) -> float:
@@ -843,17 +782,6 @@ def _next_beta(ctx, beta: float, x_new: BlockVector, x_prev: BlockVector) -> flo
     if worst / ctx.b_scale <= cfg.eps_primal:
         return min(cfg.rho * beta, cfg.beta_max)
     return beta
-
-
-_STEP_FNS: dict = {
-    "gs": gs_admm_step,
-    "jacobi": jacobi_admm_step,
-    "madmm": madmm_step,
-    "madmm-bt": madmm_bt_step,
-    "l-admm-ps": jacobi_admm_step,
-    "pl-admm-ps": jacobi_admm_step,
-    "gl-admm-ps": jacobi_admm_step,
-}
 
 
 def run(
@@ -880,7 +808,6 @@ def run(
         G=list(ctx.G0),
         etas=None if ctx.etas0 is None else list(ctx.etas0),
     )
-    step = _STEP_FNS[solver_kind]
     iterates = [] if keep_iterates else None
     betas = [] if keep_iterates else None
     stop_reason = "budget"

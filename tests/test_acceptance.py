@@ -33,9 +33,9 @@ from mmadmm.solvers import (
     SolverState,
     default_weights,
     dual_update,
-    madmm_bt_step,
     prepare_context,
     run,
+    step,
 )
 
 from helpers import (
@@ -491,7 +491,7 @@ def _bt_postconditions_ok():
     )
     for _ in range(10):
         x_prev = state.x
-        madmm_bt_step(state, ctx)
+        step(state, ctx)
         x_new = state.x
         coupled = np.zeros(A.out_shape)
         allowance = 0.0

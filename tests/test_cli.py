@@ -354,6 +354,25 @@ class TestConfigFile:
         assert code == 1
         assert "config key 'max_iter'" in capsys.readouterr().err
 
+    def test_unknown_schedule_rejected(self, tmp_path, capsys):
+        manifest = _generate_nnsc(tmp_path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("schedule = bogus\n")
+        capsys.readouterr()
+        code = main(
+            [
+                "solve",
+                "--manifest",
+                str(manifest),
+                "--trace",
+                str(tmp_path / "t.csv"),
+                "--config",
+                str(cfg),
+            ]
+        )
+        assert code == 1
+        assert "unknown schedule" in capsys.readouterr().err
+
     def test_conflicting_manifest_rejected(self, tmp_path, capsys):
         manifest = _generate_nnsc(tmp_path)
         cfg = tmp_path / "run.cfg"

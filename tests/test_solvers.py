@@ -30,18 +30,17 @@ from mmadmm.solvers import (
     SolverConfig,
     SolverState,
     UnsupportedSubproblemError,
-    _bt_phase1_ok,
-    _bt_phase2_ok,
+    _bt_accept,
     _plan_block,
     _preset_weights,
     _solve_block,
     default_weights,
     dual_update,
     ergodic_average,
-    madmm_bt_step,
     phase_smoothness,
     prepare_context,
     run,
+    step,
     subproblem_value,
 )
 from mmadmm.surrogates import SmoothQuadCoupling
@@ -209,7 +208,7 @@ class TestDefaultWeights:
             default_weights(l1_toy(), "bogus")
 
     def test_mixed_kind_needs_partition(self):
-        with pytest.raises(ValueError, match="needs a partition"):
+        with pytest.raises(ValueError, match="needs its partition"):
             default_weights(l1_toy(), "madmm", None)
 
     def test_preset_weights(self):
@@ -670,6 +669,50 @@ class TestPartitionResolution:
                 quad_problem(seed=6), "madmm", SolverConfig(partition=5)
             )
 
+    @pytest.mark.parametrize(
+        "kind, want",
+        [
+            ("gs", ((0,), (1,))),
+            ("jacobi", ((), (0, 1))),
+            ("l-admm-ps", ((), (0, 1))),
+            ("pl-admm-ps", ((), (0, 1))),
+            ("gl-admm-ps", ((), (0, 1))),
+            ("madmm", ((1,), (0,))),
+            ("madmm-bt", ((1,), (0,))),
+        ],
+    )
+    def test_every_kind_runs_its_partition(self, kind, want):
+        # The fixed kinds ignore a requested partition; the mixed kinds take it.
+        config = SolverConfig(partition=Partition((1,), (0,)))
+        ctx = prepare_context(quad_problem(seed=7), kind, config)
+        assert (ctx.partition.b1, ctx.partition.b2) == want
+
+    @pytest.mark.parametrize(
+        "problem", [l1_toy(), _dense_problem(95, d=5, dims=(2, 3))]
+    )
+    def test_fixed_kinds_weigh_as_mixed_at_their_partition(self, problem):
+        for kind, part in (
+            ("jacobi", Partition((), (0, 1))),
+            ("gs", Partition((0,), (1,))),
+        ):
+            G, info = default_weights(problem, kind)
+            G_mixed, info_mixed = default_weights(problem, "madmm", part)
+            assert info == info_mixed
+            assert [g.form for g in G] == [g.form for g in G_mixed]
+            assert [g.eta for g in G] == [g.eta for g in G_mixed]
+
+    @pytest.mark.parametrize("kind", ["madmm", "madmm-bt"])
+    def test_mixed_kind_on_one_block(self, kind):
+        ops = (ScaledIdentityOp(1.0, (2,)),)
+        problem = ProblemSpec(
+            "one", [(ops, np.ones(2))], ((2,),), (ProxFunction("sq-frobenius"),)
+        )
+        with pytest.raises(ValueError, match=f"'{kind}'.* 1 block.*pass a Partition"):
+            run(problem, kind, SolverConfig(max_iter=5))
+        config = SolverConfig(partition=Partition((0,), ()), beta0=1.0, max_iter=5)
+        result = run(problem, kind, config)
+        assert len(result.trace) == 5
+
 
 class TestBacktracking:
     def _problem(self, seed=100):
@@ -713,7 +756,7 @@ class TestBacktracking:
         for _ in range(25):
             x_prev = state.x
             etas_before = list(state.etas)
-            _, _, backtracks = madmm_bt_step(state, ctx)
+            _, _, backtracks = step(state, ctx)
             x_new = state.x
             total_backtracks += backtracks
             saw_backtrack = saw_backtrack or backtracks > 0
@@ -781,10 +824,19 @@ class TestBacktracking:
         op = DenseMatrixOp(np.eye(2))
         zero = ZeroOp((3,), (2,))
         fam = BlockOperatorFamily((op, zero), (2,))
-        problem = SimpleNamespace(family=fam)
-        ctx = SimpleNamespace(A=fam, config=SimpleNamespace(tau=1.3))
+        ctx = SimpleNamespace(A=fam)
         x_prev = BlockVector([np.zeros(2), np.zeros(3)])
         updates = {0: np.array([0.3, -0.1]), 1: np.array([5.0, 5.0, 5.0])}
         etas = [3.0, 0.0]
-        assert _bt_phase1_ok(ctx, (0, 1), x_prev, updates, etas)
-        assert _bt_phase2_ok(ctx, (0, 1), x_prev, updates, etas)
+        for tau in (0.0, 1.3):
+            assert _bt_accept(ctx, (0, 1), x_prev, updates, etas, tau)
+
+    def test_acceptance_tie_passes_first_phase_test(self):
+        # ||A d||^2 == eta ||d||^2 exactly: the first phase accepts a tie,
+        # a positive tau margin does not.
+        fam = BlockOperatorFamily((DenseMatrixOp(np.eye(2)),), (2,))
+        ctx = SimpleNamespace(A=fam)
+        x_prev = BlockVector([np.zeros(2)])
+        updates = {0: np.array([0.5, 0.25])}
+        assert _bt_accept(ctx, (0,), x_prev, updates, [1.0], 0.0)
+        assert not _bt_accept(ctx, (0,), x_prev, updates, [1.0], 1.3)
