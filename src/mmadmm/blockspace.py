@@ -156,7 +156,10 @@ class BlockVector:
 
 
 class NormEstimate(NamedTuple):
-    """Certified upper bound on a squared operator norm."""
+    """Power-iteration estimate of a squared operator norm.
+
+    An upper bound only when ``converged`` is false (the trace fallback).
+    """
 
     value: float
     converged: bool
@@ -201,6 +204,14 @@ class BlockOperator:
         """
         return None
 
+    def gram_kind(self) -> Optional[str]:
+        """The tag of :meth:`gram_rep` (``None`` when it has none).
+
+        Operators whose Gram is costly to build answer without building it.
+        """
+        rep = self.gram_rep()
+        return None if rep is None else rep[0]
+
     def gram_apply(self, v: np.ndarray) -> np.ndarray:
         """Return ``A^T A v`` without materializing the Gram matrix."""
         return self.adjoint(self.apply(v))
@@ -242,12 +253,15 @@ class DenseMatrixOp(BlockOperator):
         return self.matrix.T @ self._check_out(u)
 
     def _compute_norm_sq(self):
-        # Power-iteration certificate; the dense SVD is kept as an
-        # independent oracle in the tests rather than fused here.
-        return estimate_op_norm_sq(self).value
+        # From the matrix's own SVD: the top eigenvalue of M^T M would carry
+        # the rounding of forming the Gram, which the guard does not cover.
+        return _spectral_norm_sq(self.matrix)
 
     def gram_rep(self):
         return ("dense", self.matrix.T @ self.matrix)
+
+    def gram_kind(self):
+        return "dense"
 
     def trace_gram(self) -> float:
         return float(np.sum(self.matrix * self.matrix))
@@ -623,13 +637,15 @@ def estimate_op_norm_sq(
     max_iter: int = 500,
     seed: int = 0,
 ) -> NormEstimate:
-    """Certified upper bound on ``||A||_2^2`` by power iteration on A^T A.
+    """Estimate of ``||A||_2^2`` by power iteration on A^T A.
 
-    The converged Rayleigh quotient lower-bounds the true value by at most a
-    relative ``tol``, so the returned value is inflated by ``1/(1 - tol)`` to
-    act as an upper bound. If the iteration does not settle within
-    ``max_iter`` steps the conservative bound ``trace(A^T A)`` is returned
-    with ``converged=False``.
+    Once the Rayleigh quotient stalls to a relative ``tol`` it is inflated
+    by ``1/(1 - tol)``. A stalled quotient does not bound its own error, so
+    the result is an estimate, not a certified bound: it can fall below the
+    true value when the top of the spectrum is clustered. If the iteration
+    does not settle within ``max_iter`` steps, the upper bound
+    ``trace(A^T A)`` is returned with ``converged=False``. Operators certify
+    their ``op_norm_sq`` without this routine.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -669,7 +685,11 @@ def combined_op_norm_sq(
     max_iter: int = 500,
     seed: int = 0,
 ) -> float:
-    """Certified ``||[A_i]_{i in indices}||_2^2`` of a horizontal stack."""
+    """Estimate of ``||[A_i]_{i in indices}||_2^2`` of a horizontal stack.
+
+    Power iteration as in :func:`estimate_op_norm_sq`, so not a certified
+    bound; it only scores case-I partitions.
+    """
     indices = list(indices)
     if not indices:
         return 0.0

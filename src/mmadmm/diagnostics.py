@@ -206,7 +206,8 @@ def theorem_alpha(
     if kind == "madmm-bt" and tau is None:
         raise ValueError("the backtracking scheme needs partition and tau")
     b2 = _resolve_partition(problem, kind, partition).b2
-    a_sq = _spec_norm_sq_dense(_stack_dense(problem, b2))
+    # An empty second phase has ||A_B2|| = 0: the uncoupled case.
+    a_sq = _spec_norm_sq_dense(_stack_dense(problem, b2)) if b2 else 0.0
     if a_sq == 0.0:
         return 0.5
     if kind == "madmm-bt":

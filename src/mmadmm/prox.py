@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 __all__ = [
     "prox_l1",
@@ -45,7 +46,7 @@ def prox_nuclear(V: np.ndarray, t: float) -> np.ndarray:
     if t <= 0:
         raise ValueError("threshold must be positive")
     try:
-        U, s, Wt = np.linalg.svd(V, full_matrices=False)
+        U, s, Wt = _svd(V)
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(
             "SVD failed in singular value thresholding; matrix has "
@@ -54,6 +55,26 @@ def prox_nuclear(V: np.ndarray, t: float) -> np.ndarray:
         ) from exc
     s = np.maximum(s - t, 0.0)
     return (U * s) @ Wt
+
+
+def _svd(V: np.ndarray, compute_uv: bool = True):
+    """Thin SVD by LAPACK ``gesdd``, retried with ``gesvd`` if it fails to converge.
+
+    A failure of the retry, or of ``gesdd`` on non-finite input, raises
+    ``LinAlgError``.
+    """
+    try:
+        return np.linalg.svd(V, full_matrices=False, compute_uv=compute_uv)
+    except np.linalg.LinAlgError:
+        if not np.all(np.isfinite(V)):
+            raise
+        return scipy.linalg.svd(
+            V,
+            full_matrices=False,
+            compute_uv=compute_uv,
+            check_finite=False,
+            lapack_driver="gesvd",
+        )
 
 
 def prox_sq(v: np.ndarray, t: float, anchor_weight: float) -> np.ndarray:
@@ -133,7 +154,7 @@ class ProxFunction:
                 return float("inf")
             return self.weight * float(np.sum(v))
         if self.kind == "nuclear":
-            s = np.linalg.svd(v, compute_uv=False)
+            s = _svd(v, compute_uv=False)
             return self.weight * float(np.sum(s))
         if self.kind == "sq-frobenius":
             return 0.5 * self.weight * float(np.vdot(v, v))

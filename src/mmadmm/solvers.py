@@ -169,7 +169,12 @@ class IterationTrace:
 
 @dataclass
 class SolverState:
-    """Mutable iteration state: primal blocks, dual, penalty, weights."""
+    """Mutable iteration state: primal blocks, dual, penalty, weights.
+
+    ``images`` is ``(x, c)`` with the block images ``c_i = A_i x_i`` of the
+    iterate ``x`` they were computed from; :func:`step` recomputes them when
+    they are missing or belong to another iterate than ``state.x``.
+    """
 
     x: BlockVector
     lam: np.ndarray
@@ -179,6 +184,7 @@ class SolverState:
     etas: Optional[list] = None
     backtrack_count: int = 0
     trace: list = field(default_factory=list)
+    images: Optional[tuple] = None
 
 
 @dataclass
@@ -270,12 +276,14 @@ def _folded_term(term):
     return term, 0.0
 
 
-def _exact_gram_feasible(term, rep) -> bool:
-    """Whether a block solves exactly with its raw coupling Gram kept."""
+def _exact_gram_feasible(term, kind) -> bool:
+    """Whether a block solves exactly with its raw coupling Gram kept.
+
+    ``kind`` is the block operator's :meth:`gram_kind`.
+    """
     prox_part, _ = _folded_term(term)
-    if rep is None:
+    if kind is None:
         return False
-    kind = rep[0]
     if kind == "scalar":
         return True
     if kind == "diag":
@@ -312,12 +320,12 @@ def default_weights(problem, kind: str, partition: Optional[Partition] = None):
             if op.op_norm_sq == 0.0:
                 continue
             eta_p, alone = sm[i]
-            rep = op.gram_rep()
-            if alone and _exact_gram_feasible(problem.terms[i], rep):
+            gram_kind = op.gram_kind()
+            if alone and _exact_gram_feasible(problem.terms[i], gram_kind):
                 G[i] = WeightMatrix.zero()
                 info[i] = "exact"
-            elif rep is not None and rep[0] == "scalar":
-                eta = margin * max(eta_p - rep[1], 0.0)
+            elif gram_kind == "scalar":
+                eta = margin * max(eta_p - op.gram_rep()[1], 0.0)
                 if eta == 0.0:
                     G[i] = WeightMatrix.zero()
                     info[i] = "exact"
@@ -519,26 +527,34 @@ def assemble_block(
     ctx: "_RunContext",
     i: int,
     y: BlockVector,
+    c: Sequence[np.ndarray],
     s_full: np.ndarray,
     beta: float,
     G: WeightMatrix,
     smooth_res: Optional[np.ndarray],
 ):
-    """Build ``(q_iso, q_gram, lin)`` of block ``i``'s subproblem at anchor ``y``."""
+    """Build ``(q_iso, q_gram, lin)`` of block ``i``'s subproblem at anchor ``y``.
+
+    ``c`` holds the anchor's block images ``c_j = A_j y_j`` and ``s_full`` is
+    ``sum_j c_j - b + lam / beta``. With ``G = iso I + g A_i^T A_i`` the
+    linear term ``beta A_i^T (s_full - A_i y_i) - beta G y_i`` is built as
+    ``beta A_i^T (s_full - (1 + g) c_i) - beta iso y_i``: one adjoint and no
+    apply. The linearized weight (``g = -1``) cancels the image term.
+    """
     plan = ctx.plans[i]
     op = plan.op
     yi = y[i]
-    q_iso = plan.fold_iso
-    q_gram = 0.0
-    lin = np.zeros(yi.shape)
-    if op.op_norm_sq > 0.0:
-        si = s_full - op.apply(yi)
-        q_gram = beta * plan.gram_factor
-        lin += beta * op.adjoint(si)
     iso, coef, _ = G.iso_split()
-    if iso != 0.0 or coef != 0.0:
-        q_iso += beta * iso
-        lin -= beta * G.mat_vec(yi)
+    q_iso = plan.fold_iso + beta * iso
+    q_gram = 0.0
+    if op.op_norm_sq > 0.0:
+        si = s_full if coef == -1.0 else s_full - (1.0 + coef) * c[i]
+        q_gram = beta * plan.gram_factor
+        lin = beta * op.adjoint(si)
+    else:
+        lin = np.zeros(yi.shape)
+    if iso != 0.0:
+        lin -= (beta * iso) * yi
     if plan.smooth_eta > 0.0 and smooth_res is not None:
         grad = ctx.smooth.weight * ctx.smooth.ops[i].adjoint(smooth_res)
         q_iso += plan.smooth_eta
@@ -653,25 +669,41 @@ def _bt_initial_weights(problem, partition: Partition, eta_scale: float):
 # ---------------------------------------------------------------------------
 
 
+def _image_sum(ctx: _RunContext, c: Sequence[np.ndarray]) -> np.ndarray:
+    """``sum_i c_i``, accumulated in block order as ``A.apply`` does."""
+    out = np.zeros(ctx.A.out_shape)
+    for ci in c:
+        out += ci
+    return out
+
+
 def _run_phase(
     ctx: _RunContext,
     blocks: Sequence[int],
     y: BlockVector,
+    c: Sequence[np.ndarray],
     lam: np.ndarray,
     beta: float,
     G: Sequence[WeightMatrix],
-) -> BlockVector:
-    """Update ``blocks`` in parallel, all anchored at ``y``; returns the new iterate."""
+):
+    """Update ``blocks`` in parallel, all anchored at ``y`` with images ``c``.
+
+    Returns the new iterate and its block images; each updated block is
+    applied once, the others keep their images.
+    """
     if not blocks:
-        return y
-    s_full = ctx.A.apply(y) - ctx.b + lam / beta
+        return y, c
+    s_full = _image_sum(ctx, c) - ctx.b + lam / beta
     smooth_res = None
     if ctx.smooth is not None and ctx.smooth_linearize:
         smooth_res = ctx.smooth.residual(y)
 
     def work(i):
-        q_iso, q_gram, lin = assemble_block(ctx, i, y, s_full, beta, G[i], smooth_res)
-        return _solve_block(ctx.plans[i], q_iso, q_gram, lin)
+        q_iso, q_gram, lin = assemble_block(
+            ctx, i, y, c, s_full, beta, G[i], smooth_res
+        )
+        v = _solve_block(ctx.plans[i], q_iso, q_gram, lin)
+        return v, ctx.plans[i].op.apply(v)
 
     if ctx.executor is not None and len(blocks) > 1:
         results = list(ctx.executor.map(work, blocks))
@@ -680,9 +712,11 @@ def _run_phase(
     # One construction for the whole phase: replacing block by block would
     # rebuild the vector once per block.
     new = list(y.blocks)
-    for i, v in zip(blocks, results):
+    images = list(c)
+    for i, (v, ci) in zip(blocks, results):
         new[i] = v
-    return BlockVector(new)
+        images[i] = ci
+    return BlockVector(new), images
 
 
 # ---------------------------------------------------------------------------
@@ -699,16 +733,26 @@ def step(state: SolverState, ctx: _RunContext):
     for the first phase and ``config.tau`` for the second; accepted weights
     carry over to the next iteration. Returns the residual, the penalty the
     iteration used, and its backtrack count.
+
+    The block images ``A_i x_i`` are carried from phase to phase and kept on
+    ``state.images``; a rejected phase discards its images.
     """
     backtracking = ctx.kind == "madmm-bt"
     mu = ctx.config.mu
     x = state.x
+    if state.images is None or state.images[0] is not x:
+        state.images = (x, [op.apply(v) for op, v in zip(ctx.A.operators, x.blocks)])
+    c = state.images[1]
     backtracks = 0
     for (blocks, _), tau in zip(_phases(ctx.partition), (0.0, ctx.config.tau)):
         cap = _rescale_cap(ctx, blocks, state.etas, mu) if backtracking else 0
         while True:
-            x_new = _run_phase(ctx, blocks, x, state.lam, state.beta, state.G)
-            if not backtracking or _bt_accept(ctx, blocks, x, x_new, state.etas, tau):
+            x_new, c_new = _run_phase(
+                ctx, blocks, x, c, state.lam, state.beta, state.G
+            )
+            if not backtracking or _bt_accept(
+                ctx, blocks, x, x_new, c, c_new, state.etas, tau
+            ):
                 break
             _bt_scale(ctx, blocks, state, mu)
             backtracks += 1
@@ -718,13 +762,14 @@ def step(state: SolverState, ctx: _RunContext):
                     f"phase acceptance (tau={tau:g}) kept failing beyond the "
                     "safe weight level"
                 )
-        x = x_new
+        x, c = x_new, c_new
     state.backtrack_count += backtracks
-    resid = ctx.A.apply(x) - ctx.b
+    resid = _image_sum(ctx, c) - ctx.b
     state.lam = dual_update(state.lam, state.beta, resid)
     beta_used = state.beta
     state.beta = _next_beta(ctx, state.beta, x, state.x)
     state.x = x
+    state.images = (x, c)
     state.k += 1
     return resid, beta_used, backtracks
 
@@ -749,25 +794,27 @@ def _bt_scale(ctx, blocks, state: SolverState, mu: float) -> None:
         )
 
 
-def _bt_accept(ctx, blocks, anchor, updates, etas, tau: float) -> bool:
+def _bt_accept(
+    ctx, blocks, anchor, updates, c_anchor, c_updates, etas, tau: float
+) -> bool:
     """``tau ||d||^2 <= sum_i eta_i ||d_i||^2 - ||sum_i A_i d_i||^2`` over ``blocks``.
 
     ``d_i = updates[i] - anchor[i]``, restricted to constraint-coupled
-    blocks. At ``tau = 0`` this is the first phase's test
-    ``||A d||^2 <= sum_i eta_i ||d_i||^2``.
+    blocks; ``A_i d_i`` is taken from the block images as
+    ``c_updates[i] - c_anchor[i]``. At ``tau = 0`` this is the first phase's
+    test ``||A d||^2 <= sum_i eta_i ||d_i||^2``.
     """
     lhs = 0.0
     quad = 0.0
     a_vec = np.zeros(ctx.A.out_shape)
     for i in blocks:
-        op = ctx.A.operators[i]
-        if op.op_norm_sq == 0.0:
+        if ctx.A.operators[i].op_norm_sq == 0.0:
             continue
         d = updates[i] - anchor[i]
         dsq = float(np.vdot(d, d))
         lhs += dsq
         quad += etas[i] * dsq
-        a_vec += op.apply(d)
+        a_vec += c_updates[i] - c_anchor[i]
     return tau * lhs <= quad - float(np.vdot(a_vec, a_vec))
 
 
@@ -801,12 +848,15 @@ def run(
     """
     config = config or SolverConfig()
     ctx = prepare_context(problem, solver_kind, config, workers=workers)
+    x0 = BlockVector.zeros(problem.block_shapes)
+    out_shape = problem.family.out_shape
     state = SolverState(
-        x=BlockVector.zeros(problem.block_shapes),
-        lam=np.zeros(problem.family.out_shape),
+        x=x0,
+        lam=np.zeros(out_shape),
         beta=config.beta0,
         G=list(ctx.G0),
         etas=None if ctx.etas0 is None else list(ctx.etas0),
+        images=(x0, [np.zeros(out_shape) for _ in range(x0.n)]),
     )
     iterates = [] if keep_iterates else None
     betas = [] if keep_iterates else None

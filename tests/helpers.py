@@ -100,6 +100,31 @@ def random_blocks(rng, shapes, scale=1.0):
     return [scale * rng.standard_normal(s) for s in shapes]
 
 
+def reference_assembly(ctx, i, y, s_full, beta, G, smooth_res):
+    """Block ``i``'s ``(q_iso, q_gram, lin)`` built term by term.
+
+    Recomputes ``A_i y_i`` and applies the whole weight ``G``:
+    ``lin = beta A_i^T (s_full - A_i y_i) - beta G y_i`` plus the linearized
+    smooth term, as the model reads before the Gram terms cancel.
+    """
+    plan = ctx.plans[i]
+    op = plan.op
+    yi = y[i]
+    q_iso = plan.fold_iso
+    q_gram = 0.0
+    lin = np.zeros(yi.shape)
+    if op.op_norm_sq > 0.0:
+        q_gram = beta * plan.gram_factor
+        lin += beta * op.adjoint(s_full - op.apply(yi))
+    q_iso += beta * G.iso_split()[0]
+    lin -= beta * G.mat_vec(yi)
+    if plan.smooth_eta > 0.0 and smooth_res is not None:
+        q_iso += plan.smooth_eta
+        lin += ctx.smooth.weight * ctx.smooth.ops[i].adjoint(smooth_res)
+        lin -= plan.smooth_eta * yi
+    return q_iso, q_gram, lin
+
+
 # ---------------------------------------------------------------------------
 # Surrogate axioms on the block model the solvers run
 # ---------------------------------------------------------------------------
@@ -181,10 +206,13 @@ def surrogate_axiom_gaps(
             lam = rng.standard_normal(A.out_shape)
             beta = float(10.0 ** rng.uniform(-1.0, 1.0))
             y_bv = BlockVector(y)
+            c = [op.apply(blk) for op, blk in zip(A.operators, y)]
             s_full = A.apply(y_bv) - b + lam / beta
             smooth_res = smooth.residual(y_bv) if smooth is not None else None
             models = {
-                i: assemble_block(ctx, i, y_bv, s_full, beta, ctx.G0[i], smooth_res)
+                i: assemble_block(
+                    ctx, i, y_bv, c, s_full, beta, ctx.G0[i], smooth_res
+                )
                 for i in blocks
             }
 

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from mmadmm.blockspace import (
     BlockOperatorFamily,
@@ -134,6 +135,19 @@ class TestOperators:
                 exact = float(s[0]) ** 2 if s.size else 0.0
             assert op.op_norm_sq >= exact * (1 - 1e-12)
             assert op.op_norm_sq <= exact * (1 + 1e-6) + 1e-12
+
+    def test_dense_certificate_bounds_benchmark_shapes(self):
+        # Blocks shaped like the nnsc benchmark's: no certificate may sit
+        # below the top squared singular value, by any amount.
+        rng = np.random.default_rng(0)
+        for i in range(100):
+            M = rng.standard_normal((50, 10 * (i + 1)))
+            top = scipy.linalg.svd(M, compute_uv=False, lapack_driver="gesvd")[0]
+            assert DenseMatrixOp(M).op_norm_sq >= top * top
+
+    def test_gram_kind_matches_gram_rep(self):
+        for op in _op_zoo():
+            assert op.gram_kind() == op.gram_rep()[0]
 
     def test_gram_apply_equals_adjoint_apply(self):
         rng = np.random.default_rng(5)

@@ -90,6 +90,13 @@ class TestTheoremAlpha:
         G = (WeightMatrix.zero(), WeightMatrix.scaled_identity(1.0))
         assert theorem_alpha(problem, "gs", G) == 0.5
 
+    def test_empty_second_phase_is_uncoupled(self):
+        problem = quad_problem(3)
+        G = (WeightMatrix.zero(),) * 2
+        part = Partition((0, 1), ())
+        assert theorem_alpha(problem, "madmm", G, partition=part) == 0.5
+        assert theorem_alpha(problem, "madmm-bt", G, partition=part, tau=1.3) == 0.5
+
     def test_parallel_orthogonal_columns(self):
         ops = (
             DenseMatrixOp(np.array([[2.0], [0.0], [0.0]])),

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -17,6 +18,10 @@ from mmadmm.prox import (
 )
 
 from helpers import grid_min_1d, refine_min
+
+
+def _fail_svd(*args, **kwargs):
+    raise np.linalg.LinAlgError("SVD did not converge")
 
 
 # ---------------------------------------------------------------------------
@@ -369,3 +374,41 @@ class TestProxFunction:
                 q = p + 0.1 * rng.standard_normal(4)
                 cand = t * fn.value(q) + 0.5 * np.sum((q - v) ** 2)
                 assert base <= cand + 1e-12
+
+
+class TestSvdFallback:
+    """A failed ``gesdd`` SVD is retried with LAPACK ``gesvd``."""
+
+    def _matrix(self):
+        return np.random.default_rng(61).standard_normal((7, 5))
+
+    def test_prox_nuclear_falls_back_to_gesvd(self, monkeypatch):
+        V, t = self._matrix(), 0.9
+        U, s, Wt = scipy.linalg.svd(V, full_matrices=False, lapack_driver="gesvd")
+        want = (U * np.maximum(s - t, 0.0)) @ Wt
+        monkeypatch.setattr(np.linalg, "svd", _fail_svd)
+        got = prox_nuclear(V, t)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_nuclear_value_falls_back_to_gesvd(self, monkeypatch):
+        V = self._matrix()
+        s = scipy.linalg.svd(V, compute_uv=False, lapack_driver="gesvd")
+        monkeypatch.setattr(np.linalg, "svd", _fail_svd)
+        got = ProxFunction("nuclear", 2.0).value(V)
+        assert got == pytest.approx(2.0 * float(np.sum(s)), rel=1e-12)
+
+    def test_double_failure_raises(self, monkeypatch):
+        V = self._matrix()
+        monkeypatch.setattr(np.linalg, "svd", _fail_svd)
+        monkeypatch.setattr(scipy.linalg, "svd", _fail_svd)
+        with pytest.raises(np.linalg.LinAlgError, match="singular value thresholding"):
+            prox_nuclear(V, 0.5)
+        with pytest.raises(np.linalg.LinAlgError):
+            ProxFunction("nuclear").value(V)
+
+    def test_non_finite_input_is_not_retried(self, monkeypatch):
+        V = self._matrix()
+        V[0, 0] = np.nan
+        monkeypatch.setattr(np.linalg, "svd", _fail_svd)
+        with pytest.raises(np.linalg.LinAlgError, match="any non-finite: True"):
+            prox_nuclear(V, 0.5)

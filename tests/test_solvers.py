@@ -20,7 +20,7 @@ from mmadmm.blockspace import (
     stack_rows,
 )
 from mmadmm.partition import Partition, case1_partition
-from mmadmm.problems import ProblemSpec
+from mmadmm.problems import ProblemSpec, build_latent_lrr
 from mmadmm.prox import ProxFunction
 from mmadmm.solvers import (
     MARGIN_STRICT,
@@ -34,6 +34,7 @@ from mmadmm.solvers import (
     _plan_block,
     _preset_weights,
     _solve_block,
+    assemble_block,
     default_weights,
     dual_update,
     ergodic_average,
@@ -45,7 +46,7 @@ from mmadmm.solvers import (
 )
 from mmadmm.surrogates import SmoothQuadCoupling
 
-from helpers import l1_toy, quad_problem
+from helpers import l1_toy, quad_problem, random_blocks, reference_assembly
 
 
 def _dense_problem(seed, d, dims, term_kind="l1", weight=1.0):
@@ -827,9 +828,13 @@ class TestBacktracking:
         ctx = SimpleNamespace(A=fam)
         x_prev = BlockVector([np.zeros(2), np.zeros(3)])
         updates = {0: np.array([0.3, -0.1]), 1: np.array([5.0, 5.0, 5.0])}
+        c_prev = [np.zeros(2), np.zeros(2)]
+        c_new = {i: fam.operators[i].apply(v) for i, v in updates.items()}
         etas = [3.0, 0.0]
         for tau in (0.0, 1.3):
-            assert _bt_accept(ctx, (0, 1), x_prev, updates, etas, tau)
+            assert _bt_accept(
+                ctx, (0, 1), x_prev, updates, c_prev, c_new, etas, tau
+            )
 
     def test_acceptance_tie_passes_first_phase_test(self):
         # ||A d||^2 == eta ||d||^2 exactly: the first phase accepts a tie,
@@ -838,5 +843,131 @@ class TestBacktracking:
         ctx = SimpleNamespace(A=fam)
         x_prev = BlockVector([np.zeros(2)])
         updates = {0: np.array([0.5, 0.25])}
-        assert _bt_accept(ctx, (0,), x_prev, updates, [1.0], 0.0)
-        assert not _bt_accept(ctx, (0,), x_prev, updates, [1.0], 1.3)
+        c_prev, c_new = [np.zeros(2)], {0: updates[0]}
+        assert _bt_accept(ctx, (0,), x_prev, updates, c_prev, c_new, [1.0], 0.0)
+        assert not _bt_accept(
+            ctx, (0,), x_prev, updates, c_prev, c_new, [1.0], 1.3
+        )
+
+
+class TestBlockImages:
+    """``A_i x_i`` is carried across phases: one apply and one adjoint per update."""
+
+    @staticmethod
+    def _counted(monkeypatch):
+        counts = {"apply": 0, "adjoint": 0}
+        for name in counts:
+            original = getattr(DenseMatrixOp, name)
+
+            def counted(op, v, _name=name, _original=original):
+                counts[_name] += 1
+                return _original(op, v)
+
+            monkeypatch.setattr(DenseMatrixOp, name, counted)
+        return counts
+
+    def _config(self, **kw):
+        return SolverConfig(
+            partition=Partition((0, 1), (2, 3)),
+            max_iter=12,
+            eps_primal=0.0,
+            eps_step=0.0,
+            **kw,
+        )
+
+    @pytest.mark.parametrize("kind", ["madmm", "jacobi", "l-admm-ps"])
+    def test_one_apply_and_adjoint_per_block(self, kind, monkeypatch):
+        problem = _dense_problem(71, 6, (2, 3, 2, 3))
+        counts = self._counted(monkeypatch)
+        result = run(problem, kind, self._config())
+        n = problem.family.n
+        assert result.state.k == 12
+        assert counts == {"apply": 12 * n, "adjoint": 12 * n}
+
+    def test_backtracking_pays_once_more_per_recomputed_block(self, monkeypatch):
+        problem = _dense_problem(72, 6, (2, 3, 2, 3), "sq-frobenius")
+        counts = self._counted(monkeypatch)
+        result = run(problem, "madmm-bt", self._config(beta0=0.5, eta_scale=0.01))
+        backtracks = result.state.backtrack_count
+        assert backtracks > 0
+        # Both phases hold two blocks, so each recomputed phase costs two.
+        want = 12 * problem.family.n + 2 * backtracks
+        assert counts == {"apply": want, "adjoint": want}
+
+    def test_images_follow_the_iterate(self):
+        problem = _dense_problem(73, 6, (2, 3, 2, 3))
+        ctx = prepare_context(problem, "madmm", self._config())
+        A = problem.family
+
+        def fresh(x):
+            return SolverState(x=x, lam=np.zeros(6), beta=0.5, G=list(ctx.G0))
+
+        state = fresh(BlockVector.zeros(problem.block_shapes))
+        for _ in range(3):
+            step(state, ctx)
+            x, c = state.images
+            assert x is state.x
+            for op, blk, ci in zip(A.operators, x.blocks, c):
+                np.testing.assert_allclose(ci, op.apply(blk), rtol=0, atol=1e-12)
+        # A replaced iterate must not reuse the images of the old one.
+        other = BlockVector(
+            random_blocks(np.random.default_rng(73), problem.block_shapes)
+        )
+        state.x, state.lam, state.beta = other, np.zeros(6), 0.5
+        ref = fresh(other)
+        step(state, ctx)
+        step(ref, ctx)
+        for got, want in zip(state.x.blocks, ref.x.blocks):
+            np.testing.assert_array_equal(got, want)
+
+
+class TestAssemblyReference:
+    """``assemble_block`` equals the term-by-term model for every weight form."""
+
+    def _check(self, problem, kind, config, seed):
+        rng = np.random.default_rng(seed)
+        ctx = prepare_context(problem, kind, config)
+        A = problem.family
+        for _ in range(3):
+            y = BlockVector(random_blocks(rng, problem.block_shapes))
+            c = [op.apply(blk) for op, blk in zip(A.operators, y.blocks)]
+            lam = rng.standard_normal(A.out_shape)
+            beta = float(10.0 ** rng.uniform(-1.0, 1.0))
+            s_full = A.apply(y) - problem.b + lam / beta
+            smooth_res = None
+            if ctx.smooth is not None:
+                smooth_res = ctx.smooth.residual(y)
+            for i in range(A.n):
+                args = (s_full, beta, ctx.G0[i], smooth_res)
+                got = assemble_block(ctx, i, y, c, *args)
+                want = reference_assembly(ctx, i, y, *args)
+                assert got[0] == pytest.approx(want[0], rel=1e-12)
+                assert got[1] == want[1]
+                err = np.linalg.norm(got[2] - want[2])
+                assert err <= 1e-12 * np.linalg.norm(want[2])
+        return ctx
+
+    def test_every_weight_form(self):
+        problem = quad_problem(
+            74, d=6, dims=(3, 4, 2, 5), weights=(1.0, 2.0, 1.5, 0.5)
+        )
+        ops = problem.family.operators
+        weights = [
+            WeightMatrix.zero(),
+            WeightMatrix.scaled_identity(3.0),
+            WeightMatrix.identity_minus_gram(4.0 * ops[2].op_norm_sq, ops[2]),
+            WeightMatrix.scaled_gram(1.5, ops[3], ridge=0.1),
+        ]
+        ctx = self._check(problem, "jacobi", SolverConfig(weights=weights), 74)
+        assert [G.form for G in ctx.G0] == [G.form for G in weights]
+
+    def test_preset_weights(self):
+        problem = quad_problem(75, d=6, dims=(3, 4, 2), weights=(1.0, 2.0, 0.5))
+        for kind in ("l-admm-ps", "gl-admm-ps"):
+            self._check(problem, kind, SolverConfig(), 75)
+
+    def test_smooth_coupling(self):
+        X = np.random.default_rng(76).standard_normal((4, 5))
+        problem = build_latent_lrr(X, lam=0.7, formulation="2-block")
+        ctx = self._check(problem, "pl-admm-ps", SolverConfig(), 76)
+        assert all(plan.smooth_eta > 0.0 for plan in ctx.plans)

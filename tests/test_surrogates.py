@@ -209,11 +209,12 @@ class TestQuadSurrogateParallel:
         G = [WeightMatrix.identity_minus_gram(2.0, op) for op in ops]
         ctx = prepare_context(problem, "jacobi", SolverConfig(weights=G))
         y = BlockVector([np.zeros(1), np.zeros(1)])
+        c = [np.zeros(1), np.zeros(1)]
         s_full = problem.family.apply(y) - problem.b
         model = sum(
             subproblem_value(
                 ctx.plans[i],
-                *assemble_block(ctx, i, y, s_full, 1.0, G[i], None),
+                *assemble_block(ctx, i, y, c, s_full, 1.0, G[i], None),
                 np.ones(1),
             )
             for i in range(2)
@@ -230,8 +231,9 @@ class TestQuadSurrogateParallel:
         y = BlockVector(random_blocks(rng, problem.block_shapes))
         lam, beta = rng.standard_normal(4), 0.8
         s_full = problem.family.apply(y) - problem.b + lam / beta
+        c = [op.apply(blk) for op, blk in zip(problem.family.operators, y.blocks)]
         for i, op in enumerate(problem.family.operators):
-            q = assemble_block(ctx, i, y, s_full, beta, ctx.G0[i], None)
+            q = assemble_block(ctx, i, y, c, s_full, beta, ctx.G0[i], None)
             assert q[1] == 0.0
             for _ in range(20):
                 d = rng.standard_normal(y[i].shape)
