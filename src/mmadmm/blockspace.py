@@ -66,51 +66,95 @@ class StructureError(ValueError):
 # ---------------------------------------------------------------------------
 
 
+class _Layout:
+    """Block shapes and each block's ``(start, stop)`` in a packed buffer."""
+
+    __slots__ = ("shapes", "bounds", "size")
+
+    def __init__(self, shapes: Sequence[tuple]):
+        self.shapes = tuple(tuple(s) for s in shapes)
+        bounds = []
+        stop = 0
+        for s in self.shapes:
+            start, stop = stop, stop + math.prod(s)
+            bounds.append((start, stop))
+        self.bounds = tuple(bounds)
+        self.size = stop
+
+
 class BlockVector:
     """Ordered list of dense blocks forming one primal variable.
+
+    The blocks live back to back, each in C order, in one float64 buffer
+    ``flat``; ``blocks`` holds one view of ``flat`` per block, shaped as the
+    block. Building a vector from per-block arrays copies them into a new
+    buffer once, so later changes to those arrays do not reach the vector.
+    Vectors are treated as immutable: ``+``, ``-``, scalar ``*``, ``dot``
+    and the norms are single numpy calls on ``flat``, and arithmetic returns
+    new instances.
 
     Parameters
     ----------
     blocks : sequence of ndarray
-        Per-block arrays, vector- or matrix-shaped. Arrays are stored as
-        float64 and treated as immutable; arithmetic returns new instances.
+        Per-block arrays, vector- or matrix-shaped.
     """
 
-    __slots__ = ("blocks",)
+    __slots__ = ("flat", "_layout", "_blocks")
 
     def __init__(self, blocks: Sequence[np.ndarray]):
         if len(blocks) < 1:
             raise DimensionError("a BlockVector needs at least one block")
-        self.blocks = tuple(np.asarray(blk, dtype=float) for blk in blocks)
+        arrays = [np.asarray(blk, dtype=float) for blk in blocks]
+        self.flat = np.concatenate([a.ravel() for a in arrays])
+        self._layout = _Layout([a.shape for a in arrays])
+        self._blocks = None
+
+    @classmethod
+    def _wrap(cls, flat: np.ndarray, layout: _Layout) -> "BlockVector":
+        """A vector over ``flat`` itself (no copy), laid out as ``layout``."""
+        out = cls.__new__(cls)
+        out.flat, out._layout, out._blocks = flat, layout, None
+        return out
 
     @classmethod
     def zeros(cls, shapes: Sequence[tuple]) -> "BlockVector":
         return cls([np.zeros(s) for s in shapes])
 
     @property
+    def blocks(self) -> tuple:
+        if self._blocks is None:
+            flat = self.flat
+            self._blocks = tuple(
+                flat[lo:hi].reshape(shape)
+                for shape, (lo, hi) in zip(self._layout.shapes, self._layout.bounds)
+            )
+        return self._blocks
+
+    @property
     def n(self) -> int:
-        return len(self.blocks)
+        return len(self._layout.shapes)
 
     @property
     def shapes(self) -> tuple:
-        return tuple(blk.shape for blk in self.blocks)
+        return self._layout.shapes
 
     def copy(self) -> "BlockVector":
-        return BlockVector([blk.copy() for blk in self.blocks])
+        return self._wrap(self.flat.copy(), self._layout)
 
     def replace(self, i: int, value: np.ndarray) -> "BlockVector":
         """Return a copy with block ``i`` replaced (shape-checked)."""
         value = np.asarray(value, dtype=float)
-        if value.shape != self.blocks[i].shape:
+        if value.shape != self.shapes[i]:
             raise DimensionError(
-                f"block {i} has shape {self.blocks[i].shape}, got {value.shape}"
+                f"block {i} has shape {self.shapes[i]}, got {value.shape}"
             )
-        blocks = list(self.blocks)
-        blocks[i] = value
-        return BlockVector(blocks)
+        flat = self.flat.copy()
+        lo, hi = self._layout.bounds[i]
+        flat[lo:hi] = value.ravel()
+        return self._wrap(flat, self._layout)
 
     def _check_same_shape(self, other: "BlockVector") -> None:
-        if self.shapes != other.shapes:
+        if other._layout is not self._layout and self.shapes != other.shapes:
             raise DimensionError(
                 f"mismatched block shapes {self.shapes} vs {other.shapes}"
             )
@@ -120,25 +164,23 @@ class BlockVector:
 
     def __add__(self, other: "BlockVector") -> "BlockVector":
         self._check_same_shape(other)
-        return BlockVector([a + b for a, b in zip(self.blocks, other.blocks)])
+        return self._wrap(self.flat + other.flat, self._layout)
 
     def __sub__(self, other: "BlockVector") -> "BlockVector":
         self._check_same_shape(other)
-        return BlockVector([a - b for a, b in zip(self.blocks, other.blocks)])
+        return self._wrap(self.flat - other.flat, self._layout)
 
     def __mul__(self, scalar: float) -> "BlockVector":
-        return BlockVector([scalar * blk for blk in self.blocks])
+        return self._wrap(scalar * self.flat, self._layout)
 
     __rmul__ = __mul__
 
     def dot(self, other: "BlockVector") -> float:
         self._check_same_shape(other)
-        return float(
-            sum(np.vdot(a, b) for a, b in zip(self.blocks, other.blocks))
-        )
+        return float(np.dot(self.flat, other.flat))
 
     def norm_sq(self) -> float:
-        return float(sum(np.vdot(blk, blk) for blk in self.blocks))
+        return float(np.dot(self.flat, self.flat))
 
     def norm(self) -> float:
         return math.sqrt(self.norm_sq())

@@ -17,11 +17,13 @@ import numpy as np
 from .blockspace import (
     BlockVector,
     DenseMatrixOp,
+    DimensionError,
     LeftMultiplyOp,
     MaskProjectionOp,
     NegationOp,
     RightMultiplyOp,
     ScaledIdentityOp,
+    _Layout,
     stack_rows,
 )
 from .partition import Partition
@@ -142,16 +144,42 @@ class ProblemSpec:
             if not in_row and self.terms[i] is None and not in_smooth:
                 raise ValueError(f"block {i} appears nowhere in the problem")
         self.family, self.b = stack_rows(self.rows, self.block_shapes)
+        # (term, start, stop, shape) per maximal run of consecutive blocks
+        # with equal entrywise terms, shape None; any other term is a run of
+        # one block that keeps its shape.
+        runs = []
+        layout = _Layout(self.block_shapes)
+        for term, shape, (start, stop) in zip(
+            self.terms, layout.shapes, layout.bounds
+        ):
+            if term is None:
+                continue
+            if not term.entrywise:
+                runs.append((term, start, stop, shape))
+            elif runs and runs[-1][0] == term and runs[-1][2:] == (start, None):
+                runs[-1] = (term, runs[-1][1], stop, None)
+            else:
+                runs.append((term, start, stop, None))
+        self._term_runs = tuple(runs)
 
     @property
     def n(self) -> int:
         return len(self.block_shapes)
 
     def objective(self, x: BlockVector) -> float:
+        """Block terms plus the smooth term at ``x``.
+
+        Each run of consecutive blocks with equal entrywise terms is scored
+        by one ``value`` call on its packed entries.
+        """
+        if x.shapes != self.block_shapes:
+            raise DimensionError(
+                f"blocks of shapes {x.shapes}, problem has {self.block_shapes}"
+            )
         total = 0.0
-        for term, blk in zip(self.terms, x.blocks):
-            if term is not None:
-                total += term.value(blk)
+        for term, start, stop, shape in self._term_runs:
+            v = x.flat[start:stop]
+            total += term.value(v if shape is None else v.reshape(shape))
         if self.smooth is not None:
             total += self.smooth.value(x)
         return float(total)

@@ -28,23 +28,34 @@ def prox_l1(v: np.ndarray, t) -> np.ndarray:
 
     Ties at ``|v_j| = t`` resolve to exactly 0.
     """
-    v = np.asarray(v, dtype=float)
     _check_threshold(t)
-    return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
+    return _shrink(np.asarray(v, dtype=float), t)
 
 
 def prox_l1_nonneg(v: np.ndarray, t) -> np.ndarray:
     """Minimizes ``t ||x||_1 + 0.5 ||x - v||^2`` over ``x >= 0``."""
-    v = np.asarray(v, dtype=float)
     _check_threshold(t)
-    return np.maximum(v - t, 0.0)
+    return _shrink_nonneg(np.asarray(v, dtype=float), t)
+
+
+def _shrink(v: np.ndarray, t, out=None) -> np.ndarray:
+    """``sign(v) max(|v| - t, 0)`` into ``out`` (which may be ``v``), one temporary."""
+    mag = np.abs(v)
+    mag -= t
+    np.maximum(mag, 0.0, out=mag)
+    return np.copysign(mag, v, out=mag if out is None else out)
+
+
+def _shrink_nonneg(v: np.ndarray, t, out=None) -> np.ndarray:
+    """``max(v - t, 0)`` into ``out`` (which may be ``v``), no temporary."""
+    out = np.subtract(v, t, out=out)
+    return np.maximum(out, 0.0, out=out)
 
 
 def prox_nuclear(V: np.ndarray, t: float) -> np.ndarray:
     """Singular value thresholding: minimizes ``t ||X||_* + 0.5 ||X - V||_F^2``."""
     V = np.asarray(V, dtype=float)
-    if t <= 0:
-        raise ValueError("threshold must be positive")
+    _check_threshold(t)
     try:
         U, s, Wt = _svd(V)
     except np.linalg.LinAlgError as exc:
@@ -96,14 +107,20 @@ def prox_l21(V: np.ndarray, t: float) -> np.ndarray:
     return V * scale[None, :]
 
 
-def project_nonneg(v: np.ndarray) -> np.ndarray:
-    """Componentwise ``max(v, 0)``; normalizes ``-0.0`` to ``+0.0``."""
-    return np.maximum(np.asarray(v, dtype=float), 0.0) + 0.0
+def project_nonneg(v: np.ndarray, out=None) -> np.ndarray:
+    """Componentwise ``max(v, 0)``; normalizes ``-0.0`` to ``+0.0``.
+
+    ``out``, when given, receives the result; it may be ``v`` itself.
+    """
+    out = np.maximum(np.asarray(v, dtype=float), 0.0, out=out)
+    out += 0.0
+    return out
 
 
 def _check_threshold(t) -> None:
-    if np.any(np.asarray(t) <= 0):
-        raise ValueError("threshold must be positive")
+    """Reject a threshold that is NaN or not positive (in any entry)."""
+    if not (t > 0 if np.isscalar(t) else np.all(np.asarray(t) > 0)):
+        raise ValueError(f"threshold must be positive, got {float(np.min(t))}")
 
 
 _ENTRYWISE_KINDS = frozenset(
@@ -164,27 +181,41 @@ class ProxFunction:
             return float("inf")
         return 0.0
 
-    def prox(self, v: np.ndarray, t) -> np.ndarray:
+    def prox(self, v: np.ndarray, t, out=None) -> np.ndarray:
         """Minimize ``t * weight * g(x) + 0.5 ||x - v||^2``.
 
-        ``t`` may be an array (entrywise kinds only), in which case entry j
-        solves its own scalar subproblem with threshold ``t_j * weight``.
+        ``t`` must be positive; it may be an array (entrywise kinds only), in
+        which case entry j solves its own scalar subproblem with threshold
+        ``t_j * weight``. A zero weight leaves ``v`` unchanged, or projects
+        it for the nonnegative kinds. ``out``, when given, receives the
+        result; it may be ``v`` itself, and entrywise kinds of weight 1 then
+        make no fresh full-size arrays.
         """
         v = np.asarray(v, dtype=float)
-        if self.kind == "zero":
-            return v.copy()
-        if self.kind == "indicator-nonneg":
-            return project_nonneg(v)
-        if not np.isscalar(t) and not self.entrywise:
-            raise ValueError(f"{self.kind} prox needs a scalar threshold")
-        tw = np.asarray(t, dtype=float) * self.weight
+        _check_threshold(t)
+        if not np.isscalar(t):
+            if not self.entrywise:
+                raise ValueError(f"{self.kind} prox needs a scalar threshold")
+            t = np.asarray(t, dtype=float)
+        if self.kind == "indicator-nonneg" or (
+            self.kind == "l1-nonneg" and self.weight == 0.0
+        ):
+            return project_nonneg(v, out)
+        if self.kind == "zero" or self.weight == 0.0:
+            if out is None:
+                return v.copy()
+            np.copyto(out, v)
+            return out
+        tw = t if self.weight == 1.0 else t * self.weight
         if self.kind == "l1":
-            return prox_l1(v, tw) if np.any(tw > 0) else v.copy()
+            return _shrink(v, tw, out)
         if self.kind == "l1-nonneg":
-            return prox_l1_nonneg(v, tw) if np.any(tw > 0) else project_nonneg(v)
+            return _shrink_nonneg(v, tw, out)
         if self.kind == "sq-frobenius":
             # min (tw/2) x^2 + (1/2)(x - v)^2  =>  x = v / (1 + tw)
-            return v / (1.0 + tw)
-        if self.kind == "nuclear":
-            return prox_nuclear(v, float(tw)) if tw > 0 else v.copy()
-        return prox_l21(v, float(tw)) if tw > 0 else v.copy()
+            return np.divide(v, 1.0 + tw, out=out)
+        x = prox_nuclear(v, tw) if self.kind == "nuclear" else prox_l21(v, tw)
+        if out is None:
+            return x
+        out[...] = x
+        return out

@@ -35,6 +35,7 @@ from .blockspace import (
     BlockOperatorFamily,
     BlockVector,
     WeightMatrix,
+    _Layout,
 )
 from .partition import Partition, case1_partition
 from .prox import ProxFunction
@@ -475,24 +476,126 @@ def _plan_block(problem, i: int, G: WeightMatrix, smooth_eta: float) -> _BlockPl
     return plan
 
 
-def _solve_block(plan: _BlockPlan, q_iso: float, q_gram: float, lin: np.ndarray):
-    """Minimize ``term(v) + 0.5 q_iso ||v||^2 + 0.5 q_gram <v, Gram v> + <lin, v>``."""
-    if plan.path == "prox":
+@dataclass
+class _Group:
+    """Blocks of one phase that one call solves.
+
+    Blocks on the ``prox`` or ``diag`` path whose terms are equal and
+    entrywise (or absent) form one group: together their subproblems are one
+    entrywise problem over their packed entries. Any other block is a group
+    of one. ``lin`` holds the members' linear terms packed in member order,
+    ``lins`` its per-member views shaped as the blocks, and ``bounds`` each
+    member's ``(lo, hi)`` in it. ``denom`` is scratch for the entrywise
+    curvature, ``None`` for a group of one that solves with a scalar
+    threshold or on the ``eig`` path. ``runs`` lists the ``(lo, hi, start,
+    stop)`` spans that copy ``lin[lo:hi]`` to ``flat[start:stop]`` of the
+    iterate. The buffers are scratch shared by every step on the run
+    context, so a context runs one step at a time.
+    """
+
+    plans: tuple
+    term: Optional[ProxFunction]
+    lin: np.ndarray
+    lins: tuple
+    bounds: tuple
+    denom: Optional[np.ndarray]
+    runs: tuple
+
+
+def _phase_groups(
+    plans: Sequence[_BlockPlan], blocks: Sequence[int], layout: _Layout
+) -> tuple:
+    """Split a phase's ``blocks`` into solve groups, ordered by first member.
+
+    ``layout`` gives each block's place in the iterate's packed buffer.
+    """
+    shared = {}
+    members = []  # (block indices, whether they solve entrywise)
+    for i in blocks:
+        plan = plans[i]
+        term = plan.prox_term
+        if plan.path == "eig" or not (term is None or term.entrywise):
+            members.append(([i], False))
+        elif term in shared:
+            shared[term].append(i)
+        else:
+            shared[term] = [i]
+            members.append((shared[term], True))
+    groups = []
+    for group, entrywise in members:
+        bounds, runs = [], []
+        hi = 0
+        for i in group:
+            start, stop = layout.bounds[i]
+            lo, hi = hi, hi + stop - start
+            bounds.append((lo, hi))
+            if runs and runs[-1][3] == start:
+                runs[-1][1], runs[-1][3] = hi, stop
+            else:
+                runs.append([lo, hi, start, stop])
+        lin = np.empty(hi)
+        groups.append(
+            _Group(
+                plans=tuple(plans[i] for i in group),
+                term=plans[group[0]].prox_term,
+                lin=lin,
+                lins=tuple(
+                    lin[lo:hi].reshape(layout.shapes[i])
+                    for i, (lo, hi) in zip(group, bounds)
+                ),
+                bounds=tuple(bounds),
+                denom=np.empty(hi) if entrywise else None,
+                runs=tuple(tuple(r) for r in runs),
+            )
+        )
+    return tuple(groups)
+
+
+def _solve_group(group: _Group, curvatures: Sequence[tuple], lin: np.ndarray):
+    """Minimize every member's model; return the minimizers packed in member order.
+
+    Member k's model is ``term(v) + 0.5 q_iso ||v||^2 + 0.5 q_gram <v, Gram v>
+    + <lin_k, v>`` with ``curvatures[k] = (q_iso, q_gram)``; ``lin`` holds the
+    ``lin_k`` packed in member order and is overwritten. An entrywise group
+    makes one prox call with a per-entry threshold, in place in ``lin``: each
+    member's curvature is a scalar (``prox`` path) or a diagonal (``diag``
+    path).
+    """
+    if group.denom is None:
+        (plan,), ((q_iso, q_gram),) = group.plans, curvatures
+        v = lin.reshape(group.lins[0].shape)
+        if plan.path == "eig":
+            return _solve_eig(plan, q_iso, q_gram, v).reshape(-1)
         s = q_iso + q_gram * plan.scalar_c
         if s <= 0.0:
             raise UnsupportedSubproblemError(
                 f"block {plan.index}: subproblem has no positive curvature"
             )
-        p = lin / (-s)
-        return p if plan.prox_term is None else plan.prox_term.prox(p, 1.0 / s)
-    if plan.path == "diag":
-        denom = q_iso + q_gram * plan.diag
-        if np.any(denom <= 0.0):
-            raise UnsupportedSubproblemError(
-                f"block {plan.index}: diagonal subproblem loses curvature"
-            )
-        p = lin / (-denom)
-        return p if plan.prox_term is None else plan.prox_term.prox(p, 1.0 / denom)
+        np.divide(v, -s, out=v)
+        return group.term.prox(v, 1.0 / s).reshape(-1)
+    denom = group.denom
+    for plan, (lo, hi), (q_iso, q_gram) in zip(group.plans, group.bounds, curvatures):
+        if plan.path == "prox":
+            denom[lo:hi] = q_iso + q_gram * plan.scalar_c
+        else:
+            d = np.multiply(plan.diag.reshape(-1), q_gram, out=denom[lo:hi])
+            d += q_iso
+    if np.any(denom <= 0.0):
+        for plan, (lo, hi) in zip(group.plans, group.bounds):
+            if np.any(denom[lo:hi] <= 0.0):
+                raise UnsupportedSubproblemError(
+                    f"block {plan.index}: subproblem has no positive curvature"
+                )
+    np.divide(lin, denom, out=lin)
+    np.negative(lin, out=lin)
+    if group.term is None:
+        return lin
+    np.divide(1.0, denom, out=denom)
+    return group.term.prox(lin, denom, out=lin)
+
+
+def _solve_eig(plan: _BlockPlan, q_iso: float, q_gram: float, lin: np.ndarray):
+    """The ``eig`` path: a quadratic model solved in the Gram's eigenbasis."""
     w, U = plan.eig
     denom = q_iso + q_gram * w
     if np.any(denom <= 0.0):
@@ -532,6 +635,7 @@ def assemble_block(
     beta: float,
     G: WeightMatrix,
     smooth_res: Optional[np.ndarray],
+    out: Optional[np.ndarray] = None,
 ):
     """Build ``(q_iso, q_gram, lin)`` of block ``i``'s subproblem at anchor ``y``.
 
@@ -540,6 +644,7 @@ def assemble_block(
     linear term ``beta A_i^T (s_full - A_i y_i) - beta G y_i`` is built as
     ``beta A_i^T (s_full - (1 + g) c_i) - beta iso y_i``: one adjoint and no
     apply. The linearized weight (``g = -1``) cancels the image term.
+    ``out``, an array shaped like ``y_i``, receives ``lin`` when given.
     """
     plan = ctx.plans[i]
     op = plan.op
@@ -547,12 +652,13 @@ def assemble_block(
     iso, coef, _ = G.iso_split()
     q_iso = plan.fold_iso + beta * iso
     q_gram = 0.0
+    lin = np.empty(yi.shape) if out is None else out
     if op.op_norm_sq > 0.0:
         si = s_full if coef == -1.0 else s_full - (1.0 + coef) * c[i]
         q_gram = beta * plan.gram_factor
-        lin = beta * op.adjoint(si)
+        np.multiply(op.adjoint(si), beta, out=lin)
     else:
-        lin = np.zeros(yi.shape)
+        lin.fill(0.0)
     if iso != 0.0:
         lin -= (beta * iso) * yi
     if plan.smooth_eta > 0.0 and smooth_res is not None:
@@ -579,6 +685,7 @@ class _RunContext:
     smooth: object
     smooth_linearize: bool
     b_scale: float
+    groups: dict
     workers: int = 1
     executor: Optional[ThreadPoolExecutor] = None
 
@@ -634,6 +741,7 @@ def prepare_context(
         )
     b = problem.b
     b_scale = max(float(np.linalg.norm(b)), 1.0)
+    layout = _Layout(problem.block_shapes)
     return _RunContext(
         problem=problem,
         kind=kind,
@@ -645,6 +753,10 @@ def prepare_context(
         smooth=smooth,
         smooth_linearize=linearize,
         b_scale=b_scale,
+        groups={
+            blocks: _phase_groups(plans, blocks, layout)
+            for blocks, _ in _phases(partition)
+        },
         workers=max(1, int(workers)),
     )
 
@@ -688,8 +800,10 @@ def _run_phase(
 ):
     """Update ``blocks`` in parallel, all anchored at ``y`` with images ``c``.
 
-    Returns the new iterate and its block images; each updated block is
-    applied once, the others keep their images.
+    Returns the new iterate and its block images. Each solve group of the
+    phase assembles its members' models into its packed buffer, solves them
+    with one call and writes the result into the new iterate; each updated
+    block is then applied once, the others keep their images.
     """
     if not blocks:
         return y, c
@@ -697,26 +811,30 @@ def _run_phase(
     smooth_res = None
     if ctx.smooth is not None and ctx.smooth_linearize:
         smooth_res = ctx.smooth.residual(y)
+    x = y.copy()
 
-    def work(i):
-        q_iso, q_gram, lin = assemble_block(
-            ctx, i, y, c, s_full, beta, G[i], smooth_res
-        )
-        v = _solve_block(ctx.plans[i], q_iso, q_gram, lin)
-        return v, ctx.plans[i].op.apply(v)
+    def work(group):
+        curvatures = [
+            assemble_block(
+                ctx, plan.index, y, c, s_full, beta, G[plan.index], smooth_res, lin
+            )[:2]
+            for plan, lin in zip(group.plans, group.lins)
+        ]
+        v = _solve_group(group, curvatures, group.lin)
+        for lo, hi, start, stop in group.runs:
+            x.flat[start:stop] = v[lo:hi]
+        return [plan.op.apply(x[plan.index]) for plan in group.plans]
 
-    if ctx.executor is not None and len(blocks) > 1:
-        results = list(ctx.executor.map(work, blocks))
+    groups = ctx.groups[blocks]
+    if ctx.executor is not None and len(groups) > 1:
+        results = list(ctx.executor.map(work, groups))
     else:
-        results = [work(i) for i in blocks]
-    # One construction for the whole phase: replacing block by block would
-    # rebuild the vector once per block.
-    new = list(y.blocks)
+        results = [work(group) for group in groups]
     images = list(c)
-    for i, (v, ci) in zip(blocks, results):
-        new[i] = v
-        images[i] = ci
-    return BlockVector(new), images
+    for group, group_images in zip(groups, results):
+        for plan, ci in zip(group.plans, group_images):
+            images[plan.index] = ci
+    return x, images
 
 
 # ---------------------------------------------------------------------------
@@ -868,8 +986,11 @@ def run(
         for _ in range(config.max_iter):
             x_prev = state.x
             resid, beta_used, backtracks = step(state, ctx)
-            step_vec = state.x - x_prev
-            step_norm = step_vec.norm()
+            # ``x_prev`` is this loop's own (``step`` returns a new iterate)
+            # and dead from here on, so its buffer takes the step: a fresh
+            # full-length array here costs page faults every iteration.
+            step_vec = np.subtract(state.x.flat, x_prev.flat, out=x_prev.flat)
+            step_norm = float(np.linalg.norm(step_vec))
             resid_norm = float(np.linalg.norm(resid))
             objective = problem.objective(state.x)
             if not (

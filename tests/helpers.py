@@ -126,6 +126,62 @@ def reference_assembly(ctx, i, y, s_full, beta, G, smooth_res):
 
 
 # ---------------------------------------------------------------------------
+# The per-block phase engine, reference for the grouped one
+# ---------------------------------------------------------------------------
+
+
+def reference_solve_block(plan, q_iso, q_gram, lin):
+    """Minimize ``term(v) + 0.5 q_iso ||v||^2 + 0.5 q_gram <v, Gram v> + <lin, v>``
+    for one block on its own, path by path.
+    """
+    if plan.path == "prox":
+        s = q_iso + q_gram * plan.scalar_c
+        assert s > 0.0
+        p = lin / (-s)
+        return p if plan.prox_term is None else plan.prox_term.prox(p, 1.0 / s)
+    if plan.path == "diag":
+        denom = q_iso + q_gram * plan.diag
+        assert np.all(denom > 0.0)
+        p = lin / (-denom)
+        return p if plan.prox_term is None else plan.prox_term.prox(p, 1.0 / denom)
+    w, U = plan.eig
+    denom = q_iso + q_gram * w
+    assert np.all(denom > 0.0)
+    rhs = -lin
+    if plan.orient == "left":
+        return U @ ((U.T @ rhs) / denom[:, None])
+    if plan.orient == "right":
+        return ((rhs @ U) / denom[None, :]) @ U.T
+    return (U @ ((U.T @ rhs.ravel()) / denom)).reshape(rhs.shape)
+
+
+def reference_run_phase(ctx, blocks, y, c, lam, beta, G):
+    """The phase update of ``solvers._run_phase``, block by block.
+
+    Each block of ``blocks`` assembles its model, solves it on its own and
+    is applied once; the result is built from per-block arrays.
+    """
+    if not blocks:
+        return y, c
+    image_sum = np.zeros(ctx.A.out_shape)
+    for ci in c:
+        image_sum += ci
+    s_full = image_sum - ctx.b + lam / beta
+    smooth_res = None
+    if ctx.smooth is not None and ctx.smooth_linearize:
+        smooth_res = ctx.smooth.residual(y)
+    new = list(y.blocks)
+    images = list(c)
+    for i in blocks:
+        q_iso, q_gram, lin = assemble_block(
+            ctx, i, y, c, s_full, beta, G[i], smooth_res
+        )
+        new[i] = reference_solve_block(ctx.plans[i], q_iso, q_gram, lin)
+        images[i] = ctx.plans[i].op.apply(new[i])
+    return BlockVector(new), images
+
+
+# ---------------------------------------------------------------------------
 # Surrogate axioms on the block model the solvers run
 # ---------------------------------------------------------------------------
 

@@ -98,6 +98,78 @@ class TestBlockVector:
             a.replace(0, np.zeros(3))
 
 
+class TestPackedBlockVector:
+    """One flat buffer with per-block views; algebra against a per-block loop."""
+
+    @staticmethod
+    def _pair(seed):
+        rng = np.random.default_rng(seed)
+        shapes = [(5,), (3, 4), (), (2, 1, 3), (1,)]
+        return [
+            BlockVector([rng.standard_normal(s) for s in shapes]) for _ in range(2)
+        ]
+
+    def test_blocks_are_views_of_flat(self):
+        a, _ = self._pair(3)
+        assert a.flat.dtype == np.float64 and a.flat.ndim == 1
+        assert a.flat.size == sum(blk.size for blk in a.blocks)
+        assert a.shapes == ((5,), (3, 4), (), (2, 1, 3), (1,))
+        for blk, shape in zip(a.blocks, a.shapes):
+            assert blk.shape == shape
+            assert np.shares_memory(blk, a.flat)
+        replaced = a.replace(1, np.ones((3, 4)))
+        for v in (a + a, a - a, 2.0 * a, a * 2.0, a.copy(), replaced):
+            assert all(np.shares_memory(blk, v.flat) for blk in v.blocks)
+
+    def test_algebra_matches_per_block_reference(self):
+        a, b = self._pair(4)
+        pairs = list(zip(a.blocks, b.blocks))
+        for got, want in (
+            (a + b, [x + y for x, y in pairs]),
+            (a - b, [x - y for x, y in pairs]),
+            (1.7 * a, [1.7 * x for x, _ in pairs]),
+            (a * -0.3, [-0.3 * x for x, _ in pairs]),
+        ):
+            for g, w in zip(got.blocks, want):
+                np.testing.assert_allclose(g, w, rtol=1e-12, atol=0)
+        dot = sum(float(np.vdot(x, y)) for x, y in pairs)
+        assert a.dot(b) == pytest.approx(dot, rel=1e-12)
+        norm = np.sqrt(sum(float(np.vdot(x, x)) for x, _ in pairs))
+        assert a.norm() == pytest.approx(norm, rel=1e-12)
+        assert a.norm_sq() == pytest.approx(norm**2, rel=1e-12)
+        want = [float(np.linalg.norm(x)) for x, _ in pairs]
+        np.testing.assert_allclose(a.block_norms(), want, rtol=1e-12, atol=0)
+
+    def test_equal_size_other_shapes_raise(self):
+        a = BlockVector([np.zeros((2, 2)), np.zeros(3)])
+        b = BlockVector([np.zeros(4), np.zeros(3)])
+        assert a.flat.size == b.flat.size
+        for combine in (
+            lambda: a + b,
+            lambda: a - b,
+            lambda: a.dot(b),
+            lambda: a.replace(0, np.zeros(4)),
+        ):
+            with pytest.raises(DimensionError):
+                combine()
+
+    def test_no_aliasing_with_sources_or_copies(self):
+        src = [np.arange(3.0), np.ones((2, 2))]
+        v = BlockVector(src)
+        src[0][0] = 99.0
+        src[1][:] = -1.0
+        np.testing.assert_array_equal(v[0], [0.0, 1.0, 2.0])
+        np.testing.assert_array_equal(v[1], np.ones((2, 2)))
+        c = v.copy()
+        r = v.replace(0, np.full(3, 5.0))
+        c.flat[:] = 7.0
+        r.blocks[1][0, 0] = 8.0
+        np.testing.assert_array_equal(v.flat, [0.0, 1.0, 2.0, 1.0, 1.0, 1.0, 1.0])
+        np.testing.assert_array_equal(r[0], np.full(3, 5.0))
+        assert not np.shares_memory(c.flat, v.flat)
+        assert not np.shares_memory(r.flat, v.flat)
+
+
 # ---------------------------------------------------------------------------
 # Operators
 # ---------------------------------------------------------------------------

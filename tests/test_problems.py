@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from mmadmm.blockspace import BlockVector
+from mmadmm.blockspace import BlockVector, DimensionError
 from mmadmm.problems import (
     DataGenSpec,
     ProblemSpec,
@@ -393,6 +393,77 @@ class TestManifestRoundTrip:
     def test_unknown_problem_rejected(self):
         with pytest.raises(ValueError, match="unknown problem name"):
             from_manifest({"problem": "svm"})
+
+
+class TestObjectiveRuns:
+    """One ``value`` call per run of equal entrywise terms; same sum as per block."""
+
+    @staticmethod
+    def _problems():
+        gen = _gen(n=4, block_dims=(2, 3, 4, 5))
+        X = np.random.default_rng(27).standard_normal((5, 8))
+        return [
+            build_nonneg_sparse_coding(gen),
+            build_nonneg_sparse_coding_noisy(gen),
+            build_lrr(X, X, lam=0.3),
+            build_latent_lrr(
+                make_subspace_data(3, d=10, per_subspace=6),
+                lam=0.1,
+                formulation="3-block",
+            ),
+        ]
+
+    @staticmethod
+    def _point(problem, rng):
+        blocks = []
+        for term, shape in zip(problem.terms, problem.block_shapes):
+            blk = rng.standard_normal(shape)
+            if term is not None and term.kind in ("l1-nonneg", "indicator-nonneg"):
+                blk = np.abs(blk)
+            blocks.append(blk)
+        return BlockVector(blocks)
+
+    def test_equals_per_block_sum(self, monkeypatch):
+        rng = np.random.default_rng(28)
+        calls = []
+        value = ProxFunction.value
+
+        def counted(term, v):
+            calls.append(term.kind)
+            return value(term, v)
+
+        for problem, runs in zip(self._problems(), (1, 2, 2, 3)):
+            for _ in range(3):
+                x = self._point(problem, rng)
+                want = sum(
+                    term.value(blk)
+                    for term, blk in zip(problem.terms, x.blocks)
+                    if term is not None
+                )
+                if problem.smooth is not None:
+                    want += problem.smooth.value(x)
+                monkeypatch.setattr(ProxFunction, "value", counted)
+                calls.clear()
+                got = problem.objective(x)
+                monkeypatch.setattr(ProxFunction, "value", value)
+                assert len(calls) == runs, problem.name
+                assert got == pytest.approx(want, rel=1e-12), problem.name
+
+    def test_negative_entry_anywhere_in_a_run_is_infinite(self):
+        problem = self._problems()[0]
+        rng = np.random.default_rng(29)
+        x = self._point(problem, rng)
+        assert np.isfinite(problem.objective(x))
+        for i, shape in enumerate(problem.block_shapes):
+            blk = np.abs(rng.standard_normal(shape))
+            blk[-1] = -1e-3
+            assert problem.objective(x.replace(i, blk)) == float("inf")
+
+    def test_block_shapes_checked(self):
+        problem = self._problems()[0]
+        x = BlockVector([np.zeros(m) for m in (3, 2, 4, 5)])
+        with pytest.raises(DimensionError):
+            problem.objective(x)
 
 
 class TestProblemSpecValidation:

@@ -344,6 +344,49 @@ class TestProxFunction:
         got_sq = ProxFunction("sq-frobenius", 2.0).prox(v, t)
         np.testing.assert_allclose(got_sq, v / (1.0 + 2.0 * t), atol=1e-15)
 
+    def test_nan_or_nonpositive_threshold_rejected(self):
+        v = np.array([1.5, -2.0, 0.5])
+        M = np.array([[1.0, 2.0], [3.0, 4.0]])
+        bad = (float("nan"), -1.0, 0.0)
+        for kind in ("l1", "l1-nonneg", "sq-frobenius", "indicator-nonneg", "zero"):
+            for t in bad + (np.array([1.0, np.nan, 1.0]), np.array([1.0, -1.0, 1.0])):
+                with pytest.raises(ValueError, match="threshold must be positive"):
+                    ProxFunction(kind).prox(v, t)
+        for kind in ("nuclear", "l21"):
+            for t in bad:
+                with pytest.raises(ValueError, match="threshold must be positive"):
+                    ProxFunction(kind).prox(M, t)
+        for t in bad:
+            for fn, arg in (
+                (prox_l1, v),
+                (prox_l1_nonneg, v),
+                (prox_nuclear, M),
+                (prox_l21, M),
+            ):
+                with pytest.raises(ValueError, match="threshold must be positive"):
+                    fn(arg, t)
+
+    def test_out_argument_matches_fresh_result(self):
+        rng = np.random.default_rng(41)
+        v = rng.standard_normal(7)
+        t = rng.uniform(0.1, 1.5, 7)
+        for kind in ("l1", "l1-nonneg", "sq-frobenius", "indicator-nonneg", "zero"):
+            for weight in (1.0, 0.7, 0.0):
+                fn = ProxFunction(kind, weight)
+                for thr in (t, 0.4):
+                    want = fn.prox(v, thr)
+                    out = np.empty_like(v)
+                    assert fn.prox(v, thr, out=out) is out
+                    np.testing.assert_array_equal(out, want)
+                    inplace = v.copy()
+                    assert fn.prox(inplace, thr, out=inplace) is inplace
+                    np.testing.assert_array_equal(inplace, want)
+        M = rng.standard_normal((3, 4))
+        for kind in ("nuclear", "l21"):
+            out = np.empty_like(M)
+            ProxFunction(kind).prox(M, 0.3, out=out)
+            np.testing.assert_array_equal(out, ProxFunction(kind).prox(M, 0.3))
+
     def test_array_threshold_rejected_for_spectral_kinds(self):
         M = np.ones((2, 2))
         with pytest.raises(ValueError):

@@ -7,6 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from mmadmm import solvers
 from mmadmm.blockspace import (
     BlockOperatorFamily,
     BlockVector,
@@ -17,10 +18,18 @@ from mmadmm.blockspace import (
     ScaledIdentityOp,
     WeightMatrix,
     ZeroOp,
+    _Layout,
     stack_rows,
 )
 from mmadmm.partition import Partition, case1_partition
-from mmadmm.problems import ProblemSpec, build_latent_lrr
+from mmadmm.problems import (
+    DataGenSpec,
+    ProblemSpec,
+    build_latent_lrr,
+    build_nonneg_sparse_coding,
+    build_nonneg_sparse_coding_noisy,
+    make_subspace_data,
+)
 from mmadmm.prox import ProxFunction
 from mmadmm.solvers import (
     MARGIN_STRICT,
@@ -31,9 +40,10 @@ from mmadmm.solvers import (
     SolverState,
     UnsupportedSubproblemError,
     _bt_accept,
+    _phase_groups,
     _plan_block,
     _preset_weights,
-    _solve_block,
+    _solve_group,
     assemble_block,
     default_weights,
     dual_update,
@@ -46,7 +56,14 @@ from mmadmm.solvers import (
 )
 from mmadmm.surrogates import SmoothQuadCoupling
 
-from helpers import l1_toy, quad_problem, random_blocks, reference_assembly
+from helpers import (
+    l1_toy,
+    quad_problem,
+    random_blocks,
+    reference_assembly,
+    reference_run_phase,
+    reference_solve_block,
+)
 
 
 def _dense_problem(seed, d, dims, term_kind="l1", weight=1.0):
@@ -229,6 +246,13 @@ class TestDefaultWeights:
 def _mini(op, term):
     fam = BlockOperatorFamily((op,), op.out_shape)
     return SimpleNamespace(family=fam, terms=(term,))
+
+
+def _solve_block(plan, q_iso, q_gram, lin):
+    """One block's subproblem, solved as a group of one."""
+    (group,) = _phase_groups([plan], (0,), _Layout([plan.op.in_shape]))
+    v = _solve_group(group, [(q_iso, q_gram)], np.array(lin, dtype=float).ravel())
+    return v.reshape(plan.op.in_shape)
 
 
 def _model_value(op, term, q_iso, q_gram, lin, v):
@@ -848,6 +872,135 @@ class TestBacktracking:
         assert not _bt_accept(
             ctx, (0,), x_prev, updates, c_prev, c_new, [1.0], 1.3
         )
+
+
+def _plans(ops, terms, weights):
+    problem = SimpleNamespace(family=SimpleNamespace(operators=ops), terms=terms)
+    return [_plan_block(problem, i, G, 0.0) for i, G in enumerate(weights)]
+
+
+class TestGroupSolve:
+    """A phase's entrywise blocks solve as one group, as each would alone."""
+
+    @pytest.mark.parametrize("weight", [1.0, 0.8])
+    @pytest.mark.parametrize(
+        "kind", ["l1", "l1-nonneg", "indicator-nonneg", "zero", "sq-frobenius"]
+    )
+    def test_group_equals_single_block_solves(self, kind, weight):
+        rng = np.random.default_rng(94)
+        dense = DenseMatrixOp(rng.standard_normal((12, 3)))
+        ops = (
+            ScaledIdentityOp(1.5, (4,)),
+            dense,
+            MaskProjectionOp(rng.random((3, 4)) < 0.6),
+            MaskProjectionOp(rng.random((2, 2)) < 0.6),
+        )
+        term = ProxFunction(kind, weight)
+        weights = (
+            WeightMatrix.zero(),
+            WeightMatrix.identity_minus_gram(1.1 * dense.op_norm_sq, dense),
+            WeightMatrix.scaled_identity(0.4),
+            WeightMatrix.scaled_identity(0.4),
+        )
+        plans = _plans(ops, (term,) * 4, weights)
+        assert [plan.path for plan in plans] == ["prox", "prox", "diag", "diag"]
+        layout = _Layout([op.in_shape for op in ops])
+        (group,) = _phase_groups(plans, (0, 1, 2, 3), layout)
+        assert [plan.index for plan in group.plans] == [0, 1, 2, 3]
+        for _ in range(5):
+            curvatures = [
+                (plan.fold_iso + rng.uniform(0.2, 1.0), rng.uniform(0.5, 1.5))
+                for plan in plans
+            ]
+            lins = [3.0 * rng.standard_normal(op.in_shape) for op in ops]
+            packed = np.concatenate([lin.ravel() for lin in lins])
+            got = _solve_group(group, curvatures, packed)
+            for plan, (lo, hi), (q_iso, q_gram), lin in zip(
+                plans, group.bounds, curvatures, lins
+            ):
+                want = reference_solve_block(plan, q_iso, q_gram, lin)
+                np.testing.assert_allclose(
+                    got[lo:hi].reshape(want.shape), want, rtol=0, atol=1e-15
+                )
+
+    def test_groups_split_by_term_and_path(self):
+        rng = np.random.default_rng(95)
+        dense = DenseMatrixOp(rng.standard_normal((5, 3)))
+        ops = tuple(ScaledIdentityOp(1.0, (2,)) for _ in range(5)) + (
+            dense,
+            ScaledIdentityOp(1.0, (2, 3)),
+        )
+        terms = (
+            ProxFunction("l1", 1.0),
+            ProxFunction("l1", 2.0),
+            ProxFunction("l1", 1.0),
+            None,
+            ProxFunction("sq-frobenius", 0.5),
+            None,
+            ProxFunction("l21"),
+        )
+        weights = [WeightMatrix.zero()] * 5 + [
+            WeightMatrix.scaled_identity(0.3),
+            WeightMatrix.zero(),
+        ]
+        plans = _plans(ops, terms, weights)
+        assert plans[5].path == "eig"
+        layout = _Layout([op.in_shape for op in ops])
+        groups = _phase_groups(plans, tuple(range(7)), layout)
+        members = [[plan.index for plan in g.plans] for g in groups]
+        assert members == [[0, 2], [1], [3, 4], [5], [6]]
+        assert [g.denom is None for g in groups] == [False, False, False, True, True]
+        assert groups[0].runs == ((0, 2, 0, 2), (2, 4, 4, 6))
+        assert groups[2].runs == ((0, 4, 6, 10),)
+        # Member order follows the phase, so runs follow it too.
+        (g,) = _phase_groups(plans, (2, 0), layout)
+        assert g.runs == ((0, 2, 4, 6), (2, 4, 0, 2))
+
+    def test_noisy_coding_phase_groups(self):
+        problem = build_nonneg_sparse_coding_noisy(DataGenSpec(5, d=12, n=8))
+        ctx = prepare_context(problem, "jacobi", SolverConfig())
+        groups = ctx.groups[ctx.partition.b2]
+        assert [[plan.index for plan in g.plans] for g in groups] == [
+            list(range(8)),
+            [8],
+        ]
+        size = groups[0].lin.size
+        assert groups[0].runs == ((0, size, 0, size),)
+
+
+class TestGroupedEngine:
+    """Forty iterations of the grouped engine equal the per-block reference."""
+
+    PROBLEMS = {
+        "nnsc": lambda: build_nonneg_sparse_coding(
+            DataGenSpec(5, d=12, n=8, sparsity=0.2)
+        ),
+        "nnsc-noisy": lambda: build_nonneg_sparse_coding_noisy(
+            DataGenSpec(5, d=12, n=8, sparsity=0.2)
+        ),
+        "latlrr3": lambda: build_latent_lrr(
+            make_subspace_data(5, d=10, per_subspace=6), lam=0.1, formulation="3-block"
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PROBLEMS))
+    @pytest.mark.parametrize("kind", ["madmm", "madmm-bt", "jacobi", "l-admm-ps"])
+    def test_matches_per_block_engine(self, name, kind, monkeypatch):
+        problem = self.PROBLEMS[name]()
+        config = SolverConfig(max_iter=40, eps_primal=0.0, eps_step=0.0)
+        got = run(problem, kind, config, keep_iterates=True)
+        threaded = run(problem, kind, config, workers=2)
+        with monkeypatch.context() as patch:
+            patch.setattr(solvers, "_run_phase", reference_run_phase)
+            want = run(problem, kind, config, keep_iterates=True)
+        assert got.state.k == want.state.k == 40
+        assert got.state.backtrack_count == want.state.backtrack_count
+        for g, w in zip(got.iterates, want.iterates):
+            scale = max(float(np.max(np.abs(w.flat))), 1.0)
+            assert np.max(np.abs(g.flat - w.flat)) <= 1e-12 * scale
+        scale = max(float(np.max(np.abs(want.state.lam))), 1.0)
+        assert np.max(np.abs(got.state.lam - want.state.lam)) <= 1e-12 * scale
+        np.testing.assert_array_equal(threaded.state.x.flat, got.state.x.flat)
 
 
 class TestBlockImages:
