@@ -1,8 +1,8 @@
 """Convergence diagnostics: KKT gaps, rate-bound right-hand sides, oracles.
 
 Everything here works on desk-scale instances and deliberately uses dense
-linear algebra (eigendecompositions, SVDs) as an independent route from the
-solvers' power-iteration certificates.
+linear algebra (eigendecompositions, SVDs of the stacked operators) as an
+independent route from the solvers' per-block norm certificates.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from .solvers import (
     DivergenceError,
     SolverConfig,
     UnsupportedSubproblemError,
+    _KINDS,
     _resolve_partition,
     ergodic_average,
     run,
@@ -40,10 +41,6 @@ __all__ = [
     "oracle_solve",
     "quadratic_oracle",
 ]
-
-
-# Solver kinds with a rate bound; the presets have none.
-_RATE_KINDS = ("gs", "jacobi", "madmm", "madmm-bt")
 
 
 class AssumptionError(ValueError):
@@ -197,20 +194,20 @@ def theorem_alpha(
     """Penalty coefficient ``alpha`` of the averaged-iterate rate bound.
 
     ``min{1/2, sigma_min^2(Diag{A_i^T A_i + G_i} - A_B2^T A_B2) / (2 ||A_B2||_2^2)}``
-    over the second phase ``B2`` of the kind's partition: ``(1,)`` for
-    ``gs``, every block for ``jacobi``, ``partition.b2`` for ``madmm``.
-    ``madmm-bt`` uses ``tau`` in place of ``sigma_min^2``.
+    over the second phase ``B2`` of the kind's partition; the backtracking
+    kind uses ``tau`` in place of ``sigma_min^2``.
     """
-    if kind not in _RATE_KINDS:
-        raise ValueError(f"no rate constant for solver kind {kind!r}")
-    if kind == "madmm-bt" and tau is None:
-        raise ValueError("the backtracking scheme needs partition and tau")
     b2 = _resolve_partition(problem, kind, partition).b2
+    row = _KINDS[kind]
+    if not row.rate_bound:
+        raise ValueError(f"no rate constant for solver kind {kind!r}")
+    if row.backtrack and tau is None:
+        raise ValueError("the backtracking scheme needs partition and tau")
     # An empty second phase has ||A_B2|| = 0: the uncoupled case.
     a_sq = _spec_norm_sq_dense(_stack_dense(problem, b2)) if b2 else 0.0
     if a_sq == 0.0:
         return 0.5
-    if kind == "madmm-bt":
+    if row.backtrack:
         return min(0.5, tau / (2.0 * a_sq))
     M = _diag_minus_cross(problem, b2, G)
     return min(0.5, _sigma_min_sq(M) / (2.0 * a_sq))
@@ -241,9 +238,9 @@ def theorem_H0(
     """
     if beta0 <= 0:
         raise ValueError("beta0 must be positive")
-    if kind not in _RATE_KINDS:
-        raise ValueError(f"no rate bound for solver kind {kind!r}")
     part = _resolve_partition(problem, kind, partition)
+    if not _KINDS[kind].rate_bound:
+        raise ValueError(f"no rate bound for solver kind {kind!r}")
     groups = []
     if part.b1:
         groups.append((part.b1, _diag_minus_cross(problem, part.b1, G, beta0=beta0)))

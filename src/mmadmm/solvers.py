@@ -24,10 +24,11 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -61,17 +62,6 @@ __all__ = [
 ]
 
 logger = logging.getLogger("mmadmm")
-
-SOLVER_KINDS = (
-    "gs",
-    "jacobi",
-    "madmm",
-    "madmm-bt",
-    "l-admm-ps",
-    "pl-admm-ps",
-    "gl-admm-ps",
-)
-_ALL_PARALLEL = ("jacobi", "l-admm-ps", "pl-admm-ps", "gl-admm-ps")
 
 # Strictness margin for proximal weights that must dominate the coupling
 # curvature strictly (second phase and all-parallel updates). First-phase
@@ -150,6 +140,11 @@ class SolverConfig:
             raise ValueError("eta_scale must be positive")
         if self.schedule not in ("geometric", "adaptive"):
             raise ValueError(f"unknown schedule {self.schedule!r}")
+        p = self.partition
+        if not (isinstance(p, Partition) or isinstance(p, str) and p == "auto"):
+            raise ValueError(
+                f"unrecognized partition spec {p!r}; pass a Partition or 'auto'"
+            )
         if self.weights is not None:
             self.weights = tuple(self.weights)
 
@@ -264,7 +259,7 @@ def phase_smoothness(A: BlockOperatorFamily, blocks: Sequence[int]) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Default and preset proximal weights
+# Solver kinds: weight rules and the kind table
 # ---------------------------------------------------------------------------
 
 
@@ -292,70 +287,127 @@ def _exact_gram_feasible(term, kind) -> bool:
     return prox_part is None
 
 
-def default_weights(problem, kind: str, partition: Optional[Partition] = None):
-    """Choose per-block proximal weights for a solver kind.
+def _tight_weights(problem, coupled, margin, sm, config):
+    """The tightest feasible of three levels, block by block.
 
-    Three levels, tightest feasible wins:
-
-    1. a block alone on its constraint rows within its phase, whose exact
-       update has a closed form, keeps ``G_i = 0``;
-    2. a block whose Gram ``A_i^T A_i`` is a multiple ``c I`` of the identity
-       gets the plain weight ``eta I`` with ``eta = margin (eta'_i - c)``,
-       keeping the exact Gram in the subproblem;
-    3. otherwise ``G_i = eta I - A_i^T A_i`` with ``eta = margin eta'_i``,
-       which cancels the Gram and yields a proximal-step update.
-
-    The phases are those of the kind's partition; the mixed kinds need
-    ``partition``, the others ignore it. The margin is 1 for first-phase
-    blocks and slightly above 1 elsewhere, where the curvature bound must be
-    dominated strictly.
+    ``exact`` keeps ``G_i = 0`` for a block alone on its rows in its phase
+    whose exact update has a closed form; ``iso`` is ``margin (eta'_i - c) I``
+    when ``A_i^T A_i = c I``, keeping the Gram in the subproblem; otherwise
+    :func:`_linearized_weights` (``linearized``).
     """
+    for i in coupled:
+        op = problem.family.operators[i]
+        eta_p, alone = sm[i]
+        gram_kind = op.gram_kind()
+        if alone and _exact_gram_feasible(problem.terms[i], gram_kind):
+            yield i, WeightMatrix.zero(), "exact"
+        elif gram_kind == "scalar":
+            eta = margin * max(eta_p - op.gram_rep()[1], 0.0)
+            if eta == 0.0:
+                yield i, WeightMatrix.zero(), "exact"
+            else:
+                yield i, WeightMatrix.scaled_identity(eta), "iso"
+        else:
+            yield from _linearized_weights(problem, (i,), margin, sm, config)
+
+
+def _linearized_weights(problem, coupled, margin, sm, config):
+    """``G_i = margin eta'_i I - A_i^T A_i``: cancels the Gram, a proximal step."""
+    for i in coupled:
+        op = problem.family.operators[i]
+        yield i, WeightMatrix.identity_minus_gram(margin * sm[i][0], op), "linearized"
+
+
+def _backtrack_seed(problem, coupled, margin, sm, config):
+    """Linearized at ``eta_scale n_B ||A_i||^2``, ``n_B`` the phase's block count."""
+    for i in coupled:
+        op = problem.family.operators[i]
+        eta = config.eta_scale * len(sm) * op.op_norm_sq
+        yield i, WeightMatrix.identity_minus_gram(eta, op), "linearized"
+
+
+def _scaled_gram_weights(problem, coupled, margin, sm, config):
+    """``G_i = (n_live - 1) A_i^T A_i + 0.02 ||A_i||^2 I`` over the live blocks."""
+    coef = float(len(coupled) - 1)
+    for i in coupled:
+        op = problem.family.operators[i]
+        ridge = 0.02 * op.op_norm_sq
+        yield i, WeightMatrix.scaled_gram(coef, op, ridge=ridge), "scaled-gram"
+
+
+@dataclass(frozen=True)
+class _Kind:
+    """One solver kind: how it groups its blocks and which majorant it takes.
+
+    ``partition``: ``"sequential"``, ``"parallel"`` or ``"mixed"`` (see
+    :func:`_resolve_partition`). ``weights`` maps ``(problem, a phase's
+    coupled blocks, margin, phase_smoothness, config)`` to ``(i, G_i,
+    level)`` triples. ``smooth``: ``None`` follows ``problem.linearize_smooth``,
+    ``True`` always linearizes a joint smooth term, ``False`` refuses it.
+    ``backtrack`` grows the weights by ``mu`` until each phase's test holds.
+    ``rate_bound`` marks the kinds the diagnostics give a rate bound for.
+    """
+
+    partition: str
+    weights: Callable
+    smooth: Optional[bool] = None
+    backtrack: bool = False
+    rate_bound: bool = False
+
+
+_KINDS = {
+    "gs": _Kind("sequential", _tight_weights, rate_bound=True),
+    "jacobi": _Kind("parallel", _tight_weights, rate_bound=True),
+    "madmm": _Kind("mixed", _tight_weights, rate_bound=True),
+    "madmm-bt": _Kind("mixed", _backtrack_seed, backtrack=True, rate_bound=True),
+    "l-admm-ps": _Kind("parallel", _linearized_weights, smooth=False),
+    "pl-admm-ps": _Kind("parallel", _linearized_weights, smooth=True),
+    "gl-admm-ps": _Kind("parallel", _scaled_gram_weights),
+}
+SOLVER_KINDS = tuple(_KINDS)
+
+
+def default_weights(problem, kind: str, partition=None, config=None):
+    """The per-block proximal weights and weight levels ``run`` starts from.
+
+    Runs the kind's weight rule over each phase of the kind's partition; the
+    mixed kinds need ``partition``, the others ignore it. The margin is 1 for
+    first-phase blocks and slightly above 1 elsewhere, where the curvature
+    bound must be dominated strictly. ``config`` supplies ``eta_scale`` for
+    the backtracking seed (default ``SolverConfig()``). A block without
+    constraint coupling gets ``G_i = 0`` at level ``unconstrained``.
+    """
+    config = config or SolverConfig()
     A = problem.family
-    n = A.n
-    G = [WeightMatrix.zero()] * n
-    info = ["unconstrained"] * n
+    G = [WeightMatrix.zero()] * A.n
+    levels = ["unconstrained"] * A.n
     for blocks, margin in _phases(_resolve_partition(problem, kind, partition)):
         sm = phase_smoothness(A, blocks)
-        for i in blocks:
-            op = A.operators[i]
-            if op.op_norm_sq == 0.0:
-                continue
-            eta_p, alone = sm[i]
-            gram_kind = op.gram_kind()
-            if alone and _exact_gram_feasible(problem.terms[i], gram_kind):
-                G[i] = WeightMatrix.zero()
-                info[i] = "exact"
-            elif gram_kind == "scalar":
-                eta = margin * max(eta_p - op.gram_rep()[1], 0.0)
-                if eta == 0.0:
-                    G[i] = WeightMatrix.zero()
-                    info[i] = "exact"
-                else:
-                    G[i] = WeightMatrix.scaled_identity(eta)
-                    info[i] = "iso"
-            else:
-                G[i] = WeightMatrix.identity_minus_gram(margin * eta_p, op)
-                info[i] = "linearized"
-    return G, info
+        coupled = [i for i in blocks if A.operators[i].op_norm_sq > 0.0]
+        for i, g, level in _KINDS[kind].weights(problem, coupled, margin, sm, config):
+            G[i], levels[i] = g, level
+    return G, levels
 
 
 def _resolve_partition(problem, kind: str, requested=None) -> Partition:
     """The partition whose two phases define solver ``kind`` on ``problem``.
 
-    ``gs`` is ``((0,), (1,))`` and needs two blocks; ``jacobi`` and the
-    presets are ``((), all)``. The mixed kinds take ``requested``: a
-    Partition covering every block, or ``"auto"`` for the problem's
-    recommended partition, else the case-I heuristic.
+    A sequential kind is ``((0,), (1,))`` and needs two blocks; a parallel
+    kind is ``((), all)``. A mixed kind takes ``requested``: a Partition
+    covering every block, or ``"auto"`` for the problem's recommended
+    partition, else the case-I heuristic. Every reader of ``_KINDS`` calls
+    this first: it rejects an unknown kind.
     """
     n = problem.family.n
-    if kind == "gs":
+    if kind not in SOLVER_KINDS:
+        raise ValueError(f"unknown solver kind {kind!r}; options: {SOLVER_KINDS}")
+    rule = _KINDS[kind].partition
+    if rule == "sequential":
         if n != 2:
             raise ValueError("the sequential two-block solver needs n = 2")
         return Partition((0,), (1,), case="user")
-    if kind in _ALL_PARALLEL:
+    if rule == "parallel":
         return Partition((), tuple(range(n)), case="user")
-    if kind not in ("madmm", "madmm-bt"):
-        raise ValueError(f"unknown solver kind {kind!r}; options: {SOLVER_KINDS}")
     if isinstance(requested, Partition):
         if not requested.covers(n):
             raise ValueError("partition does not cover all blocks")
@@ -377,30 +429,6 @@ def _resolve_partition(problem, kind: str, requested=None) -> Partition:
 def _phases(partition: Partition):
     """``((b1, margin), (b2, margin))``: the two phases of every scheme."""
     return ((partition.b1, MARGIN_EQ), (partition.b2, MARGIN_STRICT))
-
-
-def _preset_weights(problem, kind: str):
-    """Classical reference weights for the all-parallel presets."""
-    A = problem.family
-    n = A.n
-    sm = phase_smoothness(A, range(n))
-    G = []
-    for i, op in enumerate(A.operators):
-        nsq = op.op_norm_sq
-        if nsq == 0.0:
-            G.append(WeightMatrix.zero())
-        elif kind in ("l-admm-ps", "pl-admm-ps"):
-            G.append(
-                WeightMatrix.identity_minus_gram(MARGIN_STRICT * sm[i][0], op)
-            )
-        else:
-            n_live = sum(1 for o in A.operators if o.op_norm_sq > 0.0)
-            G.append(
-                WeightMatrix.scaled_gram(
-                    float(n_live - 1), op, ridge=0.02 * nsq
-                )
-            )
-    return G
 
 
 # ---------------------------------------------------------------------------
@@ -681,9 +709,9 @@ class _RunContext:
     partition: Partition
     plans: list
     G0: list
+    levels: list
     etas0: Optional[list]
     smooth: object
-    smooth_linearize: bool
     b_scale: float
     groups: dict
     workers: int = 1
@@ -702,39 +730,36 @@ def prepare_context(
     problem, kind: str, config: SolverConfig, workers: int = 1
 ) -> _RunContext:
     """Validate solvability of every block and freeze the solve plans."""
+    if not isinstance(workers, numbers.Integral) or workers < 1:
+        raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
     partition = _resolve_partition(problem, kind, config.partition)
+    row = _KINDS[kind]
     smooth = problem.smooth
-    linearize = smooth is not None and (
-        problem.linearize_smooth or kind in ("pl-admm-ps",)
-    )
-    if kind == "l-admm-ps" and smooth is not None:
-        linearize = False
-    if smooth is not None and not linearize:
+    if smooth is not None and not (
+        problem.linearize_smooth if row.smooth is None else row.smooth
+    ):
         raise UnsupportedSubproblemError(
             "a joint smooth coupling requires a solver that linearizes it"
         )
-    etas0 = None
     if config.weights is not None:
-        if kind == "madmm-bt":
+        if row.backtrack:
             raise ValueError(
                 "backtracking manages its own weights; do not pass overrides"
             )
         if len(config.weights) != problem.family.n:
             raise ValueError("one weight per block is required")
         G0 = list(config.weights)
-    elif kind == "madmm-bt":
-        G0, etas0 = _bt_initial_weights(problem, partition, config.eta_scale)
-    elif kind in ("l-admm-ps", "pl-admm-ps", "gl-admm-ps"):
-        G0 = _preset_weights(problem, kind)
+        levels = ["user"] * problem.family.n
     else:
-        G0, _ = default_weights(problem, kind, partition)
+        G0, levels = default_weights(problem, kind, partition, config)
+    etas0 = [g.eta for g in G0] if row.backtrack else None
     plans = []
     for i in range(problem.family.n):
         eta_sm = 0.0
-        if smooth is not None and linearize and smooth.ops[i] is not None:
+        if smooth is not None and smooth.ops[i] is not None:
             eta_sm = smooth.cert[i].eta
         plans.append(_plan_block(problem, i, G0[i], eta_sm))
-    if kind == "gs" and G0[1].form == "zero":
+    if row.partition == "sequential" and G0[1].form == "zero":
         logger.warning(
             "second-block weight is zero: classical unregularized update, "
             "the averaged-iterate rate guarantee needs a positive weight"
@@ -749,31 +774,16 @@ def prepare_context(
         partition=partition,
         plans=plans,
         G0=G0,
+        levels=levels,
         etas0=etas0,
         smooth=smooth,
-        smooth_linearize=linearize,
         b_scale=b_scale,
         groups={
             blocks: _phase_groups(plans, blocks, layout)
             for blocks, _ in _phases(partition)
         },
-        workers=max(1, int(workers)),
+        workers=int(workers),
     )
-
-
-def _bt_initial_weights(problem, partition: Partition, eta_scale: float):
-    A = problem.family
-    G = [WeightMatrix.zero()] * A.n
-    etas = [0.0] * A.n
-    for blocks, _ in _phases(partition):
-        nj = len(blocks)
-        for i in blocks:
-            op = A.operators[i]
-            if op.op_norm_sq == 0.0:
-                continue
-            etas[i] = eta_scale * nj * op.op_norm_sq
-            G[i] = WeightMatrix.identity_minus_gram(etas[i], op)
-    return G, etas
 
 
 # ---------------------------------------------------------------------------
@@ -809,7 +819,7 @@ def _run_phase(
         return y, c
     s_full = _image_sum(ctx, c) - ctx.b + lam / beta
     smooth_res = None
-    if ctx.smooth is not None and ctx.smooth_linearize:
+    if ctx.smooth is not None:
         smooth_res = ctx.smooth.residual(y)
     x = y.copy()
 
@@ -855,7 +865,7 @@ def step(state: SolverState, ctx: _RunContext):
     The block images ``A_i x_i`` are carried from phase to phase and kept on
     ``state.images``; a rejected phase discards its images.
     """
-    backtracking = ctx.kind == "madmm-bt"
+    backtracking = _KINDS[ctx.kind].backtrack
     mu = ctx.config.mu
     x = state.x
     if state.images is None or state.images[0] is not x:

@@ -168,7 +168,7 @@ def reference_run_phase(ctx, blocks, y, c, lam, beta, G):
         image_sum += ci
     s_full = image_sum - ctx.b + lam / beta
     smooth_res = None
-    if ctx.smooth is not None and ctx.smooth_linearize:
+    if ctx.smooth is not None:
         smooth_res = ctx.smooth.residual(y)
     new = list(y.blocks)
     images = list(c)

@@ -222,7 +222,12 @@ class TestSolve:
 
     @pytest.mark.parametrize(
         "flag,value",
-        [("--beta0", "-1.0"), ("--rho", "0.5"), ("--mu", "1.0")],
+        [
+            ("--beta0", "-1.0"),
+            ("--rho", "0.5"),
+            ("--mu", "1.0"),
+            ("--workers", "0"),
+        ],
     )
     def test_bad_numbers_are_config_errors(self, tmp_path, capsys, flag, value):
         manifest = _generate_nnsc(tmp_path)

@@ -42,7 +42,6 @@ from mmadmm.solvers import (
     _bt_accept,
     _phase_groups,
     _plan_block,
-    _preset_weights,
     _solve_group,
     assemble_block,
     default_weights,
@@ -232,15 +231,57 @@ class TestDefaultWeights:
     def test_preset_weights(self):
         problem = _dense_problem(85, d=6, dims=(2, 3, 2))
         ops = problem.family.operators
-        G = _preset_weights(problem, "l-admm-ps")
+        G, _ = default_weights(problem, "l-admm-ps")
         for i, g in enumerate(G):
             assert g.form == "scaled-identity-minus-gram"
             assert g.eta == MARGIN_STRICT * (3 * ops[i].op_norm_sq)
-        G = _preset_weights(problem, "gl-admm-ps")
+        G, _ = default_weights(problem, "gl-admm-ps")
         for i, g in enumerate(G):
             assert g.form == "scaled-gram"
             assert g.gram_coef == 2.0
             assert g.eta == pytest.approx(0.02 * ops[i].op_norm_sq)
+
+
+_RUN_WEIGHT_PROBLEMS = {
+    "l1_toy": l1_toy,
+    "quad": lambda: quad_problem(3),
+    "nnsc": lambda: build_nonneg_sparse_coding(
+        DataGenSpec(0, d=10, n=6, sparsity=0.2)
+    ),
+    "latlrr2": lambda: build_latent_lrr(
+        make_subspace_data(0, d=8, rank=2, n_subspaces=2, per_subspace=5),
+        lam=0.5,
+        formulation="2-block",
+    ),
+}
+# Kinds that refuse the problem: gs needs two blocks, l-admm-ps refuses a
+# smooth term, and gl-admm-ps's Gram weight does not combine with these terms.
+_REFUSED = {
+    ("nnsc", "gs"),
+    ("nnsc", "gl-admm-ps"),
+    ("latlrr2", "l-admm-ps"),
+    ("latlrr2", "gl-admm-ps"),
+}
+
+
+@pytest.mark.parametrize(
+    "name, kind",
+    [
+        (name, kind)
+        for name in _RUN_WEIGHT_PROBLEMS
+        for kind in SOLVER_KINDS
+        if (name, kind) not in _REFUSED
+    ],
+)
+def test_default_weights_are_the_run_weights(name, kind):
+    problem = _RUN_WEIGHT_PROBLEMS[name]()
+    config = SolverConfig(eta_scale=0.03)
+    ctx = prepare_context(problem, kind, config)
+    G, levels = default_weights(problem, kind, ctx.partition, config)
+    assert [g.form for g in G] == [g.form for g in ctx.G0]
+    assert [g.eta for g in G] == [g.eta for g in ctx.G0]
+    assert [g.gram_coef for g in G] == [g.gram_coef for g in ctx.G0]
+    assert levels == ctx.levels
 
 
 def _mini(op, term):
@@ -473,7 +514,7 @@ class TestFirstIterateFormulas:
         with pytest.raises(UnsupportedSubproblemError, match="linearizes"):
             prepare_context(problem, "l-admm-ps", SolverConfig())
         ctx = prepare_context(problem, "pl-admm-ps", SolverConfig())
-        assert ctx.smooth_linearize
+        assert all(plan.smooth_eta > 0.0 for plan in ctx.plans)
 
 
 class TestDegeneracies:
@@ -597,6 +638,11 @@ class TestRunContract:
         for blk_a, blk_b in zip(result.iterates[-1].blocks, result.state.x.blocks):
             np.testing.assert_array_equal(blk_a, blk_b)
 
+    @pytest.mark.parametrize("workers", [0, -1, 2.5])
+    def test_bad_worker_count_rejected(self, workers):
+        with pytest.raises(ValueError, match="workers"):
+            run(l1_toy(), "jacobi", SolverConfig(max_iter=1), workers=workers)
+
     def test_worker_pool_is_deterministic(self):
         problem = _dense_problem(95, d=6, dims=(2, 3, 2, 4))
         config = dict(beta0=1.0, rho=1.05, max_iter=50, eps_primal=0.0, eps_step=0.0)
@@ -687,6 +733,12 @@ class TestPartitionResolution:
                 "madmm",
                 SolverConfig(partition=Partition((0,), (1,))),
             )
+
+    def test_fixed_kind_rejects_bad_partition_spec(self):
+        # Rejected when the config is built: a kind that ignores the
+        # partition cannot hide the mistake.
+        with pytest.raises(ValueError, match="unrecognized partition"):
+            run(l1_toy(), "jacobi", SolverConfig(partition="case1"))
 
     def test_unrecognized_partition_spec(self):
         with pytest.raises(ValueError, match="unrecognized partition"):
