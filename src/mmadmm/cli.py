@@ -146,12 +146,18 @@ def _solver_config(cfg, partition) -> SolverConfig:
         raise ConfigError(str(exc)) from exc
 
 
-def _load_problem(manifest_path):
-    manifest = fileio.read_manifest(manifest_path)
+def _from_manifest(meta: dict, where: str):
+    """Build the problem ``meta`` describes; a missing or bad key is a ConfigError."""
     try:
-        return problems.from_manifest(manifest)
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"bad manifest {manifest_path}: {exc}") from exc
+        return problems.from_manifest(meta)
+    except KeyError as exc:
+        raise ConfigError(f"{where}: missing key {exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
+def _load_problem(path):
+    return _from_manifest(fileio.read_manifest(path), f"bad manifest {path}")
 
 
 def _summary_line(label: str, result) -> str:
@@ -192,7 +198,7 @@ def cmd_generate(args) -> int:
             meta[key] = value
     if args.block_dims:
         meta["block_dims"] = args.block_dims
-    problem = problems.from_manifest(meta)
+    problem = _from_manifest(meta, f"cannot generate {args.problem}")
     os.makedirs(args.out, exist_ok=True)
     for name, arr in sorted(problem.data.items()):
         if name == "mask":
@@ -271,16 +277,9 @@ def cmd_partition_study(args) -> int:
 def _add_run_flags(sp) -> None:
     sp.add_argument("--config", help="flat key = value config file")
     sp.add_argument("--solver", choices=SOLVER_KINDS)
-    sp.add_argument("--beta0", type=float)
-    sp.add_argument("--rho", type=float)
-    sp.add_argument("--beta-max", dest="beta_max", type=float)
-    sp.add_argument("--max-iter", dest="max_iter", type=int)
-    sp.add_argument("--eps-primal", dest="eps_primal", type=float)
-    sp.add_argument("--eps-step", dest="eps_step", type=float)
-    sp.add_argument("--tau", type=float)
-    sp.add_argument("--mu", type=float)
-    sp.add_argument("--eta-scale", dest="eta_scale", type=float)
-    sp.add_argument("--schedule", choices=("geometric", "adaptive"))
+    for f in _CONFIG_FIELDS:
+        flag = "--" + f.name.replace("_", "-")
+        sp.add_argument(flag, dest=f.name, type=type(f.default))
     sp.add_argument("--workers", type=int)
     sp.add_argument(
         "--partition", choices=("auto", "case1", "case2", "case3")

@@ -97,11 +97,9 @@ class ProblemSpec:
     terms : sequence of ProxFunction or None
         Per-block objective terms.
     smooth : SmoothQuadCoupling, optional
-        Joint smooth objective term across blocks.
-    linearize_smooth : bool
-        Whether solvers should replace the smooth term by its gradient
-        anchor plus certified quadratic (required whenever it couples
-        blocks).
+        Joint smooth objective term across blocks; every solver kind but
+        ``l-admm-ps`` replaces it by its gradient anchor plus certified
+        quadratic.
     recommended_partition : Partition, optional
     meta : dict
         Flat manifest keys sufficient to regenerate the instance.
@@ -116,7 +114,6 @@ class ProblemSpec:
         block_shapes: Sequence[tuple],
         terms: Sequence[Optional[ProxFunction]],
         smooth: Optional[SmoothQuadCoupling] = None,
-        linearize_smooth: bool = True,
         recommended_partition: Optional[Partition] = None,
         meta: Optional[dict] = None,
         data: Optional[dict] = None,
@@ -127,7 +124,6 @@ class ProblemSpec:
         self.block_shapes = tuple(tuple(s) for s in block_shapes)
         self.terms = tuple(terms)
         self.smooth = smooth
-        self.linearize_smooth = bool(linearize_smooth)
         self.recommended_partition = recommended_partition
         self.meta = dict(meta or {})
         self.data = dict(data or {})
@@ -295,7 +291,10 @@ def build_nonneg_sparse_coding_noisy(
 
 
 def build_latent_lrr(
-    X: np.ndarray, lam: float, formulation: str = "3-block", meta: Optional[dict] = None
+    X: np.ndarray,
+    lam: float = 0.1,
+    formulation: str = "3-block",
+    meta: Optional[dict] = None,
 ) -> ProblemSpec:
     """Latent low-rank representation of the columns of ``X``.
 
@@ -365,7 +364,7 @@ def build_latent_lrr(
 
 
 def build_lrr(
-    X: np.ndarray, A_dict: np.ndarray, lam: float, meta: Optional[dict] = None
+    X: np.ndarray, A_dict: np.ndarray, lam: float = 0.1, meta: Optional[dict] = None
 ) -> ProblemSpec:
     """Low-rank representation with column-sparse error.
 
@@ -529,61 +528,60 @@ def make_subspace_data(
 # ---------------------------------------------------------------------------
 
 
-def _subspace_from_meta(meta: dict) -> np.ndarray:
-    return make_subspace_data(
-        seed=int(meta["seed"]),
-        d=int(meta.get("d", 50)),
-        rank=int(meta.get("rank", 4)),
-        n_subspaces=int(meta.get("n_subspaces", 5)),
-        per_subspace=int(meta.get("per_subspace", 30)),
-        corrupt_frac=float(meta.get("corrupt_frac", 0.2)),
-    )
+def _dims(value) -> Optional[tuple]:
+    return tuple(int(v) for v in str(value).split(",")) if value else None
+
+
+# Optional manifest keys and their casts; an absent key takes its owner's
+# default (``DataGenSpec``, ``make_subspace_data`` or the builder's ``lam``).
+_GEN_KEYS = {
+    "nnsc": {"block_dims": _dims, "sparsity": float},
+    "nnsc-noisy": {"block_dims": _dims, "sparsity": float, "noise_sigma": float},
+    "nmc": {"rank": int, "obs_fraction": float, "noise_sigma": float},
+}
+_SUBSPACE_KEYS = {
+    "d": int,
+    "rank": int,
+    "n_subspaces": int,
+    "per_subspace": int,
+    "corrupt_frac": float,
+}
+
+
+def _present(meta: dict, casts: dict) -> dict:
+    """The keys of ``casts`` that ``meta`` holds, each cast."""
+    return {key: cast(meta[key]) for key, cast in casts.items() if key in meta}
 
 
 def from_manifest(meta: dict) -> ProblemSpec:
     """Rebuild a problem instance from flat manifest keys.
 
     The manifest records the generation recipe, not the data itself, so the
-    rebuild is exact for a given seed.
+    rebuild is exact for a given seed. ``seed`` is always required, and
+    ``d`` and ``n`` too for the generated problems; any other absent key
+    takes the default of the function it is passed to.
     """
     name = meta.get("problem")
-    if name in ("nnsc", "nnsc-noisy"):
-        dims = None
-        if meta.get("block_dims"):
-            dims = tuple(int(v) for v in str(meta["block_dims"]).split(","))
+    lam = _present(meta, {"lam": float})
+    if name in _GEN_KEYS:
         gen = DataGenSpec(
             seed=int(meta["seed"]),
             d=int(meta["d"]),
             n=int(meta["n"]),
-            block_dims=dims,
-            sparsity=float(meta.get("sparsity", 0.1)),
-            noise_sigma=float(meta.get("noise_sigma", 0.0)),
+            **_present(meta, _GEN_KEYS[name]),
         )
         if name == "nnsc":
             return build_nonneg_sparse_coding(gen)
-        return build_nonneg_sparse_coding_noisy(gen, lam=float(meta.get("lam", 1.0)))
-    if name in ("latlrr2", "latlrr3"):
-        X = _subspace_from_meta(meta)
-        spec = build_latent_lrr(
-            X,
-            lam=float(meta.get("lam", 0.1)),
-            formulation="2-block" if name == "latlrr2" else "3-block",
-        )
+        if name == "nnsc-noisy":
+            return build_nonneg_sparse_coding_noisy(gen, **lam)
+        return build_nonneg_matrix_completion(gen, **lam)
+    if name in ("latlrr2", "latlrr3", "lrr"):
+        X = make_subspace_data(int(meta["seed"]), **_present(meta, _SUBSPACE_KEYS))
+        if name == "lrr":
+            spec = build_lrr(X, X, **lam)
+        else:
+            formulation = "2-block" if name == "latlrr2" else "3-block"
+            spec = build_latent_lrr(X, formulation=formulation, **lam)
         spec.meta.update(meta)
         return spec
-    if name == "lrr":
-        X = _subspace_from_meta(meta)
-        spec = build_lrr(X, X, lam=float(meta.get("lam", 0.1)))
-        spec.meta.update(meta)
-        return spec
-    if name == "nmc":
-        gen = DataGenSpec(
-            seed=int(meta["seed"]),
-            d=int(meta["d"]),
-            n=int(meta["n"]),
-            rank=int(meta.get("rank", 5)),
-            obs_fraction=float(meta.get("obs_fraction", 0.6)),
-            noise_sigma=float(meta.get("noise_sigma", 0.1)),
-        )
-        return build_nonneg_matrix_completion(gen, lam=float(meta.get("lam", 10.0)))
     raise ValueError(f"unknown problem name {name!r}; options: {PROBLEM_NAMES}")

@@ -167,9 +167,10 @@ class IterationTrace:
 class SolverState:
     """Mutable iteration state: primal blocks, dual, penalty, weights.
 
-    ``images`` is ``(x, c)`` with the block images ``c_i = A_i x_i`` of the
-    iterate ``x`` they were computed from; :func:`step` recomputes them when
-    they are missing or belong to another iterate than ``state.x``.
+    ``G`` holds the weights (under ``madmm-bt``, the backtracked levels
+    ``G[i].eta``). ``images`` is ``(x, c, r)``: the block images ``c_i =
+    A_i x_i`` of the iterate ``x`` and their residual ``r = sum_i c_i - b``;
+    :func:`step` recomputes them when they belong to another iterate.
     """
 
     x: BlockVector
@@ -177,7 +178,6 @@ class SolverState:
     beta: float
     k: int = 0
     G: list = field(default_factory=list)
-    etas: Optional[list] = None
     backtrack_count: int = 0
     trace: list = field(default_factory=list)
     images: Optional[tuple] = None
@@ -272,19 +272,22 @@ def _folded_term(term):
     return term, 0.0
 
 
-def _exact_gram_feasible(term, kind) -> bool:
-    """Whether a block solves exactly with its raw coupling Gram kept.
+def _gram_path(prox_part, gram_kind):
+    """``(path, None)`` if a block can keep its coupling Gram, else ``(None, why)``.
 
-    ``kind`` is the block operator's :meth:`gram_kind`.
+    ``prox_part`` is the block's unfolded term and ``gram_kind`` its
+    operator's :meth:`gram_kind`.
     """
-    prox_part, _ = _folded_term(term)
-    if kind is None:
-        return False
-    if kind == "scalar":
-        return True
-    if kind == "diag":
-        return prox_part is None or prox_part.entrywise
-    return prox_part is None
+    if gram_kind is None:
+        return None, "coupling Gram has no structured form; use a Gram-cancelling weight"
+    if gram_kind == "scalar" or prox_part is None:
+        return {"scalar": "prox", "diag": "diag"}.get(gram_kind, "eig"), None
+    term = repr(prox_part.kind)
+    if gram_kind != "diag":
+        return None, f"term {term} cannot be combined with a non-diagonal coupling Gram"
+    if not prox_part.entrywise:
+        return None, f"term {term} does not split entrywise over a diagonal Gram"
+    return "diag", None
 
 
 def _tight_weights(problem, coupled, margin, sm, config):
@@ -299,7 +302,8 @@ def _tight_weights(problem, coupled, margin, sm, config):
         op = problem.family.operators[i]
         eta_p, alone = sm[i]
         gram_kind = op.gram_kind()
-        if alone and _exact_gram_feasible(problem.terms[i], gram_kind):
+        prox_part, _ = _folded_term(problem.terms[i])
+        if alone and _gram_path(prox_part, gram_kind)[0] is not None:
             yield i, WeightMatrix.zero(), "exact"
         elif gram_kind == "scalar":
             eta = margin * max(eta_p - op.gram_rep()[1], 0.0)
@@ -342,15 +346,15 @@ class _Kind:
     ``partition``: ``"sequential"``, ``"parallel"`` or ``"mixed"`` (see
     :func:`_resolve_partition`). ``weights`` maps ``(problem, a phase's
     coupled blocks, margin, phase_smoothness, config)`` to ``(i, G_i,
-    level)`` triples. ``smooth``: ``None`` follows ``problem.linearize_smooth``,
-    ``True`` always linearizes a joint smooth term, ``False`` refuses it.
+    level)`` triples. ``smooth``: whether the kind linearizes a joint smooth
+    term (``True``) or refuses a problem that has one (``False``).
     ``backtrack`` grows the weights by ``mu`` until each phase's test holds.
     ``rate_bound`` marks the kinds the diagnostics give a rate bound for.
     """
 
     partition: str
     weights: Callable
-    smooth: Optional[bool] = None
+    smooth: bool = True
     backtrack: bool = False
     rate_bound: bool = False
 
@@ -361,7 +365,7 @@ _KINDS = {
     "madmm": _Kind("mixed", _tight_weights, rate_bound=True),
     "madmm-bt": _Kind("mixed", _backtrack_seed, backtrack=True, rate_bound=True),
     "l-admm-ps": _Kind("parallel", _linearized_weights, smooth=False),
-    "pl-admm-ps": _Kind("parallel", _linearized_weights, smooth=True),
+    "pl-admm-ps": _Kind("parallel", _linearized_weights),
     "gl-admm-ps": _Kind("parallel", _scaled_gram_weights),
 }
 SOLVER_KINDS = tuple(_KINDS)
@@ -438,7 +442,11 @@ def _phases(partition: Partition):
 
 @dataclass
 class _BlockPlan:
-    """Frozen per-block solve recipe: path plus cached factorizations."""
+    """Frozen per-block solve recipe: path plus cached factorizations.
+
+    ``gram_factor``, the model's Gram coefficient, is ``1 + g`` for a coupled
+    block with weight ``G = iso I + g A_i^T A_i`` and 0 for an uncoupled one.
+    """
 
     index: int
     op: object
@@ -474,33 +482,18 @@ def _plan_block(problem, i: int, G: WeightMatrix, smooth_eta: float) -> _BlockPl
     )
     if gram_factor != 0.0:
         rep = op.gram_rep()
-        if rep is None:
-            raise UnsupportedSubproblemError(
-                f"block {i}: coupling Gram has no structured form; "
-                "use a Gram-cancelling weight"
-            )
-        kind, data = rep
-        if kind == "scalar":
+        kind, data = rep if rep is not None else (None, None)
+        plan.path, reason = _gram_path(prox_part, kind)
+        if reason is not None:
+            raise UnsupportedSubproblemError(f"block {i}: {reason}")
+        if plan.path == "prox":
             plan.scalar_c = data
-            plan.path = "prox"
-        elif kind == "diag":
-            if prox_part is not None and not prox_part.entrywise:
-                raise UnsupportedSubproblemError(
-                    f"block {i}: term {prox_part.kind!r} does not split "
-                    "entrywise over a diagonal Gram"
-                )
+        elif plan.path == "diag":
             plan.diag = np.asarray(data, dtype=float)
-            plan.path = "diag"
         else:
-            if prox_part is not None:
-                raise UnsupportedSubproblemError(
-                    f"block {i}: term {prox_part.kind!r} cannot be combined "
-                    "with a non-diagonal coupling Gram"
-                )
             w, U = np.linalg.eigh(np.asarray(data, dtype=float))
             plan.eig = (np.maximum(w, 0.0), U)
             plan.orient = kind
-            plan.path = "eig"
     return plan
 
 
@@ -671,19 +664,22 @@ def assemble_block(
     ``sum_j c_j - b + lam / beta``. With ``G = iso I + g A_i^T A_i`` the
     linear term ``beta A_i^T (s_full - A_i y_i) - beta G y_i`` is built as
     ``beta A_i^T (s_full - (1 + g) c_i) - beta iso y_i``: one adjoint and no
-    apply. The linearized weight (``g = -1``) cancels the image term.
-    ``out``, an array shaped like ``y_i``, receives ``lin`` when given.
+    apply. The Gram coefficient ``1 + g`` is the plan's ``gram_factor``;
+    ``G`` supplies only its level ``iso = G.eta``. The linearized weight
+    (``g = -1``) cancels the image term. ``out``, an array shaped like
+    ``y_i``, receives ``lin`` when given.
     """
     plan = ctx.plans[i]
     op = plan.op
     yi = y[i]
-    iso, coef, _ = G.iso_split()
+    iso = G.eta
     q_iso = plan.fold_iso + beta * iso
     q_gram = 0.0
     lin = np.empty(yi.shape) if out is None else out
     if op.op_norm_sq > 0.0:
-        si = s_full if coef == -1.0 else s_full - (1.0 + coef) * c[i]
-        q_gram = beta * plan.gram_factor
+        factor = plan.gram_factor
+        si = s_full if factor == 0.0 else s_full - factor * c[i]
+        q_gram = beta * factor
         np.multiply(op.adjoint(si), beta, out=lin)
     else:
         lin.fill(0.0)
@@ -710,7 +706,6 @@ class _RunContext:
     plans: list
     G0: list
     levels: list
-    etas0: Optional[list]
     smooth: object
     b_scale: float
     groups: dict
@@ -735,9 +730,7 @@ def prepare_context(
     partition = _resolve_partition(problem, kind, config.partition)
     row = _KINDS[kind]
     smooth = problem.smooth
-    if smooth is not None and not (
-        problem.linearize_smooth if row.smooth is None else row.smooth
-    ):
+    if smooth is not None and not row.smooth:
         raise UnsupportedSubproblemError(
             "a joint smooth coupling requires a solver that linearizes it"
         )
@@ -752,7 +745,6 @@ def prepare_context(
         levels = ["user"] * problem.family.n
     else:
         G0, levels = default_weights(problem, kind, partition, config)
-    etas0 = [g.eta for g in G0] if row.backtrack else None
     plans = []
     for i in range(problem.family.n):
         eta_sm = 0.0
@@ -775,7 +767,6 @@ def prepare_context(
         plans=plans,
         G0=G0,
         levels=levels,
-        etas0=etas0,
         smooth=smooth,
         b_scale=b_scale,
         groups={
@@ -804,20 +795,20 @@ def _run_phase(
     blocks: Sequence[int],
     y: BlockVector,
     c: Sequence[np.ndarray],
+    r: np.ndarray,
     lam: np.ndarray,
     beta: float,
     G: Sequence[WeightMatrix],
 ):
-    """Update ``blocks`` in parallel, all anchored at ``y`` with images ``c``.
+    """Update ``blocks`` in parallel, all anchored at ``y`` with images ``c``
+    and residual ``r = sum_j c_j - b``; ``blocks`` is not empty.
 
     Returns the new iterate and its block images. Each solve group of the
     phase assembles its members' models into its packed buffer, solves them
     with one call and writes the result into the new iterate; each updated
     block is then applied once, the others keep their images.
     """
-    if not blocks:
-        return y, c
-    s_full = _image_sum(ctx, c) - ctx.b + lam / beta
+    s_full = r + lam / beta
     smooth_res = None
     if ctx.smooth is not None:
         smooth_res = ctx.smooth.residual(y)
@@ -862,24 +853,29 @@ def step(state: SolverState, ctx: _RunContext):
     carry over to the next iteration. Returns the residual, the penalty the
     iteration used, and its backtrack count.
 
-    The block images ``A_i x_i`` are carried from phase to phase and kept on
-    ``state.images``; a rejected phase discards its images.
+    The block images ``A_i x_i`` and their residual ``sum_i c_i - b`` are
+    carried from phase to phase and kept on ``state.images``; the images are
+    summed once after each non-empty phase, and the last sum is the dual
+    residual. A rejected phase discards its images.
     """
     backtracking = _KINDS[ctx.kind].backtrack
     mu = ctx.config.mu
     x = state.x
     if state.images is None or state.images[0] is not x:
-        state.images = (x, [op.apply(v) for op, v in zip(ctx.A.operators, x.blocks)])
-    c = state.images[1]
+        c = [op.apply(v) for op, v in zip(ctx.A.operators, x.blocks)]
+        state.images = (x, c, _image_sum(ctx, c) - ctx.b)
+    _, c, resid = state.images
     backtracks = 0
     for (blocks, _), tau in zip(_phases(ctx.partition), (0.0, ctx.config.tau)):
-        cap = _rescale_cap(ctx, blocks, state.etas, mu) if backtracking else 0
+        if not blocks:
+            continue
+        cap = _rescale_cap(ctx, blocks, state.G, mu) if backtracking else 0
         while True:
             x_new, c_new = _run_phase(
-                ctx, blocks, x, c, state.lam, state.beta, state.G
+                ctx, blocks, x, c, resid, state.lam, state.beta, state.G
             )
             if not backtracking or _bt_accept(
-                ctx, blocks, x, x_new, c, c_new, state.etas, tau
+                ctx, blocks, x, x_new, c, c_new, state.G, tau
             ):
                 break
             _bt_scale(ctx, blocks, state, mu)
@@ -891,24 +887,24 @@ def step(state: SolverState, ctx: _RunContext):
                     "safe weight level"
                 )
         x, c = x_new, c_new
+        resid = _image_sum(ctx, c) - ctx.b
     state.backtrack_count += backtracks
-    resid = _image_sum(ctx, c) - ctx.b
     state.lam = dual_update(state.lam, state.beta, resid)
     beta_used = state.beta
     state.beta = _next_beta(ctx, state.beta, x, state.x)
     state.x = x
-    state.images = (x, c)
+    state.images = (x, c, resid)
     state.k += 1
     return resid, beta_used, backtracks
 
 
-def _rescale_cap(ctx, blocks, etas, mu: float) -> int:
+def _rescale_cap(ctx, blocks, G, mu: float) -> int:
     worst = 1.0
     nj = len(blocks)
     for i in blocks:
         nsq = ctx.A.operators[i].op_norm_sq
-        if nsq > 0.0 and etas[i] > 0.0:
-            worst = max(worst, nj * nsq / etas[i])
+        if nsq > 0.0 and G[i].eta > 0.0:
+            worst = max(worst, nj * nsq / G[i].eta)
     return int(math.ceil(math.log(worst) / math.log(mu))) + 2
 
 
@@ -916,19 +912,18 @@ def _bt_scale(ctx, blocks, state: SolverState, mu: float) -> None:
     for i in blocks:
         if ctx.A.operators[i].op_norm_sq == 0.0:
             continue
-        state.etas[i] *= mu
         state.G[i] = WeightMatrix.identity_minus_gram(
-            state.etas[i], ctx.A.operators[i]
+            mu * state.G[i].eta, ctx.A.operators[i]
         )
 
 
 def _bt_accept(
-    ctx, blocks, anchor, updates, c_anchor, c_updates, etas, tau: float
+    ctx, blocks, anchor, updates, c_anchor, c_updates, G, tau: float
 ) -> bool:
     """``tau ||d||^2 <= sum_i eta_i ||d_i||^2 - ||sum_i A_i d_i||^2`` over ``blocks``.
 
-    ``d_i = updates[i] - anchor[i]``, restricted to constraint-coupled
-    blocks; ``A_i d_i`` is taken from the block images as
+    ``eta_i = G[i].eta`` and ``d_i = updates[i] - anchor[i]``, restricted to
+    constraint-coupled blocks; ``A_i d_i`` is taken from the block images as
     ``c_updates[i] - c_anchor[i]``. At ``tau = 0`` this is the first phase's
     test ``||A d||^2 <= sum_i eta_i ||d_i||^2``.
     """
@@ -941,7 +936,7 @@ def _bt_accept(
         d = updates[i] - anchor[i]
         dsq = float(np.vdot(d, d))
         lhs += dsq
-        quad += etas[i] * dsq
+        quad += G[i].eta * dsq
         a_vec += c_updates[i] - c_anchor[i]
     return tau * lhs <= quad - float(np.vdot(a_vec, a_vec))
 
@@ -978,13 +973,13 @@ def run(
     ctx = prepare_context(problem, solver_kind, config, workers=workers)
     x0 = BlockVector.zeros(problem.block_shapes)
     out_shape = problem.family.out_shape
+    c0 = [np.zeros(out_shape) for _ in range(x0.n)]
     state = SolverState(
         x=x0,
         lam=np.zeros(out_shape),
         beta=config.beta0,
         G=list(ctx.G0),
-        etas=None if ctx.etas0 is None else list(ctx.etas0),
-        images=(x0, [np.zeros(out_shape) for _ in range(x0.n)]),
+        images=(x0, c0, np.subtract(0.0, problem.b)),
     )
     iterates = [] if keep_iterates else None
     betas = [] if keep_iterates else None

@@ -155,11 +155,12 @@ def reference_solve_block(plan, q_iso, q_gram, lin):
     return (U @ ((U.T @ rhs.ravel()) / denom)).reshape(rhs.shape)
 
 
-def reference_run_phase(ctx, blocks, y, c, lam, beta, G):
+def reference_run_phase(ctx, blocks, y, c, r, lam, beta, G):
     """The phase update of ``solvers._run_phase``, block by block.
 
     Each block of ``blocks`` assembles its model, solves it on its own and
-    is applied once; the result is built from per-block arrays.
+    is applied once; the result is built from per-block arrays. The images
+    are summed here again, so the carried residual ``r`` is not read.
     """
     if not blocks:
         return y, c

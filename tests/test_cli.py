@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mmadmm import problems
-from mmadmm.cli import main
+from mmadmm.cli import _CONFIG_FIELDS, build_parser, main
 from mmadmm.fileio import read_array_csv, read_manifest, read_trace_csv
 from mmadmm.partition import case1_partition, case1_scan
 
@@ -15,6 +15,10 @@ SUMMARY = re.compile(
     r"objective=(?P<obj>n/a|[-+0-9.eE]+) rel_residual=(n/a|[-+0-9.eE]+) "
     r"backtracks=\d+$"
 )
+
+
+def _flag(name):
+    return "--" + name.replace("_", "-")
 
 
 def _generate_nnsc(tmp_path, n_blocks=2):
@@ -117,6 +121,17 @@ class TestGenerate:
         )
         assert code == 1
         assert "configuration error" in capsys.readouterr().err
+
+    def test_missing_dimension_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "data"
+        code = main(
+            ["generate", "--problem", "nnsc", "--seed", "0", "--out", str(out)]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error")
+        assert "missing key 'd'" in err
+        assert not out.exists()
 
 
 class TestSolve:
@@ -245,6 +260,30 @@ class TestSolve:
         )
         assert code == 1
         assert "configuration error" in capsys.readouterr().err
+
+    def test_run_flags_are_the_config_fields(self, tmp_path, capsys):
+        args = build_parser().parse_args(
+            ["solve", "--manifest", "m", "--trace", "t"]
+            + [arg for f in _CONFIG_FIELDS for arg in (_flag(f.name), str(f.default))]
+        )
+        for f in _CONFIG_FIELDS:
+            value = getattr(args, f.name)
+            assert type(value) is type(f.default) and value == f.default
+        manifest = _generate_nnsc(tmp_path)
+        capsys.readouterr()
+        code = main(
+            [
+                "solve",
+                "--manifest",
+                str(manifest),
+                "--trace",
+                str(tmp_path / "t.csv"),
+                "--schedule",
+                "bogus",
+            ]
+        )
+        assert code == 1
+        assert "unknown schedule" in capsys.readouterr().err
 
     def test_missing_manifest_is_io_error(self, tmp_path, capsys):
         code = main(

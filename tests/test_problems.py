@@ -390,6 +390,20 @@ class TestManifestRoundTrip:
         np.testing.assert_array_equal(original.data["mask"], rebuilt.data["mask"])
         assert rebuilt.terms[1].weight == 3.0
 
+    def test_absent_keys_take_the_owners_defaults(self):
+        nmc = from_manifest({"problem": "nmc", "seed": 9, "d": 8, "n": 6})
+        want = build_nonneg_matrix_completion(DataGenSpec(seed=9, d=8, n=6))
+        for key in want.data:
+            np.testing.assert_array_equal(nmc.data[key], want.data[key])
+        assert nmc.meta == want.meta
+        noisy = from_manifest({"problem": "nnsc-noisy", "seed": 3, "d": 5, "n": 4})
+        want = build_nonneg_sparse_coding_noisy(DataGenSpec(seed=3, d=5, n=4))
+        np.testing.assert_array_equal(noisy.data["y"], want.data["y"])
+        assert noisy.meta == want.meta
+        lat = from_manifest({"problem": "latlrr3", "seed": 3})
+        np.testing.assert_array_equal(lat.data["X"], make_subspace_data(seed=3))
+        assert lat.terms[2].weight == build_latent_lrr(lat.data["X"]).terms[2].weight
+
     def test_unknown_problem_rejected(self):
         with pytest.raises(ValueError, match="unknown problem name"):
             from_manifest({"problem": "svm"})

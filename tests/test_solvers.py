@@ -407,6 +407,47 @@ class TestBlockSolve:
             _solve_block(plan, 0.0, 0.0, np.ones(2))
 
 
+def _op_of_gram_kind(kind):
+    rng = np.random.default_rng(95)
+    shape = (3, 4)
+    left = LeftMultiplyOp(rng.standard_normal((5, 3)), shape)
+    right = RightMultiplyOp(rng.standard_normal((4, 6)), shape)
+    if kind == "scalar":
+        return ScaledIdentityOp(1.5, shape)
+    if kind == "diag":
+        return MaskProjectionOp(rng.random(shape) < 0.6)
+    if kind == "left":
+        return left
+    if kind == "right":
+        return right
+    if kind == "dense":
+        return DenseMatrixOp(rng.standard_normal((5, 12)))
+    # A left and a right Gram stacked together have no structured sum.
+    rows = [((left,), np.zeros((5, 4))), ((right,), np.zeros((3, 6)))]
+    return stack_rows(rows, [shape])[0].operators[0]
+
+
+@pytest.mark.parametrize("gram", ["scalar", "diag", "left", "right", "dense", None])
+@pytest.mark.parametrize(
+    "term",
+    [None, "l1", "l1-nonneg", "indicator-nonneg", "sq-frobenius", "nuclear", "l21"],
+)
+def test_tight_rule_is_exact_where_the_zero_weight_plans(gram, term):
+    op = _op_of_gram_kind(gram)
+    assert op.gram_kind() == gram
+    problem = _mini(op, None if term is None else ProxFunction(term))
+    sm = {0: (op.op_norm_sq, True)}
+    ((_, _, level),) = solvers._tight_weights(
+        problem, [0], MARGIN_STRICT, sm, SolverConfig()
+    )
+    try:
+        _plan_block(problem, 0, WeightMatrix.zero(), 0.0)
+        accepted = True
+    except UnsupportedSubproblemError:
+        accepted = False
+    assert (level == "exact") == accepted
+
+
 class TestToyTrajectory:
     def test_sequential_solve_matches_hand_iteration(self):
         problem = l1_toy()
@@ -507,10 +548,7 @@ class TestFirstIterateFormulas:
             ((2,), (2,)),
             (ProxFunction("l1"), ProxFunction("l1")),
             smooth=smooth,
-            linearize_smooth=False,
         )
-        with pytest.raises(UnsupportedSubproblemError, match="linearizes"):
-            prepare_context(problem, "gs", SolverConfig())
         with pytest.raises(UnsupportedSubproblemError, match="linearizes"):
             prepare_context(problem, "l-admm-ps", SolverConfig())
         ctx = prepare_context(problem, "pl-admm-ps", SolverConfig())
@@ -809,9 +847,8 @@ class TestBacktracking:
         ctx = prepare_context(problem, "madmm-bt", config)
         for i, op in enumerate(problem.family.operators):
             nj = 2
-            assert ctx.etas0[i] == 0.05 * nj * op.op_norm_sq
             assert ctx.G0[i].form == "scaled-identity-minus-gram"
-            assert ctx.G0[i].eta == ctx.etas0[i]
+            assert ctx.G0[i].eta == 0.05 * nj * op.op_norm_sq
 
     def test_accepted_steps_satisfy_phase_inequalities(self):
         problem = self._problem()
@@ -826,13 +863,12 @@ class TestBacktracking:
             lam=np.zeros(A.out_shape),
             beta=config.beta0,
             G=list(ctx.G0),
-            etas=list(ctx.etas0),
         )
         total_backtracks = 0
         saw_backtrack = False
         for _ in range(25):
             x_prev = state.x
-            etas_before = list(state.etas)
+            etas_before = [g.eta for g in state.G]
             _, _, backtracks = step(state, ctx)
             x_new = state.x
             total_backtracks += backtracks
@@ -843,7 +879,7 @@ class TestBacktracking:
             for i in part.b1:
                 d = x_new[i] - x_prev[i]
                 lhs_vec += A.operators[i].apply(d)
-                rhs += state.etas[i] * float(np.vdot(d, d))
+                rhs += state.G[i].eta * float(np.vdot(d, d))
             assert float(np.vdot(lhs_vec, lhs_vec)) <= rhs
 
             lhs = quad = 0.0
@@ -852,21 +888,21 @@ class TestBacktracking:
                 d = x_new[i] - x_prev[i]
                 dsq = float(np.vdot(d, d))
                 lhs += dsq
-                quad += state.etas[i] * dsq
+                quad += state.G[i].eta * dsq
                 a_vec += A.operators[i].apply(d)
             assert config.tau * lhs <= quad - float(np.vdot(a_vec, a_vec))
 
             powers = set()
             for side in (part.b1, part.b2):
                 ratios = {
-                    round(math.log(state.etas[i] / etas_before[i], config.mu))
+                    round(math.log(state.G[i].eta / etas_before[i], config.mu))
                     for i in side
                 }
                 assert len(ratios) == 1
                 powers.add((side, ratios.pop()))
             assert sum(m for _, m in powers) == backtracks
             for i in range(A.n):
-                assert state.etas[i] >= etas_before[i]
+                assert state.G[i].eta >= etas_before[i]
         assert saw_backtrack
         assert state.backtrack_count == total_backtracks
 
@@ -906,24 +942,21 @@ class TestBacktracking:
         updates = {0: np.array([0.3, -0.1]), 1: np.array([5.0, 5.0, 5.0])}
         c_prev = [np.zeros(2), np.zeros(2)]
         c_new = {i: fam.operators[i].apply(v) for i, v in updates.items()}
-        etas = [3.0, 0.0]
+        G = [WeightMatrix.identity_minus_gram(3.0, op), WeightMatrix.zero()]
         for tau in (0.0, 1.3):
-            assert _bt_accept(
-                ctx, (0, 1), x_prev, updates, c_prev, c_new, etas, tau
-            )
+            assert _bt_accept(ctx, (0, 1), x_prev, updates, c_prev, c_new, G, tau)
 
     def test_acceptance_tie_passes_first_phase_test(self):
         # ||A d||^2 == eta ||d||^2 exactly: the first phase accepts a tie,
         # a positive tau margin does not.
-        fam = BlockOperatorFamily((DenseMatrixOp(np.eye(2)),), (2,))
-        ctx = SimpleNamespace(A=fam)
+        op = DenseMatrixOp(np.eye(2))
+        ctx = SimpleNamespace(A=BlockOperatorFamily((op,), (2,)))
         x_prev = BlockVector([np.zeros(2)])
         updates = {0: np.array([0.5, 0.25])}
         c_prev, c_new = [np.zeros(2)], {0: updates[0]}
-        assert _bt_accept(ctx, (0,), x_prev, updates, c_prev, c_new, [1.0], 0.0)
-        assert not _bt_accept(
-            ctx, (0,), x_prev, updates, c_prev, c_new, [1.0], 1.3
-        )
+        G = [WeightMatrix.identity_minus_gram(1.0, op)]
+        assert _bt_accept(ctx, (0,), x_prev, updates, c_prev, c_new, G, 0.0)
+        assert not _bt_accept(ctx, (0,), x_prev, updates, c_prev, c_new, G, 1.3)
 
 
 def _plans(ops, terms, weights):
@@ -1099,6 +1132,21 @@ class TestBlockImages:
         want = 12 * problem.family.n + 2 * backtracks
         assert counts == {"apply": want, "adjoint": want}
 
+    @pytest.mark.parametrize("kind, sums", [("jacobi", 1), ("madmm", 2)])
+    def test_images_summed_once_per_phase(self, kind, sums, monkeypatch):
+        problem = _dense_problem(71, 6, (2, 3, 2, 3))
+        calls = []
+        original = solvers._image_sum
+
+        def counted(ctx, c):
+            calls.append(1)
+            return original(ctx, c)
+
+        monkeypatch.setattr(solvers, "_image_sum", counted)
+        result = run(problem, kind, self._config())
+        assert result.state.k == 12
+        assert len(calls) == sums * 12
+
     def test_images_follow_the_iterate(self):
         problem = _dense_problem(73, 6, (2, 3, 2, 3))
         ctx = prepare_context(problem, "madmm", self._config())
@@ -1110,10 +1158,11 @@ class TestBlockImages:
         state = fresh(BlockVector.zeros(problem.block_shapes))
         for _ in range(3):
             step(state, ctx)
-            x, c = state.images
+            x, c, r = state.images
             assert x is state.x
             for op, blk, ci in zip(A.operators, x.blocks, c):
                 np.testing.assert_allclose(ci, op.apply(blk), rtol=0, atol=1e-12)
+            np.testing.assert_allclose(r, A.apply(x) - problem.b, rtol=0, atol=1e-12)
         # A replaced iterate must not reuse the images of the old one.
         other = BlockVector(
             random_blocks(np.random.default_rng(73), problem.block_shapes)
