@@ -53,6 +53,7 @@ from .partition import (
     case1_scan,
     case2_partition,
     case3_partition,
+    choose_partition,
 )
 from .problems import (
     DataGenSpec,

@@ -6,7 +6,8 @@ and each ``A_i`` is a linear map into a shared constraint space. Operators
 are abstract (dense matrix, scaled identity, left/right matrix multiply,
 entry mask, negation, zero, stacked rows) so that adjoints, certified
 operator norms, and Gram structure are available without materializing
-matrices unless a solve path genuinely needs them.
+matrices unless a solve path genuinely needs them. Every proximal weight is
+one form, ``G_i = eta I + gram_coef A_i^T A_i`` (:class:`WeightMatrix`).
 """
 
 from __future__ import annotations
@@ -80,6 +81,25 @@ class _Layout:
             bounds.append((start, stop))
         self.bounds = tuple(bounds)
         self.size = stop
+
+    def runs(self, blocks: Sequence[int], keys: Sequence) -> tuple:
+        """Split ``blocks`` into maximal runs that lie back to back here.
+
+        A block joins the run of the block before it in ``blocks`` when it
+        starts where that block stops and their ``keys`` (indexed by block)
+        are equal; a key of ``None`` keeps its block alone. Returns
+        ``(members, start, stop)`` per run, in the order of ``blocks``.
+        """
+        runs = []
+        for i in blocks:
+            start, stop = self.bounds[i]
+            if runs and keys[i] is not None:
+                members, first, last = runs[-1]
+                if last == start and keys[members[-1]] == keys[i]:
+                    runs[-1] = (members + (i,), first, stop)
+                    continue
+            runs.append(((i,), start, stop))
+        return tuple(runs)
 
 
 class BlockVector:
@@ -646,9 +666,15 @@ class BlockOperatorFamily:
     def apply(self, x: BlockVector) -> np.ndarray:
         if x.n != self.n:
             raise DimensionError(f"expected {self.n} blocks, got {x.n}")
+        return self.image_sum(
+            op.apply(blk) for op, blk in zip(self.operators, x.blocks)
+        )
+
+    def image_sum(self, images) -> np.ndarray:
+        """``sum_i c_i`` of the block images ``c_i = A_i x_i``, in block order."""
         out = np.zeros(self.out_shape)
-        for op, blk in zip(self.operators, x.blocks):
-            out += op.apply(blk)
+        for ci in images:
+            out += ci
         return out
 
     def adjoint(self, u: np.ndarray) -> BlockVector:
@@ -659,7 +685,7 @@ class BlockOperatorFamily:
 
 
 def residual(A: BlockOperatorFamily, x: BlockVector, b: np.ndarray) -> np.ndarray:
-    """Constraint residual ``sum_i A_i x_i - b``."""
+    """Constraint residual ``sum_i A_i x_i - b``, with ``b`` shape-checked."""
     b = np.asarray(b, dtype=float)
     if b.shape != A.out_shape:
         raise DimensionError(
@@ -820,74 +846,61 @@ def _cross_norm_sq(
 
 @dataclass(frozen=True)
 class WeightMatrix:
-    """Per-block proximal weight ``G_i`` in one of four forms.
+    """Per-block proximal weight ``G = eta I + gram_coef A^T A``.
 
-    form:
-        ``zero``                        G = 0
-        ``scaled-identity``             G = eta I
-        ``scaled-identity-minus-gram``  G = eta I - A^T A   (PSD iff eta >= ||A||_2^2)
-        ``scaled-gram``                 G = gram_coef A^T A + eta I
+    ``op`` is the block's operator ``A``, required when ``gram_coef`` is not
+    zero. The constructors name the weights the solvers use: ``zero``
+    (``G = 0``), ``scaled_identity`` (``eta I``), ``identity_minus_gram``
+    (``eta I - A^T A``, PSD iff ``eta >= ||A||_2^2``) and ``scaled_gram``
+    (``coef A^T A + ridge I``).
     """
 
-    form: str
     eta: float = 0.0
-    op: Optional[BlockOperator] = None
     gram_coef: float = 0.0
-
-    _FORMS = (
-        "zero",
-        "scaled-identity",
-        "scaled-identity-minus-gram",
-        "scaled-gram",
-    )
+    op: Optional[BlockOperator] = None
 
     def __post_init__(self):
-        if self.form not in self._FORMS:
-            raise InvalidWeightError(f"unknown weight form {self.form!r}")
-        if self.form == "scaled-identity" and self.eta < 0:
-            raise InvalidWeightError("scaled-identity weight needs eta >= 0")
-        if self.form == "scaled-identity-minus-gram" and self.op is None:
-            raise InvalidWeightError("minus-gram form needs its operator")
-        if self.form == "scaled-gram" and self.op is None:
-            raise InvalidWeightError("scaled-gram form needs its operator")
+        if not (math.isfinite(self.eta) and math.isfinite(self.gram_coef)):
+            raise InvalidWeightError(
+                f"weight eta and gram_coef must be finite, got {self.eta}, "
+                f"{self.gram_coef}"
+            )
+        if self.gram_coef == 0.0 and self.eta < 0:
+            raise InvalidWeightError("a weight eta I needs eta >= 0")
+        if self.gram_coef != 0.0 and self.op is None:
+            raise InvalidWeightError("a weight with a Gram term needs its operator")
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def zero(cls) -> "WeightMatrix":
-        return cls("zero")
+        return cls()
 
     @classmethod
     def scaled_identity(cls, eta: float) -> "WeightMatrix":
-        return cls("scaled-identity", eta=float(eta))
+        return cls(eta=float(eta))
 
     @classmethod
     def identity_minus_gram(cls, eta: float, op: BlockOperator) -> "WeightMatrix":
-        return cls("scaled-identity-minus-gram", eta=float(eta), op=op)
+        return cls(eta=float(eta), gram_coef=-1.0, op=op)
 
     @classmethod
     def scaled_gram(
         cls, coef: float, op: BlockOperator, ridge: float = 0.0
     ) -> "WeightMatrix":
-        return cls("scaled-gram", eta=float(ridge), op=op, gram_coef=float(coef))
+        return cls(eta=float(ridge), gram_coef=float(coef), op=op)
 
     # -- evaluation ---------------------------------------------------
 
     def norm_sq(self, v: np.ndarray) -> float:
-        """``v^T G v``; raises when a minus-gram weight is not PSD at ``v``."""
+        """``v^T G v``; raises when ``G`` is not PSD at ``v``."""
         v = np.asarray(v, dtype=float)
-        if self.form == "zero":
-            return 0.0
-        if self.form == "scaled-identity":
-            return self.eta * float(np.vdot(v, v))
+        iso = self.eta * float(np.vdot(v, v))
+        if self.gram_coef == 0.0:
+            return iso
         av = self.op.apply(v)
-        if self.form == "scaled-gram":
-            return self.gram_coef * float(np.vdot(av, av)) + self.eta * float(
-                np.vdot(v, v)
-            )
-        val = self.eta * float(np.vdot(v, v)) - float(np.vdot(av, av))
-        floor = -1e-12 * max(self.eta * float(np.vdot(v, v)), 1.0)
-        if val < floor:
+        val = iso + self.gram_coef * float(np.vdot(av, av))
+        if val < -1e-12 * max(iso, 1.0):
             raise InvalidWeightError(
                 "negative weighted norm: eta is below the Gram norm"
             )
@@ -895,26 +908,15 @@ class WeightMatrix:
 
     def mat_vec(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=float)
-        iso, coef, op = self.iso_split()
-        out = iso * v
-        if coef != 0.0:
-            out = out + coef * op.gram_apply(v)
+        out = self.eta * v
+        if self.gram_coef != 0.0:
+            out = out + self.gram_coef * self.op.gram_apply(v)
         return out
 
     def to_dense(self, shape: tuple) -> np.ndarray:
         """Materialize as a dense matrix on the flattened block (small sizes)."""
         shape = tuple(shape)
         return _columns(self.mat_vec, shape, shape)
-
-    def iso_split(self) -> tuple:
-        """``(iso, gram_coef, op)`` with ``G = iso I + gram_coef A^T A``."""
-        if self.form == "zero":
-            return (0.0, 0.0, None)
-        if self.form == "scaled-identity":
-            return (self.eta, 0.0, None)
-        if self.form == "scaled-identity-minus-gram":
-            return (self.eta, -1.0, self.op)
-        return (self.eta, self.gram_coef, self.op)
 
 
 # ---------------------------------------------------------------------------

@@ -15,13 +15,7 @@ from dataclasses import fields
 from typing import Optional
 
 from . import fileio, problems
-from .partition import (
-    Partition,
-    case1_partition,
-    case1_scan,
-    case2_partition,
-    case3_partition,
-)
+from .partition import case1_partition, case1_scan, choose_partition
 from .solvers import (
     SOLVER_KINDS,
     BacktrackingConsistencyError,
@@ -110,35 +104,13 @@ def _merge_config(args) -> dict:
     return cfg
 
 
-def _resolve_partition(problem, cfg):
-    """Translate the partition request into a Partition or 'auto'."""
-    n = problem.family.n
-    n1 = cfg.get("n1")
-    if n1 is not None:
-        if not 1 <= n1 <= n:
-            raise ConfigError(f"n1 must lie in [1, {n}]")
-        order, _ = case1_scan(list(problem.family.norms_sq()), problem.family)
-        return Partition(
-            tuple(sorted(order[:n1])), tuple(sorted(order[n1:])), case="user"
-        )
-    choice = cfg.get("partition", "auto")
-    if choice == "auto":
-        return "auto"
-    norms = list(problem.family.norms_sq())
-    if choice == "case1":
-        return case1_partition(norms, problem.family)
-    if choice == "case2":
-        part = case2_partition(problem.family)
-        if part is None:
-            raise ConfigError("no two-coloring split exists for this problem")
-        return part
-    if choice == "case3":
-        return case3_partition(problem.family)
-    raise ConfigError(f"unknown partition choice {choice!r}")
-
-
-def _solver_config(cfg, partition) -> SolverConfig:
+def _solver_config(cfg, problem) -> SolverConfig:
+    """The run's config; a named ``--partition`` or an ``--n1`` is resolved
+    here, while ``auto`` is left to each solver kind."""
+    partition = cfg["partition"]
     try:
+        if partition != "auto" or cfg["n1"] is not None:
+            partition = choose_partition(problem, partition, cfg["n1"])
         return SolverConfig(
             **{f.name: cfg[f.name] for f in _CONFIG_FIELDS}, partition=partition
         )
@@ -215,8 +187,7 @@ def cmd_generate(args) -> int:
 def cmd_solve(args) -> int:
     cfg = _merge_config(args)
     problem = _load_problem(args.manifest)
-    part = _resolve_partition(problem, cfg)
-    sc = _solver_config(cfg, part)
+    sc = _solver_config(cfg, problem)
     result = run(problem, cfg["solver"], sc, workers=cfg["workers"])
     fileio.write_trace_csv(args.trace, result.trace)
     print(_summary_line(cfg["solver"], result))
@@ -232,10 +203,9 @@ def cmd_bench(args) -> int:
         if kind not in SOLVER_KINDS:
             raise ConfigError(f"unknown solver {kind!r}")
     problem = _load_problem(args.manifest)
-    part = _resolve_partition(problem, cfg)
+    sc = _solver_config(cfg, problem)
     traces = []
     for kind in kinds:
-        sc = _solver_config(cfg, part)
         result = run(problem, kind, sc, workers=cfg["workers"])
         traces.append(result.trace)
         print(_summary_line(kind, result))

@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .blockspace import BlockVector, WeightMatrix, _op_dense
+from .blockspace import BlockVector, WeightMatrix, _op_dense, residual
 from .partition import Partition
 from .solvers import (
     BacktrackingConsistencyError,
@@ -82,7 +82,7 @@ def hat_lambda(
 
     Equals the true next multiplier whenever the second phase does not move.
     """
-    return lam + beta * (problem.family.apply(x_mixed) - problem.b)
+    return lam + beta * residual(problem.family, x_mixed, problem.b)
 
 
 def kkt_gap(
@@ -98,7 +98,7 @@ def kkt_gap(
     """
     A, b = problem.family, problem.b
     diff = A.apply(x_bar) - A.apply(cert.x_star)
-    resid = A.apply(x_bar) - b
+    resid = residual(A, x_bar, b)
     return (
         problem.objective(x_bar)
         - cert.f_star
@@ -379,7 +379,7 @@ def _check_subdiff(term, x: np.ndarray, v: np.ndarray, tol: float):
 
 def verify_kkt(problem, x: BlockVector, lam: np.ndarray, tol: float = 1e-6):
     """Check feasibility and per-term stationarity; returns (ok, report)."""
-    resid = problem.family.apply(x) - problem.b
+    resid = residual(problem.family, x, problem.b)
     rnorm = float(np.linalg.norm(resid))
     scale = max(float(np.linalg.norm(problem.b)), 1.0)
     report = {"residual_norm": rnorm}
@@ -471,7 +471,7 @@ def quadratic_oracle(problem) -> KKTCertificate:
     for i, (M, w) in enumerate(zip(mats, weights)):
         blocks.append((-(M.T @ lam_flat) / w).reshape(problem.block_shapes[i]))
     x = BlockVector(blocks)
-    resid = problem.family.apply(x) - problem.b
+    resid = residual(problem.family, x, problem.b)
     return KKTCertificate(
         x_star=x,
         lambda_star=lam,

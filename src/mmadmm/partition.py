@@ -4,7 +4,9 @@ Three strategies split the ``n`` blocks into super blocks ``B1`` (updated
 first) and ``B2`` (updated second): a sort-and-scan heuristic minimizing the
 combined parallelization penalty ``L_B1 + L_B2``, an orthogonality-based
 split via two-coloring of the non-orthogonality graph, and a hybrid that
-contracts orthogonal subgroups before scanning.
+contracts orthogonal subgroups before scanning. :func:`choose_partition`
+maps a choice by name (or a first-block size) to one of them; the solvers
+and the CLI both resolve ``"auto"`` through it.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from .blockspace import (
 
 __all__ = [
     "Partition",
+    "choose_partition",
     "case1_partition",
     "case1_scan",
     "case2_partition",
@@ -222,3 +225,42 @@ def case3_partition(A: BlockOperatorFamily, tol: float = 1e-10) -> Partition:
     return Partition(
         tuple(sorted(b1)), tuple(sorted(b2)), case="III", score=scores[best]
     )
+
+
+def choose_partition(problem, choice: str = "auto", n1: Optional[int] = None):
+    """The partition a user asks for by name.
+
+    ``n1`` takes the first ``n1`` blocks of the case-I order (descending
+    ``||A_i||^2``) as the first super block. Otherwise ``choice`` is
+    ``"auto"``, the problem's recommended partition or else the case-I
+    split; or ``"case1"``, ``"case2"`` or ``"case3"``, the heuristic of that
+    name. Raises ``ValueError`` for an unknown choice, an ``n1`` outside
+    ``[1, n]``, a case-II request without a two-coloring, or ``"auto"`` on
+    one block.
+    """
+    A = problem.family
+    n = A.n
+    if n1 is not None:
+        if not 1 <= n1 <= n:
+            raise ValueError(f"n1 must lie in [1, {n}]")
+        order, _ = case1_scan(list(A.norms_sq()), A)
+        return Partition(tuple(sorted(order[:n1])), tuple(sorted(order[n1:])))
+    if choice == "auto":
+        if problem.recommended_partition is not None:
+            return problem.recommended_partition
+        if n < 2:
+            raise ValueError(
+                f"cannot choose a partition for {n} block; "
+                "pass a Partition, such as Partition((0,), ())"
+            )
+        choice = "case1"
+    if choice == "case1":
+        return case1_partition(list(A.norms_sq()), A)
+    if choice == "case2":
+        part = case2_partition(A)
+        if part is None:
+            raise ValueError("no two-coloring split exists for this problem")
+        return part
+    if choice == "case3":
+        return case3_partition(A)
+    raise ValueError(f"unknown partition choice {choice!r}")

@@ -140,23 +140,16 @@ class ProblemSpec:
             if not in_row and self.terms[i] is None and not in_smooth:
                 raise ValueError(f"block {i} appears nowhere in the problem")
         self.family, self.b = stack_rows(self.rows, self.block_shapes)
-        # (term, start, stop, shape) per maximal run of consecutive blocks
-        # with equal entrywise terms, shape None; any other term is a run of
-        # one block that keeps its shape.
-        runs = []
+        # (term, start, stop, shape) per run of back-to-back blocks with
+        # equal entrywise terms, shape None; any other term is a run of one
+        # block that keeps its shape.
         layout = _Layout(self.block_shapes)
-        for term, shape, (start, stop) in zip(
-            self.terms, layout.shapes, layout.bounds
-        ):
-            if term is None:
-                continue
-            if not term.entrywise:
-                runs.append((term, start, stop, shape))
-            elif runs and runs[-1][0] == term and runs[-1][2:] == (start, None):
-                runs[-1] = (term, runs[-1][1], stop, None)
-            else:
-                runs.append((term, start, stop, None))
-        self._term_runs = tuple(runs)
+        keys = [(t,) if t is not None and t.entrywise else None for t in self.terms]
+        scored = [i for i, t in enumerate(self.terms) if t is not None]
+        self._term_runs = tuple(
+            (self.terms[i], start, stop, None if keys[i] else layout.shapes[i])
+            for (i, *_), start, stop in layout.runs(scored, keys)
+        )
 
     @property
     def n(self) -> int:
@@ -165,7 +158,7 @@ class ProblemSpec:
     def objective(self, x: BlockVector) -> float:
         """Block terms plus the smooth term at ``x``.
 
-        Each run of consecutive blocks with equal entrywise terms is scored
+        Each run of back-to-back blocks with equal entrywise terms is scored
         by one ``value`` call on its packed entries.
         """
         if x.shapes != self.block_shapes:
@@ -553,17 +546,33 @@ def _present(meta: dict, casts: dict) -> dict:
     return {key: cast(meta[key]) for key, cast in casts.items() if key in meta}
 
 
+def _check_keys(meta: dict, name: str, accepted: set) -> None:
+    """Reject a key the rebuild of ``name`` would not read."""
+    unknown = sorted(set(meta) - accepted)
+    if unknown:
+        raise ValueError(
+            f"unknown manifest key(s) {unknown} for problem {name!r}; "
+            f"accepted keys: {sorted(accepted)}"
+        )
+
+
 def from_manifest(meta: dict) -> ProblemSpec:
     """Rebuild a problem instance from flat manifest keys.
 
     The manifest records the generation recipe, not the data itself, so the
     rebuild is exact for a given seed. ``seed`` is always required, and
     ``d`` and ``n`` too for the generated problems; any other absent key
-    takes the default of the function it is passed to.
+    takes the default of the function it is passed to. A key the problem
+    does not read (``lam`` for nnsc, say) raises ``ValueError``, so a
+    misspelled key cannot fall back to a default unnoticed; the latent LRR
+    problems also accept the ``formulation`` their builder records, which
+    must match the name.
     """
     name = meta.get("problem")
     lam = _present(meta, {"lam": float})
     if name in _GEN_KEYS:
+        keys = {"problem", "seed", "d", "n", *_GEN_KEYS[name]}
+        _check_keys(meta, name, keys if name == "nnsc" else keys | {"lam"})
         gen = DataGenSpec(
             seed=int(meta["seed"]),
             d=int(meta["d"]),
@@ -576,11 +585,20 @@ def from_manifest(meta: dict) -> ProblemSpec:
             return build_nonneg_sparse_coding_noisy(gen, **lam)
         return build_nonneg_matrix_completion(gen, **lam)
     if name in ("latlrr2", "latlrr3", "lrr"):
+        accepted = {"problem", "seed", "lam", *_SUBSPACE_KEYS}
+        formulation = {"latlrr2": "2-block", "latlrr3": "3-block"}.get(name)
+        if formulation is not None:
+            accepted.add("formulation")
+            if meta.get("formulation", formulation) != formulation:
+                raise ValueError(
+                    f"formulation {meta['formulation']!r} does not match "
+                    f"problem {name!r}, which is {formulation!r}"
+                )
+        _check_keys(meta, name, accepted)
         X = make_subspace_data(int(meta["seed"]), **_present(meta, _SUBSPACE_KEYS))
         if name == "lrr":
             spec = build_lrr(X, X, **lam)
         else:
-            formulation = "2-block" if name == "latlrr2" else "3-block"
             spec = build_latent_lrr(X, formulation=formulation, **lam)
         spec.meta.update(meta)
         return spec

@@ -7,7 +7,11 @@ previous iterate, then the second phase's blocks in parallel, anchored at
 the result; an empty phase does nothing. Each block minimizes the same
 canonical subproblem: a separable upper model of the augmented Lagrangian
 built from the block's objective term, the penalty coupling anchored at the
-phase's reference point, and a proximal weight ``G_i``.
+phase's reference point, and a proximal weight ``G_i = eta_i I + g_i A_i^T
+A_i``. A phase solves in place in the new iterate, one run at a time: a run
+is a span of blocks back to back in the packed iterate whose subproblems
+form one entrywise problem, solved by one prox call; any other block is a
+run of one.
 
 - sequential two-block scheme (``gs``): the partition ``((0,), (1,))``;
 - all-parallel scheme (``jacobi``): the partition ``((), all)``;
@@ -38,7 +42,7 @@ from .blockspace import (
     WeightMatrix,
     _Layout,
 )
-from .partition import Partition, case1_partition
+from .partition import Partition, choose_partition
 from .prox import ProxFunction
 
 __all__ = [
@@ -280,14 +284,15 @@ def _gram_path(prox_part, gram_kind):
     """
     if gram_kind is None:
         return None, "coupling Gram has no structured form; use a Gram-cancelling weight"
-    if gram_kind == "scalar" or prox_part is None:
-        return {"scalar": "prox", "diag": "diag"}.get(gram_kind, "eig"), None
+    entrywise = prox_part is None or prox_part.entrywise
+    if gram_kind == "scalar" or gram_kind == "diag" and entrywise:
+        return "diag", None
+    if prox_part is None:
+        return "eig", None
     term = repr(prox_part.kind)
     if gram_kind != "diag":
         return None, f"term {term} cannot be combined with a non-diagonal coupling Gram"
-    if not prox_part.entrywise:
-        return None, f"term {term} does not split entrywise over a diagonal Gram"
-    return "diag", None
+    return None, f"term {term} does not split entrywise over a diagonal Gram"
 
 
 def _tight_weights(problem, coupled, margin, sm, config):
@@ -420,14 +425,10 @@ def _resolve_partition(problem, kind: str, requested=None) -> Partition:
         raise ValueError("the mixed scheme needs its partition")
     if requested != "auto":
         raise ValueError(f"unrecognized partition spec {requested!r}")
-    if problem.recommended_partition is not None:
-        return problem.recommended_partition
-    if n < 2:
-        raise ValueError(
-            f"solver kind {kind!r} cannot choose a partition for {n} block; "
-            "pass a Partition, such as Partition((0,), ())"
-        )
-    return case1_partition(list(problem.family.norms_sq()), problem.family)
+    try:
+        return choose_partition(problem)
+    except ValueError as exc:
+        raise ValueError(f"solver kind {kind!r} {exc}") from None
 
 
 def _phases(partition: Partition):
@@ -445,7 +446,10 @@ class _BlockPlan:
     """Frozen per-block solve recipe: path plus cached factorizations.
 
     ``gram_factor``, the model's Gram coefficient, is ``1 + g`` for a coupled
-    block with weight ``G = iso I + g A_i^T A_i`` and 0 for an uncoupled one.
+    block with weight ``G = eta I + g A_i^T A_i`` and 0 for an uncoupled one.
+    On the ``diag`` path the Gram is ``diag``: a float ``c`` for ``c I`` or
+    an array of the block's shape. On the ``eig`` path ``eig`` holds its
+    eigendecomposition, ``orient`` the side it acts on.
     """
 
     index: int
@@ -453,9 +457,8 @@ class _BlockPlan:
     prox_term: Optional[ProxFunction]
     fold_iso: float
     gram_factor: float
-    path: str
-    scalar_c: float = 0.0
-    diag: Optional[np.ndarray] = None
+    path: str = "diag"
+    diag: object = 0.0
     eig: Optional[tuple] = None
     orient: str = ""
     smooth_eta: float = 0.0
@@ -464,30 +467,26 @@ class _BlockPlan:
 def _plan_block(problem, i: int, G: WeightMatrix, smooth_eta: float) -> _BlockPlan:
     op = problem.family.operators[i]
     prox_part, fold_iso = _folded_term(problem.terms[i])
-    _, coef, gop = G.iso_split()
-    if gop is not None and gop is not op:
+    if G.op is not None and G.op is not op:
         raise UnsupportedSubproblemError(
             f"block {i}: weight Gram must be built from the block's own operator"
         )
     coupled = op.op_norm_sq > 0.0
-    gram_factor = (1.0 + coef) if coupled else 0.0
     plan = _BlockPlan(
         index=i,
         op=op,
         prox_term=prox_part,
         fold_iso=fold_iso,
-        gram_factor=gram_factor,
-        path="prox",
+        gram_factor=(1.0 + G.gram_coef) if coupled else 0.0,
         smooth_eta=smooth_eta,
     )
-    if gram_factor != 0.0:
-        rep = op.gram_rep()
-        kind, data = rep if rep is not None else (None, None)
+    if plan.gram_factor != 0.0:
+        kind, data = op.gram_rep() or (None, None)
         plan.path, reason = _gram_path(prox_part, kind)
         if reason is not None:
             raise UnsupportedSubproblemError(f"block {i}: {reason}")
-        if plan.path == "prox":
-            plan.scalar_c = data
+        if kind == "scalar":
+            plan.diag = float(data)
         elif plan.path == "diag":
             plan.diag = np.asarray(data, dtype=float)
         else:
@@ -497,122 +496,74 @@ def _plan_block(problem, i: int, G: WeightMatrix, smooth_eta: float) -> _BlockPl
     return plan
 
 
-@dataclass
-class _Group:
-    """Blocks of one phase that one call solves.
+def _joins(plan: _BlockPlan) -> bool:
+    """Whether the block solves entrywise, so it can share a run."""
+    term = plan.prox_term
+    return plan.path == "diag" and (term is None or term.entrywise)
 
-    Blocks on the ``prox`` or ``diag`` path whose terms are equal and
-    entrywise (or absent) form one group: together their subproblems are one
-    entrywise problem over their packed entries. Any other block is a group
-    of one. ``lin`` holds the members' linear terms packed in member order,
-    ``lins`` its per-member views shaped as the blocks, and ``bounds`` each
-    member's ``(lo, hi)`` in it. ``denom`` is scratch for the entrywise
-    curvature, ``None`` for a group of one that solves with a scalar
-    threshold or on the ``eig`` path. ``runs`` lists the ``(lo, hi, start,
-    stop)`` spans that copy ``lin[lo:hi]`` to ``flat[start:stop]`` of the
-    iterate. The buffers are scratch shared by every step on the run
-    context, so a context runs one step at a time.
+
+def _phase_runs(plans: Sequence[_BlockPlan], blocks: Sequence[int], layout) -> tuple:
+    """A phase's runs, ``(plans, start, stop)`` each, in the order of ``blocks``.
+
+    A run is a maximal span of ``blocks`` back to back in the iterate's
+    buffer that solve entrywise with equal terms (or none); any other block
+    is a run of one. ``ProblemSpec.objective`` scores its terms by the same
+    rule, through the same :meth:`_Layout.runs`.
     """
-
-    plans: tuple
-    term: Optional[ProxFunction]
-    lin: np.ndarray
-    lins: tuple
-    bounds: tuple
-    denom: Optional[np.ndarray]
-    runs: tuple
+    keys = [(plan.prox_term,) if _joins(plan) else None for plan in plans]
+    return tuple(
+        (tuple(plans[i] for i in members), start, stop)
+        for members, start, stop in layout.runs(blocks, keys)
+    )
 
 
-def _phase_groups(
-    plans: Sequence[_BlockPlan], blocks: Sequence[int], layout: _Layout
-) -> tuple:
-    """Split a phase's ``blocks`` into solve groups, ordered by first member.
+def _solve_run(ctx: "_RunContext", run: tuple, curvatures: Sequence[tuple], flat):
+    """Minimize the models of a run's blocks in place in ``flat``.
 
-    ``layout`` gives each block's place in the iterate's packed buffer.
+    ``run`` is ``(plans, start, stop)`` and ``flat[start:stop]`` holds the
+    members' linear terms ``lin_k``, packed as in the iterate. Member k's
+    model is ``term(v) + 0.5 q_iso ||v||^2 + 0.5 q_gram <v, Gram v> +
+    <lin_k, v>`` with ``curvatures[k] = (q_iso, q_gram)``. An entrywise run
+    makes one prox call with a per-entry threshold: each member's Gram is
+    ``c I`` or a diagonal, so its curvature is ``q_iso + q_gram diag``.
     """
-    shared = {}
-    members = []  # (block indices, whether they solve entrywise)
-    for i in blocks:
-        plan = plans[i]
-        term = plan.prox_term
-        if plan.path == "eig" or not (term is None or term.entrywise):
-            members.append(([i], False))
-        elif term in shared:
-            shared[term].append(i)
-        else:
-            shared[term] = [i]
-            members.append((shared[term], True))
-    groups = []
-    for group, entrywise in members:
-        bounds, runs = [], []
-        hi = 0
-        for i in group:
-            start, stop = layout.bounds[i]
-            lo, hi = hi, hi + stop - start
-            bounds.append((lo, hi))
-            if runs and runs[-1][3] == start:
-                runs[-1][1], runs[-1][3] = hi, stop
-            else:
-                runs.append([lo, hi, start, stop])
-        lin = np.empty(hi)
-        groups.append(
-            _Group(
-                plans=tuple(plans[i] for i in group),
-                term=plans[group[0]].prox_term,
-                lin=lin,
-                lins=tuple(
-                    lin[lo:hi].reshape(layout.shapes[i])
-                    for i, (lo, hi) in zip(group, bounds)
-                ),
-                bounds=tuple(bounds),
-                denom=np.empty(hi) if entrywise else None,
-                runs=tuple(tuple(r) for r in runs),
-            )
-        )
-    return tuple(groups)
-
-
-def _solve_group(group: _Group, curvatures: Sequence[tuple], lin: np.ndarray):
-    """Minimize every member's model; return the minimizers packed in member order.
-
-    Member k's model is ``term(v) + 0.5 q_iso ||v||^2 + 0.5 q_gram <v, Gram v>
-    + <lin_k, v>`` with ``curvatures[k] = (q_iso, q_gram)``; ``lin`` holds the
-    ``lin_k`` packed in member order and is overwritten. An entrywise group
-    makes one prox call with a per-entry threshold, in place in ``lin``: each
-    member's curvature is a scalar (``prox`` path) or a diagonal (``diag``
-    path).
-    """
-    if group.denom is None:
-        (plan,), ((q_iso, q_gram),) = group.plans, curvatures
-        v = lin.reshape(group.lins[0].shape)
+    plans, start, stop = run
+    v = flat[start:stop]
+    if not _joins(plans[0]):
+        (plan,), ((q_iso, q_gram),) = plans, curvatures
+        v = v.reshape(plan.op.in_shape)
         if plan.path == "eig":
-            return _solve_eig(plan, q_iso, q_gram, v).reshape(-1)
-        s = q_iso + q_gram * plan.scalar_c
+            v[...] = _solve_eig(plan, q_iso, q_gram, v)
+            return
+        s = q_iso + q_gram * plan.diag
         if s <= 0.0:
             raise UnsupportedSubproblemError(
                 f"block {plan.index}: subproblem has no positive curvature"
             )
         np.divide(v, -s, out=v)
-        return group.term.prox(v, 1.0 / s).reshape(-1)
-    denom = group.denom
-    for plan, (lo, hi), (q_iso, q_gram) in zip(group.plans, group.bounds, curvatures):
-        if plan.path == "prox":
-            denom[lo:hi] = q_iso + q_gram * plan.scalar_c
+        plan.prox_term.prox(v, 1.0 / s, out=v)
+        return
+    for plan, (q_iso, q_gram) in zip(plans, curvatures):
+        lo, hi = ctx.layout.bounds[plan.index]
+        if isinstance(plan.diag, float):
+            ctx.denom[lo:hi] = q_iso + q_gram * plan.diag
         else:
-            d = np.multiply(plan.diag.reshape(-1), q_gram, out=denom[lo:hi])
+            d = np.multiply(plan.diag.reshape(-1), q_gram, out=ctx.denom[lo:hi])
             d += q_iso
+    denom = ctx.denom[start:stop]
     if np.any(denom <= 0.0):
-        for plan, (lo, hi) in zip(group.plans, group.bounds):
-            if np.any(denom[lo:hi] <= 0.0):
+        for plan in plans:
+            lo, hi = ctx.layout.bounds[plan.index]
+            if np.any(ctx.denom[lo:hi] <= 0.0):
                 raise UnsupportedSubproblemError(
                     f"block {plan.index}: subproblem has no positive curvature"
                 )
-    np.divide(lin, denom, out=lin)
-    np.negative(lin, out=lin)
-    if group.term is None:
-        return lin
-    np.divide(1.0, denom, out=denom)
-    return group.term.prox(lin, denom, out=lin)
+    np.divide(v, denom, out=v)
+    np.negative(v, out=v)
+    term = plans[0].prox_term
+    if term is not None:
+        np.divide(1.0, denom, out=denom)
+        term.prox(v, denom, out=v)
 
 
 def _solve_eig(plan: _BlockPlan, q_iso: float, q_gram: float, lin: np.ndarray):
@@ -661,13 +612,14 @@ def assemble_block(
     """Build ``(q_iso, q_gram, lin)`` of block ``i``'s subproblem at anchor ``y``.
 
     ``c`` holds the anchor's block images ``c_j = A_j y_j`` and ``s_full`` is
-    ``sum_j c_j - b + lam / beta``. With ``G = iso I + g A_i^T A_i`` the
+    ``sum_j c_j - b + lam / beta``. With ``G = eta I + g A_i^T A_i`` the
     linear term ``beta A_i^T (s_full - A_i y_i) - beta G y_i`` is built as
-    ``beta A_i^T (s_full - (1 + g) c_i) - beta iso y_i``: one adjoint and no
+    ``beta A_i^T (s_full - (1 + g) c_i) - beta eta y_i``: one adjoint and no
     apply. The Gram coefficient ``1 + g`` is the plan's ``gram_factor``;
-    ``G`` supplies only its level ``iso = G.eta``. The linearized weight
-    (``g = -1``) cancels the image term. ``out``, an array shaped like
-    ``y_i``, receives ``lin`` when given.
+    ``G`` supplies only its level ``eta``. The linearized weight (``g =
+    -1``) cancels the image term. ``out``, an array shaped like ``y_i``,
+    receives ``lin`` when given; the phase engine passes the block's slice
+    of the new iterate, so the run is then solved in place.
     """
     plan = ctx.plans[i]
     op = plan.op
@@ -708,7 +660,9 @@ class _RunContext:
     levels: list
     smooth: object
     b_scale: float
-    groups: dict
+    layout: _Layout
+    runs: dict
+    denom: np.ndarray  # curvature scratch: a context runs one step at a time
     workers: int = 1
     executor: Optional[ThreadPoolExecutor] = None
 
@@ -751,7 +705,7 @@ def prepare_context(
         if smooth is not None and smooth.ops[i] is not None:
             eta_sm = smooth.cert[i].eta
         plans.append(_plan_block(problem, i, G0[i], eta_sm))
-    if row.partition == "sequential" and G0[1].form == "zero":
+    if row.partition == "sequential" and G0[1] == WeightMatrix.zero():
         logger.warning(
             "second-block weight is zero: classical unregularized update, "
             "the averaged-iterate rate guarantee needs a positive weight"
@@ -769,10 +723,9 @@ def prepare_context(
         levels=levels,
         smooth=smooth,
         b_scale=b_scale,
-        groups={
-            blocks: _phase_groups(plans, blocks, layout)
-            for blocks, _ in _phases(partition)
-        },
+        layout=layout,
+        runs={b: _phase_runs(plans, b, layout) for b, _ in _phases(partition)},
+        denom=np.empty(layout.size),
         workers=int(workers),
     )
 
@@ -780,14 +733,6 @@ def prepare_context(
 # ---------------------------------------------------------------------------
 # Phase execution
 # ---------------------------------------------------------------------------
-
-
-def _image_sum(ctx: _RunContext, c: Sequence[np.ndarray]) -> np.ndarray:
-    """``sum_i c_i``, accumulated in block order as ``A.apply`` does."""
-    out = np.zeros(ctx.A.out_shape)
-    for ci in c:
-        out += ci
-    return out
 
 
 def _run_phase(
@@ -803,37 +748,37 @@ def _run_phase(
     """Update ``blocks`` in parallel, all anchored at ``y`` with images ``c``
     and residual ``r = sum_j c_j - b``; ``blocks`` is not empty.
 
-    Returns the new iterate and its block images. Each solve group of the
-    phase assembles its members' models into its packed buffer, solves them
-    with one call and writes the result into the new iterate; each updated
-    block is then applied once, the others keep their images.
+    Returns the new iterate and its block images. The phase solves in place,
+    one run at a time: each block assembles its linear term into its own
+    slice of the new iterate, each run is solved there with one call, and
+    each updated block is then applied once; the others keep their images.
     """
     s_full = r + lam / beta
     smooth_res = None
     if ctx.smooth is not None:
         smooth_res = ctx.smooth.residual(y)
     x = y.copy()
+    xb = x.blocks  # built once, before any thread reads it
 
-    def work(group):
+    def work(run):
+        plans = run[0]
         curvatures = [
             assemble_block(
-                ctx, plan.index, y, c, s_full, beta, G[plan.index], smooth_res, lin
+                ctx, p.index, y, c, s_full, beta, G[p.index], smooth_res, xb[p.index]
             )[:2]
-            for plan, lin in zip(group.plans, group.lins)
+            for p in plans
         ]
-        v = _solve_group(group, curvatures, group.lin)
-        for lo, hi, start, stop in group.runs:
-            x.flat[start:stop] = v[lo:hi]
-        return [plan.op.apply(x[plan.index]) for plan in group.plans]
+        _solve_run(ctx, run, curvatures, x.flat)
+        return [p.op.apply(xb[p.index]) for p in plans]
 
-    groups = ctx.groups[blocks]
-    if ctx.executor is not None and len(groups) > 1:
-        results = list(ctx.executor.map(work, groups))
+    runs = ctx.runs[blocks]
+    if ctx.executor is not None and len(runs) > 1:
+        results = list(ctx.executor.map(work, runs))
     else:
-        results = [work(group) for group in groups]
+        results = [work(run) for run in runs]
     images = list(c)
-    for group, group_images in zip(groups, results):
-        for plan, ci in zip(group.plans, group_images):
+    for (plans, _, _), run_images in zip(runs, results):
+        for plan, ci in zip(plans, run_images):
             images[plan.index] = ci
     return x, images
 
@@ -863,7 +808,7 @@ def step(state: SolverState, ctx: _RunContext):
     x = state.x
     if state.images is None or state.images[0] is not x:
         c = [op.apply(v) for op, v in zip(ctx.A.operators, x.blocks)]
-        state.images = (x, c, _image_sum(ctx, c) - ctx.b)
+        state.images = (x, c, ctx.A.image_sum(c) - ctx.b)
     _, c, resid = state.images
     backtracks = 0
     for (blocks, _), tau in zip(_phases(ctx.partition), (0.0, ctx.config.tau)):
@@ -887,7 +832,7 @@ def step(state: SolverState, ctx: _RunContext):
                     "safe weight level"
                 )
         x, c = x_new, c_new
-        resid = _image_sum(ctx, c) - ctx.b
+        resid = ctx.A.image_sum(c) - ctx.b
     state.backtrack_count += backtracks
     state.lam = dual_update(state.lam, state.beta, resid)
     beta_used = state.beta

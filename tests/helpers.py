@@ -116,7 +116,7 @@ def reference_assembly(ctx, i, y, s_full, beta, G, smooth_res):
     if op.op_norm_sq > 0.0:
         q_gram = beta * plan.gram_factor
         lin += beta * op.adjoint(s_full - op.apply(yi))
-    q_iso += beta * G.iso_split()[0]
+    q_iso += beta * G.eta
     lin -= beta * G.mat_vec(yi)
     if plan.smooth_eta > 0.0 and smooth_res is not None:
         q_iso += plan.smooth_eta
@@ -126,7 +126,7 @@ def reference_assembly(ctx, i, y, s_full, beta, G, smooth_res):
 
 
 # ---------------------------------------------------------------------------
-# The per-block phase engine, reference for the grouped one
+# The per-block phase engine, reference for the in-place one
 # ---------------------------------------------------------------------------
 
 
@@ -134,11 +134,6 @@ def reference_solve_block(plan, q_iso, q_gram, lin):
     """Minimize ``term(v) + 0.5 q_iso ||v||^2 + 0.5 q_gram <v, Gram v> + <lin, v>``
     for one block on its own, path by path.
     """
-    if plan.path == "prox":
-        s = q_iso + q_gram * plan.scalar_c
-        assert s > 0.0
-        p = lin / (-s)
-        return p if plan.prox_term is None else plan.prox_term.prox(p, 1.0 / s)
     if plan.path == "diag":
         denom = q_iso + q_gram * plan.diag
         assert np.all(denom > 0.0)

@@ -1,5 +1,7 @@
 """Block vectors, operators, norm certificates, and weight matrices."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -283,6 +285,23 @@ class TestResidual:
         x = BlockVector([np.array([1.0, 1.0]), np.array([1.0])])
         np.testing.assert_array_equal(residual(A, x, b), [3.0, 1.0])
 
+    def test_rhs_shape_checked(self):
+        A, _ = stack_rows([((DenseMatrixOp(np.eye(2)),), np.zeros(2))], [(2,)])
+        with pytest.raises(DimensionError, match="rhs shape"):
+            residual(A, BlockVector([np.ones(2)]), np.zeros(3))
+
+    def test_apply_is_the_image_sum_in_block_order(self):
+        rng = np.random.default_rng(264)
+        ops = tuple(DenseMatrixOp(rng.standard_normal((3, m))) for m in (2, 4, 1))
+        A = BlockOperatorFamily(ops, (3,))
+        x = BlockVector([rng.standard_normal(m) for m in (2, 4, 1)])
+        images = [op.apply(blk) for op, blk in zip(ops, x.blocks)]
+        want = np.zeros(3)
+        for ci in images:
+            want += ci
+        np.testing.assert_array_equal(A.image_sum(images), want)
+        np.testing.assert_array_equal(A.apply(x), want)
+
 
 class TestNormEstimate:
     def test_identity(self):
@@ -425,24 +444,38 @@ class TestWeightMatrix:
             G.norm_sq(np.array([1.0, 1.0]))
 
     def test_constructor_validation(self):
-        with pytest.raises(InvalidWeightError):
-            WeightMatrix("diagonal")
-        with pytest.raises(InvalidWeightError):
-            WeightMatrix.scaled_identity(-1.0)
-        with pytest.raises(InvalidWeightError):
-            WeightMatrix("scaled-identity-minus-gram", eta=1.0)
-        with pytest.raises(InvalidWeightError):
-            WeightMatrix("explicit")
-        with pytest.raises(InvalidWeightError):
-            WeightMatrix("scaled-gram", gram_coef=1.0)
+        for kwargs, message in (
+            ({"eta": -1.0}, "needs eta >= 0"),
+            ({"eta": 1.0, "gram_coef": -1.0}, "Gram term needs its operator"),
+            ({"gram_coef": 1.5}, "Gram term needs its operator"),
+            ({"eta": math.nan}, "must be finite"),
+            ({"eta": math.inf}, "must be finite"),
+            ({"gram_coef": math.nan}, "must be finite"),
+        ):
+            with pytest.raises(InvalidWeightError, match=message):
+                WeightMatrix(**kwargs)
 
-    def test_iso_split(self):
+    def test_named_constructors_validate(self):
+        op = DenseMatrixOp(np.eye(2))
+        with pytest.raises(InvalidWeightError, match="needs eta >= 0"):
+            WeightMatrix.scaled_identity(-1.0)
+        with pytest.raises(InvalidWeightError, match="must be finite"):
+            WeightMatrix.identity_minus_gram(math.nan, op)
+        with pytest.raises(InvalidWeightError, match="must be finite"):
+            WeightMatrix.scaled_gram(math.inf, op)
+
+    def test_constructor_fields(self):
         op, zoo = _weight_zoo()
-        assert zoo[0].iso_split() == (0.0, 0.0, None)
-        assert zoo[1].iso_split() == (2.0, 0.0, None)
-        iso, coef, got = zoo[2].iso_split()
-        assert (coef, got) == (-1.0, op) and iso == zoo[2].eta
-        assert zoo[3].iso_split() == (0.3, 1.5, op)
+        fields = [(G.eta, G.gram_coef, G.op) for G in zoo]
+        assert fields == [
+            (0.0, 0.0, None),
+            (2.0, 0.0, None),
+            (op.op_norm_sq * 1.25, -1.0, op),
+            (0.3, 1.5, op),
+        ]
+        assert zoo[0] == WeightMatrix.zero() == WeightMatrix.scaled_identity(0.0)
+        other = DenseMatrixOp(op.matrix)
+        assert zoo[2] != WeightMatrix.identity_minus_gram(zoo[2].eta, other)
 
     def test_pythagoras_identities(self):
         rng = np.random.default_rng(12)

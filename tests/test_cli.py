@@ -7,7 +7,7 @@ import pytest
 
 from mmadmm import problems
 from mmadmm.cli import _CONFIG_FIELDS, build_parser, main
-from mmadmm.fileio import read_array_csv, read_manifest, read_trace_csv
+from mmadmm.fileio import read_array_csv, read_array_mm, read_manifest, read_trace_csv
 from mmadmm.partition import case1_partition, case1_scan
 
 SUMMARY = re.compile(
@@ -132,6 +132,35 @@ class TestGenerate:
         assert err.startswith("configuration error")
         assert "missing key 'd'" in err
         assert not out.exists()
+
+
+    def test_flag_the_problem_ignores_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "lat"
+        argv = ["generate", "--problem", "latlrr3", "--seed", "0", "--n", "5"]
+        code = main(argv + ["--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: cannot generate latlrr3")
+        assert "unknown manifest key(s) ['n']" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", problems.PROBLEM_NAMES)
+    def test_manifest_round_trip(self, name, tmp_path, capsys):
+        flags = {
+            "nnsc": ["--d", "6", "--n", "2", "--block-dims", "2,3"],
+            "nnsc-noisy": ["--d", "6", "--n", "2", "--noise-sigma", "0.1"],
+            "nmc": ["--d", "6", "--n", "5", "--rank", "2", "--lam", "3"],
+        }.get(name, ["--d", "6", "--rank", "2", "--n-subspaces", "2", "--lam", "0.5"])
+        out = tmp_path / name
+        argv = ["generate", "--problem", name, "--seed", "2", "--out", str(out)]
+        assert main(argv + flags) == 0
+        capsys.readouterr()
+        rebuilt = problems.from_manifest(read_manifest(out / "manifest.txt"))
+        assert rebuilt.name == name
+        for key, arr in rebuilt.data.items():
+            path = out / (f"{key}.mtx" if key == "mask" else f"{key}.csv")
+            read = read_array_mm if key == "mask" else read_array_csv
+            np.testing.assert_array_equal(read(path), arr)
 
 
 class TestSolve:
@@ -284,6 +313,22 @@ class TestSolve:
         )
         assert code == 1
         assert "unknown schedule" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["solve", "bench"])
+    def test_misspelled_manifest_key_is_config_error(self, command, tmp_path, capsys):
+        manifest = _generate_nnsc(tmp_path)
+        with open(manifest, "a") as fh:
+            fh.write("sparsty = 0.3\n")
+        capsys.readouterr()
+        out = ["--trace", str(tmp_path / "t.csv")]
+        if command == "bench":
+            out = ["--solvers", "madmm", "--out", str(tmp_path / "b.csv")]
+        code = main([command, "--manifest", str(manifest), *out])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: bad manifest {manifest}")
+        assert "unknown manifest key(s) ['sparsty'] for problem 'nnsc'" in err
+        assert not (tmp_path / "t.csv").exists()
 
     def test_missing_manifest_is_io_error(self, tmp_path, capsys):
         code = main(

@@ -1,0 +1,35 @@
+"""``tools/hash_runs.py``: the bitwise run hash that checks a refactor."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "hash_runs.py"
+
+
+def _hashes(*flags, problems="l1_toy,quad", kinds="jacobi,madmm-bt,gs"):
+    argv = [sys.executable, str(TOOL), "--problems", problems, "--kinds", kinds]
+    argv += flags
+    done = subprocess.run(argv, capture_output=True, text=True, check=True)
+    return done.stdout.splitlines()
+
+
+def test_two_runs_print_the_same_lines():
+    first = _hashes("--iters", "6")
+    assert first == _hashes("--iters", "6")
+    assert len(first) == 2 * 3 * 2 * 2
+    for line in first:
+        name, kind, schedule, workers, status, sha = line.split()
+        assert name in ("l1_toy", "quad") and kind in ("jacobi", "madmm-bt", "gs")
+        assert schedule in ("geometric", "adaptive") and workers in ("1", "2")
+        assert status == "budget" and len(sha) == 64
+    # The hash covers the iterates: one more iteration changes every line.
+    longer = _hashes("--iters", "7")
+    assert all(a.split()[-1] != b.split()[-1] for a, b in zip(first, longer))
+
+
+def test_an_error_is_hashed_as_the_run_outcome():
+    # gs needs exactly two blocks; nmc has three.
+    flags = ("--schedules", "geometric", "--workers", "1", "--iters", "2")
+    (line,) = _hashes(*flags, problems="nmc", kinds="gs")
+    assert line.split()[:5] == ["nmc", "gs", "geometric", "1", "ValueError"]

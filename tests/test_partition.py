@@ -1,5 +1,7 @@
 """Partition heuristics: scan scores, two-coloring, subgroup contraction."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,7 @@ from mmadmm.partition import (
     case1_scan,
     case2_partition,
     case3_partition,
+    choose_partition,
 )
 
 
@@ -272,3 +275,63 @@ class TestCase3Partition:
         A = BlockOperatorFamily((_column_op([(0, 1.0)]),), (4,))
         with pytest.raises(ValueError):
             case3_partition(A)
+
+
+def _chooser_problem(ops, recommended=None):
+    """What ``choose_partition`` reads of a problem: its family and advice."""
+    A = BlockOperatorFamily(ops, ops[0].out_shape)
+    return SimpleNamespace(family=A, recommended_partition=recommended)
+
+
+class TestChoosePartition:
+    def _problem(self, recommended=None):
+        rng = np.random.default_rng(77)
+        ops = tuple(DenseMatrixOp(rng.standard_normal((5, m))) for m in (2, 4, 3))
+        return _chooser_problem(ops, recommended)
+
+    def test_auto_takes_the_recommendation_else_case1(self):
+        problem = self._problem()
+        norms = list(problem.family.norms_sq())
+        assert choose_partition(problem) == case1_partition(norms, problem.family)
+        advice = Partition((2,), (0, 1))
+        assert choose_partition(self._problem(advice), "auto") is advice
+
+    def test_named_heuristics(self):
+        problem = self._problem(Partition((2,), (0, 1)))
+        A = problem.family
+        assert choose_partition(problem, "case1") == case1_partition(
+            list(A.norms_sq()), A
+        )
+        assert choose_partition(problem, "case3") == case3_partition(A)
+        ops = (_column_op([(0, 1.0)]), _column_op([(1, 1.0)]))
+        assert choose_partition(_chooser_problem(ops), "case2") == case2_partition(
+            BlockOperatorFamily(ops, (4,))
+        )
+
+    def test_n1_takes_a_prefix_of_the_case1_order(self):
+        problem = self._problem(Partition((2,), (0, 1)))
+        order, _ = case1_scan(list(problem.family.norms_sq()), problem.family)
+        for n1 in (1, 2, 3):
+            part = choose_partition(problem, "case3", n1=n1)
+            assert part == Partition(
+                tuple(sorted(order[:n1])), tuple(sorted(order[n1:])), case="user"
+            )
+
+    @pytest.mark.parametrize("n1", [0, 4])
+    def test_n1_out_of_range(self, n1):
+        with pytest.raises(ValueError, match=r"n1 must lie in \[1, 3\]"):
+            choose_partition(self._problem(), n1=n1)
+
+    def test_refusals(self):
+        ops = (
+            _column_op([(0, 1.0), (1, 1.0)]),
+            _column_op([(1, 1.0), (2, 1.0)]),
+            _column_op([(2, 1.0), (0, 1.0)]),
+        )
+        with pytest.raises(ValueError, match="no two-coloring split exists"):
+            choose_partition(_chooser_problem(ops), "case2")
+        with pytest.raises(ValueError, match="unknown partition choice 'case4'"):
+            choose_partition(self._problem(), "case4")
+        one = _chooser_problem((_column_op([(0, 1.0)]),))
+        with pytest.raises(ValueError, match="for 1 block; pass a Partition"):
+            choose_partition(one)

@@ -408,6 +408,36 @@ class TestManifestRoundTrip:
         with pytest.raises(ValueError, match="unknown problem name"):
             from_manifest({"problem": "svm"})
 
+    def test_misspelled_key_rejected(self):
+        meta = {"problem": "nmc", "seed": 1, "d": 5, "n": 5, "noise_sgima": 0.3}
+        with pytest.raises(ValueError) as info:
+            from_manifest(meta)
+        message = str(info.value)
+        assert "unknown manifest key(s) ['noise_sgima'] for problem 'nmc'" in message
+        assert "'noise_sigma'" in message and "'obs_fraction'" in message
+
+    @pytest.mark.parametrize(
+        "meta, unknown",
+        [
+            ({"problem": "nnsc", "seed": 1, "d": 5, "n": 2, "lam": 2.0}, "lam"),
+            ({"problem": "nnsc-noisy", "seed": 1, "d": 5, "n": 2, "rank": 2}, "rank"),
+            ({"problem": "latlrr3", "seed": 1, "n": 4}, "n"),
+            ({"problem": "lrr", "seed": 1, "formulation": "3-block"}, "formulation"),
+        ],
+    )
+    def test_key_the_problem_does_not_read_rejected(self, meta, unknown):
+        pattern = rf"unknown manifest key\(s\) \['{unknown}'\]"
+        with pytest.raises(ValueError, match=pattern):
+            from_manifest(meta)
+
+    def test_formulation_must_match_the_problem(self):
+        meta = {"problem": "latlrr3", "seed": 3, "per_subspace": 4}
+        spec = from_manifest(dict(meta, formulation="3-block"))
+        assert spec.name == "latlrr3"
+        wrong = dict(meta, formulation="2-block")
+        with pytest.raises(ValueError, match="'2-block' does not match problem"):
+            from_manifest(wrong)
+
 
 class TestObjectiveRuns:
     """One ``value`` call per run of equal entrywise terms; same sum as per block."""

@@ -40,9 +40,8 @@ from mmadmm.solvers import (
     SolverState,
     UnsupportedSubproblemError,
     _bt_accept,
-    _phase_groups,
     _plan_block,
-    _solve_group,
+    _solve_run,
     assemble_block,
     default_weights,
     dual_update,
@@ -192,7 +191,7 @@ class TestPhaseSmoothness:
 class TestDefaultWeights:
     def test_toy_blocks_solve_exactly(self):
         G, info = default_weights(l1_toy(), "gs")
-        assert [g.form for g in G] == ["zero", "zero"]
+        assert G == [WeightMatrix.zero()] * 2
         assert info == ["exact", "exact"]
 
     def test_scalar_gram_keeps_iso_weight(self):
@@ -201,8 +200,7 @@ class TestDefaultWeights:
         for i, op in enumerate(problem.family.operators):
             want = MARGIN_STRICT * max(2 * op.op_norm_sq - 1.0, 0.0)
             assert info[i] == "iso"
-            assert G[i].form == "scaled-identity"
-            assert G[i].eta == want
+            assert (G[i].eta, G[i].gram_coef) == (want, 0.0)
 
     def test_dense_blocks_linearize(self):
         problem = _dense_problem(84, d=5, dims=(2, 3))
@@ -210,15 +208,14 @@ class TestDefaultWeights:
         G, info = default_weights(problem, "madmm", part)
         ops = problem.family.operators
         assert info == ["linearized", "linearized"]
-        assert G[0].form == "scaled-identity-minus-gram"
-        assert G[0].eta == 1.0 * ops[0].op_norm_sq
+        assert (G[0].eta, G[0].gram_coef) == (1.0 * ops[0].op_norm_sq, -1.0)
         assert G[1].eta == MARGIN_STRICT * ops[1].op_norm_sq
 
     def test_lone_quadratic_block_stays_exact(self):
         problem = quad_problem(seed=1)
         G, info = default_weights(problem, "madmm", Partition((0,), (1,)))
         assert info == ["exact", "exact"]
-        assert all(g.form == "zero" for g in G)
+        assert G == [WeightMatrix.zero()] * 2
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown solver kind"):
@@ -233,11 +230,10 @@ class TestDefaultWeights:
         ops = problem.family.operators
         G, _ = default_weights(problem, "l-admm-ps")
         for i, g in enumerate(G):
-            assert g.form == "scaled-identity-minus-gram"
+            assert g.gram_coef == -1.0
             assert g.eta == MARGIN_STRICT * (3 * ops[i].op_norm_sq)
         G, _ = default_weights(problem, "gl-admm-ps")
         for i, g in enumerate(G):
-            assert g.form == "scaled-gram"
             assert g.gram_coef == 2.0
             assert g.eta == pytest.approx(0.02 * ops[i].op_norm_sq)
 
@@ -278,9 +274,9 @@ def test_default_weights_are_the_run_weights(name, kind):
     config = SolverConfig(eta_scale=0.03)
     ctx = prepare_context(problem, kind, config)
     G, levels = default_weights(problem, kind, ctx.partition, config)
-    assert [g.form for g in G] == [g.form for g in ctx.G0]
-    assert [g.eta for g in G] == [g.eta for g in ctx.G0]
-    assert [g.gram_coef for g in G] == [g.gram_coef for g in ctx.G0]
+    assert [(g.eta, g.gram_coef, g.op) for g in G] == [
+        (g.eta, g.gram_coef, g.op) for g in ctx.G0
+    ]
     assert levels == ctx.levels
 
 
@@ -289,11 +285,18 @@ def _mini(op, term):
     return SimpleNamespace(family=fam, terms=(term,))
 
 
+def _run_context(shapes):
+    """The part of a run context that ``_solve_run`` reads."""
+    layout = _Layout(shapes)
+    return SimpleNamespace(layout=layout, denom=np.empty(layout.size))
+
+
 def _solve_block(plan, q_iso, q_gram, lin):
-    """One block's subproblem, solved as a group of one."""
-    (group,) = _phase_groups([plan], (0,), _Layout([plan.op.in_shape]))
-    v = _solve_group(group, [(q_iso, q_gram)], np.array(lin, dtype=float).ravel())
-    return v.reshape(plan.op.in_shape)
+    """One block's subproblem, solved in place as a run of one."""
+    ctx = _run_context([plan.op.in_shape])
+    flat = np.array(lin, dtype=float).ravel()
+    _solve_run(ctx, ((plan,), 0, flat.size), [(q_iso, q_gram)], flat)
+    return flat.reshape(plan.op.in_shape)
 
 
 def _model_value(op, term, q_iso, q_gram, lin, v):
@@ -319,12 +322,12 @@ class TestBlockSolve:
                 probe = v + scale * rng.standard_normal(v.shape)
                 assert best <= _model_value(op, term, iso, q_gram, lin, probe) + 1e-10
 
-    def test_prox_path_scalar_gram(self):
+    def test_diag_path_scalar_gram(self):
         rng = np.random.default_rng(86)
         op = ScaledIdentityOp(1.5, (4,))
         term = ProxFunction("l1")
         plan = _plan_block(_mini(op, term), 0, WeightMatrix.zero(), 0.0)
-        assert plan.path == "prox"
+        assert (plan.path, plan.diag) == ("diag", 2.25)
         lin = rng.standard_normal(4)
         v = _solve_block(plan, 0.7, 1.3, lin)
         self._check_minimum(op, term, plan, 0.7, 1.3, lin, v, rng)
@@ -813,8 +816,7 @@ class TestPartitionResolution:
             G, info = default_weights(problem, kind)
             G_mixed, info_mixed = default_weights(problem, "madmm", part)
             assert info == info_mixed
-            assert [g.form for g in G] == [g.form for g in G_mixed]
-            assert [g.eta for g in G] == [g.eta for g in G_mixed]
+            assert G == G_mixed
 
     @pytest.mark.parametrize("kind", ["madmm", "madmm-bt"])
     def test_mixed_kind_on_one_block(self, kind):
@@ -847,8 +849,8 @@ class TestBacktracking:
         ctx = prepare_context(problem, "madmm-bt", config)
         for i, op in enumerate(problem.family.operators):
             nj = 2
-            assert ctx.G0[i].form == "scaled-identity-minus-gram"
-            assert ctx.G0[i].eta == 0.05 * nj * op.op_norm_sq
+            want = WeightMatrix.identity_minus_gram(0.05 * nj * op.op_norm_sq, op)
+            assert ctx.G0[i] == want
 
     def test_accepted_steps_satisfy_phase_inequalities(self):
         problem = self._problem()
@@ -965,7 +967,8 @@ def _plans(ops, terms, weights):
 
 
 class TestGroupSolve:
-    """A phase's entrywise blocks solve as one group, as each would alone."""
+    """A phase solves in place, one run at a time: a run of entrywise blocks
+    is one prox call, and each member comes out as it would alone."""
 
     @pytest.mark.parametrize("weight", [1.0, 0.8])
     @pytest.mark.parametrize(
@@ -988,73 +991,113 @@ class TestGroupSolve:
             WeightMatrix.scaled_identity(0.4),
         )
         plans = _plans(ops, (term,) * 4, weights)
-        assert [plan.path for plan in plans] == ["prox", "prox", "diag", "diag"]
-        layout = _Layout([op.in_shape for op in ops])
-        (group,) = _phase_groups(plans, (0, 1, 2, 3), layout)
-        assert [plan.index for plan in group.plans] == [0, 1, 2, 3]
+        assert [plan.path for plan in plans] == ["diag"] * 4
+        assert [plan.diag for plan in plans[:2]] == [2.25, 0.0]
+        ctx = _run_context([op.in_shape for op in ops])
+        (run,) = solvers._phase_runs(plans, (0, 1, 2, 3), ctx.layout)
+        assert [plan.index for plan in run[0]] == [0, 1, 2, 3]
+        assert run[1:] == (0, ctx.layout.size)
         for _ in range(5):
             curvatures = [
                 (plan.fold_iso + rng.uniform(0.2, 1.0), rng.uniform(0.5, 1.5))
                 for plan in plans
             ]
             lins = [3.0 * rng.standard_normal(op.in_shape) for op in ops]
-            packed = np.concatenate([lin.ravel() for lin in lins])
-            got = _solve_group(group, curvatures, packed)
+            flat = np.concatenate([lin.ravel() for lin in lins])
+            _solve_run(ctx, run, curvatures, flat)
             for plan, (lo, hi), (q_iso, q_gram), lin in zip(
-                plans, group.bounds, curvatures, lins
+                plans, ctx.layout.bounds, curvatures, lins
             ):
                 want = reference_solve_block(plan, q_iso, q_gram, lin)
                 np.testing.assert_allclose(
-                    got[lo:hi].reshape(want.shape), want, rtol=0, atol=1e-15
+                    flat[lo:hi].reshape(want.shape), want, rtol=0, atol=1e-15
                 )
 
-    def test_groups_split_by_term_and_path(self):
+    def test_runs_end_at_gaps_terms_paths_and_matrix_terms(self):
         rng = np.random.default_rng(95)
         dense = DenseMatrixOp(rng.standard_normal((5, 3)))
         ops = tuple(ScaledIdentityOp(1.0, (2,)) for _ in range(5)) + (
             dense,
+            ScaledIdentityOp(1.0, (2,)),
+            ScaledIdentityOp(1.0, (2, 3)),
+            ScaledIdentityOp(1.0, (2, 3)),
             ScaledIdentityOp(1.0, (2, 3)),
         )
+        l1 = ProxFunction("l1", 1.0)
         terms = (
-            ProxFunction("l1", 1.0),
+            l1,
+            l1,
             ProxFunction("l1", 2.0),
-            ProxFunction("l1", 1.0),
             None,
-            ProxFunction("sq-frobenius", 0.5),
+            None,
+            None,
             None,
             ProxFunction("l21"),
+            ProxFunction("l21"),
+            ProxFunction("nuclear"),
         )
-        weights = [WeightMatrix.zero()] * 5 + [
-            WeightMatrix.scaled_identity(0.3),
-            WeightMatrix.zero(),
-        ]
+        weights = [WeightMatrix.zero()] * 5 + [WeightMatrix.scaled_identity(0.3)]
+        weights += [WeightMatrix.zero()] * 4
         plans = _plans(ops, terms, weights)
         assert plans[5].path == "eig"
         layout = _Layout([op.in_shape for op in ops])
-        groups = _phase_groups(plans, tuple(range(7)), layout)
-        members = [[plan.index for plan in g.plans] for g in groups]
-        assert members == [[0, 2], [1], [3, 4], [5], [6]]
-        assert [g.denom is None for g in groups] == [False, False, False, True, True]
-        assert groups[0].runs == ((0, 2, 0, 2), (2, 4, 4, 6))
-        assert groups[2].runs == ((0, 4, 6, 10),)
-        # Member order follows the phase, so runs follow it too.
-        (g,) = _phase_groups(plans, (2, 0), layout)
-        assert g.runs == ((0, 2, 4, 6), (2, 4, 0, 2))
 
-    def test_noisy_coding_phase_groups(self):
+        def members(blocks):
+            runs = solvers._phase_runs(plans, blocks, layout)
+            for run_plans, start, stop in runs:
+                bounds = [layout.bounds[p.index] for p in run_plans]
+                assert (bounds[0][0], bounds[-1][1]) == (start, stop)
+            return [[p.index for p in run_plans] for run_plans, _, _ in runs]
+
+        # A different term, an eig block and each l21 or nuclear block end a run.
+        assert members(range(10)) == [[0, 1], [2], [3, 4], [5], [6], [7], [8], [9]]
+        # A gap ends a run, and runs keep the phase's order.
+        assert members((0, 2, 1)) == [[0], [2], [1]]
+        assert members((1, 0)) == [[1], [0]]
+        assert members((0, 1, 3, 4)) == [[0, 1], [3, 4]]
+
+    def test_noisy_coding_phase_runs_are_the_objective_runs(self):
         problem = build_nonneg_sparse_coding_noisy(DataGenSpec(5, d=12, n=8))
         ctx = prepare_context(problem, "jacobi", SolverConfig())
-        groups = ctx.groups[ctx.partition.b2]
-        assert [[plan.index for plan in g.plans] for g in groups] == [
-            list(range(8)),
-            [8],
+        runs = ctx.runs[ctx.partition.b2]
+        assert [[plan.index for plan in r[0]] for r in runs] == [list(range(8)), [8]]
+        assert [(r[0][0].prox_term, r[1], r[2]) for r in runs] == [
+            (term, start, stop) for term, start, stop, _ in problem._term_runs
         ]
-        size = groups[0].lin.size
-        assert groups[0].runs == ((0, size, 0, size),)
+
+    @pytest.mark.parametrize("kind", ["jacobi", "madmm"])
+    def test_one_prox_call_per_entrywise_run(self, kind, monkeypatch):
+        problem = build_nonneg_sparse_coding(DataGenSpec(5, d=12, n=8, sparsity=0.2))
+        config = SolverConfig(
+            partition=Partition((0, 1, 4), (2, 3, 5, 6, 7)),
+            max_iter=12,
+            eps_primal=0.0,
+            eps_step=0.0,
+        )
+        ctx = prepare_context(problem, kind, config)
+        per_iteration = sum(
+            len(ctx.runs[blocks]) for blocks in (ctx.partition.b1, ctx.partition.b2)
+        )
+        calls = []
+        original = ProxFunction.prox
+
+        def counted(term, v, t, out=None):
+            calls.append(np.size(t))
+            return original(term, v, t, out=out)
+
+        monkeypatch.setattr(ProxFunction, "prox", counted)
+        result = run(problem, kind, config)
+        assert result.state.k == 12
+        assert len(calls) == 12 * per_iteration
+        if kind == "jacobi":
+            assert per_iteration == 1 and set(calls) == {ctx.layout.size}
+        else:
+            # A phase that is not contiguous splits into runs: 2 and 2.
+            assert per_iteration == 4
 
 
 class TestGroupedEngine:
-    """Forty iterations of the grouped engine equal the per-block reference."""
+    """Forty iterations of the in-place engine equal the per-block reference."""
 
     PROBLEMS = {
         "nnsc": lambda: build_nonneg_sparse_coding(
@@ -1136,13 +1179,13 @@ class TestBlockImages:
     def test_images_summed_once_per_phase(self, kind, sums, monkeypatch):
         problem = _dense_problem(71, 6, (2, 3, 2, 3))
         calls = []
-        original = solvers._image_sum
+        original = BlockOperatorFamily.image_sum
 
-        def counted(ctx, c):
+        def counted(family, images):
             calls.append(1)
-            return original(ctx, c)
+            return original(family, images)
 
-        monkeypatch.setattr(solvers, "_image_sum", counted)
+        monkeypatch.setattr(BlockOperatorFamily, "image_sum", counted)
         result = run(problem, kind, self._config())
         assert result.state.k == 12
         assert len(calls) == sums * 12
@@ -1213,7 +1256,7 @@ class TestAssemblyReference:
             WeightMatrix.scaled_gram(1.5, ops[3], ridge=0.1),
         ]
         ctx = self._check(problem, "jacobi", SolverConfig(weights=weights), 74)
-        assert [G.form for G in ctx.G0] == [G.form for G in weights]
+        assert ctx.G0 == weights
 
     def test_preset_weights(self):
         problem = quad_problem(75, d=6, dims=(3, 4, 2), weights=(1.0, 2.0, 0.5))

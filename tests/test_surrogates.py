@@ -54,7 +54,7 @@ class TestCatalogSurrogates:
     def test_proximal_surrogate_axioms(self):
         problem = l1_toy()
         ctx = prepare_context(problem, "jacobi", SolverConfig())
-        assert [G.form for G in ctx.G0] == ["scaled-identity"] * 2
+        assert [(G.eta > 0, G.gram_coef) for G in ctx.G0] == [(True, 0.0)] * 2
         assert surrogate_axioms_hold(surrogate_axiom_gaps(problem, "jacobi", seed=40))
 
     def test_proximal_gradient_surrogate_axioms(self):
@@ -312,7 +312,7 @@ class TestSmoothQuadCoupling:
         f = SmoothQuadCoupling(2.0, (op, None), np.zeros(3))
         assert f.support == (0,)
         assert f.cert[0].eta == pytest.approx(2.0 * 1 * op.op_norm_sq)
-        assert f.cert[1].form == "zero"
+        assert f.cert[1] == WeightMatrix.zero()
 
     def test_cert_majorizes_quadratic_model(self):
         f = _coupling(seed=9)

@@ -1,0 +1,118 @@
+"""Hash solver runs on a fixed grid of small problems, one line per run.
+
+Each line names the problem, the solver kind, the penalty schedule and the
+worker count, then how the run ended (its stop reason, or the class of the
+error it raised) and a SHA-256 over everything the run produced: every
+iterate, every trace row without its wall time, the final multiplier, each
+block's final weight level ``eta``, and the stop reason or the error
+message. Two trees that print the same lines ran bitwise the same
+iterations, so a refactor that must not change the iterates is checked by
+
+    python3 tools/hash_runs.py > before.txt    # on the old tree
+    python3 tools/hash_runs.py > after.txt     # on the new tree
+    diff before.txt after.txt
+
+The full grid is every solver kind on eight problems, both schedules and 1
+or 2 workers, 40 iterations each (224 runs). ``--problems``, ``--kinds``,
+``--schedules`` and ``--workers`` take comma-separated subsets, and
+``--iters`` sets the iteration count.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import sys
+from dataclasses import astuple
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+
+from helpers import l1_toy, quad_problem  # noqa: E402
+from mmadmm.problems import (  # noqa: E402
+    DataGenSpec,
+    build_latent_lrr,
+    build_lrr,
+    build_nonneg_matrix_completion,
+    build_nonneg_sparse_coding,
+    build_nonneg_sparse_coding_noisy,
+    make_subspace_data,
+)
+from mmadmm.solvers import SOLVER_KINDS, SolverConfig, run  # noqa: E402
+
+
+def _subspace():
+    return make_subspace_data(0, d=10, rank=2, n_subspaces=3, per_subspace=6)
+
+
+PROBLEMS = {
+    "nnsc": lambda: build_nonneg_sparse_coding(DataGenSpec(0, d=30, n=40)),
+    "nnsc-noisy": lambda: build_nonneg_sparse_coding_noisy(
+        DataGenSpec(0, d=20, n=12, noise_sigma=0.1)
+    ),
+    "latlrr3": lambda: build_latent_lrr(_subspace(), formulation="3-block"),
+    "latlrr2": lambda: build_latent_lrr(_subspace(), formulation="2-block"),
+    "lrr": lambda: build_lrr(_subspace(), _subspace()),
+    "nmc": lambda: build_nonneg_matrix_completion(
+        DataGenSpec(0, d=12, n=10, rank=2, noise_sigma=0.1)
+    ),
+    "quad": lambda: quad_problem(3),
+    "l1_toy": l1_toy,
+}
+SCHEDULES = ("geometric", "adaptive")
+WORKERS = (1, 2)
+
+
+def hash_run(problem, kind: str, schedule: str, workers: int, iters: int):
+    """``(status, sha256 hex)`` of one run of ``kind`` on ``problem``."""
+    digest = hashlib.sha256()
+    config = SolverConfig(max_iter=iters, eps_step=0.0, schedule=schedule)
+    try:
+        result = run(problem, kind, config, workers=workers, keep_iterates=True)
+    except Exception as exc:  # the error is the run's outcome; it is hashed
+        status = type(exc).__name__
+        digest.update(f"{status}: {exc}".encode())
+        return status, digest.hexdigest()
+    for x in result.iterates:
+        digest.update(x.flat.tobytes())
+    for row in result.trace:
+        digest.update(repr(astuple(row)[:-1]).encode())
+    digest.update(result.state.lam.tobytes())
+    digest.update(repr([g.eta for g in result.state.G]).encode())
+    digest.update(result.stop_reason.encode())
+    return result.stop_reason, digest.hexdigest()
+
+
+def _subset(text: str, allowed, cast=str) -> tuple:
+    chosen = tuple(cast(v.strip()) for v in text.split(",") if v.strip())
+    unknown = [v for v in chosen if v not in allowed]
+    if unknown:
+        raise SystemExit(f"unknown choice(s) {unknown}; options: {list(allowed)}")
+    return chosen
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--problems", default=",".join(PROBLEMS))
+    parser.add_argument("--kinds", default=",".join(SOLVER_KINDS))
+    parser.add_argument("--schedules", default=",".join(SCHEDULES))
+    parser.add_argument("--workers", default=",".join(map(str, WORKERS)))
+    parser.add_argument("--iters", type=int, default=40)
+    args = parser.parse_args(argv)
+    names = _subset(args.problems, PROBLEMS)
+    kinds = _subset(args.kinds, SOLVER_KINDS)
+    schedules = _subset(args.schedules, SCHEDULES)
+    workers = _subset(args.workers, WORKERS, int)
+    for name in names:
+        problem = PROBLEMS[name]()
+        for kind in kinds:
+            for schedule in schedules:
+                for w in workers:
+                    status, sha = hash_run(problem, kind, schedule, w, args.iters)
+                    print(f"{name} {kind} {schedule} {w} {status} {sha}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
