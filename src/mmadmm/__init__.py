@@ -17,7 +17,6 @@ from .blockspace import (
     InvalidWeightError,
     LeftMultiplyOp,
     MaskProjectionOp,
-    NegationOp,
     RightMultiplyOp,
     RowGroup,
     ScaledIdentityOp,
@@ -27,7 +26,6 @@ from .blockspace import (
     ZeroOp,
     combined_op_norm_sq,
     dense_matrix,
-    detect_row_groups,
     estimate_op_norm_sq,
     gram_cross_is_zero,
     residual,
@@ -49,6 +47,7 @@ from .diagnostics import (
 )
 from .partition import (
     Partition,
+    best_prefix,
     case1_partition,
     case1_scan,
     case2_partition,

@@ -4,7 +4,7 @@ The constraint of every problem in this package has the form
 ``sum_i A_i x_i = b`` where each block ``x_i`` is a dense vector or matrix
 and each ``A_i`` is a linear map into a shared constraint space. Operators
 are abstract (dense matrix, scaled identity, left/right matrix multiply,
-entry mask, negation, zero, stacked rows) so that adjoints, certified
+entry mask, zero, stacked rows) so that adjoints, certified
 operator norms, and Gram structure are available without materializing
 matrices unless a solve path genuinely needs them. Every proximal weight is
 one form, ``G_i = eta I + gram_coef A_i^T A_i`` (:class:`WeightMatrix`).
@@ -26,7 +26,6 @@ __all__ = [
     "LeftMultiplyOp",
     "RightMultiplyOp",
     "MaskProjectionOp",
-    "NegationOp",
     "ZeroOp",
     "StackedOp",
     "RowGroup",
@@ -41,7 +40,6 @@ __all__ = [
     "gram_cross_is_zero",
     "combined_op_norm_sq",
     "stack_rows",
-    "detect_row_groups",
     "dense_matrix",
 ]
 
@@ -220,7 +218,8 @@ class BlockVector:
 class NormEstimate(NamedTuple):
     """Power-iteration estimate of a squared operator norm.
 
-    An upper bound only when ``converged`` is false (the trace fallback).
+    When ``converged`` is false it is the operator's certificate, an upper
+    bound.
     """
 
     value: float
@@ -325,9 +324,6 @@ class DenseMatrixOp(BlockOperator):
     def gram_kind(self):
         return "dense"
 
-    def trace_gram(self) -> float:
-        return float(np.sum(self.matrix * self.matrix))
-
 
 class ScaledIdentityOp(BlockOperator):
     """``v -> c * v`` on a block of any shape."""
@@ -351,9 +347,6 @@ class ScaledIdentityOp(BlockOperator):
 
     def gram_rep(self):
         return ("scalar", self.scale * self.scale)
-
-    def trace_gram(self) -> float:
-        return self.scale * self.scale * _size(self.in_shape)
 
 
 class LeftMultiplyOp(BlockOperator):
@@ -382,9 +375,6 @@ class LeftMultiplyOp(BlockOperator):
     def gram_rep(self):
         return ("left", self.factor.T @ self.factor)
 
-    def trace_gram(self) -> float:
-        return float(np.sum(self.factor * self.factor)) * self.in_shape[1]
-
 
 class RightMultiplyOp(BlockOperator):
     """``V -> V M`` on a matrix block (shared right factor)."""
@@ -412,9 +402,6 @@ class RightMultiplyOp(BlockOperator):
     def gram_rep(self):
         return ("right", self.factor @ self.factor.T)
 
-    def trace_gram(self) -> float:
-        return float(np.sum(self.factor * self.factor)) * self.in_shape[0]
-
 
 class MaskProjectionOp(BlockOperator):
     """Entry mask: keeps entries inside the index set, zeros the rest."""
@@ -438,34 +425,6 @@ class MaskProjectionOp(BlockOperator):
     def gram_rep(self):
         return ("diag", self.mask.copy())
 
-    def trace_gram(self) -> float:
-        return float(np.sum(self.mask))
-
-
-class NegationOp(BlockOperator):
-    """``v -> -(inner v)``; Gram structure matches the inner operator."""
-
-    kind = "negation"
-
-    def __init__(self, inner: BlockOperator):
-        super().__init__(inner.in_shape, inner.out_shape)
-        self.inner = inner
-
-    def apply(self, v):
-        return -self.inner.apply(v)
-
-    def adjoint(self, u):
-        return -self.inner.adjoint(u)
-
-    def _compute_norm_sq(self):
-        return self.inner.op_norm_sq
-
-    def gram_rep(self):
-        return self.inner.gram_rep()
-
-    def trace_gram(self) -> float:
-        return self.inner.trace_gram()
-
 
 class ZeroOp(BlockOperator):
     """Maps every input to zero."""
@@ -488,9 +447,6 @@ class ZeroOp(BlockOperator):
 
     def gram_rep(self):
         return ("scalar", 0.0)
-
-    def trace_gram(self) -> float:
-        return 0.0
 
 
 class StackedOp(BlockOperator):
@@ -543,53 +499,25 @@ class StackedOp(BlockOperator):
         )
 
     def gram_rep(self):
-        # The stacked Gram is the sum of member Grams; combine when the
-        # members share a compatible structure.
+        # The stacked Gram is the sum of the member Grams: the scalar members
+        # add to the one other tag, when the members carry at most one.
         reps = [op.gram_rep() for _, _, op in self.pieces if op is not None]
         if any(rep is None for rep in reps):
             return None
-        scalar = 0.0
-        diag = None
-        sided: dict = {}
-        dense = None
-        for tag, payload in reps:
-            if tag == "scalar":
-                scalar += payload
-            elif tag == "diag":
-                diag = payload if diag is None else diag + payload
-            elif tag in ("left", "right"):
-                sided[tag] = payload if tag not in sided else sided[tag] + payload
-            elif tag == "dense":
-                dense = payload if dense is None else dense + payload
-        kinds = [
-            name
-            for name, present in (
-                ("diag", diag is not None),
-                ("left", "left" in sided),
-                ("right", "right" in sided),
-                ("dense", dense is not None),
-            )
-            if present
-        ]
-        if len(kinds) > 1:
-            return None
-        if not kinds:
+        scalar = sum((c for tag, c in reps if tag == "scalar"), 0.0)
+        rest = [rep for rep in reps if rep[0] != "scalar"]
+        if not rest:
             return ("scalar", scalar)
-        if kinds[0] == "diag":
-            return ("diag", diag + scalar)
-        if kinds[0] == "dense":
-            M = dense
-            if scalar:
-                M = M + scalar * np.eye(M.shape[0])
-            return ("dense", M)
-        tag = kinds[0]
-        M = sided[tag]
+        tag = rest[0][0]
+        if any(t != tag for t, _ in rest):
+            return None
+        first, *others = (M for _, M in rest)
+        M = sum(others, first)
+        if tag == "diag":
+            return ("diag", M + scalar)
         if scalar:
             M = M + scalar * np.eye(M.shape[0])
         return (tag, M)
-
-    def trace_gram(self) -> float:
-        return sum(op.trace_gram() for _, _, op in self.pieces if op is not None)
 
 
 def _size(shape: tuple) -> int:
@@ -621,9 +549,6 @@ class RowGroup:
     def __post_init__(self):
         if len(self.active) != len(self.member_norm_sq):
             raise StructureError("row group members and norms must align")
-
-    def count(self) -> int:
-        return len(self.active)
 
     def norm_sq_of(self, block: int) -> float:
         return self.member_norm_sq[self.active.index(block)]
@@ -684,14 +609,17 @@ class BlockOperatorFamily:
         return tuple(op.op_norm_sq for op in self.operators)
 
 
-def residual(A: BlockOperatorFamily, x: BlockVector, b: np.ndarray) -> np.ndarray:
-    """Constraint residual ``sum_i A_i x_i - b``, with ``b`` shape-checked."""
+def residual(A: BlockOperatorFamily, x: BlockVector, b, image=None) -> np.ndarray:
+    """Constraint residual ``sum_i A_i x_i - b``, with ``b`` shape-checked.
+
+    ``image`` is ``A x`` when the caller has formed it already.
+    """
     b = np.asarray(b, dtype=float)
     if b.shape != A.out_shape:
         raise DimensionError(
             f"rhs shape {b.shape} does not match constraint space {A.out_shape}"
         )
-    return A.apply(x) - b
+    return (A.apply(x) if image is None else image) - b
 
 
 # ---------------------------------------------------------------------------
@@ -711,9 +639,8 @@ def estimate_op_norm_sq(
     by ``1/(1 - tol)``. A stalled quotient does not bound its own error, so
     the result is an estimate, not a certified bound: it can fall below the
     true value when the top of the spectrum is clustered. If the iteration
-    does not settle within ``max_iter`` steps, the upper bound
-    ``trace(A^T A)`` is returned with ``converged=False``. Operators certify
-    their ``op_norm_sq`` without this routine.
+    does not settle within ``max_iter`` steps, the operator's certificate
+    ``op_norm_sq``, an upper bound, is returned with ``converged=False``.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -743,7 +670,7 @@ def estimate_op_norm_sq(
             return NormEstimate(ray / (1.0 - tol) * _CERT_GUARD, True)
         ray_prev = ray
         v = w / nw
-    return NormEstimate(float(op.trace_gram()), False)
+    return NormEstimate(op.op_norm_sq, False)
 
 
 def combined_op_norm_sq(
@@ -756,7 +683,9 @@ def combined_op_norm_sq(
     """Estimate of ``||[A_i]_{i in indices}||_2^2`` of a horizontal stack.
 
     Power iteration as in :func:`estimate_op_norm_sq`, so not a certified
-    bound; it only scores case-I partitions.
+    bound; it only scores case-I partitions. If the iteration does not
+    settle within ``max_iter`` steps, the sum of the member certificates is
+    returned, an upper bound since ``||[A_i]||^2 <= sum ||A_i||^2``.
     """
     indices = list(indices)
     if not indices:
@@ -779,7 +708,7 @@ def combined_op_norm_sq(
             return ray / (1.0 - tol) * _CERT_GUARD
         ray_prev = ray
         blocks = [wi / nw for wi in w]
-    return sum(A.operators[i].trace_gram() for i in indices)
+    return sum(A.operators[i].op_norm_sq for i in indices)
 
 
 def gram_cross_is_zero(
@@ -801,12 +730,8 @@ def gram_cross_is_zero(
     if isinstance(op_i, StackedOp) and isinstance(op_j, StackedOp):
         if not _spans_overlap(op_i.active_spans(), op_j.active_spans()):
             return True
-    inner_i = op_i.inner if isinstance(op_i, NegationOp) else op_i
-    inner_j = op_j.inner if isinstance(op_j, NegationOp) else op_j
-    if isinstance(inner_i, MaskProjectionOp) and isinstance(
-        inner_j, MaskProjectionOp
-    ):
-        if not np.any(inner_i.mask * inner_j.mask):
+    if isinstance(op_i, MaskProjectionOp) and isinstance(op_j, MaskProjectionOp):
+        if not np.any(op_i.mask * op_j.mask):
             return True
     cross_sq = _cross_norm_sq(op_i, op_j)
     return math.sqrt(max(cross_sq, 0.0)) <= tol * math.sqrt(ci * cj)
@@ -920,7 +845,7 @@ class WeightMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Stacking and structure detection
+# Stacking constraint rows
 # ---------------------------------------------------------------------------
 
 
@@ -938,91 +863,43 @@ def stack_rows(rows: Sequence[tuple], block_shapes: Sequence[tuple]):
     Returns
     -------
     (BlockOperatorFamily, ndarray)
-        The stacked family (1-d constraint space) with automatic row groups,
-        and the concatenated right-hand side.
+        The family and the concatenated right-hand side. One row keeps its
+        own shape, with a zero operator for each absent block; several rows
+        are flattened into one 1-d space. Each row with an acting block is
+        one row group.
     """
     block_shapes = [tuple(s) for s in block_shapes]
     n = len(block_shapes)
-    offsets = []
+    offsets, rhs_parts, groups = [], [], []
     total = 0
-    rhs_parts = []
     for ops, rhs in rows:
         if len(ops) != n:
             raise DimensionError("every row must name all blocks (use None)")
         rhs = np.asarray(rhs, dtype=float)
         offsets.append((total, rhs.shape))
         total += _size(rhs.shape)
-        rhs_parts.append(rhs.ravel())
+        rhs_parts.append(rhs)
+        active = tuple(i for i, op in enumerate(ops) if op is not None)
+        if active:
+            groups.append(RowGroup(active, tuple(ops[i].op_norm_sq for i in active)))
     if len(rows) == 1:
-        ops, rhs = rows[0]
-        rhs = np.asarray(rhs, dtype=float)
+        (ops, _), rhs = rows[0], rhs_parts[0]
         full_ops = [
             op if op is not None else ZeroOp(block_shapes[i], rhs.shape)
             for i, op in enumerate(ops)
         ]
-        active = tuple(i for i, op in enumerate(ops) if op is not None)
-        groups = (
-            RowGroup(
-                active,
-                tuple(full_ops[i].op_norm_sq for i in active),
-            ),
+        return BlockOperatorFamily(full_ops, rhs.shape, row_groups=groups), rhs
+    stacked_ops = [
+        StackedOp(
+            [(off, shape, ops[i]) for (off, shape), (ops, _) in zip(offsets, rows)],
+            total,
+            block_shapes[i],
         )
-        return (
-            BlockOperatorFamily(full_ops, rhs.shape, row_groups=groups),
-            rhs,
-        )
-    stacked_ops = []
-    for i in range(n):
-        pieces = []
-        for (off, shape), (ops, _) in zip(offsets, rows):
-            pieces.append((off, shape, ops[i]))
-        stacked_ops.append(StackedOp(pieces, total, block_shapes[i]))
-    groups = []
-    for (ops, _), (off, shape) in zip(rows, offsets):
-        active = tuple(i for i, op in enumerate(ops) if op is not None)
-        if active:
-            groups.append(
-                RowGroup(
-                    active,
-                    tuple(ops[i].op_norm_sq for i in active),
-                )
-            )
-    family = BlockOperatorFamily(
-        stacked_ops, (total,), row_groups=tuple(groups)
-    )
-    return family, np.concatenate(rhs_parts) if rhs_parts else np.zeros(0)
-
-
-def detect_row_groups(A: BlockOperatorFamily) -> BlockOperatorFamily:
-    """Attach row groups found by scanning dense-matrix row support.
-
-    Constraint rows are grouped by their set of acting blocks; only families
-    made entirely of dense matrix operators on a 1-d constraint space are
-    scanned. Other families are returned unchanged.
-    """
-    if A.row_groups is not None or len(A.out_shape) != 1:
-        return A
-    mats = []
-    for op in A.operators:
-        inner = op.inner if isinstance(op, NegationOp) else op
-        if not isinstance(inner, DenseMatrixOp):
-            return A
-        mats.append(inner.matrix)
-    d = A.out_shape[0]
-    signatures = {}
-    for r in range(d):
-        sig = tuple(bool(np.any(m[r, :] != 0.0)) for m in mats)
-        signatures.setdefault(sig, []).append(r)
-    groups = []
-    for sig, rows in sorted(signatures.items(), key=lambda kv: kv[1][0]):
-        active = tuple(i for i, hit in enumerate(sig) if hit)
-        if not active:
-            continue
-        norms = tuple(
-            _spectral_norm_sq(mats[i][rows, :]) for i in active
-        )
-        groups.append(RowGroup(active, norms))
-    return BlockOperatorFamily(A.operators, A.out_shape, row_groups=tuple(groups))
+        for i in range(n)
+    ]
+    family = BlockOperatorFamily(stacked_ops, (total,), row_groups=groups)
+    rhs = np.concatenate([r.ravel() for r in rhs_parts]) if rhs_parts else np.zeros(0)
+    return family, rhs
 
 
 def _columns(apply, in_shape: tuple, out_shape: tuple) -> np.ndarray:

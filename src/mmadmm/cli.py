@@ -15,7 +15,7 @@ from dataclasses import fields
 from typing import Optional
 
 from . import fileio, problems
-from .partition import case1_partition, case1_scan, choose_partition
+from .partition import best_prefix, case1_scan, choose_partition
 from .solvers import (
     SOLVER_KINDS,
     BacktrackingConsistencyError,
@@ -227,7 +227,7 @@ def cmd_partition_study(args) -> int:
     if len(norms) < 2:
         raise ConfigError("partition study needs at least two blocks")
     order, scores = case1_scan(norms, problem.family)
-    chosen = case1_partition(norms, problem.family)
+    chosen = best_prefix(order, scores)
     with open(args.out, "w") as fh:
         fh.write("n1,score\n")
         for k, score in enumerate(scores, start=1):

@@ -97,8 +97,9 @@ def kkt_gap(
     Nonnegative for any valid certificate by convexity plus stationarity.
     """
     A, b = problem.family, problem.b
-    diff = A.apply(x_bar) - A.apply(cert.x_star)
-    resid = residual(A, x_bar, b)
+    image = A.apply(x_bar)
+    diff = image - A.apply(cert.x_star)
+    resid = residual(A, x_bar, b, image=image)
     return (
         problem.objective(x_bar)
         - cert.f_star

@@ -23,6 +23,7 @@ from .blockspace import (
 
 __all__ = [
     "Partition",
+    "best_prefix",
     "choose_partition",
     "case1_partition",
     "case1_scan",
@@ -111,6 +112,19 @@ def case1_scan(
     return tuple(order), tuple(scores)
 
 
+def best_prefix(order: Sequence[int], scores: Sequence[float]) -> Partition:
+    """The case-I split of a :func:`case1_scan` result ``(order, scores)``.
+
+    ``B1`` is the prefix of ``order`` with the smallest score (ties favor
+    the smallest ``n1``) and ``B2`` the rest.
+    """
+    best = min(range(len(scores)), key=lambda k: (scores[k], k))
+    n1 = best + 1
+    b1 = tuple(sorted(order[:n1]))
+    b2 = tuple(sorted(order[n1:]))
+    return Partition(b1, b2, case="I", score=scores[best])
+
+
 def case1_partition(
     norms_sq: Sequence[float],
     A: Optional[BlockOperatorFamily] = None,
@@ -122,12 +136,7 @@ def case1_partition(
     """
     if len(norms_sq) < 2:
         raise ValueError("partitioning needs at least two blocks")
-    order, scores = case1_scan(norms_sq, A)
-    best = min(range(len(scores)), key=lambda k: (scores[k], k))
-    n1 = best + 1
-    b1 = tuple(sorted(order[:n1]))
-    b2 = tuple(sorted(order[n1:]))
-    return Partition(b1, b2, case="I", score=scores[best])
+    return best_prefix(*case1_scan(norms_sq, A))
 
 
 def _nonorthogonality_edges(A: BlockOperatorFamily, tol: float) -> list:
@@ -216,15 +225,10 @@ def case3_partition(A: BlockOperatorFamily, tol: float = 1e-10) -> Partition:
         inner = case1_partition(norms, A)
         return Partition(inner.b1, inner.b2, case="III", score=inner.score)
     super_norms = [max(norms[i] for i in g) for g in groups]
-    order, scores = case1_scan(super_norms)
-    best = min(range(len(scores)), key=lambda k: (scores[k], k))
-    b1: list = []
-    b2: list = []
-    for pos, g_idx in enumerate(order):
-        (b1 if pos <= best else b2).extend(groups[g_idx])
-    return Partition(
-        tuple(sorted(b1)), tuple(sorted(b2)), case="III", score=scores[best]
-    )
+    split = best_prefix(*case1_scan(super_norms))
+    b1 = sorted(i for g in split.b1 for i in groups[g])
+    b2 = sorted(i for g in split.b2 for i in groups[g])
+    return Partition(b1, b2, case="III", score=split.score)
 
 
 def choose_partition(problem, choice: str = "auto", n1: Optional[int] = None):
@@ -243,7 +247,8 @@ def choose_partition(problem, choice: str = "auto", n1: Optional[int] = None):
     if n1 is not None:
         if not 1 <= n1 <= n:
             raise ValueError(f"n1 must lie in [1, {n}]")
-        order, _ = case1_scan(list(A.norms_sq()), A)
+        # The order alone needs no footnote term: take it from the norms.
+        order, _ = case1_scan(list(A.norms_sq()))
         return Partition(tuple(sorted(order[:n1])), tuple(sorted(order[n1:])))
     if choice == "auto":
         if problem.recommended_partition is not None:

@@ -9,6 +9,7 @@ depend on how many other blocks exist before it is generated.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -20,7 +21,6 @@ from .blockspace import (
     DimensionError,
     LeftMultiplyOp,
     MaskProjectionOp,
-    NegationOp,
     RightMultiplyOp,
     ScaledIdentityOp,
     _Layout,
@@ -72,6 +72,10 @@ class DataGenSpec:
             raise ValueError("observation fraction must lie in (0, 1]")
         if self.rank < 1:
             raise ValueError("rank must be positive")
+        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
+            raise ValueError(
+                f"noise_sigma must be finite and nonnegative, got {self.noise_sigma}"
+            )
         if self.block_dims is not None:
             dims = tuple(int(m) for m in self.block_dims)
             if len(dims) != self.n or any(m < 1 for m in dims):
@@ -82,6 +86,12 @@ class DataGenSpec:
         if self.block_dims is not None:
             return self.block_dims
         return tuple(10 * (i + 1) for i in range(self.n))
+
+
+def _check_lam(lam: float) -> None:
+    """A builder's term weight ``lam`` must be finite and positive."""
+    if not (math.isfinite(lam) and lam > 0):
+        raise ValueError(f"lam must be positive and finite, got {lam}")
 
 
 class ProblemSpec:
@@ -248,8 +258,7 @@ def build_nonneg_sparse_coding_noisy(
     The coding blocks reuse exactly the noiseless draws for the same seed;
     ``y`` picks up Gaussian noise with scale ``noise_sigma``.
     """
-    if lam <= 0:
-        raise ValueError("noise weight lam must be positive")
+    _check_lam(lam)
     mats, x_star, e_star = _nnsc_draws(gen)
     y = e_star.copy()
     for M, x in zip(mats, x_star):
@@ -298,8 +307,7 @@ def build_latent_lrr(
     ``1^T Z = 1^T`` and ``X Z + L X - E = X``, recommended super blocks
     ``{Z} | {L, E}``.
     """
-    if lam <= 0:
-        raise ValueError("lam must be positive")
+    _check_lam(lam)
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise ValueError("X must be a matrix")
@@ -334,7 +342,7 @@ def build_latent_lrr(
             (
                 LeftMultiplyOp(X, z_shape),
                 RightMultiplyOp(X, l_shape),
-                NegationOp(ScaledIdentityOp(1.0, e_shape)),
+                ScaledIdentityOp(-1.0, e_shape),
             ),
             X,
         ),
@@ -365,8 +373,7 @@ def build_lrr(
     ``Z = J``. The recommended super blocks ``{J, E} | {Z}`` make every
     update exact: prox steps for ``J`` and ``E``, one linear solve for ``Z``.
     """
-    if lam <= 0:
-        raise ValueError("lam must be positive")
+    _check_lam(lam)
     X = np.asarray(X, dtype=float)
     A_dict = np.asarray(A_dict, dtype=float)
     if X.ndim != 2 or A_dict.ndim != 2 or A_dict.shape[0] != X.shape[0]:
@@ -378,7 +385,7 @@ def build_lrr(
         ((None, ScaledIdentityOp(1.0, e_shape), LeftMultiplyOp(A_dict, z_shape)), X),
         (
             (
-                NegationOp(ScaledIdentityOp(1.0, j_shape)),
+                ScaledIdentityOp(-1.0, j_shape),
                 None,
                 ScaledIdentityOp(1.0, z_shape),
             ),
@@ -412,8 +419,7 @@ def build_nonneg_matrix_completion(gen: DataGenSpec, lam: float = 10.0) -> Probl
     entrywise-absolute Gaussian factors of the given rank; observed entries
     carry Gaussian noise. Recommended super blocks: ``{X, E} | {Z}``.
     """
-    if lam <= 0:
-        raise ValueError("lam must be positive")
+    _check_lam(lam)
     d1, d2 = gen.d, gen.n
     streams = np.random.SeedSequence(gen.seed).spawn(3)
     rng_factors = np.random.default_rng(streams[0])
@@ -431,7 +437,7 @@ def build_nonneg_matrix_completion(gen: DataGenSpec, lam: float = 10.0) -> Probl
             (
                 ScaledIdentityOp(1.0, shape),
                 None,
-                NegationOp(ScaledIdentityOp(1.0, shape)),
+                ScaledIdentityOp(-1.0, shape),
             ),
             np.zeros(shape),
         ),

@@ -7,6 +7,7 @@ reuse the same formulas entrywise.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -149,8 +150,10 @@ class ProxFunction:
     def __post_init__(self):
         if self.kind not in _ALL_KINDS:
             raise ValueError(f"unknown prox kind {self.kind!r}")
-        if self.weight < 0:
-            raise ValueError("weight must be nonnegative")
+        if not (math.isfinite(self.weight) and self.weight >= 0):
+            raise ValueError(
+                f"weight must be finite and nonnegative, got {self.weight}"
+            )
 
     @property
     def entrywise(self) -> bool:

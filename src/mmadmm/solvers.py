@@ -39,6 +39,7 @@ import numpy as np
 from .blockspace import (
     BlockOperatorFamily,
     BlockVector,
+    RowGroup,
     WeightMatrix,
     _Layout,
 )
@@ -101,7 +102,8 @@ class SolverConfig:
     block's scaled step ``beta ||x_i^{k+1} - x_i^k|| / max(||b||, 1)`` falls
     below ``eps_primal``. ``weights`` overrides the automatic per-block
     proximal weights; ``partition`` may be a Partition or ``"auto"``.
-    Numeric fields are coerced to ``float``/``int`` and must be finite.
+    Numeric fields are coerced to ``float``/``int`` and must be finite; an
+    ``int`` field takes an integral value only (``10.0`` but not ``2.5``).
     """
 
     beta0: float = 1e-4
@@ -123,6 +125,8 @@ class SolverConfig:
                 value = float(getattr(self, f.name))
                 if not math.isfinite(value):
                     raise ValueError(f"{f.name} must be finite, got {value}")
+                if isinstance(f.default, int) and not value.is_integer():
+                    raise ValueError(f"{f.name} must be an integer, got {value}")
                 setattr(self, f.name, type(f.default)(value))
         if self.beta0 <= 0:
             raise ValueError("beta0 must be positive")
@@ -226,40 +230,37 @@ def ergodic_average(iterates: Sequence[BlockVector], betas: Sequence[float]):
 def phase_smoothness(A: BlockOperatorFamily, blocks: Sequence[int]) -> dict:
     """Tight per-block curvature of ``0.5 ||sum_{i in blocks} A_i x_i||^2``.
 
-    With declared row groups, ``eta'_i`` sums ``k_g ||A_{g,i}||_2^2`` over the
-    groups touching block ``i``, where ``k_g`` counts only blocks of this
-    phase acting on group ``g``; a coupled block outside every declared group
-    raises ``ValueError``. Without structure it falls back to
-    ``n_eff ||A_i||_2^2`` with ``n_eff`` the phase's nonzero blocks.
+    ``eta'_i`` sums ``k_g ||A_{g,i}||_2^2`` over the row groups touching
+    block ``i``, where ``k_g`` counts only blocks of this phase acting on
+    group ``g``; a coupled block outside every declared group raises
+    ``ValueError``. A family that declares no groups is one group of its
+    coupled blocks (``op_norm_sq > 0``) with their certificates, which gives
+    ``n_eff ||A_i||_2^2``, ``n_eff`` the phase's coupled blocks.
 
     Returns ``{i: (eta_i, alone_i)}`` where ``alone_i`` is true when no other
     phase block shares a row group with ``i``.
     """
+    ops = A.operators
+    groups = A.row_groups
+    if not groups:
+        live = tuple(i for i, op in enumerate(ops) if op.op_norm_sq > 0.0)
+        groups = (RowGroup(live, tuple(ops[i].op_norm_sq for i in live)),)
     members = set(blocks)
-    out = {}
-    if A.row_groups:
-        etas = {i: 0.0 for i in members}
-        alone = {i: True for i in members}
-        seen = set()
-        for g in A.row_groups:
-            seen.update(g.active)
-            act = [i for i in g.active if i in members]
-            k = len(act)
-            for i in act:
-                etas[i] += k * g.norm_sq_of(i)
-                if k > 1:
-                    alone[i] = False
-        for i in members:
-            if i not in seen and A.operators[i].op_norm_sq > 0.0:
-                raise ValueError(f"block {i} acts outside every declared row group")
-            out[i] = (etas[i], alone[i])
-    else:
-        live = [i for i in members if A.operators[i].op_norm_sq > 0.0]
-        k = len(live)
-        for i in members:
-            nsq = A.operators[i].op_norm_sq
-            out[i] = (k * nsq if nsq > 0.0 else 0.0, k <= 1)
-    return out
+    etas = {i: 0.0 for i in members}
+    alone = {i: True for i in members}
+    seen = set()
+    for g in groups:
+        seen.update(g.active)
+        act = [i for i in g.active if i in members]
+        k = len(act)
+        for i in act:
+            etas[i] += k * g.norm_sq_of(i)
+            if k > 1:
+                alone[i] = False
+    for i in members:
+        if i not in seen and ops[i].op_norm_sq > 0.0:
+            raise ValueError(f"block {i} acts outside every declared row group")
+    return {i: (etas[i], alone[i]) for i in members}
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ The solvers majorize this term by its linearization at the phase anchor plus
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -26,8 +27,10 @@ class SmoothQuadCoupling:
     """
 
     def __init__(self, weight: float, ops: Sequence, offset: np.ndarray):
-        if weight <= 0:
-            raise ValueError("coupling weight must be positive")
+        if not (math.isfinite(weight) and weight > 0):
+            raise ValueError(
+                f"coupling weight must be positive and finite, got {weight}"
+            )
         self.weight = float(weight)
         self.ops = tuple(ops)
         self.offset = np.asarray(offset, dtype=float)

@@ -14,7 +14,6 @@ from mmadmm.blockspace import (
     InvalidWeightError,
     LeftMultiplyOp,
     MaskProjectionOp,
-    NegationOp,
     RightMultiplyOp,
     RowGroup,
     ScaledIdentityOp,
@@ -22,7 +21,6 @@ from mmadmm.blockspace import (
     ZeroOp,
     combined_op_norm_sq,
     dense_matrix,
-    detect_row_groups,
     estimate_op_norm_sq,
     gram_cross_is_zero,
     residual,
@@ -45,7 +43,7 @@ def _op_zoo(seed=0):
         LeftMultiplyOp(X, (6, 2)),
         RightMultiplyOp(X, (2, 4)),
         MaskProjectionOp(mask),
-        NegationOp(DenseMatrixOp(dense)),
+        ScaledIdentityOp(-1.0, (5,)),
         ZeroOp((3,), (5,)),
     ]
 
@@ -321,9 +319,10 @@ class TestNormEstimate:
 
     def test_budget_exhausted_falls_back_to_trace(self):
         M = np.diag([2.0, 1.999999])
-        est = estimate_op_norm_sq(DenseMatrixOp(M), tol=1e-14, max_iter=2)
+        op = DenseMatrixOp(M)
+        est = estimate_op_norm_sq(op, tol=1e-14, max_iter=2)
         assert not est.converged
-        assert est.value == pytest.approx(np.trace(M.T @ M))
+        assert est.value == op.op_norm_sq
         assert est.value >= 4.0
 
     def test_bad_tol_rejected(self):
@@ -347,6 +346,15 @@ class TestCombinedNorm:
         A, _ = stack_rows([(ops, np.zeros(3))], [(2,)])
         assert combined_op_norm_sq(A, []) == 0.0
 
+    def test_budget_exhausted_falls_back_to_certificate_sum(self):
+        rng = np.random.default_rng(9)
+        ops = tuple(DenseMatrixOp(rng.standard_normal((5, m))) for m in (2, 3, 4))
+        A, _ = stack_rows([(ops, np.zeros(5))], [(2,), (3,), (4,)])
+        got = combined_op_norm_sq(A, [0, 2], tol=1e-14, max_iter=2)
+        assert got == ops[0].op_norm_sq + ops[2].op_norm_sq
+        exact = combined_op_norm_sq(A, [0, 2])
+        assert got >= exact
+
 
 class TestGramCross:
     def test_disjoint_stacked_rows_structural(self):
@@ -365,7 +373,7 @@ class TestGramCross:
     def test_dense_vs_negation_not_orthogonal(self):
         rng = np.random.default_rng(8)
         op = DenseMatrixOp(rng.standard_normal((5, 3)))
-        assert not gram_cross_is_zero(op, NegationOp(op))
+        assert not gram_cross_is_zero(op, DenseMatrixOp(-op.matrix))
 
     def test_disjoint_masks_structural(self):
         m1 = np.zeros((3, 3))
@@ -373,9 +381,6 @@ class TestGramCross:
         m2 = np.zeros((3, 3))
         m2[2] = 1.0
         assert gram_cross_is_zero(MaskProjectionOp(m1), MaskProjectionOp(m2))
-        assert gram_cross_is_zero(
-            MaskProjectionOp(m1), NegationOp(MaskProjectionOp(m2))
-        )
         assert not gram_cross_is_zero(MaskProjectionOp(m1), MaskProjectionOp(m1))
 
     def test_zero_operator_always_orthogonal(self):
@@ -497,6 +502,87 @@ class TestWeightMatrix:
 # ---------------------------------------------------------------------------
 
 
+def _stacked(*ops):
+    """One block's StackedOp with one constraint row per operator."""
+    pieces, off = [], 0
+    for op in ops:
+        pieces.append((off, op.out_shape, op))
+        off += math.prod(op.out_shape)
+    return StackedOp(pieces, off, ops[0].in_shape)
+
+
+def _gram_dense(rep, shape):
+    """A ``gram_rep`` as a dense matrix on the C-order flattened block."""
+    tag, payload = rep
+    if tag == "scalar":
+        return payload * np.eye(math.prod(shape))
+    if tag == "diag":
+        return np.diag(payload.ravel())
+    if tag == "left":
+        return np.kron(payload, np.eye(shape[1]))
+    if tag == "right":
+        return np.kron(np.eye(shape[0]), payload.T)
+    return payload
+
+
+class _NoGramOp(DenseMatrixOp):
+    """A dense operator that declares no Gram form."""
+
+    def gram_rep(self):
+        return None
+
+
+class TestStackedGram:
+    def test_gram_rep_is_the_summed_member_grams(self):
+        rng = np.random.default_rng(31)
+        mat = (2, 3)
+        mask = (rng.random(mat) < 0.5).astype(float)
+        mixes = {
+            "scalar": _stacked(
+                ScaledIdentityOp(2.0, (3,)),
+                ScaledIdentityOp(-1.0, (3,)),
+                ZeroOp((3,), (2,)),
+            ),
+            "diag": _stacked(MaskProjectionOp(mask), ScaledIdentityOp(1.5, mat)),
+            "left": _stacked(
+                LeftMultiplyOp(rng.standard_normal((4, 2)), mat),
+                LeftMultiplyOp(rng.standard_normal((5, 2)), mat),
+                ScaledIdentityOp(0.5, mat),
+            ),
+            "right": _stacked(
+                RightMultiplyOp(rng.standard_normal((3, 4)), mat),
+                ZeroOp(mat, (2,)),
+            ),
+            "dense": _stacked(
+                DenseMatrixOp(rng.standard_normal((5, 3))),
+                ScaledIdentityOp(-2.0, (3,)),
+            ),
+            "single": _stacked(LeftMultiplyOp(rng.standard_normal((4, 2)), mat)),
+        }
+        for name, op in mixes.items():
+            rep = op.gram_rep()
+            assert rep[0] == ("left" if name == "single" else name)
+            D = op_dense(op)
+            np.testing.assert_allclose(
+                _gram_dense(rep, op.in_shape), D.T @ D, atol=1e-12, err_msg=name
+            )
+
+    def test_gram_rep_none_without_one_combined_form(self):
+        rng = np.random.default_rng(32)
+        mat = (2, 3)
+        mask = (rng.random(3) < 0.5).astype(float)
+        assert _stacked(
+            LeftMultiplyOp(rng.standard_normal((4, 2)), mat),
+            RightMultiplyOp(rng.standard_normal((3, 4)), mat),
+        ).gram_rep() is None
+        assert _stacked(
+            MaskProjectionOp(mask), DenseMatrixOp(rng.standard_normal((4, 3)))
+        ).gram_rep() is None
+        assert _stacked(
+            ScaledIdentityOp(1.0, (3,)), _NoGramOp(rng.standard_normal((4, 3)))
+        ).gram_rep() is None
+
+
 class TestStacking:
     def test_single_row_keeps_natural_shape(self):
         ops = (DenseMatrixOp(np.ones((3, 2))), None)
@@ -542,26 +628,6 @@ class TestStacking:
         A, _ = stack_rows([(ops, np.zeros(3))], [(2,), (4,)])
         np.testing.assert_allclose(dense_matrix(A), family_dense(A), atol=1e-12)
 
-    def test_detect_row_groups_on_block_diagonal(self):
-        M1 = np.array([[1.0, 2.0], [0.0, 3.0]])
-        M2 = np.array([[4.0], [5.0]])
-        top = np.vstack([M1, np.zeros((2, 2))])
-        bottom = np.vstack([np.zeros((2, 1)), M2])
-        A = BlockOperatorFamily(
-            (DenseMatrixOp(top), DenseMatrixOp(bottom)), (4,)
-        )
-        grouped = detect_row_groups(A)
-        actives = sorted(g.active for g in grouped.row_groups)
-        assert actives == [(0,), (1,)]
-        exact = {
-            0: np.linalg.svd(M1, compute_uv=False)[0] ** 2,
-            1: np.linalg.svd(M2, compute_uv=False)[0] ** 2,
-        }
-        for g in grouped.row_groups:
-            i = g.active[0]
-            assert g.norm_sq_of(i) == pytest.approx(exact[i], rel=1e-5)
-            assert grouped.operators[i].op_norm_sq >= exact[i] * (1 - 1e-12)
-
     def test_family_validates_constraint_space(self):
         with pytest.raises(DimensionError):
             BlockOperatorFamily(
@@ -572,7 +638,6 @@ class TestStacking:
         with pytest.raises(ValueError):
             RowGroup((0, 1), (1.0,))
         g = RowGroup((1, 3), (2.0, 5.0))
-        assert g.count() == 2
         assert g.norm_sq_of(3) == 5.0
         with pytest.raises(ValueError):
             g.norm_sq_of(0)

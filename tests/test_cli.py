@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from mmadmm import problems
+from mmadmm import partition, problems
 from mmadmm.cli import _CONFIG_FIELDS, build_parser, main
 from mmadmm.fileio import read_array_csv, read_array_mm, read_manifest, read_trace_csv
 from mmadmm.partition import case1_partition, case1_scan
@@ -133,6 +133,15 @@ class TestGenerate:
         assert "missing key 'd'" in err
         assert not out.exists()
 
+    def test_non_finite_lam_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "nmc"
+        argv = ["generate", "--problem", "nmc", "--seed", "0", "--d", "4"]
+        code = main(argv + ["--n", "4", "--lam", "nan", "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: cannot generate nmc")
+        assert "lam must be positive and finite, got nan" in err
+        assert not out.exists()
 
     def test_flag_the_problem_ignores_is_config_error(self, tmp_path, capsys):
         out = tmp_path / "lat"
@@ -550,6 +559,25 @@ class TestPartitionStudy:
         assert float(m.group(2)) == chosen.score
         got_b1 = tuple(int(v) for v in m.group(3).split(",")) if m.group(3) else ()
         assert got_b1 == chosen.b1
+
+    def test_scans_once(self, tmp_path, capsys, monkeypatch):
+        # One scan: three footnote power iterations (n1 = 1, 2, 3), and the
+        # split is read from the scan that the curve comes from.
+        manifest = _generate_nnsc(tmp_path, n_blocks=5)
+        calls = []
+        combined = partition.combined_op_norm_sq
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return combined(*args, **kwargs)
+
+        monkeypatch.setattr(partition, "combined_op_norm_sq", counting)
+        out = tmp_path / "study.csv"
+        code = main(
+            ["partition-study", "--manifest", str(manifest), "--out", str(out)]
+        )
+        assert code == 0
+        assert len(calls) == 3
 
     def test_needs_two_blocks(self, tmp_path, capsys):
         manifest = _generate_nnsc(tmp_path, n_blocks=1)

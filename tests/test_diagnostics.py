@@ -5,6 +5,7 @@ import pytest
 from scipy.optimize import linprog
 
 from mmadmm.blockspace import (
+    BlockOperatorFamily,
     BlockVector,
     DenseMatrixOp,
     ScaledIdentityOp,
@@ -64,6 +65,36 @@ class TestGapPieces:
         # 5.0 - 0.5 + <(-1,0),(2,1)> + (2*0.2/2)*5 = 3.5
         assert kkt_gap(x_bar, cert, problem, alpha=0.2, beta0=2.0) == 3.5
         assert abs(kkt_gap(cert.x_star, cert, problem, 0.2, 2.0)) <= 1e-12
+
+    def test_kkt_gap_applies_the_family_twice(self, monkeypatch):
+        problem = quad_problem(4)
+        A, b = problem.family, problem.b
+        rng = np.random.default_rng(6)
+        cert = KKTCertificate(
+            x_star=BlockVector([rng.standard_normal(s) for s in A.block_shapes]),
+            lambda_star=rng.standard_normal(A.out_shape),
+            tol=1e-9,
+            f_star=0.25,
+            residual_norm=0.0,
+        )
+        x_bar = BlockVector([rng.standard_normal(s) for s in A.block_shapes])
+        resid = A.apply(x_bar) - b
+        want = (
+            problem.objective(x_bar)
+            - cert.f_star
+            + float(np.vdot(cert.lambda_star, A.apply(x_bar) - A.apply(cert.x_star)))
+            + 0.5 * 2.0 * 0.3 * float(np.vdot(resid, resid))
+        )
+        calls = []
+        apply = BlockOperatorFamily.apply
+
+        def counting(self, x):
+            calls.append(x)
+            return apply(self, x)
+
+        monkeypatch.setattr(BlockOperatorFamily, "apply", counting)
+        assert kkt_gap(x_bar, cert, problem, alpha=0.3, beta0=2.0) == want
+        assert len(calls) == 2
 
 
 class TestTheoremAlpha:

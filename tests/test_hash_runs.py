@@ -1,10 +1,13 @@
 """``tools/hash_runs.py``: the bitwise run hash that checks a refactor."""
 
+import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
-TOOL = Path(__file__).resolve().parent.parent / "tools" / "hash_runs.py"
+ROOT = Path(__file__).resolve().parent.parent
+TOOL = ROOT / "tools" / "hash_runs.py"
 
 
 def _hashes(*flags, problems="l1_toy,quad", kinds="jacobi,madmm-bt,gs"):
@@ -33,3 +36,30 @@ def test_an_error_is_hashed_as_the_run_outcome():
     flags = ("--schedules", "geometric", "--workers", "1", "--iters", "2")
     (line,) = _hashes(*flags, problems="nmc", kinds="gs")
     assert line.split()[:5] == ["nmc", "gs", "geometric", "1", "ValueError"]
+
+
+def test_src_names_the_package_that_is_hashed(tmp_path):
+    def copy(name):
+        dest = tmp_path / name
+        shutil.copytree(
+            ROOT / "src" / "mmadmm",
+            dest / "mmadmm",
+            ignore=shutil.ignore_patterns("__pycache__"),
+        )
+        return dest
+
+    same, changed = copy("same"), copy("changed")
+    solvers = changed / "mmadmm" / "solvers.py"
+    pattern = re.compile(r"^MARGIN_STRICT = .*$", re.M)
+    text, count = pattern.subn("MARGIN_STRICT = 1.5", solvers.read_text())
+    assert count == 1
+    solvers.write_text(text)
+    # Both blocks of quad share the second phase, whose weights take the margin.
+    flags = ("--schedules", "geometric", "--workers", "1", "--iters", "3")
+    grid = dict(problems="quad", kinds="jacobi,l-admm-ps")
+    here = _hashes(*flags, **grid)
+    assert _hashes("--src", str(same), *flags, **grid) == here
+    other = _hashes("--src", str(changed), *flags, **grid)
+    assert len(other) == len(here) == 2
+    for a, b in zip(here, other):
+        assert a.split()[:-1] == b.split()[:-1] and a != b

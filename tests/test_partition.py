@@ -13,8 +13,10 @@ from mmadmm.blockspace import (
     combined_op_norm_sq,
     gram_cross_is_zero,
 )
+from mmadmm import partition
 from mmadmm.partition import (
     Partition,
+    best_prefix,
     case1_partition,
     case1_scan,
     case2_partition,
@@ -132,6 +134,13 @@ class TestCase1Partition:
         p = case1_partition([0.0, 0.0])
         assert p.b1 == (0,)
         assert p.b2 == (1,)
+
+    def test_best_prefix_of_a_scan(self):
+        norms = [4.0, 3.0, 2.0, 1.0]
+        assert best_prefix(*case1_scan(norms)) == case1_partition(norms)
+        # The lowest score wins, a tie going to the shorter prefix.
+        got = best_prefix((2, 0, 1), (5.0, 1.0, 1.0))
+        assert got == Partition((0, 2), (1,), case="I", score=1.0)
 
     def test_needs_two_blocks(self):
         with pytest.raises(ValueError):
@@ -316,6 +325,21 @@ class TestChoosePartition:
             assert part == Partition(
                 tuple(sorted(order[:n1])), tuple(sorted(order[n1:])), case="user"
             )
+
+    def test_n1_runs_no_footnote_power_iteration(self, monkeypatch):
+        problem = self._problem()
+        order, _ = case1_scan(list(problem.family.norms_sq()), problem.family)
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return combined_op_norm_sq(*args, **kwargs)
+
+        monkeypatch.setattr(partition, "combined_op_norm_sq", counting)
+        for n1 in (1, 2, 3):
+            part = choose_partition(problem, n1=n1)
+            assert part.b1 == tuple(sorted(order[:n1]))
+        assert calls == []
 
     @pytest.mark.parametrize("n1", [0, 4])
     def test_n1_out_of_range(self, n1):

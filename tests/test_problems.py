@@ -1,5 +1,7 @@
 """Benchmark problem builders: wiring, data generation, manifest round trips."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -54,6 +56,11 @@ class TestDataGenSpec:
         base.update(kwargs)
         with pytest.raises(ValueError):
             DataGenSpec(**base)
+
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf, -1.0])
+    def test_noise_sigma_finite_and_nonnegative(self, sigma):
+        with pytest.raises(ValueError, match="noise_sigma must be finite"):
+            DataGenSpec(seed=0, d=5, n=3, noise_sigma=sigma)
 
 
 class TestNonnegSparseCoding:
@@ -335,6 +342,52 @@ class TestSubspaceData:
     def test_validation(self):
         with pytest.raises(ValueError, match="corrupt_frac"):
             make_subspace_data(seed=0, corrupt_frac=1.2)
+
+
+class TestNonFiniteLam:
+    @pytest.mark.parametrize("lam", [math.nan, math.inf])
+    def test_every_builder_names_lam(self, lam):
+        X = make_subspace_data(0, d=6, rank=2, n_subspaces=2, per_subspace=4)
+        builds = (
+            lambda: build_nonneg_sparse_coding_noisy(_gen(), lam=lam),
+            lambda: build_latent_lrr(X, lam=lam),
+            lambda: build_latent_lrr(X, lam=lam, formulation="2-block"),
+            lambda: build_lrr(X, X, lam=lam),
+            lambda: build_nonneg_matrix_completion(_gen(), lam=lam),
+        )
+        message = f"lam must be positive and finite, got {lam}"
+        for build in builds:
+            with pytest.raises(ValueError, match=message):
+                build()
+
+    def test_manifest_rejects_non_finite_lam(self):
+        latlrr3 = {"problem": "latlrr3", "seed": 0, "d": 6, "lam": "nan"}
+        with pytest.raises(ValueError, match="lam"):
+            from_manifest(latlrr3)
+        nmc = {"problem": "nmc", "seed": 0, "d": 4, "n": 4, "lam": "inf"}
+        with pytest.raises(ValueError, match="lam"):
+            from_manifest(nmc)
+
+
+class TestNegatedIdentityPieces:
+    def test_minus_identity_is_exact(self):
+        X = make_subspace_data(0, d=6, rank=2, n_subspaces=2, per_subspace=4)
+        gen = DataGenSpec(seed=0, d=4, n=5)
+        # (problem, row, block) of each -I piece: E in latlrr3, J in lrr,
+        # Z in nmc.
+        cases = (
+            (build_latent_lrr(X), 1, 2),
+            (build_lrr(X, X), 1, 0),
+            (build_nonneg_matrix_completion(gen), 1, 2),
+        )
+        rng = np.random.default_rng(5)
+        for problem, row, block in cases:
+            op = problem.rows[row][0][block]
+            v = rng.standard_normal(op.in_shape)
+            np.testing.assert_array_equal(op.apply(v), -v)
+            np.testing.assert_array_equal(op.adjoint(v), -v)
+            assert op.op_norm_sq == 1.0 + 1e-12
+            assert op.gram_rep() == ("scalar", 1.0)
 
 
 class TestManifestRoundTrip:

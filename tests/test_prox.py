@@ -285,6 +285,9 @@ class TestProxFunction:
             ProxFunction("l0")
         with pytest.raises(ValueError):
             ProxFunction("l1", -1.0)
+        for weight in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="weight must be finite"):
+                ProxFunction("l1", weight)
 
     def test_entrywise_flags(self):
         assert ProxFunction("l1").entrywise

@@ -111,6 +111,12 @@ class TestSolverConfig:
         with pytest.raises(ValueError, match=message):
             SolverConfig(**kwargs)
 
+    def test_int_field_takes_integral_values_only(self):
+        with pytest.raises(ValueError, match="max_iter must be an integer, got 2.5"):
+            SolverConfig(max_iter=2.5)
+        c = SolverConfig(max_iter=10.0)
+        assert c.max_iter == 10 and type(c.max_iter) is int
+
 
 class TestDualAndErgodic:
     def test_dual_update_hand_example(self):
@@ -150,7 +156,7 @@ class TestPhaseSmoothness:
         sm = phase_smoothness(A, (0, 1, 2))
         assert sm[0] == (2 * ops[0].op_norm_sq, False)
         assert sm[1] == (2 * ops[1].op_norm_sq, False)
-        assert sm[2] == (0.0, False)
+        assert sm[2] == (0.0, True)
 
     def test_single_live_block_is_alone(self):
         rng = np.random.default_rng(82)
@@ -186,6 +192,27 @@ class TestPhaseSmoothness:
         solo = phase_smoothness(A, (0,))
         assert solo[0][0] == pytest.approx(g1.norm_sq_of(0) + g2.norm_sq_of(0))
         assert solo[0][1] is True
+
+    def test_bare_family_reads_as_one_stacked_row(self):
+        # A family without row groups gives, bit for bit, what the same
+        # operators give through a one-row stack_rows.
+        rng = np.random.default_rng(84)
+        ops = (
+            DenseMatrixOp(rng.standard_normal((4, 2))),
+            ZeroOp((3,), (4,)),
+            DenseMatrixOp(rng.standard_normal((4, 3))),
+            ScaledIdentityOp(-1.0, (4,)),
+        )
+        bare = BlockOperatorFamily(ops, (4,))
+        row = tuple(None if isinstance(op, ZeroOp) else op for op in ops)
+        grouped, _ = stack_rows([(row, np.zeros(4))], [op.in_shape for op in ops])
+        assert bare.row_groups is None and len(grouped.row_groups) == 1
+        for blocks in ((0, 1, 2, 3), (0, 2), (3,), (1, 2)):
+            want = phase_smoothness(grouped, blocks)
+            got = phase_smoothness(bare, blocks)
+            for i in blocks:
+                if ops[i].op_norm_sq > 0.0:
+                    assert got[i] == want[i]
 
 
 class TestDefaultWeights:

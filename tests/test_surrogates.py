@@ -277,6 +277,11 @@ class TestBlockModelAxioms:
 
 
 class TestSmoothQuadCoupling:
+    def test_weight_must_be_positive_and_finite(self):
+        for weight in (math.nan, math.inf, 0.0):
+            with pytest.raises(ValueError, match="coupling weight must be positive"):
+                _coupling(weight=weight)
+
     def test_value_and_residual(self):
         f = _coupling(seed=7)
         rng = np.random.default_rng(58)

@@ -5,12 +5,16 @@ worker count, then how the run ended (its stop reason, or the class of the
 error it raised) and a SHA-256 over everything the run produced: every
 iterate, every trace row without its wall time, the final multiplier, each
 block's final weight level ``eta``, and the stop reason or the error
-message. Two trees that print the same lines ran bitwise the same
+message. Two packages that print the same lines ran bitwise the same
 iterations, so a refactor that must not change the iterates is checked by
 
-    python3 tools/hash_runs.py > before.txt    # on the old tree
-    python3 tools/hash_runs.py > after.txt     # on the new tree
+    python3 tools/hash_runs.py --src OLD/src > before.txt
+    python3 tools/hash_runs.py > after.txt
     diff before.txt after.txt
+
+where ``--src`` names the directory holding the ``mmadmm`` package to hash
+(default: this tree's ``src``); the problem grid always comes from this
+tree's ``tests/helpers.py`` and this file.
 
 The full grid is every solver kind on eight problems, both schedules and 1
 or 2 workers, 40 iterations each (224 runs). ``--problems``, ``--kinds``,
@@ -27,45 +31,47 @@ from dataclasses import astuple
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
-
-from helpers import l1_toy, quad_problem  # noqa: E402
-from mmadmm.problems import (  # noqa: E402
-    DataGenSpec,
-    build_latent_lrr,
-    build_lrr,
-    build_nonneg_matrix_completion,
-    build_nonneg_sparse_coding,
-    build_nonneg_sparse_coding_noisy,
-    make_subspace_data,
-)
-from mmadmm.solvers import SOLVER_KINDS, SolverConfig, run  # noqa: E402
-
-
-def _subspace():
-    return make_subspace_data(0, d=10, rank=2, n_subspaces=3, per_subspace=6)
-
-
-PROBLEMS = {
-    "nnsc": lambda: build_nonneg_sparse_coding(DataGenSpec(0, d=30, n=40)),
-    "nnsc-noisy": lambda: build_nonneg_sparse_coding_noisy(
-        DataGenSpec(0, d=20, n=12, noise_sigma=0.1)
-    ),
-    "latlrr3": lambda: build_latent_lrr(_subspace(), formulation="3-block"),
-    "latlrr2": lambda: build_latent_lrr(_subspace(), formulation="2-block"),
-    "lrr": lambda: build_lrr(_subspace(), _subspace()),
-    "nmc": lambda: build_nonneg_matrix_completion(
-        DataGenSpec(0, d=12, n=10, rank=2, noise_sigma=0.1)
-    ),
-    "quad": lambda: quad_problem(3),
-    "l1_toy": l1_toy,
-}
 SCHEDULES = ("geometric", "adaptive")
 WORKERS = (1, 2)
 
 
+def _load(src: Path) -> dict:
+    """Import ``mmadmm`` from ``src`` and return the grid's problem builders."""
+    sys.path[:0] = [str(src), str(ROOT / "tests")]
+    from helpers import l1_toy, quad_problem
+    from mmadmm.problems import (
+        DataGenSpec,
+        build_latent_lrr,
+        build_lrr,
+        build_nonneg_matrix_completion,
+        build_nonneg_sparse_coding,
+        build_nonneg_sparse_coding_noisy,
+        make_subspace_data,
+    )
+
+    def subspace():
+        return make_subspace_data(0, d=10, rank=2, n_subspaces=3, per_subspace=6)
+
+    return {
+        "nnsc": lambda: build_nonneg_sparse_coding(DataGenSpec(0, d=30, n=40)),
+        "nnsc-noisy": lambda: build_nonneg_sparse_coding_noisy(
+            DataGenSpec(0, d=20, n=12, noise_sigma=0.1)
+        ),
+        "latlrr3": lambda: build_latent_lrr(subspace(), formulation="3-block"),
+        "latlrr2": lambda: build_latent_lrr(subspace(), formulation="2-block"),
+        "lrr": lambda: build_lrr(subspace(), subspace()),
+        "nmc": lambda: build_nonneg_matrix_completion(
+            DataGenSpec(0, d=12, n=10, rank=2, noise_sigma=0.1)
+        ),
+        "quad": lambda: quad_problem(3),
+        "l1_toy": l1_toy,
+    }
+
+
 def hash_run(problem, kind: str, schedule: str, workers: int, iters: int):
     """``(status, sha256 hex)`` of one run of ``kind`` on ``problem``."""
+    from mmadmm.solvers import SolverConfig, run
+
     digest = hashlib.sha256()
     config = SolverConfig(max_iter=iters, eps_step=0.0, schedule=schedule)
     try:
@@ -94,18 +100,24 @@ def _subset(text: str, allowed, cast=str) -> tuple:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--problems", default=",".join(PROBLEMS))
-    parser.add_argument("--kinds", default=",".join(SOLVER_KINDS))
+    parser.add_argument("--src", type=Path, default=ROOT / "src")
+    parser.add_argument("--problems", help="default: every problem")
+    parser.add_argument("--kinds", help="default: every solver kind")
     parser.add_argument("--schedules", default=",".join(SCHEDULES))
     parser.add_argument("--workers", default=",".join(map(str, WORKERS)))
     parser.add_argument("--iters", type=int, default=40)
     args = parser.parse_args(argv)
-    names = _subset(args.problems, PROBLEMS)
-    kinds = _subset(args.kinds, SOLVER_KINDS)
+    if not (args.src / "mmadmm").is_dir():
+        raise SystemExit(f"no mmadmm package under {args.src}")
+    builders = _load(args.src.resolve())
+    from mmadmm.solvers import SOLVER_KINDS
+
+    names = _subset(args.problems or ",".join(builders), builders)
+    kinds = _subset(args.kinds or ",".join(SOLVER_KINDS), SOLVER_KINDS)
     schedules = _subset(args.schedules, SCHEDULES)
     workers = _subset(args.workers, WORKERS, int)
     for name in names:
-        problem = PROBLEMS[name]()
+        problem = builders[name]()
         for kind in kinds:
             for schedule in schedules:
                 for w in workers:
