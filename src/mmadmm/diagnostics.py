@@ -91,14 +91,19 @@ def kkt_gap(
     problem,
     alpha: float,
     beta0: float,
+    star_image: Optional[np.ndarray] = None,
 ) -> float:
     """``f(xb) - f(x*) + <lam*, A xb - A x*> + (beta0 alpha / 2) ||A xb - b||^2``.
 
     Nonnegative for any valid certificate by convexity plus stationarity.
+    ``star_image``, when given, is ``A x*``; a caller scoring many ``xb``
+    against one certificate forms it once.
     """
     A, b = problem.family, problem.b
     image = A.apply(x_bar)
-    diff = image - A.apply(cert.x_star)
+    if star_image is None:
+        star_image = A.apply(cert.x_star)
+    diff = image - star_image
     resid = residual(A, x_bar, b, image=image)
     return (
         problem.objective(x_bar)
@@ -301,11 +306,12 @@ def bound_report(
     bundle = theorem_H0(problem, kind, G, beta0, partition=partition)
     x0 = BlockVector.zeros(problem.block_shapes)
     lam0 = np.zeros(problem.family.out_shape)
+    star_image = problem.family.apply(cert.x_star)
     rows = []
     top = len(result.iterates) if K_max is None else min(K_max + 1, len(result.iterates))
     for K in range(top):
         x_bar = ergodic_average(result.iterates[: K + 1], result.betas[: K + 1])
-        lhs = kkt_gap(x_bar, cert, problem, alpha, beta0)
+        lhs = kkt_gap(x_bar, cert, problem, alpha, beta0, star_image)
         rhs = theorem_bound_rhs(x0, lam0, cert, bundle, result.betas, K)
         rows.append((K, lhs, rhs))
     return BoundReport(alpha, rows)

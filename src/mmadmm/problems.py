@@ -150,14 +150,14 @@ class ProblemSpec:
             if not in_row and self.terms[i] is None and not in_smooth:
                 raise ValueError(f"block {i} appears nowhere in the problem")
         self.family, self.b = stack_rows(self.rows, self.block_shapes)
-        # (term, start, stop, shape) per run of back-to-back blocks with
-        # equal entrywise terms, shape None; any other term is a run of one
-        # block that keeps its shape.
+        # (first block, term, start, stop, shape) per run of back-to-back
+        # blocks with equal entrywise terms, shape None; any other term is a
+        # run of one block that keeps its shape.
         layout = _Layout(self.block_shapes)
         keys = [(t,) if t is not None and t.entrywise else None for t in self.terms]
         scored = [i for i, t in enumerate(self.terms) if t is not None]
         self._term_runs = tuple(
-            (self.terms[i], start, stop, None if keys[i] else layout.shapes[i])
+            (i, self.terms[i], start, stop, None if keys[i] else layout.shapes[i])
             for (i, *_), start, stop in layout.runs(scored, keys)
         )
 
@@ -165,20 +165,29 @@ class ProblemSpec:
     def n(self) -> int:
         return len(self.block_shapes)
 
-    def objective(self, x: BlockVector) -> float:
+    def objective(self, x: BlockVector, values: Optional[dict] = None) -> float:
         """Block terms plus the smooth term at ``x``.
 
         Each run of back-to-back blocks with equal entrywise terms is scored
-        by one ``value`` call on its packed entries.
+        by one ``value`` call on its packed entries; any other term is a run
+        of one, scored by its own call. ``values`` may map a block to its
+        term's value at ``x`` (``None``: unknown), as ``solvers.run`` carries
+        them from the proxes that produced ``x``; a run of one whose value is
+        given then makes no call. Without ``values`` every term is scored
+        from ``x``.
         """
         if x.shapes != self.block_shapes:
             raise DimensionError(
                 f"blocks of shapes {x.shapes}, problem has {self.block_shapes}"
             )
+        values = values or {}
         total = 0.0
-        for term, start, stop, shape in self._term_runs:
-            v = x.flat[start:stop]
-            total += term.value(v if shape is None else v.reshape(shape))
+        for i, term, start, stop, shape in self._term_runs:
+            known = None if shape is None else values.get(i)
+            if known is None:
+                v = x.flat[start:stop]
+                known = term.value(v if shape is None else v.reshape(shape))
+            total += known
         if self.smooth is not None:
             total += self.smooth.value(x)
         return float(total)

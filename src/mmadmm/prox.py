@@ -57,6 +57,11 @@ def prox_nuclear(V: np.ndarray, t: float) -> np.ndarray:
     """Singular value thresholding: minimizes ``t ||X||_* + 0.5 ||X - V||_F^2``."""
     V = np.asarray(V, dtype=float)
     _check_threshold(t)
+    return _svt(V, t)[0]
+
+
+def _svt(V: np.ndarray, t: float):
+    """``(X, s)``: the thresholded matrix and its singular values ``max(s_V - t, 0)``."""
     try:
         U, s, Wt = _svd(V)
     except np.linalg.LinAlgError as exc:
@@ -66,7 +71,12 @@ def prox_nuclear(V: np.ndarray, t: float) -> np.ndarray:
             f"any non-finite: {bool(~np.all(np.isfinite(V)))}"
         ) from exc
     s = np.maximum(s - t, 0.0)
-    return (U * s) @ Wt
+    return (U * s) @ Wt, s
+
+
+def _nuclear_value(weight: float, s: np.ndarray) -> float:
+    """``weight * ||X||_*`` from the singular values ``s`` of ``X``."""
+    return weight * float(np.sum(s))
 
 
 def _svd(V: np.ndarray, compute_uv: bool = True):
@@ -174,8 +184,7 @@ class ProxFunction:
                 return float("inf")
             return self.weight * float(np.sum(v))
         if self.kind == "nuclear":
-            s = _svd(v, compute_uv=False)
-            return self.weight * float(np.sum(s))
+            return _nuclear_value(self.weight, _svd(v, compute_uv=False))
         if self.kind == "sq-frobenius":
             return 0.5 * self.weight * float(np.vdot(v, v))
         if self.kind == "l21":
@@ -184,7 +193,7 @@ class ProxFunction:
             return float("inf")
         return 0.0
 
-    def prox(self, v: np.ndarray, t, out=None) -> np.ndarray:
+    def prox(self, v: np.ndarray, t, out=None, return_value: bool = False):
         """Minimize ``t * weight * g(x) + 0.5 ||x - v||^2``.
 
         ``t`` must be positive; it may be an array (entrywise kinds only), in
@@ -193,6 +202,13 @@ class ProxFunction:
         it for the nonnegative kinds. ``out``, when given, receives the
         result; it may be ``v`` itself, and entrywise kinds of weight 1 then
         make no fresh full-size arrays.
+
+        With ``return_value``, returns ``(x, value)``: ``value`` is the
+        term's value at ``x`` where the prox knows it, else ``None``. Only
+        singular value thresholding does: the singular values of ``x`` are
+        ``max(s - t weight, 0)``, so a nuclear term of positive weight
+        gives ``weight`` times their sum, :meth:`value` of ``x`` up to
+        rounding, without a second SVD.
         """
         v = np.asarray(v, dtype=float)
         _check_threshold(t)
@@ -200,25 +216,28 @@ class ProxFunction:
             if not self.entrywise:
                 raise ValueError(f"{self.kind} prox needs a scalar threshold")
             t = np.asarray(t, dtype=float)
+        value = None
         if self.kind == "indicator-nonneg" or (
             self.kind == "l1-nonneg" and self.weight == 0.0
         ):
-            return project_nonneg(v, out)
-        if self.kind == "zero" or self.weight == 0.0:
-            if out is None:
-                return v.copy()
-            np.copyto(out, v)
-            return out
-        tw = t if self.weight == 1.0 else t * self.weight
-        if self.kind == "l1":
-            return _shrink(v, tw, out)
-        if self.kind == "l1-nonneg":
-            return _shrink_nonneg(v, tw, out)
-        if self.kind == "sq-frobenius":
-            # min (tw/2) x^2 + (1/2)(x - v)^2  =>  x = v / (1 + tw)
-            return np.divide(v, 1.0 + tw, out=out)
-        x = prox_nuclear(v, tw) if self.kind == "nuclear" else prox_l21(v, tw)
-        if out is None:
-            return x
-        out[...] = x
-        return out
+            x = project_nonneg(v, out)
+        elif self.kind == "zero" or self.weight == 0.0:
+            x = v if out is not None else v.copy()
+        else:
+            tw = t if self.weight == 1.0 else t * self.weight
+            if self.kind == "l1":
+                x = _shrink(v, tw, out)
+            elif self.kind == "l1-nonneg":
+                x = _shrink_nonneg(v, tw, out)
+            elif self.kind == "sq-frobenius":
+                # min (tw/2) x^2 + (1/2)(x - v)^2  =>  x = v / (1 + tw)
+                x = np.divide(v, 1.0 + tw, out=out)
+            elif self.kind == "nuclear":
+                x, s = _svt(v, tw)
+                value = _nuclear_value(self.weight, s)
+            else:
+                x = prox_l21(v, tw)
+        if out is not None and x is not out:
+            out[...] = x
+            x = out
+        return (x, value) if return_value else x

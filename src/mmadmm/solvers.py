@@ -103,7 +103,8 @@ class SolverConfig:
     below ``eps_primal``. ``weights`` overrides the automatic per-block
     proximal weights; ``partition`` may be a Partition or ``"auto"``.
     Numeric fields are coerced to ``float``/``int`` and must be finite; an
-    ``int`` field takes an integral value only (``10.0`` but not ``2.5``).
+    ``int`` field takes an integral value only (``10.0`` but not ``2.5``),
+    and an integer passes through exactly, however large.
     """
 
     beta0: float = 1e-4
@@ -122,7 +123,11 @@ class SolverConfig:
     def __post_init__(self):
         for f in fields(self):
             if isinstance(f.default, (int, float)):
-                value = float(getattr(self, f.name))
+                value = getattr(self, f.name)
+                if isinstance(f.default, int) and isinstance(value, numbers.Integral):
+                    setattr(self, f.name, int(value))
+                    continue
+                value = float(value)
                 if not math.isfinite(value):
                     raise ValueError(f"{f.name} must be finite, got {value}")
                 if isinstance(f.default, int) and not value.is_integer():
@@ -176,9 +181,11 @@ class SolverState:
     """Mutable iteration state: primal blocks, dual, penalty, weights.
 
     ``G`` holds the weights (under ``madmm-bt``, the backtracked levels
-    ``G[i].eta``). ``images`` is ``(x, c, r)``: the block images ``c_i =
-    A_i x_i`` of the iterate ``x`` and their residual ``r = sum_i c_i - b``;
-    :func:`step` recomputes them when they belong to another iterate.
+    ``G[i].eta``). ``images`` is ``(x, c, r, f)``: the block images ``c_i =
+    A_i x_i`` of the iterate ``x``, their residual ``r = sum_i c_i - b`` and
+    ``f``, ``{i: value}`` of the block term values known at ``x`` (``None``
+    or absent: unknown); :func:`step` recomputes the images, with no values,
+    when they belong to another iterate.
     """
 
     x: BlockVector
@@ -527,6 +534,10 @@ def _solve_run(ctx: "_RunContext", run: tuple, curvatures: Sequence[tuple], flat
     <lin_k, v>`` with ``curvatures[k] = (q_iso, q_gram)``. An entrywise run
     makes one prox call with a per-entry threshold: each member's Gram is
     ``c I`` or a diagonal, so its curvature is ``q_iso + q_gram diag``.
+
+    Returns the term's value at the solution for a run of one whose prox
+    gives it (a nuclear term, from the singular values its thresholding
+    produced; see :meth:`ProxFunction.prox`), else ``None``.
     """
     plans, start, stop = run
     v = flat[start:stop]
@@ -535,15 +546,14 @@ def _solve_run(ctx: "_RunContext", run: tuple, curvatures: Sequence[tuple], flat
         v = v.reshape(plan.op.in_shape)
         if plan.path == "eig":
             v[...] = _solve_eig(plan, q_iso, q_gram, v)
-            return
+            return None
         s = q_iso + q_gram * plan.diag
         if s <= 0.0:
             raise UnsupportedSubproblemError(
                 f"block {plan.index}: subproblem has no positive curvature"
             )
         np.divide(v, -s, out=v)
-        plan.prox_term.prox(v, 1.0 / s, out=v)
-        return
+        return plan.prox_term.prox(v, 1.0 / s, out=v, return_value=True)[1]
     for plan, (q_iso, q_gram) in zip(plans, curvatures):
         lo, hi = ctx.layout.bounds[plan.index]
         if isinstance(plan.diag, float):
@@ -565,6 +575,7 @@ def _solve_run(ctx: "_RunContext", run: tuple, curvatures: Sequence[tuple], flat
     if term is not None:
         np.divide(1.0, denom, out=denom)
         term.prox(v, denom, out=v)
+    return None
 
 
 def _solve_eig(plan: _BlockPlan, q_iso: float, q_gram: float, lin: np.ndarray):
@@ -749,10 +760,12 @@ def _run_phase(
     """Update ``blocks`` in parallel, all anchored at ``y`` with images ``c``
     and residual ``r = sum_j c_j - b``; ``blocks`` is not empty.
 
-    Returns the new iterate and its block images. The phase solves in place,
-    one run at a time: each block assembles its linear term into its own
-    slice of the new iterate, each run is solved there with one call, and
-    each updated block is then applied once; the others keep their images.
+    Returns the new iterate, its block images and ``{i: value}`` for each
+    updated block: its term's value at the new iterate as :func:`_solve_run`
+    gave it, or ``None``. The phase solves in place, one run at a time: each
+    block assembles its linear term into its own slice of the new iterate,
+    each run is solved there with one call, and each updated block is then
+    applied once; the others keep their images.
     """
     s_full = r + lam / beta
     smooth_res = None
@@ -769,8 +782,8 @@ def _run_phase(
             )[:2]
             for p in plans
         ]
-        _solve_run(ctx, run, curvatures, x.flat)
-        return [p.op.apply(xb[p.index]) for p in plans]
+        value = _solve_run(ctx, run, curvatures, x.flat)
+        return [p.op.apply(xb[p.index]) for p in plans], value
 
     runs = ctx.runs[blocks]
     if ctx.executor is not None and len(runs) > 1:
@@ -778,10 +791,12 @@ def _run_phase(
     else:
         results = [work(run) for run in runs]
     images = list(c)
-    for (plans, _, _), run_images in zip(runs, results):
+    values = {}
+    for (plans, _, _), (run_images, value) in zip(runs, results):
         for plan, ci in zip(plans, run_images):
             images[plan.index] = ci
-    return x, images
+            values[plan.index] = value
+    return x, images, values
 
 
 # ---------------------------------------------------------------------------
@@ -799,25 +814,27 @@ def step(state: SolverState, ctx: _RunContext):
     carry over to the next iteration. Returns the residual, the penalty the
     iteration used, and its backtrack count.
 
-    The block images ``A_i x_i`` and their residual ``sum_i c_i - b`` are
-    carried from phase to phase and kept on ``state.images``; the images are
-    summed once after each non-empty phase, and the last sum is the dual
-    residual. A rejected phase discards its images.
+    The block images ``A_i x_i``, their residual ``sum_i c_i - b`` and the
+    block term values the phases' proxes gave are carried from phase to
+    phase and kept on ``state.images``; the images are summed once after
+    each non-empty phase, and the last sum is the dual residual. A rejected
+    phase discards its images and values; a block a phase leaves alone keeps
+    its own.
     """
     backtracking = _KINDS[ctx.kind].backtrack
     mu = ctx.config.mu
     x = state.x
     if state.images is None or state.images[0] is not x:
         c = [op.apply(v) for op, v in zip(ctx.A.operators, x.blocks)]
-        state.images = (x, c, ctx.A.image_sum(c) - ctx.b)
-    _, c, resid = state.images
+        state.images = (x, c, ctx.A.image_sum(c) - ctx.b, {})
+    _, c, resid, values = state.images
     backtracks = 0
     for (blocks, _), tau in zip(_phases(ctx.partition), (0.0, ctx.config.tau)):
         if not blocks:
             continue
         cap = _rescale_cap(ctx, blocks, state.G, mu) if backtracking else 0
         while True:
-            x_new, c_new = _run_phase(
+            x_new, c_new, values_new = _run_phase(
                 ctx, blocks, x, c, resid, state.lam, state.beta, state.G
             )
             if not backtracking or _bt_accept(
@@ -832,14 +849,14 @@ def step(state: SolverState, ctx: _RunContext):
                     f"phase acceptance (tau={tau:g}) kept failing beyond the "
                     "safe weight level"
                 )
-        x, c = x_new, c_new
+        x, c, values = x_new, c_new, {**values, **values_new}
         resid = ctx.A.image_sum(c) - ctx.b
     state.backtrack_count += backtracks
     state.lam = dual_update(state.lam, state.beta, resid)
     beta_used = state.beta
     state.beta = _next_beta(ctx, state.beta, x, state.x)
     state.x = x
-    state.images = (x, c, resid)
+    state.images = (x, c, resid, values)
     state.k += 1
     return resid, beta_used, backtracks
 
@@ -925,7 +942,7 @@ def run(
         lam=np.zeros(out_shape),
         beta=config.beta0,
         G=list(ctx.G0),
-        images=(x0, c0, np.subtract(0.0, problem.b)),
+        images=(x0, c0, np.subtract(0.0, problem.b), {}),
     )
     iterates = [] if keep_iterates else None
     betas = [] if keep_iterates else None
@@ -943,7 +960,9 @@ def run(
             step_vec = np.subtract(state.x.flat, x_prev.flat, out=x_prev.flat)
             step_norm = float(np.linalg.norm(step_vec))
             resid_norm = float(np.linalg.norm(resid))
-            objective = problem.objective(state.x)
+            # The values the proxes gave belong to ``state.x`` (``step``
+            # keeps them with its images), so no nuclear block is rescored.
+            objective = problem.objective(state.x, state.images[3])
             if not (
                 math.isfinite(objective)
                 and math.isfinite(resid_norm)

@@ -155,10 +155,11 @@ def reference_run_phase(ctx, blocks, y, c, r, lam, beta, G):
 
     Each block of ``blocks`` assembles its model, solves it on its own and
     is applied once; the result is built from per-block arrays. The images
-    are summed here again, so the carried residual ``r`` is not read.
+    are summed here again, so the carried residual ``r`` is not read. No
+    term value is carried: every updated block maps to ``None``.
     """
     if not blocks:
-        return y, c
+        return y, c, {}
     image_sum = np.zeros(ctx.A.out_shape)
     for ci in c:
         image_sum += ci
@@ -174,7 +175,7 @@ def reference_run_phase(ctx, blocks, y, c, r, lam, beta, G):
         )
         new[i] = reference_solve_block(ctx.plans[i], q_iso, q_gram, lin)
         images[i] = ctx.plans[i].op.apply(new[i])
-    return BlockVector(new), images
+    return BlockVector(new), images, dict.fromkeys(blocks)
 
 
 # ---------------------------------------------------------------------------

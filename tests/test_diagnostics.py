@@ -29,7 +29,7 @@ from mmadmm.diagnostics import (
 from mmadmm.partition import Partition
 from mmadmm.problems import DataGenSpec, ProblemSpec, build_nonneg_sparse_coding
 from mmadmm.prox import ProxFunction
-from mmadmm.solvers import SolverConfig, default_weights, run
+from mmadmm.solvers import SolverConfig, default_weights, ergodic_average, run
 from mmadmm.surrogates import SmoothQuadCoupling
 
 from helpers import op_dense, quad_problem
@@ -297,6 +297,34 @@ class TestBoundReport:
         report = bound_report(problem, "jacobi", result, cert, G, beta0=0.8)
         assert report.alpha > 0.0
         assert report.ok()
+
+    def test_forms_the_certificate_image_once(self, monkeypatch):
+        problem = _dense_pair(seed=7, d=6, dims=(3, 4))
+        G = (WeightMatrix.zero(), WeightMatrix.scaled_identity(0.1))
+        result, cert = self._run_case("gs", problem, G, beta0=0.5, iters=20)
+        alpha = theorem_alpha(problem, "gs", G)
+        want = [
+            kkt_gap(
+                ergodic_average(result.iterates[: K + 1], result.betas[: K + 1]),
+                cert,
+                problem,
+                alpha,
+                0.5,
+            )
+            for K in range(20)
+        ]
+        calls = []
+        apply = BlockOperatorFamily.apply
+
+        def counting(self, x):
+            calls.append(x)
+            return apply(self, x)
+
+        monkeypatch.setattr(BlockOperatorFamily, "apply", counting)
+        report = bound_report(problem, "gs", result, cert, G, beta0=0.5)
+        # One apply of each averaged iterate, plus one of ``x*`` in total.
+        assert len(calls) == len(report.rows) + 1 == 21
+        assert [lhs for _, lhs, _ in report.rows] == want
 
     def test_k_max_truncates(self):
         problem = _dense_pair(seed=7, d=6, dims=(3, 4))

@@ -22,13 +22,15 @@ def test_two_runs_print_the_same_lines():
     assert first == _hashes("--iters", "6")
     assert len(first) == 2 * 3 * 2 * 2
     for line in first:
-        name, kind, schedule, workers, status, sha = line.split()
+        name, kind, schedule, workers, status, sha, iterate_sha = line.split()
         assert name in ("l1_toy", "quad") and kind in ("jacobi", "madmm-bt", "gs")
         assert schedule in ("geometric", "adaptive") and workers in ("1", "2")
-        assert status == "budget" and len(sha) == 64
-    # The hash covers the iterates: one more iteration changes every line.
+        assert status == "budget" and len(sha) == len(iterate_sha) == 64
+        assert sha != iterate_sha
+    # Both digests cover the iterates: one more iteration changes each column.
     longer = _hashes("--iters", "7")
-    assert all(a.split()[-1] != b.split()[-1] for a, b in zip(first, longer))
+    for a, b in zip(first, longer):
+        assert a.split()[-2] != b.split()[-2] and a.split()[-1] != b.split()[-1]
 
 
 def test_an_error_is_hashed_as_the_run_outcome():
@@ -62,4 +64,5 @@ def test_src_names_the_package_that_is_hashed(tmp_path):
     other = _hashes("--src", str(changed), *flags, **grid)
     assert len(other) == len(here) == 2
     for a, b in zip(here, other):
-        assert a.split()[:-1] == b.split()[:-1] and a != b
+        assert a.split()[:5] == b.split()[:5]
+        assert a.split()[5] != b.split()[5] and a.split()[6] != b.split()[6]

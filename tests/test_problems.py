@@ -562,6 +562,28 @@ class TestObjectiveRuns:
         with pytest.raises(DimensionError):
             problem.objective(x)
 
+    def test_given_values_replace_only_runs_of_one(self, monkeypatch):
+        # latlrr3: two nuclear runs of one, then a sq-frobenius run.
+        problem = self._problems()[3]
+        x = self._point(problem, np.random.default_rng(30))
+        terms = problem.terms
+        scored = problem.objective(x)
+        calls = []
+        value = ProxFunction.value
+
+        def counted(term, v):
+            calls.append(term.kind)
+            return value(term, v)
+
+        monkeypatch.setattr(ProxFunction, "value", counted)
+        # A given value is used as is; None or a missing block is scored.
+        given = {0: 1.5, 1: None, 2: 1e6}
+        got = problem.objective(x, given)
+        assert calls == ["nuclear", "sq-frobenius"]
+        assert got == 1.5 + value(terms[1], x[1]) + value(terms[2], x[2])
+        calls.clear()
+        assert problem.objective(x, {}) == scored and len(calls) == 3
+
 
 class TestProblemSpecValidation:
     def test_term_count_must_match(self):

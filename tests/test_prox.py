@@ -9,6 +9,8 @@ from hypothesis.extra import numpy as hnp
 
 from mmadmm.prox import (
     ProxFunction,
+    _nuclear_value,
+    _svt,
     project_nonneg,
     prox_l1,
     prox_l1_nonneg,
@@ -458,3 +460,56 @@ class TestSvdFallback:
         monkeypatch.setattr(np.linalg, "svd", _fail_svd)
         with pytest.raises(np.linalg.LinAlgError, match="any non-finite: True"):
             prox_nuclear(V, 0.5)
+
+
+class TestSvtKernel:
+    """The thresholding kernel's singular values score its own output."""
+
+    @staticmethod
+    def _inputs():
+        rng = np.random.default_rng(67)
+        low = rng.standard_normal((9, 2)) @ rng.standard_normal((2, 6))
+        return {
+            "random": (rng.standard_normal((8, 5)), 0.7),
+            "rank-deficient": (low, 0.3),
+            "fully-thresholded": (0.1 * rng.standard_normal((5, 7)), 10.0),
+        }
+
+    @pytest.mark.parametrize("weight", [0.0, 1.0, 0.3])
+    @pytest.mark.parametrize("name", ["random", "rank-deficient", "fully-thresholded"])
+    def test_value_matches_the_term_value(self, name, weight):
+        V, t = self._inputs()[name]
+        X, s = _svt(V, t)
+        np.testing.assert_array_equal(X, prox_nuclear(V, t))
+        got = _nuclear_value(weight, s)
+        want = ProxFunction("nuclear", weight).value(X)
+        assert abs(got - want) <= 1e-12 * max(abs(want), 1.0)
+        if name == "fully-thresholded":
+            assert got == 0.0 and not np.any(X)
+
+    @pytest.mark.parametrize("weight", [0.0, 1.0, 0.3])
+    def test_value_matches_after_gesvd_fallback(self, weight, monkeypatch):
+        V, t = self._inputs()["random"]
+        monkeypatch.setattr(np.linalg, "svd", _fail_svd)
+        X, s = _svt(V, t)
+        got = _nuclear_value(weight, s)
+        want = ProxFunction("nuclear", weight).value(X)
+        assert abs(got - want) <= 1e-12 * max(abs(want), 1.0)
+        assert got > 0.0 or weight == 0.0
+
+    @pytest.mark.parametrize("weight", [0.0, 1.0, 0.3])
+    def test_prox_returns_the_value_it_knows(self, weight):
+        V, t = self._inputs()["random"]
+        term = ProxFunction("nuclear", weight)
+        out = V.copy()
+        x, value = term.prox(out, t, out=out, return_value=True)
+        assert x is out
+        np.testing.assert_array_equal(x, term.prox(V, t))
+        if weight == 0.0:
+            assert value is None
+        else:
+            assert abs(value - term.value(x)) <= 1e-12 * term.value(x)
+        for other in ("l1", "l21", "sq-frobenius", "l1-nonneg", "zero"):
+            got, value = ProxFunction(other, 0.5).prox(V, t, return_value=True)
+            np.testing.assert_array_equal(got, ProxFunction(other, 0.5).prox(V, t))
+            assert value is None

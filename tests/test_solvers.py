@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from mmadmm import solvers
+from mmadmm import prox, solvers
 from mmadmm.blockspace import (
     BlockOperatorFamily,
     BlockVector,
@@ -26,6 +26,8 @@ from mmadmm.problems import (
     DataGenSpec,
     ProblemSpec,
     build_latent_lrr,
+    build_lrr,
+    build_nonneg_matrix_completion,
     build_nonneg_sparse_coding,
     build_nonneg_sparse_coding_noisy,
     make_subspace_data,
@@ -116,6 +118,19 @@ class TestSolverConfig:
             SolverConfig(max_iter=2.5)
         c = SolverConfig(max_iter=10.0)
         assert c.max_iter == 10 and type(c.max_iter) is int
+
+    def test_int_field_keeps_large_integers_exact(self):
+        big = 2**53 + 1
+        assert SolverConfig(max_iter=big).max_iter == big
+        c = SolverConfig(max_iter=np.int64(big))
+        assert c.max_iter == big and type(c.max_iter) is int
+        for bad, message in (
+            (math.nan, "must be finite"),
+            (math.inf, "must be finite"),
+            (2.5, "must be an integer"),
+        ):
+            with pytest.raises(ValueError, match=f"max_iter {message}"):
+                SolverConfig(max_iter=bad)
 
 
 class TestDualAndErgodic:
@@ -1089,7 +1104,7 @@ class TestGroupSolve:
         runs = ctx.runs[ctx.partition.b2]
         assert [[plan.index for plan in r[0]] for r in runs] == [list(range(8)), [8]]
         assert [(r[0][0].prox_term, r[1], r[2]) for r in runs] == [
-            (term, start, stop) for term, start, stop, _ in problem._term_runs
+            (term, start, stop) for _, term, start, stop, _ in problem._term_runs
         ]
 
     @pytest.mark.parametrize("kind", ["jacobi", "madmm"])
@@ -1228,7 +1243,7 @@ class TestBlockImages:
         state = fresh(BlockVector.zeros(problem.block_shapes))
         for _ in range(3):
             step(state, ctx)
-            x, c, r = state.images
+            x, c, r, _ = state.images
             assert x is state.x
             for op, blk, ci in zip(A.operators, x.blocks, c):
                 np.testing.assert_allclose(ci, op.apply(blk), rtol=0, atol=1e-12)
@@ -1243,6 +1258,126 @@ class TestBlockImages:
         step(ref, ctx)
         for got, want in zip(state.x.blocks, ref.x.blocks):
             np.testing.assert_array_equal(got, want)
+
+
+def _subspace():
+    return make_subspace_data(5, d=10, rank=2, n_subspaces=3, per_subspace=6)
+
+
+class TestCarriedTermValues:
+    """A nuclear block's term value comes from the thresholding that produced it."""
+
+    PROBLEMS = {
+        "latlrr3": lambda: build_latent_lrr(_subspace(), lam=0.1, formulation="3-block"),
+        "latlrr2": lambda: build_latent_lrr(_subspace(), lam=0.1, formulation="2-block"),
+        "lrr": lambda: build_lrr(_subspace(), _subspace()),
+        "nmc": lambda: build_nonneg_matrix_completion(
+            DataGenSpec(5, d=12, n=10, rank=2, noise_sigma=0.1)
+        ),
+    }
+
+    @staticmethod
+    def _config(**kw):
+        return SolverConfig(**{"max_iter": 20, "eps_primal": 0.0, "eps_step": 0.0, **kw})
+
+    @staticmethod
+    def _svd_calls(monkeypatch):
+        calls = []
+        original = prox._svd
+
+        def counted(V, compute_uv=True):
+            calls.append(V.shape)
+            return original(V, compute_uv)
+
+        monkeypatch.setattr(prox, "_svd", counted)
+        return calls
+
+    @staticmethod
+    def _nuclear(problem):
+        return {i for i, t in enumerate(problem.terms) if t and t.kind == "nuclear"}
+
+    @pytest.mark.parametrize("kind", ["madmm", "jacobi", "l-admm-ps"])
+    def test_one_svd_per_nuclear_block_per_iteration(self, kind, monkeypatch):
+        problem = self.PROBLEMS["latlrr3"]()
+        assert len(self._nuclear(problem)) == 2
+        calls = self._svd_calls(monkeypatch)
+        result = run(problem, kind, self._config())
+        assert result.state.k == 20
+        assert len(calls) == 2 * 20
+
+    def test_a_rejected_phase_pays_one_svd_per_nuclear_block(self, monkeypatch):
+        problem = self.PROBLEMS["latlrr3"]()
+        nuclear = self._nuclear(problem)
+        rejected = []
+        original = solvers._bt_scale
+
+        def scale(ctx, blocks, state, mu):
+            rejected.append(len(nuclear.intersection(blocks)))
+            return original(ctx, blocks, state, mu)
+
+        monkeypatch.setattr(solvers, "_bt_scale", scale)
+        calls = self._svd_calls(monkeypatch)
+        result = run(problem, "madmm-bt", self._config(eta_scale=1e-3))
+        assert result.state.k == 20
+        assert result.state.backtrack_count == len(rejected)
+        assert sum(rejected) > 0
+        assert len(calls) == 2 * 20 + sum(rejected)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("schedule", ["geometric", "adaptive"])
+    @pytest.mark.parametrize("name", sorted(PROBLEMS))
+    def test_trace_objective_scores_the_iterate(self, name, schedule, workers):
+        problem = self.PROBLEMS[name]()
+        base = dict(max_iter=40, beta0=1e-2, schedule=schedule)
+        configs = [(kind, self._config(**base)) for kind in SOLVER_KINDS]
+        # A small backtracking seed forces rejected phases.
+        configs.append(("madmm-bt", self._config(eta_scale=1e-3, **base)))
+        ran = 0
+        for kind, config in configs:
+            try:
+                prepare_context(problem, kind, config)
+            except (UnsupportedSubproblemError, ValueError):
+                continue  # the kind does not run on this problem
+            result = run(problem, kind, config, workers=workers, keep_iterates=True)
+            assert result.state.k == 40
+            if config.eta_scale == 1e-3:
+                assert result.state.backtrack_count > 0
+            for row, x in zip(result.trace, result.iterates):
+                want = problem.objective(x)
+                assert abs(row.objective - want) <= 1e-12 * abs(want), (kind, row.k)
+            ran += 1
+        assert ran >= 5
+
+    def test_carried_values_score_their_own_iterate(self):
+        problem = self.PROBLEMS["latlrr3"]()
+        ctx = prepare_context(problem, "madmm-bt", self._config(eta_scale=1e-3))
+        out_shape = problem.family.out_shape
+        state = SolverState(
+            x=BlockVector.zeros(problem.block_shapes),
+            lam=np.zeros(out_shape),
+            beta=1e-2,
+            G=list(ctx.G0),
+        )
+        for _ in range(6):
+            step(state, ctx)
+            x, _, _, values = state.images
+            assert x is state.x
+            known = {i: v for i, v in values.items() if v is not None}
+            assert set(known) == self._nuclear(problem)
+            for i, v in known.items():
+                want = problem.terms[i].value(x[i])
+                assert abs(v - want) <= 1e-12 * max(want, 1.0)
+        assert state.backtrack_count > 0
+        # A replaced iterate steps like a fresh state with the same weights.
+        other = BlockVector(
+            random_blocks(np.random.default_rng(74), problem.block_shapes)
+        )
+        state.x, state.lam, state.beta = other, np.zeros(out_shape), 1e-2
+        ref = SolverState(x=other, lam=np.zeros(out_shape), beta=1e-2, G=list(state.G))
+        step(state, ctx)
+        step(ref, ctx)
+        np.testing.assert_array_equal(state.x.flat, ref.x.flat)
+        assert state.images[3] == ref.images[3]
 
 
 class TestAssemblyReference:

@@ -2,11 +2,15 @@
 
 Each line names the problem, the solver kind, the penalty schedule and the
 worker count, then how the run ended (its stop reason, or the class of the
-error it raised) and a SHA-256 over everything the run produced: every
-iterate, every trace row without its wall time, the final multiplier, each
-block's final weight level ``eta``, and the stop reason or the error
-message. Two packages that print the same lines ran bitwise the same
-iterations, so a refactor that must not change the iterates is checked by
+error it raised) and two SHA-256 digests. The full digest covers
+everything the run produced: every iterate, every trace row without its
+wall time, the final multiplier, each block's final weight level ``eta``,
+and the stop reason or the error message. The iterate digest covers the
+same data except the trace's objective column, so it still matches when
+only the objective's arithmetic changed (say, a nuclear norm taken from the
+prox's singular values rather than from a second SVD). Two packages that
+print the same lines ran bitwise the same iterations, so a refactor that
+must not change the iterates is checked by
 
     python3 tools/hash_runs.py --src OLD/src > before.txt
     python3 tools/hash_runs.py > after.txt
@@ -14,7 +18,9 @@ iterations, so a refactor that must not change the iterates is checked by
 
 where ``--src`` names the directory holding the ``mmadmm`` package to hash
 (default: this tree's ``src``); the problem grid always comes from this
-tree's ``tests/helpers.py`` and this file.
+tree's ``tests/helpers.py`` and this file. ``diff <(cut -d' ' -f1-5,7
+before.txt) <(cut -d' ' -f1-5,7 after.txt)`` compares the iterate digests
+only.
 
 The full grid is every solver kind on eight problems, both schedules and 1
 or 2 workers, 40 iterations each (224 runs). ``--problems``, ``--kinds``,
@@ -69,25 +75,32 @@ def _load(src: Path) -> dict:
 
 
 def hash_run(problem, kind: str, schedule: str, workers: int, iters: int):
-    """``(status, sha256 hex)`` of one run of ``kind`` on ``problem``."""
+    """``(status, full sha256 hex, iterate sha256 hex)`` of one run of ``kind``."""
     from mmadmm.solvers import SolverConfig, run
 
-    digest = hashlib.sha256()
+    full, iterate = hashlib.sha256(), hashlib.sha256()
+
+    def both(data: bytes):
+        full.update(data)
+        iterate.update(data)
+
     config = SolverConfig(max_iter=iters, eps_step=0.0, schedule=schedule)
     try:
         result = run(problem, kind, config, workers=workers, keep_iterates=True)
     except Exception as exc:  # the error is the run's outcome; it is hashed
         status = type(exc).__name__
-        digest.update(f"{status}: {exc}".encode())
-        return status, digest.hexdigest()
+        both(f"{status}: {exc}".encode())
+        return status, full.hexdigest(), iterate.hexdigest()
     for x in result.iterates:
-        digest.update(x.flat.tobytes())
+        both(x.flat.tobytes())
     for row in result.trace:
-        digest.update(repr(astuple(row)[:-1]).encode())
-    digest.update(result.state.lam.tobytes())
-    digest.update(repr([g.eta for g in result.state.G]).encode())
-    digest.update(result.stop_reason.encode())
-    return result.stop_reason, digest.hexdigest()
+        fields = astuple(row)[:-1]  # without the wall time
+        full.update(repr(fields).encode())
+        iterate.update(repr(fields[:1] + fields[2:]).encode())  # no objective
+    both(result.state.lam.tobytes())
+    both(repr([g.eta for g in result.state.G]).encode())
+    both(result.stop_reason.encode())
+    return result.stop_reason, full.hexdigest(), iterate.hexdigest()
 
 
 def _subset(text: str, allowed, cast=str) -> tuple:
@@ -121,8 +134,8 @@ def main(argv=None) -> int:
         for kind in kinds:
             for schedule in schedules:
                 for w in workers:
-                    status, sha = hash_run(problem, kind, schedule, w, args.iters)
-                    print(f"{name} {kind} {schedule} {w} {status} {sha}", flush=True)
+                    digests = hash_run(problem, kind, schedule, w, args.iters)
+                    print(name, kind, schedule, w, *digests, flush=True)
     return 0
 
 
