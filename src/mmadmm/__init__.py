@@ -18,10 +18,8 @@ from .blockspace import (
     LeftMultiplyOp,
     MaskProjectionOp,
     RightMultiplyOp,
-    RowGroup,
     ScaledIdentityOp,
     StackedOp,
-    StructureError,
     WeightMatrix,
     ZeroOp,
     combined_op_norm_sq,

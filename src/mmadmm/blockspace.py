@@ -28,13 +28,11 @@ __all__ = [
     "MaskProjectionOp",
     "ZeroOp",
     "StackedOp",
-    "RowGroup",
     "BlockOperatorFamily",
     "WeightMatrix",
     "NormEstimate",
     "DimensionError",
     "InvalidWeightError",
-    "StructureError",
     "residual",
     "estimate_op_norm_sq",
     "gram_cross_is_zero",
@@ -53,11 +51,7 @@ class DimensionError(ValueError):
 
 
 class InvalidWeightError(ValueError):
-    """Raised when a weight matrix is evaluated outside its PSD domain."""
-
-
-class StructureError(ValueError):
-    """Raised when declared row-group structure is inconsistent."""
+    """Raised when a weight matrix is given invalid fields."""
 
 
 # ---------------------------------------------------------------------------
@@ -333,6 +327,8 @@ class ScaledIdentityOp(BlockOperator):
     def __init__(self, scale: float, shape: tuple):
         super().__init__(shape, shape)
         self.scale = float(scale)
+        if not math.isfinite(self.scale):
+            raise ValueError(f"identity scale must be finite, got {self.scale}")
 
     def apply(self, v):
         return self.scale * self._check_in(v)
@@ -404,12 +400,17 @@ class RightMultiplyOp(BlockOperator):
 
 
 class MaskProjectionOp(BlockOperator):
-    """Entry mask: keeps entries inside the index set, zeros the rest."""
+    """Entry mask: keeps entries inside the index set, zeros the rest.
+
+    Every mask entry is 0 or 1 (or a boolean), so the map is a projection.
+    """
 
     kind = "mask-projection"
 
     def __init__(self, mask: np.ndarray):
         mask = np.asarray(mask)
+        if not ((mask == 0) | (mask == 1)).all():
+            raise ValueError("mask entries must be 0 or 1")
         super().__init__(mask.shape, mask.shape)
         self.mask = mask.astype(float)
 
@@ -491,13 +492,6 @@ class StackedOp(BlockOperator):
     def _compute_norm_sq(self):
         return sum(op.op_norm_sq for _, _, op in self.pieces if op is not None)
 
-    def active_spans(self) -> tuple:
-        return tuple(
-            (off, off + _size(shape))
-            for off, shape, op in self.pieces
-            if op is not None
-        )
-
     def gram_rep(self):
         # The stacked Gram is the sum of the member Grams: the scalar members
         # add to the one other tag, when the members carry at most one.
@@ -525,60 +519,71 @@ def _size(shape: tuple) -> int:
 
 
 def _spectral_norm_sq(matrix: np.ndarray) -> float:
-    s = np.linalg.svd(matrix, compute_uv=False)
+    # A NaN or infinite entry makes the SVD fail or return NaN; a finite
+    # matrix pays no extra pass to find that out.
+    try:
+        s = np.linalg.svd(matrix, compute_uv=False)
+    except np.linalg.LinAlgError:
+        if np.isfinite(matrix).all():
+            raise
+        s = np.array([math.nan])
     top = float(s[0]) if s.size else 0.0
+    if not math.isfinite(top):
+        raise ValueError("no norm certificate: the matrix has non-finite entries")
     return top * top * _CERT_GUARD
 
 
 # ---------------------------------------------------------------------------
-# Families and row groups
+# Families
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class RowGroup:
-    """A group of constraint rows and the blocks acting on it.
-
-    ``active`` lists block indices with nonzero action inside the group and
-    ``member_norm_sq`` the per-member certified ``||A_{g,i}||_2^2``.
-    """
-
-    active: tuple
-    member_norm_sq: tuple
-
-    def __post_init__(self):
-        if len(self.active) != len(self.member_norm_sq):
-            raise StructureError("row group members and norms must align")
-
-    def norm_sq_of(self, block: int) -> float:
-        return self.member_norm_sq[self.active.index(block)]
-
-
-@dataclass(frozen=True)
 class BlockOperatorFamily:
-    """The constraint map ``A = [A_1, ..., A_n]`` into one shared space."""
+    """The constraint map ``A = [A_1, ..., A_n]`` into one shared space.
+
+    ``rows`` is the one record of the constraint's row structure: one tuple
+    per constraint row of ``(i, A_row_i)`` pairs, the piece that each block
+    acting in the row applies there. Blocks that share no row have
+    ``A_i^T A_j = 0``. The default is one row of the blocks whose
+    certificate is nonzero, each acting through its own operator. A pair
+    whose index or input shape does not match the family raises
+    :class:`DimensionError`; a block with a nonzero certificate that acts
+    in no row raises ``ValueError``.
+    """
 
     operators: tuple
     out_shape: tuple
-    row_groups: Optional[tuple] = None
+    rows: Optional[tuple] = None
 
     def __post_init__(self):
         object.__setattr__(self, "operators", tuple(self.operators))
         object.__setattr__(self, "out_shape", tuple(self.out_shape))
-        if len(self.operators) < 1:
+        ops = self.operators
+        if len(ops) < 1:
             raise DimensionError("a family needs at least one operator")
-        for op in self.operators:
+        for op in ops:
             if op.out_shape != self.out_shape:
                 raise DimensionError(
                     "all operators must share the constraint space "
                     f"{self.out_shape}; got {op.out_shape}"
                 )
-        if self.row_groups is not None:
-            object.__setattr__(self, "row_groups", tuple(self.row_groups))
-            n = len(self.operators)
-            for group in self.row_groups:
-                if any(i < 0 or i >= n for i in group.active):
-                    raise StructureError("row group names an unknown block")
+        if self.rows is None:
+            rows = (tuple((i, op) for i, op in enumerate(ops) if op.op_norm_sq > 0.0),)
+        else:
+            rows = tuple(tuple(row) for row in self.rows)
+        object.__setattr__(self, "rows", rows)
+        acting = set()
+        for r, row in enumerate(rows):
+            for i, op in row:
+                if not (0 <= i < len(ops) and op.in_shape == ops[i].in_shape):
+                    raise DimensionError(
+                        f"row {r}: the family has no block {i} of shape {op.in_shape}"
+                    )
+                acting.add(i)
+        for i, op in enumerate(ops):
+            if i not in acting and op.op_norm_sq > 0.0:
+                raise ValueError(f"block {i} acts outside every row")
 
     @property
     def n(self) -> int:
@@ -716,9 +721,10 @@ def gram_cross_is_zero(
 ) -> bool:
     """Whether ``A_i^T A_j = 0`` up to ``tol * ||A_i||_2 ||A_j||_2``.
 
-    Structural shortcuts cover zero operators, stacked operators on disjoint
-    row spans, and disjoint masks; otherwise the cross norm is estimated by
-    power iteration through the adjoint/apply maps.
+    Structural shortcuts cover zero operators and disjoint masks; otherwise
+    the cross norm is estimated by power iteration through the adjoint/apply
+    maps. Blocks that share no row of a family need no call:
+    ``A_i^T A_j = 0`` for them by construction.
     """
     if op_i.out_shape != op_j.out_shape:
         raise DimensionError("operators live in different constraint spaces")
@@ -727,22 +733,11 @@ def gram_cross_is_zero(
     ci, cj = op_i.op_norm_sq, op_j.op_norm_sq
     if ci == 0.0 or cj == 0.0:
         return True
-    if isinstance(op_i, StackedOp) and isinstance(op_j, StackedOp):
-        if not _spans_overlap(op_i.active_spans(), op_j.active_spans()):
-            return True
     if isinstance(op_i, MaskProjectionOp) and isinstance(op_j, MaskProjectionOp):
         if not np.any(op_i.mask * op_j.mask):
             return True
     cross_sq = _cross_norm_sq(op_i, op_j)
     return math.sqrt(max(cross_sq, 0.0)) <= tol * math.sqrt(ci * cj)
-
-
-def _spans_overlap(spans_a: tuple, spans_b: tuple) -> bool:
-    for a0, a1 in spans_a:
-        for b0, b1 in spans_b:
-            if a0 < b1 and b0 < a1:
-                return True
-    return False
 
 
 def _cross_norm_sq(
@@ -817,20 +812,6 @@ class WeightMatrix:
 
     # -- evaluation ---------------------------------------------------
 
-    def norm_sq(self, v: np.ndarray) -> float:
-        """``v^T G v``; raises when ``G`` is not PSD at ``v``."""
-        v = np.asarray(v, dtype=float)
-        iso = self.eta * float(np.vdot(v, v))
-        if self.gram_coef == 0.0:
-            return iso
-        av = self.op.apply(v)
-        val = iso + self.gram_coef * float(np.vdot(av, av))
-        if val < -1e-12 * max(iso, 1.0):
-            raise InvalidWeightError(
-                "negative weighted norm: eta is below the Gram norm"
-            )
-        return max(val, 0.0)
-
     def mat_vec(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=float)
         out = self.eta * v
@@ -856,7 +837,7 @@ def stack_rows(rows: Sequence[tuple], block_shapes: Sequence[tuple]):
     ----------
     rows : sequence of (ops, rhs)
         Each row gives per-block operators (``None`` where a block does not
-        appear) and the row's right-hand side array.
+        appear) and the row's right-hand side array, which must be finite.
     block_shapes : sequence of tuple
         Shapes of the blocks, used to type absent entries.
 
@@ -865,30 +846,32 @@ def stack_rows(rows: Sequence[tuple], block_shapes: Sequence[tuple]):
     (BlockOperatorFamily, ndarray)
         The family and the concatenated right-hand side. One row keeps its
         own shape, with a zero operator for each absent block; several rows
-        are flattened into one 1-d space. Each row with an acting block is
-        one row group.
+        are flattened into one 1-d space. The family's ``rows`` hold the
+        given operators of each row with an acting block.
     """
     block_shapes = [tuple(s) for s in block_shapes]
     n = len(block_shapes)
-    offsets, rhs_parts, groups = [], [], []
+    offsets, rhs_parts, acting = [], [], []
     total = 0
-    for ops, rhs in rows:
+    for r, (ops, rhs) in enumerate(rows):
         if len(ops) != n:
             raise DimensionError("every row must name all blocks (use None)")
         rhs = np.asarray(rhs, dtype=float)
+        if not np.isfinite(rhs).all():
+            raise ValueError(f"row {r}: the right-hand side has non-finite entries")
         offsets.append((total, rhs.shape))
         total += _size(rhs.shape)
         rhs_parts.append(rhs)
-        active = tuple(i for i, op in enumerate(ops) if op is not None)
-        if active:
-            groups.append(RowGroup(active, tuple(ops[i].op_norm_sq for i in active)))
+        row = tuple((i, op) for i, op in enumerate(ops) if op is not None)
+        if row:
+            acting.append(row)
     if len(rows) == 1:
         (ops, _), rhs = rows[0], rhs_parts[0]
         full_ops = [
             op if op is not None else ZeroOp(block_shapes[i], rhs.shape)
             for i, op in enumerate(ops)
         ]
-        return BlockOperatorFamily(full_ops, rhs.shape, row_groups=groups), rhs
+        return BlockOperatorFamily(full_ops, rhs.shape, rows=acting), rhs
     stacked_ops = [
         StackedOp(
             [(off, shape, ops[i]) for (off, shape), (ops, _) in zip(offsets, rows)],
@@ -897,7 +880,7 @@ def stack_rows(rows: Sequence[tuple], block_shapes: Sequence[tuple]):
         )
         for i in range(n)
     ]
-    family = BlockOperatorFamily(stacked_ops, (total,), row_groups=groups)
+    family = BlockOperatorFamily(stacked_ops, (total,), rows=acting)
     rhs = np.concatenate([r.ravel() for r in rhs_parts]) if rhs_parts else np.zeros(0)
     return family, rhs
 

@@ -140,13 +140,13 @@ def case1_partition(
 
 
 def _nonorthogonality_edges(A: BlockOperatorFamily, tol: float) -> list:
-    n = A.n
-    adj = [set() for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if not gram_cross_is_zero(A.operators[i], A.operators[j], tol=tol):
-                adj[i].add(j)
-                adj[j].add(i)
+    # Blocks that share no row of the family are orthogonal by construction.
+    adj = [set() for _ in range(A.n)]
+    shared = {(i, j) for row in A.rows for i, _ in row for j, _ in row if i < j}
+    for i, j in sorted(shared):
+        if not gram_cross_is_zero(A.operators[i], A.operators[j], tol=tol):
+            adj[i].add(j)
+            adj[j].add(i)
     return adj
 
 

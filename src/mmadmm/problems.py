@@ -10,6 +10,7 @@ depend on how many other blocks exist before it is generated.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -64,28 +65,45 @@ class DataGenSpec:
     obs_fraction: float = 0.6
 
     def __post_init__(self):
-        if self.d < 1 or self.n < 1:
-            raise ValueError("dimensions must be positive")
+        for name, least in (("seed", 0), ("d", 1), ("n", 1), ("rank", 1)):
+            object.__setattr__(self, name, _whole(name, getattr(self, name), least))
         if not 0.0 <= self.sparsity <= 1.0:
             raise ValueError("sparsity is a fraction in [0, 1]")
         if not 0.0 < self.obs_fraction <= 1.0:
             raise ValueError("observation fraction must lie in (0, 1]")
-        if self.rank < 1:
-            raise ValueError("rank must be positive")
-        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
-            raise ValueError(
-                f"noise_sigma must be finite and nonnegative, got {self.noise_sigma}"
-            )
+        _check_scale("noise_sigma", self.noise_sigma)
         if self.block_dims is not None:
-            dims = tuple(int(m) for m in self.block_dims)
-            if len(dims) != self.n or any(m < 1 for m in dims):
-                raise ValueError("need one positive dimension per block")
+            dims = tuple(
+                _whole(f"block_dims[{i}]", m, 1) for i, m in enumerate(self.block_dims)
+            )
+            if len(dims) != self.n:
+                raise ValueError("need one dimension per block")
             object.__setattr__(self, "block_dims", dims)
 
     def dims(self) -> tuple:
         if self.block_dims is not None:
             return self.block_dims
         return tuple(10 * (i + 1) for i in range(self.n))
+
+
+def _whole(name: str, value, least: int) -> int:
+    """``value`` as an ``int``; it must be integral (``10.0`` but not
+    ``2.5``) and at least ``least``."""
+    integral = isinstance(value, numbers.Integral) or (
+        isinstance(value, numbers.Real) and float(value).is_integer()
+    )
+    if not integral:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    whole = int(value)
+    if whole < least:
+        raise ValueError(f"{name} must be at least {least}, got {whole}")
+    return whole
+
+
+def _check_scale(name: str, value: float) -> None:
+    """A noise scale must be finite and nonnegative."""
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"{name} must be finite and nonnegative, got {value}")
 
 
 def _check_lam(lam: float) -> None:
@@ -102,8 +120,8 @@ class ProblemSpec:
     name : str
     rows : sequence of (ops, rhs)
         Constraint rows; ``ops`` holds one operator or ``None`` per block.
-        Rows are stacked into a single constraint space for the solvers,
-        while the originals stay available for per-row residuals.
+        :func:`stack_rows` stacks them into ``family`` and ``b``, and
+        ``family.rows`` keeps each row's operators.
     terms : sequence of ProxFunction or None
         Per-block objective terms.
     smooth : SmoothQuadCoupling, optional
@@ -130,7 +148,6 @@ class ProblemSpec:
         suggested: Optional[dict] = None,
     ):
         self.name = name
-        self.rows = tuple((tuple(ops), np.asarray(rhs, dtype=float)) for ops, rhs in rows)
         self.block_shapes = tuple(tuple(s) for s in block_shapes)
         self.terms = tuple(terms)
         self.smooth = smooth
@@ -141,15 +158,12 @@ class ProblemSpec:
         n = len(self.block_shapes)
         if len(self.terms) != n:
             raise ValueError("one term entry per block is required (use None)")
-        for ops, _ in self.rows:
-            if len(ops) != n:
-                raise ValueError("every row must name all blocks (use None)")
+        self.family, self.b = stack_rows(rows, self.block_shapes)
+        acting = {i for row in self.family.rows for i, _ in row}
         for i in range(n):
-            in_row = any(ops[i] is not None for ops, _ in self.rows)
             in_smooth = smooth is not None and smooth.ops[i] is not None
-            if not in_row and self.terms[i] is None and not in_smooth:
+            if i not in acting and self.terms[i] is None and not in_smooth:
                 raise ValueError(f"block {i} appears nowhere in the problem")
-        self.family, self.b = stack_rows(self.rows, self.block_shapes)
         # (first block, term, start, stop, shape) per run of back-to-back
         # blocks with equal entrywise terms, shape None; any other term is a
         # run of one block that keeps its shape.
@@ -191,16 +205,6 @@ class ProblemSpec:
         if self.smooth is not None:
             total += self.smooth.value(x)
         return float(total)
-
-    def row_residuals(self, x: BlockVector) -> list:
-        out = []
-        for ops, rhs in self.rows:
-            acc = -rhs.copy()
-            for op, blk in zip(ops, x.blocks):
-                if op is not None:
-                    acc += op.apply(blk)
-            out.append(acc)
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -507,8 +511,16 @@ def make_subspace_data(
     ``noise_scale * ||column||`` (the source text reads "variance"; scale is
     the reading used here).
     """
+    seed = _whole("seed", seed, 0)
+    d = _whole("d", d, 1)
+    rank = _whole("rank", rank, 1)
+    n_subspaces = _whole("n_subspaces", n_subspaces, 1)
+    per_subspace = _whole("per_subspace", per_subspace, 1)
+    if rank > d:
+        raise ValueError(f"rank must not exceed d={d}, got {rank}")
     if not 0.0 <= corrupt_frac <= 1.0:
         raise ValueError("corrupt_frac is a fraction in [0, 1]")
+    _check_scale("noise_scale", noise_scale)
     streams = np.random.SeedSequence(seed).spawn(3)
     rng = np.random.default_rng(streams[0])
     basis, _ = np.linalg.qr(rng.standard_normal((d, rank)))

@@ -39,7 +39,6 @@ import numpy as np
 from .blockspace import (
     BlockOperatorFamily,
     BlockVector,
-    RowGroup,
     WeightMatrix,
     _Layout,
 )
@@ -160,6 +159,11 @@ class SolverConfig:
             )
         if self.weights is not None:
             self.weights = tuple(self.weights)
+            for k, G in enumerate(self.weights):
+                if not isinstance(G, WeightMatrix):
+                    raise TypeError(
+                        f"weights[{k}] must be a WeightMatrix, got {type(G).__name__}"
+                    )
 
 
 @dataclass
@@ -237,36 +241,25 @@ def ergodic_average(iterates: Sequence[BlockVector], betas: Sequence[float]):
 def phase_smoothness(A: BlockOperatorFamily, blocks: Sequence[int]) -> dict:
     """Tight per-block curvature of ``0.5 ||sum_{i in blocks} A_i x_i||^2``.
 
-    ``eta'_i`` sums ``k_g ||A_{g,i}||_2^2`` over the row groups touching
-    block ``i``, where ``k_g`` counts only blocks of this phase acting on
-    group ``g``; a coupled block outside every declared group raises
-    ``ValueError``. A family that declares no groups is one group of its
-    coupled blocks (``op_norm_sq > 0``) with their certificates, which gives
-    ``n_eff ||A_i||_2^2``, ``n_eff`` the phase's coupled blocks.
+    ``eta'_i`` sums ``k_r ||A_{r,i}||_2^2`` over the rows ``r`` of
+    ``A.rows`` that block ``i`` acts in, where ``A_{r,i}`` is its piece
+    there and ``k_r`` counts only blocks of this phase acting in row ``r``.
+    On a family's default row this is ``n_eff ||A_i||_2^2``, ``n_eff`` the
+    phase's coupled blocks.
 
     Returns ``{i: (eta_i, alone_i)}`` where ``alone_i`` is true when no other
-    phase block shares a row group with ``i``.
+    phase block shares a row with ``i``.
     """
-    ops = A.operators
-    groups = A.row_groups
-    if not groups:
-        live = tuple(i for i, op in enumerate(ops) if op.op_norm_sq > 0.0)
-        groups = (RowGroup(live, tuple(ops[i].op_norm_sq for i in live)),)
     members = set(blocks)
     etas = {i: 0.0 for i in members}
     alone = {i: True for i in members}
-    seen = set()
-    for g in groups:
-        seen.update(g.active)
-        act = [i for i in g.active if i in members]
+    for row in A.rows:
+        act = [(i, op) for i, op in row if i in members]
         k = len(act)
-        for i in act:
-            etas[i] += k * g.norm_sq_of(i)
+        for i, op in act:
+            etas[i] += k * op.op_norm_sq
             if k > 1:
                 alone[i] = False
-    for i in members:
-        if i not in seen and ops[i].op_norm_sq > 0.0:
-            raise ValueError(f"block {i} acts outside every declared row group")
     return {i: (etas[i], alone[i]) for i in members}
 
 

@@ -15,7 +15,6 @@ from mmadmm.blockspace import (
     LeftMultiplyOp,
     MaskProjectionOp,
     RightMultiplyOp,
-    RowGroup,
     ScaledIdentityOp,
     StackedOp,
     ZeroOp,
@@ -252,6 +251,33 @@ class TestOperators:
                 implied, op.adjoint(op.apply(v)), atol=1e-10
             )
 
+    def test_mask_entries_must_be_zero_or_one(self):
+        # A mask [[2, 0], [1, 1]] would certify 1.0 where ||A||^2 is 4.
+        for bad in ([[2.0, 0.0], [1.0, 1.0]], [[0.5, 1.0]], [[math.nan, 1.0]]):
+            with pytest.raises(ValueError, match="mask entries must be 0 or 1"):
+                MaskProjectionOp(np.array(bad))
+        op = MaskProjectionOp(np.array([[True, False], [False, True]]))
+        assert op.op_norm_sq == 1.0
+        assert op.gram_rep()[1].tolist() == [[1.0, 0.0], [0.0, 1.0]]
+
+    def test_non_finite_scale_rejected(self):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="identity scale must be finite"):
+                ScaledIdentityOp(bad, (2,))
+
+    def test_non_finite_factor_has_no_certificate(self):
+        # Each of these certified NaN, or failed deep inside the SVD.
+        for bad in (math.nan, math.inf):
+            M = np.ones((3, 2))
+            M[1, 0] = bad
+            for op in (
+                DenseMatrixOp(M),
+                LeftMultiplyOp(M, (2, 4)),
+                RightMultiplyOp(M.T, (4, 2)),
+            ):
+                with pytest.raises(ValueError, match="non-finite entries"):
+                    op.op_norm_sq
+
     def test_input_shape_checked(self):
         op = DenseMatrixOp(np.ones((2, 3)))
         with pytest.raises(DimensionError):
@@ -415,19 +441,12 @@ def _weight_zoo(seed=0):
     ]
 
 
-class TestWeightMatrix:
-    def test_norm_sq_matches_dense_quadratic(self):
-        rng = np.random.default_rng(9)
-        _, zoo = _weight_zoo()
-        for G in zoo:
-            D = G.to_dense((3,))
-            for _ in range(20):
-                v = rng.standard_normal(3)
-                want = float(v @ D @ v)
-                assert G.norm_sq(v) == pytest.approx(
-                    want, abs=1e-10 * (abs(want) + 1)
-                )
+def _quad(G, v):
+    """``v^T G v`` through the weight's own action."""
+    return float(np.vdot(v, G.mat_vec(v)))
 
+
+class TestWeightMatrix:
     def test_mat_vec_matches_dense(self):
         rng = np.random.default_rng(10)
         _, zoo = _weight_zoo()
@@ -437,16 +456,11 @@ class TestWeightMatrix:
             np.testing.assert_allclose(G.mat_vec(v), D @ v, atol=1e-10)
 
     def test_hand_examples(self):
-        assert WeightMatrix.zero().norm_sq(np.array([1.0, 1.0])) == 0.0
-        assert WeightMatrix.scaled_identity(2.0).norm_sq(np.array([1.0, 1.0])) == 4.0
+        assert _quad(WeightMatrix.zero(), np.array([1.0, 1.0])) == 0.0
+        assert _quad(WeightMatrix.scaled_identity(2.0), np.array([1.0, 1.0])) == 4.0
         G = WeightMatrix.identity_minus_gram(3.0, DenseMatrixOp(np.eye(2)))
         v = np.array([1.0, 2.0])
-        assert G.norm_sq(v) == pytest.approx(10.0, abs=1e-12)
-
-    def test_eta_below_gram_raises(self):
-        G = WeightMatrix.identity_minus_gram(0.5, ScaledIdentityOp(1.0, (2,)))
-        with pytest.raises(InvalidWeightError):
-            G.norm_sq(np.array([1.0, 1.0]))
+        assert _quad(G, v) == pytest.approx(10.0, abs=1e-12)
 
     def test_constructor_validation(self):
         for kwargs, message in (
@@ -489,11 +503,11 @@ class TestWeightMatrix:
             for _ in range(20):
                 u = rng.standard_normal(3)
                 v = rng.standard_normal(3)
-                lhs = G.norm_sq(u + v)
+                lhs = _quad(G, u + v)
                 cross = float(u @ G.mat_vec(v))
-                rhs = G.norm_sq(u) + 2 * cross + G.norm_sq(v)
+                rhs = _quad(G, u) + 2 * cross + _quad(G, v)
                 assert lhs == pytest.approx(rhs, abs=1e-12 * (abs(lhs) + 1))
-                polar = 0.25 * (G.norm_sq(u + v) - G.norm_sq(u - v))
+                polar = 0.25 * (_quad(G, u + v) - _quad(G, u - v))
                 assert polar == pytest.approx(cross, abs=1e-12 * (abs(cross) + 1))
 
 
@@ -589,8 +603,7 @@ class TestStacking:
         A, b = stack_rows([(ops, np.zeros((3,)))], [(2,), (4,)])
         assert A.out_shape == (3,)
         assert isinstance(A.operators[1], ZeroOp)
-        assert len(A.row_groups) == 1
-        assert A.row_groups[0].active == (0,)
+        assert A.rows == (((0, ops[0]),),)
 
     def test_multi_row_stacks_and_groups(self):
         rng = np.random.default_rng(13)
@@ -604,7 +617,7 @@ class TestStacking:
         assert A.out_shape == (6,)
         assert b.shape == (6,)
         assert all(isinstance(op, StackedOp) for op in A.operators)
-        assert tuple(g.active for g in A.row_groups) == ((0,), (0, 1))
+        assert tuple(tuple(i for i, _ in row) for row in A.rows) == ((0,), (0, 1))
         x = BlockVector([rng.standard_normal(3), rng.standard_normal(4)])
         want = np.concatenate([B1 @ x[0], B2 @ x[0] + x[1]])
         np.testing.assert_allclose(A.apply(x), want, atol=1e-12)
@@ -635,9 +648,56 @@ class TestStacking:
             )
 
     def test_row_group_validation(self):
-        with pytest.raises(ValueError):
-            RowGroup((0, 1), (1.0,))
-        g = RowGroup((1, 3), (2.0, 5.0))
-        assert g.norm_sq_of(3) == 5.0
-        with pytest.raises(ValueError):
-            g.norm_sq_of(0)
+        # The family's rows name blocks of the family, with pieces that take
+        # each block's shape, and every coupled block acts in some row.
+        ops = (ScaledIdentityOp(1.0, (2,)), ScaledIdentityOp(2.0, (2,)))
+        with pytest.raises(DimensionError, match="row 0: the family has no block 2 "):
+            BlockOperatorFamily(ops, (2,), rows=(((0, ops[0]), (2, ops[1])),))
+        with pytest.raises(DimensionError, match=r"no block 1 of shape \(3,\)"):
+            BlockOperatorFamily(
+                ops, (2,), rows=(((1, DenseMatrixOp(np.ones((2, 3)))),),)
+            )
+        with pytest.raises(ValueError, match="block 1 acts outside every row"):
+            BlockOperatorFamily(ops, (2,), rows=(((0, ops[0]),),))
+        # A block with a zero certificate may act nowhere.
+        zero = (ops[0], ZeroOp((3,), (2,)))
+        A = BlockOperatorFamily(zero, (2,), rows=(((0, ops[0]),),))
+        assert A.rows == (((0, ops[0]),),)
+
+    def test_rows_hold_the_given_operators(self):
+        rng = np.random.default_rng(15)
+        B1 = DenseMatrixOp(rng.standard_normal((2, 3)))
+        B2 = DenseMatrixOp(rng.standard_normal((4, 3)))
+        eye = ScaledIdentityOp(1.0, (4,))
+        rows = [
+            ((B1, None), np.zeros(2)),
+            ((None, None), np.zeros(1)),
+            ((B2, eye), np.zeros(4)),
+        ]
+        A, _ = stack_rows(rows, [(3,), (4,)])
+        # The row with no acting block is skipped.
+        assert len(A.rows) == 2
+        (p,), (q, r) = A.rows
+        assert p[0] == 0 and p[1] is B1
+        assert q[0] == 0 and q[1] is B2
+        assert r[0] == 1 and r[1] is eye
+
+    def test_bare_family_has_one_row_of_coupled_blocks(self):
+        rng = np.random.default_rng(16)
+        ops = (
+            DenseMatrixOp(rng.standard_normal((4, 2))),
+            ZeroOp((3,), (4,)),
+            ScaledIdentityOp(0.0, (4,)),
+            ScaledIdentityOp(-1.0, (4,)),
+        )
+        A = BlockOperatorFamily(ops, (4,))
+        assert len(A.rows) == 1
+        assert [i for i, _ in A.rows[0]] == [0, 3]
+        assert all(op is ops[i] for i, op in A.rows[0])
+
+    def test_non_finite_rhs_rejected(self):
+        ops = (ScaledIdentityOp(1.0, (2,)),)
+        for bad in (math.nan, math.inf, -math.inf):
+            rows = [(ops, np.zeros(2)), (ops, np.array([1.0, bad]))]
+            with pytest.raises(ValueError, match="row 1: the right-hand side"):
+                stack_rows(rows, [(2,)])

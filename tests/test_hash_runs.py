@@ -66,3 +66,24 @@ def test_src_names_the_package_that_is_hashed(tmp_path):
     for a, b in zip(here, other):
         assert a.split()[:5] == b.split()[:5]
         assert a.split()[5] != b.split()[5] and a.split()[6] != b.split()[6]
+
+
+def test_partitions_run_each_mixed_kind_once_per_choice():
+    flags = ("--schedules", "geometric", "--workers", "1", "--iters", "3")
+    grid = dict(problems="quad,latlrr3", kinds="jacobi,madmm")
+    plain = _hashes(*flags, **grid)
+    assert _hashes(*flags, "--partitions", "auto", **grid) == plain
+    lines = _hashes(*flags, "--partitions", "auto,case1,case2", **grid)
+    fields = [line.split() for line in lines]
+    assert [f[:2] for f in fields] == [
+        [name, label]
+        for name in ("quad", "latlrr3")
+        for label in ("jacobi", "madmm", "madmm/case1", "madmm/case2")
+    ]
+    # The auto lines are the plain ones; only the mixed kind gains lines.
+    assert [line for line, f in zip(lines, fields) if "/" not in f[1]] == plain
+    by_label = {tuple(f[:2]): f[4:] for f in fields}
+    # quad recommends no partition, so auto resolves to case I.
+    assert by_label["quad", "madmm/case1"] == by_label["quad", "madmm"]
+    # latlrr3's non-orthogonality graph has an odd cycle: no case-II split.
+    assert by_label["latlrr3", "madmm/case2"][0] == "ValueError"

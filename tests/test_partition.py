@@ -23,6 +23,7 @@ from mmadmm.partition import (
     case3_partition,
     choose_partition,
 )
+from mmadmm.problems import build_lrr, make_subspace_data
 
 
 def _column_op(col, d=4):
@@ -237,6 +238,24 @@ class TestCase2Partition:
         A = BlockOperatorFamily((_column_op([(0, 1.0)]),), (4,))
         with pytest.raises(ValueError):
             case2_partition(A)
+
+    def test_pairs_sharing_no_row_are_not_checked(self, monkeypatch):
+        # lrr's rows are X Z + E = X (blocks 1, 2) and Z - J = 0 (blocks 0,
+        # 2): J and E share no row, so A_0^T A_1 = 0 needs no check.
+        X = make_subspace_data(0, d=5, rank=2, n_subspaces=2, per_subspace=4)
+        A = build_lrr(X, X).family
+        checked = []
+
+        def spy(op_i, op_j, tol):
+            checked.append((A.operators.index(op_i), A.operators.index(op_j)))
+            return gram_cross_is_zero(op_i, op_j, tol=tol)
+
+        monkeypatch.setattr(partition, "gram_cross_is_zero", spy)
+        for heuristic in (case2_partition, case3_partition):
+            checked.clear()
+            heuristic(A)
+            assert checked == [(0, 2), (1, 2)]
+        assert case2_partition(A) == Partition((0, 1), (2,), case="II")
 
 
 class TestCase3Partition:

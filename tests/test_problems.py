@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from mmadmm.blockspace import BlockVector, DimensionError
+from mmadmm.blockspace import BlockVector, DimensionError, residual
 from mmadmm.problems import (
     DataGenSpec,
     ProblemSpec,
@@ -21,6 +21,13 @@ from mmadmm.prox import ProxFunction
 from mmadmm.solvers import SolverConfig, run
 
 from helpers import random_blocks
+
+
+def _assert_residual(problem, x, *rows, atol=1e-12):
+    """The stacked residual ``run`` sees equals the hand-computed ``rows``."""
+    got = residual(problem.family, x, problem.b).ravel()
+    want = np.concatenate([np.ravel(r) for r in rows])
+    np.testing.assert_allclose(got, want, atol=atol)
 
 
 def _gen(**kwargs):
@@ -56,6 +63,27 @@ class TestDataGenSpec:
         base.update(kwargs)
         with pytest.raises(ValueError):
             DataGenSpec(**base)
+
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [
+            ("d", 2.5, "d must be an integer, got 2.5"),
+            ("n", math.nan, "n must be an integer, got nan"),
+            ("rank", 2.5, "rank must be an integer, got 2.5"),
+            ("seed", 1.5, "seed must be an integer, got 1.5"),
+            ("seed", -1, "seed must be at least 0, got -1"),
+            ("block_dims", (2, 2.5, 4), r"block_dims\[1\] must be an integer"),
+        ],
+    )
+    def test_integer_fields(self, field, value, message):
+        # Each of these was accepted, and the build then raised TypeError.
+        base = dict(seed=0, d=5, n=3)
+        base[field] = value
+        with pytest.raises(ValueError, match=message):
+            DataGenSpec(**base)
+        gen = DataGenSpec(seed=np.int64(2), d=5.0, n=3, block_dims=(1, 2.0, 3))
+        assert (gen.seed, gen.d, gen.block_dims) == (2, 5, (1, 2, 3))
+        assert type(gen.seed) is type(gen.d) is int
 
     @pytest.mark.parametrize("sigma", [math.nan, math.inf, -1.0])
     def test_noise_sigma_finite_and_nonnegative(self, sigma):
@@ -110,11 +138,10 @@ class TestNonnegSparseCoding:
         assert problem.objective(BlockVector([np.abs(b) for b in x.blocks])) == (
             pytest.approx(want, rel=1e-12)
         )
-        r = problem.row_residuals(x)[0]
         manual = -problem.data["y"] + sum(
             problem.data[f"A_{i}"] @ x[i] for i in range(3)
         )
-        np.testing.assert_allclose(r, manual, atol=1e-12)
+        _assert_residual(problem, x, manual)
 
 
 class TestNoisyVariant:
@@ -174,9 +201,8 @@ class TestLatentLRR:
             + 0.2 * np.linalg.norm(X @ Z + L @ X - X) ** 2
         )
         assert got == pytest.approx(want, rel=1e-10)
-        r = problem.row_residuals(BlockVector([Z, L]))[0]
-        np.testing.assert_allclose(
-            r, Z.sum(axis=0, keepdims=True) - 1.0, atol=1e-12
+        _assert_residual(
+            problem, BlockVector([Z, L]), Z.sum(axis=0, keepdims=True) - 1.0
         )
 
     def test_three_block_structure(self):
@@ -193,7 +219,7 @@ class TestLatentLRR:
         assert problem.terms[2].weight == 0.4
         assert problem.recommended_partition.b1 == (0,)
         assert problem.recommended_partition.b2 == (1, 2)
-        assert len(problem.family.row_groups) == 2
+        assert len(problem.family.rows) == 2
 
     def test_three_block_couples_consistently(self):
         X = self._X()
@@ -202,10 +228,11 @@ class TestLatentLRR:
         Z = rng.standard_normal((9, 9))
         L = rng.standard_normal((6, 6))
         E = X @ Z + L @ X - X
-        r1, r2 = problem.row_residuals(BlockVector([Z, L, E]))
-        np.testing.assert_allclose(r2, np.zeros((6, 9)), atol=1e-12)
-        np.testing.assert_allclose(
-            r1, Z.sum(axis=0, keepdims=True) - 1.0, atol=1e-12
+        _assert_residual(
+            problem,
+            BlockVector([Z, L, E]),
+            Z.sum(axis=0, keepdims=True) - 1.0,
+            np.zeros((6, 9)),
         )
 
     def test_validation(self):
@@ -235,9 +262,7 @@ class TestLRR:
             E, axis=0
         ).sum()
         assert got == pytest.approx(want, rel=1e-10)
-        r1, r2 = problem.row_residuals(BlockVector([J, E, Z]))
-        np.testing.assert_allclose(r1, E + X @ Z - X, atol=1e-12)
-        np.testing.assert_allclose(r2, Z - J, atol=1e-12)
+        _assert_residual(problem, BlockVector([J, E, Z]), E + X @ Z - X, Z - J)
 
     def test_runs_under_mixed_solver(self):
         rng = np.random.default_rng(25)
@@ -301,9 +326,7 @@ class TestMatrixCompletion:
         truth = problem.data["truth"]
         b = problem.data["B_obs"]
         x = BlockVector([truth, b - mask * truth, truth])
-        r1, r2 = problem.row_residuals(x)
-        assert np.max(np.abs(r1)) <= 1e-12
-        assert np.max(np.abs(r2)) <= 1e-12
+        assert np.max(np.abs(residual(problem.family, x, problem.b))) <= 1e-12
         assert np.isfinite(problem.objective(x))
 
     def test_lam_validation(self):
@@ -342,6 +365,27 @@ class TestSubspaceData:
     def test_validation(self):
         with pytest.raises(ValueError, match="corrupt_frac"):
             make_subspace_data(seed=0, corrupt_frac=1.2)
+
+    @pytest.mark.parametrize(
+        "kwargs,message",
+        [
+            ({"rank": 0}, "rank must be at least 1, got 0"),
+            ({"d": 2.5}, "d must be an integer, got 2.5"),
+            ({"n_subspaces": 0}, "n_subspaces must be at least 1"),
+            ({"per_subspace": 1.5}, "per_subspace must be an integer"),
+            ({"seed": 0.5}, "seed must be an integer"),
+            ({"d": 3, "rank": 4}, "rank must not exceed d=3, got 4"),
+            ({"noise_scale": math.nan}, "noise_scale must be finite"),
+            ({"noise_scale": -0.1}, "noise_scale must be finite and nonnegative"),
+        ],
+    )
+    def test_inputs_checked_before_drawing(self, kwargs, message):
+        # rank=0 and noise_scale=nan used to return data (NaN for the
+        # latter), and d=2.5 raised TypeError inside numpy.
+        base = dict(seed=0, d=6, rank=2, n_subspaces=2, per_subspace=4)
+        base.update(kwargs)
+        with pytest.raises(ValueError, match=message):
+            make_subspace_data(**base)
 
 
 class TestNonFiniteLam:
@@ -382,7 +426,7 @@ class TestNegatedIdentityPieces:
         )
         rng = np.random.default_rng(5)
         for problem, row, block in cases:
-            op = problem.rows[row][0][block]
+            op = dict(problem.family.rows[row])[block]
             v = rng.standard_normal(op.in_shape)
             np.testing.assert_array_equal(op.apply(v), -v)
             np.testing.assert_array_equal(op.adjoint(v), -v)

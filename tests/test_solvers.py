@@ -16,6 +16,7 @@ from mmadmm.blockspace import (
     MaskProjectionOp,
     RightMultiplyOp,
     ScaledIdentityOp,
+    StackedOp,
     WeightMatrix,
     ZeroOp,
     _Layout,
@@ -119,6 +120,17 @@ class TestSolverConfig:
         c = SolverConfig(max_iter=10.0)
         assert c.max_iter == 10 and type(c.max_iter) is int
 
+    def test_weights_must_be_weight_matrices(self):
+        # A bare float used to fail much later, inside prepare_context.
+        G = WeightMatrix.scaled_identity(1.0)
+        for weights, message in (
+            ([1.0], r"weights\[0\] must be a WeightMatrix, got float"),
+            ((G, None), r"weights\[1\] must be a WeightMatrix, got NoneType"),
+        ):
+            with pytest.raises(TypeError, match=message):
+                SolverConfig(weights=weights)
+        assert SolverConfig(weights=[G]).weights == (G,)
+
     def test_int_field_keeps_large_integers_exact(self):
         big = 2**53 + 1
         assert SolverConfig(max_iter=big).max_iter == big
@@ -185,28 +197,69 @@ class TestPhaseSmoothness:
 
     def test_row_groups_count_per_phase(self):
         rng = np.random.default_rng(83)
-        rows = [
-            (
-                (
-                    DenseMatrixOp(rng.standard_normal((3, 2))),
-                    DenseMatrixOp(rng.standard_normal((3, 4))),
-                ),
-                np.zeros(3),
-            ),
-            ((DenseMatrixOp(rng.standard_normal((5, 2))), None), np.zeros(5)),
-        ]
-        A, _ = stack_rows(rows, [(2,), (4,)])
-        g1, g2 = A.row_groups
-        both = phase_smoothness(A, (0, 1))
-        assert both[0][0] == pytest.approx(
-            2 * g1.norm_sq_of(0) + 1 * g2.norm_sq_of(0)
+        a0, a1, c0 = (
+            DenseMatrixOp(rng.standard_normal(shape))
+            for shape in ((3, 2), (3, 4), (5, 2))
         )
+        rows = [((a0, a1), np.zeros(3)), ((c0, None), np.zeros(5))]
+        A, _ = stack_rows(rows, [(2,), (4,)])
+        both = phase_smoothness(A, (0, 1))
+        assert both[0][0] == pytest.approx(2 * a0.op_norm_sq + 1 * c0.op_norm_sq)
         assert both[0][1] is False
-        assert both[1][0] == pytest.approx(2 * g1.norm_sq_of(1))
+        assert both[1][0] == pytest.approx(2 * a1.op_norm_sq)
         assert both[1][1] is False
         solo = phase_smoothness(A, (0,))
-        assert solo[0][0] == pytest.approx(g1.norm_sq_of(0) + g2.norm_sq_of(0))
+        assert solo[0][0] == pytest.approx(a0.op_norm_sq + c0.op_norm_sq)
         assert solo[0][1] is True
+
+    @staticmethod
+    def _reference(A, blocks):
+        """``phase_smoothness`` read from the operators themselves: each row
+        of a stacked family is a column of ``StackedOp.pieces``, and a
+        one-row family acts through its operators other than zeros."""
+        ops = A.operators
+        if isinstance(ops[0], StackedOp):
+            pieces = [[piece[2] for piece in op.pieces] for op in ops]
+            rows = [list(enumerate(row)) for row in zip(*pieces)]
+        else:
+            rows = [[(i, op) for i, op in enumerate(ops) if not isinstance(op, ZeroOp)]]
+        members = set(blocks)
+        etas = {i: 0.0 for i in members}
+        alone = {i: True for i in members}
+        for row in rows:
+            act = [(i, op) for i, op in row if op is not None and i in members]
+            for i, op in act:
+                etas[i] += len(act) * op.op_norm_sq
+                alone[i] = alone[i] and len(act) == 1
+        return {i: (etas[i], alone[i]) for i in members}
+
+    def test_every_builder_matches_its_pieces_bitwise(self):
+        X = make_subspace_data(0, d=6, rank=2, n_subspaces=2, per_subspace=4)
+        problems = (
+            build_nonneg_sparse_coding(DataGenSpec(0, d=6, n=5)),
+            build_nonneg_sparse_coding_noisy(
+                DataGenSpec(0, d=6, n=4, noise_sigma=0.1)
+            ),
+            build_latent_lrr(X, formulation="2-block"),
+            build_latent_lrr(X, formulation="3-block"),
+            build_lrr(X, X),
+            build_nonneg_matrix_completion(DataGenSpec(0, d=5, n=4, rank=2)),
+        )
+        for problem in problems:
+            A = problem.family
+            phases = [tuple(range(A.n))] + [(i,) for i in range(A.n)]
+            part = problem.recommended_partition or case1_partition(
+                list(A.norms_sq()), A
+            )
+            phases += [part.b1, part.b2]
+            for blocks in phases:
+                got = phase_smoothness(A, blocks)
+                want = self._reference(A, blocks)
+                assert got == want, (problem.name, blocks)
+                # Bitwise: equal floats, not merely close ones.
+                assert all(
+                    got[i][0].hex() == want[i][0].hex() for i in blocks
+                ), problem.name
 
     def test_bare_family_reads_as_one_stacked_row(self):
         # A family without row groups gives, bit for bit, what the same
@@ -221,7 +274,7 @@ class TestPhaseSmoothness:
         bare = BlockOperatorFamily(ops, (4,))
         row = tuple(None if isinstance(op, ZeroOp) else op for op in ops)
         grouped, _ = stack_rows([(row, np.zeros(4))], [op.in_shape for op in ops])
-        assert bare.row_groups is None and len(grouped.row_groups) == 1
+        assert len(bare.rows) == len(grouped.rows) == 1
         for blocks in ((0, 1, 2, 3), (0, 2), (3,), (1, 2)):
             want = phase_smoothness(grouped, blocks)
             got = phase_smoothness(bare, blocks)

@@ -25,7 +25,11 @@ only.
 The full grid is every solver kind on eight problems, both schedules and 1
 or 2 workers, 40 iterations each (224 runs). ``--problems``, ``--kinds``,
 ``--schedules`` and ``--workers`` take comma-separated subsets, and
-``--iters`` sets the iteration count.
+``--iters`` sets the iteration count. ``--partitions`` takes a subset of
+``auto,case1,case2,case3`` (default ``auto``): each mixed kind (``madmm``,
+``madmm-bt``) then runs once per choice, on the partition that
+``choose_partition`` gives for it, and is printed as ``<kind>/<choice>``;
+``auto`` keeps the plain ``<kind>`` line.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SCHEDULES = ("geometric", "adaptive")
 WORKERS = (1, 2)
+PARTITIONS = ("auto", "case1", "case2", "case3")
 
 
 def _load(src: Path) -> dict:
@@ -74,8 +79,15 @@ def _load(src: Path) -> dict:
     }
 
 
-def hash_run(problem, kind: str, schedule: str, workers: int, iters: int):
-    """``(status, full sha256 hex, iterate sha256 hex)`` of one run of ``kind``."""
+def hash_run(
+    problem, kind: str, schedule: str, workers: int, iters: int, choice="auto"
+):
+    """``(status, full sha256 hex, iterate sha256 hex)`` of one run of ``kind``.
+
+    ``choice`` names the partition as ``choose_partition`` takes it; an
+    error in choosing it is the run's outcome.
+    """
+    from mmadmm.partition import choose_partition
     from mmadmm.solvers import SolverConfig, run
 
     full, iterate = hashlib.sha256(), hashlib.sha256()
@@ -84,8 +96,11 @@ def hash_run(problem, kind: str, schedule: str, workers: int, iters: int):
         full.update(data)
         iterate.update(data)
 
-    config = SolverConfig(max_iter=iters, eps_step=0.0, schedule=schedule)
     try:
+        partition = "auto" if choice == "auto" else choose_partition(problem, choice)
+        config = SolverConfig(
+            max_iter=iters, eps_step=0.0, schedule=schedule, partition=partition
+        )
         result = run(problem, kind, config, workers=workers, keep_iterates=True)
     except Exception as exc:  # the error is the run's outcome; it is hashed
         status = type(exc).__name__
@@ -119,23 +134,30 @@ def main(argv=None) -> int:
     parser.add_argument("--schedules", default=",".join(SCHEDULES))
     parser.add_argument("--workers", default=",".join(map(str, WORKERS)))
     parser.add_argument("--iters", type=int, default=40)
+    parser.add_argument("--partitions", default="auto")
     args = parser.parse_args(argv)
     if not (args.src / "mmadmm").is_dir():
         raise SystemExit(f"no mmadmm package under {args.src}")
     builders = _load(args.src.resolve())
-    from mmadmm.solvers import SOLVER_KINDS
+    from mmadmm.solvers import _KINDS, SOLVER_KINDS
 
     names = _subset(args.problems or ",".join(builders), builders)
     kinds = _subset(args.kinds or ",".join(SOLVER_KINDS), SOLVER_KINDS)
     schedules = _subset(args.schedules, SCHEDULES)
     workers = _subset(args.workers, WORKERS, int)
+    partitions = _subset(args.partitions, PARTITIONS)
     for name in names:
         problem = builders[name]()
         for kind in kinds:
-            for schedule in schedules:
-                for w in workers:
-                    digests = hash_run(problem, kind, schedule, w, args.iters)
-                    print(name, kind, schedule, w, *digests, flush=True)
+            mixed = _KINDS[kind].partition == "mixed"
+            for choice in partitions if mixed else ("auto",):
+                label = kind if choice == "auto" else f"{kind}/{choice}"
+                for schedule in schedules:
+                    for w in workers:
+                        digests = hash_run(
+                            problem, kind, schedule, w, args.iters, choice
+                        )
+                        print(name, label, schedule, w, *digests, flush=True)
     return 0
 
 
