@@ -736,14 +736,24 @@ def gram_cross_is_zero(
     if isinstance(op_i, MaskProjectionOp) and isinstance(op_j, MaskProjectionOp):
         if not np.any(op_i.mask * op_j.mask):
             return True
-    cross_sq = _cross_norm_sq(op_i, op_j)
+    bound_sq = tol * tol * ci * cj
+    cross_sq = _cross_norm_sq(op_i, op_j, stop_above=4.0 * bound_sq)
     return math.sqrt(max(cross_sq, 0.0)) <= tol * math.sqrt(ci * cj)
 
 
 def _cross_norm_sq(
-    op_i: BlockOperator, op_j: BlockOperator, iters: int = 60, seed: int = 0
+    op_i: BlockOperator,
+    op_j: BlockOperator,
+    iters: int = 60,
+    seed: int = 0,
+    stop_above: float = math.inf,
 ) -> float:
-    # Power iteration on (A_i^T A_j)^T (A_i^T A_j); exact zeros stay zero.
+    """Power-iteration estimate of ``||A_i^T A_j||_2^2``; exact zeros stay zero.
+
+    Returns early with the first Rayleigh quotient above ``stop_above``.
+    The quotients of a power iteration on a PSD matrix do not decrease, so
+    the full iteration's estimate would lie above it too.
+    """
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(op_j.in_shape)
     v /= max(np.linalg.norm(v), 1e-300)
@@ -752,6 +762,8 @@ def _cross_norm_sq(
         w = op_i.adjoint(op_j.apply(v))
         back = op_j.adjoint(op_i.apply(w))
         ray = float(np.vdot(v, back))
+        if ray > stop_above:
+            return ray
         nb = np.linalg.norm(back)
         if nb == 0.0:
             return 0.0

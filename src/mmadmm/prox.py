@@ -1,8 +1,9 @@
 """Proximal operators for every per-block subproblem used by the solvers.
 
-All operators are exact closed forms. Thresholds may be scalars or arrays
-broadcastable against the input, which lets diagonal-quadratic subproblems
-reuse the same formulas entrywise.
+All operators are exact closed forms. Thresholds may be scalars or, for the
+entrywise operators, arrays broadcastable against the input, which lets
+diagonal-quadratic subproblems reuse the same formulas entrywise. The
+nuclear and ``l21`` operators take a matrix and one scalar threshold.
 """
 
 from __future__ import annotations
@@ -55,13 +56,73 @@ def _shrink_nonneg(v: np.ndarray, t, out=None) -> np.ndarray:
 
 def prox_nuclear(V: np.ndarray, t: float) -> np.ndarray:
     """Singular value thresholding: minimizes ``t ||X||_* + 0.5 ||X - V||_F^2``."""
-    V = np.asarray(V, dtype=float)
-    _check_threshold(t)
-    return _svt(V, t)[0]
+    _check_scalar_threshold(t, "nuclear")
+    return _svt(np.asarray(V, dtype=float), t)[0]
+
+
+_EPS = float(np.finfo(float).eps)
+# Below this ``t^2``, underflow in squaring entries could exceed the zero
+# test's margin, so :func:`_svt` takes the SVD.
+_SQ_MIN = float(np.finfo(float).tiny) / _EPS
+# The largest ``eps ||V||_F / t`` for which :func:`_svt` squares ``V``.
+_GRAM_RTOL = 1e-12
 
 
 def _svt(V: np.ndarray, t: float):
-    """``(X, s)``: the thresholded matrix and its singular values ``max(s_V - t, 0)``."""
+    """``(X, s)``: the thresholded matrix and its nonzero singular values.
+
+    ``X = U diag(max(s_V - t, 0)) W^T`` for the SVD ``V = U diag(s_V) W^T``,
+    and ``s`` holds the kept ``s_V - t``. Three paths, each making at most
+    one factorization when it succeeds:
+
+    * **Zero.** When ``||V||_F <= t`` every ``s_V <= ||V||_F`` is
+      thresholded away, so ``X = 0`` exactly and ``s`` is empty. The test
+      ``f <= t^2 (1 - 2 (N + 2) eps)``, with ``f`` the computed
+      ``||V||_F^2`` over ``N`` entries, is never passed when ``X != 0``:
+      ``f >= (1 - gamma_N) ||V||_F^2`` with ``gamma_N = N u / (1 - N u)
+      <= 2 N u`` and ``u = eps / 2``, whatever the summation order, less
+      at most ``N 2^-1075 <= 2 N u^2 t^2`` of underflow (``t^2 >=
+      _SQ_MIN``, else this path is not taken); and the right side, three
+      roundings of ``t^2 (1 - 4 (N + 2) u)``, is at most ``t^2 (1 + 4u)(1
+      - 4 (N + 2) u) <= t^2 (1 - 4 N u - 4u)``. Hence ``(1 - 2 N u)
+      ||V||_F^2 <= t^2 (1 - 4 N u - 4u + 2 N u^2) <= t^2 (1 - 2 N u)``.
+    * **Gram.** Otherwise, while ``eps ||V||_F / t <= _GRAM_RTOL``, take
+      ``eigh`` of the smaller Gram, ``V^T V = W diag(w) W^T`` for a tall
+      ``V`` (the mirror image for a wide one), set ``s_V = sqrt(max(w, 0))``
+      and form ``X = V W_k diag((s_k - t) / s_k) W_k^T`` over the kept
+      ``s_k > t``. Error bound: forming the Gram errs by at most
+      ``gamma_m ||V||_F^2`` in Frobenius norm, and ``eigh`` is backward
+      stable, so the computed pairs are exact for ``V^T V + E`` with
+      ``||E||_F <= p u ||V||_F^2`` for a modest polynomial ``p`` in the
+      sizes. ``X = V f(V^T V)`` with ``f(l) = max(1 - t / sqrt(l), 0)``. In
+      the singular basis, a change ``E`` of the Gram changes ``X`` to first
+      order by ``U (S F o W^T E W) W^T``, where ``F_ij`` is the divided
+      difference ``f[s_i^2, s_j^2]``, and ``|s_i F_ij| <= 1 / (2t)`` for
+      all ``i, j``: for ``s_i, s_j > t`` it is ``t / (s_j (s_i + s_j))``;
+      for ``s_j <= t < s_i`` it is ``(s_i - t) / (s_i^2 - s_j^2) <= 1 /
+      (s_i + t)``, and with the roles swapped ``s_j (s_i - t) / (s_i
+      (s_i^2 - s_j^2)) <= t / (s_i (s_i + t))``, both below ``1 / (2t)``;
+      for ``s_i, s_j <= t`` it is 0. So, to first order and up to the
+      rounding of the two products, ``||X_computed - X||_F <= ||E||_F /
+      (2t) <= (p / 4) eps ||V||_F^2 / t``, which is ``(p / 4) _GRAM_RTOL``
+      relative to ``||V||_F``. By Weyl, each kept value errs by at most
+      ``||E||_2 / t``, and a value near ``t`` that is wrongly kept or
+      dropped weighs no more than that.
+    * **SVD.** Otherwise, on non-finite input (its ``||V||_F^2`` is not a
+      number the comparisons pass), or when ``eigh`` raises: the thin SVD,
+      by ``gesdd`` and then ``gesvd``.
+    """
+    _check_matrix(V, "nuclear")
+    t_sq = t * t
+    if t_sq >= _SQ_MIN:
+        fro_sq = float(np.vdot(V, V))
+        if fro_sq <= t_sq * (1.0 - 2.0 * (V.size + 2) * _EPS):
+            return np.zeros_like(V), np.zeros(0)
+        if _EPS * math.sqrt(fro_sq) <= _GRAM_RTOL * t:
+            try:
+                return _svt_gram(V, t)
+            except np.linalg.LinAlgError:
+                pass
     try:
         U, s, Wt = _svd(V)
     except np.linalg.LinAlgError as exc:
@@ -70,8 +131,22 @@ def _svt(V: np.ndarray, t: float):
             f"shape {V.shape}, max |entry| {np.max(np.abs(V)):.3e}, "
             f"any non-finite: {bool(~np.all(np.isfinite(V)))}"
         ) from exc
-    s = np.maximum(s - t, 0.0)
-    return (U * s) @ Wt, s
+    keep = s > t
+    s = s[keep] - t
+    return (U[:, keep] * s) @ Wt[keep], s
+
+
+def _svt_gram(V: np.ndarray, t: float):
+    """:func:`_svt`'s Gram path: ``eigh`` of the smaller of ``V^T V``, ``V V^T``."""
+    tall = V.shape[0] >= V.shape[1]
+    w, W = np.linalg.eigh(V.T @ V if tall else V @ V.T)
+    s = np.sqrt(np.maximum(w, 0.0))
+    keep = s > t
+    s, W = s[keep], W[:, keep]
+    kept = s - t
+    scaled = W * (kept / s)
+    X = (V @ scaled) @ W.T if tall else scaled @ (W.T @ V)
+    return X, kept
 
 
 def _nuclear_value(weight: float, s: np.ndarray) -> float:
@@ -109,8 +184,9 @@ def prox_sq(v: np.ndarray, t: float, anchor_weight: float) -> np.ndarray:
 
 def prox_l21(V: np.ndarray, t: float) -> np.ndarray:
     """Columnwise group soft threshold: minimizes ``t ||X||_{2,1} + 0.5 ||X - V||_F^2``."""
+    _check_scalar_threshold(t, "l21")
     V = np.asarray(V, dtype=float)
-    _check_threshold(t)
+    _check_matrix(V, "l21")
     norms = np.linalg.norm(V, axis=0)
     scale = np.zeros_like(norms)
     nz = norms > 0.0
@@ -132,6 +208,19 @@ def _check_threshold(t) -> None:
     """Reject a threshold that is NaN or not positive (in any entry)."""
     if not (t > 0 if np.isscalar(t) else np.all(np.asarray(t) > 0)):
         raise ValueError(f"threshold must be positive, got {float(np.min(t))}")
+
+
+def _check_scalar_threshold(t, kind: str) -> None:
+    """Reject a threshold that is not one positive number."""
+    _check_threshold(t)
+    if not np.isscalar(t):
+        raise ValueError(f"{kind} prox needs a scalar threshold")
+
+
+def _check_matrix(V: np.ndarray, kind: str) -> None:
+    """Reject an input that is not a matrix."""
+    if V.ndim != 2:
+        raise ValueError(f"{kind} prox needs a matrix, got shape {V.shape}")
 
 
 _ENTRYWISE_KINDS = frozenset(

@@ -423,6 +423,29 @@ class TestGramCross:
         with pytest.raises(DimensionError):
             gram_cross_is_zero(ZeroOp((2,), (3,)), ZeroOp((2,), (4,)))
 
+    def test_clearly_nonzero_pair_stops_after_one_step(self, monkeypatch):
+        applies = []
+        apply = DenseMatrixOp.apply
+
+        def counted(op, v):
+            applies.append(op)
+            return apply(op, v)
+
+        monkeypatch.setattr(DenseMatrixOp, "apply", counted)
+        rng = np.random.default_rng(9)
+        a = DenseMatrixOp(rng.standard_normal((6, 3)))
+        b = DenseMatrixOp(rng.standard_normal((6, 4)))
+        assert not gram_cross_is_zero(a, b)
+        assert applies == [b, a]  # one power step applies each operator once
+        # Cross norms near the tolerance of 1e-10 still get the answer of
+        # the full iteration, though the first Rayleigh quotient of
+        # diag(cross^2, 0, 0) sees only a few percent of it.
+        first = DenseMatrixOp(np.eye(4, 3))
+        for cross, zero in ((3e-10, False), (1.5e-10, False), (0.5e-10, True)):
+            second = np.zeros((4, 3))
+            second[0, 0], second[3, 1] = cross, 1.0
+            assert gram_cross_is_zero(first, DenseMatrixOp(second)) is zero
+
 
 # ---------------------------------------------------------------------------
 # Weight matrices

@@ -1,4 +1,4 @@
-"""``tools/hash_runs.py``: the bitwise run hash that checks a refactor."""
+"""``tools/hash_runs.py``: the bitwise run hash and the outcome comparison."""
 
 import re
 import shutil
@@ -8,13 +8,34 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 TOOL = ROOT / "tools" / "hash_runs.py"
+MARGIN = r"^MARGIN_STRICT = .*$"
 
 
-def _hashes(*flags, problems="l1_toy,quad", kinds="jacobi,madmm-bt,gs"):
+def _tool(*flags, problems="l1_toy,quad", kinds="jacobi,madmm-bt,gs"):
     argv = [sys.executable, str(TOOL), "--problems", problems, "--kinds", kinds]
-    argv += flags
-    done = subprocess.run(argv, capture_output=True, text=True, check=True)
+    argv += [str(flag) for flag in flags]
+    return subprocess.run(argv, capture_output=True, text=True)
+
+
+def _hashes(*flags, **grid):
+    done = _tool(*flags, **grid)
+    assert done.returncode == 0, done.stderr
     return done.stdout.splitlines()
+
+
+def _copy_src(dest: Path) -> Path:
+    shutil.copytree(
+        ROOT / "src" / "mmadmm",
+        dest / "mmadmm",
+        ignore=shutil.ignore_patterns("__pycache__"),
+    )
+    return dest
+
+
+def _edit(path: Path, pattern: str, replacement: str) -> None:
+    text, count = re.compile(pattern, re.M).subn(replacement, path.read_text())
+    assert count == 1
+    path.write_text(text)
 
 
 def test_two_runs_print_the_same_lines():
@@ -41,21 +62,8 @@ def test_an_error_is_hashed_as_the_run_outcome():
 
 
 def test_src_names_the_package_that_is_hashed(tmp_path):
-    def copy(name):
-        dest = tmp_path / name
-        shutil.copytree(
-            ROOT / "src" / "mmadmm",
-            dest / "mmadmm",
-            ignore=shutil.ignore_patterns("__pycache__"),
-        )
-        return dest
-
-    same, changed = copy("same"), copy("changed")
-    solvers = changed / "mmadmm" / "solvers.py"
-    pattern = re.compile(r"^MARGIN_STRICT = .*$", re.M)
-    text, count = pattern.subn("MARGIN_STRICT = 1.5", solvers.read_text())
-    assert count == 1
-    solvers.write_text(text)
+    same, changed = _copy_src(tmp_path / "same"), _copy_src(tmp_path / "changed")
+    _edit(changed / "mmadmm" / "solvers.py", MARGIN, "MARGIN_STRICT = 1.5")
     # Both blocks of quad share the second phase, whose weights take the margin.
     flags = ("--schedules", "geometric", "--workers", "1", "--iters", "3")
     grid = dict(problems="quad", kinds="jacobi,l-admm-ps")
@@ -87,3 +95,53 @@ def test_partitions_run_each_mixed_kind_once_per_choice():
     assert by_label["quad", "madmm/case1"] == by_label["quad", "madmm"]
     # latlrr3's non-orthogonality graph has an odd cycle: no case-II split.
     assert by_label["latlrr3", "madmm/case2"][0] == "ValueError"
+
+
+def test_compare_tells_rounding_from_changed_runs(tmp_path):
+    saved = tmp_path / "runs.npz"
+    flags = ("--schedules", "geometric", "--workers", "1", "--iters", "4")
+    grid = dict(problems="latlrr2,quad", kinds="jacobi,gs")
+    lines = _hashes(*flags, "--save", saved, **grid)
+    assert len(lines) == 4
+
+    def compare(*more, src=ROOT / "src"):
+        """Exit code, hash lines, and the report without the solvers' warnings."""
+        done = _tool("--src", src, *flags, *more, "--compare", saved, **grid)
+        report = [
+            line
+            for line in done.stderr.splitlines()
+            if line[:1].isdigit() or line.startswith(("latlrr2 ", "quad "))
+        ]
+        return done.returncode, done.stdout.splitlines(), report
+
+    code, same, report = compare()
+    assert (code, same) == (0, lines)
+    assert report[-1] == (
+        "4 runs compared: largest relative deviation 0.000e+00, 0 beyond 1e-09 "
+        "or changed"
+    )
+    # Always thresholding by SVD moves latlrr2's iterates by rounding only.
+    svd_only = _copy_src(tmp_path / "svd-only")
+    _edit(svd_only / "mmadmm" / "prox.py", r"^_GRAM_RTOL = .*$", "_GRAM_RTOL = 0.0")
+    code, other, report = compare(src=svd_only)
+    assert code == 0
+    for a, b in zip(lines, other):
+        assert a.split()[:5] == b.split()[:5]
+        assert (a == b) == a.startswith("quad ")
+    worst = float(report[-1].split("deviation ")[1].split(",")[0])
+    assert 0.0 < worst <= 1e-9
+    # A changed weight moves the iterates for real.
+    margin = _copy_src(tmp_path / "margin")
+    _edit(margin / "mmadmm" / "solvers.py", MARGIN, "MARGIN_STRICT = 1.5")
+    code, _, report = compare(src=margin)
+    assert code == 1
+    moved = "quad jacobi geometric 1: final iterate deviates by"
+    assert any(line.startswith(moved) for line in report)
+    # One more iteration changes every run's count.
+    code, _, report = compare("--iters", "5")
+    assert code == 1
+    assert report[:4] == [
+        f"{name} {kind} geometric 1: iterations 4 -> 5"
+        for name in ("latlrr2", "quad")
+        for kind in ("jacobi", "gs")
+    ]

@@ -23,7 +23,17 @@ from mmadmm.partition import (
     case3_partition,
     choose_partition,
 )
-from mmadmm.problems import build_lrr, make_subspace_data
+from mmadmm.problems import (
+    DataGenSpec,
+    build_latent_lrr,
+    build_lrr,
+    build_nonneg_matrix_completion,
+    build_nonneg_sparse_coding,
+    build_nonneg_sparse_coding_noisy,
+    make_subspace_data,
+)
+
+from helpers import l1_toy, quad_problem
 
 
 def _column_op(col, d=4):
@@ -364,6 +374,49 @@ class TestChoosePartition:
     def test_n1_out_of_range(self, n1):
         with pytest.raises(ValueError, match=r"n1 must lie in \[1, 3\]"):
             choose_partition(self._problem(), n1=n1)
+
+    def test_grid_problems_keep_their_partitions(self):
+        # The problems of tools/hash_runs.py, with the partitions each named
+        # heuristic gave while every cross-Gram check ran its full power
+        # iteration; ``None`` is a refusal (no two-coloring split).
+        def subspace():
+            return make_subspace_data(0, d=10, rank=2, n_subspaces=3, per_subspace=6)
+
+        problems = {
+            "nnsc": build_nonneg_sparse_coding(DataGenSpec(0, d=30, n=40)),
+            "nnsc-noisy": build_nonneg_sparse_coding_noisy(
+                DataGenSpec(0, d=20, n=12, noise_sigma=0.1)
+            ),
+            "latlrr3": build_latent_lrr(subspace(), formulation="3-block"),
+            "latlrr2": build_latent_lrr(subspace(), formulation="2-block"),
+            "lrr": build_lrr(subspace(), subspace()),
+            "nmc": build_nonneg_matrix_completion(
+                DataGenSpec(0, d=12, n=10, rank=2, noise_sigma=0.1)
+            ),
+            "quad": quad_problem(3),
+            "l1_toy": l1_toy(),
+        }
+        nnsc = (tuple(range(24, 40)), tuple(range(24)))
+        noisy = ((7, 8, 9, 10, 11), (0, 1, 2, 3, 4, 5, 6, 12))
+        want = {
+            "nnsc": (nnsc, None, nnsc),
+            "nnsc-noisy": (noisy, None, noisy),
+            "latlrr3": (((0,), (1, 2)), None, ((0,), (1, 2))),
+            "latlrr2": (((0,), (1,)), ((0,), (1,)), ((0, 1), ())),
+            "lrr": (((2,), (0, 1)), ((0, 1), (2,)), ((2,), (0, 1))),
+            "nmc": (((2,), (0, 1)), ((0, 1), (2,)), ((2,), (0, 1))),
+            "quad": (((0,), (1,)),) * 3,
+            "l1_toy": (((0,), (1,)),) * 3,
+        }
+        choices = (("case1", "I"), ("case2", "II"), ("case3", "III"))
+        for name, problem in problems.items():
+            for (choice, case), split in zip(choices, want[name]):
+                if split is None:
+                    with pytest.raises(ValueError, match="no two-coloring split"):
+                        choose_partition(problem, choice)
+                    continue
+                part = choose_partition(problem, choice)
+                assert (part.b1, part.b2, part.case) == (*split, case), (name, choice)
 
     def test_refusals(self):
         ops = (

@@ -1,5 +1,7 @@
 """Closed-form proximal operators against brute-force and subgradient oracles."""
 
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -7,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from mmadmm import prox
 from mmadmm.prox import (
     ProxFunction,
     _nuclear_value,
@@ -24,6 +27,10 @@ from helpers import grid_min_1d, refine_min
 
 def _fail_svd(*args, **kwargs):
     raise np.linalg.LinAlgError("SVD did not converge")
+
+
+def _fail_eigh(*args, **kwargs):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
 
 # ---------------------------------------------------------------------------
@@ -398,6 +405,21 @@ class TestProxFunction:
             ProxFunction("nuclear").prox(M, np.array([1.0, 2.0]))
         with pytest.raises(ValueError):
             ProxFunction("l21").prox(M, np.array([1.0, 2.0]))
+        V = np.random.default_rng(43).standard_normal((4, 3))
+        for kind, fn in (("nuclear", prox_nuclear), ("l21", prox_l21)):
+            for t in ([0.5, 1.0, 2.0], np.array([0.5, 1.0, 2.0]), np.array(0.5)):
+                for call in (lambda: fn(V, t), lambda: ProxFunction(kind).prox(V, t)):
+                    with pytest.raises(ValueError, match=f"{kind} prox needs a scalar"):
+                        call()
+
+    def test_spectral_kinds_need_a_matrix(self):
+        for kind, fn in (("nuclear", prox_nuclear), ("l21", prox_l21)):
+            for shape in ((3,), (2, 2, 2), ()):
+                V = np.ones(shape)
+                term = ProxFunction(kind)
+                for call in (lambda: fn(V, 0.5), lambda: term.prox(V, 0.5)):
+                    with pytest.raises(ValueError, match=re.escape(f"shape {shape}")):
+                        call()
 
     def test_zero_weight_prox_is_identity_or_projection(self):
         v = np.array([1.5, -2.0])
@@ -434,6 +456,7 @@ class TestSvdFallback:
         V, t = self._matrix(), 0.9
         U, s, Wt = scipy.linalg.svd(V, full_matrices=False, lapack_driver="gesvd")
         want = (U * np.maximum(s - t, 0.0)) @ Wt
+        monkeypatch.setattr(np.linalg, "eigh", _fail_eigh)  # forces the SVD path
         monkeypatch.setattr(np.linalg, "svd", _fail_svd)
         got = prox_nuclear(V, t)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
@@ -447,6 +470,7 @@ class TestSvdFallback:
 
     def test_double_failure_raises(self, monkeypatch):
         V = self._matrix()
+        monkeypatch.setattr(np.linalg, "eigh", _fail_eigh)  # forces the SVD path
         monkeypatch.setattr(np.linalg, "svd", _fail_svd)
         monkeypatch.setattr(scipy.linalg, "svd", _fail_svd)
         with pytest.raises(np.linalg.LinAlgError, match="singular value thresholding"):
@@ -462,23 +486,59 @@ class TestSvdFallback:
             prox_nuclear(V, 0.5)
 
 
+def _with_values(rng, m, n, values):
+    """An ``m x n`` matrix with the given singular values, random vectors."""
+    U, _ = np.linalg.qr(rng.standard_normal((m, len(values))))
+    W, _ = np.linalg.qr(rng.standard_normal((n, len(values))))
+    return (U * np.asarray(values)) @ W.T
+
+
+def _reference_svt(V, t):
+    """Thresholding by a full ``gesvd`` SVD: ``(X, kept s - t, s_max)``."""
+    U, s, Wt = scipy.linalg.svd(V, full_matrices=False, lapack_driver="gesvd")
+    kept = np.maximum(s - t, 0.0)
+    return (U * kept) @ Wt, kept[kept > 0.0], s[0]
+
+
+def _svt_inputs():
+    """``name: (V, t, path)``; path ``None`` lets either fast path run."""
+    rng = np.random.default_rng(71)
+    eps = np.finfo(float).eps
+    t = 0.8
+    near = t * (1.0 + np.array([1e-8, 1e-12, 1e-15, 0.0, -1e-15, -1e-12, -1e-8]))
+    at_t = rng.standard_normal((6, 4))
+    at_t *= t / np.linalg.norm(at_t)
+    return {
+        "random": (rng.standard_normal((8, 5)), 0.7, "gram"),
+        "rank-deficient": (
+            rng.standard_normal((9, 2)) @ rng.standard_normal((2, 6)),
+            0.3,
+            "gram",
+        ),
+        "fully-thresholded": (0.1 * rng.standard_normal((5, 7)), 10.0, "zero"),
+        "tall": (rng.standard_normal((40, 7)), 2.0, "gram"),
+        "wide": (rng.standard_normal((6, 30)), 2.0, "gram"),
+        "clustered-at-t": (_with_values(rng, 12, 9, [5 * t, 3 * t, *near]), t, "gram"),
+        # Rank one, so s_max = ||V||_F: a few ulps above t keeps a value.
+        "norm-just-above-t": (_with_values(rng, 7, 5, [t * (1 + 8 * eps)]), t, "gram"),
+        "norm-at-t": (at_t, t, None),
+        "norm-just-below-t": (at_t * (1 - 1e-9), t, "zero"),
+        # s_max / t = 2e4: squaring would cost eps * 2e4 > 1e-12.
+        "ill-conditioned": (
+            _with_values(rng, 10, 8, [2e4, 3.0, 1.5, 1.2, 0.5]),
+            1.0,
+            "svd",
+        ),
+    }
+
+
 class TestSvtKernel:
     """The thresholding kernel's singular values score its own output."""
 
-    @staticmethod
-    def _inputs():
-        rng = np.random.default_rng(67)
-        low = rng.standard_normal((9, 2)) @ rng.standard_normal((2, 6))
-        return {
-            "random": (rng.standard_normal((8, 5)), 0.7),
-            "rank-deficient": (low, 0.3),
-            "fully-thresholded": (0.1 * rng.standard_normal((5, 7)), 10.0),
-        }
-
     @pytest.mark.parametrize("weight", [0.0, 1.0, 0.3])
-    @pytest.mark.parametrize("name", ["random", "rank-deficient", "fully-thresholded"])
+    @pytest.mark.parametrize("name", sorted(_svt_inputs()))
     def test_value_matches_the_term_value(self, name, weight):
-        V, t = self._inputs()[name]
+        V, t, _ = _svt_inputs()[name]
         X, s = _svt(V, t)
         np.testing.assert_array_equal(X, prox_nuclear(V, t))
         got = _nuclear_value(weight, s)
@@ -489,7 +549,8 @@ class TestSvtKernel:
 
     @pytest.mark.parametrize("weight", [0.0, 1.0, 0.3])
     def test_value_matches_after_gesvd_fallback(self, weight, monkeypatch):
-        V, t = self._inputs()["random"]
+        V, t, _ = _svt_inputs()["random"]
+        monkeypatch.setattr(np.linalg, "eigh", _fail_eigh)  # forces the SVD path
         monkeypatch.setattr(np.linalg, "svd", _fail_svd)
         X, s = _svt(V, t)
         got = _nuclear_value(weight, s)
@@ -499,7 +560,7 @@ class TestSvtKernel:
 
     @pytest.mark.parametrize("weight", [0.0, 1.0, 0.3])
     def test_prox_returns_the_value_it_knows(self, weight):
-        V, t = self._inputs()["random"]
+        V, t, _ = _svt_inputs()["random"]
         term = ProxFunction("nuclear", weight)
         out = V.copy()
         x, value = term.prox(out, t, out=out, return_value=True)
@@ -513,3 +574,64 @@ class TestSvtKernel:
             got, value = ProxFunction(other, 0.5).prox(V, t, return_value=True)
             np.testing.assert_array_equal(got, ProxFunction(other, 0.5).prox(V, t))
             assert value is None
+
+
+class TestSvtPaths:
+    """The kernel's zero, Gram and SVD paths against full-SVD thresholding."""
+
+    @staticmethod
+    def _spy(monkeypatch, fail_eigh=False):
+        """Record every factorization the kernel makes, as ``(name, shape)``."""
+        calls = []
+        eigh, svd = np.linalg.eigh, prox._svd
+
+        def counted_eigh(a, *args, **kwargs):
+            calls.append(("eigh", a.shape))
+            if fail_eigh:
+                _fail_eigh()
+            return eigh(a, *args, **kwargs)
+
+        def counted_svd(V, compute_uv=True):
+            calls.append(("svd", V.shape))
+            return svd(V, compute_uv)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+        monkeypatch.setattr(prox, "_svd", counted_svd)
+        return calls
+
+    @staticmethod
+    def _check_against_reference(V, t, X, s):
+        want, kept, s_max = _reference_svt(V, t)
+        if not np.any(want):
+            assert not np.any(X) and s.size == 0
+        assert np.max(np.abs(X - want)) <= 1e-10 * s_max
+        got = np.sort(s)[::-1]
+        size = max(got.size, kept.size)
+        got = np.pad(got, (0, size - got.size))
+        kept = np.pad(kept, (0, size - kept.size))
+        assert np.max(np.abs(got - kept), initial=0.0) <= 1e-10 * s_max
+
+    @pytest.mark.parametrize("name", sorted(_svt_inputs()))
+    def test_matches_full_svd_thresholding(self, name, monkeypatch):
+        V, t, path = _svt_inputs()[name]
+        calls = self._spy(monkeypatch)
+        X, s = _svt(V, t)
+        self._check_against_reference(V, t, X, s)
+        assert len(calls) <= 1
+        small = (min(V.shape),) * 2
+        if path == "zero":
+            assert calls == [] and not np.any(X) and s.size == 0
+        elif path == "gram":
+            assert calls == [("eigh", small)]
+        elif path == "svd":
+            assert calls == [("svd", V.shape)]
+        else:
+            assert calls in ([], [("eigh", small)])
+
+    @pytest.mark.parametrize("name", ["random", "tall", "wide", "clustered-at-t"])
+    def test_failed_eigh_falls_back_to_svd(self, name, monkeypatch):
+        V, t, _ = _svt_inputs()[name]
+        calls = self._spy(monkeypatch, fail_eigh=True)
+        X, s = _svt(V, t)
+        self._check_against_reference(V, t, X, s)
+        assert [kind for kind, _ in calls] == ["eigh", "svd"]

@@ -1334,16 +1334,30 @@ class TestCarriedTermValues:
         return SolverConfig(**{"max_iter": 20, "eps_primal": 0.0, "eps_step": 0.0, **kw})
 
     @staticmethod
-    def _svd_calls(monkeypatch):
-        calls = []
-        original = prox._svd
+    def _svt_calls(monkeypatch):
+        """``(calls, made)``: the factorizations each ``prox._svt`` call made,
+        and every ``_svd`` and ``eigh`` call, inside a thresholding or not."""
+        calls, made = [], []
+        svt, svd, eigh = prox._svt, prox._svd, np.linalg.eigh
 
-        def counted(V, compute_uv=True):
-            calls.append(V.shape)
-            return original(V, compute_uv)
+        def counted_svt(V, t):
+            before = len(made)
+            out = svt(V, t)
+            calls.append(len(made) - before)
+            return out
 
-        monkeypatch.setattr(prox, "_svd", counted)
-        return calls
+        def counted_svd(V, compute_uv=True):
+            made.append("svd")
+            return svd(V, compute_uv)
+
+        def counted_eigh(a, *args, **kwargs):
+            made.append("eigh")
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(prox, "_svt", counted_svt)
+        monkeypatch.setattr(prox, "_svd", counted_svd)
+        monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+        return calls, made
 
     @staticmethod
     def _nuclear(problem):
@@ -1351,12 +1365,15 @@ class TestCarriedTermValues:
 
     @pytest.mark.parametrize("kind", ["madmm", "jacobi", "l-admm-ps"])
     def test_one_svd_per_nuclear_block_per_iteration(self, kind, monkeypatch):
+        # One thresholding per nuclear block per iteration, each with at most
+        # one factorization, and none outside them (the trace makes none).
         problem = self.PROBLEMS["latlrr3"]()
         assert len(self._nuclear(problem)) == 2
-        calls = self._svd_calls(monkeypatch)
+        calls, made = self._svt_calls(monkeypatch)
         result = run(problem, kind, self._config())
         assert result.state.k == 20
         assert len(calls) == 2 * 20
+        assert max(calls) <= 1 and sum(calls) == len(made)
 
     def test_a_rejected_phase_pays_one_svd_per_nuclear_block(self, monkeypatch):
         problem = self.PROBLEMS["latlrr3"]()
@@ -1369,12 +1386,13 @@ class TestCarriedTermValues:
             return original(ctx, blocks, state, mu)
 
         monkeypatch.setattr(solvers, "_bt_scale", scale)
-        calls = self._svd_calls(monkeypatch)
+        calls, made = self._svt_calls(monkeypatch)
         result = run(problem, "madmm-bt", self._config(eta_scale=1e-3))
         assert result.state.k == 20
         assert result.state.backtrack_count == len(rejected)
         assert sum(rejected) > 0
         assert len(calls) == 2 * 20 + sum(rejected)
+        assert max(calls) <= 1 and sum(calls) == len(made)
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("schedule", ["geometric", "adaptive"])

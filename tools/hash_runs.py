@@ -30,20 +30,38 @@ or 2 workers, 40 iterations each (224 runs). ``--problems``, ``--kinds``,
 ``madmm-bt``) then runs once per choice, on the partition that
 ``choose_partition`` gives for it, and is printed as ``<kind>/<choice>``;
 ``auto`` keeps the plain ``<kind>`` line.
+
+A change that moves the iterates only by rounding (say, a different but
+equally accurate factorization) changes the digests, so it is checked by
+the runs' outcomes instead:
+
+    python3 tools/hash_runs.py --src OLD/src --save before.npz > /dev/null
+    python3 tools/hash_runs.py --compare before.npz > /dev/null
+
+``--save`` writes each run's stop reason, iteration count and final
+iterate; ``--compare`` reads such a file and reports, on standard error,
+every run whose stop reason or iteration count changed or whose final
+iterate deviates from the saved one by more than 1e-9 relative (the largest
+entry of the difference over the largest entry of the saved iterate), then
+the largest deviation. It exits 1 if any run did, else 0.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import sys
 from dataclasses import astuple
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 SCHEDULES = ("geometric", "adaptive")
 WORKERS = (1, 2)
 PARTITIONS = ("auto", "case1", "case2", "case3")
+RTOL = 1e-9
 
 
 def _load(src: Path) -> dict:
@@ -82,10 +100,12 @@ def _load(src: Path) -> dict:
 def hash_run(
     problem, kind: str, schedule: str, workers: int, iters: int, choice="auto"
 ):
-    """``(status, full sha256 hex, iterate sha256 hex)`` of one run of ``kind``.
+    """``(status, full sha256 hex, iterate sha256 hex, final)`` of one run.
 
-    ``choice`` names the partition as ``choose_partition`` takes it; an
-    error in choosing it is the run's outcome.
+    ``final`` is ``(k, x)``, the iteration count and the flat final iterate,
+    or ``None`` when the run raised. ``choice`` names the partition as
+    ``choose_partition`` takes it; an error in choosing it is the run's
+    outcome.
     """
     from mmadmm.partition import choose_partition
     from mmadmm.solvers import SolverConfig, run
@@ -105,7 +125,7 @@ def hash_run(
     except Exception as exc:  # the error is the run's outcome; it is hashed
         status = type(exc).__name__
         both(f"{status}: {exc}".encode())
-        return status, full.hexdigest(), iterate.hexdigest()
+        return status, full.hexdigest(), iterate.hexdigest(), None
     for x in result.iterates:
         both(x.flat.tobytes())
     for row in result.trace:
@@ -115,7 +135,66 @@ def hash_run(
     both(result.state.lam.tobytes())
     both(repr([g.eta for g in result.state.G]).encode())
     both(result.stop_reason.encode())
-    return result.stop_reason, full.hexdigest(), iterate.hexdigest()
+    final = (result.state.k, result.state.x.flat.copy())
+    return result.stop_reason, full.hexdigest(), iterate.hexdigest(), final
+
+
+def save_finals(path: Path, finals: dict) -> None:
+    """Write ``{run key: (status, final)}`` as ``.npz`` arrays (no pickles)."""
+    xs = [np.empty(0) if f is None else f[1] for _, f in finals.values()]
+    np.savez(
+        path,
+        key=np.array(list(finals)),
+        status=np.array([status for status, _ in finals.values()]),
+        k=np.array([-1 if f is None else f[0] for _, f in finals.values()]),
+        offset=np.cumsum([0] + [x.size for x in xs]),
+        x=np.concatenate([np.empty(0), *xs]),
+    )
+
+
+def load_finals(path: Path) -> dict:
+    """The ``{run key: (status, final)}`` that :func:`save_finals` wrote."""
+    with np.load(path) as data:
+        off, x = data["offset"], data["x"]
+        return {
+            str(key): (str(status), None if k < 0 else (int(k), x[a:b]))
+            for key, status, k, a, b in zip(
+                data["key"], data["status"], data["k"], off[:-1], off[1:]
+            )
+        }
+
+
+def deviation(x: np.ndarray, ref: np.ndarray) -> float:
+    """``max |x - ref| / max |ref|``; infinite where that is not a number."""
+    if np.array_equal(x, ref, equal_nan=True):
+        return 0.0
+    scale = float(np.max(np.abs(ref)))
+    dev = float(np.max(np.abs(x - ref))) / scale if scale > 0.0 else math.inf
+    return dev if dev == dev else math.inf
+
+
+def compare_finals(finals: dict, saved: dict) -> tuple:
+    """``(changes, largest deviation)``: what differs from ``saved`` beyond rounding."""
+    changes, worst = [], 0.0
+    for key, (status, final) in finals.items():
+        if key not in saved:
+            changes.append(f"{key}: not in the saved runs")
+            continue
+        old_status, old_final = saved[key]
+        if status != old_status:
+            changes.append(f"{key}: stop reason {old_status} -> {status}")
+        elif final is not None:
+            (k, x), (old_k, old_x) = final, old_final
+            if k != old_k:
+                changes.append(f"{key}: iterations {old_k} -> {k}")
+            elif x.shape != old_x.shape:
+                changes.append(f"{key}: iterate size {old_x.size} -> {x.size}")
+            else:
+                dev = deviation(x, old_x)
+                worst = max(worst, dev)
+                if dev > RTOL:
+                    changes.append(f"{key}: final iterate deviates by {dev:.3e}")
+    return changes, worst
 
 
 def _subset(text: str, allowed, cast=str) -> tuple:
@@ -135,9 +214,12 @@ def main(argv=None) -> int:
     parser.add_argument("--workers", default=",".join(map(str, WORKERS)))
     parser.add_argument("--iters", type=int, default=40)
     parser.add_argument("--partitions", default="auto")
+    parser.add_argument("--save", type=Path, help="write the runs' outcomes here")
+    parser.add_argument("--compare", type=Path, help="check against saved outcomes")
     args = parser.parse_args(argv)
     if not (args.src / "mmadmm").is_dir():
         raise SystemExit(f"no mmadmm package under {args.src}")
+    saved = load_finals(args.compare) if args.compare else None
     builders = _load(args.src.resolve())
     from mmadmm.solvers import _KINDS, SOLVER_KINDS
 
@@ -146,6 +228,7 @@ def main(argv=None) -> int:
     schedules = _subset(args.schedules, SCHEDULES)
     workers = _subset(args.workers, WORKERS, int)
     partitions = _subset(args.partitions, PARTITIONS)
+    finals = {}
     for name in names:
         problem = builders[name]()
         for kind in kinds:
@@ -154,11 +237,25 @@ def main(argv=None) -> int:
                 label = kind if choice == "auto" else f"{kind}/{choice}"
                 for schedule in schedules:
                     for w in workers:
-                        digests = hash_run(
+                        *line, final = hash_run(
                             problem, kind, schedule, w, args.iters, choice
                         )
-                        print(name, label, schedule, w, *digests, flush=True)
-    return 0
+                        key = f"{name} {label} {schedule} {w}"
+                        finals[key] = (line[0], final)
+                        print(key, *line, flush=True)
+    if args.save:
+        save_finals(args.save, finals)
+    if saved is None:
+        return 0
+    changes, worst = compare_finals(finals, saved)
+    for change in changes:
+        print(change, file=sys.stderr)
+    print(
+        f"{len(finals)} runs compared: largest relative deviation {worst:.3e}, "
+        f"{len(changes)} beyond {RTOL:g} or changed",
+        file=sys.stderr,
+    )
+    return 1 if changes else 0
 
 
 if __name__ == "__main__":
