@@ -37,13 +37,22 @@ __all__ = [
     "estimate_op_norm_sq",
     "gram_cross_is_zero",
     "combined_op_norm_sq",
+    "certified_lambda_max",
+    "dense_norm_sq",
     "stack_rows",
     "dense_matrix",
 ]
 
-# Relative inflation applied to every norm certificate so that the exact
-# inequality ||A v||^2 <= cert * ||v||^2 survives floating-point rounding.
+# Relative inflation applied to the scaled-identity certificate and to the
+# power-iteration estimates so that the exact inequality
+# ||A v||^2 <= cert * ||v||^2 survives floating-point rounding.
 _CERT_GUARD = 1.0 + 1e-12
+# The float64 unit roundoff and smallest positive (subnormal) float64.
+_U = np.finfo(float).eps / 2
+_TINY = math.ldexp(1.0, -1074)
+# Columns per partial Gram in dense_norm_sq: summing partial Grams keeps
+# the rounding bound at gamma_{c+p-1} rather than gamma_k (see there).
+_GRAM_CHUNK = 64
 
 
 class DimensionError(ValueError):
@@ -308,9 +317,9 @@ class DenseMatrixOp(BlockOperator):
         return self.matrix.T @ self._check_out(u)
 
     def _compute_norm_sq(self):
-        # From the matrix's own SVD: the top eigenvalue of M^T M would carry
-        # the rounding of forming the Gram, which the guard does not cover.
-        return _spectral_norm_sq(self.matrix)
+        # The top eigenvalue of the smaller Gram, with the rounding of
+        # forming it added in (see dense_norm_sq).
+        return dense_norm_sq(self.matrix)
 
     def gram_rep(self):
         return ("dense", self.matrix.T @ self.matrix)
@@ -366,7 +375,7 @@ class LeftMultiplyOp(BlockOperator):
         return self.factor.T @ self._check_out(u)
 
     def _compute_norm_sq(self):
-        return _spectral_norm_sq(self.factor)
+        return dense_norm_sq(self.factor)
 
     def gram_rep(self):
         return ("left", self.factor.T @ self.factor)
@@ -393,7 +402,7 @@ class RightMultiplyOp(BlockOperator):
         return self._check_out(u) @ self.factor.T
 
     def _compute_norm_sq(self):
-        return _spectral_norm_sq(self.factor)
+        return dense_norm_sq(self.factor)
 
     def gram_rep(self):
         return ("right", self.factor @ self.factor.T)
@@ -518,19 +527,111 @@ def _size(shape: tuple) -> int:
     return int(np.prod(shape)) if shape else 1
 
 
-def _spectral_norm_sq(matrix: np.ndarray) -> float:
-    # A NaN or infinite entry makes the SVD fail or return NaN; a finite
-    # matrix pays no extra pass to find that out.
-    try:
-        s = np.linalg.svd(matrix, compute_uv=False)
-    except np.linalg.LinAlgError:
-        if np.isfinite(matrix).all():
-            raise
-        s = np.array([math.nan])
-    top = float(s[0]) if s.size else 0.0
+def _gamma(k: int) -> float:
+    """Higham's ``gamma_k = k u / (1 - k u)`` for the float64 unit roundoff."""
+    return k * _U / (1.0 - k * _U)
+
+
+def certified_lambda_max(grams: np.ndarray, rounding: float) -> float:
+    """An upper bound on ``lambda_max(G)`` from a computed Gram sum ``H``.
+
+    ``grams`` is ``H``, the computed ``d x d`` value of a sum ``G`` of
+    Grams, so ``G`` is positive semidefinite; only the lower triangle of
+    ``H`` is read. ``rounding`` bounds ``||E||_2`` for a symmetric
+    ``E >= |H - G|`` (entrywise), the rounding of forming ``H``. Returns a
+    float never below ``lambda_max(G)``; a ``0 x 0`` sum gives ``0.0``.
+
+    Proof. Let ``H_L`` be the symmetric matrix that the lower triangle of
+    ``H`` defines and ``r = rounding``. Entry by entry ``|H_L - G| <= E``,
+    so ``||H_L - G||_2 <= r``: by Weyl's inequality ``lambda_max(G) <=
+    lambda_max(H_L) + r``, and ``lambda_min(H_L) >= -r`` as ``G`` is
+    semidefinite. The symmetric eigensolver (LAPACK ``syevd``) is normwise
+    backward stable: its eigenvalues are exact for ``H_L + F`` with
+    ``||F||_2 <= b ||H_L||_2``, ``b = p(d) u`` for the unit roundoff ``u``
+    and a modestly growing ``p``; we take ``p(d) = 2d``. With ``lam`` the
+    computed top eigenvalue raised to 0 and ``||H_L||_2 <=
+    max(lambda_max(H_L), 0) + r``, ``lambda_max(H_L) <= lam + b
+    (lambda_max(H_L) + r)`` when ``lambda_max(H_L) >= 0``, so in every case
+    ``lambda_max(G) <= (lam + b r) / (1 - b) + r = (lam + r) / (1 - b)``.
+    The sum takes one rounding and the product by the exact factor
+    ``1 + (4d + 4) u`` one more, and ``(1 - u)^2 (1 + (4d + 4) u) >=
+    1 / (1 - 2du)``.
+    """
+    H = np.asarray(grams, dtype=float)
+    d = H.shape[0]
+    if d == 0:
+        return 0.0
+    lam = max(float(np.linalg.eigvalsh(H)[-1]), 0.0)
+    return (lam + rounding) * (1.0 + (4 * d + 4) * _U)
+
+
+def dense_norm_sq(matrix: np.ndarray) -> float:
+    """Certified ``||M||_2^2`` from the smaller Gram of ``M``.
+
+    The result is :func:`certified_lambda_max` of ``M M^T`` or ``M^T M``,
+    whichever is smaller, scaled back, and never below the exact
+    ``||M||_2^2``. For a horizontal stack ``M = [M_1 ... M_q]``, ``M M^T =
+    sum_j M_j M_j^T``. Empty and all-zero matrices give ``0.0``. Raises
+    ``ValueError`` when an entry is not finite, and when the squared norm
+    overflows the float range.
+
+    Proof of the rounding bound. With ``2^(e-1) <= max |M_ij| < 2^e``, the
+    matrix is scaled to ``S = 2^-e M``, transposed when tall, so ``S`` is
+    ``d x k`` with ``d <= k`` and ``|S_ij| < 1``: nothing below overflows.
+    The scaling is exact except for entries that land below the normal
+    range, each off by less than ``2^-1075``. ``S`` is cut into ``p``
+    chunks of at most ``c`` columns and ``H = fl(sum_q fl(S_q S_q^T))``,
+    summed in order. A dot product of length ``c``, in any order, errs by
+    at most ``gamma_c |x|^T |y|`` and a recursive sum of ``p`` terms by
+    ``gamma_{p-1}`` times the sum of their magnitudes (Higham, *Accuracy
+    and Stability of Numerical Algorithms*, 2nd ed., sections 3.1 and 4.2),
+    so ``|H - S S^T| <= gamma_{c+p-1} |S| |S|^T`` (Higham's Lemma 3.3), up
+    to underflow. Its 2-norm is at most ``gamma_{c+p-1} || |S| ||_2^2 <=
+    gamma_{c+p-1} ||S||_F^2``, and ``||S||_F^2 <= f / (1 - gamma_N)`` for
+    the computed ``f = fl(sum S_ij^2)`` over the ``N`` entries. Underflow
+    adds absolute terms only, since sums below the normal range are exact:
+    at most ``2^-1075`` per product, ``N 2^-1074`` in all on ``H``; for
+    the scaling errors ``D``, ``|S S^T - (S + D)(S + D)^T| <= |D| |S|^T +
+    |S| |D|^T + |D| |D|^T`` with 2-norm at most ``(2 + 1) N 2^-1075``
+    (``||S||_F^2 <= N``); and under ``2^-1075`` per square in ``f``. So
+    ``rounding = gamma_{c+p} f / (1 - gamma_N) + 3 N 2^-1074`` bounds the
+    2-norm of a symmetric entrywise bound on ``|H - G|``, where ``G`` is the
+    exact Gram of ``2^-e M``, and ``gamma_{c+p} / gamma_{c+p-1} >= 1 +
+    1/(c+p)`` covers the rounding of this scalar arithmetic. The scaled-back
+    product ``2^(2e) lambda`` is exact unless it overflows, which raises,
+    or lands below the normal range, where it is rounded up.
+    """
+    M = np.asarray(matrix, dtype=float)
+    top = float(np.abs(M).max()) if M.size else 0.0
     if not math.isfinite(top):
         raise ValueError("no norm certificate: the matrix has non-finite entries")
-    return top * top * _CERT_GUARD
+    if top == 0.0:
+        return 0.0
+    e = math.frexp(top)[1]
+    S = np.ldexp(M, -e)
+    flat = S.ravel(order="K")
+    f = float(np.dot(flat, flat))
+    if S.shape[0] > S.shape[1]:
+        S = S.T
+    d, k = S.shape
+    c = min(k, _GRAM_CHUNK)
+    H = np.zeros((d, d))
+    for j in range(0, k, c):
+        X = S[:, j : j + c]
+        H += X @ X.T
+    p = -(-k // c)
+    rounding = _gamma(c + p) * f / (1.0 - _gamma(S.size)) + 3.0 * S.size * _TINY
+    lam = certified_lambda_max(H, rounding)
+    try:
+        out = math.ldexp(lam, 2 * e)
+    except OverflowError:
+        raise ValueError(
+            "no norm certificate: the squared norm overflows the float range"
+        ) from None
+    if math.ldexp(out, -2 * e) < lam:
+        # Rounded down below the normal range: take the next float up.
+        out = math.nextafter(out, math.inf)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -688,9 +789,11 @@ def combined_op_norm_sq(
     """Estimate of ``||[A_i]_{i in indices}||_2^2`` of a horizontal stack.
 
     Power iteration as in :func:`estimate_op_norm_sq`, so not a certified
-    bound; it only scores case-I partitions. If the iteration does not
-    settle within ``max_iter`` steps, the sum of the member certificates is
-    returned, an upper bound since ``||[A_i]||^2 <= sum ||A_i||^2``.
+    bound. It scores the case-I prefixes that hold an operator other than
+    :class:`DenseMatrixOp`; all-dense prefixes take :func:`dense_norm_sq`.
+    If the iteration does not settle within ``max_iter`` steps, the sum of
+    the member certificates is returned, an upper bound since
+    ``||[A_i]||^2 <= sum ||A_i||^2``.
     """
     indices = list(indices)
     if not indices:

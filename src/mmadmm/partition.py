@@ -15,9 +15,13 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .blockspace import (
     BlockOperatorFamily,
+    DenseMatrixOp,
     combined_op_norm_sq,
+    dense_norm_sq,
     gram_cross_is_zero,
 )
 
@@ -90,6 +94,10 @@ def case1_scan(
     ``(n1 - 1) * sum - ||A_B1||^2`` with the combined-norm refinement applied
     only when ``A`` is supplied and ``n1 <= footnote_max`` (the term is
     dropped for larger prefixes), and ``L_B2 = (n2 - 1) * sum``.
+    ``||A_B1||^2`` is :func:`dense_norm_sq` of the prefix's stacked
+    matrices, from ``sum_{j in B1} M_j M_j^T``, when every operator in the
+    prefix is a :class:`DenseMatrixOp`, and :func:`combined_op_norm_sq`
+    otherwise.
     """
     norms = [float(v) for v in norms_sq]
     n = len(norms)
@@ -106,10 +114,17 @@ def case1_scan(
         prefix += norms[idx]
         l_b1 = _penalty(n1, prefix)
         if A is not None and n1 <= footnote_max:
-            l_b1 -= combined_op_norm_sq(A, order[:n1])
+            l_b1 -= _prefix_norm_sq(A, order[:n1])
         l_b2 = _penalty(n - n1, total - prefix)
         scores.append(l_b1 + l_b2)
     return tuple(order), tuple(scores)
+
+
+def _prefix_norm_sq(A: BlockOperatorFamily, indices: Sequence[int]) -> float:
+    ops = [A.operators[i] for i in indices]
+    if all(isinstance(op, DenseMatrixOp) for op in ops):
+        return dense_norm_sq(np.hstack([op.matrix for op in ops]))
+    return combined_op_norm_sq(A, indices)
 
 
 def best_prefix(order: Sequence[int], scores: Sequence[float]) -> Partition:

@@ -13,7 +13,7 @@ from mmadmm.blockspace import (
     BlockVector,
     DenseMatrixOp,
     WeightMatrix,
-    combined_op_norm_sq,
+    dense_norm_sq,
 )
 from mmadmm.cli import main
 from mmadmm.diagnostics import bound_report, quadratic_oracle, verify_kkt
@@ -113,7 +113,8 @@ def test_criterion_1_partition_study_equals_brute_force(
             prefix += norms[idx]
             l_b1 = (n1 - 1) * prefix
             if n1 <= 3:
-                l_b1 -= combined_op_norm_sq(problem.family, order[:n1])
+                ops = problem.family.operators
+                l_b1 -= dense_norm_sq(np.hstack([ops[i].matrix for i in order[:n1]]))
             score = l_b1 + (n - n1 - 1) * (total - prefix)
             brute.append(score)
             if best_score is None or score < best_score:

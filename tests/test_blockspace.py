@@ -1,6 +1,7 @@
 """Block vectors, operators, norm certificates, and weight matrices."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from mmadmm.blockspace import (
     ScaledIdentityOp,
     StackedOp,
     ZeroOp,
+    certified_lambda_max,
     combined_op_norm_sq,
     dense_matrix,
     estimate_op_norm_sq,
@@ -26,6 +28,8 @@ from mmadmm.blockspace import (
     stack_rows,
     WeightMatrix,
 )
+
+from mmadmm.problems import DataGenSpec, build_nonneg_sparse_coding
 
 from helpers import family_dense, op_dense
 
@@ -45,6 +49,49 @@ def _op_zoo(seed=0):
         ScaledIdentityOp(-1.0, (5,)),
         ZeroOp((3,), (5,)),
     ]
+
+
+def _ill_conditioned_zoo():
+    """Matrices whose top squared singular value is hard to certify tightly."""
+    rng = np.random.default_rng(30)
+
+    def with_spectrum(shape, s):
+        U = np.linalg.qr(rng.standard_normal((shape[0], len(s))))[0]
+        V = np.linalg.qr(rng.standard_normal((shape[1], len(s))))[0]
+        return (U * s) @ V.T
+
+    graded = np.logspace(0, -16, 30)
+    clustered = np.r_[1 + 1e-14, 1.0, 1.0 - 1e-14, np.linspace(0.9, 0.1, 27)]
+    return [
+        with_spectrum((40, 30), graded),
+        with_spectrum((30, 200), graded),
+        with_spectrum((200, 30), graded),
+        with_spectrum((40, 30), clustered),
+        with_spectrum((30, 500), clustered),
+        np.outer(rng.standard_normal(40), rng.standard_normal(300)),
+        rng.standard_normal((1, 2000)),
+        rng.standard_normal((2000, 1)),
+        rng.standard_normal((1, 1)),
+        1e150 * rng.standard_normal((30, 400)),
+        1e-150 * rng.standard_normal((400, 30)),
+        1e150 * with_spectrum((30, 200), graded),
+        1e-150 * with_spectrum((40, 30), clustered),
+    ]
+
+
+def _top_sq_references(M):
+    """References for ``||M||_2^2``: LAPACK gesvd's ``sigma_max^2``, then,
+    where ``np.longdouble`` is wider than float, the Rayleigh quotient of
+    the longdouble Gram at the float Gram's top eigenvector, which cannot
+    exceed the Gram's ``lambda_max`` but by longdouble rounding."""
+    refs = [scipy.linalg.svd(M, compute_uv=False, lapack_driver="gesvd")[0] ** 2]
+    if np.finfo(np.longdouble).eps < np.finfo(float).eps:
+        S = M if M.shape[0] <= M.shape[1] else M.T
+        S = S / np.max(np.abs(S))  # overflow-free; undone in longdouble
+        v = np.linalg.eigh(S @ S.T)[1][:, -1].astype(np.longdouble)
+        L = (M if M.shape[0] <= M.shape[1] else M.T).astype(np.longdouble)
+        refs.append((v @ (L @ L.T) @ v) / (v @ v))
+    return refs
 
 
 # ---------------------------------------------------------------------------
@@ -208,13 +255,112 @@ class TestOperators:
             assert op.op_norm_sq <= exact * (1 + 1e-6) + 1e-12
 
     def test_dense_certificate_bounds_benchmark_shapes(self):
-        # Blocks shaped like the nnsc benchmark's: no certificate may sit
-        # below the top squared singular value, by any amount.
+        # Blocks shaped like the nnsc benchmark's, the real blocks of three
+        # benchmark instances, and an ill-conditioned zoo: no certificate
+        # may sit below a reference by any amount, nor above gesvd's by
+        # 1e-10 relative.
         rng = np.random.default_rng(0)
-        for i in range(100):
-            M = rng.standard_normal((50, 10 * (i + 1)))
-            top = scipy.linalg.svd(M, compute_uv=False, lapack_driver="gesvd")[0]
-            assert DenseMatrixOp(M).op_norm_sq >= top * top
+        mats = [rng.standard_normal((50, 10 * (i + 1))) for i in range(100)]
+        for seed in range(3):
+            problem = build_nonneg_sparse_coding(
+                DataGenSpec(seed, sparsity=0.1, d=50, n=100)
+            )
+            mats += [op.matrix for op in problem.family.operators]
+        cases = [(M, [DenseMatrixOp(M)]) for M in mats]
+        cases += [
+            (
+                M,
+                [
+                    DenseMatrixOp(M),
+                    LeftMultiplyOp(M, (M.shape[1], 3)),
+                    RightMultiplyOp(M, (3, M.shape[0])),
+                ],
+            )
+            for M in _ill_conditioned_zoo()
+        ]
+        for M, ops in cases:
+            top_sq, *wider = _top_sq_references(M)
+            for op in ops:
+                cert = op.op_norm_sq
+                assert cert >= top_sq
+                assert all(np.longdouble(cert) >= ref for ref in wider)
+                assert cert <= top_sq * (1 + 1e-10)
+
+    def test_rounded_down_gram_is_covered(self):
+        # Each square of 1 + 2^-47 rounds down to 1 + 2^-46, and once the
+        # running Gram sum passes 2^14 every partial sum drops its tail: the
+        # computed Gram sits ~1e-14 below the exact one, past the
+        # eigensolver's margin, so only the Gram rounding bound covers it.
+        x = 1 + 2.0**-47
+        n = 60000
+        for M in (np.full((1, n), x), np.full((n, 1), x), np.full((2, n), x)):
+            exact = M.size * Fraction(x) ** 2
+            cert = DenseMatrixOp(M).op_norm_sq
+            assert Fraction(cert) >= exact
+            assert cert <= float(exact) * (1 + 1e-10)
+
+    def test_overflowing_norm_is_refused(self):
+        # A finite matrix whose squared norm is past the float range.
+        for M in (1e160 * np.ones((3, 2)), 1e154 * np.ones((3, 2))):
+            for op in (
+                DenseMatrixOp(M),
+                LeftMultiplyOp(M, (2, 4)),
+                RightMultiplyOp(M.T, (4, 2)),
+            ):
+                with pytest.raises(ValueError, match="squared norm overflows"):
+                    op.op_norm_sq
+        # Just inside the range it still certifies: 6 * (5e153)^2 ~ 1.5e308.
+        M = 5e153 * np.ones((3, 2))
+        cert = DenseMatrixOp(M).op_norm_sq
+        assert math.isfinite(cert)
+        assert Fraction(cert) >= 6 * Fraction(M[0, 0]) ** 2
+
+    def test_subnormal_norm_rounds_up(self):
+        # ||M||^2 ~ 1e-320 lies below the normal range, where a relative
+        # guard does nothing: the certificate must still bound it.
+        for c, shape in ((1e-160, (3, 2)), (3e-162, (5, 7)), (1e-170, (2, 1))):
+            M = c * np.ones(shape)
+            exact = shape[0] * shape[1] * Fraction(M[0, 0]) ** 2
+            for op in (
+                DenseMatrixOp(M),
+                LeftMultiplyOp(M, (shape[1], 4)),
+                RightMultiplyOp(M.T, (4, shape[1])),
+            ):
+                assert Fraction(op.op_norm_sq) >= exact
+        rng = np.random.default_rng(12)
+        for shape in ((50, 300), (7, 3)):
+            M = np.ldexp(rng.standard_normal(shape), -540)
+            top_sq, *wider = _top_sq_references(np.ldexp(M, 540))
+            exact = max([Fraction(top_sq)] + [Fraction(float(r)) for r in wider])
+            assert Fraction(DenseMatrixOp(M).op_norm_sq) >= exact / 2**1080
+
+    def test_empty_and_zero_matrices_certify_zero(self):
+        for M in (np.zeros((0, 3)), np.zeros((3, 0)), np.zeros((4, 5))):
+            assert DenseMatrixOp(M).op_norm_sq == 0.0
+            assert LeftMultiplyOp(M, (M.shape[1], 2)).op_norm_sq == 0.0
+            assert RightMultiplyOp(M, (2, M.shape[0])).op_norm_sq == 0.0
+
+    def test_certified_lambda_max_adds_the_rounding(self):
+        G = np.diag([4.0, 1.0])
+        assert certified_lambda_max(G, 0.0) >= 4.0
+        assert certified_lambda_max(G, 0.5) >= 4.5
+        assert certified_lambda_max(np.zeros((2, 2)), 0.0) == 0.0
+        assert certified_lambda_max(np.zeros((0, 0)), 0.0) == 0.0
+        # Only the lower triangle is read.
+        lower = np.array([[1.0, 100.0], [0.0, 1.0]])
+        assert certified_lambda_max(lower, 0.0) == pytest.approx(1.0, rel=1e-12)
+        # Exact integer Grams, where the eigensolver's error is all there is
+        # to cover: its top eigenvalue reads below the exact one on most.
+        rng = np.random.default_rng(14)
+        for d in (2, 3, 5, 8, 13, 20, 30, 50):
+            for _ in range(3):
+                B = rng.integers(-9, 10, size=(d, 3 * d)).astype(float)
+                G = B @ B.T
+                top_sq, *wider = _top_sq_references(B)
+                cert = certified_lambda_max(G, 0.0)
+                assert cert >= top_sq
+                assert all(np.longdouble(cert) >= ref for ref in wider)
+                assert cert <= top_sq * (1 + 1e-12)
 
     def test_gram_kind_matches_gram_rep(self):
         for op in _op_zoo():

@@ -561,17 +561,17 @@ class TestPartitionStudy:
         assert got_b1 == chosen.b1
 
     def test_scans_once(self, tmp_path, capsys, monkeypatch):
-        # One scan: three footnote power iterations (n1 = 1, 2, 3), and the
+        # One scan: three footnote Gram certificates (n1 = 1, 2, 3), and the
         # split is read from the scan that the curve comes from.
         manifest = _generate_nnsc(tmp_path, n_blocks=5)
         calls = []
-        combined = partition.combined_op_norm_sq
+        footnote = partition.dense_norm_sq
 
         def counting(*args, **kwargs):
             calls.append(args)
-            return combined(*args, **kwargs)
+            return footnote(*args, **kwargs)
 
-        monkeypatch.setattr(partition, "combined_op_norm_sq", counting)
+        monkeypatch.setattr(partition, "dense_norm_sq", counting)
         out = tmp_path / "study.csv"
         code = main(
             ["partition-study", "--manifest", str(manifest), "--out", str(out)]

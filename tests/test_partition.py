@@ -4,13 +4,16 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mmadmm.blockspace import (
     BlockOperatorFamily,
     DenseMatrixOp,
+    ScaledIdentityOp,
     combined_op_norm_sq,
+    dense_norm_sq,
     gram_cross_is_zero,
 )
 from mmadmm import partition
@@ -104,7 +107,7 @@ class TestScan:
             prefix += float(norms[idx])
             want = (n1 - 1) * prefix + (n - n1 - 1) * (total - prefix)
             if n1 <= 3:
-                want -= combined_op_norm_sq(A, order[:n1])
+                want -= dense_norm_sq(np.hstack([ops[i].matrix for i in order[:n1]]))
             assert scores[k] == pytest.approx(want, rel=1e-12, abs=1e-12)
 
     def test_refinement_against_dense_stack(self):
@@ -131,6 +134,61 @@ class TestScan:
         _, plain = case1_scan(norms)
         assert limited[0] < plain[0]
         assert limited[1:] == plain[1:]
+
+    @staticmethod
+    def _footnotes(monkeypatch):
+        """Record each footnote route's calls as ``(route, indices, value)``."""
+        seen = []
+
+        def recording(route, footnote, key):
+            def recorded(*args, **kwargs):
+                value = footnote(*args, **kwargs)
+                seen.append((route, key(*args), value))
+                return value
+
+            return recorded
+
+        monkeypatch.setattr(partition, "dense_norm_sq", recording(
+            "gram", partition.dense_norm_sq, lambda M: M.shape))
+        monkeypatch.setattr(partition, "combined_op_norm_sq", recording(
+            "power", partition.combined_op_norm_sq, lambda A, idx: list(idx)))
+        return seen
+
+    def test_footnote_is_the_stacked_norm_on_nnsc(self, monkeypatch):
+        problem = build_nonneg_sparse_coding(DataGenSpec(0, d=50, n=100))
+        A = problem.family
+        seen = self._footnotes(monkeypatch)
+        order, _ = case1_scan(list(A.norms_sq()), A)
+        assert [route for route, _, _ in seen] == ["gram"] * 3
+        for n1, (_, _, value) in enumerate(seen, start=1):
+            stacked = np.hstack([A.operators[i].matrix for i in order[:n1]])
+            top = scipy.linalg.svd(stacked, compute_uv=False, lapack_driver="gesvd")
+            exact = top[0] ** 2
+            assert exact <= value <= exact * (1 + 1e-12)
+
+    def test_prefix_with_a_non_dense_operator_takes_the_power_iteration(
+        self, monkeypatch
+    ):
+        # Norms 9, 4, 2.25, 1: the identity is third in the case-I order.
+        cols = [np.zeros((4, 1)) for _ in range(3)]
+        for j, v in enumerate((3.0, 2.0, 1.0)):
+            cols[j][j, 0] = v
+        ops = (
+            DenseMatrixOp(cols[0]),
+            DenseMatrixOp(cols[1]),
+            ScaledIdentityOp(1.5, (4,)),
+            DenseMatrixOp(cols[2]),
+        )
+        A = BlockOperatorFamily(ops, (4,))
+        seen = self._footnotes(monkeypatch)
+        order, _ = case1_scan([op.op_norm_sq for op in ops], A)
+        assert order == (0, 1, 2, 3)
+        assert [(route, key) for route, key, _ in seen] == [
+            ("gram", (4, 1)),
+            ("gram", (4, 2)),
+            ("power", [0, 1, 2]),
+        ]
+        assert seen[2][2] == combined_op_norm_sq(A, [0, 1, 2])
 
 
 class TestCase1Partition:
@@ -360,11 +418,16 @@ class TestChoosePartition:
         order, _ = case1_scan(list(problem.family.norms_sq()), problem.family)
         calls = []
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return combined_op_norm_sq(*args, **kwargs)
+        def counting(footnote):
+            def counted(*args, **kwargs):
+                calls.append(args)
+                return footnote(*args, **kwargs)
 
-        monkeypatch.setattr(partition, "combined_op_norm_sq", counting)
+            return counted
+
+        # Neither footnote route runs: the dense Gram nor the power iteration.
+        for name in ("dense_norm_sq", "combined_op_norm_sq"):
+            monkeypatch.setattr(partition, name, counting(getattr(partition, name)))
         for n1 in (1, 2, 3):
             part = choose_partition(problem, n1=n1)
             assert part.b1 == tuple(sorted(order[:n1]))
