@@ -733,6 +733,38 @@ def residual(A: BlockOperatorFamily, x: BlockVector, b, image=None) -> np.ndarra
 # ---------------------------------------------------------------------------
 
 
+def _power_iteration(gram_apply, shape, tol, max_iter, seed=0, stop_above=math.inf):
+    """Top eigenvalue of a positive semidefinite map by power iteration.
+
+    The start is a standard normal draw of ``shape`` from ``seed``.
+    Returns ``(ray, ended)``: the last Rayleigh quotient and whether the
+    iteration ended within ``max_iter`` steps, which it does at the first
+    quotient above ``stop_above``, when the image vanishes (``ray`` is then
+    0), or once the quotient stalls to a relative ``tol``. The quotients do
+    not decrease, so the full iteration's estimate lies above the one that
+    ended it at ``stop_above``. A stalled quotient does not bound its own
+    error, so it is an estimate, not a certified bound: it can fall below
+    the true value when the top of the spectrum is clustered.
+    """
+    v = np.random.default_rng(seed).standard_normal(shape)
+    v /= np.linalg.norm(v)
+    ray_prev = -1.0
+    ray = 0.0
+    for _ in range(max_iter):
+        w = gram_apply(v)
+        ray = float(np.vdot(v, w))
+        if ray > stop_above:
+            return ray, True
+        nw = np.linalg.norm(w)
+        if nw == 0.0:
+            return 0.0, True
+        if ray_prev >= 0.0 and abs(ray - ray_prev) <= tol * max(ray, 1e-300):
+            return ray, True
+        ray_prev = ray
+        v = w / nw
+    return ray, False
+
+
 def estimate_op_norm_sq(
     op: BlockOperator,
     tol: float = 1e-6,
@@ -742,41 +774,17 @@ def estimate_op_norm_sq(
     """Estimate of ``||A||_2^2`` by power iteration on A^T A.
 
     Once the Rayleigh quotient stalls to a relative ``tol`` it is inflated
-    by ``1/(1 - tol)``. A stalled quotient does not bound its own error, so
-    the result is an estimate, not a certified bound: it can fall below the
-    true value when the top of the spectrum is clustered. If the iteration
-    does not settle within ``max_iter`` steps, the operator's certificate
-    ``op_norm_sq``, an upper bound, is returned with ``converged=False``.
+    by ``1/(1 - tol)``; it is still an estimate (see
+    :func:`_power_iteration`). If the iteration does not settle within
+    ``max_iter`` steps, the operator's certificate ``op_norm_sq``, an upper
+    bound, is returned with ``converged=False``.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(op.in_shape)
-    nv = np.linalg.norm(v)
-    if nv == 0.0:
-        v = np.ones(op.in_shape)
-        nv = np.linalg.norm(v)
-    v /= nv
-    ray_prev = -1.0
-    restarts = 0
-    for _ in range(max_iter):
-        w = op.gram_apply(v)
-        ray = float(np.vdot(v, w))
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            if restarts == 0:
-                # v may sit in the null space; one fresh start.
-                restarts = 1
-                v = rng.standard_normal(op.in_shape)
-                v /= max(np.linalg.norm(v), 1e-300)
-                ray_prev = -1.0
-                continue
-            return NormEstimate(0.0, True)
-        if ray_prev >= 0.0 and abs(ray - ray_prev) <= tol * max(ray, 1e-300):
-            return NormEstimate(ray / (1.0 - tol) * _CERT_GUARD, True)
-        ray_prev = ray
-        v = w / nw
-    return NormEstimate(op.op_norm_sq, False)
+    ray, ended = _power_iteration(op.gram_apply, op.in_shape, tol, max_iter, seed)
+    if not ended:
+        return NormEstimate(op.op_norm_sq, False)
+    return NormEstimate(ray / (1.0 - tol) * _CERT_GUARD, True)
 
 
 def combined_op_norm_sq(
@@ -788,35 +796,28 @@ def combined_op_norm_sq(
 ) -> float:
     """Estimate of ``||[A_i]_{i in indices}||_2^2`` of a horizontal stack.
 
-    Power iteration as in :func:`estimate_op_norm_sq`, so not a certified
-    bound. It scores the case-I prefixes that hold an operator other than
+    Power iteration as in :func:`estimate_op_norm_sq`, on one vector laid
+    out as the stacked blocks, so not a certified bound. It scores the
+    case-I prefixes that hold an operator other than
     :class:`DenseMatrixOp`; all-dense prefixes take :func:`dense_norm_sq`.
     If the iteration does not settle within ``max_iter`` steps, the sum of
     the member certificates is returned, an upper bound since
     ``||[A_i]||^2 <= sum ||A_i||^2``.
     """
-    indices = list(indices)
-    if not indices:
+    ops = [A.operators[i] for i in indices]
+    if not ops:
         return 0.0
-    rng = np.random.default_rng(seed)
-    blocks = [rng.standard_normal(A.operators[i].in_shape) for i in indices]
-    scale = math.sqrt(sum(float(np.vdot(b, b)) for b in blocks))
-    blocks = [b / scale for b in blocks]
-    ray_prev = -1.0
-    for _ in range(max_iter):
-        u = np.zeros(A.out_shape)
-        for i, blk in zip(indices, blocks):
-            u += A.operators[i].apply(blk)
-        w = [A.operators[i].adjoint(u) for i in indices]
-        ray = sum(float(np.vdot(b, wi)) for b, wi in zip(blocks, w))
-        nw = math.sqrt(sum(float(np.vdot(wi, wi)) for wi in w))
-        if nw == 0.0:
-            return 0.0
-        if ray_prev >= 0.0 and abs(ray - ray_prev) <= tol * max(ray, 1e-300):
-            return ray / (1.0 - tol) * _CERT_GUARD
-        ray_prev = ray
-        blocks = [wi / nw for wi in w]
-    return sum(A.operators[i].op_norm_sq for i in indices)
+    layout = _Layout([op.in_shape for op in ops])
+
+    def gram_apply(v):
+        blocks = BlockVector._wrap(v, layout).blocks
+        u = sum(op.apply(x) for op, x in zip(ops, blocks))
+        return np.concatenate([op.adjoint(u).ravel() for op in ops])
+
+    ray, ended = _power_iteration(gram_apply, layout.size, tol, max_iter, seed)
+    if not ended:
+        return sum(op.op_norm_sq for op in ops)
+    return ray / (1.0 - tol) * _CERT_GUARD
 
 
 def gram_cross_is_zero(
@@ -825,8 +826,9 @@ def gram_cross_is_zero(
     """Whether ``A_i^T A_j = 0`` up to ``tol * ||A_i||_2 ||A_j||_2``.
 
     Structural shortcuts cover zero operators and disjoint masks; otherwise
-    the cross norm is estimated by power iteration through the adjoint/apply
-    maps. Blocks that share no row of a family need no call:
+    ``||A_i^T A_j||_2^2`` is estimated by at most 60 power steps through
+    the adjoint/apply maps, stopped early once it lies clearly above the
+    bound or stalls to a relative 1e-6. Blocks that share no row of a family need no call:
     ``A_i^T A_j = 0`` for them by construction.
     """
     if op_i.out_shape != op_j.out_shape:
@@ -839,39 +841,15 @@ def gram_cross_is_zero(
     if isinstance(op_i, MaskProjectionOp) and isinstance(op_j, MaskProjectionOp):
         if not np.any(op_i.mask * op_j.mask):
             return True
+
+    def gram_apply(v):
+        return op_j.adjoint(op_i.apply(op_i.adjoint(op_j.apply(v))))
+
     bound_sq = tol * tol * ci * cj
-    cross_sq = _cross_norm_sq(op_i, op_j, stop_above=4.0 * bound_sq)
+    cross_sq, _ = _power_iteration(
+        gram_apply, op_j.in_shape, 1e-6, 60, stop_above=4.0 * bound_sq
+    )
     return math.sqrt(max(cross_sq, 0.0)) <= tol * math.sqrt(ci * cj)
-
-
-def _cross_norm_sq(
-    op_i: BlockOperator,
-    op_j: BlockOperator,
-    iters: int = 60,
-    seed: int = 0,
-    stop_above: float = math.inf,
-) -> float:
-    """Power-iteration estimate of ``||A_i^T A_j||_2^2``; exact zeros stay zero.
-
-    Returns early with the first Rayleigh quotient above ``stop_above``.
-    The quotients of a power iteration on a PSD matrix do not decrease, so
-    the full iteration's estimate would lie above it too.
-    """
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(op_j.in_shape)
-    v /= max(np.linalg.norm(v), 1e-300)
-    ray = 0.0
-    for _ in range(iters):
-        w = op_i.adjoint(op_j.apply(v))
-        back = op_j.adjoint(op_i.apply(w))
-        ray = float(np.vdot(v, back))
-        if ray > stop_above:
-            return ray
-        nb = np.linalg.norm(back)
-        if nb == 0.0:
-            return 0.0
-        v = back / nb
-    return max(ray, 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ __all__ = [
     "prox_l1",
     "prox_l1_nonneg",
     "prox_nuclear",
-    "prox_sq",
     "prox_l21",
     "project_nonneg",
     "ProxFunction",
@@ -172,14 +171,6 @@ def _svd(V: np.ndarray, compute_uv: bool = True):
             check_finite=False,
             lapack_driver="gesvd",
         )
-
-
-def prox_sq(v: np.ndarray, t: float, anchor_weight: float) -> np.ndarray:
-    """Minimizes ``(t/2) ||x||^2 + (w/2) ||x - v||^2``: ``x = w v / (t + w)``."""
-    v = np.asarray(v, dtype=float)
-    if t + anchor_weight <= 0:
-        raise ValueError("quadratic weights must sum to a positive value")
-    return (anchor_weight / (t + anchor_weight)) * v
 
 
 def prox_l21(V: np.ndarray, t: float) -> np.ndarray:

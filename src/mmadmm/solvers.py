@@ -87,7 +87,12 @@ class DivergenceError(RuntimeError):
 
 
 class BacktrackingConsistencyError(RuntimeError):
-    """Backtracking kept failing past the provably safe weight level."""
+    """A backtracking phase was rejected with every weight past the safe level.
+
+    Raised when each coupled block's weight is at least ``mu (eta'_i +
+    tau)``, ``mu`` times the level where the phase's test holds in exact
+    arithmetic (:func:`_bt_exhausted`), and the phase still fails it.
+    """
 
 
 @dataclass
@@ -95,12 +100,15 @@ class SolverConfig:
     """Run parameters shared by all solver kinds.
 
     ``eta_scale`` seeds the backtracking weights at
-    ``eta_scale * n_j * ||A_i||_2^2``; ``schedule`` selects the penalty
-    update: ``geometric`` multiplies by ``rho`` every iteration (capped at
-    ``beta_max``), ``adaptive`` multiplies by ``rho`` only when every
-    block's scaled step ``beta ||x_i^{k+1} - x_i^k|| / max(||b||, 1)`` falls
-    below ``eps_primal``. ``weights`` overrides the automatic per-block
-    proximal weights; ``partition`` may be a Partition or ``"auto"``.
+    ``eta_scale * n_j * ||A_i||_2^2``, ``n_j`` the phase's block count; a
+    rejected phase multiplies its weights by ``mu``, and the second phase
+    needs a margin ``tau`` (see :class:`BacktrackingConsistencyError`).
+    ``schedule`` selects the penalty update: ``geometric`` multiplies by
+    ``rho`` every iteration (capped at ``beta_max``), ``adaptive``
+    multiplies by ``rho`` only when every block's scaled step ``beta
+    ||x_i^{k+1} - x_i^k|| / max(||b||, 1)`` falls below ``eps_primal``.
+    ``weights`` overrides the automatic per-block proximal weights;
+    ``partition`` may be a Partition or ``"auto"``.
     Numeric fields are coerced to ``float``/``int`` and must be finite; an
     ``int`` field takes an integral value only (``10.0`` but not ``2.5``),
     and an integer passes through exactly, however large.
@@ -377,22 +385,24 @@ _KINDS = {
 SOLVER_KINDS = tuple(_KINDS)
 
 
-def default_weights(problem, kind: str, partition=None, config=None):
+def default_weights(problem, kind: str, partition=None, config=None, smoothness=None):
     """The per-block proximal weights and weight levels ``run`` starts from.
 
     Runs the kind's weight rule over each phase of the kind's partition; the
     mixed kinds need ``partition``, the others ignore it. The margin is 1 for
     first-phase blocks and slightly above 1 elsewhere, where the curvature
     bound must be dominated strictly. ``config`` supplies ``eta_scale`` for
-    the backtracking seed (default ``SolverConfig()``). A block without
-    constraint coupling gets ``G_i = 0`` at level ``unconstrained``.
+    the backtracking seed (default ``SolverConfig()``). ``smoothness`` maps
+    each phase's blocks to its :func:`phase_smoothness` when the caller has
+    it. A block without constraint coupling gets ``G_i = 0`` at level
+    ``unconstrained``.
     """
     config = config or SolverConfig()
     A = problem.family
     G = [WeightMatrix.zero()] * A.n
     levels = ["unconstrained"] * A.n
     for blocks, margin in _phases(_resolve_partition(problem, kind, partition)):
-        sm = phase_smoothness(A, blocks)
+        sm = phase_smoothness(A, blocks) if smoothness is None else smoothness[blocks]
         coupled = [i for i in blocks if A.operators[i].op_norm_sq > 0.0]
         for i, g, level in _KINDS[kind].weights(problem, coupled, margin, sm, config):
             G[i], levels[i] = g, level
@@ -667,6 +677,7 @@ class _RunContext:
     b_scale: float
     layout: _Layout
     runs: dict
+    smoothness: dict
     denom: np.ndarray  # curvature scratch: a context runs one step at a time
     workers: int = 1
     executor: Optional[ThreadPoolExecutor] = None
@@ -687,6 +698,7 @@ def prepare_context(
     if not isinstance(workers, numbers.Integral) or workers < 1:
         raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
     partition = _resolve_partition(problem, kind, config.partition)
+    smoothness = {b: phase_smoothness(problem.family, b) for b, _ in _phases(partition)}
     row = _KINDS[kind]
     smooth = problem.smooth
     if smooth is not None and not row.smooth:
@@ -703,7 +715,7 @@ def prepare_context(
         G0 = list(config.weights)
         levels = ["user"] * problem.family.n
     else:
-        G0, levels = default_weights(problem, kind, partition, config)
+        G0, levels = default_weights(problem, kind, partition, config, smoothness)
     plans = []
     for i in range(problem.family.n):
         eta_sm = 0.0
@@ -730,6 +742,7 @@ def prepare_context(
         b_scale=b_scale,
         layout=layout,
         runs={b: _phase_runs(plans, b, layout) for b, _ in _phases(partition)},
+        smoothness=smoothness,
         denom=np.empty(layout.size),
         workers=int(workers),
     )
@@ -804,7 +817,9 @@ def step(state: SolverState, ctx: _RunContext):
     previous phase left. Under ``madmm-bt`` a phase is recomputed with its
     weights scaled by ``mu`` until :func:`_bt_accept` holds, with ``tau = 0``
     for the first phase and ``config.tau`` for the second; accepted weights
-    carry over to the next iteration. Returns the residual, the penalty the
+    carry over to the next iteration. A rejection with every coupled weight
+    past ``mu (eta'_i + tau)`` raises :class:`BacktrackingConsistencyError`
+    (see :func:`_bt_exhausted`). Returns the residual, the penalty the
     iteration used, and its backtrack count.
 
     The block images ``A_i x_i``, their residual ``sum_i c_i - b`` and the
@@ -825,7 +840,6 @@ def step(state: SolverState, ctx: _RunContext):
     for (blocks, _), tau in zip(_phases(ctx.partition), (0.0, ctx.config.tau)):
         if not blocks:
             continue
-        cap = _rescale_cap(ctx, blocks, state.G, mu) if backtracking else 0
         while True:
             x_new, c_new, values_new = _run_phase(
                 ctx, blocks, x, c, resid, state.lam, state.beta, state.G
@@ -834,14 +848,14 @@ def step(state: SolverState, ctx: _RunContext):
                 ctx, blocks, x, x_new, c, c_new, state.G, tau
             ):
                 break
+            if _bt_exhausted(ctx.smoothness[blocks], state.G, mu, tau):
+                raise BacktrackingConsistencyError(
+                    f"phase acceptance (tau={tau:g}) failed with every coupled "
+                    f"weight at least mu={mu:g} times the level eta'_i + tau "
+                    "at which it holds"
+                )
             _bt_scale(ctx, blocks, state, mu)
             backtracks += 1
-            cap -= 1
-            if cap < 0:
-                raise BacktrackingConsistencyError(
-                    f"phase acceptance (tau={tau:g}) kept failing beyond the "
-                    "safe weight level"
-                )
         x, c, values = x_new, c_new, {**values, **values_new}
         resid = ctx.A.image_sum(c) - ctx.b
     state.backtrack_count += backtracks
@@ -854,14 +868,19 @@ def step(state: SolverState, ctx: _RunContext):
     return resid, beta_used, backtracks
 
 
-def _rescale_cap(ctx, blocks, G, mu: float) -> int:
-    worst = 1.0
-    nj = len(blocks)
-    for i in blocks:
-        nsq = ctx.A.operators[i].op_norm_sq
-        if nsq > 0.0 and G[i].eta > 0.0:
-            worst = max(worst, nj * nsq / G[i].eta)
-    return int(math.ceil(math.log(worst) / math.log(mu))) + 2
+def _bt_exhausted(sm: dict, G, mu: float, tau: float) -> bool:
+    """Whether a rejected phase's weights are all past where it must pass.
+
+    ``sm`` is the phase's :func:`phase_smoothness`. The test of
+    :func:`_bt_accept` holds in exact arithmetic once every coupled block
+    (``eta'_i > 0``) has ``eta_i >= eta'_i + tau``, since ``||sum_i A_i
+    d_i||^2 <= sum_i eta'_i ||d_i||^2``; a rejection with every ``eta_i >=
+    mu (eta'_i + tau)``, a factor ``mu`` past that level, cannot come from
+    the weights.
+    """
+    return all(
+        G[i].eta >= mu * (eta_p + tau) for i, (eta_p, _) in sm.items() if eta_p > 0.0
+    )
 
 
 def _bt_scale(ctx, blocks, state: SolverState, mu: float) -> None:

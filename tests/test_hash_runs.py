@@ -1,9 +1,11 @@
 """``tools/hash_runs.py``: the bitwise run hash and the outcome comparison."""
 
+import importlib.util
 import re
 import shutil
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -145,3 +147,47 @@ def test_compare_tells_rounding_from_changed_runs(tmp_path):
         for name in ("latlrr2", "quad")
         for kind in ("jacobi", "gs")
     ]
+
+
+def test_the_grid_takes_every_thresholding_path(monkeypatch):
+    """madmm on the grid's problems thresholds by each path of ``prox._svt``:
+    zero, ``eigh`` of the Gram, and the SVD."""
+    spec = importlib.util.spec_from_file_location("hash_runs", TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    monkeypatch.setattr(sys, "path", list(sys.path))  # _load prepends to it
+    builders = tool._load(ROOT / "src")
+    from mmadmm import prox
+
+    calls = Counter()
+    svt, gram, svd = prox._svt, prox._svt_gram, prox._svd
+
+    def counted_svt(V, t):
+        calls["svt"] += 1
+        return svt(V, t)
+
+    def counted_gram(V, t):
+        calls["eigh"] += 1
+        return gram(V, t)
+
+    def counted_svd(V, compute_uv=True):
+        calls["svd"] += compute_uv  # only the thresholding takes the vectors
+        return svd(V, compute_uv)
+
+    monkeypatch.setattr(prox, "_svt", counted_svt)
+    monkeypatch.setattr(prox, "_svt_gram", counted_gram)
+    monkeypatch.setattr(prox, "_svd", counted_svd)
+    paths = {}
+    for name, build in builders.items():
+        calls.clear()
+        status, *_ = tool.hash_run(build(), "madmm", "geometric", 1, 40)
+        assert status == "budget", name
+        paths[name] = {
+            "zero": calls["svt"] - calls["eigh"] - calls["svd"],
+            "eigh": calls["eigh"],
+            "svd": calls["svd"],
+        }
+    for path in ("zero", "eigh", "svd"):
+        assert sum(counts[path] for counts in paths.values()) > 0, path
+    assert paths["latlrr3-x100"]["zero"] == paths["latlrr3-x100"]["svd"] == 0
+    assert paths["latlrr3-x1000"]["eigh"] > 0 and paths["latlrr3-x1000"]["svd"] > 0

@@ -19,7 +19,6 @@ from mmadmm.prox import (
     prox_l1_nonneg,
     prox_l21,
     prox_nuclear,
-    prox_sq,
 )
 
 from helpers import grid_min_1d, refine_min
@@ -68,14 +67,6 @@ class TestHandExamples:
         V = np.arange(6.0).reshape(2, 3)
         np.testing.assert_allclose(prox_nuclear(V, 1e-12), V, atol=1e-10)
 
-    def test_sq(self):
-        v = np.array([2.0, -3.0])
-        np.testing.assert_array_equal(prox_sq(v, 0.0, 1.0), v)
-        np.testing.assert_array_equal(prox_sq(np.array([2.0]), 1.0, 1.0), [1.0])
-        np.testing.assert_array_equal(prox_sq(np.array([8.0]), 3.0, 1.0), [2.0])
-        with pytest.raises(ValueError):
-            prox_sq(v, -1.0, 1.0)
-
     def test_l21(self):
         np.testing.assert_array_equal(prox_l21(np.zeros((2, 3)), 1.0), np.zeros((2, 3)))
         np.testing.assert_array_equal(
@@ -122,11 +113,9 @@ class TestBruteForce:
             assert abs(got - want) <= 2e-4
 
     def test_sq_scalar_grid(self):
-        for v, lam, w in [(8.0, 3.0, 1.0), (2.0, 1.0, 1.0), (-4.0, 0.5, 2.0)]:
-            got = prox_sq(np.array([v]), lam, w)[0]
-            want = grid_min_1d(
-                lambda x: 0.5 * lam * x**2 + 0.5 * w * (x - v) ** 2
-            )
+        for v, lam, t in [(8.0, 3.0, 1.0), (2.0, 1.0, 1.0), (-4.0, 0.5, 0.5)]:
+            got = ProxFunction("sq-frobenius", lam).prox(np.array([v]), t)[0]
+            want = grid_min_1d(lambda x: 0.5 * t * lam * x**2 + 0.5 * (x - v) ** 2)
             assert abs(got - want) <= 2e-4
 
     def test_l21_column_2d_grid(self):
@@ -248,7 +237,7 @@ class TestOptimality:
         cases = [
             (lambda a: prox_l1(a, 0.7), (5,)),
             (lambda a: prox_l1_nonneg(a, 0.7), (5,)),
-            (lambda a: prox_sq(a, 2.0, 1.0), (5,)),
+            (lambda a: ProxFunction("sq-frobenius", 2.0).prox(a, 1.0), (5,)),
             (lambda a: prox_l21(a, 0.7), (3, 4)),
             (lambda a: prox_nuclear(a, 0.7), (3, 4)),
             (project_nonneg, (5,)),

@@ -1017,7 +1017,9 @@ class TestBacktracking:
         assert sum(t.backtracks for t in result.trace) == result.state.backtrack_count
         assert result.state.backtrack_count > 0
 
-    def test_unreachable_margin_raises(self):
+    def test_large_margin_is_reached_by_doubling(self):
+        # tau = 1e9 lies far above every ||A_i||^2, but doubling the weights
+        # reaches eta'_i + tau, where the second phase must pass.
         problem = self._problem(seed=102)
         config = SolverConfig(
             partition=Partition((0,), (1, 2, 3)),
@@ -1027,8 +1029,58 @@ class TestBacktracking:
             eps_primal=0.0,
             eps_step=0.0,
         )
-        with pytest.raises(BacktrackingConsistencyError):
+        result = run(problem, "madmm-bt", config)
+        assert result.stop_reason == "budget"
+        assert result.state.backtrack_count > 0
+
+    @pytest.mark.parametrize("phase", [0, 1])
+    def test_rejection_past_the_safe_level_raises(self, monkeypatch, phase):
+        # A phase that is always rejected raises once every coupled weight
+        # is mu times past eta'_i + tau, after
+        # ceil(log_mu(mu max_i (eta'_i + tau) / eta_i)) weight increases.
+        problem = self._problem(seed=102)
+        config = SolverConfig(partition=Partition((0,), (1, 2, 3)), tau=2.5)
+        ctx = prepare_context(problem, "madmm-bt", config)
+        blocks = (ctx.partition.b1, ctx.partition.b2)[phase]
+        tau = (0.0, config.tau)[phase]
+        sm = phase_smoothness(problem.family, blocks)
+        scales = []
+        bt_scale = solvers._bt_scale
+
+        def counted(ctx, scaled, state, mu):
+            scales.append(scaled)
+            bt_scale(ctx, scaled, state, mu)
+
+        def reject(ctx, tested, *args):
+            return tested != blocks
+
+        monkeypatch.setattr(solvers, "_bt_scale", counted)
+        monkeypatch.setattr(solvers, "_bt_accept", reject)
+        with pytest.raises(BacktrackingConsistencyError, match=f"tau={tau:g}"):
             run(problem, "madmm-bt", config)
+        assert set(scales) == {blocks}
+        etas = {i: ctx.G0[i].eta for i in blocks}
+        want = 0
+        while any(etas[i] < config.mu * (sm[i][0] + tau) for i in blocks):
+            etas = {i: config.mu * eta for i, eta in etas.items()}
+            want += 1
+        assert len(scales) == want > 0
+        rejections = len(scales) + 1  # the last one raises instead of scaling
+        worst = max((sm[i][0] + tau) / ctx.G0[i].eta for i in blocks)
+        assert rejections <= math.ceil(math.log(config.mu * worst, config.mu)) + 1
+
+    @pytest.mark.parametrize("scale", [0.03, 0.01])
+    def test_small_norms_next_to_tau_do_not_raise(self, scale):
+        # With every ||A_i||^2 far below tau, the second phase passes only
+        # at weights near tau: a guard that left tau out raised here.
+        base = build_nonneg_sparse_coding(DataGenSpec(0, d=10, n=6, sparsity=0.3))
+        ops = tuple(DenseMatrixOp(scale * op.matrix) for op in base.family.operators)
+        problem = ProblemSpec(
+            "nnsc", [(ops, scale * base.b)], base.block_shapes, base.terms
+        )
+        result = run(problem, "madmm-bt", SolverConfig(max_iter=200))
+        assert result.stop_reason in ("budget", "converged")
+        assert result.state.backtrack_count > 0
 
     def test_acceptance_helpers_exclude_uncoupled_blocks(self):
         op = DenseMatrixOp(np.eye(2))

@@ -22,8 +22,8 @@ tree's ``tests/helpers.py`` and this file. ``diff <(cut -d' ' -f1-5,7
 before.txt) <(cut -d' ' -f1-5,7 after.txt)`` compares the iterate digests
 only.
 
-The full grid is every solver kind on eight problems, both schedules and 1
-or 2 workers, 40 iterations each (224 runs). ``--problems``, ``--kinds``,
+The full grid is every solver kind on ten problems, both schedules and 1
+or 2 workers, 40 iterations each (280 runs). ``--problems``, ``--kinds``,
 ``--schedules`` and ``--workers`` take comma-separated subsets, and
 ``--iters`` sets the iteration count. ``--partitions`` takes a subset of
 ``auto,case1,case2,case3`` (default ``auto``): each mixed kind (``madmm``,
@@ -87,6 +87,15 @@ def _load(src: Path) -> dict:
             DataGenSpec(0, d=20, n=12, noise_sigma=0.1)
         ),
         "latlrr3": lambda: build_latent_lrr(subspace(), formulation="3-block"),
+        # Scaled data moves the nuclear thresholdings off the zero path:
+        # x100 thresholds by eigh of the Gram from the first iterations, and
+        # x1000 crosses the Gram path's guard into the SVD.
+        "latlrr3-x100": lambda: build_latent_lrr(
+            100.0 * subspace(), formulation="3-block"
+        ),
+        "latlrr3-x1000": lambda: build_latent_lrr(
+            1000.0 * subspace(), formulation="3-block"
+        ),
         "latlrr2": lambda: build_latent_lrr(subspace(), formulation="2-block"),
         "lrr": lambda: build_lrr(subspace(), subspace()),
         "nmc": lambda: build_nonneg_matrix_completion(
