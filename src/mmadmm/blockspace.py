@@ -820,16 +820,18 @@ def combined_op_norm_sq(
     return ray / (1.0 - tol) * _CERT_GUARD
 
 
-def gram_cross_is_zero(
-    op_i: BlockOperator, op_j: BlockOperator, tol: float = 1e-10
-) -> bool:
-    """Whether ``A_i^T A_j = 0`` up to ``tol * ||A_i||_2 ||A_j||_2``.
+# Relative size below which ``gram_cross_is_zero`` takes a cross Gram for 0.
+_CROSS_RTOL = 1e-10
+
+
+def gram_cross_is_zero(op_i: BlockOperator, op_j: BlockOperator) -> bool:
+    """Whether ``A_i^T A_j = 0`` up to ``1e-10 ||A_i||_2 ||A_j||_2``.
 
     Structural shortcuts cover zero operators and disjoint masks; otherwise
     ``||A_i^T A_j||_2^2`` is estimated by at most 60 power steps through
     the adjoint/apply maps, stopped early once it lies clearly above the
-    bound or stalls to a relative 1e-6. Blocks that share no row of a family need no call:
-    ``A_i^T A_j = 0`` for them by construction.
+    bound or stalls to a relative 1e-6. Blocks that share no row of a
+    family need no call: ``A_i^T A_j = 0`` for them by construction.
     """
     if op_i.out_shape != op_j.out_shape:
         raise DimensionError("operators live in different constraint spaces")
@@ -845,11 +847,11 @@ def gram_cross_is_zero(
     def gram_apply(v):
         return op_j.adjoint(op_i.apply(op_i.adjoint(op_j.apply(v))))
 
-    bound_sq = tol * tol * ci * cj
+    bound_sq = _CROSS_RTOL * _CROSS_RTOL * ci * cj
     cross_sq, _ = _power_iteration(
         gram_apply, op_j.in_shape, 1e-6, 60, stop_above=4.0 * bound_sq
     )
-    return math.sqrt(max(cross_sq, 0.0)) <= tol * math.sqrt(ci * cj)
+    return math.sqrt(max(cross_sq, 0.0)) <= _CROSS_RTOL * math.sqrt(ci * cj)
 
 
 # ---------------------------------------------------------------------------

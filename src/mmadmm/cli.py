@@ -153,23 +153,9 @@ def _summary_line(label: str, result) -> str:
 
 def cmd_generate(args) -> int:
     meta = {"problem": args.problem, "seed": args.seed}
-    for key in (
-        "d",
-        "n",
-        "sparsity",
-        "noise_sigma",
-        "lam",
-        "rank",
-        "obs_fraction",
-        "n_subspaces",
-        "per_subspace",
-        "corrupt_frac",
-    ):
-        value = getattr(args, key)
-        if value is not None:
-            meta[key] = value
-    if args.block_dims:
-        meta["block_dims"] = args.block_dims
+    for key in problems.MANIFEST_CASTS:
+        if getattr(args, key) is not None:
+            meta[key] = getattr(args, key)
     problem = _from_manifest(meta, f"cannot generate {args.problem}")
     os.makedirs(args.out, exist_ok=True)
     for name, arr in sorted(problem.data.items()):
@@ -244,12 +230,15 @@ def cmd_partition_study(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
 def _add_run_flags(sp) -> None:
     sp.add_argument("--config", help="flat key = value config file")
     sp.add_argument("--solver", choices=SOLVER_KINDS)
     for f in _CONFIG_FIELDS:
-        flag = "--" + f.name.replace("_", "-")
-        sp.add_argument(flag, dest=f.name, type=type(f.default))
+        sp.add_argument(_flag(f.name), dest=f.name, type=type(f.default))
     sp.add_argument("--workers", type=int)
     sp.add_argument(
         "--partition", choices=("auto", "case1", "case2", "case3")
@@ -264,17 +253,10 @@ def build_parser() -> _Parser:
     gen = sub.add_parser("generate", help="write a synthetic instance to disk")
     gen.add_argument("--problem", required=True, choices=problems.PROBLEM_NAMES)
     gen.add_argument("--seed", required=True, type=int)
-    gen.add_argument("--d", type=int)
-    gen.add_argument("--n", type=int)
-    gen.add_argument("--block-dims", dest="block_dims")
-    gen.add_argument("--sparsity", type=float)
-    gen.add_argument("--noise-sigma", dest="noise_sigma", type=float)
-    gen.add_argument("--lam", type=float)
-    gen.add_argument("--rank", type=int)
-    gen.add_argument("--obs-fraction", dest="obs_fraction", type=float)
-    gen.add_argument("--n-subspaces", dest="n_subspaces", type=int)
-    gen.add_argument("--per-subspace", dest="per_subspace", type=int)
-    gen.add_argument("--corrupt-frac", dest="corrupt_frac", type=float)
+    # One flag per manifest key; a key with its own parser passes as text.
+    for key, cast in problems.MANIFEST_CASTS.items():
+        flag_type = cast if cast in (int, float) else None
+        gen.add_argument(_flag(key), dest=key, type=flag_type)
     gen.add_argument("--out", required=True)
     gen.set_defaults(func=cmd_generate)
 
@@ -293,6 +275,7 @@ def build_parser() -> _Parser:
         "--plot-column",
         dest="plot_column",
         default="objective",
+        choices=fileio.TRACE_COLUMNS,
         help="trace column used by the plot script",
     )
     _add_run_flags(bench)

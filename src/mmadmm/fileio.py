@@ -15,6 +15,7 @@ from scipy import io as spio
 from scipy import sparse
 
 __all__ = [
+    "TRACE_COLUMNS",
     "TRACE_HEADER",
     "write_array_csv",
     "read_array_csv",
@@ -28,13 +29,8 @@ __all__ = [
     "write_gnuplot_script",
 ]
 
-TRACE_HEADER = (
-    "iter,objective,residual_norm,rel_residual,beta,step_norm,"
-    "backtracks,wall_time_ms"
-)
-
-_TRACE_FIELDS = (
-    "k",
+# The trace's columns after the iteration number, in file order.
+TRACE_COLUMNS = (
     "objective",
     "residual_norm",
     "rel_residual",
@@ -43,6 +39,8 @@ _TRACE_FIELDS = (
     "backtracks",
     "wall_time_ms",
 )
+TRACE_HEADER = ",".join(("iter", *TRACE_COLUMNS))
+_TRACE_FIELDS = ("k", *TRACE_COLUMNS)
 
 
 def write_array_csv(path, arr: np.ndarray) -> None:
@@ -99,8 +97,10 @@ def write_manifest(path, entries: dict) -> None:
 
 
 def read_manifest(path) -> dict:
-    """Parse ``key = value`` lines; blanks and ``#`` comments are skipped."""
+    """Parse ``key = value`` lines; blanks and ``#`` comments are skipped,
+    and a key given twice raises ``ValueError`` naming both lines."""
     out: dict = {}
+    first_line: dict = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             stripped = line.strip()
@@ -108,8 +108,13 @@ def read_manifest(path) -> dict:
                 continue
             if "=" not in stripped:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            key, value = stripped.split("=", 1)
-            out[key.strip()] = value.strip()
+            key, value = (part.strip() for part in stripped.split("=", 1))
+            if key in first_line:
+                raise ValueError(
+                    f"{path}:{lineno}: key {key!r} repeats line {first_line[key]}"
+                )
+            first_line[key] = lineno
+            out[key] = value
     return out
 
 
@@ -160,10 +165,9 @@ def write_bench_csv(path, labels: Sequence[str], traces: Sequence[Sequence]) -> 
     """
     if len(labels) != len(traces):
         raise ValueError("one label per trace is required")
-    col_names = _TRACE_FIELDS[1:]
     header = ["iter"]
     for label in labels:
-        header.extend(f"{label}_{name}" for name in col_names)
+        header.extend(f"{label}_{name}" for name in TRACE_COLUMNS)
     depth = max((len(t) for t in traces), default=0)
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
@@ -174,7 +178,7 @@ def write_bench_csv(path, labels: Sequence[str], traces: Sequence[Sequence]) -> 
                     line = _trace_line(trace[r]).split(",")
                     cells.extend(line[1:])
                 else:
-                    cells.extend([""] * len(col_names))
+                    cells.extend([""] * len(TRACE_COLUMNS))
             fh.write(",".join(cells) + "\n")
 
 
@@ -186,11 +190,10 @@ def write_gnuplot_script(
     title: Optional[str] = None,
 ) -> None:
     """Plot script for a bench CSV: the chosen column against iteration."""
-    col_names = _TRACE_FIELDS[1:]
-    if column not in col_names:
+    if column not in TRACE_COLUMNS:
         raise ValueError(f"unknown trace column {column!r}")
-    group = len(col_names)
-    offset = col_names.index(column)
+    group = len(TRACE_COLUMNS)
+    offset = TRACE_COLUMNS.index(column)
     plots = []
     for j, label in enumerate(labels):
         idx = 2 + j * group + offset

@@ -81,10 +81,12 @@ def _penalty(count: int, norm_sum: float) -> float:
     return (count - 1) * norm_sum
 
 
+# Largest prefix whose case-I score takes the combined-norm footnote term.
+_FOOTNOTE_MAX = 3
+
+
 def case1_scan(
-    norms_sq: Sequence[float],
-    A: Optional[BlockOperatorFamily] = None,
-    footnote_max: int = 3,
+    norms_sq: Sequence[float], A: Optional[BlockOperatorFamily] = None
 ) -> tuple:
     """Score every prefix split of the descending-norm order.
 
@@ -92,7 +94,7 @@ def case1_scan(
     norm descending (ties stable by index) and ``scores[k]`` is
     ``L_B1 + L_B2`` for ``n1 = k + 1``. ``L_B1`` uses
     ``(n1 - 1) * sum - ||A_B1||^2`` with the combined-norm refinement applied
-    only when ``A`` is supplied and ``n1 <= footnote_max`` (the term is
+    only when ``A`` is supplied and ``n1 <= 3`` (the term is
     dropped for larger prefixes), and ``L_B2 = (n2 - 1) * sum``.
     ``||A_B1||^2`` is :func:`dense_norm_sq` of the prefix's stacked
     matrices, from ``sum_{j in B1} M_j M_j^T``, when every operator in the
@@ -113,7 +115,7 @@ def case1_scan(
         n1 = k + 1
         prefix += norms[idx]
         l_b1 = _penalty(n1, prefix)
-        if A is not None and n1 <= footnote_max:
+        if A is not None and n1 <= _FOOTNOTE_MAX:
             l_b1 -= _prefix_norm_sq(A, order[:n1])
         l_b2 = _penalty(n - n1, total - prefix)
         scores.append(l_b1 + l_b2)
@@ -154,20 +156,18 @@ def case1_partition(
     return best_prefix(*case1_scan(norms_sq, A))
 
 
-def _nonorthogonality_edges(A: BlockOperatorFamily, tol: float) -> list:
+def _nonorthogonality_edges(A: BlockOperatorFamily) -> list:
     # Blocks that share no row of the family are orthogonal by construction.
     adj = [set() for _ in range(A.n)]
     shared = {(i, j) for row in A.rows for i, _ in row for j, _ in row if i < j}
     for i, j in sorted(shared):
-        if not gram_cross_is_zero(A.operators[i], A.operators[j], tol=tol):
+        if not gram_cross_is_zero(A.operators[i], A.operators[j]):
             adj[i].add(j)
             adj[j].add(i)
     return adj
 
 
-def case2_partition(
-    A: BlockOperatorFamily, tol: float = 1e-10
-) -> Optional[Partition]:
+def case2_partition(A: BlockOperatorFamily) -> Optional[Partition]:
     """Two-color the non-orthogonality graph when it is bipartite.
 
     Blocks ``i`` and ``j`` are adjacent when ``A_i^T A_j != 0``. A valid
@@ -179,7 +179,7 @@ def case2_partition(
     n = A.n
     if n < 2:
         raise ValueError("partitioning needs at least two blocks")
-    adj = _nonorthogonality_edges(A, tol)
+    adj = _nonorthogonality_edges(A)
     color = [-1] * n
     sides = ([], [])
     for start in range(n):
@@ -212,7 +212,7 @@ def case2_partition(
     )
 
 
-def case3_partition(A: BlockOperatorFamily, tol: float = 1e-10) -> Partition:
+def case3_partition(A: BlockOperatorFamily) -> Partition:
     """Contract orthogonal subgroups, then run the sort-and-scan heuristic.
 
     Greedily groups blocks into pairwise-orthogonal subgroups (first-fit in
@@ -224,7 +224,7 @@ def case3_partition(A: BlockOperatorFamily, tol: float = 1e-10) -> Partition:
     n = A.n
     if n < 2:
         raise ValueError("partitioning needs at least two blocks")
-    adj = _nonorthogonality_edges(A, tol)
+    adj = _nonorthogonality_edges(A)
     groups: list = []
     for i in range(n):
         placed = False

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -41,11 +41,9 @@ __all__ = [
     "build_nonneg_matrix_completion",
     "make_subspace_data",
     "from_manifest",
+    "MANIFEST_CASTS",
     "PROBLEM_NAMES",
 ]
-
-PROBLEM_NAMES = ("nnsc", "nnsc-noisy", "latlrr2", "latlrr3", "lrr", "nmc")
-
 
 @dataclass(frozen=True)
 class DataGenSpec:
@@ -130,7 +128,8 @@ class ProblemSpec:
         quadratic.
     recommended_partition : Partition, optional
     meta : dict
-        Flat manifest keys sufficient to regenerate the instance.
+        Flat manifest keys: the whole recipe for a generated instance, the
+        builder's own keys for one built from given data.
     data : dict
         Named arrays behind the instance, for file export.
     """
@@ -212,54 +211,13 @@ class ProblemSpec:
 # ---------------------------------------------------------------------------
 
 
-def _nnsc_draws(gen: DataGenSpec):
-    dims = gen.dims()
-    streams = np.random.SeedSequence(gen.seed).spawn(gen.n + 1)
-    mats = []
-    x_star = []
-    for i, m in enumerate(dims):
-        rng = np.random.default_rng(streams[i])
-        mats.append(rng.standard_normal((gen.d, m)))
-        x = np.zeros(m)
-        nnz = int(round(gen.sparsity * m))
-        if nnz > 0:
-            idx = rng.choice(m, size=nnz, replace=False)
-            # Magnitudes only: the planted point then witnesses feasibility
-            # of the nonnegativity constraint.
-            x[idx] = np.abs(rng.standard_normal(nnz))
-        x_star.append(x)
-    noise_rng = np.random.default_rng(streams[gen.n])
-    e_star = gen.noise_sigma * noise_rng.standard_normal(gen.d)
-    return mats, x_star, e_star
-
-
 def build_nonneg_sparse_coding(gen: DataGenSpec) -> ProblemSpec:
     """``min sum_i ||x_i||_1 s.t. sum_i A_i x_i = y, x_i >= 0``.
 
     Entries of each ``A_i`` are i.i.d. standard normal; the planted point
     has ``sparsity * m_i`` nonzero entries per block and ``y`` is its image.
     """
-    mats, x_star, _ = _nnsc_draws(gen)
-    y = np.zeros(gen.d)
-    for M, x in zip(mats, x_star):
-        y += M @ x
-    ops = tuple(DenseMatrixOp(M) for M in mats)
-    rows = [(ops, y)]
-    shapes = tuple(op.in_shape for op in ops)
-    terms = tuple(ProxFunction("l1-nonneg", 1.0) for _ in ops)
-    data = {f"A_{i}": M for i, M in enumerate(mats)}
-    data["y"] = y
-    meta = {
-        "problem": "nnsc",
-        "seed": gen.seed,
-        "d": gen.d,
-        "n": gen.n,
-        "block_dims": ",".join(str(m) for m in gen.dims()),
-        "sparsity": gen.sparsity,
-    }
-    return ProblemSpec(
-        "nnsc", rows, shapes, terms, meta=meta, data=data
-    )
+    return _nnsc(gen)
 
 
 def build_nonneg_sparse_coding_noisy(
@@ -272,31 +230,53 @@ def build_nonneg_sparse_coding_noisy(
     ``y`` picks up Gaussian noise with scale ``noise_sigma``.
     """
     _check_lam(lam)
-    mats, x_star, e_star = _nnsc_draws(gen)
-    y = e_star.copy()
+    return _nnsc(gen, lam)
+
+
+def _nnsc(gen: DataGenSpec, lam: Optional[float] = None) -> ProblemSpec:
+    """The nnsc builders' body; a ``lam`` adds the noise block and its term.
+
+    Block ``i`` draws from child stream ``i`` and the noise from stream
+    ``n``; without a noise block ``y`` starts at zero.
+    """
+    streams = np.random.SeedSequence(gen.seed).spawn(gen.n + 1)
+    if lam is None:
+        y = np.zeros(gen.d)
+    else:
+        noise_rng = np.random.default_rng(streams[gen.n])
+        y = gen.noise_sigma * noise_rng.standard_normal(gen.d)
+    mats = []
+    x_star = []
+    for i, m in enumerate(gen.dims()):
+        rng = np.random.default_rng(streams[i])
+        mats.append(rng.standard_normal((gen.d, m)))
+        x = np.zeros(m)
+        nnz = int(round(gen.sparsity * m))
+        if nnz > 0:
+            idx = rng.choice(m, size=nnz, replace=False)
+            # Magnitudes only: the planted point then witnesses feasibility
+            # of the nonnegativity constraint.
+            x[idx] = np.abs(rng.standard_normal(nnz))
+        x_star.append(x)
+    # Summed after the draws: a product inside the loop made the d=50
+    # n=100 build about 15% slower.
     for M, x in zip(mats, x_star):
         y += M @ x
     ops = [DenseMatrixOp(M) for M in mats]
-    ops.append(ScaledIdentityOp(1.0, (gen.d,)))
-    rows = [(tuple(ops), y)]
-    shapes = tuple(op.in_shape for op in ops)
-    terms = tuple(
-        [ProxFunction("l1-nonneg", 1.0) for _ in mats] + [ProxFunction("l1", lam)]
-    )
+    terms = [ProxFunction("l1-nonneg", 1.0) for _ in mats]
+    if lam is not None:
+        ops.append(ScaledIdentityOp(1.0, (gen.d,)))
+        terms.append(ProxFunction("l1", lam))
     data = {f"A_{i}": M for i, M in enumerate(mats)}
     data["y"] = y
-    meta = {
-        "problem": "nnsc-noisy",
-        "seed": gen.seed,
-        "d": gen.d,
-        "n": gen.n,
-        "block_dims": ",".join(str(m) for m in gen.dims()),
-        "sparsity": gen.sparsity,
-        "noise_sigma": gen.noise_sigma,
-        "lam": lam,
-    }
+    name = "nnsc" if lam is None else "nnsc-noisy"
     return ProblemSpec(
-        "nnsc-noisy", rows, shapes, terms, meta=meta, data=data
+        name,
+        [(tuple(ops), y)],
+        [op.in_shape for op in ops],
+        terms,
+        meta=_manifest(name, gen, lam=lam),
+        data=data,
     )
 
 
@@ -306,10 +286,7 @@ def build_nonneg_sparse_coding_noisy(
 
 
 def build_latent_lrr(
-    X: np.ndarray,
-    lam: float = 0.1,
-    formulation: str = "3-block",
-    meta: Optional[dict] = None,
+    X: np.ndarray, lam: float = 0.1, formulation: str = "3-block"
 ) -> ProblemSpec:
     """Latent low-rank representation of the columns of ``X``.
 
@@ -328,8 +305,6 @@ def build_latent_lrr(
     ones_row = np.ones((1, n))
     z_shape, l_shape, e_shape = (n, n), (d, d), (d, n)
     data = {"X": X}
-    base_meta = dict(meta or {})
-    base_meta.update({"lam": lam, "formulation": formulation})
     if formulation == "2-block":
         rows = [((LeftMultiplyOp(ones_row, z_shape), None), ones_row)]
         smooth = SmoothQuadCoupling(
@@ -337,14 +312,13 @@ def build_latent_lrr(
             (LeftMultiplyOp(X, z_shape), RightMultiplyOp(X, l_shape)),
             offset=X,
         )
-        base_meta.setdefault("problem", "latlrr2")
         return ProblemSpec(
             "latlrr2",
             rows,
             (z_shape, l_shape),
             (ProxFunction("nuclear", 1.0), ProxFunction("nuclear", 1.0)),
             smooth=smooth,
-            meta=base_meta,
+            meta={"lam": lam, "formulation": formulation, "problem": "latlrr2"},
             data=data,
         )
     if formulation != "3-block":
@@ -365,21 +339,18 @@ def build_latent_lrr(
         ProxFunction("nuclear", 1.0),
         ProxFunction("sq-frobenius", lam),
     )
-    base_meta.setdefault("problem", "latlrr3")
     return ProblemSpec(
         "latlrr3",
         rows,
         (z_shape, l_shape, e_shape),
         terms,
         recommended_partition=Partition((0,), (1, 2), case="user"),
-        meta=base_meta,
+        meta={"lam": lam, "formulation": formulation, "problem": "latlrr3"},
         data=data,
     )
 
 
-def build_lrr(
-    X: np.ndarray, A_dict: np.ndarray, lam: float = 0.1, meta: Optional[dict] = None
-) -> ProblemSpec:
+def build_lrr(X: np.ndarray, A_dict: np.ndarray, lam: float = 0.1) -> ProblemSpec:
     """Low-rank representation with column-sparse error.
 
     ``min ||J||_* + lam ||E||_{2,1}`` subject to ``X = A Z + E`` and
@@ -406,16 +377,13 @@ def build_lrr(
         ),
     ]
     terms = (ProxFunction("nuclear", 1.0), ProxFunction("l21", lam), None)
-    base_meta = dict(meta or {})
-    base_meta.setdefault("problem", "lrr")
-    base_meta["lam"] = lam
     return ProblemSpec(
         "lrr",
         rows,
         (j_shape, e_shape, z_shape),
         terms,
         recommended_partition=Partition((0, 1), (2,), case="user"),
-        meta=base_meta,
+        meta={"problem": "lrr", "lam": lam},
         data={"X": X, "A_dict": A_dict},
     )
 
@@ -460,16 +428,6 @@ def build_nonneg_matrix_completion(gen: DataGenSpec, lam: float = 10.0) -> Probl
         ProxFunction("sq-frobenius", lam),
         ProxFunction("indicator-nonneg", 1.0),
     )
-    meta = {
-        "problem": "nmc",
-        "seed": gen.seed,
-        "d": d1,
-        "n": d2,
-        "rank": gen.rank,
-        "obs_fraction": gen.obs_fraction,
-        "noise_sigma": gen.noise_sigma,
-        "lam": lam,
-    }
     suggested = {
         "beta0": min(d1, d2) * 1e-4,
         "rho": 10.0,
@@ -483,7 +441,7 @@ def build_nonneg_matrix_completion(gen: DataGenSpec, lam: float = 10.0) -> Probl
         (shape, shape, shape),
         terms,
         recommended_partition=Partition((0, 1), (2,), case="user"),
-        meta=meta,
+        meta=_manifest("nmc", gen, lam=lam),
         data={"B_obs": b_obs, "mask": mask, "truth": truth},
         suggested=suggested,
     )
@@ -552,35 +510,96 @@ def _dims(value) -> Optional[tuple]:
     return tuple(int(v) for v in str(value).split(",")) if value else None
 
 
-# Optional manifest keys and their casts; an absent key takes its owner's
-# default (``DataGenSpec``, ``make_subspace_data`` or the builder's ``lam``).
-_GEN_KEYS = {
-    "nnsc": {"block_dims": _dims, "sparsity": float},
-    "nnsc-noisy": {"block_dims": _dims, "sparsity": float, "noise_sigma": float},
-    "nmc": {"rank": int, "obs_fraction": float, "noise_sigma": float},
-}
-_SUBSPACE_KEYS = {
+# The manifest schema. ``MANIFEST_CASTS`` maps each key a recipe may set,
+# besides ``problem`` and ``seed``, to its cast from manifest text. Per
+# problem, ``_RECIPES`` names the keys it reads, in the order its manifest
+# lists them, which of them have no default, and the keys its name fixes.
+# ``lam`` and ``formulation`` go to the builder and the other keys to its
+# data source; an absent key takes the default of the function it goes to.
+MANIFEST_CASTS = {
     "d": int,
+    "n": int,
+    "block_dims": _dims,
+    "sparsity": float,
+    "noise_sigma": float,
+    "lam": float,
     "rank": int,
+    "obs_fraction": float,
     "n_subspaces": int,
     "per_subspace": int,
     "corrupt_frac": float,
 }
+_BUILDER_KEYS = ("lam", "formulation")
+_SIZE = ("d", "n")
+_LRR_KEYS = ("lam", "d", "rank", "n_subspaces", "per_subspace", "corrupt_frac")
 
 
-def _present(meta: dict, casts: dict) -> dict:
-    """The keys of ``casts`` that ``meta`` holds, each cast."""
-    return {key: cast(meta[key]) for key, cast in casts.items() if key in meta}
+@dataclass(frozen=True)
+class _Recipe:
+    build: Callable  # (seed, **keys) -> ProblemSpec
+    keys: tuple
+    required: tuple = ()
+    implied: dict = field(default_factory=dict)
 
 
-def _check_keys(meta: dict, name: str, accepted: set) -> None:
-    """Reject a key the rebuild of ``name`` would not read."""
-    unknown = sorted(set(meta) - accepted)
-    if unknown:
-        raise ValueError(
-            f"unknown manifest key(s) {unknown} for problem {name!r}; "
-            f"accepted keys: {sorted(accepted)}"
-        )
+def _manifest(name: str, gen: DataGenSpec, **extra) -> dict:
+    """The manifest of a generated problem: ``problem``, ``seed`` and each
+    of ``name``'s keys, from ``extra`` or else from ``gen``."""
+    keys = _RECIPES[name].keys
+    extra["block_dims"] = ",".join(str(m) for m in gen.dims())
+    return {
+        "problem": name,
+        "seed": gen.seed,
+        **{k: extra[k] if k in extra else getattr(gen, k) for k in keys},
+    }
+
+
+def _generated(builder: Callable) -> Callable:
+    """The builder on a ``DataGenSpec``, which records its own manifest."""
+
+    def build(seed, **keys):
+        own = {k: keys.pop(k) for k in _BUILDER_KEYS if k in keys}
+        return builder(DataGenSpec(seed, **keys), **own)
+
+    return build
+
+
+def _on_subspaces(builder: Callable) -> Callable:
+    """The builder on ``make_subspace_data``; the data keys join its meta."""
+
+    def build(seed, **keys):
+        own = {k: keys.pop(k) for k in _BUILDER_KEYS if k in keys}
+        spec = builder(make_subspace_data(seed, **keys), **own)
+        spec.meta.update(seed=seed, **keys)
+        return spec
+
+    return build
+
+
+# Each rebuild looks its builder up when it runs, so a builder patched on
+# this module (as the benchmark's tracer patches them) is the one called.
+_LATLRR = _on_subspaces(lambda X, **own: build_latent_lrr(X, **own))
+_RECIPES = {
+    "nnsc": _Recipe(
+        _generated(lambda gen, **own: build_nonneg_sparse_coding(gen, **own)),
+        (*_SIZE, "block_dims", "sparsity"),
+        _SIZE,
+    ),
+    "nnsc-noisy": _Recipe(
+        _generated(lambda gen, **own: build_nonneg_sparse_coding_noisy(gen, **own)),
+        (*_SIZE, "block_dims", "sparsity", "noise_sigma", "lam"),
+        _SIZE,
+    ),
+    "latlrr2": _Recipe(_LATLRR, _LRR_KEYS, implied={"formulation": "2-block"}),
+    "latlrr3": _Recipe(_LATLRR, _LRR_KEYS, implied={"formulation": "3-block"}),
+    "lrr": _Recipe(_on_subspaces(lambda X, **own: build_lrr(X, X, **own)), _LRR_KEYS),
+    "nmc": _Recipe(
+        _generated(lambda gen, **own: build_nonneg_matrix_completion(gen, **own)),
+        (*_SIZE, "rank", "obs_fraction", "noise_sigma", "lam"),
+        _SIZE,
+    ),
+}
+PROBLEM_NAMES = tuple(_RECIPES)
 
 
 def from_manifest(meta: dict) -> ProblemSpec:
@@ -593,40 +612,31 @@ def from_manifest(meta: dict) -> ProblemSpec:
     does not read (``lam`` for nnsc, say) raises ``ValueError``, so a
     misspelled key cannot fall back to a default unnoticed; the latent LRR
     problems also accept the ``formulation`` their builder records, which
-    must match the name.
+    must match the name. ``_RECIPES`` and ``MANIFEST_CASTS`` hold the keys
+    and casts. The returned problem's ``meta`` is a manifest that rebuilds
+    it, as ``mmadmm generate`` writes it.
     """
     name = meta.get("problem")
-    lam = _present(meta, {"lam": float})
-    if name in _GEN_KEYS:
-        keys = {"problem", "seed", "d", "n", *_GEN_KEYS[name]}
-        _check_keys(meta, name, keys if name == "nnsc" else keys | {"lam"})
-        gen = DataGenSpec(
-            seed=int(meta["seed"]),
-            d=int(meta["d"]),
-            n=int(meta["n"]),
-            **_present(meta, _GEN_KEYS[name]),
+    if name not in _RECIPES:
+        raise ValueError(f"unknown problem name {name!r}; options: {PROBLEM_NAMES}")
+    recipe = _RECIPES[name]
+    for key, value in recipe.implied.items():
+        if meta.get(key, value) != value:
+            raise ValueError(
+                f"{key} {meta[key]!r} does not match "
+                f"problem {name!r}, which is {value!r}"
+            )
+    accepted = {"problem", "seed", *recipe.keys, *recipe.implied}
+    unknown = sorted(set(meta) - accepted)
+    if unknown:
+        raise ValueError(
+            f"unknown manifest key(s) {unknown} for problem {name!r}; "
+            f"accepted keys: {sorted(accepted)}"
         )
-        if name == "nnsc":
-            return build_nonneg_sparse_coding(gen)
-        if name == "nnsc-noisy":
-            return build_nonneg_sparse_coding_noisy(gen, **lam)
-        return build_nonneg_matrix_completion(gen, **lam)
-    if name in ("latlrr2", "latlrr3", "lrr"):
-        accepted = {"problem", "seed", "lam", *_SUBSPACE_KEYS}
-        formulation = {"latlrr2": "2-block", "latlrr3": "3-block"}.get(name)
-        if formulation is not None:
-            accepted.add("formulation")
-            if meta.get("formulation", formulation) != formulation:
-                raise ValueError(
-                    f"formulation {meta['formulation']!r} does not match "
-                    f"problem {name!r}, which is {formulation!r}"
-                )
-        _check_keys(meta, name, accepted)
-        X = make_subspace_data(int(meta["seed"]), **_present(meta, _SUBSPACE_KEYS))
-        if name == "lrr":
-            spec = build_lrr(X, X, **lam)
-        else:
-            spec = build_latent_lrr(X, formulation=formulation, **lam)
-        spec.meta.update(meta)
-        return spec
-    raise ValueError(f"unknown problem name {name!r}; options: {PROBLEM_NAMES}")
+    seed = int(meta["seed"])
+    keys = {
+        k: MANIFEST_CASTS[k](meta[k])
+        for k in recipe.keys
+        if k in meta or k in recipe.required
+    }
+    return recipe.build(seed, **recipe.implied, **keys)

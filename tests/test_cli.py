@@ -21,6 +21,66 @@ def _flag(name):
     return "--" + name.replace("_", "-")
 
 
+# ``generate`` flags per problem, and the manifest each writes with seed 2.
+_ROUND_TRIP_FLAGS = {
+    "nnsc": ["--d", "6", "--n", "2", "--block-dims", "2,3"],
+    "nnsc-noisy": ["--d", "6", "--n", "2", "--noise-sigma", "0.1"],
+    "nmc": ["--d", "6", "--n", "5", "--rank", "2", "--lam", "3"],
+}
+_SUBSPACE_FLAGS = ["--d", "6", "--rank", "2", "--n-subspaces", "2", "--lam", "0.5"]
+_SUBSPACE_TAIL = ["seed = 2", "d = 6", "rank = 2", "n_subspaces = 2"]
+_ROUND_TRIP_MANIFESTS = {
+    "nnsc": [
+        "problem = nnsc",
+        "seed = 2",
+        "d = 6",
+        "n = 2",
+        "block_dims = 2,3",
+        "sparsity = 0.10000000000000001",
+    ],
+    "nnsc-noisy": [
+        "problem = nnsc-noisy",
+        "seed = 2",
+        "d = 6",
+        "n = 2",
+        "block_dims = 10,20",
+        "sparsity = 0.10000000000000001",
+        "noise_sigma = 0.10000000000000001",
+        "lam = 1",
+    ],
+    "latlrr2": [
+        "lam = 0.5",
+        "formulation = 2-block",
+        "problem = latlrr2",
+        *_SUBSPACE_TAIL,
+    ],
+    "latlrr3": [
+        "lam = 0.5",
+        "formulation = 3-block",
+        "problem = latlrr3",
+        *_SUBSPACE_TAIL,
+    ],
+    "lrr": ["problem = lrr", "lam = 0.5", *_SUBSPACE_TAIL],
+    "nmc": [
+        "problem = nmc",
+        "seed = 2",
+        "d = 6",
+        "n = 5",
+        "rank = 2",
+        "obs_fraction = 0.59999999999999998",
+        "noise_sigma = 0",
+        "lam = 3",
+    ],
+}
+
+
+def _generate_round_trip(name, tmp_path):
+    out = tmp_path / name
+    argv = ["generate", "--problem", name, "--seed", "2", "--out", str(out)]
+    assert main(argv + _ROUND_TRIP_FLAGS.get(name, _SUBSPACE_FLAGS)) == 0
+    return out
+
+
 def _generate_nnsc(tmp_path, n_blocks=2):
     out = tmp_path / "data"
     dims = ",".join(str(2 + i) for i in range(n_blocks))
@@ -155,14 +215,7 @@ class TestGenerate:
 
     @pytest.mark.parametrize("name", problems.PROBLEM_NAMES)
     def test_manifest_round_trip(self, name, tmp_path, capsys):
-        flags = {
-            "nnsc": ["--d", "6", "--n", "2", "--block-dims", "2,3"],
-            "nnsc-noisy": ["--d", "6", "--n", "2", "--noise-sigma", "0.1"],
-            "nmc": ["--d", "6", "--n", "5", "--rank", "2", "--lam", "3"],
-        }.get(name, ["--d", "6", "--rank", "2", "--n-subspaces", "2", "--lam", "0.5"])
-        out = tmp_path / name
-        argv = ["generate", "--problem", name, "--seed", "2", "--out", str(out)]
-        assert main(argv + flags) == 0
+        out = _generate_round_trip(name, tmp_path)
         capsys.readouterr()
         rebuilt = problems.from_manifest(read_manifest(out / "manifest.txt"))
         assert rebuilt.name == name
@@ -170,6 +223,44 @@ class TestGenerate:
             path = out / (f"{key}.mtx" if key == "mask" else f"{key}.csv")
             read = read_array_mm if key == "mask" else read_array_csv
             np.testing.assert_array_equal(read(path), arr)
+
+    @pytest.mark.parametrize("name", problems.PROBLEM_NAMES)
+    def test_manifest_text_is_pinned(self, name, tmp_path):
+        out = _generate_round_trip(name, tmp_path)
+        lines = _ROUND_TRIP_MANIFESTS[name]
+        assert (out / "manifest.txt").read_text() == "\n".join(lines) + "\n"
+
+    def test_recipe_flags_are_the_manifest_keys(self):
+        # Every key of the table but formulation, which the name implies,
+        # with the flag name, dest and type the flag has always had.
+        types = {
+            "d": int,
+            "n": int,
+            "block_dims": str,
+            "sparsity": float,
+            "noise_sigma": float,
+            "lam": float,
+            "rank": int,
+            "obs_fraction": float,
+            "n_subspaces": int,
+            "per_subspace": int,
+            "corrupt_frac": float,
+        }
+        table = {
+            key
+            for recipe in problems._RECIPES.values()
+            for key in (*recipe.keys, *recipe.implied)
+        }
+        assert table - {"formulation"} == set(types)
+        argv = ["generate", "--problem", "nnsc", "--seed", "0", "--out", "o"]
+        args = vars(
+            build_parser().parse_args(
+                argv + [arg for key in types for arg in (_flag(key), "2")]
+            )
+        )
+        assert set(args) == set(types) | {"command", "problem", "seed", "out", "func"}
+        for key, cast in types.items():
+            assert type(args[key]) is cast and args[key] == cast("2")
 
 
 class TestSolve:
@@ -433,6 +524,28 @@ class TestConfigFile:
         assert code == 1
         assert "unknown config key" in capsys.readouterr().err
 
+    def test_repeated_key_rejected(self, tmp_path, capsys):
+        manifest = _generate_nnsc(tmp_path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("max_iter = 3\nsolver = jacobi\nmax_iter = 5\n")
+        capsys.readouterr()
+        code = main(
+            [
+                "solve",
+                "--manifest",
+                str(manifest),
+                "--trace",
+                str(tmp_path / "t.csv"),
+                "--config",
+                str(cfg),
+            ]
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{cfg}:3: key 'max_iter' repeats line 1" in captured.err
+        assert not (tmp_path / "t.csv").exists()
+
     def test_uncastable_value_rejected(self, tmp_path, capsys):
         manifest = _generate_nnsc(tmp_path)
         cfg = tmp_path / "run.cfg"
@@ -528,6 +641,31 @@ class TestBench:
         assert "at least one solver" in capsys.readouterr().err
         assert main(base + ["--solvers", "jacobi,sgd"]) == 1
         assert "unknown solver 'sgd'" in capsys.readouterr().err
+
+    def test_unknown_plot_column_fails_before_solving(self, tmp_path, capsys):
+        manifest = _generate_nnsc(tmp_path)
+        capsys.readouterr()
+        out, plot = tmp_path / "b.csv", tmp_path / "p.gp"
+        code = main(
+            [
+                "bench",
+                "--manifest",
+                str(manifest),
+                "--solvers",
+                "jacobi,madmm",
+                "--out",
+                str(out),
+                "--plot-script",
+                str(plot),
+                "--plot-column",
+                "bogus",
+            ]
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--plot-column: invalid choice: 'bogus'" in captured.err
+        assert not out.exists() and not plot.exists()
 
 
 class TestPartitionStudy:

@@ -104,6 +104,12 @@ class TestManifest:
         with pytest.raises(ValueError, match=":2:"):
             read_manifest(path)
 
+    def test_repeated_key_names_both_lines(self, tmp_path):
+        path = tmp_path / "run.manifest"
+        path.write_text("problem = nnsc\nseed = 0\n# again\n seed=5\n")
+        with pytest.raises(ValueError, match=r":4: key 'seed' repeats line 2$"):
+            read_manifest(path)
+
 
 class TestTraceCSV:
     def test_round_trip(self, tmp_path):

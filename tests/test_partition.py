@@ -126,14 +126,16 @@ class TestScan:
             assert drop >= exact * (1 - 1e-12)
 
     def test_footnote_max_limits_refinement(self):
+        # Only the first three prefixes take the footnote term.
         rng = np.random.default_rng(72)
-        ops = tuple(DenseMatrixOp(rng.standard_normal((6, 2))) for _ in range(4))
+        ops = tuple(DenseMatrixOp(rng.standard_normal((6, 2))) for _ in range(5))
         A = BlockOperatorFamily(ops, (6,))
         norms = [op.op_norm_sq for op in ops]
-        _, limited = case1_scan(norms, A, footnote_max=1)
+        _, refined = case1_scan(norms, A)
         _, plain = case1_scan(norms)
-        assert limited[0] < plain[0]
-        assert limited[1:] == plain[1:]
+        assert all(refined[k] < plain[k] for k in range(3))
+        assert refined[3] == plain[3]
+        assert refined[4] == plain[4]
 
     @staticmethod
     def _footnotes(monkeypatch):
@@ -314,9 +316,9 @@ class TestCase2Partition:
         A = build_lrr(X, X).family
         checked = []
 
-        def spy(op_i, op_j, tol):
+        def spy(op_i, op_j):
             checked.append((A.operators.index(op_i), A.operators.index(op_j)))
-            return gram_cross_is_zero(op_i, op_j, tol=tol)
+            return gram_cross_is_zero(op_i, op_j)
 
         monkeypatch.setattr(partition, "gram_cross_is_zero", spy)
         for heuristic in (case2_partition, case3_partition):

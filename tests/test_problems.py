@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from mmadmm import problems
 from mmadmm.blockspace import BlockVector, DimensionError, residual
 from mmadmm.problems import (
     DataGenSpec,
@@ -526,6 +527,34 @@ class TestManifestRoundTrip:
         pattern = rf"unknown manifest key\(s\) \['{unknown}'\]"
         with pytest.raises(ValueError, match=pattern):
             from_manifest(meta)
+
+    @pytest.mark.parametrize(
+        "name, builder",
+        [
+            ("nnsc", "build_nonneg_sparse_coding"),
+            ("nnsc-noisy", "build_nonneg_sparse_coding_noisy"),
+            ("latlrr2", "build_latent_lrr"),
+            ("latlrr3", "build_latent_lrr"),
+            ("lrr", "build_lrr"),
+            ("nmc", "build_nonneg_matrix_completion"),
+        ],
+    )
+    def test_rebuild_calls_the_module_builder(self, name, builder, monkeypatch):
+        # A builder patched on the module, as a tracer patches it, is the
+        # one the rebuild calls.
+        calls = []
+        real = getattr(problems, builder)
+
+        def spy(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(problems, builder, spy)
+        meta = {"problem": name, "seed": 0, "d": 4}
+        if name in ("nnsc", "nnsc-noisy", "nmc"):
+            meta["n"] = 3
+        from_manifest(meta)
+        assert calls == [name]
 
     def test_formulation_must_match_the_problem(self):
         meta = {"problem": "latlrr3", "seed": 3, "per_subspace": 4}
