@@ -12,6 +12,7 @@ one form, ``G_i = eta I + gram_coef A_i^T A_i`` (:class:`WeightMatrix`).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
@@ -367,6 +368,7 @@ class LeftMultiplyOp(BlockOperator):
             raise DimensionError("left factor columns must match block rows")
         super().__init__(tuple(in_shape), (factor.shape[0], in_shape[1]))
         self.factor = factor
+        self._factor_cert = functools.cache(lambda: dense_norm_sq(factor))
 
     def apply(self, v):
         return self.factor @ self._check_in(v)
@@ -375,10 +377,13 @@ class LeftMultiplyOp(BlockOperator):
         return self.factor.T @ self._check_out(u)
 
     def _compute_norm_sq(self):
-        return dense_norm_sq(self.factor)
+        return self._factor_cert()
 
     def gram_rep(self):
         return ("left", self.factor.T @ self.factor)
+
+    def gram_kind(self):
+        return "left"
 
 
 class RightMultiplyOp(BlockOperator):
@@ -394,6 +399,7 @@ class RightMultiplyOp(BlockOperator):
             raise DimensionError("right factor rows must match block columns")
         super().__init__(tuple(in_shape), (in_shape[0], factor.shape[1]))
         self.factor = factor
+        self._factor_cert = functools.cache(lambda: dense_norm_sq(factor))
 
     def apply(self, v):
         return self._check_in(v) @ self.factor
@@ -402,10 +408,13 @@ class RightMultiplyOp(BlockOperator):
         return self._check_out(u) @ self.factor.T
 
     def _compute_norm_sq(self):
-        return dense_norm_sq(self.factor)
+        return self._factor_cert()
 
     def gram_rep(self):
         return ("right", self.factor @ self.factor.T)
+
+    def gram_kind(self):
+        return "right"
 
 
 class MaskProjectionOp(BlockOperator):
@@ -498,29 +507,47 @@ class StackedOp(BlockOperator):
                 acc += op.adjoint(u[off : off + _size(shape)].reshape(shape))
         return acc
 
+    def _members(self):
+        """The operators of the rows the block acts in."""
+        return [op for _, _, op in self.pieces if op is not None]
+
     def _compute_norm_sq(self):
-        return sum(op.op_norm_sq for _, _, op in self.pieces if op is not None)
+        return sum(op.op_norm_sq for op in self._members())
+
+    def gram_kind(self):
+        return _stacked_gram_kind([op.gram_kind() for op in self._members()])
 
     def gram_rep(self):
-        # The stacked Gram is the sum of the member Grams: the scalar members
-        # add to the one other tag, when the members carry at most one.
-        reps = [op.gram_rep() for _, _, op in self.pieces if op is not None]
-        if any(rep is None for rep in reps):
+        # The stacked Gram is the sum of the member Grams.
+        reps = [op.gram_rep() for op in self._members()]
+        tag = _stacked_gram_kind([None if rep is None else rep[0] for rep in reps])
+        if tag is None:
             return None
-        scalar = sum((c for tag, c in reps if tag == "scalar"), 0.0)
-        rest = [rep for rep in reps if rep[0] != "scalar"]
-        if not rest:
+        scalar = sum((c for t, c in reps if t == "scalar"), 0.0)
+        if tag == "scalar":
             return ("scalar", scalar)
-        tag = rest[0][0]
-        if any(t != tag for t, _ in rest):
-            return None
-        first, *others = (M for _, M in rest)
+        first, *others = (M for t, M in reps if t != "scalar")
         M = sum(others, first)
         if tag == "diag":
             return ("diag", M + scalar)
         if scalar:
             M = M + scalar * np.eye(M.shape[0])
         return (tag, M)
+
+
+def _stacked_gram_kind(tags: Sequence[Optional[str]]) -> Optional[str]:
+    """The Gram tag of a sum of Grams tagged ``tags``.
+
+    The scalar members add to the one other tag, when the members carry at
+    most one; all scalar is ``"scalar"``; a member without a form, or two
+    different other tags, give ``None``.
+    """
+    if None in tags:
+        return None
+    rest = {tag for tag in tags if tag != "scalar"}
+    if len(rest) > 1:
+        return None
+    return rest.pop() if rest else "scalar"
 
 
 def _size(shape: tuple) -> int:
@@ -632,6 +659,19 @@ def dense_norm_sq(matrix: np.ndarray) -> float:
         # Rounded down below the normal range: take the next float up.
         out = math.nextafter(out, math.inf)
     return out
+
+
+def _share_factor_certificates(ops) -> None:
+    """Give the left and right multiplies on one factor array one certificate.
+
+    Each reads its certificate from ``_factor_cert``, a cached call of
+    :func:`dense_norm_sq` on its factor; after this, the first of them to
+    need it certifies the array once for all.
+    """
+    first = {}
+    for op in ops:
+        if isinstance(op, (LeftMultiplyOp, RightMultiplyOp)):
+            op._factor_cert = first.setdefault(id(op.factor), op)._factor_cert
 
 
 # ---------------------------------------------------------------------------
@@ -942,10 +982,13 @@ def stack_rows(rows: Sequence[tuple], block_shapes: Sequence[tuple]):
         The family and the concatenated right-hand side. One row keeps its
         own shape, with a zero operator for each absent block; several rows
         are flattened into one 1-d space. The family's ``rows`` hold the
-        given operators of each row with an acting block.
+        given operators of each row with an acting block. The left and right
+        multiplies given on one factor array share its certificate, which
+        the first of them to need it computes.
     """
     block_shapes = [tuple(s) for s in block_shapes]
     n = len(block_shapes)
+    _share_factor_certificates(op for ops, _ in rows for op in ops if op is not None)
     offsets, rhs_parts, acting = [], [], []
     total = 0
     for r, (ops, rhs) in enumerate(rows):

@@ -633,10 +633,18 @@ def from_manifest(meta: dict) -> ProblemSpec:
             f"unknown manifest key(s) {unknown} for problem {name!r}; "
             f"accepted keys: {sorted(accepted)}"
         )
-    seed = int(meta["seed"])
+    seed = _cast(int, "seed", meta["seed"])
     keys = {
-        k: MANIFEST_CASTS[k](meta[k])
+        k: _cast(MANIFEST_CASTS[k], k, meta[k])
         for k in recipe.keys
         if k in meta or k in recipe.required
     }
     return recipe.build(seed, **recipe.implied, **keys)
+
+
+def _cast(cast: Callable, key: str, value):
+    """``cast(value)``; a failed cast raises ``ValueError`` naming ``key``."""
+    try:
+        return cast(value)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"bad value for {key!r}: {exc}") from None

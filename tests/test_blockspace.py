@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from mmadmm import blockspace
 from mmadmm.blockspace import (
     BlockOperatorFamily,
     BlockVector,
@@ -750,6 +751,49 @@ class TestStackedGram:
                 _gram_dense(rep, op.in_shape), D.T @ D, atol=1e-12, err_msg=name
             )
 
+    def test_gram_kind_is_the_tag_of_gram_rep(self):
+        # Over the zoo and stacks of its members, mixed and matched; the
+        # left and right multiplies answer without forming their Gram.
+        zoo = _op_zoo()
+        rng = np.random.default_rng(33)
+        mat = (2, 3)
+        stacks = [
+            _stacked(*(op for op in zoo if op.in_shape == shape))
+            for shape in {op.in_shape for op in zoo}
+        ] + [
+            _stacked(
+                LeftMultiplyOp(rng.standard_normal((4, 2)), mat),
+                RightMultiplyOp(rng.standard_normal((3, 4)), mat),
+            ),
+            _stacked(
+                LeftMultiplyOp(rng.standard_normal((4, 2)), mat),
+                ScaledIdentityOp(0.5, mat),
+                LeftMultiplyOp(rng.standard_normal((1, 2)), mat),
+            ),
+            _stacked(ScaledIdentityOp(2.0, mat), ZeroOp(mat, (4,))),
+            _stacked(
+                MaskProjectionOp(rng.random(mat) < 0.5), ScaledIdentityOp(1.0, mat)
+            ),
+        ]
+        kinds = set()
+        for op in zoo + stacks:
+            rep = op.gram_rep()
+            assert op.gram_kind() == (None if rep is None else rep[0])
+            kinds.add(op.gram_kind())
+        assert kinds == {"dense", "scalar", "left", "right", "diag", None}
+
+    def test_multiplies_tag_their_gram_without_forming_it(self, monkeypatch):
+        def no_gram(self):
+            raise AssertionError("Gram formed")
+
+        for cls in (LeftMultiplyOp, RightMultiplyOp):
+            monkeypatch.setattr(cls, "gram_rep", no_gram)
+        X = np.ones((2, 3))
+        left, right = LeftMultiplyOp(X, (3, 4)), RightMultiplyOp(X, (2, 2))
+        assert (left.gram_kind(), right.gram_kind()) == ("left", "right")
+        assert _stacked(left, ScaledIdentityOp(1.0, (3, 4))).gram_kind() == "left"
+        assert _stacked(right, LeftMultiplyOp(X.T, (2, 2))).gram_kind() is None
+
     def test_gram_rep_none_without_one_combined_form(self):
         rng = np.random.default_rng(32)
         mat = (2, 3)
@@ -767,6 +811,29 @@ class TestStackedGram:
 
 
 class TestStacking:
+    def test_multiplies_on_one_factor_share_one_certificate(self, monkeypatch):
+        calls = []
+        real = blockspace.dense_norm_sq
+
+        def counted(M):
+            calls.append(M)
+            return real(M)
+
+        monkeypatch.setattr(blockspace, "dense_norm_sq", counted)
+        rng = np.random.default_rng(34)
+        X = rng.standard_normal((3, 5))
+        ops = (LeftMultiplyOp(X, (5, 5)), RightMultiplyOp(X, (3, 3)), None)
+        twin = (LeftMultiplyOp(X.copy(), (5, 5)), None, ScaledIdentityOp(1.0, (3, 5)))
+        A, _ = stack_rows([(ops, X), (twin, X)], [(5, 5), (3, 3), (3, 5)])
+        assert calls == []  # certified on first use
+        # One certificate for the array X, one for its equal copy; each the
+        # float dense_norm_sq gives on its own.
+        assert ops[1].op_norm_sq == ops[0].op_norm_sq == real(X)
+        assert twin[0].op_norm_sq == real(X)
+        assert [M is X for M in calls] == [True, False]
+        assert A.operators[0].op_norm_sq == 2.0 * real(X)
+        assert len(calls) == 2
+
     def test_single_row_keeps_natural_shape(self):
         ops = (DenseMatrixOp(np.ones((3, 2))), None)
         A, b = stack_rows([(ops, np.zeros((3,)))], [(2,), (4,)])

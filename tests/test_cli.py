@@ -430,6 +430,29 @@ class TestSolve:
         assert "unknown manifest key(s) ['sparsty'] for problem 'nnsc'" in err
         assert not (tmp_path / "t.csv").exists()
 
+    @pytest.mark.parametrize("key, value", [("d", "4.5"), ("seed", "x")])
+    def test_uncastable_manifest_value_names_its_key(
+        self, key, value, tmp_path, capsys
+    ):
+        manifest = _generate_nnsc(tmp_path)
+        lines = manifest.read_text().splitlines()
+        edited = [
+            f"{key} = {value}" if line.startswith(f"{key} =") else line
+            for line in lines
+        ]
+        assert edited != lines
+        manifest.write_text("\n".join(edited) + "\n")
+        capsys.readouterr()
+        trace = tmp_path / "t.csv"
+        code = main(["solve", "--manifest", str(manifest), "--trace", str(trace)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"configuration error: bad manifest {manifest}: bad value for '{key}': "
+            f"invalid literal for int() with base 10: '{value}'"
+        )
+        assert not trace.exists()
+
     def test_missing_manifest_is_io_error(self, tmp_path, capsys):
         code = main(
             [

@@ -556,6 +556,17 @@ class TestManifestRoundTrip:
         from_manifest(meta)
         assert calls == [name]
 
+    @pytest.mark.parametrize(
+        "key, value, cast",
+        [("d", "4.5", "int"), ("seed", "x", "int"), ("sparsity", "dense", "float")],
+    )
+    def test_uncastable_value_names_its_key(self, key, value, cast):
+        meta = {"problem": "nnsc", "seed": 1, "d": 5, "n": 2, key: value}
+        with pytest.raises(ValueError) as info:
+            from_manifest(meta)
+        assert str(info.value).startswith(f"bad value for {key!r}: ")
+        assert cast in str(info.value) and repr(value) in str(info.value)
+
     def test_formulation_must_match_the_problem(self):
         meta = {"problem": "latlrr3", "seed": 3, "per_subspace": 4}
         spec = from_manifest(dict(meta, formulation="3-block"))

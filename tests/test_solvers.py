@@ -6,8 +6,9 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from mmadmm import prox, solvers
+from mmadmm import blockspace, prox, solvers
 from mmadmm.blockspace import (
     BlockOperatorFamily,
     BlockVector,
@@ -1501,6 +1502,167 @@ class TestCarriedTermValues:
         step(ref, ctx)
         np.testing.assert_array_equal(state.x.flat, ref.x.flat)
         assert state.images[3] == ref.images[3]
+
+
+def _grid_subspace():
+    """The data of the hash grid's latlrr3 problems (``tools/hash_runs.py``)."""
+    return make_subspace_data(0, d=10, rank=2, n_subspaces=3, per_subspace=6)
+
+
+def _gesvd_threshold(V, t):
+    """``(X, s)``: singular value thresholding by LAPACK ``gesvd``."""
+    U, sv, Wt = scipy.linalg.svd(V, full_matrices=False, lapack_driver="gesvd")
+    keep = sv > t
+    kept = sv[keep] - t
+    return (U[:, keep] * kept) @ Wt[keep], kept
+
+
+class TestRangeBasis:
+    """A nuclear block under left multiplies thresholds in ``range(F^T)``."""
+
+    @staticmethod
+    def _svt_shapes(monkeypatch):
+        shapes, svt = [], prox._svt
+
+        def spy(V, t):
+            shapes.append(V.shape)
+            return svt(V, t)
+
+        monkeypatch.setattr(prox, "_svt", spy)
+        return shapes
+
+    def test_basis_spans_the_stacked_left_factors(self):
+        problem = build_latent_lrr(_grid_subspace(), formulation="3-block")
+        ctx = prepare_context(problem, "madmm", SolverConfig())
+        Z, L, E = ctx.plans
+        assert L.basis is None and E.basis is None
+        F = np.vstack([np.ones((1, 18)), problem.data["X"]])
+        Q = Z.basis
+        assert Q.shape == (18, 11)
+        np.testing.assert_allclose(Q.T @ Q, np.eye(11), atol=1e-14)
+        np.testing.assert_allclose(Q @ (Q.T @ F.T), F.T, atol=1e-13)
+
+    @pytest.mark.parametrize(
+        "problem",
+        [
+            build_latent_lrr(_subspace(), formulation="2-block"),  # smooth term
+            build_lrr(_subspace(), _subspace()),
+            build_latent_lrr(_subspace(), formulation="3-block"),
+        ],
+        ids=["latlrr2", "lrr", "latlrr3"],
+    )
+    def test_only_a_nuclear_block_under_left_multiplies_has_one(self, problem):
+        kind = "madmm" if problem.smooth is None else "pl-admm-ps"
+        ctx = prepare_context(problem, kind, SolverConfig())
+        with_basis = [plan.index for plan in ctx.plans if plan.basis is not None]
+        assert with_basis == ([0] if problem.name == "latlrr3" else [])
+
+    def test_no_basis_for_a_tall_factor_or_a_smooth_term(self):
+        rng = np.random.default_rng(3)
+        nuclear = ProxFunction("nuclear")
+        cases = (
+            ((2, 4), 0.0, True),
+            ((6, 4), 0.0, False),
+            ((4, 4), 0.0, False),
+            ((2, 4), 1.0, False),
+        )
+        for factor, smooth_eta, has in cases:
+            op = LeftMultiplyOp(rng.standard_normal(factor), (4, 3))
+            G = WeightMatrix.identity_minus_gram(2.0 * op.op_norm_sq, op)
+            plan = _plan_block(_mini(op, nuclear), 0, G, smooth_eta)
+            assert (plan.basis is not None) == has, (factor, smooth_eta)
+
+    @pytest.mark.parametrize("kind", ["madmm", "madmm-bt", "jacobi", "l-admm-ps"])
+    def test_set_up_certifies_each_factor_once_and_forms_no_gram(
+        self, kind, monkeypatch
+    ):
+        # The certificates of 1^T and X, once each; no left or right
+        # multiply forms its Gram, though the solve plans the QR of F^T.
+        problem = build_latent_lrr(_grid_subspace(), formulation="3-block")
+        certified, real = [], blockspace.dense_norm_sq
+
+        def counted(M):
+            certified.append(M)
+            return real(M)
+
+        def no_gram(self):
+            raise AssertionError("Gram formed")
+
+        monkeypatch.setattr(blockspace, "dense_norm_sq", counted)
+        for cls in (LeftMultiplyOp, RightMultiplyOp):
+            monkeypatch.setattr(cls, "gram_rep", no_gram)
+        ctx = prepare_context(problem, kind, SolverConfig())
+        assert [M.shape for M in certified] == [(1, 18), (10, 18)]
+        assert certified[1] is problem.data["X"]
+        assert ctx.plans[0].basis is not None
+
+    @pytest.mark.parametrize("scale", [1.0, 100.0, 1000.0])
+    @pytest.mark.parametrize("kind", ["madmm", "madmm-bt", "jacobi"])
+    def test_reduced_thresholding_agrees_with_gesvd(self, scale, kind, monkeypatch):
+        # Every Z thresholding of the grid's latlrr3 runs (x1: mostly zero,
+        # x100: eigh of the Gram, x1000: the SVD) takes the reduced path and
+        # lies within _solve_run's bound of a gesvd thresholding of its input.
+        problem = build_latent_lrr(scale * _grid_subspace(), formulation="3-block")
+        shapes = self._svt_shapes(monkeypatch)
+        seen, solve_run = [], solvers._solve_run
+
+        def spy(ctx, run, curvatures, flat):
+            (plan, *_), start, stop = run
+            if plan.basis is None:
+                return solve_run(ctx, run, curvatures, flat)
+            ((q_iso, q_gram),) = curvatures
+            t = 1.0 / (q_iso + q_gram * plan.diag)
+            V = -t * flat[start:stop].reshape(plan.op.in_shape)
+            value = solve_run(ctx, run, curvatures, flat)
+            X = flat[start:stop].reshape(V.shape)
+            seen.append((plan.basis, V, t, X.copy(), value))
+            return value
+
+        monkeypatch.setattr(solvers, "_solve_run", spy)
+        config = SolverConfig(max_iter=40, eps_primal=0.0, eps_step=0.0)
+        assert run(problem, kind, config).state.k == 40
+        assert len(seen) >= 40
+        assert shapes.count((11, 18)) == len(seen) and (18, 18) not in shapes
+        for Q, V, t, X, value in seen:
+            v_norm = np.linalg.norm(V)
+            resid = np.linalg.norm(V - Q @ (Q.T @ V))
+            assert resid <= solvers._RANGE_RTOL * v_norm
+            want, kept = _gesvd_threshold(V, t)
+            assert np.linalg.norm(X - want) <= resid + 1e-12 * v_norm
+            assert value == pytest.approx(float(np.sum(kept)), rel=1e-10, abs=1e-300)
+
+    def test_input_outside_the_range_takes_the_full_path(self, monkeypatch):
+        problem = build_latent_lrr(100.0 * _grid_subspace(), formulation="3-block")
+        plan = prepare_context(problem, "madmm", SolverConfig()).plans[0]
+        Q = plan.basis
+        rng = np.random.default_rng(8)
+        inside = Q @ rng.standard_normal((11, 18))
+        # An input off the range by 1e-10 relative misses the 1e-12 test.
+        off = rng.standard_normal((18, 18))
+        off -= Q @ (Q.T @ off)
+        nearly = inside + 1e-10 * np.linalg.norm(inside) / np.linalg.norm(off) * off
+        shapes = self._svt_shapes(monkeypatch)
+        for lin, shape in ((inside, (11, 18)), (nearly, (18, 18)), (off, (18, 18))):
+            shapes.clear()
+            got = _solve_block(plan, 0.5, 0.0, lin)
+            assert shapes == [shape]
+            want = prox.prox_nuclear(-2.0 * lin, 2.0)
+            if shape == (18, 18):
+                np.testing.assert_array_equal(got, want)
+            else:
+                assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(lin)
+
+    @pytest.mark.parametrize("kind", ["madmm", "jacobi", "madmm-bt"])
+    def test_two_workers_are_bitwise_one(self, kind):
+        problem = build_latent_lrr(100.0 * _grid_subspace(), formulation="3-block")
+        config = SolverConfig(max_iter=30, eps_primal=0.0, eps_step=0.0)
+        one = run(problem, kind, config, workers=1)
+        two = run(problem, kind, config, workers=2)
+        np.testing.assert_array_equal(one.state.x.flat, two.state.x.flat)
+        np.testing.assert_array_equal(one.state.lam, two.state.lam)
+        assert [row.objective for row in one.trace] == [
+            row.objective for row in two.trace
+        ]
 
 
 class TestAssemblyReference:
