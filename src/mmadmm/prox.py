@@ -195,16 +195,20 @@ def project_nonneg(v: np.ndarray, out=None) -> np.ndarray:
     return out
 
 
-def _check_threshold(t) -> None:
-    """Reject a threshold that is NaN or not positive (in any entry)."""
-    if not (t > 0 if np.isscalar(t) else np.all(np.asarray(t) > 0)):
+def _check_threshold(t) -> bool:
+    """Reject a threshold that is NaN or not positive (in any entry).
+
+    Returns whether ``t`` is a scalar.
+    """
+    scalar = isinstance(t, float) or np.isscalar(t)
+    if not (t > 0 if scalar else np.all(np.asarray(t) > 0)):
         raise ValueError(f"threshold must be positive, got {float(np.min(t))}")
+    return scalar
 
 
 def _check_scalar_threshold(t, kind: str) -> None:
     """Reject a threshold that is not one positive number."""
-    _check_threshold(t)
-    if not np.isscalar(t):
+    if not _check_threshold(t):
         raise ValueError(f"{kind} prox needs a scalar threshold")
 
 
@@ -291,8 +295,7 @@ class ProxFunction:
         rounding, without a second SVD.
         """
         v = np.asarray(v, dtype=float)
-        _check_threshold(t)
-        if not np.isscalar(t):
+        if not _check_threshold(t):
             if not self.entrywise:
                 raise ValueError(f"{self.kind} prox needs a scalar threshold")
             t = np.asarray(t, dtype=float)

@@ -8,10 +8,11 @@ the result; an empty phase does nothing. Each block minimizes the same
 canonical subproblem: a separable upper model of the augmented Lagrangian
 built from the block's objective term, the penalty coupling anchored at the
 phase's reference point, and a proximal weight ``G_i = eta_i I + g_i A_i^T
-A_i``. A phase solves in place in the new iterate, one run at a time: a run
-is a span of blocks back to back in the packed iterate whose subproblems
-form one entrywise problem, solved by one prox call; any other block is a
-run of one.
+A_i``. A phase solves in place in the new iterate, block by block: a block's
+adjoint, prox and apply run back to back, so its operator is read from
+memory once. A worker takes a phase's blocks one run at a time: a run is a
+span of blocks back to back in the packed iterate that solve entrywise with
+one term; any other block is a run of one.
 
 - sequential two-block scheme (``gs``): the partition ``((0,), (1,))``;
 - all-parallel scheme (``jacobi``): the partition ``((), all)``;
@@ -76,7 +77,7 @@ logger = logging.getLogger("mmadmm")
 MARGIN_EQ = 1.0
 MARGIN_STRICT = 1.02
 # The largest relative residual ``||V - Q Q^T V||_F / ||V||_F`` at which a
-# nuclear block thresholds in its range basis (see _solve_run).
+# nuclear block thresholds in its range basis (see _solve_block).
 _RANGE_RTOL = 1e-12
 
 
@@ -468,7 +469,7 @@ class _BlockPlan:
     an array of the block's shape. On the ``eig`` path ``eig`` holds its
     eigendecomposition, ``orient`` the side it acts on. ``basis``, set by
     :func:`_range_basis`, spans the columns a nuclear block's prox inputs
-    keep to (see :func:`_solve_run`).
+    keep to (see :func:`_solve_block`).
     """
 
     index: int
@@ -494,10 +495,19 @@ def _range_basis(op, prox_part, smooth_eta: float):
     so, from the zero start, does every prox input. The basis is the thin
     ``Q`` of one Householder QR of ``F^T``, which spans ``range(F^T)`` even
     when ``F`` is rank-deficient. It is kept only for a wide ``F``, fewer
-    rows than the block, where it shrinks the thresholding.
+    rows than the block, where it shrinks the thresholding. The basis (or
+    its absence) is kept on ``op``, as ``op_norm_sq`` is, so solving one
+    problem with several kinds factors once.
     """
     if prox_part is None or prox_part.kind != "nuclear" or smooth_eta != 0.0:
         return None
+    if "_range_basis" not in vars(op):
+        op._range_basis = _left_factor_basis(op)
+    return op._range_basis
+
+
+def _left_factor_basis(op):
+    """:func:`_range_basis` of ``op``, computed."""
     pieces = op._members() if isinstance(op, StackedOp) else [op]
     if not pieces or not all(isinstance(p, LeftMultiplyOp) for p in pieces):
         return None
@@ -512,7 +522,9 @@ def _range_basis(op, prox_part, smooth_eta: float):
         Q, _, info = lapack.dorgqr(h, tau, overwrite_a=True)
     if info != 0:
         raise np.linalg.LinAlgError(f"QR of the left factors failed (info {info})")
-    return np.ascontiguousarray(Q)
+    Q = np.ascontiguousarray(Q)
+    Q.flags.writeable = False  # shared by every context on the operator
+    return Q
 
 
 def _plan_block(problem, i: int, G: WeightMatrix, smooth_eta: float) -> _BlockPlan:
@@ -559,8 +571,9 @@ def _phase_runs(plans: Sequence[_BlockPlan], blocks: Sequence[int], layout) -> t
 
     A run is a maximal span of ``blocks`` back to back in the iterate's
     buffer that solve entrywise with equal terms (or none); any other block
-    is a run of one. ``ProblemSpec.objective`` scores its terms by the same
-    rule, through the same :meth:`_Layout.runs`.
+    is a run of one. A run is the batch of blocks one worker of
+    :func:`_run_phase` takes. ``ProblemSpec.objective`` scores its terms by
+    the same rule, through the same :meth:`_Layout.runs`.
     """
     keys = [(plan.prox_term,) if _joins(plan) else None for plan in plans]
     return tuple(
@@ -569,19 +582,18 @@ def _phase_runs(plans: Sequence[_BlockPlan], blocks: Sequence[int], layout) -> t
     )
 
 
-def _solve_run(ctx: "_RunContext", run: tuple, curvatures: Sequence[tuple], flat):
-    """Minimize the models of a run's blocks in place in ``flat``.
+def _solve_block(ctx: "_RunContext", plan: _BlockPlan, q_iso, q_gram, v):
+    """Minimize block ``plan``'s model in place in ``v``, which holds its ``lin``.
 
-    ``run`` is ``(plans, start, stop)`` and ``flat[start:stop]`` holds the
-    members' linear terms ``lin_k``, packed as in the iterate. Member k's
-    model is ``term(v) + 0.5 q_iso ||v||^2 + 0.5 q_gram <v, Gram v> +
-    <lin_k, v>`` with ``curvatures[k] = (q_iso, q_gram)``. An entrywise run
-    makes one prox call with a per-entry threshold: each member's Gram is
-    ``c I`` or a diagonal, so its curvature is ``q_iso + q_gram diag``.
+    The model is ``term(v) + 0.5 q_iso ||v||^2 + 0.5 q_gram <v, Gram v> +
+    <lin, v>``. On the ``diag`` path the Gram is ``c I``, a scalar
+    curvature ``q_iso + q_gram c`` and one prox call with a scalar
+    threshold, or a diagonal, whose per-entry curvature is built in the
+    block's slice of ``ctx.denom``.
 
-    Returns the term's value at the solution for a run of one whose prox
-    gives it (a nuclear term, from the singular values its thresholding
-    produced; see :meth:`ProxFunction.prox`), else ``None``.
+    Returns the term's value at the solution when the prox gives it (a
+    nuclear term, from the singular values its thresholding produced; see
+    :meth:`ProxFunction.prox`), else ``None``.
 
     A block with a ``basis`` ``Q`` (orthonormal columns, ``m x r`` for an
     ``m x n`` block, ``r < m``) thresholds its prox input ``V`` in that
@@ -600,52 +612,41 @@ def _solve_run(ctx: "_RunContext", run: tuple, curvatures: Sequence[tuple], flat
     moves by at most ``||R||_2``. In exact arithmetic ``R = 0`` on every
     input that :func:`_range_basis` describes.
     """
-    plans, start, stop = run
-    v = flat[start:stop]
-    if not _joins(plans[0]):
-        (plan,), ((q_iso, q_gram),) = plans, curvatures
-        v = v.reshape(plan.op.in_shape)
-        if plan.path == "eig":
-            v[...] = _solve_eig(plan, q_iso, q_gram, v)
-            return None
+    if plan.path == "eig":
+        v[...] = _solve_eig(plan, q_iso, q_gram, v)
+        return None
+    if isinstance(plan.diag, float):
         s = q_iso + q_gram * plan.diag
-        if s <= 0.0:
-            raise UnsupportedSubproblemError(
-                f"block {plan.index}: subproblem has no positive curvature"
-            )
-        np.divide(v, -s, out=v)
-        if plan.basis is not None:
-            Q = plan.basis
-            W = Q.T @ v
-            R = Q @ W
-            R -= v
-            if np.linalg.norm(R) <= _RANGE_RTOL * np.linalg.norm(v):
-                X, value = plan.prox_term.prox(W, 1.0 / s, return_value=True)
-                np.matmul(Q, X, out=v)
-                return value
-        return plan.prox_term.prox(v, 1.0 / s, out=v, return_value=True)[1]
-    for plan, (q_iso, q_gram) in zip(plans, curvatures):
+        no_curvature = s <= 0.0
+    else:
         lo, hi = ctx.layout.bounds[plan.index]
-        if isinstance(plan.diag, float):
-            ctx.denom[lo:hi] = q_iso + q_gram * plan.diag
-        else:
-            d = np.multiply(plan.diag.reshape(-1), q_gram, out=ctx.denom[lo:hi])
-            d += q_iso
-    denom = ctx.denom[start:stop]
-    if np.any(denom <= 0.0):
-        for plan in plans:
-            lo, hi = ctx.layout.bounds[plan.index]
-            if np.any(ctx.denom[lo:hi] <= 0.0):
-                raise UnsupportedSubproblemError(
-                    f"block {plan.index}: subproblem has no positive curvature"
-                )
-    np.divide(v, denom, out=v)
-    np.negative(v, out=v)
-    term = plans[0].prox_term
-    if term is not None:
-        np.divide(1.0, denom, out=denom)
-        term.prox(v, denom, out=v)
-    return None
+        s = np.multiply(plan.diag, q_gram, out=ctx.denom[lo:hi].reshape(v.shape))
+        s += q_iso
+        no_curvature = np.any(s <= 0.0)
+    if no_curvature:
+        raise UnsupportedSubproblemError(
+            f"block {plan.index}: subproblem has no positive curvature"
+        )
+    if isinstance(s, float):
+        np.divide(v, -s, out=v)
+        t = 1.0 / s
+    else:
+        np.divide(v, s, out=v)
+        np.negative(v, out=v)
+        t = np.divide(1.0, s, out=s)
+    term = plan.prox_term
+    if term is None:
+        return None
+    if plan.basis is not None:
+        Q = plan.basis
+        W = Q.T @ v
+        R = Q @ W
+        R -= v
+        if np.linalg.norm(R) <= _RANGE_RTOL * np.linalg.norm(v):
+            X, value = term.prox(W, t, return_value=True)
+            np.matmul(Q, X, out=v)
+            return value
+    return term.prox(v, t, out=v, return_value=True)[1]
 
 
 def _solve_eig(plan: _BlockPlan, q_iso: float, q_gram: float, lin: np.ndarray):
@@ -701,7 +702,7 @@ def assemble_block(
     ``G`` supplies only its level ``eta``. The linearized weight (``g =
     -1``) cancels the image term. ``out``, an array shaped like ``y_i``,
     receives ``lin`` when given; the phase engine passes the block's slice
-    of the new iterate, so the run is then solved in place.
+    of the new iterate, so the block is then solved in place.
     """
     plan = ctx.plans[i]
     op = plan.op
@@ -834,11 +835,13 @@ def _run_phase(
     and residual ``r = sum_j c_j - b``; ``blocks`` is not empty.
 
     Returns the new iterate, its block images and ``{i: value}`` for each
-    updated block: its term's value at the new iterate as :func:`_solve_run`
-    gave it, or ``None``. The phase solves in place, one run at a time: each
-    block assembles its linear term into its own slice of the new iterate,
-    each run is solved there with one call, and each updated block is then
-    applied once; the others keep their images.
+    updated block: its term's value at the new iterate as
+    :func:`_solve_block` gave it, or ``None``. The phase solves in place,
+    block by block: each block assembles its linear term into its own slice
+    of the new iterate, is solved there and is applied once, so its operator
+    is read twice in a row (adjoint, then apply) while it is still in cache;
+    the other blocks keep their images. A run of ``ctx.runs`` is the batch
+    of blocks one worker takes, solved member by member.
     """
     s_full = r + lam / beta
     smooth_res = None
@@ -848,27 +851,27 @@ def _run_phase(
     xb = x.blocks  # built once, before any thread reads it
 
     def work(run):
-        plans = run[0]
-        curvatures = [
-            assemble_block(
-                ctx, p.index, y, c, s_full, beta, G[p.index], smooth_res, xb[p.index]
-            )[:2]
-            for p in plans
-        ]
-        value = _solve_run(ctx, run, curvatures, x.flat)
-        return [p.op.apply(xb[p.index]) for p in plans], value
+        done = []
+        for plan in run[0]:
+            i, v = plan.index, xb[plan.index]
+            q_iso, q_gram, _ = assemble_block(
+                ctx, i, y, c, s_full, beta, G[i], smooth_res, v
+            )
+            value = _solve_block(ctx, plan, q_iso, q_gram, v)
+            done.append((i, plan.op.apply(v), value))
+        return done
 
     runs = ctx.runs[blocks]
     if ctx.executor is not None and len(runs) > 1:
-        results = list(ctx.executor.map(work, runs))
+        batches = ctx.executor.map(work, runs)
     else:
-        results = [work(run) for run in runs]
+        batches = map(work, runs)
     images = list(c)
     values = {}
-    for (plans, _, _), (run_images, value) in zip(runs, results):
-        for plan, ci in zip(plans, run_images):
-            images[plan.index] = ci
-            values[plan.index] = value
+    for batch in batches:
+        for i, ci, value in batch:
+            images[i] = ci
+            values[i] = value
     return x, images, values
 
 

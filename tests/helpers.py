@@ -15,7 +15,11 @@ from mmadmm.blockspace import BlockVector, DenseMatrixOp, ScaledIdentityOp
 from mmadmm.problems import ProblemSpec
 from mmadmm.prox import ProxFunction
 from mmadmm.solvers import (
+    _RANGE_RTOL,
     SolverConfig,
+    UnsupportedSubproblemError,
+    _joins,
+    _solve_eig,
     assemble_block,
     prepare_context,
     subproblem_value,
@@ -126,7 +130,7 @@ def reference_assembly(ctx, i, y, s_full, beta, G, smooth_res):
 
 
 # ---------------------------------------------------------------------------
-# The per-block phase engine, reference for the in-place one
+# Reference phase engines: per block, and one prox call per entrywise run
 # ---------------------------------------------------------------------------
 
 
@@ -176,6 +180,102 @@ def reference_run_phase(ctx, blocks, y, c, r, lam, beta, G):
         new[i] = reference_solve_block(ctx.plans[i], q_iso, q_gram, lin)
         images[i] = ctx.plans[i].op.apply(new[i])
     return BlockVector(new), images, dict.fromkeys(blocks)
+
+
+def reference_solve_run(ctx, run, curvatures, flat):
+    """A run's models minimized together, which ``solvers._solve_block``
+    must match bitwise block by block.
+
+    ``run`` is ``(plans, start, stop)`` and ``flat[start:stop]`` holds the
+    members' linear terms; an entrywise run is one prox call with a
+    per-entry threshold built in ``ctx.denom``. Returns the term value of a
+    run of one whose prox gives it, else ``None``.
+    """
+    plans, start, stop = run
+    v = flat[start:stop]
+    if not _joins(plans[0]):
+        (plan,), ((q_iso, q_gram),) = plans, curvatures
+        v = v.reshape(plan.op.in_shape)
+        if plan.path == "eig":
+            v[...] = _solve_eig(plan, q_iso, q_gram, v)
+            return None
+        s = q_iso + q_gram * plan.diag
+        if s <= 0.0:
+            raise UnsupportedSubproblemError(
+                f"block {plan.index}: subproblem has no positive curvature"
+            )
+        np.divide(v, -s, out=v)
+        if plan.basis is not None:
+            Q = plan.basis
+            W = Q.T @ v
+            R = Q @ W
+            R -= v
+            if np.linalg.norm(R) <= _RANGE_RTOL * np.linalg.norm(v):
+                X, value = plan.prox_term.prox(W, 1.0 / s, return_value=True)
+                np.matmul(Q, X, out=v)
+                return value
+        return plan.prox_term.prox(v, 1.0 / s, out=v, return_value=True)[1]
+    for plan, (q_iso, q_gram) in zip(plans, curvatures):
+        lo, hi = ctx.layout.bounds[plan.index]
+        if isinstance(plan.diag, float):
+            ctx.denom[lo:hi] = q_iso + q_gram * plan.diag
+        else:
+            d = np.multiply(plan.diag.reshape(-1), q_gram, out=ctx.denom[lo:hi])
+            d += q_iso
+    denom = ctx.denom[start:stop]
+    if np.any(denom <= 0.0):
+        for plan in plans:
+            lo, hi = ctx.layout.bounds[plan.index]
+            if np.any(ctx.denom[lo:hi] <= 0.0):
+                raise UnsupportedSubproblemError(
+                    f"block {plan.index}: subproblem has no positive curvature"
+                )
+    np.divide(v, denom, out=v)
+    np.negative(v, out=v)
+    term = plans[0].prox_term
+    if term is not None:
+        np.divide(1.0, denom, out=denom)
+        term.prox(v, denom, out=v)
+    return None
+
+
+def reference_run_wide_phase(ctx, blocks, y, c, r, lam, beta, G):
+    """The phase update of ``solvers._run_phase`` by run-wide solves.
+
+    All of a run's adjoints come first, then one :func:`reference_solve_run`
+    call, then all of its applies; runs go to ``ctx.executor`` as the
+    engine sends them.
+    """
+    s_full = r + lam / beta
+    smooth_res = None
+    if ctx.smooth is not None:
+        smooth_res = ctx.smooth.residual(y)
+    x = y.copy()
+    xb = x.blocks
+
+    def work(run):
+        plans = run[0]
+        curvatures = [
+            assemble_block(
+                ctx, p.index, y, c, s_full, beta, G[p.index], smooth_res, xb[p.index]
+            )[:2]
+            for p in plans
+        ]
+        value = reference_solve_run(ctx, run, curvatures, x.flat)
+        return [p.op.apply(xb[p.index]) for p in plans], value
+
+    runs = ctx.runs[blocks]
+    if ctx.executor is not None and len(runs) > 1:
+        results = list(ctx.executor.map(work, runs))
+    else:
+        results = [work(run) for run in runs]
+    images = list(c)
+    values = {}
+    for (plans, _, _), (run_images, value) in zip(runs, results):
+        for plan, ci in zip(plans, run_images):
+            images[plan.index] = ci
+            values[plan.index] = value
+    return x, images, values
 
 
 # ---------------------------------------------------------------------------

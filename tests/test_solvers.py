@@ -45,7 +45,6 @@ from mmadmm.solvers import (
     UnsupportedSubproblemError,
     _bt_accept,
     _plan_block,
-    _solve_run,
     assemble_block,
     default_weights,
     dual_update,
@@ -64,6 +63,7 @@ from helpers import (
     random_blocks,
     reference_assembly,
     reference_run_phase,
+    reference_run_wide_phase,
     reference_solve_block,
 )
 
@@ -382,17 +382,17 @@ def _mini(op, term):
 
 
 def _run_context(shapes):
-    """The part of a run context that ``_solve_run`` reads."""
+    """The part of a run context that ``_solve_block`` reads."""
     layout = _Layout(shapes)
     return SimpleNamespace(layout=layout, denom=np.empty(layout.size))
 
 
 def _solve_block(plan, q_iso, q_gram, lin):
-    """One block's subproblem, solved in place as a run of one."""
+    """One block's subproblem, solved in place."""
     ctx = _run_context([plan.op.in_shape])
-    flat = np.array(lin, dtype=float).ravel()
-    _solve_run(ctx, ((plan,), 0, flat.size), [(q_iso, q_gram)], flat)
-    return flat.reshape(plan.op.in_shape)
+    v = np.array(lin, dtype=float).reshape(plan.op.in_shape)
+    solvers._solve_block(ctx, plan, q_iso, q_gram, v)
+    return v
 
 
 def _model_value(op, term, q_iso, q_gram, lin, v):
@@ -1115,8 +1115,8 @@ def _plans(ops, terms, weights):
 
 
 class TestGroupSolve:
-    """A phase solves in place, one run at a time: a run of entrywise blocks
-    is one prox call, and each member comes out as it would alone."""
+    """A phase solves in place, block by block, one run per worker batch:
+    each member comes out as it would alone."""
 
     @pytest.mark.parametrize("weight", [1.0, 0.8])
     @pytest.mark.parametrize(
@@ -1152,7 +1152,11 @@ class TestGroupSolve:
             ]
             lins = [3.0 * rng.standard_normal(op.in_shape) for op in ops]
             flat = np.concatenate([lin.ravel() for lin in lins])
-            _solve_run(ctx, run, curvatures, flat)
+            for plan, (lo, hi), (q_iso, q_gram), lin in zip(
+                plans, ctx.layout.bounds, curvatures, lins
+            ):
+                v = flat[lo:hi].reshape(lin.shape)
+                solvers._solve_block(ctx, plan, q_iso, q_gram, v)
             for plan, (lo, hi), (q_iso, q_gram), lin in zip(
                 plans, ctx.layout.bounds, curvatures, lins
             ):
@@ -1214,7 +1218,10 @@ class TestGroupSolve:
         ]
 
     @pytest.mark.parametrize("kind", ["jacobi", "madmm"])
-    def test_one_prox_call_per_entrywise_run(self, kind, monkeypatch):
+    def test_each_block_adjoint_prox_apply_in_turn(self, kind, monkeypatch):
+        # Block i's adjoint, prox and apply run back to back, before block
+        # i+1's adjoint, so A_i is still in cache when it is applied: one
+        # prox call per updated block per phase, on the block's own slice.
         problem = build_nonneg_sparse_coding(DataGenSpec(5, d=12, n=8, sparsity=0.2))
         config = SolverConfig(
             partition=Partition((0, 1, 4), (2, 3, 5, 6, 7)),
@@ -1223,29 +1230,38 @@ class TestGroupSolve:
             eps_step=0.0,
         )
         ctx = prepare_context(problem, kind, config)
-        per_iteration = sum(
-            len(ctx.runs[blocks]) for blocks in (ctx.partition.b1, ctx.partition.b2)
-        )
+        index = {id(op): i for i, op in enumerate(problem.family.operators)}
         calls = []
-        original = ProxFunction.prox
+        for name in ("adjoint", "apply"):
+            original = getattr(DenseMatrixOp, name)
 
-        def counted(term, v, t, out=None):
-            calls.append(np.size(t))
-            return original(term, v, t, out=out)
+            def logged(op, v, _name=name, _original=original):
+                calls.append((_name, index[id(op)]))
+                return _original(op, v)
 
-        monkeypatch.setattr(ProxFunction, "prox", counted)
+            monkeypatch.setattr(DenseMatrixOp, name, logged)
+        prox_original = ProxFunction.prox
+
+        def prox_logged(term, v, t, **kw):
+            calls.append(("prox", np.shape(v)))
+            return prox_original(term, v, t, **kw)
+
+        monkeypatch.setattr(ProxFunction, "prox", prox_logged)
         result = run(problem, kind, config)
         assert result.state.k == 12
-        assert len(calls) == 12 * per_iteration
+        order = ctx.partition.b1 + ctx.partition.b2
         if kind == "jacobi":
-            assert per_iteration == 1 and set(calls) == {ctx.layout.size}
-        else:
-            # A phase that is not contiguous splits into runs: 2 and 2.
-            assert per_iteration == 4
+            assert order == tuple(range(8))
+        shapes = problem.block_shapes
+        per_block = [
+            [("adjoint", i), ("prox", shapes[i]), ("apply", i)] for i in order
+        ]
+        assert calls == 12 * sum(per_block, [])
 
 
 class TestGroupedEngine:
-    """Forty iterations of the in-place engine equal the per-block reference."""
+    """Forty iterations of the in-place engine equal the per-block reference,
+    and bitwise the run-wide one."""
 
     PROBLEMS = {
         "nnsc": lambda: build_nonneg_sparse_coding(
@@ -1277,6 +1293,25 @@ class TestGroupedEngine:
         scale = max(float(np.max(np.abs(want.state.lam))), 1.0)
         assert np.max(np.abs(got.state.lam - want.state.lam)) <= 1e-12 * scale
         np.testing.assert_array_equal(threaded.state.x.flat, got.state.x.flat)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("name", sorted(PROBLEMS))
+    @pytest.mark.parametrize("kind", ["madmm", "madmm-bt", "jacobi", "l-admm-ps"])
+    def test_bitwise_equals_run_wide_engine(self, name, kind, workers, monkeypatch):
+        # Entrywise solves are elementwise, so solving each block between its
+        # adjoint and its apply changes no bit against one prox call per run.
+        problem = self.PROBLEMS[name]()
+        config = SolverConfig(max_iter=40, eps_primal=0.0, eps_step=0.0)
+        got = run(problem, kind, config, workers=workers, keep_iterates=True)
+        with monkeypatch.context() as patch:
+            patch.setattr(solvers, "_run_phase", reference_run_wide_phase)
+            want = run(problem, kind, config, workers=workers, keep_iterates=True)
+        assert got.state.k == want.state.k == 40
+        assert got.state.backtrack_count == want.state.backtrack_count
+        for g, w in zip(got.iterates, want.iterates):
+            np.testing.assert_array_equal(g.flat, w.flat)
+        np.testing.assert_array_equal(got.state.lam, want.state.lam)
+        assert [t.objective for t in got.trace] == [t.objective for t in want.trace]
 
 
 class TestBlockImages:
@@ -1601,24 +1636,21 @@ class TestRangeBasis:
     def test_reduced_thresholding_agrees_with_gesvd(self, scale, kind, monkeypatch):
         # Every Z thresholding of the grid's latlrr3 runs (x1: mostly zero,
         # x100: eigh of the Gram, x1000: the SVD) takes the reduced path and
-        # lies within _solve_run's bound of a gesvd thresholding of its input.
+        # lies within _solve_block's bound of a gesvd thresholding of its input.
         problem = build_latent_lrr(scale * _grid_subspace(), formulation="3-block")
         shapes = self._svt_shapes(monkeypatch)
-        seen, solve_run = [], solvers._solve_run
+        seen, solve_block = [], solvers._solve_block
 
-        def spy(ctx, run, curvatures, flat):
-            (plan, *_), start, stop = run
+        def spy(ctx, plan, q_iso, q_gram, v):
             if plan.basis is None:
-                return solve_run(ctx, run, curvatures, flat)
-            ((q_iso, q_gram),) = curvatures
+                return solve_block(ctx, plan, q_iso, q_gram, v)
             t = 1.0 / (q_iso + q_gram * plan.diag)
-            V = -t * flat[start:stop].reshape(plan.op.in_shape)
-            value = solve_run(ctx, run, curvatures, flat)
-            X = flat[start:stop].reshape(V.shape)
-            seen.append((plan.basis, V, t, X.copy(), value))
+            V = -t * v
+            value = solve_block(ctx, plan, q_iso, q_gram, v)
+            seen.append((plan.basis, V, t, v.copy(), value))
             return value
 
-        monkeypatch.setattr(solvers, "_solve_run", spy)
+        monkeypatch.setattr(solvers, "_solve_block", spy)
         config = SolverConfig(max_iter=40, eps_primal=0.0, eps_step=0.0)
         assert run(problem, kind, config).state.k == 40
         assert len(seen) >= 40
@@ -1651,6 +1683,31 @@ class TestRangeBasis:
                 np.testing.assert_array_equal(got, want)
             else:
                 assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(lin)
+
+    def test_one_qr_per_operator(self, monkeypatch):
+        # The basis is kept on Z's operator: a second solve of the same
+        # problem factors nothing and runs bitwise as on a fresh build.
+        def build():
+            return build_latent_lrr(100.0 * _grid_subspace(), formulation="3-block")
+
+        config = SolverConfig(max_iter=30, eps_primal=0.0, eps_step=0.0)
+        fresh = run(build(), "madmm", config)
+        problem = build()
+        qrs, dgeqrf = [], scipy.linalg.lapack.dgeqrf
+
+        def counted(*args, **kwargs):
+            qrs.append(args[0].shape)
+            return dgeqrf(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dgeqrf", counted)
+        first = prepare_context(problem, "jacobi", config)
+        second = prepare_context(problem, "madmm", config)
+        assert qrs == [(18, 11)]
+        assert second.plans[0].basis is first.plans[0].basis
+        again = run(problem, "madmm", config)
+        assert qrs == [(18, 11)]
+        np.testing.assert_array_equal(again.state.x.flat, fresh.state.x.flat)
+        np.testing.assert_array_equal(again.state.lam, fresh.state.lam)
 
     @pytest.mark.parametrize("kind", ["madmm", "jacobi", "madmm-bt"])
     def test_two_workers_are_bitwise_one(self, kind):
