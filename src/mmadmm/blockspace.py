@@ -490,26 +490,31 @@ class StackedOp(BlockOperator):
                 raise DimensionError("stacked piece shape mismatch")
             if op is not None and op.in_shape != self.in_shape:
                 raise DimensionError("stacked piece input-shape mismatch")
+        # (span, shape, op) of each row the block acts in, its span the
+        # row's slice of the stacked space.
+        self.spans = tuple(
+            (slice(off, off + math.prod(shape)), shape, op)
+            for off, shape, op in self.pieces
+            if op is not None
+        )
 
     def apply(self, v):
         v = self._check_in(v)
         out = np.zeros(self.out_shape)
-        for off, shape, op in self.pieces:
-            if op is not None:
-                out[off : off + _size(shape)] = op.apply(v).ravel()
+        for span, _, op in self.spans:
+            out[span] = op.apply(v).ravel()
         return out
 
     def adjoint(self, u):
         u = self._check_out(u)
         acc = np.zeros(self.in_shape)
-        for off, shape, op in self.pieces:
-            if op is not None:
-                acc += op.adjoint(u[off : off + _size(shape)].reshape(shape))
+        for span, shape, op in self.spans:
+            acc += op.adjoint(u[span].reshape(shape))
         return acc
 
     def _members(self):
         """The operators of the rows the block acts in."""
-        return [op for _, _, op in self.pieces if op is not None]
+        return [op for _, _, op in self.spans]
 
     def _compute_norm_sq(self):
         return sum(op.op_norm_sq for op in self._members())
@@ -548,10 +553,6 @@ def _stacked_gram_kind(tags: Sequence[Optional[str]]) -> Optional[str]:
     if len(rest) > 1:
         return None
     return rest.pop() if rest else "scalar"
-
-
-def _size(shape: tuple) -> int:
-    return int(np.prod(shape)) if shape else 1
 
 
 def _gamma(k: int) -> float:
@@ -998,7 +999,7 @@ def stack_rows(rows: Sequence[tuple], block_shapes: Sequence[tuple]):
         if not np.isfinite(rhs).all():
             raise ValueError(f"row {r}: the right-hand side has non-finite entries")
         offsets.append((total, rhs.shape))
-        total += _size(rhs.shape)
+        total += math.prod(rhs.shape)
         rhs_parts.append(rhs)
         row = tuple((i, op) for i, op in enumerate(ops) if op is not None)
         if row:
@@ -1025,8 +1026,8 @@ def stack_rows(rows: Sequence[tuple], block_shapes: Sequence[tuple]):
 
 def _columns(apply, in_shape: tuple, out_shape: tuple) -> np.ndarray:
     """Dense matrix of a linear map between block shapes, one column per entry."""
-    dim = _size(in_shape)
-    out = np.zeros((_size(out_shape), dim))
+    dim = math.prod(in_shape)
+    out = np.zeros((math.prod(out_shape), dim))
     basis = np.zeros(dim)
     for j in range(dim):
         basis[:] = 0.0

@@ -33,7 +33,7 @@ import numbers
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 from scipy.linalg import lapack
@@ -76,8 +76,8 @@ logger = logging.getLogger("mmadmm")
 # weights may sit exactly at the certified level.
 MARGIN_EQ = 1.0
 MARGIN_STRICT = 1.02
-# The largest relative residual ``||V - Q Q^T V||_F / ||V||_F`` at which a
-# nuclear block thresholds in its range basis (see _solve_block).
+# The largest relative residual ``||y_i - Q Q^T y_i||_F / ||y_i||_F`` of its
+# anchor at which a block solves in its range basis (see _solve_in_range).
 _RANGE_RTOL = 1e-12
 
 
@@ -468,8 +468,9 @@ class _BlockPlan:
     On the ``diag`` path the Gram is ``diag``: a float ``c`` for ``c I`` or
     an array of the block's shape. On the ``eig`` path ``eig`` holds its
     eigendecomposition, ``orient`` the side it acts on. ``basis``, set by
-    :func:`_range_basis`, spans the columns a nuclear block's prox inputs
-    keep to (see :func:`_solve_block`).
+    :func:`_range_basis`, is the ``F^T = Q R`` of a nuclear block whose
+    iterates keep their columns in ``range(Q)``; the phase engine solves it
+    in the coordinates of ``Q`` (see :func:`_solve_in_range`).
     """
 
     index: int
@@ -482,22 +483,34 @@ class _BlockPlan:
     eig: Optional[tuple] = None
     orient: str = ""
     smooth_eta: float = 0.0
-    basis: Optional[np.ndarray] = None
+    basis: Optional["_RangeBasis"] = None
+
+
+class _RangeBasis(NamedTuple):
+    """``F^T = Q R`` for a block ``Z -> F Z``, ``F`` an ``r x m`` stack of left
+    factors: ``Q`` is ``m x r`` with orthonormal columns, ``R`` is ``r x r``
+    upper triangular, and ``rows`` indexes the block's rows in the flattened
+    constraint space, in the order of ``F``'s rows (a slice when they are
+    back to back)."""
+
+    Q: np.ndarray
+    R: np.ndarray
+    rows: object
 
 
 def _range_basis(op, prox_part, smooth_eta: float):
-    """An orthonormal basis of ``range(F^T)`` for a nuclear block whose
-    operator ``op`` is left multiplies only, ``F`` their factors stacked,
-    else ``None``.
+    """The :class:`_RangeBasis` of a nuclear block whose operator ``op`` is
+    left multiplies only, ``F`` their factors stacked, else ``None``.
 
     The block's model then has no term outside the coupling and its own
     iterate, and every adjoint ``F^T M`` has its columns in ``range(F^T)``;
-    so, from the zero start, does every prox input. The basis is the thin
-    ``Q`` of one Householder QR of ``F^T``, which spans ``range(F^T)`` even
-    when ``F`` is rank-deficient. It is kept only for a wide ``F``, fewer
-    rows than the block, where it shrinks the thresholding. The basis (or
-    its absence) is kept on ``op``, as ``op_norm_sq`` is, so solving one
-    problem with several kinds factors once.
+    so, from the zero start, do every prox input and every iterate. The
+    basis is one Householder QR of ``F^T``, whose thin ``Q`` spans
+    ``range(F^T)`` even when ``F`` is rank-deficient. It is kept only for a
+    wide ``F``, fewer rows than the block, where the ``r x n`` coordinates
+    ``Q^T Z`` are smaller than ``Z``. The basis (or its absence) is kept on
+    ``op``, as ``op_norm_sq`` is, so solving one problem with several kinds
+    factors once.
     """
     if prox_part is None or prox_part.kind != "nuclear" or smooth_eta != 0.0:
         return None
@@ -508,23 +521,32 @@ def _range_basis(op, prox_part, smooth_eta: float):
 
 def _left_factor_basis(op):
     """:func:`_range_basis` of ``op``, computed."""
-    pieces = op._members() if isinstance(op, StackedOp) else [op]
-    if not pieces or not all(isinstance(p, LeftMultiplyOp) for p in pieces):
+    if isinstance(op, StackedOp):
+        spans = [(span, piece) for span, _, piece in op.spans]
+    else:
+        spans = [(slice(0, math.prod(op.out_shape)), op)]
+    if not spans or not all(isinstance(p, LeftMultiplyOp) for _, p in spans):
         return None
-    F = np.concatenate([p.factor for p in pieces])
-    if F.shape[0] >= F.shape[1]:
+    F = np.concatenate([p.factor for _, p in spans])
+    r = F.shape[0]
+    if r >= F.shape[1]:
         return None
-    # LAPACK directly, in place in F: np.linalg.qr would also copy F^T and
-    # form R, about 40% more time at latlrr3's size. Q is returned in C
-    # order, the layout np.linalg.qr gives.
+    # LAPACK directly, in place in F: np.linalg.qr would also copy F^T, about
+    # 40% more time at latlrr3's size. R is copied out before dorgqr
+    # overwrites it, and Q is returned in C order.
     h, tau, _, info = lapack.dgeqrf(F.T, overwrite_a=True)
     if info == 0:
+        R = np.triu(h[:r])
         Q, _, info = lapack.dorgqr(h, tau, overwrite_a=True)
     if info != 0:
         raise np.linalg.LinAlgError(f"QR of the left factors failed (info {info})")
     Q = np.ascontiguousarray(Q)
-    Q.flags.writeable = False  # shared by every context on the operator
-    return Q
+    if all(a.stop == b.start for (a, _), (b, _) in zip(spans, spans[1:])):
+        rows = slice(spans[0][0].start, spans[-1][0].stop)
+    else:
+        rows = np.concatenate([np.arange(s.start, s.stop) for s, _ in spans])
+    Q.flags.writeable = R.flags.writeable = False  # shared by every context
+    return _RangeBasis(Q, R, rows)
 
 
 def _plan_block(problem, i: int, G: WeightMatrix, smooth_eta: float) -> _BlockPlan:
@@ -594,23 +616,6 @@ def _solve_block(ctx: "_RunContext", plan: _BlockPlan, q_iso, q_gram, v):
     Returns the term's value at the solution when the prox gives it (a
     nuclear term, from the singular values its thresholding produced; see
     :meth:`ProxFunction.prox`), else ``None``.
-
-    A block with a ``basis`` ``Q`` (orthonormal columns, ``m x r`` for an
-    ``m x n`` block, ``r < m``) thresholds its prox input ``V`` in that
-    basis when ``V`` lies in ``range(Q)``: with ``W = Q^T V`` and ``R = V -
-    Q W``, if ``||R||_F <= _RANGE_RTOL ||V||_F`` it writes ``Q SVT(W)``,
-    thresholding the ``r x n`` ``W`` in place of ``V``; otherwise it
-    thresholds ``V``. Why that is the same answer: ``Q W = (Q U) S Y^T`` is
-    an SVD of ``Q W`` for an SVD ``W = U S Y^T``, as ``Q U`` has
-    orthonormal columns, so ``SVT(Q W) = Q SVT(W)`` and the kept singular
-    values, hence the carried nuclear value, are those of ``W``. SVT is a
-    prox, so it is nonexpansive in the Frobenius norm, and ``V = Q W + R``
-    gives ``||Q SVT(W) - SVT(V)||_F <= ||R||_F``: the reduced result is
-    within the measured residual of ``SVT(V)``, up to the rounding of the
-    products ``Q^T V`` and ``Q SVT(W)`` and the error of thresholding ``W``
-    (:func:`prox._svt` bounds it as for ``V``); by Weyl each kept value
-    moves by at most ``||R||_2``. In exact arithmetic ``R = 0`` on every
-    input that :func:`_range_basis` describes.
     """
     if plan.path == "eig":
         v[...] = _solve_eig(plan, q_iso, q_gram, v)
@@ -637,16 +642,66 @@ def _solve_block(ctx: "_RunContext", plan: _BlockPlan, q_iso, q_gram, v):
     term = plan.prox_term
     if term is None:
         return None
-    if plan.basis is not None:
-        Q = plan.basis
-        W = Q.T @ v
-        R = Q @ W
-        R -= v
-        if np.linalg.norm(R) <= _RANGE_RTOL * np.linalg.norm(v):
-            X, value = term.prox(W, t, return_value=True)
-            np.matmul(Q, X, out=v)
-            return value
     return term.prox(v, t, out=v, return_value=True)[1]
+
+
+def _solve_in_range(plan: _BlockPlan, yi, s_full, beta: float, G: WeightMatrix, v):
+    """Block ``plan``'s update in the coordinates of its ``basis``, written to
+    ``v``; ``None``, with ``v`` untouched, when its anchor ``yi`` is off
+    ``range(Q)``.
+
+    The block is ``Z -> F Z`` with ``F^T = Q R`` (:class:`_RangeBasis`; ``F``
+    is ``r x m``, the block ``m x n``). Its model has no Gram term (a
+    nuclear term takes no left Gram, so its weight cancels it) and no
+    smooth term, so its prox input is ``V = -(beta F^T U - beta eta y_i) /
+    q``, with ``U`` the ``r x n`` stack of ``s_full`` on the block's rows
+    and ``q = beta eta`` its curvature. With ``Y = Q^T y_i`` this
+    thresholds the ``r x n`` ``W = -(beta R U - beta eta Y) / q`` in place
+    of ``V`` and writes ``Q SVT(W)``, with no adjoint, apply or ``m x n``
+    assembly. It returns the block's image, ``R^T SVT(W)`` at its rows, and
+    the term value. It runs only when ``||y_i - Q Y||_F <= _RANGE_RTOL
+    ||y_i||_F``.
+
+    Why that is the same answer: ``Q W = (Q P) S T^T`` is an SVD of ``Q W``
+    for an SVD ``W = P S T^T``, as ``Q P`` has orthonormal columns, so
+    ``SVT(Q W) = Q SVT(W)`` and the kept singular values, hence the carried
+    nuclear value, are those of ``W``. SVT is a prox, so it is nonexpansive
+    in the Frobenius norm, and
+
+        ``V - Q W = -(beta (F^T - Q R) U - beta eta (y_i - Q Y)) / q``
+
+    bounds ``||Q SVT(W) - SVT(V)||_F`` by ``(beta ||F^T - Q R||_F ||U||_2 +
+    beta eta ||y_i - Q Y||_F) / q``: the QR's backward error, which for
+    Householder QR is ``||F^T - Q R||_F <= c m r u ||F||_F`` (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, Thm. 19.4), plus the
+    measured anchor residual. Further error comes only from rounding the
+    small products and thresholding ``W`` (:func:`prox._svt` bounds it as
+    for ``V``); by Weyl each kept value moves by at most ``||V - Q W||_2``.
+    The image ``F Q X = R^T X + (F - R^T Q^T) Q X`` carries the backward
+    error once more. In exact arithmetic every anchor is in ``range(Q)``:
+    the iterate starts at zero, and every update, on this path or on the
+    full one, has its columns in ``range(F^T)``.
+    """
+    Q, R, rows = plan.basis
+    Y = Q.T @ yi
+    off = Q @ Y
+    off -= yi
+    if not np.linalg.norm(off) <= _RANGE_RTOL * np.linalg.norm(yi):
+        return None
+    q = beta * G.eta
+    if q <= 0.0:
+        raise UnsupportedSubproblemError(
+            f"block {plan.index}: subproblem has no positive curvature"
+        )
+    W = R @ s_full.reshape(-1)[rows].reshape(R.shape[0], -1)
+    W *= beta
+    W -= (beta * G.eta) * Y
+    W /= -q
+    X, value = plan.prox_term.prox(W, 1.0 / q, return_value=True)
+    np.matmul(Q, X, out=v)
+    image = np.zeros(plan.op.out_shape)
+    image.reshape(-1)[rows] = (R.T @ X).reshape(-1)
+    return image, value
 
 
 def _solve_eig(plan: _BlockPlan, q_iso: float, q_gram: float, lin: np.ndarray):
@@ -840,8 +895,10 @@ def _run_phase(
     block by block: each block assembles its linear term into its own slice
     of the new iterate, is solved there and is applied once, so its operator
     is read twice in a row (adjoint, then apply) while it is still in cache;
-    the other blocks keep their images. A run of ``ctx.runs`` is the batch
-    of blocks one worker takes, solved member by member.
+    the other blocks keep their images. A block with a range basis is
+    solved in its coordinates instead (:func:`_solve_in_range`), unless its
+    anchor is off the range. A run of ``ctx.runs`` is the batch of blocks
+    one worker takes, solved member by member.
     """
     s_full = r + lam / beta
     smooth_res = None
@@ -854,6 +911,11 @@ def _run_phase(
         done = []
         for plan in run[0]:
             i, v = plan.index, xb[plan.index]
+            if plan.basis is not None:
+                solved = _solve_in_range(plan, y[i], s_full, beta, G[i], v)
+                if solved is not None:
+                    done.append((i, *solved))
+                    continue
             q_iso, q_gram, _ = assemble_block(
                 ctx, i, y, c, s_full, beta, G[i], smooth_res, v
             )

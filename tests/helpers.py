@@ -11,11 +11,11 @@ import math
 
 import numpy as np
 
+from mmadmm import solvers
 from mmadmm.blockspace import BlockVector, DenseMatrixOp, ScaledIdentityOp
 from mmadmm.problems import ProblemSpec
 from mmadmm.prox import ProxFunction
 from mmadmm.solvers import (
-    _RANGE_RTOL,
     SolverConfig,
     UnsupportedSubproblemError,
     _joins,
@@ -205,15 +205,6 @@ def reference_solve_run(ctx, run, curvatures, flat):
                 f"block {plan.index}: subproblem has no positive curvature"
             )
         np.divide(v, -s, out=v)
-        if plan.basis is not None:
-            Q = plan.basis
-            W = Q.T @ v
-            R = Q @ W
-            R -= v
-            if np.linalg.norm(R) <= _RANGE_RTOL * np.linalg.norm(v):
-                X, value = plan.prox_term.prox(W, 1.0 / s, return_value=True)
-                np.matmul(Q, X, out=v)
-                return value
         return plan.prox_term.prox(v, 1.0 / s, out=v, return_value=True)[1]
     for plan, (q_iso, q_gram) in zip(plans, curvatures):
         lo, hi = ctx.layout.bounds[plan.index]
@@ -244,7 +235,8 @@ def reference_run_wide_phase(ctx, blocks, y, c, r, lam, beta, G):
 
     All of a run's adjoints come first, then one :func:`reference_solve_run`
     call, then all of its applies; runs go to ``ctx.executor`` as the
-    engine sends them.
+    engine sends them. A block with a range basis, always a run of one,
+    takes the engine's ``_solve_in_range`` when its anchor allows.
     """
     s_full = r + lam / beta
     smooth_res = None
@@ -255,6 +247,12 @@ def reference_run_wide_phase(ctx, blocks, y, c, r, lam, beta, G):
 
     def work(run):
         plans = run[0]
+        if plans[0].basis is not None:
+            i = plans[0].index
+            solved = solvers._solve_in_range(plans[0], y[i], s_full, beta, G[i], xb[i])
+            if solved is not None:
+                image, value = solved
+                return [image], value
         curvatures = [
             assemble_block(
                 ctx, p.index, y, c, s_full, beta, G[p.index], smooth_res, xb[p.index]

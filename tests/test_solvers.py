@@ -1273,6 +1273,8 @@ class TestGroupedEngine:
         "latlrr3": lambda: build_latent_lrr(
             make_subspace_data(5, d=10, per_subspace=6), lam=0.1, formulation="3-block"
         ),
+        "latlrr3-rank-deficient": lambda: _rank_deficient_latlrr3(),
+        "latlrr3-gapped-rows": lambda: _gapped_latlrr3(),
     }
 
     @pytest.mark.parametrize("name", sorted(PROBLEMS))
@@ -1374,31 +1376,42 @@ class TestBlockImages:
         assert len(calls) == sums * 12
 
     def test_images_follow_the_iterate(self):
-        problem = _dense_problem(73, 6, (2, 3, 2, 3))
-        ctx = prepare_context(problem, "madmm", self._config())
-        A = problem.family
-
-        def fresh(x):
-            return SolverState(x=x, lam=np.zeros(6), beta=0.5, G=list(ctx.G0))
-
-        state = fresh(BlockVector.zeros(problem.block_shapes))
-        for _ in range(3):
-            step(state, ctx)
-            x, c, r, _ = state.images
-            assert x is state.x
-            for op, blk, ci in zip(A.operators, x.blocks, c):
-                np.testing.assert_allclose(ci, op.apply(blk), rtol=0, atol=1e-12)
-            np.testing.assert_allclose(r, A.apply(x) - problem.b, rtol=0, atol=1e-12)
-        # A replaced iterate must not reuse the images of the old one.
-        other = BlockVector(
-            random_blocks(np.random.default_rng(73), problem.block_shapes)
+        # On latlrr3, Z's image is carried as R^T X from its range coordinates.
+        cases = (
+            (_dense_problem(73, 6, (2, 3, 2, 3)), self._config()),
+            (
+                build_latent_lrr(_subspace(), lam=0.1, formulation="3-block"),
+                SolverConfig(max_iter=12, eps_primal=0.0, eps_step=0.0),
+            ),
         )
-        state.x, state.lam, state.beta = other, np.zeros(6), 0.5
-        ref = fresh(other)
-        step(state, ctx)
-        step(ref, ctx)
-        for got, want in zip(state.x.blocks, ref.x.blocks):
-            np.testing.assert_array_equal(got, want)
+        for problem, config in cases:
+            ctx = prepare_context(problem, "madmm", config)
+            A = problem.family
+
+            def fresh(x):
+                return SolverState(
+                    x=x, lam=np.zeros(A.out_shape), beta=0.5, G=list(ctx.G0)
+                )
+
+            state = fresh(BlockVector.zeros(problem.block_shapes))
+            for _ in range(3):
+                step(state, ctx)
+                x, c, r, _ = state.images
+                assert x is state.x
+                for op, blk, ci in zip(A.operators, x.blocks, c):
+                    np.testing.assert_allclose(ci, op.apply(blk), rtol=0, atol=1e-12)
+                want = A.apply(x) - problem.b
+                np.testing.assert_allclose(r, want, rtol=0, atol=1e-12)
+            # A replaced iterate must not reuse the images of the old one.
+            other = BlockVector(
+                random_blocks(np.random.default_rng(73), problem.block_shapes)
+            )
+            state.x, state.lam, state.beta = other, np.zeros(A.out_shape), 0.5
+            ref = fresh(other)
+            step(state, ctx)
+            step(ref, ctx)
+            for got, want in zip(state.x.blocks, ref.x.blocks):
+                np.testing.assert_array_equal(got, want)
 
 
 def _subspace():
@@ -1544,6 +1557,55 @@ def _grid_subspace():
     return make_subspace_data(0, d=10, rank=2, n_subspaces=3, per_subspace=6)
 
 
+def _rank_deficient_latlrr3():
+    """latlrr3 whose stacked factor ``F = [1^T; X]`` repeats a row."""
+    X = make_subspace_data(5, d=10, per_subspace=6)
+    X[1] = X[0]
+    return build_latent_lrr(X, lam=0.1, formulation="3-block")
+
+
+def _gapped_latlrr3():
+    """latlrr3 with a row ``L - W = 0`` between Z's two rows.
+
+    Z acts in rows 0 and 2, so its rows in the stacked space are not back
+    to back; ``W`` is a fourth block with a squared Frobenius term.
+    """
+    X = make_subspace_data(5, d=10, per_subspace=6)
+    d, n = X.shape
+    ones = np.ones((1, n))
+    z, l, e = (n, n), (d, d), (d, n)
+    rows = [
+        ((LeftMultiplyOp(ones, z), None, None, None), ones),
+        (
+            (None, ScaledIdentityOp(1.0, l), None, ScaledIdentityOp(-1.0, l)),
+            np.zeros(l),
+        ),
+        (
+            (
+                LeftMultiplyOp(X, z),
+                RightMultiplyOp(X, l),
+                ScaledIdentityOp(-1.0, e),
+                None,
+            ),
+            X,
+        ),
+    ]
+    terms = (
+        ProxFunction("nuclear"),
+        ProxFunction("nuclear"),
+        ProxFunction("sq-frobenius", 0.1),
+        ProxFunction("sq-frobenius", 1.0),
+    )
+    return ProblemSpec(
+        "latlrr3-gapped",
+        rows,
+        (z, l, e, l),
+        terms,
+        recommended_partition=Partition((0,), (1, 2, 3), case="user"),
+        data={"X": X},
+    )
+
+
 def _gesvd_threshold(V, t):
     """``(X, s)``: singular value thresholding by LAPACK ``gesvd``."""
     U, sv, Wt = scipy.linalg.svd(V, full_matrices=False, lapack_driver="gesvd")
@@ -1553,7 +1615,8 @@ def _gesvd_threshold(V, t):
 
 
 class TestRangeBasis:
-    """A nuclear block under left multiplies thresholds in ``range(F^T)``."""
+    """A nuclear block under left multiplies solves in the coordinates of
+    ``range(F^T)``."""
 
     @staticmethod
     def _svt_shapes(monkeypatch):
@@ -1566,16 +1629,65 @@ class TestRangeBasis:
         monkeypatch.setattr(prox, "_svt", spy)
         return shapes
 
+    @staticmethod
+    def _range_solves(monkeypatch):
+        """Every ``_solve_in_range`` call's ``(plan, yi, s_full, beta, G, X,
+        solved)``: its arguments, the block it wrote (``None`` if none) and
+        what it returned."""
+        seen, solve = [], solvers._solve_in_range
+
+        def spy(plan, yi, s_full, beta, G, v):
+            solved = solve(plan, yi, s_full, beta, G, v)
+            X = None if solved is None else v.copy()
+            seen.append((plan, yi.copy(), s_full, beta, G, X, solved))
+            return solved
+
+        monkeypatch.setattr(solvers, "_solve_in_range", spy)
+        return seen
+
     def test_basis_spans_the_stacked_left_factors(self):
         problem = build_latent_lrr(_grid_subspace(), formulation="3-block")
         ctx = prepare_context(problem, "madmm", SolverConfig())
         Z, L, E = ctx.plans
         assert L.basis is None and E.basis is None
         F = np.vstack([np.ones((1, 18)), problem.data["X"]])
-        Q = Z.basis
-        assert Q.shape == (18, 11)
+        Q, R, rows = Z.basis
+        assert Q.shape == (18, 11) and R.shape == (11, 11)
+        assert rows == slice(0, 11 * 18)
         np.testing.assert_allclose(Q.T @ Q, np.eye(11), atol=1e-14)
-        np.testing.assert_allclose(Q @ (Q.T @ F.T), F.T, atol=1e-13)
+        np.testing.assert_array_equal(R, np.triu(R))
+        np.testing.assert_allclose(Q @ R, F.T, atol=1e-13)
+
+    @pytest.mark.parametrize("kind", ["madmm", "madmm-bt", "jacobi"])
+    def test_rank_deficient_and_gapped_factors(self, kind, monkeypatch):
+        # F with a repeated row still has F^T = Q R, with a null pivot; rows
+        # apart in the stacked space are gathered in F's order. Every Z
+        # update of the run takes the range path (TestGroupedEngine checks
+        # the iterates against the full-space engine).
+        problems = (_rank_deficient_latlrr3(), _gapped_latlrr3())
+        bases = []
+        for problem in problems:
+            Q, R, rows = prepare_context(problem, kind, SolverConfig()).plans[0].basis
+            X = problem.data["X"]
+            F = np.vstack([np.ones((1, X.shape[1])), X])
+            np.testing.assert_allclose(Q @ R, F.T, atol=1e-13)
+            s_flat = np.arange(problem.family.out_shape[0], dtype=float)
+            U = s_flat[rows].reshape(F.shape)
+            op = problem.family.operators[0]
+            want = F.T @ U
+            atol = 1e-14 * np.abs(want).max()
+            np.testing.assert_allclose(op.adjoint(s_flat), want, rtol=0, atol=atol)
+            bases.append((R, rows))
+        (R, _), (_, rows) = bases
+        assert np.min(np.abs(np.diag(R))) < 1e-12 * np.max(np.abs(R))
+        assert not isinstance(rows, slice)
+        seen = self._range_solves(monkeypatch)
+        config = SolverConfig(max_iter=40, eps_primal=0.0, eps_step=0.0)
+        for problem in problems:
+            seen.clear()
+            assert run(problem, kind, config).state.k == 40
+            assert len(seen) >= 40
+            assert all(solved is not None for *_, solved in seen)
 
     @pytest.mark.parametrize(
         "problem",
@@ -1634,28 +1746,23 @@ class TestRangeBasis:
     @pytest.mark.parametrize("scale", [1.0, 100.0, 1000.0])
     @pytest.mark.parametrize("kind", ["madmm", "madmm-bt", "jacobi"])
     def test_reduced_thresholding_agrees_with_gesvd(self, scale, kind, monkeypatch):
-        # Every Z thresholding of the grid's latlrr3 runs (x1: mostly zero,
-        # x100: eigh of the Gram, x1000: the SVD) takes the reduced path and
-        # lies within _solve_block's bound of a gesvd thresholding of its input.
+        # Every Z update of the grid's latlrr3 runs (x1: mostly zero, x100:
+        # eigh of the Gram, x1000: the SVD) takes the range path and lies
+        # within _solve_in_range's bound of a gesvd thresholding of the
+        # full-space prox input V, rebuilt here from the anchor.
         problem = build_latent_lrr(scale * _grid_subspace(), formulation="3-block")
         shapes = self._svt_shapes(monkeypatch)
-        seen, solve_block = [], solvers._solve_block
-
-        def spy(ctx, plan, q_iso, q_gram, v):
-            if plan.basis is None:
-                return solve_block(ctx, plan, q_iso, q_gram, v)
-            t = 1.0 / (q_iso + q_gram * plan.diag)
-            V = -t * v
-            value = solve_block(ctx, plan, q_iso, q_gram, v)
-            seen.append((plan.basis, V, t, v.copy(), value))
-            return value
-
-        monkeypatch.setattr(solvers, "_solve_block", spy)
+        seen = self._range_solves(monkeypatch)
         config = SolverConfig(max_iter=40, eps_primal=0.0, eps_step=0.0)
         assert run(problem, kind, config).state.k == 40
         assert len(seen) >= 40
         assert shapes.count((11, 18)) == len(seen) and (18, 18) not in shapes
-        for Q, V, t, X, value in seen:
+        for plan, yi, s_full, beta, G, X, solved in seen:
+            assert solved is not None
+            value = solved[1]
+            q = beta * G.eta
+            V = -(beta * plan.op.adjoint(s_full) - (beta * G.eta) * yi) / q
+            Q, t = plan.basis.Q, 1.0 / q
             v_norm = np.linalg.norm(V)
             resid = np.linalg.norm(V - Q @ (Q.T @ V))
             assert resid <= solvers._RANGE_RTOL * v_norm
@@ -1663,26 +1770,38 @@ class TestRangeBasis:
             assert np.linalg.norm(X - want) <= resid + 1e-12 * v_norm
             assert value == pytest.approx(float(np.sum(kept)), rel=1e-10, abs=1e-300)
 
-    def test_input_outside_the_range_takes_the_full_path(self, monkeypatch):
+    def test_an_anchor_off_the_range_takes_the_full_path(self, monkeypatch):
         problem = build_latent_lrr(100.0 * _grid_subspace(), formulation="3-block")
-        plan = prepare_context(problem, "madmm", SolverConfig()).plans[0]
-        Q = plan.basis
+        ctx = prepare_context(problem, "madmm", SolverConfig())
+        A, Q = problem.family, ctx.plans[0].basis.Q
         rng = np.random.default_rng(8)
         inside = Q @ rng.standard_normal((11, 18))
-        # An input off the range by 1e-10 relative misses the 1e-12 test.
+        # An anchor off the range by 1e-10 relative misses the 1e-12 test.
         off = rng.standard_normal((18, 18))
         off -= Q @ (Q.T @ off)
         nearly = inside + 1e-10 * np.linalg.norm(inside) / np.linalg.norm(off) * off
+        lam, beta = rng.standard_normal(A.out_shape), 0.5
+        rest = random_blocks(rng, problem.block_shapes[1:])
         shapes = self._svt_shapes(monkeypatch)
-        for lin, shape in ((inside, (11, 18)), (nearly, (18, 18)), (off, (18, 18))):
+        for z, shape in ((inside, (11, 18)), (nearly, (18, 18)), (off, (18, 18))):
+            y = BlockVector([z, *rest])
+            c = [op.apply(blk) for op, blk in zip(A.operators, y.blocks)]
+            r = A.image_sum(c) - problem.b
+            args = (ctx, (0,), y, c, r, lam, beta, ctx.G0)
             shapes.clear()
-            got = _solve_block(plan, 0.5, 0.0, lin)
+            got_x, got_c, _ = solvers._run_phase(*args)
             assert shapes == [shape]
-            want = prox.prox_nuclear(-2.0 * lin, 2.0)
+            want_x, want_c, _ = reference_run_phase(*args)
             if shape == (18, 18):
-                np.testing.assert_array_equal(got, want)
+                np.testing.assert_array_equal(got_x[0], want_x[0])
+                np.testing.assert_array_equal(got_c[0], want_c[0])
             else:
-                assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(lin)
+                s_full = r + lam / beta
+                lin = assemble_block(ctx, 0, y, c, s_full, beta, ctx.G0[0], None)[2]
+                bound = 1e-12 * np.linalg.norm(lin) / (beta * ctx.G0[0].eta)
+                assert np.linalg.norm(got_x[0] - want_x[0]) <= bound
+                bound *= math.sqrt(ctx.plans[0].op.op_norm_sq)
+                assert np.linalg.norm(got_c[0] - want_c[0]) <= bound
 
     def test_one_qr_per_operator(self, monkeypatch):
         # The basis is kept on Z's operator: a second solve of the same
@@ -1704,6 +1823,11 @@ class TestRangeBasis:
         second = prepare_context(problem, "madmm", config)
         assert qrs == [(18, 11)]
         assert second.plans[0].basis is first.plans[0].basis
+        # R is kept beside Q, from the same factorization.
+        Q, R, _ = first.plans[0].basis
+        F = np.vstack([np.ones((1, 18)), problem.data["X"]])
+        np.testing.assert_array_equal(R, np.triu(R))
+        np.testing.assert_allclose(Q @ R, F.T, rtol=0, atol=1e-13 * np.abs(F).max())
         again = run(problem, "madmm", config)
         assert qrs == [(18, 11)]
         np.testing.assert_array_equal(again.state.x.flat, fresh.state.x.flat)
