@@ -76,8 +76,9 @@ logger = logging.getLogger("mmadmm")
 # weights may sit exactly at the certified level.
 MARGIN_EQ = 1.0
 MARGIN_STRICT = 1.02
-# The largest relative residual ``||y_i - Q Q^T y_i||_F / ||y_i||_F`` of its
-# anchor at which a block solves in its range basis (see _solve_in_range).
+# The largest relative residual ``||y_i - Q Q^T y_i||_F / ||y_i||_F`` of an
+# anchor without carried coordinates at which a block solves in its range
+# basis (see _solve_in_range); an anchor the engine wrote is not tested.
 _RANGE_RTOL = 1e-12
 
 
@@ -200,11 +201,14 @@ class SolverState:
     """Mutable iteration state: primal blocks, dual, penalty, weights.
 
     ``G`` holds the weights (under ``madmm-bt``, the backtracked levels
-    ``G[i].eta``). ``images`` is ``(x, c, r, f)``: the block images ``c_i =
-    A_i x_i`` of the iterate ``x``, their residual ``r = sum_i c_i - b`` and
+    ``G[i].eta``). ``images`` is ``(x, c, r, f, z)``: the block images ``c_i
+    = A_i x_i`` of the iterate ``x``, their residual ``r = sum_i c_i - b``,
     ``f``, ``{i: value}`` of the block term values known at ``x`` (``None``
-    or absent: unknown); :func:`step` recomputes the images, with no values,
-    when they belong to another iterate.
+    or absent: unknown), and ``z``, ``{i: X_i}`` of the range coordinates
+    with ``x_i = fl(Q_i X_i)`` of the blocks that have a range basis and
+    whose last update wrote them (see :func:`_solve_in_range`); :func:`step`
+    recomputes the images, with no values and no coordinates, when they
+    belong to another iterate.
     """
 
     x: BlockVector
@@ -645,7 +649,20 @@ def _solve_block(ctx: "_RunContext", plan: _BlockPlan, q_iso, q_gram, v):
     return term.prox(v, t, out=v, return_value=True)[1]
 
 
-def _solve_in_range(plan: _BlockPlan, yi, s_full, beta: float, G: WeightMatrix, v):
+def _range_coords(Q: np.ndarray, yi: np.ndarray):
+    """``Y = Q^T y_i``, or ``None`` when ``||y_i - Q Y||_F > _RANGE_RTOL
+    ||y_i||_F``: the coordinates of an anchor the engine did not write."""
+    Y = Q.T @ yi
+    off = Q @ Y
+    off -= yi
+    if not np.linalg.norm(off) <= _RANGE_RTOL * np.linalg.norm(yi):
+        return None
+    return Y
+
+
+def _solve_in_range(
+    plan: _BlockPlan, yi, Y, s_full, beta: float, G: WeightMatrix, v
+):
     """Block ``plan``'s update in the coordinates of its ``basis``, written to
     ``v``; ``None``, with ``v`` untouched, when its anchor ``yi`` is off
     ``range(Q)``.
@@ -655,12 +672,15 @@ def _solve_in_range(plan: _BlockPlan, yi, s_full, beta: float, G: WeightMatrix, 
     nuclear term takes no left Gram, so its weight cancels it) and no
     smooth term, so its prox input is ``V = -(beta F^T U - beta eta y_i) /
     q``, with ``U`` the ``r x n`` stack of ``s_full`` on the block's rows
-    and ``q = beta eta`` its curvature. With ``Y = Q^T y_i`` this
-    thresholds the ``r x n`` ``W = -(beta R U - beta eta Y) / q`` in place
-    of ``V`` and writes ``Q SVT(W)``, with no adjoint, apply or ``m x n``
-    assembly. It returns the block's image, ``R^T SVT(W)`` at its rows, and
-    the term value. It runs only when ``||y_i - Q Y||_F <= _RANGE_RTOL
-    ||y_i||_F``.
+    and ``q = beta eta`` its curvature. With ``Y`` the anchor's ``r x n``
+    coordinates this thresholds ``W = -(beta R U - beta eta Y) / q`` in
+    place of ``V`` and writes ``Q X``, ``X = SVT(W)``, with no adjoint, apply
+    or ``m x n`` assembly. It returns the block's image, ``R^T X`` at its
+    rows, the term value and ``X``, the coordinates of the iterate it
+    wrote. ``Y`` is the ``X`` of the update that wrote ``y_i = fl(Q Y)``,
+    carried on ``SolverState.images``; or ``None`` for an anchor the engine
+    did not write, which then takes ``Y = Q^T y_i`` and runs only when
+    ``||y_i - Q Y||_F <= _RANGE_RTOL ||y_i||_F`` (:func:`_range_coords`).
 
     Why that is the same answer: ``Q W = (Q P) S T^T`` is an SVD of ``Q W``
     for an SVD ``W = P S T^T``, as ``Q P`` has orthonormal columns, so
@@ -674,20 +694,25 @@ def _solve_in_range(plan: _BlockPlan, yi, s_full, beta: float, G: WeightMatrix, 
     beta eta ||y_i - Q Y||_F) / q``: the QR's backward error, which for
     Householder QR is ``||F^T - Q R||_F <= c m r u ||F||_F`` (Higham,
     *Accuracy and Stability of Numerical Algorithms*, Thm. 19.4), plus the
-    measured anchor residual. Further error comes only from rounding the
-    small products and thresholding ``W`` (:func:`prox._svt` bounds it as
-    for ``V``); by Weyl each kept value moves by at most ``||V - Q W||_2``.
-    The image ``F Q X = R^T X + (F - R^T Q^T) Q X`` carries the backward
-    error once more. In exact arithmetic every anchor is in ``range(Q)``:
-    the iterate starts at zero, and every update, on this path or on the
-    full one, has its columns in ``range(F^T)``.
+    anchor term. For a tested anchor that is the measured residual. For
+    carried coordinates it is the rounding of writing ``fl(Q Y)``: ``|fl(Q
+    Y) - Q Y| <= gamma_r |Q| |Y|`` entrywise (Higham, (3.13)), ``gamma_r = r
+    u / (1 - r u)``, so ``||y_i - Q Y||_F <= gamma_r || |Q| ||_2 ||Y||_F <=
+    gamma_r sqrt(r) ||Y||_F``, about ``gamma_r ||Y||_F``. The iterate is
+    always written from its coordinates, so this gap is one rounding at
+    every update and does not accumulate. Further error comes only from
+    rounding the small products and thresholding ``W`` (:func:`prox._svt`
+    bounds it as for ``V``); by Weyl each kept value moves by at most ``||V
+    - Q W||_2``. The image ``F Q X = R^T X + (F - R^T Q^T) Q X`` carries the
+    backward error once more. In exact arithmetic every anchor is in
+    ``range(Q)``: the iterate starts at zero, and every update, on this path
+    or on the full one, has its columns in ``range(F^T)``.
     """
     Q, R, rows = plan.basis
-    Y = Q.T @ yi
-    off = Q @ Y
-    off -= yi
-    if not np.linalg.norm(off) <= _RANGE_RTOL * np.linalg.norm(yi):
-        return None
+    if Y is None:
+        Y = _range_coords(Q, yi)
+        if Y is None:
+            return None
     q = beta * G.eta
     if q <= 0.0:
         raise UnsupportedSubproblemError(
@@ -701,7 +726,7 @@ def _solve_in_range(plan: _BlockPlan, yi, s_full, beta: float, G: WeightMatrix, 
     np.matmul(Q, X, out=v)
     image = np.zeros(plan.op.out_shape)
     image.reshape(-1)[rows] = (R.T @ X).reshape(-1)
-    return image, value
+    return image, value, X
 
 
 def _solve_eig(plan: _BlockPlan, q_iso: float, q_gram: float, lin: np.ndarray):
@@ -882,22 +907,27 @@ def _run_phase(
     y: BlockVector,
     c: Sequence[np.ndarray],
     r: np.ndarray,
+    z: dict,
     lam: np.ndarray,
     beta: float,
     G: Sequence[WeightMatrix],
 ):
-    """Update ``blocks`` in parallel, all anchored at ``y`` with images ``c``
-    and residual ``r = sum_j c_j - b``; ``blocks`` is not empty.
+    """Update ``blocks`` in parallel, all anchored at ``y`` with images ``c``,
+    residual ``r = sum_j c_j - b`` and range coordinates ``z`` (``{i: X_i}``,
+    see :class:`SolverState`); ``blocks`` is not empty.
 
-    Returns the new iterate, its block images and ``{i: value}`` for each
-    updated block: its term's value at the new iterate as
-    :func:`_solve_block` gave it, or ``None``. The phase solves in place,
-    block by block: each block assembles its linear term into its own slice
-    of the new iterate, is solved there and is applied once, so its operator
-    is read twice in a row (adjoint, then apply) while it is still in cache;
-    the other blocks keep their images. A block with a range basis is
-    solved in its coordinates instead (:func:`_solve_in_range`), unless its
-    anchor is off the range. A run of ``ctx.runs`` is the batch of blocks
+    Returns the new iterate, its block images, ``{i: value}`` for each
+    updated block, its term's value at the new iterate as
+    :func:`_solve_block` gave it, or ``None``, and the new iterate's range
+    coordinates. The phase solves in place, block by block: each block
+    assembles its linear term into its own slice of the new iterate, is
+    solved there and is applied once, so its operator is read twice in a
+    row (adjoint, then apply) while it is still in cache; the other blocks
+    keep their images and coordinates. A block with a range basis is
+    solved in its coordinates instead (:func:`_solve_in_range`): from
+    ``z[i]`` when carried, else from its anchor's unless the anchor is off
+    the range, and the new coordinates hold those it wrote (a block solved
+    in full space had none). A run of ``ctx.runs`` is the batch of blocks
     one worker takes, solved member by member.
     """
     s_full = r + lam / beta
@@ -912,7 +942,7 @@ def _run_phase(
         for plan in run[0]:
             i, v = plan.index, xb[plan.index]
             if plan.basis is not None:
-                solved = _solve_in_range(plan, y[i], s_full, beta, G[i], v)
+                solved = _solve_in_range(plan, y[i], z.get(i), s_full, beta, G[i], v)
                 if solved is not None:
                     done.append((i, *solved))
                     continue
@@ -920,7 +950,7 @@ def _run_phase(
                 ctx, i, y, c, s_full, beta, G[i], smooth_res, v
             )
             value = _solve_block(ctx, plan, q_iso, q_gram, v)
-            done.append((i, plan.op.apply(v), value))
+            done.append((i, plan.op.apply(v), value, None))
         return done
 
     runs = ctx.runs[blocks]
@@ -930,11 +960,14 @@ def _run_phase(
         batches = map(work, runs)
     images = list(c)
     values = {}
+    coords = dict(z)
     for batch in batches:
-        for i, ci, value in batch:
+        for i, ci, value, X in batch:
             images[i] = ci
             values[i] = value
-    return x, images, values
+            if X is not None:
+                coords[i] = X
+    return x, images, values, coords
 
 
 # ---------------------------------------------------------------------------
@@ -954,11 +987,12 @@ def step(state: SolverState, ctx: _RunContext):
     (see :func:`_bt_exhausted`). Returns the residual, the penalty the
     iteration used, and its backtrack count.
 
-    The block images ``A_i x_i``, their residual ``sum_i c_i - b`` and the
-    block term values the phases' proxes gave are carried from phase to
-    phase and kept on ``state.images``; the images are summed once after
-    each non-empty phase, and the last sum is the dual residual. A rejected
-    phase discards its images and values; a block a phase leaves alone keeps
+    The block images ``A_i x_i``, their residual ``sum_i c_i - b``, the
+    block term values the phases' proxes gave and the range coordinates
+    the phases wrote are carried from phase to phase and kept on
+    ``state.images``; the images are summed once after each non-empty
+    phase, and the last sum is the dual residual. A rejected phase discards
+    its images, values and coordinates; a block a phase leaves alone keeps
     its own.
     """
     backtracking = _KINDS[ctx.kind].backtrack
@@ -966,15 +1000,15 @@ def step(state: SolverState, ctx: _RunContext):
     x = state.x
     if state.images is None or state.images[0] is not x:
         c = [op.apply(v) for op, v in zip(ctx.A.operators, x.blocks)]
-        state.images = (x, c, ctx.A.image_sum(c) - ctx.b, {})
-    _, c, resid, values = state.images
+        state.images = (x, c, ctx.A.image_sum(c) - ctx.b, {}, {})
+    _, c, resid, values, z = state.images
     backtracks = 0
     for (blocks, _), tau in zip(_phases(ctx.partition), (0.0, ctx.config.tau)):
         if not blocks:
             continue
         while True:
-            x_new, c_new, values_new = _run_phase(
-                ctx, blocks, x, c, resid, state.lam, state.beta, state.G
+            x_new, c_new, values_new, z_new = _run_phase(
+                ctx, blocks, x, c, resid, z, state.lam, state.beta, state.G
             )
             if not backtracking or _bt_accept(
                 ctx, blocks, x, x_new, c, c_new, state.G, tau
@@ -988,14 +1022,14 @@ def step(state: SolverState, ctx: _RunContext):
                 )
             _bt_scale(ctx, blocks, state, mu)
             backtracks += 1
-        x, c, values = x_new, c_new, {**values, **values_new}
+        x, c, values, z = x_new, c_new, {**values, **values_new}, z_new
         resid = ctx.A.image_sum(c) - ctx.b
     state.backtrack_count += backtracks
     state.lam = dual_update(state.lam, state.beta, resid)
     beta_used = state.beta
     state.beta = _next_beta(ctx, state.beta, x, state.x)
     state.x = x
-    state.images = (x, c, resid, values)
+    state.images = (x, c, resid, values, z)
     state.k += 1
     return resid, beta_used, backtracks
 
@@ -1081,12 +1115,18 @@ def run(
     x0 = BlockVector.zeros(problem.block_shapes)
     out_shape = problem.family.out_shape
     c0 = [np.zeros(out_shape) for _ in range(x0.n)]
+    # ``Q^T 0 = 0`` exactly, so the zero start carries its coordinates too.
+    z0 = {
+        p.index: np.zeros((p.basis.Q.shape[1], *x0[p.index].shape[1:]))
+        for p in ctx.plans
+        if p.basis is not None
+    }
     state = SolverState(
         x=x0,
         lam=np.zeros(out_shape),
         beta=config.beta0,
         G=list(ctx.G0),
-        images=(x0, c0, np.subtract(0.0, problem.b), {}),
+        images=(x0, c0, np.subtract(0.0, problem.b), {}, z0),
     )
     iterates = [] if keep_iterates else None
     betas = [] if keep_iterates else None

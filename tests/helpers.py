@@ -18,8 +18,6 @@ from mmadmm.prox import ProxFunction
 from mmadmm.solvers import (
     SolverConfig,
     UnsupportedSubproblemError,
-    _joins,
-    _solve_eig,
     assemble_block,
     prepare_context,
     subproblem_value,
@@ -154,16 +152,18 @@ def reference_solve_block(plan, q_iso, q_gram, lin):
     return (U @ ((U.T @ rhs.ravel()) / denom)).reshape(rhs.shape)
 
 
-def reference_run_phase(ctx, blocks, y, c, r, lam, beta, G):
+def reference_run_phase(ctx, blocks, y, c, r, z, lam, beta, G):
     """The phase update of ``solvers._run_phase``, block by block.
 
     Each block of ``blocks`` assembles its model, solves it on its own and
     is applied once; the result is built from per-block arrays. The images
     are summed here again, so the carried residual ``r`` is not read. No
-    term value is carried: every updated block maps to ``None``.
+    term value is carried: every updated block maps to ``None``. Every
+    block is solved in full space, so the updated blocks drop their range
+    coordinates ``z``.
     """
     if not blocks:
-        return y, c, {}
+        return y, c, {}, z
     image_sum = np.zeros(ctx.A.out_shape)
     for ci in c:
         image_sum += ci
@@ -179,7 +179,8 @@ def reference_run_phase(ctx, blocks, y, c, r, lam, beta, G):
         )
         new[i] = reference_solve_block(ctx.plans[i], q_iso, q_gram, lin)
         images[i] = ctx.plans[i].op.apply(new[i])
-    return BlockVector(new), images, dict.fromkeys(blocks)
+    z = {i: X for i, X in z.items() if i not in blocks}
+    return BlockVector(new), images, dict.fromkeys(blocks), z
 
 
 def reference_solve_run(ctx, run, curvatures, flat):
@@ -193,11 +194,11 @@ def reference_solve_run(ctx, run, curvatures, flat):
     """
     plans, start, stop = run
     v = flat[start:stop]
-    if not _joins(plans[0]):
+    if not solvers._joins(plans[0]):
         (plan,), ((q_iso, q_gram),) = plans, curvatures
         v = v.reshape(plan.op.in_shape)
         if plan.path == "eig":
-            v[...] = _solve_eig(plan, q_iso, q_gram, v)
+            v[...] = solvers._solve_eig(plan, q_iso, q_gram, v)
             return None
         s = q_iso + q_gram * plan.diag
         if s <= 0.0:
@@ -230,13 +231,14 @@ def reference_solve_run(ctx, run, curvatures, flat):
     return None
 
 
-def reference_run_wide_phase(ctx, blocks, y, c, r, lam, beta, G):
+def reference_run_wide_phase(ctx, blocks, y, c, r, z, lam, beta, G):
     """The phase update of ``solvers._run_phase`` by run-wide solves.
 
     All of a run's adjoints come first, then one :func:`reference_solve_run`
     call, then all of its applies; runs go to ``ctx.executor`` as the
     engine sends them. A block with a range basis, always a run of one,
-    takes the engine's ``_solve_in_range`` when its anchor allows.
+    takes the engine's ``_solve_in_range`` from its carried coordinates, or
+    when its anchor allows, and carries the coordinates it returns.
     """
     s_full = r + lam / beta
     smooth_res = None
@@ -249,10 +251,12 @@ def reference_run_wide_phase(ctx, blocks, y, c, r, lam, beta, G):
         plans = run[0]
         if plans[0].basis is not None:
             i = plans[0].index
-            solved = solvers._solve_in_range(plans[0], y[i], s_full, beta, G[i], xb[i])
+            solved = solvers._solve_in_range(
+                plans[0], y[i], z.get(i), s_full, beta, G[i], xb[i]
+            )
             if solved is not None:
-                image, value = solved
-                return [image], value
+                image, value, X = solved
+                return [image], value, X
         curvatures = [
             assemble_block(
                 ctx, p.index, y, c, s_full, beta, G[p.index], smooth_res, xb[p.index]
@@ -260,7 +264,7 @@ def reference_run_wide_phase(ctx, blocks, y, c, r, lam, beta, G):
             for p in plans
         ]
         value = reference_solve_run(ctx, run, curvatures, x.flat)
-        return [p.op.apply(xb[p.index]) for p in plans], value
+        return [p.op.apply(xb[p.index]) for p in plans], value, None
 
     runs = ctx.runs[blocks]
     if ctx.executor is not None and len(runs) > 1:
@@ -269,11 +273,14 @@ def reference_run_wide_phase(ctx, blocks, y, c, r, lam, beta, G):
         results = [work(run) for run in runs]
     images = list(c)
     values = {}
-    for (plans, _, _), (run_images, value) in zip(runs, results):
+    z = dict(z)
+    for (plans, _, _), (run_images, value, X) in zip(runs, results):
         for plan, ci in zip(plans, run_images):
             images[plan.index] = ci
             values[plan.index] = value
-    return x, images, values
+        if X is not None:
+            z[plans[0].index] = X
+    return x, images, values, z
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """``tools/hash_runs.py``: the bitwise run hash and the outcome comparison."""
 
+import ast
 import importlib.util
 import re
 import shutil
@@ -191,3 +192,21 @@ def test_the_grid_takes_every_thresholding_path(monkeypatch):
         assert sum(counts[path] for counts in paths.values()) > 0, path
     assert paths["latlrr3-x100"]["zero"] == paths["latlrr3-x100"]["svd"] == 0
     assert paths["latlrr3-x1000"]["eigh"] > 0 and paths["latlrr3-x1000"]["svd"] > 0
+
+
+def test_helpers_import_no_private_name_at_load_time():
+    # ``--src`` loads this tree's helpers against an older package, which
+    # may lack a private name; the helpers look those up at call time.
+    tree = ast.parse((ROOT / "tests" / "helpers.py").read_text())
+    private = [
+        (node.module, alias.name)
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.module.startswith("mmadmm")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []
+    assert any(
+        isinstance(node, ast.ImportFrom) and node.module.startswith("mmadmm")
+        for node in tree.body
+    )

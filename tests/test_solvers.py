@@ -1270,9 +1270,7 @@ class TestGroupedEngine:
         "nnsc-noisy": lambda: build_nonneg_sparse_coding_noisy(
             DataGenSpec(5, d=12, n=8, sparsity=0.2)
         ),
-        "latlrr3": lambda: build_latent_lrr(
-            make_subspace_data(5, d=10, per_subspace=6), lam=0.1, formulation="3-block"
-        ),
+        "latlrr3": lambda: _latlrr3(),
         "latlrr3-rank-deficient": lambda: _rank_deficient_latlrr3(),
         "latlrr3-gapped-rows": lambda: _gapped_latlrr3(),
     }
@@ -1396,7 +1394,7 @@ class TestBlockImages:
             state = fresh(BlockVector.zeros(problem.block_shapes))
             for _ in range(3):
                 step(state, ctx)
-                x, c, r, _ = state.images
+                x, c, r, _, _ = state.images
                 assert x is state.x
                 for op, blk, ci in zip(A.operators, x.blocks, c):
                     np.testing.assert_allclose(ci, op.apply(blk), rtol=0, atol=1e-12)
@@ -1532,7 +1530,7 @@ class TestCarriedTermValues:
         )
         for _ in range(6):
             step(state, ctx)
-            x, _, _, values = state.images
+            x, _, _, values, _ = state.images
             assert x is state.x
             known = {i: v for i, v in values.items() if v is not None}
             assert set(known) == self._nuclear(problem)
@@ -1555,6 +1553,12 @@ class TestCarriedTermValues:
 def _grid_subspace():
     """The data of the hash grid's latlrr3 problems (``tools/hash_runs.py``)."""
     return make_subspace_data(0, d=10, rank=2, n_subspaces=3, per_subspace=6)
+
+
+def _latlrr3():
+    return build_latent_lrr(
+        make_subspace_data(5, d=10, per_subspace=6), lam=0.1, formulation="3-block"
+    )
 
 
 def _rank_deficient_latlrr3():
@@ -1631,19 +1635,31 @@ class TestRangeBasis:
 
     @staticmethod
     def _range_solves(monkeypatch):
-        """Every ``_solve_in_range`` call's ``(plan, yi, s_full, beta, G, X,
-        solved)``: its arguments, the block it wrote (``None`` if none) and
-        what it returned."""
+        """Every ``_solve_in_range`` call's ``(plan, yi, Y, s_full, beta, G,
+        Z, solved)``: its arguments, the block it wrote (``None`` if none)
+        and what it returned."""
         seen, solve = [], solvers._solve_in_range
 
-        def spy(plan, yi, s_full, beta, G, v):
-            solved = solve(plan, yi, s_full, beta, G, v)
-            X = None if solved is None else v.copy()
-            seen.append((plan, yi.copy(), s_full, beta, G, X, solved))
+        def spy(plan, yi, Y, s_full, beta, G, v):
+            solved = solve(plan, yi, Y, s_full, beta, G, v)
+            Z = None if solved is None else v.copy()
+            seen.append((plan, yi.copy(), Y, s_full, beta, G, Z, solved))
             return solved
 
         monkeypatch.setattr(solvers, "_solve_in_range", spy)
         return seen
+
+    @staticmethod
+    def _anchor_tests(monkeypatch):
+        """The anchors whose range residual ``_range_coords`` computed."""
+        tested, coords = [], solvers._range_coords
+
+        def spy(Q, yi):
+            tested.append(yi)
+            return coords(Q, yi)
+
+        monkeypatch.setattr(solvers, "_range_coords", spy)
+        return tested
 
     def test_basis_spans_the_stacked_left_factors(self):
         problem = build_latent_lrr(_grid_subspace(), formulation="3-block")
@@ -1662,8 +1678,9 @@ class TestRangeBasis:
     def test_rank_deficient_and_gapped_factors(self, kind, monkeypatch):
         # F with a repeated row still has F^T = Q R, with a null pivot; rows
         # apart in the stacked space are gathered in F's order. Every Z
-        # update of the run takes the range path (TestGroupedEngine checks
-        # the iterates against the full-space engine).
+        # update of the run takes the range path from carried coordinates
+        # (TestGroupedEngine checks the iterates against the full-space
+        # engine).
         problems = (_rank_deficient_latlrr3(), _gapped_latlrr3())
         bases = []
         for problem in problems:
@@ -1688,6 +1705,112 @@ class TestRangeBasis:
             assert run(problem, kind, config).state.k == 40
             assert len(seen) >= 40
             assert all(solved is not None for *_, solved in seen)
+            assert all(Y is not None for _, _, Y, *_ in seen)
+
+    @pytest.mark.parametrize("kind", ["madmm", "madmm-bt", "jacobi", "l-admm-ps"])
+    def test_every_update_reads_carried_coordinates(self, kind, monkeypatch):
+        # The zero start carries Q^T 0 = 0, and each update carries the X
+        # it wrote as Q X: no Z update tests its anchor, the first included.
+        problem = build_latent_lrr(_grid_subspace(), formulation="3-block")
+        seen = self._range_solves(monkeypatch)
+        tested = self._anchor_tests(monkeypatch)
+        result = run(problem, kind, SolverConfig())
+        assert result.stop_reason == "converged"
+        assert len(seen) >= result.state.k
+        assert all(Y is not None for _, _, Y, *_ in seen)
+        np.testing.assert_array_equal(seen[0][2], np.zeros((11, 18)))
+        assert tested == []
+
+    @pytest.mark.parametrize(
+        "build", [_latlrr3, _rank_deficient_latlrr3, _gapped_latlrr3]
+    )
+    @pytest.mark.parametrize("kind", ["madmm", "madmm-bt", "jacobi"])
+    def test_the_iterate_is_the_image_of_its_coordinates(
+        self, kind, build, monkeypatch
+    ):
+        problem = build()
+        original, checked = solvers.step, []
+
+        def checked_step(state, ctx):
+            out = original(state, ctx)
+            x, _, _, _, z = state.images
+            assert list(z) == [0]
+            Q = ctx.plans[0].basis.Q
+            err = np.linalg.norm(x[0] - Q @ z[0])
+            assert err <= 1e-12 * np.linalg.norm(x[0])
+            checked.append(state.k)
+            return out
+
+        monkeypatch.setattr(solvers, "step", checked_step)
+        config = SolverConfig(max_iter=40, eps_primal=0.0, eps_step=0.0)
+        assert run(problem, kind, config).state.k == 40
+        assert checked == list(range(1, 41))
+
+    def test_a_retried_phase_reads_its_rejected_coordinates(self, monkeypatch):
+        problem = build_latent_lrr(_subspace(), lam=0.1, formulation="3-block")
+        calls, original = [], solvers._run_phase
+
+        def spy(ctx, blocks, y, c, r, z, *rest):
+            out = original(ctx, blocks, y, c, r, z, *rest)
+            calls.append((blocks, z, dict(z), out[3]))
+            return out
+
+        rejected, scale = [], solvers._bt_scale
+
+        def counted(ctx, blocks, state, mu):
+            rejected.append(len(calls) - 1)
+            return scale(ctx, blocks, state, mu)
+
+        monkeypatch.setattr(solvers, "_run_phase", spy)
+        monkeypatch.setattr(solvers, "_bt_scale", counted)
+        # Z in the second phase, whose small seed weights get rejected.
+        config = SolverConfig(
+            max_iter=20,
+            eps_primal=0.0,
+            eps_step=0.0,
+            eta_scale=1e-3,
+            partition=Partition((1,), (0, 2)),
+        )
+        assert run(problem, "madmm-bt", config).state.k == 20
+        assert rejected and all(calls[j][0] == (0, 2) for j in rejected)
+        for j in rejected:
+            (blocks, z, before, wrote), (again, z_again, *_) = calls[j : j + 2]
+            assert again == blocks and z_again is z
+            # The rejected try neither changed the coordinates it read nor
+            # handed its own to the retry.
+            assert z.keys() == before.keys() == {0}
+            assert all(z[i] is before[i] for i in z)
+            assert wrote[0] is not z[0]
+
+    def test_a_foreign_anchor_takes_the_tested_path(self, monkeypatch):
+        problem = build_latent_lrr(_grid_subspace(), formulation="3-block")
+        ctx = prepare_context(problem, "madmm", SolverConfig())
+        A = problem.family
+        state = SolverState(
+            x=BlockVector.zeros(problem.block_shapes),
+            lam=np.zeros(A.out_shape),
+            beta=0.5,
+            G=list(ctx.G0),
+        )
+        tested = self._anchor_tests(monkeypatch)
+        step(state, ctx)
+        assert len(tested) == 1  # no images yet: the zero anchor is tested
+        for _ in range(3):
+            step(state, ctx)
+        assert len(tested) == 1
+        # The same values in another object: the images belong to the old.
+        state.x = state.x.copy()
+        ref = SolverState(
+            x=state.x.copy(), lam=state.lam.copy(), beta=state.beta, G=list(state.G)
+        )
+        seen = self._range_solves(monkeypatch)
+        step(state, ctx)
+        assert len(tested) == 2 and seen[0][2] is None and seen[0][-1] is not None
+        step(ref, ctx)
+        assert len(tested) == 3
+        np.testing.assert_array_equal(state.x.flat, ref.x.flat)
+        step(state, ctx)
+        assert len(tested) == 3
 
     @pytest.mark.parametrize(
         "problem",
@@ -1747,9 +1870,10 @@ class TestRangeBasis:
     @pytest.mark.parametrize("kind", ["madmm", "madmm-bt", "jacobi"])
     def test_reduced_thresholding_agrees_with_gesvd(self, scale, kind, monkeypatch):
         # Every Z update of the grid's latlrr3 runs (x1: mostly zero, x100:
-        # eigh of the Gram, x1000: the SVD) takes the range path and lies
-        # within _solve_in_range's bound of a gesvd thresholding of the
-        # full-space prox input V, rebuilt here from the anchor.
+        # eigh of the Gram, x1000: the SVD) takes the range path from
+        # carried coordinates Y and lies within _solve_in_range's bound of a
+        # gesvd thresholding of the full-space prox input V, rebuilt here
+        # from the anchor Q Y.
         problem = build_latent_lrr(scale * _grid_subspace(), formulation="3-block")
         shapes = self._svt_shapes(monkeypatch)
         seen = self._range_solves(monkeypatch)
@@ -1757,12 +1881,12 @@ class TestRangeBasis:
         assert run(problem, kind, config).state.k == 40
         assert len(seen) >= 40
         assert shapes.count((11, 18)) == len(seen) and (18, 18) not in shapes
-        for plan, yi, s_full, beta, G, X, solved in seen:
-            assert solved is not None
+        for plan, _, Y, s_full, beta, G, X, solved in seen:
+            assert solved is not None and Y is not None
             value = solved[1]
             q = beta * G.eta
-            V = -(beta * plan.op.adjoint(s_full) - (beta * G.eta) * yi) / q
             Q, t = plan.basis.Q, 1.0 / q
+            V = -(beta * plan.op.adjoint(s_full) - (beta * G.eta) * (Q @ Y)) / q
             v_norm = np.linalg.norm(V)
             resid = np.linalg.norm(V - Q @ (Q.T @ V))
             assert resid <= solvers._RANGE_RTOL * v_norm
@@ -1787,11 +1911,12 @@ class TestRangeBasis:
             y = BlockVector([z, *rest])
             c = [op.apply(blk) for op, blk in zip(A.operators, y.blocks)]
             r = A.image_sum(c) - problem.b
-            args = (ctx, (0,), y, c, r, lam, beta, ctx.G0)
+            args = (ctx, (0,), y, c, r, {}, lam, beta, ctx.G0)
             shapes.clear()
-            got_x, got_c, _ = solvers._run_phase(*args)
+            got_x, got_c, _, got_z = solvers._run_phase(*args)
             assert shapes == [shape]
-            want_x, want_c, _ = reference_run_phase(*args)
+            assert list(got_z) == ([0] if shape == (11, 18) else [])
+            want_x, want_c, _, _ = reference_run_phase(*args)
             if shape == (18, 18):
                 np.testing.assert_array_equal(got_x[0], want_x[0])
                 np.testing.assert_array_equal(got_c[0], want_c[0])
