@@ -11,6 +11,7 @@ and the CLI both resolve ``"auto"`` through it.
 
 from __future__ import annotations
 
+import numbers
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -253,13 +254,15 @@ def choose_partition(problem, choice: str = "auto", n1: Optional[int] = None):
     ``||A_i||^2``) as the first super block. Otherwise ``choice`` is
     ``"auto"``, the problem's recommended partition or else the case-I
     split; or ``"case1"``, ``"case2"`` or ``"case3"``, the heuristic of that
-    name. Raises ``ValueError`` for an unknown choice, an ``n1`` outside
-    ``[1, n]``, a case-II request without a two-coloring, or ``"auto"`` on
-    one block.
+    name. Raises ``ValueError`` for an unknown choice, an ``n1`` that is
+    not an integer in ``[1, n]``, a case-II request without a two-coloring,
+    or ``"auto"`` on one block.
     """
     A = problem.family
     n = A.n
     if n1 is not None:
+        if isinstance(n1, bool) or not isinstance(n1, numbers.Integral):
+            raise ValueError(f"n1 must be an integer, got {n1!r}")
         if not 1 <= n1 <= n:
             raise ValueError(f"n1 must lie in [1, {n}]")
         # The order alone needs no footnote term: take it from the norms.

@@ -76,10 +76,6 @@ logger = logging.getLogger("mmadmm")
 # weights may sit exactly at the certified level.
 MARGIN_EQ = 1.0
 MARGIN_STRICT = 1.02
-# The largest relative residual ``||y_i - Q Q^T y_i||_F / ||y_i||_F`` of an
-# anchor without carried coordinates at which a block solves in its range
-# basis (see _solve_in_range); an anchor the engine wrote is not tested.
-_RANGE_RTOL = 1e-12
 
 
 class UnsupportedSubproblemError(RuntimeError):
@@ -206,9 +202,11 @@ class SolverState:
     ``f``, ``{i: value}`` of the block term values known at ``x`` (``None``
     or absent: unknown), and ``z``, ``{i: X_i}`` of the range coordinates
     with ``x_i = fl(Q_i X_i)`` of the blocks that have a range basis and
-    whose last update wrote them (see :func:`_solve_in_range`); :func:`step`
-    recomputes the images, with no values and no coordinates, when they
-    belong to another iterate.
+    whose last update wrote them (see :class:`_RangeBasis`): such a block
+    solves in them, any other in full space. :func:`step` recomputes the
+    images, with no values and no coordinates, when they belong to another
+    iterate, so the blocks of a replaced iterate solve in full space from
+    then on.
     """
 
     x: BlockVector
@@ -240,10 +238,13 @@ def ergodic_average(iterates: Sequence[BlockVector], betas: Sequence[float]):
 
     ``iterates[k]`` is the iterate produced with penalty ``betas[k]``; the
     weights are normalized to sum to one, so a constant penalty gives the
-    plain mean.
+    plain mean. Each penalty must be finite and positive.
     """
     if len(iterates) != len(betas) or not iterates:
         raise ValueError("need one penalty value per iterate")
+    for k, b in enumerate(betas):
+        if not 0.0 < b < math.inf:
+            raise ValueError(f"betas[{k}] must be finite and positive, got {b!r}")
     inv = [1.0 / b for b in betas]
     total = sum(inv)
     acc = BlockVector.zeros(iterates[0].shapes)
@@ -474,7 +475,7 @@ class _BlockPlan:
     eigendecomposition, ``orient`` the side it acts on. ``basis``, set by
     :func:`_range_basis`, is the ``F^T = Q R`` of a nuclear block whose
     iterates keep their columns in ``range(Q)``; the phase engine solves it
-    in the coordinates of ``Q`` (see :func:`_solve_in_range`).
+    in the coordinates of ``Q`` when its iterate carries them.
     """
 
     index: int
@@ -492,14 +493,61 @@ class _BlockPlan:
 
 class _RangeBasis(NamedTuple):
     """``F^T = Q R`` for a block ``Z -> F Z``, ``F`` an ``r x m`` stack of left
-    factors: ``Q`` is ``m x r`` with orthonormal columns, ``R`` is ``r x r``
-    upper triangular, and ``rows`` indexes the block's rows in the flattened
+    factors, and the block's operator in the coordinates of ``Q``.
+
+    ``Q`` is ``m x r`` with orthonormal columns, ``R`` is ``r x r`` upper
+    triangular, ``rows`` indexes the block's rows in the flattened
     constraint space, in the order of ``F``'s rows (a slice when they are
-    back to back)."""
+    back to back), and ``out_shape`` is that space's shape. As ``F Q =
+    R^T``, the block's operator on the ``r x n`` coordinates ``X`` of ``Z =
+    Q X`` is :meth:`apply`, ``R^T X`` placed at ``rows``, with adjoint
+    :meth:`adjoint`, ``u -> R u[rows]``. :func:`_run_phase` solves a block
+    whose iterate ``y_i = fl(Q Y)`` carries its coordinates ``Y`` on this
+    operator, anchored at ``Y``, and writes ``Q X``. Its model has no Gram
+    term (a nuclear term takes no left Gram, so its weight cancels it) and
+    no smooth term, so, with ``U`` the ``r x n`` stack of ``s_full`` on
+    ``rows`` and ``q = beta eta``, it thresholds ``W = -(beta R U - beta
+    eta Y) / q``: no adjoint, apply or ``m x n`` assembly.
+
+    Why that is the full-space answer, whose prox input is ``V = -(beta F^T
+    U - beta eta y_i) / q``: ``Q W = (Q P) S T^T`` is an SVD of ``Q W`` for
+    an SVD ``W = P S T^T``, as ``Q P`` has orthonormal columns, so ``SVT(Q
+    W) = Q SVT(W)`` and the kept singular values, hence the carried nuclear
+    value, are those of ``W``. SVT is a prox, so it is nonexpansive in the
+    Frobenius norm, and
+
+        ``V - Q W = -(beta (F^T - Q R) U - beta eta (y_i - Q Y)) / q``
+
+    bounds ``||Q SVT(W) - SVT(V)||_F`` by ``(beta ||F^T - Q R||_F ||U||_2 +
+    beta eta ||y_i - Q Y||_F) / q``. The first term is the QR's backward
+    error, which for Householder QR is ``||F^T - Q R||_F <= c m r u
+    ||F||_F`` (Higham, *Accuracy and Stability of Numerical Algorithms*,
+    Thm. 19.4). The second is the rounding of writing ``fl(Q Y)``: ``|fl(Q
+    Y) - Q Y| <= gamma_r |Q| |Y|`` entrywise (Higham, (3.13)), ``gamma_r =
+    r u / (1 - r u)``, so ``||y_i - Q Y||_F <= gamma_r || |Q| ||_2
+    ||Y||_F <= gamma_r sqrt(r) ||Y||_F``, about ``gamma_r ||Y||_F``. The
+    iterate is always written from its coordinates, so this gap is one
+    rounding at every update and does not accumulate. Further error comes
+    only from rounding the small products and thresholding ``W``
+    (:func:`prox._svt` bounds it as for ``V``); by Weyl each kept value
+    moves by at most ``||V - Q W||_2``. The image ``F Q X = R^T X + (F -
+    R^T Q^T) Q X`` carries the backward error once more. In exact
+    arithmetic the coordinates are exact: the iterate starts at zero, with
+    ``Q^T 0 = 0``, and every update has its columns in ``range(F^T)``.
+    """
 
     Q: np.ndarray
     R: np.ndarray
     rows: object
+    out_shape: tuple
+
+    def adjoint(self, u: np.ndarray) -> np.ndarray:
+        return self.R @ u.reshape(-1)[self.rows].reshape(self.R.shape[0], -1)
+
+    def apply(self, X: np.ndarray) -> np.ndarray:
+        image = np.zeros(self.out_shape)
+        image.reshape(-1)[self.rows] = (self.R.T @ X).reshape(-1)
+        return image
 
 
 def _range_basis(op, prox_part, smooth_eta: float):
@@ -550,7 +598,7 @@ def _left_factor_basis(op):
     else:
         rows = np.concatenate([np.arange(s.start, s.stop) for s, _ in spans])
     Q.flags.writeable = R.flags.writeable = False  # shared by every context
-    return _RangeBasis(Q, R, rows)
+    return _RangeBasis(Q, R, rows, op.out_shape)
 
 
 def _plan_block(problem, i: int, G: WeightMatrix, smooth_eta: float) -> _BlockPlan:
@@ -609,7 +657,8 @@ def _phase_runs(plans: Sequence[_BlockPlan], blocks: Sequence[int], layout) -> t
 
 
 def _solve_block(ctx: "_RunContext", plan: _BlockPlan, q_iso, q_gram, v):
-    """Minimize block ``plan``'s model in place in ``v``, which holds its ``lin``.
+    """Minimize block ``plan``'s model in place in ``v``, which holds its ``lin``
+    (in the block's range coordinates when it was assembled in them).
 
     The model is ``term(v) + 0.5 q_iso ||v||^2 + 0.5 q_gram <v, Gram v> +
     <lin, v>``. On the ``diag`` path the Gram is ``c I``, a scalar
@@ -647,86 +696,6 @@ def _solve_block(ctx: "_RunContext", plan: _BlockPlan, q_iso, q_gram, v):
     if term is None:
         return None
     return term.prox(v, t, out=v, return_value=True)[1]
-
-
-def _range_coords(Q: np.ndarray, yi: np.ndarray):
-    """``Y = Q^T y_i``, or ``None`` when ``||y_i - Q Y||_F > _RANGE_RTOL
-    ||y_i||_F``: the coordinates of an anchor the engine did not write."""
-    Y = Q.T @ yi
-    off = Q @ Y
-    off -= yi
-    if not np.linalg.norm(off) <= _RANGE_RTOL * np.linalg.norm(yi):
-        return None
-    return Y
-
-
-def _solve_in_range(
-    plan: _BlockPlan, yi, Y, s_full, beta: float, G: WeightMatrix, v
-):
-    """Block ``plan``'s update in the coordinates of its ``basis``, written to
-    ``v``; ``None``, with ``v`` untouched, when its anchor ``yi`` is off
-    ``range(Q)``.
-
-    The block is ``Z -> F Z`` with ``F^T = Q R`` (:class:`_RangeBasis`; ``F``
-    is ``r x m``, the block ``m x n``). Its model has no Gram term (a
-    nuclear term takes no left Gram, so its weight cancels it) and no
-    smooth term, so its prox input is ``V = -(beta F^T U - beta eta y_i) /
-    q``, with ``U`` the ``r x n`` stack of ``s_full`` on the block's rows
-    and ``q = beta eta`` its curvature. With ``Y`` the anchor's ``r x n``
-    coordinates this thresholds ``W = -(beta R U - beta eta Y) / q`` in
-    place of ``V`` and writes ``Q X``, ``X = SVT(W)``, with no adjoint, apply
-    or ``m x n`` assembly. It returns the block's image, ``R^T X`` at its
-    rows, the term value and ``X``, the coordinates of the iterate it
-    wrote. ``Y`` is the ``X`` of the update that wrote ``y_i = fl(Q Y)``,
-    carried on ``SolverState.images``; or ``None`` for an anchor the engine
-    did not write, which then takes ``Y = Q^T y_i`` and runs only when
-    ``||y_i - Q Y||_F <= _RANGE_RTOL ||y_i||_F`` (:func:`_range_coords`).
-
-    Why that is the same answer: ``Q W = (Q P) S T^T`` is an SVD of ``Q W``
-    for an SVD ``W = P S T^T``, as ``Q P`` has orthonormal columns, so
-    ``SVT(Q W) = Q SVT(W)`` and the kept singular values, hence the carried
-    nuclear value, are those of ``W``. SVT is a prox, so it is nonexpansive
-    in the Frobenius norm, and
-
-        ``V - Q W = -(beta (F^T - Q R) U - beta eta (y_i - Q Y)) / q``
-
-    bounds ``||Q SVT(W) - SVT(V)||_F`` by ``(beta ||F^T - Q R||_F ||U||_2 +
-    beta eta ||y_i - Q Y||_F) / q``: the QR's backward error, which for
-    Householder QR is ``||F^T - Q R||_F <= c m r u ||F||_F`` (Higham,
-    *Accuracy and Stability of Numerical Algorithms*, Thm. 19.4), plus the
-    anchor term. For a tested anchor that is the measured residual. For
-    carried coordinates it is the rounding of writing ``fl(Q Y)``: ``|fl(Q
-    Y) - Q Y| <= gamma_r |Q| |Y|`` entrywise (Higham, (3.13)), ``gamma_r = r
-    u / (1 - r u)``, so ``||y_i - Q Y||_F <= gamma_r || |Q| ||_2 ||Y||_F <=
-    gamma_r sqrt(r) ||Y||_F``, about ``gamma_r ||Y||_F``. The iterate is
-    always written from its coordinates, so this gap is one rounding at
-    every update and does not accumulate. Further error comes only from
-    rounding the small products and thresholding ``W`` (:func:`prox._svt`
-    bounds it as for ``V``); by Weyl each kept value moves by at most ``||V
-    - Q W||_2``. The image ``F Q X = R^T X + (F - R^T Q^T) Q X`` carries the
-    backward error once more. In exact arithmetic every anchor is in
-    ``range(Q)``: the iterate starts at zero, and every update, on this path
-    or on the full one, has its columns in ``range(F^T)``.
-    """
-    Q, R, rows = plan.basis
-    if Y is None:
-        Y = _range_coords(Q, yi)
-        if Y is None:
-            return None
-    q = beta * G.eta
-    if q <= 0.0:
-        raise UnsupportedSubproblemError(
-            f"block {plan.index}: subproblem has no positive curvature"
-        )
-    W = R @ s_full.reshape(-1)[rows].reshape(R.shape[0], -1)
-    W *= beta
-    W -= (beta * G.eta) * Y
-    W /= -q
-    X, value = plan.prox_term.prox(W, 1.0 / q, return_value=True)
-    np.matmul(Q, X, out=v)
-    image = np.zeros(plan.op.out_shape)
-    image.reshape(-1)[rows] = (R.T @ X).reshape(-1)
-    return image, value, X
 
 
 def _solve_eig(plan: _BlockPlan, q_iso: float, q_gram: float, lin: np.ndarray):
@@ -771,6 +740,7 @@ def assemble_block(
     G: WeightMatrix,
     smooth_res: Optional[np.ndarray],
     out: Optional[np.ndarray] = None,
+    coords: Optional[np.ndarray] = None,
 ):
     """Build ``(q_iso, q_gram, lin)`` of block ``i``'s subproblem at anchor ``y``.
 
@@ -780,18 +750,20 @@ def assemble_block(
     ``beta A_i^T (s_full - (1 + g) c_i) - beta eta y_i``: one adjoint and no
     apply. The Gram coefficient ``1 + g`` is the plan's ``gram_factor``;
     ``G`` supplies only its level ``eta``. The linearized weight (``g =
-    -1``) cancels the image term. ``out``, an array shaped like ``y_i``,
-    receives ``lin`` when given; the phase engine passes the block's slice
-    of the new iterate, so the block is then solved in place.
+    -1``) cancels the image term. ``coords``, the carried coordinates ``Y``
+    of ``y_i = fl(Q Y)`` in the block's range basis, builds the model in
+    them instead: anchor ``Y`` and operator :class:`_RangeBasis`. ``out``,
+    an array shaped like the anchor, receives ``lin`` when given; the phase
+    engine passes the block's slice of the new iterate, so the block is
+    then solved in place.
     """
     plan = ctx.plans[i]
-    op = plan.op
-    yi = y[i]
+    op, yi = (plan.op, y[i]) if coords is None else (plan.basis, coords)
     iso = G.eta
     q_iso = plan.fold_iso + beta * iso
     q_gram = 0.0
     lin = np.empty(yi.shape) if out is None else out
-    if op.op_norm_sq > 0.0:
+    if plan.op.op_norm_sq > 0.0:
         factor = plan.gram_factor
         si = s_full if factor == 0.0 else s_full - factor * c[i]
         q_gram = beta * factor
@@ -923,12 +895,11 @@ def _run_phase(
     assembles its linear term into its own slice of the new iterate, is
     solved there and is applied once, so its operator is read twice in a
     row (adjoint, then apply) while it is still in cache; the other blocks
-    keep their images and coordinates. A block with a range basis is
-    solved in its coordinates instead (:func:`_solve_in_range`): from
-    ``z[i]`` when carried, else from its anchor's unless the anchor is off
-    the range, and the new coordinates hold those it wrote (a block solved
-    in full space had none). A run of ``ctx.runs`` is the batch of blocks
-    one worker takes, solved member by member.
+    keep their images and coordinates. A block with carried coordinates
+    ``z[i]`` takes the same two calls in them instead, on its range basis
+    (:class:`_RangeBasis`), writes ``Q X`` and carries ``X``; any other
+    block solves in full space and has none. A run of ``ctx.runs`` is the
+    batch of blocks one worker takes, solved member by member.
     """
     s_full = r + lam / beta
     smooth_res = None
@@ -941,16 +912,15 @@ def _run_phase(
         done = []
         for plan in run[0]:
             i, v = plan.index, xb[plan.index]
-            if plan.basis is not None:
-                solved = _solve_in_range(plan, y[i], z.get(i), s_full, beta, G[i], v)
-                if solved is not None:
-                    done.append((i, *solved))
-                    continue
-            q_iso, q_gram, _ = assemble_block(
-                ctx, i, y, c, s_full, beta, G[i], smooth_res, v
+            Y = z.get(i)
+            op, out = (plan.op, v) if Y is None else (plan.basis, None)
+            q_iso, q_gram, w = assemble_block(
+                ctx, i, y, c, s_full, beta, G[i], smooth_res, out, Y
             )
-            value = _solve_block(ctx, plan, q_iso, q_gram, v)
-            done.append((i, plan.op.apply(v), value, None))
+            value = _solve_block(ctx, plan, q_iso, q_gram, w)  # w: v, or X
+            if Y is not None:
+                np.matmul(plan.basis.Q, w, out=v)
+            done.append((i, op.apply(w), value, None if Y is None else w))
         return done
 
     runs = ctx.runs[blocks]
@@ -993,7 +963,9 @@ def step(state: SolverState, ctx: _RunContext):
     ``state.images``; the images are summed once after each non-empty
     phase, and the last sum is the dual residual. A rejected phase discards
     its images, values and coordinates; a block a phase leaves alone keeps
-    its own.
+    its own. Images recomputed for an iterate that ``state.images`` does
+    not belong to carry no coordinates, so from then on every block solves
+    in full space.
     """
     backtracking = _KINDS[ctx.kind].backtrack
     mu = ctx.config.mu

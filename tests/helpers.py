@@ -132,24 +132,31 @@ def reference_assembly(ctx, i, y, s_full, beta, G, smooth_res):
 # ---------------------------------------------------------------------------
 
 
-def reference_solve_block(plan, q_iso, q_gram, lin):
+def reference_solve_block(plan, q_iso, q_gram, lin, return_value=False):
     """Minimize ``term(v) + 0.5 q_iso ||v||^2 + 0.5 q_gram <v, Gram v> + <lin, v>``
     for one block on its own, path by path.
+
+    With ``return_value``, returns ``(v, value)``, ``value`` the term's
+    value as its prox gives it (``None`` where it gives none).
     """
     if plan.path == "diag":
         denom = q_iso + q_gram * plan.diag
         assert np.all(denom > 0.0)
-        p = lin / (-denom)
-        return p if plan.prox_term is None else plan.prox_term.prox(p, 1.0 / denom)
-    w, U = plan.eig
-    denom = q_iso + q_gram * w
-    assert np.all(denom > 0.0)
-    rhs = -lin
-    if plan.orient == "left":
-        return U @ ((U.T @ rhs) / denom[:, None])
-    if plan.orient == "right":
-        return ((rhs @ U) / denom[None, :]) @ U.T
-    return (U @ ((U.T @ rhs.ravel()) / denom)).reshape(rhs.shape)
+        x = lin / (-denom)
+        if plan.prox_term is not None:
+            return plan.prox_term.prox(x, 1.0 / denom, return_value=return_value)
+    else:
+        w, U = plan.eig
+        denom = q_iso + q_gram * w
+        assert np.all(denom > 0.0)
+        rhs = -lin
+        if plan.orient == "left":
+            x = U @ ((U.T @ rhs) / denom[:, None])
+        elif plan.orient == "right":
+            x = ((rhs @ U) / denom[None, :]) @ U.T
+        else:
+            x = (U @ ((U.T @ rhs.ravel()) / denom)).reshape(rhs.shape)
+    return (x, None) if return_value else x
 
 
 def reference_run_phase(ctx, blocks, y, c, r, z, lam, beta, G):
@@ -236,9 +243,10 @@ def reference_run_wide_phase(ctx, blocks, y, c, r, z, lam, beta, G):
 
     All of a run's adjoints come first, then one :func:`reference_solve_run`
     call, then all of its applies; runs go to ``ctx.executor`` as the
-    engine sends them. A block with a range basis, always a run of one,
-    takes the engine's ``_solve_in_range`` from its carried coordinates, or
-    when its anchor allows, and carries the coordinates it returns.
+    engine sends them. A block with carried range coordinates ``Y``, always
+    a run of one, is assembled in them (``assemble_block``'s ``coords``),
+    solved by :func:`reference_solve_block`, and writes ``Q X`` and the
+    image ``R^T X`` at its rows; it carries its new ``X``.
     """
     s_full = r + lam / beta
     smooth_res = None
@@ -249,14 +257,18 @@ def reference_run_wide_phase(ctx, blocks, y, c, r, z, lam, beta, G):
 
     def work(run):
         plans = run[0]
-        if plans[0].basis is not None:
-            i = plans[0].index
-            solved = solvers._solve_in_range(
-                plans[0], y[i], z.get(i), s_full, beta, G[i], xb[i]
+        i = plans[0].index
+        if i in z:
+            plan = plans[0]
+            model = assemble_block(
+                ctx, i, y, c, s_full, beta, G[i], smooth_res, coords=z[i]
             )
-            if solved is not None:
-                image, value, X = solved
-                return [image], value, X
+            X, value = reference_solve_block(plan, *model, return_value=True)
+            Q, R, rows = plan.basis.Q, plan.basis.R, plan.basis.rows
+            xb[i][...] = Q @ X
+            image = np.zeros(ctx.A.out_shape)
+            image.reshape(-1)[rows] = (R.T @ X).reshape(-1)
+            return [image], value, X
         curvatures = [
             assemble_block(
                 ctx, p.index, y, c, s_full, beta, G[p.index], smooth_res, xb[p.index]

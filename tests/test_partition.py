@@ -440,6 +440,17 @@ class TestChoosePartition:
         with pytest.raises(ValueError, match=r"n1 must lie in \[1, 3\]"):
             choose_partition(self._problem(), n1=n1)
 
+    @pytest.mark.parametrize("n1", [True, 1.5, 2.0, "2"])
+    def test_n1_must_be_an_integer(self, n1):
+        with pytest.raises(ValueError, match=r"n1 must be an integer, got"):
+            choose_partition(self._problem(), n1=n1)
+
+    def test_n1_takes_a_numpy_integer(self):
+        problem = self._problem()
+        assert choose_partition(problem, n1=np.int64(2)) == choose_partition(
+            problem, n1=2
+        )
+
     def test_grid_problems_keep_their_partitions(self):
         # The problems of tools/hash_runs.py, with the partitions each named
         # heuristic gave while every cross-Gram check ran its full power

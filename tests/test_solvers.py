@@ -171,6 +171,18 @@ class TestDualAndErgodic:
         with pytest.raises(ValueError, match="one penalty value per iterate"):
             ergodic_average([], [])
 
+    @pytest.mark.parametrize(
+        "betas, bad",
+        [([1.0, -2.0], 1), ([math.inf], 0), ([0.0], 0), ([1.0, math.nan], 1)],
+    )
+    def test_ergodic_rejects_a_bad_penalty(self, betas, bad):
+        # Weights from [1, -2] would be 2 and -1, not a convex average.
+        xs = [BlockVector([np.ones(2)]), BlockVector([np.zeros(2)])][: len(betas)]
+        with pytest.raises(
+            ValueError, match=rf"betas\[{bad}\] must be finite and positive"
+        ):
+            ergodic_average(xs, betas)
+
 
 class TestPhaseSmoothness:
     def test_dense_fallback_counts_live_blocks(self):
@@ -1634,32 +1646,50 @@ class TestRangeBasis:
         return shapes
 
     @staticmethod
-    def _range_solves(monkeypatch):
-        """Every ``_solve_in_range`` call's ``(plan, yi, Y, s_full, beta, G,
-        Z, solved)``: its arguments, the block it wrote (``None`` if none)
-        and what it returned."""
-        seen, solve = [], solvers._solve_in_range
+    def _coords_read(monkeypatch):
+        """The ``coords`` of each ``assemble_block`` call for block 0 (``Z``),
+        ``None`` for the full path."""
+        read, assemble = [], solvers.assemble_block
 
-        def spy(plan, yi, Y, s_full, beta, G, v):
-            solved = solve(plan, yi, Y, s_full, beta, G, v)
-            Z = None if solved is None else v.copy()
-            seen.append((plan, yi.copy(), Y, s_full, beta, G, Z, solved))
-            return solved
+        def spy(ctx, i, y, c, s_full, beta, G, smooth_res, out=None, coords=None):
+            if i == 0:
+                read.append(coords)
+            return assemble(ctx, i, y, c, s_full, beta, G, smooth_res, out, coords)
 
-        monkeypatch.setattr(solvers, "_solve_in_range", spy)
+        monkeypatch.setattr(solvers, "assemble_block", spy)
+        return read
+
+    @classmethod
+    def _z_updates(cls, monkeypatch):
+        """Every update of block 0 (``Z``): ``(plan, Y, s_full, beta, G, Z,
+        X, value)``. ``Y`` is the ``coords`` its ``assemble_block`` call read
+        (``None``: the full path); ``s_full``, ``beta`` and ``G`` are its
+        phase's; ``Z``, ``X`` and ``value`` are the block, coordinates
+        (``None``: none) and term value its phase wrote."""
+        seen, read = [], cls._coords_read(monkeypatch)
+        phase = solvers._run_phase
+
+        def spy_phase(ctx, blocks, y, c, r, z, lam, beta, G):
+            read.clear()
+            x, images, values, coords = phase(ctx, blocks, y, c, r, z, lam, beta, G)
+            if 0 in blocks:
+                (Y,) = read
+                seen.append(
+                    (
+                        ctx.plans[0],
+                        Y,
+                        r + lam / beta,
+                        beta,
+                        G[0],
+                        x[0].copy(),
+                        coords.get(0),
+                        values[0],
+                    )
+                )
+            return x, images, values, coords
+
+        monkeypatch.setattr(solvers, "_run_phase", spy_phase)
         return seen
-
-    @staticmethod
-    def _anchor_tests(monkeypatch):
-        """The anchors whose range residual ``_range_coords`` computed."""
-        tested, coords = [], solvers._range_coords
-
-        def spy(Q, yi):
-            tested.append(yi)
-            return coords(Q, yi)
-
-        monkeypatch.setattr(solvers, "_range_coords", spy)
-        return tested
 
     def test_basis_spans_the_stacked_left_factors(self):
         problem = build_latent_lrr(_grid_subspace(), formulation="3-block")
@@ -1667,24 +1697,34 @@ class TestRangeBasis:
         Z, L, E = ctx.plans
         assert L.basis is None and E.basis is None
         F = np.vstack([np.ones((1, 18)), problem.data["X"]])
-        Q, R, rows = Z.basis
+        Q, R, rows, out_shape = Z.basis
         assert Q.shape == (18, 11) and R.shape == (11, 11)
         assert rows == slice(0, 11 * 18)
+        assert out_shape == problem.family.out_shape
         np.testing.assert_allclose(Q.T @ Q, np.eye(11), atol=1e-14)
         np.testing.assert_array_equal(R, np.triu(R))
         np.testing.assert_allclose(Q @ R, F.T, atol=1e-13)
+        # In coordinates the block's operator is X -> A Q X, with adjoint
+        # u -> Q^T A^T u.
+        rng = np.random.default_rng(4)
+        X, u = rng.standard_normal((11, 18)), rng.standard_normal(out_shape)
+        for got, want in (
+            (Z.basis.apply(X), Z.op.apply(Q @ X)),
+            (Z.basis.adjoint(u), Q.T @ Z.op.adjoint(u)),
+        ):
+            atol = 1e-13 * np.abs(want).max()
+            np.testing.assert_allclose(got, want, rtol=0, atol=atol)
 
     @pytest.mark.parametrize("kind", ["madmm", "madmm-bt", "jacobi"])
     def test_rank_deficient_and_gapped_factors(self, kind, monkeypatch):
         # F with a repeated row still has F^T = Q R, with a null pivot; rows
         # apart in the stacked space are gathered in F's order. Every Z
-        # update of the run takes the range path from carried coordinates
-        # (TestGroupedEngine checks the iterates against the full-space
-        # engine).
+        # update of the run solves in carried coordinates (TestGroupedEngine
+        # checks the iterates against the full-space engine).
         problems = (_rank_deficient_latlrr3(), _gapped_latlrr3())
         bases = []
         for problem in problems:
-            Q, R, rows = prepare_context(problem, kind, SolverConfig()).plans[0].basis
+            Q, R, rows, _ = prepare_context(problem, kind, SolverConfig()).plans[0].basis
             X = problem.data["X"]
             F = np.vstack([np.ones((1, X.shape[1])), X])
             np.testing.assert_allclose(Q @ R, F.T, atol=1e-13)
@@ -1698,28 +1738,29 @@ class TestRangeBasis:
         (R, _), (_, rows) = bases
         assert np.min(np.abs(np.diag(R))) < 1e-12 * np.max(np.abs(R))
         assert not isinstance(rows, slice)
-        seen = self._range_solves(monkeypatch)
+        seen = self._z_updates(monkeypatch)
         config = SolverConfig(max_iter=40, eps_primal=0.0, eps_step=0.0)
         for problem in problems:
             seen.clear()
             assert run(problem, kind, config).state.k == 40
             assert len(seen) >= 40
-            assert all(solved is not None for *_, solved in seen)
-            assert all(Y is not None for _, _, Y, *_ in seen)
+            assert all(Y is not None and X is not None for _, Y, *_, X, _ in seen)
 
     @pytest.mark.parametrize("kind", ["madmm", "madmm-bt", "jacobi", "l-admm-ps"])
     def test_every_update_reads_carried_coordinates(self, kind, monkeypatch):
         # The zero start carries Q^T 0 = 0, and each update carries the X
-        # it wrote as Q X: no Z update tests its anchor, the first included.
+        # it wrote as Q X: every Z update, the first included, assembles in
+        # the coordinates the last accepted one wrote (a retry under
+        # madmm-bt reads those its rejected try read).
         problem = build_latent_lrr(_grid_subspace(), formulation="3-block")
-        seen = self._range_solves(monkeypatch)
-        tested = self._anchor_tests(monkeypatch)
+        seen = self._z_updates(monkeypatch)
         result = run(problem, kind, SolverConfig())
         assert result.stop_reason == "converged"
         assert len(seen) >= result.state.k
-        assert all(Y is not None for _, _, Y, *_ in seen)
-        np.testing.assert_array_equal(seen[0][2], np.zeros((11, 18)))
-        assert tested == []
+        assert all(Y is not None and X is not None for _, Y, *_, X, _ in seen)
+        np.testing.assert_array_equal(seen[0][1], np.zeros((11, 18)))
+        for (_, Y, *_, X, _), (_, Y_next, *_) in zip(seen, seen[1:]):
+            assert Y_next is X or kind == "madmm-bt" and Y_next is Y
 
     @pytest.mark.parametrize(
         "build", [_latlrr3, _rank_deficient_latlrr3, _gapped_latlrr3]
@@ -1749,10 +1790,12 @@ class TestRangeBasis:
     def test_a_retried_phase_reads_its_rejected_coordinates(self, monkeypatch):
         problem = build_latent_lrr(_subspace(), lam=0.1, formulation="3-block")
         calls, original = [], solvers._run_phase
+        read = self._coords_read(monkeypatch)
 
         def spy(ctx, blocks, y, c, r, z, *rest):
+            read.clear()
             out = original(ctx, blocks, y, c, r, z, *rest)
-            calls.append((blocks, z, dict(z), out[3]))
+            calls.append((blocks, z, dict(z), out[3], list(read)))
             return out
 
         rejected, scale = [], solvers._bt_scale
@@ -1774,43 +1817,44 @@ class TestRangeBasis:
         assert run(problem, "madmm-bt", config).state.k == 20
         assert rejected and all(calls[j][0] == (0, 2) for j in rejected)
         for j in rejected:
-            (blocks, z, before, wrote), (again, z_again, *_) = calls[j : j + 2]
+            (blocks, z, before, wrote, got), (again, z_again, *_, got_again) = calls[
+                j : j + 2
+            ]
             assert again == blocks and z_again is z
-            # The rejected try neither changed the coordinates it read nor
-            # handed its own to the retry.
+            # Both tries assembled Z in the coordinates the phase read; the
+            # rejected one neither changed them nor handed its own to the
+            # retry.
+            assert len(got) == len(got_again) == 1
+            assert got[0] is z[0] and got_again[0] is z[0]
             assert z.keys() == before.keys() == {0}
             assert all(z[i] is before[i] for i in z)
             assert wrote[0] is not z[0]
 
-    def test_a_foreign_anchor_takes_the_tested_path(self, monkeypatch):
+    def test_a_replaced_iterate_takes_the_full_path(self, monkeypatch):
+        # Coordinates belong to the iterate that carries them. A state whose
+        # iterate was replaced, here by the same values in another object,
+        # gets new images with none, and its Z then solves in full space,
+        # bitwise as the per-block reference, on that step and the next.
         problem = build_latent_lrr(_grid_subspace(), formulation="3-block")
-        ctx = prepare_context(problem, "madmm", SolverConfig())
-        A = problem.family
-        state = SolverState(
-            x=BlockVector.zeros(problem.block_shapes),
-            lam=np.zeros(A.out_shape),
-            beta=0.5,
-            G=list(ctx.G0),
-        )
-        tested = self._anchor_tests(monkeypatch)
-        step(state, ctx)
-        assert len(tested) == 1  # no images yet: the zero anchor is tested
-        for _ in range(3):
-            step(state, ctx)
-        assert len(tested) == 1
-        # The same values in another object: the images belong to the old.
+        config = SolverConfig(max_iter=4, eps_primal=0.0, eps_step=0.0)
+        state = run(problem, "madmm", config).state
+        assert list(state.images[4]) == [0]
         state.x = state.x.copy()
         ref = SolverState(
             x=state.x.copy(), lam=state.lam.copy(), beta=state.beta, G=list(state.G)
         )
-        seen = self._range_solves(monkeypatch)
-        step(state, ctx)
-        assert len(tested) == 2 and seen[0][2] is None and seen[0][-1] is not None
-        step(ref, ctx)
-        assert len(tested) == 3
-        np.testing.assert_array_equal(state.x.flat, ref.x.flat)
-        step(state, ctx)
-        assert len(tested) == 3
+        ctx = prepare_context(problem, "madmm", config)
+        seen = self._z_updates(monkeypatch)
+        for _ in range(4):
+            step(state, ctx)
+            with monkeypatch.context() as patch:
+                patch.setattr(solvers, "_run_phase", reference_run_phase)
+                step(ref, ctx)
+            assert state.images[4] == {}
+            np.testing.assert_array_equal(state.x.flat, ref.x.flat)
+            np.testing.assert_array_equal(state.lam, ref.lam)
+        assert len(seen) == 4
+        assert all(Y is None and X is None for _, Y, *_, X, _ in seen)
 
     @pytest.mark.parametrize(
         "problem",
@@ -1870,54 +1914,58 @@ class TestRangeBasis:
     @pytest.mark.parametrize("kind", ["madmm", "madmm-bt", "jacobi"])
     def test_reduced_thresholding_agrees_with_gesvd(self, scale, kind, monkeypatch):
         # Every Z update of the grid's latlrr3 runs (x1: mostly zero, x100:
-        # eigh of the Gram, x1000: the SVD) takes the range path from
-        # carried coordinates Y and lies within _solve_in_range's bound of a
-        # gesvd thresholding of the full-space prox input V, rebuilt here
-        # from the anchor Q Y.
+        # eigh of the Gram, x1000: the SVD) solves in carried coordinates Y
+        # and lies within _RangeBasis's bound of a gesvd thresholding of the
+        # full-space prox input V, rebuilt here from the anchor Q Y.
         problem = build_latent_lrr(scale * _grid_subspace(), formulation="3-block")
         shapes = self._svt_shapes(monkeypatch)
-        seen = self._range_solves(monkeypatch)
+        seen = self._z_updates(monkeypatch)
         config = SolverConfig(max_iter=40, eps_primal=0.0, eps_step=0.0)
         assert run(problem, kind, config).state.k == 40
         assert len(seen) >= 40
         assert shapes.count((11, 18)) == len(seen) and (18, 18) not in shapes
-        for plan, _, Y, s_full, beta, G, X, solved in seen:
-            assert solved is not None and Y is not None
-            value = solved[1]
+        for plan, Y, s_full, beta, G, Z, X, value in seen:
+            assert Y is not None and X is not None
             q = beta * G.eta
             Q, t = plan.basis.Q, 1.0 / q
             V = -(beta * plan.op.adjoint(s_full) - (beta * G.eta) * (Q @ Y)) / q
             v_norm = np.linalg.norm(V)
             resid = np.linalg.norm(V - Q @ (Q.T @ V))
-            assert resid <= solvers._RANGE_RTOL * v_norm
+            assert resid <= 1e-12 * v_norm
             want, kept = _gesvd_threshold(V, t)
-            assert np.linalg.norm(X - want) <= resid + 1e-12 * v_norm
+            assert np.linalg.norm(Z - want) <= resid + 1e-12 * v_norm
             assert value == pytest.approx(float(np.sum(kept)), rel=1e-10, abs=1e-300)
 
     def test_an_anchor_off_the_range_takes_the_full_path(self, monkeypatch):
+        # Without carried coordinates an anchor in the range and one off it
+        # both solve in full space, bitwise as the per-block reference; with
+        # them the one in the range solves in them, within rounding of it.
         problem = build_latent_lrr(100.0 * _grid_subspace(), formulation="3-block")
         ctx = prepare_context(problem, "madmm", SolverConfig())
         A, Q = problem.family, ctx.plans[0].basis.Q
         rng = np.random.default_rng(8)
-        inside = Q @ rng.standard_normal((11, 18))
-        # An anchor off the range by 1e-10 relative misses the 1e-12 test.
+        Y = rng.standard_normal((11, 18))
+        inside = Q @ Y
         off = rng.standard_normal((18, 18))
         off -= Q @ (Q.T @ off)
-        nearly = inside + 1e-10 * np.linalg.norm(inside) / np.linalg.norm(off) * off
         lam, beta = rng.standard_normal(A.out_shape), 0.5
         rest = random_blocks(rng, problem.block_shapes[1:])
         shapes = self._svt_shapes(monkeypatch)
-        for z, shape in ((inside, (11, 18)), (nearly, (18, 18)), (off, (18, 18))):
+        for z, carried, shape in (
+            (inside, {}, (18, 18)),
+            (off, {}, (18, 18)),
+            (inside, {0: Y}, (11, 18)),
+        ):
             y = BlockVector([z, *rest])
             c = [op.apply(blk) for op, blk in zip(A.operators, y.blocks)]
             r = A.image_sum(c) - problem.b
-            args = (ctx, (0,), y, c, r, {}, lam, beta, ctx.G0)
+            args = (ctx, (0,), y, c, r, carried, lam, beta, ctx.G0)
             shapes.clear()
             got_x, got_c, _, got_z = solvers._run_phase(*args)
             assert shapes == [shape]
-            assert list(got_z) == ([0] if shape == (11, 18) else [])
+            assert list(got_z) == list(carried)
             want_x, want_c, _, _ = reference_run_phase(*args)
-            if shape == (18, 18):
+            if not carried:
                 np.testing.assert_array_equal(got_x[0], want_x[0])
                 np.testing.assert_array_equal(got_c[0], want_c[0])
             else:
@@ -1949,7 +1997,7 @@ class TestRangeBasis:
         assert qrs == [(18, 11)]
         assert second.plans[0].basis is first.plans[0].basis
         # R is kept beside Q, from the same factorization.
-        Q, R, _ = first.plans[0].basis
+        Q, R, *_ = first.plans[0].basis
         F = np.vstack([np.ones((1, 18)), problem.data["X"]])
         np.testing.assert_array_equal(R, np.triu(R))
         np.testing.assert_allclose(Q @ R, F.T, rtol=0, atol=1e-13 * np.abs(F).max())
