@@ -8,7 +8,8 @@ independent route from the solvers' per-block norm certificates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -21,9 +22,10 @@ from .solvers import (
     SolverConfig,
     UnsupportedSubproblemError,
     _KINDS,
+    _check_penalties,
     _resolve_partition,
-    ergodic_average,
     run,
+    start_weights,
 )
 
 __all__ = [
@@ -242,8 +244,8 @@ def theorem_H0(
     has no group. The dual part is ``(1/beta0)^2 I``. Raises
     :class:`AssumptionError` when a matrix is not PSD.
     """
-    if beta0 <= 0:
-        raise ValueError("beta0 must be positive")
+    if not 0.0 < beta0 < math.inf:
+        raise ValueError(f"beta0 must be positive and finite, got {beta0!r}")
     part = _resolve_partition(problem, kind, partition)
     if not _KINDS[kind].rate_bound:
         raise ValueError(f"no rate bound for solver kind {kind!r}")
@@ -272,9 +274,10 @@ def theorem_bound_rhs(
     K: int,
 ) -> float:
     """Right side ``[sum_j ||x*-x0||^2_{H_j} + ||lam*-lam0||^2_{H_dual}]
-    / (2 sum_{k=0}^K 1/beta_k)``."""
+    / (2 sum_{k=0}^K 1/beta_k)``; each penalty must be finite and positive."""
     if K < 0 or K >= len(betas):
         raise ValueError("K must index into the supplied penalty sequence")
+    _check_penalties(betas)
     num = 0.0
     for blocks, H in H0.groups:
         d = _flat(cert.x_star, blocks) - _flat(x0, blocks)
@@ -286,34 +289,35 @@ def theorem_bound_rhs(
 
 
 def bound_report(
-    problem,
-    kind: str,
-    result,
-    cert: KKTCertificate,
-    G: Sequence[WeightMatrix],
-    beta0: float,
-    partition: Optional[Partition] = None,
-    tau: Optional[float] = None,
-    K_max: Optional[int] = None,
+    problem, kind: str, config: SolverConfig, cert: KKTCertificate, K_max=None
 ) -> BoundReport:
-    """Evaluate gap and bound at every averaged iterate up to ``K_max``.
-
-    ``result`` must come from ``run(..., keep_iterates=True)``.
-    """
-    if result.iterates is None:
-        raise ValueError("run the solver with keep_iterates=True first")
-    alpha = theorem_alpha(problem, kind, G, partition=partition, tau=tau)
-    bundle = theorem_H0(problem, kind, G, beta0, partition=partition)
-    x0 = BlockVector.zeros(problem.block_shapes)
-    lam0 = np.zeros(problem.family.out_shape)
+    """Run ``kind`` under ``config``; row ``K <= K_max`` holds :func:`kkt_gap`
+    at the ``1/beta_k``-weighted running average of the first ``K + 1``
+    iterates and :func:`theorem_bound_rhs` at ``K``, with ``config``'s
+    ``beta0``, ``partition``, ``tau`` and :func:`start_weights`."""
+    not_int = isinstance(K_max, bool) or not isinstance(K_max, numbers.Integral)
+    if K_max is not None and (not_int or K_max < 0):
+        raise ValueError(f"K_max must be None or an integer >= 0, got {K_max!r}")
+    G, _ = start_weights(problem, kind, config)
+    part, beta0 = config.partition, config.beta0
+    alpha = theorem_alpha(problem, kind, G, partition=part, tau=config.tau)
+    bundle = theorem_H0(problem, kind, G, beta0, partition=part)
+    x0, lam0 = BlockVector.zeros(problem.block_shapes), np.zeros_like(cert.lambda_star)
+    # One unit penalty makes the denominator 2: twice this is the numerator.
+    num = 2.0 * theorem_bound_rhs(x0, lam0, cert, bundle, (1.0,), 0)
     star_image = problem.family.apply(cert.x_star)
-    rows = []
-    top = len(result.iterates) if K_max is None else min(K_max + 1, len(result.iterates))
-    for K in range(top):
-        x_bar = ergodic_average(result.iterates[: K + 1], result.betas[: K + 1])
-        lhs = kkt_gap(x_bar, cert, problem, alpha, beta0, star_image)
-        rhs = theorem_bound_rhs(x0, lam0, cert, bundle, result.betas, K)
-        rows.append((K, lhs, rhs))
+    acc, total, rows = x0, 0.0, []
+
+    def score(state):
+        nonlocal acc, total
+        w = 1.0 / state.trace[-1].beta
+        acc, total = acc + w * state.x, total + w
+        lhs = kkt_gap((1.0 / total) * acc, cert, problem, alpha, beta0, star_image)
+        rows.append((state.k - 1, lhs, num / (2.0 * total)))
+
+    if K_max is not None:
+        config = replace(config, max_iter=min(config.max_iter, K_max + 1))
+    run(problem, kind, config, observe=score)
     return BoundReport(alpha, rows)
 
 

@@ -63,6 +63,7 @@ __all__ = [
     "run",
     "ergodic_average",
     "default_weights",
+    "start_weights",
     "phase_smoothness",
     "prepare_context",
     "assemble_block",
@@ -221,16 +222,23 @@ class SolverState:
 
 @dataclass
 class SolverResult:
+    """What :func:`run` returns; an observer passed to ``run`` sees the iterates."""
+
     state: SolverState
     trace: list
     stop_reason: str
-    iterates: Optional[list] = None
-    betas: Optional[list] = None
 
 
 def dual_update(lam: np.ndarray, beta: float, resid: np.ndarray) -> np.ndarray:
     """Ascent step ``lam + beta * resid`` on the multiplier."""
     return lam + beta * resid
+
+
+def _check_penalties(betas: Sequence[float]) -> None:
+    """Raise ``ValueError`` unless every penalty ``betas[k]`` is finite and positive."""
+    for k, b in enumerate(betas):
+        if not 0.0 < b < math.inf:
+            raise ValueError(f"betas[{k}] must be finite and positive, got {b!r}")
 
 
 def ergodic_average(iterates: Sequence[BlockVector], betas: Sequence[float]):
@@ -242,9 +250,7 @@ def ergodic_average(iterates: Sequence[BlockVector], betas: Sequence[float]):
     """
     if len(iterates) != len(betas) or not iterates:
         raise ValueError("need one penalty value per iterate")
-    for k, b in enumerate(betas):
-        if not 0.0 < b < math.inf:
-            raise ValueError(f"betas[{k}] must be finite and positive, got {b!r}")
+    _check_penalties(betas)
     inv = [1.0 / b for b in betas]
     total = sum(inv)
     acc = BlockVector.zeros(iterates[0].shapes)
@@ -419,6 +425,19 @@ def default_weights(problem, kind: str, partition=None, config=None, smoothness=
         for i, g, level in _KINDS[kind].weights(problem, coupled, margin, sm, config):
             G[i], levels[i] = g, level
     return G, levels
+
+
+def start_weights(problem, kind: str, config, partition=None, smoothness=None):
+    """The weights and levels :func:`run` starts from under ``config``; a caller
+    that has resolved ``config.partition`` passes it, and its ``smoothness``."""
+    if config.weights is None:
+        part = config.partition if partition is None else partition
+        return default_weights(problem, kind, part, config, smoothness)
+    if _KINDS[kind].backtrack:
+        raise ValueError("backtracking manages its own weights; do not pass overrides")
+    if len(config.weights) != problem.family.n:
+        raise ValueError("one weight per block is required")
+    return list(config.weights), ["user"] * problem.family.n
 
 
 def _resolve_partition(problem, kind: str, requested=None) -> Partition:
@@ -825,17 +844,7 @@ def prepare_context(
         raise UnsupportedSubproblemError(
             "a joint smooth coupling requires a solver that linearizes it"
         )
-    if config.weights is not None:
-        if row.backtrack:
-            raise ValueError(
-                "backtracking manages its own weights; do not pass overrides"
-            )
-        if len(config.weights) != problem.family.n:
-            raise ValueError("one weight per block is required")
-        G0 = list(config.weights)
-        levels = ["user"] * problem.family.n
-    else:
-        G0, levels = default_weights(problem, kind, partition, config, smoothness)
+    G0, levels = start_weights(problem, kind, config, partition, smoothness)
     plans = []
     for i in range(problem.family.n):
         eta_sm = 0.0
@@ -1072,7 +1081,7 @@ def run(
     solver_kind: str,
     config: Optional[SolverConfig] = None,
     workers: int = 1,
-    keep_iterates: bool = False,
+    observe: Optional[Callable[[SolverState], None]] = None,
 ) -> SolverResult:
     """Iterate a solver from zero initial blocks and dual until convergence.
 
@@ -1080,7 +1089,9 @@ def run(
     falls below ``eps_primal`` and the relative step
     ``||x^{k+1} - x^k|| / max(||b||, 1)`` falls below ``eps_step``, or when
     ``max_iter`` is reached. Non-finite iterates raise ``DivergenceError``
-    carrying the finite prefix of the trace.
+    carrying the finite prefix of the trace. ``observe(state)`` runs after
+    each finite iterate's trace row, before the stop test; an observer must
+    copy an iterate it keeps, as ``run`` reuses ``state.x``'s buffer.
     """
     config = config or SolverConfig()
     ctx = prepare_context(problem, solver_kind, config, workers=workers)
@@ -1100,8 +1111,6 @@ def run(
         G=list(ctx.G0),
         images=(x0, c0, np.subtract(0.0, problem.b), {}, z0),
     )
-    iterates = [] if keep_iterates else None
-    betas = [] if keep_iterates else None
     stop_reason = "budget"
     start = time.perf_counter()
     if ctx.workers > 1:
@@ -1124,9 +1133,7 @@ def run(
                 and math.isfinite(resid_norm)
                 and math.isfinite(step_norm)
             ):
-                result = SolverResult(
-                    state, state.trace, "diverged", iterates, betas
-                )
+                result = SolverResult(state, state.trace, "diverged")
                 raise DivergenceError(
                     f"non-finite iterate at iteration {state.k}", result
                 )
@@ -1144,9 +1151,8 @@ def run(
                     wall_time_ms=(time.perf_counter() - start) * 1e3,
                 )
             )
-            if keep_iterates:
-                iterates.append(state.x.copy())
-                betas.append(beta_used)
+            if observe is not None:
+                observe(state)
             if rel_resid <= config.eps_primal and rel_step <= config.eps_step:
                 stop_reason = "converged"
                 break
@@ -1154,4 +1160,4 @@ def run(
         if ctx.executor is not None:
             ctx.executor.shutdown(wait=True)
             ctx.executor = None
-    return SolverResult(state, state.trace, stop_reason, iterates, betas)
+    return SolverResult(state, state.trace, stop_reason)

@@ -44,6 +44,17 @@ def quad_problem(seed=0, d=6, dims=(3, 4), weights=(1.0, 2.0)):
     )
 
 
+def run_observed(problem, kind, config=None, **kwargs):
+    """``(result, iterates)``: ``solvers.run`` plus a copy of every iterate,
+    taken through its observer (``run`` reuses the iterate's buffer)."""
+    iterates = []
+
+    def keep(state):
+        iterates.append(state.x.copy())
+
+    return solvers.run(problem, kind, config, observe=keep, **kwargs), iterates
+
+
 def op_dense(op):
     """Materialize a block operator column by column."""
     m = int(np.prod(op.in_shape)) if op.in_shape else 1

@@ -42,6 +42,7 @@ from helpers import (
     grid_min_1d,
     l1_toy,
     quad_problem,
+    run_observed,
     surrogate_axiom_gaps,
     surrogate_axioms_hold,
 )
@@ -274,10 +275,9 @@ def test_criterion_5_averaged_iterate_gap_respects_rate_bound(
             eps_step=1e-15,
             weights=G2,
         )
-        res2 = run(two_block, "gs", cfg, keep_iterates=True)
         cert2 = quadratic_oracle(two_block)
         ok = verify_kkt(two_block, cert2.x_star, cert2.lambda_star, tol=1e-9)[0]
-        rep2 = bound_report(two_block, "gs", res2, cert2, G2, beta0=1.0)
+        rep2 = bound_report(two_block, "gs", cfg, cert2)
         ok = ok and len(rep2.rows) == 200 and rep2.ok(slack=1e-8)
 
         four_block = quad_problem(
@@ -296,14 +296,11 @@ def test_criterion_5_averaged_iterate_gap_respects_rate_bound(
             weights=tuple(G4),
             partition=part,
         )
-        res4 = run(four_block, "madmm", cfg4, keep_iterates=True)
         cert4 = quadratic_oracle(four_block)
         ok = ok and verify_kkt(
             four_block, cert4.x_star, cert4.lambda_star, tol=1e-9
         )[0]
-        rep4 = bound_report(
-            four_block, "madmm", res4, cert4, G4, beta0=1.0, partition=part
-        )
+        rep4 = bound_report(four_block, "madmm", cfg4, cert4)
         ok = ok and len(rep4.rows) == 200 and rep4.ok(slack=1e-8)
         elapsed = time.time() - t0
         ok = ok and elapsed < 60.0
@@ -445,25 +442,19 @@ def _degeneracies_ok():
     )
     worst = 0.0
     p2 = quad_problem(31, d=5, dims=(2, 3), weights=(1.0, 2.0))
-    seq = run(p2, "gs", SolverConfig(**cfg), keep_iterates=True)
-    mixed = run(
-        p2,
-        "madmm",
-        SolverConfig(partition=Partition((0,), (1,)), **cfg),
-        keep_iterates=True,
+    _, seq = run_observed(p2, "gs", SolverConfig(**cfg))
+    _, mixed = run_observed(
+        p2, "madmm", SolverConfig(partition=Partition((0,), (1,)), **cfg)
     )
-    for xa, xb in zip(seq.iterates, mixed.iterates):
+    for xa, xb in zip(seq, mixed, strict=True):
         for i in range(p2.family.n):
             worst = max(worst, float(np.max(np.abs(xa[i] - xb[i]))))
     p3 = quad_problem(32, d=5, dims=(2, 2, 3), weights=(1.0, 2.0, 1.5))
-    par = run(p3, "jacobi", SolverConfig(**cfg), keep_iterates=True)
-    mixed3 = run(
-        p3,
-        "madmm",
-        SolverConfig(partition=Partition((), (0, 1, 2)), **cfg),
-        keep_iterates=True,
+    _, par = run_observed(p3, "jacobi", SolverConfig(**cfg))
+    _, mixed3 = run_observed(
+        p3, "madmm", SolverConfig(partition=Partition((), (0, 1, 2)), **cfg)
     )
-    for xa, xb in zip(par.iterates, mixed3.iterates):
+    for xa, xb in zip(par, mixed3, strict=True):
         for i in range(p3.family.n):
             worst = max(worst, float(np.max(np.abs(xa[i] - xb[i]))))
     return worst <= 1e-12

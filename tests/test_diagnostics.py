@@ -1,5 +1,8 @@
 """Rate-bound constants, KKT gap machinery, and reference oracles."""
 
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
@@ -29,10 +32,10 @@ from mmadmm.diagnostics import (
 from mmadmm.partition import Partition
 from mmadmm.problems import DataGenSpec, ProblemSpec, build_nonneg_sparse_coding
 from mmadmm.prox import ProxFunction
-from mmadmm.solvers import SolverConfig, default_weights, ergodic_average, run
+from mmadmm.solvers import SolverConfig, default_weights, ergodic_average
 from mmadmm.surrogates import SmoothQuadCoupling
 
-from helpers import op_dense, quad_problem
+from helpers import op_dense, quad_problem, run_observed
 
 
 def _single(term, b, smooth=None):
@@ -236,6 +239,13 @@ class TestTheoremH0:
         with pytest.raises(ValueError, match="no rate bound"):
             theorem_H0(problem, "l-admm-ps", G, beta0=1.0)
 
+    @pytest.mark.parametrize("beta0", [math.nan, math.inf])
+    def test_beta0_must_be_finite_and_positive(self, beta0):
+        problem = _dense_pair()
+        G = (WeightMatrix.zero(), WeightMatrix.scaled_identity(0.1))
+        with pytest.raises(ValueError, match="beta0 must be positive and finite"):
+            theorem_H0(problem, "gs", G, beta0=beta0)
+
 
 class TestBoundRHS:
     def _pieces(self):
@@ -264,10 +274,19 @@ class TestBoundRHS:
             with pytest.raises(ValueError, match="index into"):
                 theorem_bound_rhs(x0, lam0, cert, bundle, (1.0, 2.0, 4.0), K=bad)
 
+    @pytest.mark.parametrize(
+        "betas", [(1.0, -2.0), (1.0, 0.0), (math.inf,), (math.nan,)]
+    )
+    def test_rejects_a_bad_penalty(self, betas):
+        bundle, cert, x0, lam0 = self._pieces()
+        K = len(betas) - 1
+        with pytest.raises(ValueError, match=r"betas\[\d\] must be finite and positive"):
+            theorem_bound_rhs(x0, lam0, cert, bundle, betas, K=K)
+
 
 class TestBoundReport:
-    def _run_case(self, kind, problem, G, beta0, partition=None, iters=40):
-        config = SolverConfig(
+    def _config(self, G, beta0, partition=None, iters=40):
+        return SolverConfig(
             beta0=beta0,
             rho=1.0,
             max_iter=iters,
@@ -276,15 +295,12 @@ class TestBoundReport:
             weights=tuple(G),
             partition=partition if partition is not None else "auto",
         )
-        result = run(problem, kind, config, keep_iterates=True)
-        cert = quadratic_oracle(problem)
-        return result, cert
 
     def test_sequential_bound_holds_everywhere(self):
         problem = _dense_pair(seed=7, d=6, dims=(3, 4))
         G = (WeightMatrix.zero(), WeightMatrix.scaled_identity(0.1))
-        result, cert = self._run_case("gs", problem, G, beta0=0.5)
-        report = bound_report(problem, "gs", result, cert, G, beta0=0.5)
+        cert = quadratic_oracle(problem)
+        report = bound_report(problem, "gs", self._config(G, 0.5), cert)
         assert report.alpha == theorem_alpha(problem, "gs", G)
         assert len(report.rows) == 40
         assert report.ok()
@@ -293,23 +309,33 @@ class TestBoundReport:
     def test_parallel_bound_holds_everywhere(self):
         problem = quad_problem(13, d=6, dims=(2, 2, 3), weights=(1.0, 2.0, 1.5))
         G, _ = default_weights(problem, "jacobi")
-        result, cert = self._run_case("jacobi", problem, G, beta0=0.8)
-        report = bound_report(problem, "jacobi", result, cert, G, beta0=0.8)
+        cert = quadratic_oracle(problem)
+        report = bound_report(problem, "jacobi", self._config(G, 0.8), cert)
         assert report.alpha > 0.0
         assert report.ok()
 
     def test_forms_the_certificate_image_once(self, monkeypatch):
         problem = _dense_pair(seed=7, d=6, dims=(3, 4))
         G = (WeightMatrix.zero(), WeightMatrix.scaled_identity(0.1))
-        result, cert = self._run_case("gs", problem, G, beta0=0.5, iters=20)
+        config = self._config(G, 0.5, iters=20)
+        cert = quadratic_oracle(problem)
+        result, iterates = run_observed(problem, "gs", config)
+        betas = [t.beta for t in result.trace]
         alpha = theorem_alpha(problem, "gs", G)
+        bundle = theorem_H0(problem, "gs", G, 0.5)
+        x0 = BlockVector.zeros(problem.block_shapes)
+        lam0 = np.zeros(problem.family.out_shape)
         want = [
-            kkt_gap(
-                ergodic_average(result.iterates[: K + 1], result.betas[: K + 1]),
-                cert,
-                problem,
-                alpha,
-                0.5,
+            (
+                K,
+                kkt_gap(
+                    ergodic_average(iterates[: K + 1], betas[: K + 1]),
+                    cert,
+                    problem,
+                    alpha,
+                    0.5,
+                ),
+                theorem_bound_rhs(x0, lam0, cert, bundle, betas, K),
             )
             for K in range(20)
         ]
@@ -321,27 +347,53 @@ class TestBoundReport:
             return apply(self, x)
 
         monkeypatch.setattr(BlockOperatorFamily, "apply", counting)
-        report = bound_report(problem, "gs", result, cert, G, beta0=0.5)
+        report = bound_report(problem, "gs", config, cert)
         # One apply of each averaged iterate, plus one of ``x*`` in total.
         assert len(calls) == len(report.rows) + 1 == 21
-        assert [lhs for _, lhs, _ in report.rows] == want
+        # The running average matches the batch one up to rounding.
+        for (K, lhs, rhs), (K_want, lhs_want, rhs_want) in zip(report.rows, want):
+            assert K == K_want and rhs == rhs_want
+            assert abs(lhs - lhs_want) <= 1e-12 * abs(lhs_want)
 
     def test_k_max_truncates(self):
         problem = _dense_pair(seed=7, d=6, dims=(3, 4))
         G = (WeightMatrix.zero(), WeightMatrix.scaled_identity(0.1))
-        result, cert = self._run_case("gs", problem, G, beta0=0.5, iters=20)
-        report = bound_report(problem, "gs", result, cert, G, 0.5, K_max=10)
+        config = self._config(G, 0.5, iters=20)
+        cert = quadratic_oracle(problem)
+        full = bound_report(problem, "gs", config, cert)
+        report = bound_report(problem, "gs", config, cert, K_max=10)
         assert len(report.rows) == 11
         assert [K for K, _, _ in report.rows] == list(range(11))
+        assert report.rows == full.rows[:11]
+        assert bound_report(problem, "gs", config, cert, K_max=0).rows == full.rows[:1]
+        assert bound_report(problem, "gs", config, cert, K_max=99).rows == full.rows
 
-    def test_requires_kept_iterates(self):
+    @pytest.mark.parametrize("K_max", [-1, True, False, 2.0, "3"])
+    def test_k_max_must_be_a_count(self, K_max):
         problem = _dense_pair()
         G = (WeightMatrix.zero(), WeightMatrix.scaled_identity(0.1))
-        config = SolverConfig(beta0=0.5, rho=1.0, max_iter=5, weights=G)
-        result = run(problem, "gs", config)
         cert = quadratic_oracle(problem)
-        with pytest.raises(ValueError, match="keep_iterates"):
-            bound_report(problem, "gs", result, cert, G, 0.5)
+        with pytest.raises(ValueError, match="K_max must be None or an integer"):
+            bound_report(problem, "gs", self._config(G, 0.5, iters=5), cert, K_max)
+
+    def test_k_max_takes_a_numpy_integer(self):
+        problem = _dense_pair()
+        G = (WeightMatrix.zero(), WeightMatrix.scaled_identity(0.1))
+        cert = quadratic_oracle(problem)
+        config = self._config(G, 0.5, iters=5)
+        report = bound_report(problem, "gs", config, cert, np.int64(2))
+        assert [K for K, _, _ in report.rows] == [0, 1, 2]
+
+    def test_constants_come_from_the_config(self):
+        # The mixed kind's partition and start weights are read from config.
+        problem = quad_problem(6, d=8, dims=(3, 4, 2, 5), weights=(1.0, 2.0, 0.5, 1.5))
+        part = Partition((0, 2), (1, 3))
+        G, _ = default_weights(problem, "madmm", part)
+        cert = quadratic_oracle(problem)
+        given = self._config(G, 1.0, part, iters=3)
+        report = bound_report(problem, "madmm", replace(given, weights=None), cert)
+        assert report.alpha == theorem_alpha(problem, "madmm", G, partition=part)
+        assert bound_report(problem, "madmm", given, cert).rows == report.rows
 
     def test_ok_flags_violations(self):
         report = BoundReport(0.5, [(0, 1.0, 2.0), (1, 3.0, 1.0)])

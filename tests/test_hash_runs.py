@@ -150,14 +150,43 @@ def test_compare_tells_rounding_from_changed_runs(tmp_path):
     ]
 
 
-def test_the_grid_takes_every_thresholding_path(monkeypatch):
-    """madmm on the grid's problems thresholds by each path of ``prox._svt``:
-    zero, ``eigh`` of the Gram, and the SVD."""
+def _import_tool(monkeypatch):
+    """The tool as a module, and the grid's builders on this tree's package."""
     spec = importlib.util.spec_from_file_location("hash_runs", TOOL)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
     monkeypatch.setattr(sys, "path", list(sys.path))  # _load prepends to it
-    builders = tool._load(ROOT / "src")
+    return tool, tool._load(ROOT / "src")
+
+
+def test_a_run_that_raises_late_hashes_only_its_error(monkeypatch):
+    # The observer has hashed three iterates when the run raises; the
+    # digests must still be those of the error alone.
+    tool, builders = _import_tool(monkeypatch)
+    from mmadmm import solvers
+
+    step = solvers.step
+
+    def failing_at(k):
+        def fail(state, ctx):
+            if state.k == k:
+                raise RuntimeError("stopped on purpose")
+            return step(state, ctx)
+
+        return fail
+
+    outcomes = []
+    for k in (0, 3):
+        monkeypatch.setattr(solvers, "step", failing_at(k))
+        outcomes.append(tool.hash_run(builders["quad"](), "jacobi", "geometric", 1, 6))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] == "RuntimeError" and outcomes[0][3] is None
+
+
+def test_the_grid_takes_every_thresholding_path(monkeypatch):
+    """madmm on the grid's problems thresholds by each path of ``prox._svt``:
+    zero, ``eigh`` of the Gram, and the SVD."""
+    tool, builders = _import_tool(monkeypatch)
     from mmadmm import prox
 
     calls = Counter()

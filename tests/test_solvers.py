@@ -1,5 +1,6 @@
 """Solver family: configs, weights, block solves, schedules, trajectories."""
 
+import dataclasses
 import logging
 import math
 from types import SimpleNamespace
@@ -65,7 +66,25 @@ from helpers import (
     reference_run_phase,
     reference_run_wide_phase,
     reference_solve_block,
+    run_observed,
 )
+
+
+def _blowup():
+    """A one-block run whose weight is too small: its iterates diverge."""
+    op = ScaledIdentityOp(1.0, (1,))
+    problem = ProblemSpec(
+        "blowup", [((op,), np.array([1.0]))], ((1,),), (ProxFunction("zero"),)
+    )
+    config = SolverConfig(
+        beta0=1.0,
+        rho=1.0,
+        max_iter=500,
+        eps_primal=0.0,
+        eps_step=0.0,
+        weights=(WeightMatrix.identity_minus_gram(0.01, op),),
+    )
+    return problem, config
 
 
 def _dense_problem(seed, d, dims, term_kind="l1", weight=1.0):
@@ -563,19 +582,19 @@ class TestToyTrajectory:
     def test_sequential_solve_matches_hand_iteration(self):
         problem = l1_toy()
         config = SolverConfig(beta0=1.0, rho=1.0)
-        result = run(problem, "gs", config, keep_iterates=True)
+        result, iterates = run_observed(problem, "gs", config)
         assert result.stop_reason == "converged"
         assert result.state.k == 3
         assert len(result.trace) == 3
 
-        np.testing.assert_array_equal(result.iterates[0][0], [1.0])
-        np.testing.assert_array_equal(result.iterates[0][1], [0.0])
-        np.testing.assert_array_equal(result.iterates[1][0], [2.0])
-        np.testing.assert_array_equal(result.iterates[1][1], [0.0])
-        np.testing.assert_array_equal(result.iterates[2][0], [2.0])
-        np.testing.assert_array_equal(result.iterates[2][1], [0.0])
+        np.testing.assert_array_equal(iterates[0][0], [1.0])
+        np.testing.assert_array_equal(iterates[0][1], [0.0])
+        np.testing.assert_array_equal(iterates[1][0], [2.0])
+        np.testing.assert_array_equal(iterates[1][1], [0.0])
+        np.testing.assert_array_equal(iterates[2][0], [2.0])
+        np.testing.assert_array_equal(iterates[2][1], [0.0])
         np.testing.assert_array_equal(result.state.lam, [-1.0])
-        assert result.betas == [1.0, 1.0, 1.0]
+        assert len(iterates) == 3
 
         t1, t2, t3 = result.trace
         assert (t1.k, t2.k, t3.k) == (1, 2, 3)
@@ -609,15 +628,13 @@ class TestFirstIterateFormulas:
             "one-block", [((op,), b)], ((4,),), (ProxFunction("l1-nonneg"),)
         )
         beta = 0.25
-        result = run(
-            problem,
-            "jacobi",
-            SolverConfig(beta0=beta, max_iter=1, rho=1.0),
-            keep_iterates=True,
+        result, iterates = run_observed(
+            problem, "jacobi", SolverConfig(beta0=beta, max_iter=1, rho=1.0)
         )
         eta = MARGIN_STRICT * op.op_norm_sq
         want = np.maximum(A.T @ b / eta - 1.0 / (beta * eta), 0.0)
-        np.testing.assert_allclose(result.iterates[0][0], want, atol=1e-12)
+        assert len(iterates) == result.state.k == 1
+        np.testing.assert_allclose(iterates[0][0], want, atol=1e-12)
 
     def test_linearized_smooth_term_enters_gradient(self):
         ops = (ScaledIdentityOp(1.0, (1,)), ScaledIdentityOp(1.0, (1,)))
@@ -631,11 +648,8 @@ class TestFirstIterateFormulas:
             (ProxFunction("l1"), ProxFunction("l1")),
             smooth=smooth,
         )
-        result = run(
-            problem,
-            "jacobi",
-            SolverConfig(beta0=1.0, max_iter=1, rho=1.0),
-            keep_iterates=True,
+        _, iterates = run_observed(
+            problem, "jacobi", SolverConfig(beta0=1.0, max_iter=1, rho=1.0)
         )
         eta = [
             MARGIN_STRICT * max(2 * op.op_norm_sq - 1.0, 0.0) for op in ops
@@ -643,8 +657,8 @@ class TestFirstIterateFormulas:
         eta_sm = smooth.cert[0].eta
         s0 = eta[0] + eta_sm + 1.0
         s1 = eta[1] + 1.0
-        assert result.iterates[0][0][0] == pytest.approx(7.0 / s0, rel=1e-12)
-        assert result.iterates[0][1][0] == pytest.approx(1.0 / s1, rel=1e-12)
+        assert iterates[0][0][0] == pytest.approx(7.0 / s0, rel=1e-12)
+        assert iterates[0][1][0] == pytest.approx(1.0 / s1, rel=1e-12)
 
     def test_smooth_coupling_needs_linearizing_solver(self):
         ops = (ScaledIdentityOp(1.0, (2,)), ScaledIdentityOp(1.0, (2,)))
@@ -670,15 +684,14 @@ class TestDegeneracies:
     def test_two_block_mixed_equals_sequential(self):
         problem = quad_problem(seed=2)
         config = dict(beta0=0.5, rho=1.05, max_iter=40, eps_primal=0.0, eps_step=0.0)
-        gs = run(problem, "gs", SolverConfig(**config), keep_iterates=True)
-        mixed = run(
+        gs, gs_x = run_observed(problem, "gs", SolverConfig(**config))
+        mixed, mixed_x = run_observed(
             problem,
             "madmm",
             SolverConfig(partition=Partition((0,), (1,)), **config),
-            keep_iterates=True,
         )
-        assert len(gs.iterates) == len(mixed.iterates) == 40
-        for xa, xb in zip(gs.iterates, mixed.iterates):
+        assert len(gs_x) == len(mixed_x) == 40
+        for xa, xb in zip(gs_x, mixed_x):
             for a, b in zip(xa.blocks, xb.blocks):
                 assert np.max(np.abs(a - b)) <= 1e-12
         for ta, tb in zip(gs.trace, mixed.trace):
@@ -687,14 +700,14 @@ class TestDegeneracies:
     def test_empty_first_side_equals_parallel(self):
         problem = _dense_problem(94, d=5, dims=(2, 3, 2))
         config = dict(beta0=1.0, rho=1.05, max_iter=30, eps_primal=0.0, eps_step=0.0)
-        jac = run(problem, "jacobi", SolverConfig(**config), keep_iterates=True)
-        mixed = run(
+        _, jac_x = run_observed(problem, "jacobi", SolverConfig(**config))
+        _, mixed_x = run_observed(
             problem,
             "madmm",
             SolverConfig(partition=Partition((), (0, 1, 2)), **config),
-            keep_iterates=True,
         )
-        for xa, xb in zip(jac.iterates, mixed.iterates):
+        assert len(jac_x) == len(mixed_x) == 30
+        for xa, xb in zip(jac_x, mixed_x):
             for a, b in zip(xa.blocks, xb.blocks):
                 assert np.max(np.abs(a - b)) <= 1e-12
 
@@ -743,12 +756,13 @@ class TestSchedules:
             eps_step=0.0,
             max_iter=300,
         )
-        result = run(problem, "jacobi", config, keep_iterates=True)
+        result, iterates = run_observed(problem, "jacobi", config)
         b_scale = max(float(np.linalg.norm(problem.b)), 1.0)
         held = advanced = 0
         prev_x = BlockVector.zeros(problem.block_shapes)
         beta = 1.0
-        for x, beta_used in zip(result.iterates, result.betas):
+        for x, row in zip(iterates, result.trace):
+            beta_used = row.beta
             assert beta_used == beta
             worst = 0.0
             for new, old in zip(x.blocks, prev_x.blocks):
@@ -766,26 +780,67 @@ class TestSchedules:
 
 class TestRunContract:
     def test_zero_iteration_budget(self):
-        result = run(l1_toy(), "gs", SolverConfig(max_iter=0), keep_iterates=True)
+        result, iterates = run_observed(l1_toy(), "gs", SolverConfig(max_iter=0))
         assert result.stop_reason == "budget"
-        assert result.trace == []
-        assert result.iterates == [] and result.betas == []
+        assert result.trace == [] and iterates == []
         assert result.state.k == 0
         assert all(np.all(blk == 0.0) for blk in result.state.x.blocks)
         assert np.all(result.state.lam == 0.0)
 
     def test_trace_is_contiguous_and_aligned(self):
-        result = run(
+        result, iterates = run_observed(
             quad_problem(seed=7),
             "jacobi",
             SolverConfig(beta0=0.5, rho=1.2, max_iter=7, eps_primal=0.0, eps_step=0.0),
-            keep_iterates=True,
         )
         assert [t.k for t in result.trace] == list(range(1, 8))
-        assert len(result.iterates) == len(result.betas) == 7
-        assert [t.beta for t in result.trace] == result.betas
-        for blk_a, blk_b in zip(result.iterates[-1].blocks, result.state.x.blocks):
+        assert len(iterates) == 7
+        for blk_a, blk_b in zip(iterates[-1].blocks, result.state.x.blocks):
             np.testing.assert_array_equal(blk_a, blk_b)
+
+    @pytest.mark.parametrize("kind", ["jacobi", "madmm-bt"])
+    def test_observer_sees_each_completed_iteration(self, kind):
+        problem = _dense_problem(96, d=5, dims=(2, 3, 2))
+        config = SolverConfig(beta0=0.5, max_iter=12, eps_primal=0.0, eps_step=0.0)
+        seen = []
+
+        def observe(state):
+            # Called after the row is appended: the row is this iteration's.
+            assert state.trace[-1].k == state.k == len(state.trace)
+            seen.append((state.k, state.x.copy(), state.lam.copy()))
+
+        plain = run(problem, kind, config)
+        observed = run(problem, kind, config, observe=observe)
+        assert [k for k, _, _ in seen] == [t.k for t in observed.trace]
+        assert len(seen) == 12
+        # Watching changes nothing: the same bits as a run without observer.
+        np.testing.assert_array_equal(seen[-1][1].flat, plain.state.x.flat)
+        np.testing.assert_array_equal(seen[-1][2], plain.state.lam)
+        untimed = [dataclasses.replace(t, wall_time_ms=0.0) for t in plain.trace]
+        assert [
+            dataclasses.replace(t, wall_time_ms=0.0) for t in observed.trace
+        ] == untimed
+
+    def test_observer_at_zero_budget_convergence_and_divergence(self):
+        calls = []
+        run(l1_toy(), "gs", SolverConfig(max_iter=0), observe=calls.append)
+        assert calls == []
+        # Called before the stop test, so the converged iterate is seen too.
+        config = SolverConfig(beta0=1.0, rho=1.0)
+        result = run(l1_toy(), "gs", config, observe=lambda s: calls.append(s.k))
+        assert result.stop_reason == "converged" and calls == [1, 2, 3]
+        problem, config = _blowup()
+        seen = []
+
+        def observe(state):
+            assert np.all(np.isfinite(state.x.flat))
+            seen.append(state.k)
+
+        with pytest.raises(DivergenceError) as err:
+            run(problem, "jacobi", config, observe=observe)
+        result = err.value.result
+        # The diverged iterate has no trace row and is not observed.
+        assert seen == [t.k for t in result.trace] == list(range(1, result.state.k))
 
     @pytest.mark.parametrize("workers", [0, -1, 2.5])
     def test_bad_worker_count_rejected(self, workers):
@@ -807,21 +862,7 @@ class TestRunContract:
             np.testing.assert_array_equal(a, b)
 
     def test_divergence_carries_partial_result(self):
-        op = ScaledIdentityOp(1.0, (1,))
-        problem = ProblemSpec(
-            "blowup",
-            [((op,), np.array([1.0]))],
-            ((1,),),
-            (ProxFunction("zero"),),
-        )
-        config = SolverConfig(
-            beta0=1.0,
-            rho=1.0,
-            max_iter=500,
-            eps_primal=0.0,
-            eps_step=0.0,
-            weights=(WeightMatrix.identity_minus_gram(0.01, op),),
-        )
+        problem, config = _blowup()
         with pytest.raises(DivergenceError) as err:
             run(problem, "jacobi", config)
         result = err.value.result
@@ -1292,14 +1333,14 @@ class TestGroupedEngine:
     def test_matches_per_block_engine(self, name, kind, monkeypatch):
         problem = self.PROBLEMS[name]()
         config = SolverConfig(max_iter=40, eps_primal=0.0, eps_step=0.0)
-        got = run(problem, kind, config, keep_iterates=True)
+        got, got_x = run_observed(problem, kind, config)
         threaded = run(problem, kind, config, workers=2)
         with monkeypatch.context() as patch:
             patch.setattr(solvers, "_run_phase", reference_run_phase)
-            want = run(problem, kind, config, keep_iterates=True)
+            want, want_x = run_observed(problem, kind, config)
         assert got.state.k == want.state.k == 40
         assert got.state.backtrack_count == want.state.backtrack_count
-        for g, w in zip(got.iterates, want.iterates):
+        for g, w in zip(got_x, want_x):
             scale = max(float(np.max(np.abs(w.flat))), 1.0)
             assert np.max(np.abs(g.flat - w.flat)) <= 1e-12 * scale
         scale = max(float(np.max(np.abs(want.state.lam))), 1.0)
@@ -1314,13 +1355,13 @@ class TestGroupedEngine:
         # adjoint and its apply changes no bit against one prox call per run.
         problem = self.PROBLEMS[name]()
         config = SolverConfig(max_iter=40, eps_primal=0.0, eps_step=0.0)
-        got = run(problem, kind, config, workers=workers, keep_iterates=True)
+        got, got_x = run_observed(problem, kind, config, workers=workers)
         with monkeypatch.context() as patch:
             patch.setattr(solvers, "_run_phase", reference_run_wide_phase)
-            want = run(problem, kind, config, workers=workers, keep_iterates=True)
+            want, want_x = run_observed(problem, kind, config, workers=workers)
         assert got.state.k == want.state.k == 40
         assert got.state.backtrack_count == want.state.backtrack_count
-        for g, w in zip(got.iterates, want.iterates):
+        for g, w in zip(got_x, want_x):
             np.testing.assert_array_equal(g.flat, w.flat)
         np.testing.assert_array_equal(got.state.lam, want.state.lam)
         assert [t.objective for t in got.trace] == [t.objective for t in want.trace]
@@ -1520,11 +1561,11 @@ class TestCarriedTermValues:
                 prepare_context(problem, kind, config)
             except (UnsupportedSubproblemError, ValueError):
                 continue  # the kind does not run on this problem
-            result = run(problem, kind, config, workers=workers, keep_iterates=True)
+            result, iterates = run_observed(problem, kind, config, workers=workers)
             assert result.state.k == 40
             if config.eta_scale == 1e-3:
                 assert result.state.backtrack_count > 0
-            for row, x in zip(result.trace, result.iterates):
+            for row, x in zip(result.trace, iterates):
                 want = problem.objective(x)
                 assert abs(row.objective - want) <= 1e-12 * abs(want), (kind, row.k)
             ran += 1

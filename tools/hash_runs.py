@@ -22,6 +22,11 @@ tree's ``tests/helpers.py`` and this file. ``diff <(cut -d' ' -f1-5,7
 before.txt) <(cut -d' ' -f1-5,7 after.txt)`` compares the iterate digests
 only.
 
+Each iterate is hashed as ``run``'s observer hands it over, so no iterate
+is kept. A package from before ``run`` took ``observe`` cannot be hashed
+by this tool: run that tree's own ``tools/hash_runs.py`` on it instead and
+diff the lines.
+
 The full grid is every solver kind on ten problems, both schedules and 1
 or 2 workers, 40 iterations each (280 runs). ``--problems``, ``--kinds``,
 ``--schedules`` and ``--workers`` take comma-separated subsets, and
@@ -130,13 +135,18 @@ def hash_run(
         config = SolverConfig(
             max_iter=iters, eps_step=0.0, schedule=schedule, partition=partition
         )
-        result = run(problem, kind, config, workers=workers, keep_iterates=True)
+        result = run(
+            problem,
+            kind,
+            config,
+            workers=workers,
+            observe=lambda state: both(state.x.flat.tobytes()),
+        )
     except Exception as exc:  # the error is the run's outcome; it is hashed
         status = type(exc).__name__
+        full, iterate = hashlib.sha256(), hashlib.sha256()
         both(f"{status}: {exc}".encode())
         return status, full.hexdigest(), iterate.hexdigest(), None
-    for x in result.iterates:
-        both(x.flat.tobytes())
     for row in result.trace:
         fields = astuple(row)[:-1]  # without the wall time
         full.update(repr(fields).encode())
