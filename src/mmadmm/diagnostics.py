@@ -211,6 +211,8 @@ def theorem_alpha(
         raise ValueError(f"no rate constant for solver kind {kind!r}")
     if row.backtrack and tau is None:
         raise ValueError("the backtracking scheme needs partition and tau")
+    if row.backtrack and not 0.0 < tau < math.inf:
+        raise ValueError(f"tau must be finite and positive, got {tau!r}")
     # An empty second phase has ||A_B2|| = 0: the uncoupled case.
     a_sq = _spec_norm_sq_dense(_stack_dense(problem, b2)) if b2 else 0.0
     if a_sq == 0.0:
@@ -275,8 +277,9 @@ def theorem_bound_rhs(
 ) -> float:
     """Right side ``[sum_j ||x*-x0||^2_{H_j} + ||lam*-lam0||^2_{H_dual}]
     / (2 sum_{k=0}^K 1/beta_k)``; each penalty must be finite and positive."""
-    if K < 0 or K >= len(betas):
-        raise ValueError("K must index into the supplied penalty sequence")
+    not_int = isinstance(K, bool) or not isinstance(K, numbers.Integral)
+    if not_int or K < 0 or K >= len(betas):
+        raise ValueError(f"K must be an integer to index into the penalties, got {K!r}")
     _check_penalties(betas)
     num = 0.0
     for blocks, H in H0.groups:

@@ -10,9 +10,8 @@ built from the block's objective term, the penalty coupling anchored at the
 phase's reference point, and a proximal weight ``G_i = eta_i I + g_i A_i^T
 A_i``. A phase solves in place in the new iterate, block by block: a block's
 adjoint, prox and apply run back to back, so its operator is read from
-memory once. A worker takes a phase's blocks one run at a time: a run is a
-span of blocks back to back in the packed iterate that solve entrywise with
-one term; any other block is a run of one.
+memory once. With several workers, each takes one contiguous share of the
+phase's blocks.
 
 - sequential two-block scheme (``gs``): the partition ``((0,), (1,))``;
 - all-parallel scheme (``jacobi``): the partition ``((), all)``;
@@ -653,28 +652,6 @@ def _plan_block(problem, i: int, G: WeightMatrix, smooth_eta: float) -> _BlockPl
     return plan
 
 
-def _joins(plan: _BlockPlan) -> bool:
-    """Whether the block solves entrywise, so it can share a run."""
-    term = plan.prox_term
-    return plan.path == "diag" and (term is None or term.entrywise)
-
-
-def _phase_runs(plans: Sequence[_BlockPlan], blocks: Sequence[int], layout) -> tuple:
-    """A phase's runs, ``(plans, start, stop)`` each, in the order of ``blocks``.
-
-    A run is a maximal span of ``blocks`` back to back in the iterate's
-    buffer that solve entrywise with equal terms (or none); any other block
-    is a run of one. A run is the batch of blocks one worker of
-    :func:`_run_phase` takes. ``ProblemSpec.objective`` scores its terms by
-    the same rule, through the same :meth:`_Layout.runs`.
-    """
-    keys = [(plan.prox_term,) if _joins(plan) else None for plan in plans]
-    return tuple(
-        (tuple(plans[i] for i in members), start, stop)
-        for members, start, stop in layout.runs(blocks, keys)
-    )
-
-
 def _solve_block(ctx: "_RunContext", plan: _BlockPlan, q_iso, q_gram, v):
     """Minimize block ``plan``'s model in place in ``v``, which holds its ``lin``
     (in the block's range coordinates when it was assembled in them).
@@ -815,7 +792,6 @@ class _RunContext:
     smooth: object
     b_scale: float
     layout: _Layout
-    runs: dict
     smoothness: dict
     denom: np.ndarray  # curvature scratch: a context runs one step at a time
     workers: int = 1
@@ -834,7 +810,8 @@ def prepare_context(
     problem, kind: str, config: SolverConfig, workers: int = 1
 ) -> _RunContext:
     """Validate solvability of every block and freeze the solve plans."""
-    if not isinstance(workers, numbers.Integral) or workers < 1:
+    not_int = isinstance(workers, bool) or not isinstance(workers, numbers.Integral)
+    if not_int or workers < 1:
         raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
     partition = _resolve_partition(problem, kind, config.partition)
     smoothness = {b: phase_smoothness(problem.family, b) for b, _ in _phases(partition)}
@@ -870,7 +847,6 @@ def prepare_context(
         smooth=smooth,
         b_scale=b_scale,
         layout=layout,
-        runs={b: _phase_runs(plans, b, layout) for b, _ in _phases(partition)},
         smoothness=smoothness,
         denom=np.empty(layout.size),
         workers=int(workers),
@@ -907,8 +883,10 @@ def _run_phase(
     keep their images and coordinates. A block with carried coordinates
     ``z[i]`` takes the same two calls in them instead, on its range basis
     (:class:`_RangeBasis`), writes ``Q X`` and carries ``X``; any other
-    block solves in full space and has none. A run of ``ctx.runs`` is the
-    batch of blocks one worker takes, solved member by member.
+    block solves in full space and has none. With ``ctx.executor``, each of
+    ``min(ctx.workers, len(blocks))`` contiguous shares of ``blocks`` goes
+    to one worker; every block writes only its own slices, so the result is
+    bitwise that of one worker.
     """
     s_full = r + lam / beta
     smooth_res = None
@@ -917,11 +895,10 @@ def _run_phase(
     x = y.copy()
     xb = x.blocks  # built once, before any thread reads it
 
-    def work(run):
+    def work(share):
         done = []
-        for plan in run[0]:
-            i, v = plan.index, xb[plan.index]
-            Y = z.get(i)
+        for i in share:
+            plan, v, Y = ctx.plans[i], xb[i], z.get(i)
             op, out = (plan.op, v) if Y is None else (plan.basis, None)
             q_iso, q_gram, w = assemble_block(
                 ctx, i, y, c, s_full, beta, G[i], smooth_res, out, Y
@@ -932,11 +909,10 @@ def _run_phase(
             done.append((i, op.apply(w), value, None if Y is None else w))
         return done
 
-    runs = ctx.runs[blocks]
-    if ctx.executor is not None and len(runs) > 1:
-        batches = ctx.executor.map(work, runs)
-    else:
-        batches = map(work, runs)
+    n = len(blocks)
+    k = min(ctx.workers, n) if ctx.executor is not None else 1
+    shares = [blocks[j * n // k : (j + 1) * n // k] for j in range(k)]
+    batches = ctx.executor.map(work, shares) if k > 1 else map(work, shares)
     images = list(c)
     values = {}
     coords = dict(z)
@@ -1092,6 +1068,8 @@ def run(
     carrying the finite prefix of the trace. ``observe(state)`` runs after
     each finite iterate's trace row, before the stop test; an observer must
     copy an iterate it keeps, as ``run`` reuses ``state.x``'s buffer.
+    ``workers`` threads share each phase, each solving one contiguous share
+    of its blocks, and the iterates are bitwise those of one worker.
     """
     config = config or SolverConfig()
     ctx = prepare_context(problem, solver_kind, config, workers=workers)

@@ -201,6 +201,27 @@ def reference_run_phase(ctx, blocks, y, c, r, z, lam, beta, G):
     return BlockVector(new), images, dict.fromkeys(blocks), z
 
 
+def _joins(plan):
+    """Whether a block solves entrywise, so a run-wide solve takes it
+    together with the blocks packed beside it."""
+    term = plan.prox_term
+    return plan.path == "diag" and (term is None or term.entrywise)
+
+
+def reference_runs(plans, blocks, layout):
+    """The runs of ``blocks``, ``(plans, start, stop)`` each, in their order.
+
+    A run is a maximal span of ``blocks`` back to back in ``layout`` that
+    solve entrywise with equal terms (or none), split by
+    :meth:`_Layout.runs`; any other block is a run of one.
+    """
+    keys = [(plan.prox_term,) if _joins(plan) else None for plan in plans]
+    return tuple(
+        (tuple(plans[i] for i in members), start, stop)
+        for members, start, stop in layout.runs(blocks, keys)
+    )
+
+
 def reference_solve_run(ctx, run, curvatures, flat):
     """A run's models minimized together, which ``solvers._solve_block``
     must match bitwise block by block.
@@ -212,7 +233,7 @@ def reference_solve_run(ctx, run, curvatures, flat):
     """
     plans, start, stop = run
     v = flat[start:stop]
-    if not solvers._joins(plans[0]):
+    if not _joins(plans[0]):
         (plan,), ((q_iso, q_gram),) = plans, curvatures
         v = v.reshape(plan.op.in_shape)
         if plan.path == "eig":
@@ -253,9 +274,10 @@ def reference_run_wide_phase(ctx, blocks, y, c, r, z, lam, beta, G):
     """The phase update of ``solvers._run_phase`` by run-wide solves.
 
     All of a run's adjoints come first, then one :func:`reference_solve_run`
-    call, then all of its applies; runs go to ``ctx.executor`` as the
-    engine sends them. A block with carried range coordinates ``Y``, always
-    a run of one, is assembled in them (``assemble_block``'s ``coords``),
+    call, then all of its applies; the runs of :func:`reference_runs` go to
+    ``ctx.executor``, when there is one, one run per task. A block with
+    carried range coordinates ``Y``, always a run of one, is assembled in
+    them (``assemble_block``'s ``coords``),
     solved by :func:`reference_solve_block`, and writes ``Q X`` and the
     image ``R^T X`` at its rows; it carries its new ``X``.
     """
@@ -289,7 +311,7 @@ def reference_run_wide_phase(ctx, blocks, y, c, r, z, lam, beta, G):
         value = reference_solve_run(ctx, run, curvatures, x.flat)
         return [p.op.apply(xb[p.index]) for p in plans], value, None
 
-    runs = ctx.runs[blocks]
+    runs = reference_runs(ctx.plans, blocks, ctx.layout)
     if ctx.executor is not None and len(runs) > 1:
         results = list(ctx.executor.map(work, runs))
     else:

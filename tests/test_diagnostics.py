@@ -174,6 +174,14 @@ class TestTheoremAlpha:
         with pytest.raises(ValueError, match="no rate constant"):
             theorem_alpha(problem, "l-admm-ps", G)
 
+    @pytest.mark.parametrize("tau", [math.nan, math.inf, -1.0, 0.0])
+    def test_backtracking_tau_must_be_finite_and_positive(self, tau):
+        problem = quad_problem(6, dims=(3, 4, 2, 5), weights=(1.0, 2.0, 1.0, 2.0))
+        G = (WeightMatrix.zero(),) * 4
+        part = Partition((0, 2), (1, 3))
+        with pytest.raises(ValueError, match="tau must be finite and positive"):
+            theorem_alpha(problem, "madmm-bt", G, partition=part, tau=tau)
+
 
 class TestTheoremH0:
     def test_sequential_matrices(self):
@@ -267,12 +275,20 @@ class TestBoundRHS:
         got = theorem_bound_rhs(x0, lam0, cert, bundle, (1.0, 2.0, 4.0), K=1)
         # num = 4 + 0.25 * 9, denom = 2 * (1 + 1/2)
         assert got == 6.25 / 3.0
+        K = np.int64(1)
+        assert theorem_bound_rhs(x0, lam0, cert, bundle, (1.0, 2.0, 4.0), K=K) == got
 
     def test_index_validation(self):
         bundle, cert, x0, lam0 = self._pieces()
         for bad in (-1, 3):
             with pytest.raises(ValueError, match="index into"):
                 theorem_bound_rhs(x0, lam0, cert, bundle, (1.0, 2.0, 4.0), K=bad)
+
+    @pytest.mark.parametrize("K", [True, 1.5, 1.0, "1"])
+    def test_k_must_be_an_integer(self, K):
+        bundle, cert, x0, lam0 = self._pieces()
+        with pytest.raises(ValueError, match="K must be an integer"):
+            theorem_bound_rhs(x0, lam0, cert, bundle, (1.0, 2.0, 4.0), K=K)
 
     @pytest.mark.parametrize(
         "betas", [(1.0, -2.0), (1.0, 0.0), (math.inf,), (math.nan,)]

@@ -65,6 +65,7 @@ from helpers import (
     reference_assembly,
     reference_run_phase,
     reference_run_wide_phase,
+    reference_runs,
     reference_solve_block,
     run_observed,
 )
@@ -842,10 +843,26 @@ class TestRunContract:
         # The diverged iterate has no trace row and is not observed.
         assert seen == [t.k for t in result.trace] == list(range(1, result.state.k))
 
-    @pytest.mark.parametrize("workers", [0, -1, 2.5])
+    @pytest.mark.parametrize("workers", [0, -1, 2.5, True])
     def test_bad_worker_count_rejected(self, workers):
         with pytest.raises(ValueError, match="workers"):
             run(l1_toy(), "jacobi", SolverConfig(max_iter=1), workers=workers)
+
+    def test_workers_take_contiguous_shares_of_a_phase(self, monkeypatch):
+        problem = build_nonneg_sparse_coding(DataGenSpec(5, d=12, n=8, sparsity=0.2))
+        config = SolverConfig(max_iter=3, eps_primal=0.0, eps_step=0.0)
+        calls = []
+
+        class Pool(solvers.ThreadPoolExecutor):
+            def map(self, fn, shares):
+                calls.append([tuple(share) for share in shares])
+                return super().map(fn, shares)
+
+        monkeypatch.setattr(solvers, "ThreadPoolExecutor", Pool)
+        pooled = run(problem, "jacobi", config, workers=2)
+        assert calls == [[(0, 1, 2, 3), (4, 5, 6, 7)]] * 3
+        serial = run(problem, "jacobi", config)
+        np.testing.assert_array_equal(pooled.state.x.flat, serial.state.x.flat)
 
     def test_worker_pool_is_deterministic(self):
         problem = _dense_problem(95, d=6, dims=(2, 3, 2, 4))
@@ -1168,8 +1185,8 @@ def _plans(ops, terms, weights):
 
 
 class TestGroupSolve:
-    """A phase solves in place, block by block, one run per worker batch:
-    each member comes out as it would alone."""
+    """A phase solves in place, block by block: each block of a packed
+    entrywise run comes out as it would alone."""
 
     @pytest.mark.parametrize("weight", [1.0, 0.8])
     @pytest.mark.parametrize(
@@ -1195,9 +1212,6 @@ class TestGroupSolve:
         assert [plan.path for plan in plans] == ["diag"] * 4
         assert [plan.diag for plan in plans[:2]] == [2.25, 0.0]
         ctx = _run_context([op.in_shape for op in ops])
-        (run,) = solvers._phase_runs(plans, (0, 1, 2, 3), ctx.layout)
-        assert [plan.index for plan in run[0]] == [0, 1, 2, 3]
-        assert run[1:] == (0, ctx.layout.size)
         for _ in range(5):
             curvatures = [
                 (plan.fold_iso + rng.uniform(0.2, 1.0), rng.uniform(0.5, 1.5))
@@ -1248,7 +1262,7 @@ class TestGroupSolve:
         layout = _Layout([op.in_shape for op in ops])
 
         def members(blocks):
-            runs = solvers._phase_runs(plans, blocks, layout)
+            runs = reference_runs(plans, blocks, layout)
             for run_plans, start, stop in runs:
                 bounds = [layout.bounds[p.index] for p in run_plans]
                 assert (bounds[0][0], bounds[-1][1]) == (start, stop)
@@ -1260,15 +1274,6 @@ class TestGroupSolve:
         assert members((0, 2, 1)) == [[0], [2], [1]]
         assert members((1, 0)) == [[1], [0]]
         assert members((0, 1, 3, 4)) == [[0, 1], [3, 4]]
-
-    def test_noisy_coding_phase_runs_are_the_objective_runs(self):
-        problem = build_nonneg_sparse_coding_noisy(DataGenSpec(5, d=12, n=8))
-        ctx = prepare_context(problem, "jacobi", SolverConfig())
-        runs = ctx.runs[ctx.partition.b2]
-        assert [[plan.index for plan in r[0]] for r in runs] == [list(range(8)), [8]]
-        assert [(r[0][0].prox_term, r[1], r[2]) for r in runs] == [
-            (term, start, stop) for _, term, start, stop, _ in problem._term_runs
-        ]
 
     @pytest.mark.parametrize("kind", ["jacobi", "madmm"])
     def test_each_block_adjoint_prox_apply_in_turn(self, kind, monkeypatch):
