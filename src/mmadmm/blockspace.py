@@ -51,9 +51,17 @@ _CERT_GUARD = 1.0 + 1e-12
 # The float64 unit roundoff and smallest positive (subnormal) float64.
 _U = np.finfo(float).eps / 2
 _TINY = math.ldexp(1.0, -1074)
-# Columns per partial Gram in dense_norm_sq: summing partial Grams keeps
-# the rounding bound at gamma_{c+p-1} rather than gamma_k (see there).
-_GRAM_CHUNK = 64
+# Columns per partial Gram in dense_norm_sq: a matrix of at most this many
+# columns (latlrr3's X has 150) is one BLAS product, and a wider one sums
+# ceil(k / c) partial Grams, which keeps the rounding bound at
+# gamma_{c+p-1} rather than gamma_k (see there). The bound grows with c:
+# the certificates of nnsc's case-I prefixes (990 to 2,970 columns) sit up
+# to 8.2e-13 above the exact norm at 160 columns, 1.2e-12 at 256 and
+# 4.6e-12 at 1,024.
+_GRAM_CHUNK = 160
+# dense_norm_sq forms the Gram of the matrix itself, with no scaled copy,
+# when the binary exponent e of its top entry has |e| <= _RAW_EXP.
+_RAW_EXP = 128
 
 
 class DimensionError(ValueError):
@@ -140,7 +148,11 @@ class BlockVector:
 
     @classmethod
     def zeros(cls, shapes: Sequence[tuple]) -> "BlockVector":
-        return cls([np.zeros(s) for s in shapes])
+        """Zero blocks of the given shapes in one zeroed buffer."""
+        if len(shapes) < 1:
+            raise DimensionError("a BlockVector needs at least one block")
+        layout = _Layout(shapes)
+        return cls._wrap(np.zeros(layout.size), layout)
 
     @property
     def blocks(self) -> tuple:
@@ -565,19 +577,24 @@ def certified_lambda_max(grams: np.ndarray, rounding: float) -> float:
 
     ``grams`` is ``H``, the computed ``d x d`` value of a sum ``G`` of
     Grams, so ``G`` is positive semidefinite; only the lower triangle of
-    ``H`` is read. ``rounding`` bounds ``||E||_2`` for a symmetric
+    ``H`` enters the bound. ``rounding`` bounds ``||E||_2`` for a symmetric
     ``E >= |H - G|`` (entrywise), the rounding of forming ``H``. Returns a
     float never below ``lambda_max(G)``; a ``0 x 0`` sum gives ``0.0``.
+    Raises ``ValueError``, naming the argument, unless ``rounding`` is
+    finite and nonnegative and ``grams`` is a square 2-d array of finite
+    entries: a negative or ``nan`` rounding, or a ``nan`` in ``H``, would
+    return a value below ``lambda_max(G)`` or ``nan``.
 
     Proof. Let ``H_L`` be the symmetric matrix that the lower triangle of
-    ``H`` defines and ``r = rounding``. Entry by entry ``|H_L - G| <= E``,
-    so ``||H_L - G||_2 <= r``: by Weyl's inequality ``lambda_max(G) <=
+    ``H`` defines and ``r = rounding >= 0``. Entry by entry ``|H_L - G| <=
+    E``, so ``||H_L - G||_2 <= r``: by Weyl's inequality ``lambda_max(G) <=
     lambda_max(H_L) + r``, and ``lambda_min(H_L) >= -r`` as ``G`` is
     semidefinite. The symmetric eigensolver (LAPACK ``syevd``) is normwise
     backward stable: its eigenvalues are exact for ``H_L + F`` with
     ``||F||_2 <= b ||H_L||_2``, ``b = p(d) u`` for the unit roundoff ``u``
-    and a modestly growing ``p``; we take ``p(d) = 2d``. With ``lam`` the
-    computed top eigenvalue raised to 0 and ``||H_L||_2 <=
+    and a modestly growing ``p``; we take ``p(d) = 2d``. A ``1 x 1`` ``H``
+    is its own eigenvalue, read with no eigensolver (``F = 0``). With
+    ``lam`` the computed top eigenvalue raised to 0 and ``||H_L||_2 <=
     max(lambda_max(H_L), 0) + r``, ``lambda_max(H_L) <= lam + b
     (lambda_max(H_L) + r)`` when ``lambda_max(H_L) >= 0``, so in every case
     ``lambda_max(G) <= (lam + b r) / (1 - b) + r = (lam + r) / (1 - b)``.
@@ -585,78 +602,107 @@ def certified_lambda_max(grams: np.ndarray, rounding: float) -> float:
     ``1 + (4d + 4) u`` one more, and ``(1 - u)^2 (1 + (4d + 4) u) >=
     1 / (1 - 2du)``.
     """
+    r = float(rounding)
+    if not (math.isfinite(r) and r >= 0.0):
+        raise ValueError(
+            f"certified_lambda_max: rounding must be finite and nonnegative, "
+            f"got {rounding!r}"
+        )
     H = np.asarray(grams, dtype=float)
+    if H.ndim != 2 or H.shape[0] != H.shape[1]:
+        raise ValueError(
+            f"certified_lambda_max: grams must be a square 2-d array, "
+            f"got shape {H.shape}"
+        )
     d = H.shape[0]
     if d == 0:
         return 0.0
-    lam = max(float(np.linalg.eigvalsh(H)[-1]), 0.0)
-    return (lam + rounding) * (1.0 + (4 * d + 4) * _U)
+    if not np.isfinite(H).all():
+        raise ValueError("certified_lambda_max: grams has non-finite entries")
+    top = H[0, 0] if d == 1 else np.linalg.eigvalsh(H)[-1]
+    lam = max(float(top), 0.0)
+    return (lam + r) * (1.0 + (4 * d + 4) * _U)
 
 
 def dense_norm_sq(matrix: np.ndarray) -> float:
     """Certified ``||M||_2^2`` from the smaller Gram of ``M``.
 
     The result is :func:`certified_lambda_max` of ``M M^T`` or ``M^T M``,
-    whichever is smaller, scaled back, and never below the exact
-    ``||M||_2^2``. For a horizontal stack ``M = [M_1 ... M_q]``, ``M M^T =
-    sum_j M_j M_j^T``. Empty and all-zero matrices give ``0.0``. Raises
-    ``ValueError`` when an entry is not finite, and when the squared norm
-    overflows the float range.
+    whichever is smaller, and never below the exact ``||M||_2^2``. For a
+    horizontal stack ``M = [M_1 ... M_q]``, ``M M^T = sum_j M_j M_j^T``.
+    Empty and all-zero matrices give ``0.0``. Raises ``ValueError`` when
+    ``M`` is not 2-d, when an entry is not finite, and when the squared
+    norm overflows the float range. ``M`` is only read: the Gram is formed
+    from ``M`` itself unless its top entry is far from 1 in magnitude.
 
-    Proof of the rounding bound. With ``2^(e-1) <= max |M_ij| < 2^e``, the
-    matrix is scaled to ``S = 2^-e M``, transposed when tall, so ``S`` is
-    ``d x k`` with ``d <= k`` and ``|S_ij| < 1``: nothing below overflows.
-    The scaling is exact except for entries that land below the normal
-    range, each off by less than ``2^-1075``. ``S`` is cut into ``p``
-    chunks of at most ``c`` columns and ``H = fl(sum_q fl(S_q S_q^T))``,
-    summed in order. A dot product of length ``c``, in any order, errs by
-    at most ``gamma_c |x|^T |y|`` and a recursive sum of ``p`` terms by
+    Proof of the rounding bound. Let ``2^(e-1) <= max |M_ij| < 2^e`` and
+    ``S = 2^-s M``, transposed when tall, so ``S`` is ``d x k`` with ``d <=
+    k`` and ``N = dk`` entries. When ``|e| <= 128``, ``s = 0`` and ``S`` is
+    ``M`` itself: every entry is below ``2^128`` and ``N < 2^63``, so every
+    sum below stays under ``2^321``, far from overflow. Otherwise ``s =
+    e``, so ``|S_ij| < 1`` and nothing below overflows; this scaling is
+    exact except for entries that land below the normal range, each off by
+    less than ``2^-1075``, and with ``s = 0`` there is no such error. Either
+    way the Gram's largest entry lies within ``2^+-485``, where ``syevd``
+    works on it unscaled. All terms below are in units of ``S``, which with
+    ``s = 0`` are the units of ``M``. ``S`` is cut into ``p = ceil(k / c)``
+    chunks of at most ``c = min(k, 160)`` columns and ``H = fl(sum_q
+    fl(S_q S_q^T))``, summed in order; up to 160 columns that is one
+    product, ``p = 1``. A dot product of length at most ``c``, in any order
+    (BLAS splits the inner dimension as it likes), errs by at most
+    ``gamma_c |x|^T |y|``, and a recursive sum of ``p`` terms by
     ``gamma_{p-1}`` times the sum of their magnitudes (Higham, *Accuracy
     and Stability of Numerical Algorithms*, 2nd ed., sections 3.1 and 4.2),
     so ``|H - S S^T| <= gamma_{c+p-1} |S| |S|^T`` (Higham's Lemma 3.3), up
-    to underflow. Its 2-norm is at most ``gamma_{c+p-1} || |S| ||_2^2 <=
-    gamma_{c+p-1} ||S||_F^2``, and ``||S||_F^2 <= f / (1 - gamma_N)`` for
-    the computed ``f = fl(sum S_ij^2)`` over the ``N`` entries. Underflow
-    adds absolute terms only, since sums below the normal range are exact:
-    at most ``2^-1075`` per product, ``N 2^-1074`` in all on ``H``; for
-    the scaling errors ``D``, ``|S S^T - (S + D)(S + D)^T| <= |D| |S|^T +
-    |S| |D|^T + |D| |D|^T`` with 2-norm at most ``(2 + 1) N 2^-1075``
-    (``||S||_F^2 <= N``); and under ``2^-1075`` per square in ``f``. So
-    ``rounding = gamma_{c+p} f / (1 - gamma_N) + 3 N 2^-1074`` bounds the
-    2-norm of a symmetric entrywise bound on ``|H - G|``, where ``G`` is the
-    exact Gram of ``2^-e M``, and ``gamma_{c+p} / gamma_{c+p-1} >= 1 +
-    1/(c+p)`` covers the rounding of this scalar arithmetic. The scaled-back
-    product ``2^(2e) lambda`` is exact unless it overflows, which raises,
-    or lands below the normal range, where it is rounded up.
+    to underflow; this holds for any ``c``. Its
+    2-norm is at most ``gamma_{c+p-1} || |S| ||_2^2 <= gamma_{c+p-1}
+    ||S||_F^2``. The diagonal of ``H`` sums nonnegative terms, so each
+    ``H_ii >= (1 - gamma_{c+p-1}) (S S^T)_ii``, and the computed trace ``f
+    = fl(sum_i H_ii)`` gives ``||S||_F^2 <= f / (1 - gamma_{c+p+d})``.
+    Underflow adds absolute terms only, since sums below the normal range
+    are exact: at most ``2^-1075`` per product, ``N 2^-1074`` in all on
+    ``H`` and ``N 2^-1075`` on ``||S||_F^2``; for the scaling errors ``D``,
+    ``|S S^T - (S + D)(S + D)^T| <= |D| |S|^T + |S| |D|^T + |D| |D|^T``
+    with 2-norm at most ``(2 + 1) N 2^-1075`` (``||S||_F^2 <= N``). So
+    ``rounding = gamma_{c+p} f / (1 - gamma_{c+p+d}) + 3 N 2^-1074`` bounds
+    the 2-norm of a symmetric entrywise bound on ``|H - G|``, where ``G`` is
+    the exact Gram of ``2^-s M``, and ``gamma_{c+p} / gamma_{c+p-1} >= 1 +
+    1/(c+p)`` covers the rounding of this scalar arithmetic. The
+    scaled-back product ``2^(2s) lambda`` is exact unless it overflows,
+    which raises, or lands below the normal range, where it is rounded up.
     """
     M = np.asarray(matrix, dtype=float)
-    top = float(np.abs(M).max()) if M.size else 0.0
+    if M.ndim != 2:
+        raise ValueError(f"dense_norm_sq needs a 2-d matrix, got shape {M.shape}")
+    if M.size == 0:
+        return 0.0
+    top = max(float(M.max()), -float(M.min()))
     if not math.isfinite(top):
         raise ValueError("no norm certificate: the matrix has non-finite entries")
     if top == 0.0:
         return 0.0
     e = math.frexp(top)[1]
-    S = np.ldexp(M, -e)
-    flat = S.ravel(order="K")
-    f = float(np.dot(flat, flat))
+    s = 0 if abs(e) <= _RAW_EXP else e
+    S = M if s == 0 else np.ldexp(M, -s)
     if S.shape[0] > S.shape[1]:
         S = S.T
     d, k = S.shape
     c = min(k, _GRAM_CHUNK)
-    H = np.zeros((d, d))
-    for j in range(0, k, c):
+    H = S[:, :c] @ S[:, :c].T
+    for j in range(c, k, c):
         X = S[:, j : j + c]
         H += X @ X.T
+    f = float(np.trace(H))
     p = -(-k // c)
-    rounding = _gamma(c + p) * f / (1.0 - _gamma(S.size)) + 3.0 * S.size * _TINY
+    rounding = _gamma(c + p) * f / (1.0 - _gamma(c + p + d)) + 3.0 * S.size * _TINY
     lam = certified_lambda_max(H, rounding)
     try:
-        out = math.ldexp(lam, 2 * e)
+        out = math.ldexp(lam, 2 * s)
     except OverflowError:
         raise ValueError(
             "no norm certificate: the squared norm overflows the float range"
         ) from None
-    if math.ldexp(out, -2 * e) < lam:
+    if math.ldexp(out, -2 * s) < lam:
         # Rounded down below the normal range: take the next float up.
         out = math.nextafter(out, math.inf)
     return out

@@ -65,10 +65,8 @@ class DataGenSpec:
     def __post_init__(self):
         for name, least in (("seed", 0), ("d", 1), ("n", 1), ("rank", 1)):
             object.__setattr__(self, name, _whole(name, getattr(self, name), least))
-        if not 0.0 <= self.sparsity <= 1.0:
-            raise ValueError("sparsity is a fraction in [0, 1]")
-        if not 0.0 < self.obs_fraction <= 1.0:
-            raise ValueError("observation fraction must lie in (0, 1]")
+        _check_fraction("sparsity", self.sparsity)
+        _check_fraction("obs_fraction", self.obs_fraction, open_low=True)
         _check_scale("noise_sigma", self.noise_sigma)
         if self.block_dims is not None:
             dims = tuple(
@@ -86,16 +84,25 @@ class DataGenSpec:
 
 def _whole(name: str, value, least: int) -> int:
     """``value`` as an ``int``; it must be integral (``10.0`` but not
-    ``2.5``) and at least ``least``."""
+    ``2.5`` or ``True``) and at least ``least``."""
     integral = isinstance(value, numbers.Integral) or (
         isinstance(value, numbers.Real) and float(value).is_integer()
     )
-    if not integral:
+    if isinstance(value, bool) or not integral:
         raise ValueError(f"{name} must be an integer, got {value!r}")
     whole = int(value)
     if whole < least:
         raise ValueError(f"{name} must be at least {least}, got {whole}")
     return whole
+
+
+def _check_fraction(name: str, value, open_low: bool = False) -> None:
+    """A fraction is a real number, not ``bool``, in ``[0, 1]``, or in
+    ``(0, 1]`` with ``open_low``."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not (real and (0.0 < value if open_low else 0.0 <= value) and value <= 1.0):
+        interval = "(0, 1]" if open_low else "[0, 1]"
+        raise ValueError(f"{name} is a fraction in {interval}, got {value!r}")
 
 
 def _check_scale(name: str, value: float) -> None:
@@ -476,28 +483,33 @@ def make_subspace_data(
     per_subspace = _whole("per_subspace", per_subspace, 1)
     if rank > d:
         raise ValueError(f"rank must not exceed d={d}, got {rank}")
-    if not 0.0 <= corrupt_frac <= 1.0:
-        raise ValueError("corrupt_frac is a fraction in [0, 1]")
+    _check_fraction("corrupt_frac", corrupt_frac)
     _check_scale("noise_scale", noise_scale)
     streams = np.random.SeedSequence(seed).spawn(3)
     rng = np.random.default_rng(streams[0])
     basis, _ = np.linalg.qr(rng.standard_normal((d, rank)))
     rotation, _ = np.linalg.qr(rng.standard_normal((d, d)))
-    cols = []
-    for _ in range(n_subspaces):
-        coeffs = rng.standard_normal((rank, per_subspace))
-        cols.append(basis @ coeffs)
-        basis = rotation @ basis
-    X = np.hstack(cols)
-    total = X.shape[1]
+    total = n_subspaces * per_subspace
+    X = np.empty((d, total))
+    # Subspace k's coefficients are slab k of one draw, in stream order.
+    coeffs = rng.standard_normal((n_subspaces, rank, per_subspace))
+    for k in range(n_subspaces):
+        if k:
+            basis = rotation @ basis
+        X[:, k * per_subspace : (k + 1) * per_subspace] = basis @ coeffs[k]
     n_bad = int(round(corrupt_frac * total))
     if n_bad > 0:
         rng_pick = np.random.default_rng(streams[1])
         rng_noise = np.random.default_rng(streams[2])
         bad = rng_pick.choice(total, size=n_bad, replace=False)
-        for j in bad:
-            scale = noise_scale * float(np.linalg.norm(X[:, j]))
-            X[:, j] += scale * rng_noise.standard_normal(d)
+        # Row i of noise and cols belongs to column bad[i]. Each row of cols
+        # is contiguous, so its 1 x d by d x 1 product is the unit-stride
+        # BLAS ddot that np.linalg.norm takes of the column: the norms, and
+        # so the instances, are bitwise those of a per-column loop.
+        noise = rng_noise.standard_normal((n_bad, d))
+        cols = np.ascontiguousarray(X.T[bad])
+        sq = (cols[:, None, :] @ cols[:, :, None]).ravel()
+        X.T[bad] = cols + (noise_scale * np.sqrt(sq))[:, None] * noise
     return X
 
 

@@ -1,6 +1,8 @@
 """Block vectors, operators, norm certificates, and weight matrices."""
 
 import math
+import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -23,6 +25,7 @@ from mmadmm.blockspace import (
     certified_lambda_max,
     combined_op_norm_sq,
     dense_matrix,
+    dense_norm_sq,
     estimate_op_norm_sq,
     gram_cross_is_zero,
     residual,
@@ -30,7 +33,11 @@ from mmadmm.blockspace import (
     WeightMatrix,
 )
 
-from mmadmm.problems import DataGenSpec, build_nonneg_sparse_coding
+from mmadmm.problems import (
+    DataGenSpec,
+    build_nonneg_sparse_coding,
+    make_subspace_data,
+)
 
 from helpers import family_dense, op_dense
 
@@ -257,9 +264,10 @@ class TestOperators:
 
     def test_dense_certificate_bounds_benchmark_shapes(self):
         # Blocks shaped like the nnsc benchmark's, the real blocks of three
-        # benchmark instances, and an ill-conditioned zoo: no certificate
-        # may sit below a reference by any amount, nor above gesvd's by
-        # 1e-10 relative.
+        # benchmark instances (up to 50x1000), their stacked case-I
+        # prefixes as the footnote certifies them, latlrr3's X, and an
+        # ill-conditioned zoo: no certificate may sit below a reference by
+        # any amount, nor above gesvd's by 1e-10 relative.
         rng = np.random.default_rng(0)
         mats = [rng.standard_normal((50, 10 * (i + 1))) for i in range(100)]
         for seed in range(3):
@@ -267,6 +275,10 @@ class TestOperators:
                 DataGenSpec(seed, sparsity=0.1, d=50, n=100)
             )
             mats += [op.matrix for op in problem.family.operators]
+        blocks = mats[-100:]
+        order = sorted(range(100), key=lambda i: -dense_norm_sq(blocks[i]))
+        mats += [np.hstack([blocks[i] for i in order[:n1]]) for n1 in (2, 3)]
+        mats.append(make_subspace_data(0, d=50))
         cases = [(M, [DenseMatrixOp(M)]) for M in mats]
         cases += [
             (
@@ -286,6 +298,48 @@ class TestOperators:
                 assert cert >= top_sq
                 assert all(np.longdouble(cert) >= ref for ref in wider)
                 assert cert <= top_sq * (1 + 1e-10)
+
+    def test_dense_certificate_copies_nothing(self):
+        # The Gram comes from the matrix itself: before, the scaled copy
+        # alone took M.nbytes. Entries of 1e+-150 still take the scaled
+        # copy, which keeps their Gram away from overflow and underflow.
+        M = np.random.default_rng(0).standard_normal((50, 1000))
+
+        def peak(matrix):
+            tracemalloc.start()
+            try:
+                dense_norm_sq(matrix)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        for matrix in (M, M.T):
+            assert peak(matrix) < M.nbytes / 2
+        for scale in (1e150, 1e-150):
+            assert peak(scale * M) >= M.nbytes
+
+    def test_certificate_at_the_edges_of_the_copy_free_range(self):
+        # Top entries of binary exponent +-128 are certified from the
+        # matrix itself, +-129 from its scaled copy; both must bound the
+        # norm, and stay tight.
+        rng = np.random.default_rng(31)
+        B = rng.standard_normal((30, 200))
+        B /= 2.0 ** math.frexp(np.abs(B).max())[1]  # top entry in [1/2, 1)
+        top_sq, *wider = _top_sq_references(B)
+        for e in (-129, -128, 128, 129):
+            cert = Fraction(dense_norm_sq(np.ldexp(B, e)))
+            assert cert >= Fraction(top_sq) * 2 ** (2 * e)
+            for ref in wider:
+                assert cert >= Fraction(float(ref)) * (1 - 2**-60) * 2 ** (2 * e)
+            assert cert <= Fraction(top_sq) * (1 + Fraction(1, 10**10)) * 2 ** (2 * e)
+
+    @pytest.mark.parametrize("shape", [(), (3,), (2, 3, 4), (1, 1, 1)])
+    def test_dense_certificate_needs_a_matrix(self, shape):
+        # A 1-d input raised a bare IndexError and a 3-d one "too many
+        # values to unpack".
+        message = re.escape(f"dense_norm_sq needs a 2-d matrix, got shape {shape}")
+        with pytest.raises(ValueError, match=message):
+            dense_norm_sq(np.ones(shape))
 
     def test_rounded_down_gram_is_covered(self):
         # Each square of 1 + 2^-47 rounds down to 1 + 2^-46, and once the
@@ -362,6 +416,25 @@ class TestOperators:
                 assert cert >= top_sq
                 assert all(np.longdouble(cert) >= ref for ref in wider)
                 assert cert <= top_sq * (1 + 1e-12)
+
+    @pytest.mark.parametrize(
+        "grams,rounding,message",
+        [
+            (np.eye(2), -1.0, "rounding must be finite and nonnegative, got -1.0"),
+            (np.eye(2), math.nan, "rounding must be finite and nonnegative, got nan"),
+            (np.eye(2), math.inf, "rounding must be finite and nonnegative, got inf"),
+            (np.array([[1.0, 0.0], [math.nan, 1.0]]), 0.0, "grams has non-finite"),
+            (np.array([[math.inf]]), 0.0, "grams has non-finite"),
+            (np.ones((2, 3)), 0.0, r"grams must be a square 2-d array, got shape \(2, 3\)"),
+            (np.ones(4), 0.0, r"grams must be a square 2-d array, got shape \(4,\)"),
+            (np.ones((1, 1, 1)), 0.0, "grams must be a square 2-d array"),
+        ],
+    )
+    def test_certified_lambda_max_rejects_bad_arguments(self, grams, rounding, message):
+        # Each returned a value below lambda_max (0.0 for eye(2) and -1.0),
+        # returned nan, or died inside numpy.
+        with pytest.raises(ValueError, match="certified_lambda_max: " + message):
+            certified_lambda_max(grams, rounding)
 
     def test_gram_kind_matches_gram_rep(self):
         for op in _op_zoo():

@@ -1,5 +1,6 @@
 """Benchmark problem builders: wiring, data generation, manifest round trips."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -86,6 +87,23 @@ class TestDataGenSpec:
         assert (gen.seed, gen.d, gen.block_dims) == (2, 5, (1, 2, 3))
         assert type(gen.seed) is type(gen.d) is int
 
+    @pytest.mark.parametrize(
+        "field,message",
+        [
+            ("seed", "seed must be an integer, got True"),
+            ("d", "d must be an integer, got True"),
+            ("rank", "rank must be an integer, got True"),
+            ("sparsity", r"sparsity is a fraction in \[0, 1\], got True"),
+            ("obs_fraction", r"obs_fraction is a fraction in \(0, 1\], got True"),
+        ],
+    )
+    def test_bool_is_not_a_number(self, field, message):
+        # seed=True built seed 1 and sparsity=True planted every entry.
+        with pytest.raises(ValueError, match=message):
+            DataGenSpec(**{"seed": 0, "n": 3, field: True})
+        gen = DataGenSpec(seed=10.0, d=5, n=3, sparsity=1, obs_fraction=1)
+        assert (gen.seed, gen.sparsity, gen.obs_fraction) == (10, 1, 1)
+
     @pytest.mark.parametrize("sigma", [math.nan, math.inf, -1.0])
     def test_noise_sigma_finite_and_nonnegative(self, sigma):
         with pytest.raises(ValueError, match="noise_sigma must be finite"):
@@ -111,6 +129,20 @@ class TestNonnegSparseCoding:
             np.testing.assert_array_equal(a.data[key], b.data[key])
         c = build_nonneg_sparse_coding(_gen(seed=12))
         assert not np.array_equal(a.data["y"], c.data["y"])
+
+    def test_instance_is_pinned(self):
+        # sha256 of the benchmark instance's matrices, in block order, and
+        # of its y; the instances must not move.
+        problem = build_nonneg_sparse_coding(DataGenSpec(0, sparsity=0.1, d=50, n=100))
+        mats = hashlib.sha256()
+        for op in problem.family.operators:
+            mats.update(op.matrix.tobytes())
+        assert mats.hexdigest() == (
+            "f484ae837dc6c8a327719a22775505fb7c5731728acd4c1b2287e83012d44ecb"
+        )
+        assert hashlib.sha256(problem.data["y"].tobytes()).hexdigest() == (
+            "4f1bf6a7855101b86bab5b31075bd02635e1db0b2f5f15fc08bd48acf7b8ecf6"
+        )
 
     def test_block_streams_do_not_depend_on_block_count(self):
         small = build_nonneg_sparse_coding(_gen())
@@ -366,6 +398,44 @@ class TestSubspaceData:
     def test_validation(self):
         with pytest.raises(ValueError, match="corrupt_frac"):
             make_subspace_data(seed=0, corrupt_frac=1.2)
+
+    @pytest.mark.parametrize(
+        "kwargs,message",
+        [
+            ({"seed": True}, "seed must be an integer, got True"),
+            ({"rank": True}, "rank must be an integer, got True"),
+            ({"per_subspace": True}, "per_subspace must be an integer, got True"),
+            ({"corrupt_frac": True}, r"corrupt_frac is a fraction in \[0, 1\]"),
+            ({"corrupt_frac": math.nan}, r"corrupt_frac is a fraction in \[0, 1\]"),
+        ],
+    )
+    def test_bool_is_not_a_number(self, kwargs, message):
+        # rank=True built rank 1 and corrupt_frac=True corrupted every column.
+        with pytest.raises(ValueError, match=message):
+            make_subspace_data(**{"seed": 0, **kwargs})
+        np.testing.assert_array_equal(
+            make_subspace_data(3.0, d=20.0, corrupt_frac=1),
+            make_subspace_data(3, d=20, corrupt_frac=1.0),
+        )
+
+    # sha256 of the generated bytes as a loop filling one corrupted column
+    # at a time produced them; the seeded instances must not move.
+    @pytest.mark.parametrize(
+        "seed,kwargs,digest",
+        [
+            (0, {}, "3574fe041ab64222054e5be697c3bbb8bdfb6f4d68c10220832350e01320eeb4"),
+            (3, {}, "5a6b6963333f8827aeb530c18183b4fbd9a1f98807f820c5c618ef7d665bca5a"),
+            (60, {}, "810d83c7296e28aaecf67d7b1d06a4ddb3a7561de292baa9292cbd5730f82921"),
+            (
+                7,
+                {"d": 20, "per_subspace": 7, "corrupt_frac": 0.5},
+                "48dafbd540167cf74d1ee24de746e904f005a66591bd4c9dbf7b060942e08bac",
+            ),
+        ],
+    )
+    def test_instances_are_pinned(self, seed, kwargs, digest):
+        X = make_subspace_data(seed, **kwargs)
+        assert hashlib.sha256(X.tobytes()).hexdigest() == digest
 
     @pytest.mark.parametrize(
         "kwargs,message",
