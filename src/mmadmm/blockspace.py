@@ -624,16 +624,17 @@ def certified_lambda_max(grams: np.ndarray, rounding: float) -> float:
     return (lam + r) * (1.0 + (4 * d + 4) * _U)
 
 
-def dense_norm_sq(matrix: np.ndarray) -> float:
-    """Certified ``||M||_2^2`` from the smaller Gram of ``M``.
+def dense_norm_sq(*matrices: np.ndarray) -> float:
+    """Certified ``||M||_2^2`` of ``M = [M_1 ... M_q]``, ``matrices`` side by side.
 
-    The result is :func:`certified_lambda_max` of ``M M^T`` or ``M^T M``,
-    whichever is smaller, and never below the exact ``||M||_2^2``. For a
-    horizontal stack ``M = [M_1 ... M_q]``, ``M M^T = sum_j M_j M_j^T``.
-    Empty and all-zero matrices give ``0.0``. Raises ``ValueError`` when
-    ``M`` is not 2-d, when an entry is not finite, and when the squared
-    norm overflows the float range. ``M`` is only read: the Gram is formed
-    from ``M`` itself unless its top entry is far from 1 in magnitude.
+    One matrix is ``M`` itself. The result is :func:`certified_lambda_max`
+    of ``M M^T`` or ``M^T M``, whichever is smaller, and never below the
+    exact ``||M||_2^2``. Empty and all-zero stacks give ``0.0``. Raises
+    ``ValueError`` when a matrix is not 2-d or the row counts differ, when
+    an entry is not finite, and when the squared norm overflows the float
+    range. The matrices are only read: the Gram is summed from them in place
+    unless the top entry is far from 1 in magnitude; only a chunk of columns
+    (below) that straddles two is joined, and a tall ``M`` is formed.
 
     Proof of the rounding bound. Let ``2^(e-1) <= max |M_ij| < 2^e`` and
     ``S = 2^-s M``, transposed when tall, so ``S`` is ``d x k`` with ``d <=
@@ -671,30 +672,36 @@ def dense_norm_sq(matrix: np.ndarray) -> float:
     scaled-back product ``2^(2s) lambda`` is exact unless it overflows,
     which raises, or lands below the normal range, where it is rounded up.
     """
-    M = np.asarray(matrix, dtype=float)
-    if M.ndim != 2:
-        raise ValueError(f"dense_norm_sq needs a 2-d matrix, got shape {M.shape}")
-    if M.size == 0:
-        return 0.0
-    top = max(float(M.max()), -float(M.min()))
-    if not math.isfinite(top):
+    pieces = [np.asarray(M, dtype=float) for M in matrices]
+    for P in pieces:
+        if P.ndim != 2:
+            raise ValueError(f"dense_norm_sq needs a 2-d matrix, got shape {P.shape}")
+        if P.shape[0] != pieces[0].shape[0]:
+            raise ValueError("dense_norm_sq stacks matrices of equal row counts")
+    pieces = [P for P in pieces if P.size]
+    tops = [max(float(P.max()), -float(P.min())) for P in pieces]
+    if not all(map(math.isfinite, tops)):
         raise ValueError("no norm certificate: the matrix has non-finite entries")
+    top = max(tops, default=0.0)
     if top == 0.0:
         return 0.0
     e = math.frexp(top)[1]
     s = 0 if abs(e) <= _RAW_EXP else e
-    S = M if s == 0 else np.ldexp(M, -s)
-    if S.shape[0] > S.shape[1]:
-        S = S.T
-    d, k = S.shape
+    S = pieces if s == 0 else [np.ldexp(P, -s) for P in pieces]
+    if S[0].shape[0] > sum(P.shape[1] for P in S):
+        S = [(S[0] if len(S) == 1 else np.hstack(S)).T]
+    edges = np.cumsum([0] + [P.shape[1] for P in S])
+    d, k = S[0].shape[0], int(edges[-1])
     c = min(k, _GRAM_CHUNK)
-    H = S[:, :c] @ S[:, :c].T
-    for j in range(c, k, c):
-        X = S[:, j : j + c]
-        H += X @ X.T
+    for j in range(0, k, c):
+        # Columns j to j + c of the stack, as each piece holds them (or none).
+        parts = [P[:, max(j - lo, 0) : max(j + c - lo, 0)] for P, lo in zip(S, edges)]
+        parts = [V for V in parts if V.shape[1]]
+        X = parts[0] if len(parts) == 1 else np.hstack(parts)
+        H = X @ X.T if j == 0 else np.add(H, X @ X.T, out=H)
     f = float(np.trace(H))
     p = -(-k // c)
-    rounding = _gamma(c + p) * f / (1.0 - _gamma(c + p + d)) + 3.0 * S.size * _TINY
+    rounding = _gamma(c + p) * f / (1.0 - _gamma(c + p + d)) + 3.0 * d * k * _TINY
     lam = certified_lambda_max(H, rounding)
     try:
         out = math.ldexp(lam, 2 * s)

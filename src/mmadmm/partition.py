@@ -16,8 +16,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .blockspace import (
     BlockOperatorFamily,
     DenseMatrixOp,
@@ -97,10 +95,10 @@ def case1_scan(
     ``(n1 - 1) * sum - ||A_B1||^2`` with the combined-norm refinement applied
     only when ``A`` is supplied and ``n1 <= 3`` (the term is
     dropped for larger prefixes), and ``L_B2 = (n2 - 1) * sum``.
-    ``||A_B1||^2`` is :func:`dense_norm_sq` of the prefix's stacked
-    matrices, from ``sum_{j in B1} M_j M_j^T``, when every operator in the
-    prefix is a :class:`DenseMatrixOp`, and :func:`combined_op_norm_sq`
-    otherwise.
+    ``||A_B1||^2`` is :func:`dense_norm_sq` of the prefix's matrices,
+    stacked side by side, when every operator in the prefix is a
+    :class:`DenseMatrixOp` (of one block, its cached ``op_norm_sq``), and
+    :func:`combined_op_norm_sq` otherwise.
     """
     norms = [float(v) for v in norms_sq]
     n = len(norms)
@@ -125,9 +123,11 @@ def case1_scan(
 
 def _prefix_norm_sq(A: BlockOperatorFamily, indices: Sequence[int]) -> float:
     ops = [A.operators[i] for i in indices]
-    if all(isinstance(op, DenseMatrixOp) for op in ops):
-        return dense_norm_sq(np.hstack([op.matrix for op in ops]))
-    return combined_op_norm_sq(A, indices)
+    if not all(isinstance(op, DenseMatrixOp) for op in ops):
+        return combined_op_norm_sq(A, indices)
+    if len(ops) == 1:
+        return ops[0].op_norm_sq  # dense_norm_sq of its matrix, kept on op
+    return dense_norm_sq(*(op.matrix for op in ops))
 
 
 def best_prefix(order: Sequence[int], scores: Sequence[float]) -> Partition:

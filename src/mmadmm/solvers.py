@@ -43,7 +43,6 @@ from .blockspace import (
     LeftMultiplyOp,
     StackedOp,
     WeightMatrix,
-    _Layout,
 )
 from .partition import Partition, choose_partition
 from .prox import ProxFunction
@@ -194,26 +193,28 @@ class IterationTrace:
 
 @dataclass
 class SolverState:
-    """Mutable iteration state: primal blocks, dual, penalty, weights.
+    """Mutable iteration state: primal blocks, dual, penalty, weight levels.
 
-    ``G`` holds the weights (under ``madmm-bt``, the backtracked levels
-    ``G[i].eta``). ``images`` is ``(x, c, r, f, z)``: the block images ``c_i
-    = A_i x_i`` of the iterate ``x``, their residual ``r = sum_i c_i - b``,
-    ``f``, ``{i: value}`` of the block term values known at ``x`` (``None``
-    or absent: unknown), and ``z``, ``{i: X_i}`` of the range coordinates
-    with ``x_i = fl(Q_i X_i)`` of the blocks that have a range basis and
-    whose last update wrote them (see :class:`_RangeBasis`): such a block
-    solves in them, any other in full space. :func:`step` recomputes the
-    images, with no values and no coordinates, when they belong to another
-    iterate, so the blocks of a replaced iterate solve in full space from
-    then on.
+    ``eta[i]`` is block ``i``'s level ``eta_i`` in its weight ``G_i = eta_i
+    I + g_i A_i^T A_i``, whose ``g_i`` the solve plan fixes; :func:`run`
+    starts it at the start weights' levels, and a rejected ``madmm-bt``
+    phase multiplies it by ``mu``. ``images`` is ``(x, c, r, f, z)``: the
+    block images ``c_i = A_i x_i`` of the iterate ``x``, their residual ``r
+    = sum_i c_i - b``, ``f``, ``{i: value}`` of the block term values known
+    at ``x`` (``None`` or absent: unknown), and ``z``, ``{i: X_i}`` of the
+    range coordinates with ``x_i = fl(Q_i X_i)`` of the blocks that have a
+    range basis and whose last update wrote them (see :class:`_RangeBasis`):
+    such a block solves in them, any other in full space. :func:`step`
+    recomputes the images, with no values and no coordinates, when they
+    belong to another iterate, so the blocks of a replaced iterate solve in
+    full space from then on.
     """
 
     x: BlockVector
     lam: np.ndarray
     beta: float
     k: int = 0
-    G: list = field(default_factory=list)
+    eta: list = field(default_factory=list)
     backtrack_count: int = 0
     trace: list = field(default_factory=list)
     images: Optional[tuple] = None
@@ -652,15 +653,14 @@ def _plan_block(problem, i: int, G: WeightMatrix, smooth_eta: float) -> _BlockPl
     return plan
 
 
-def _solve_block(ctx: "_RunContext", plan: _BlockPlan, q_iso, q_gram, v):
+def _solve_block(plan: _BlockPlan, q_iso, q_gram, v):
     """Minimize block ``plan``'s model in place in ``v``, which holds its ``lin``
     (in the block's range coordinates when it was assembled in them).
 
     The model is ``term(v) + 0.5 q_iso ||v||^2 + 0.5 q_gram <v, Gram v> +
     <lin, v>``. On the ``diag`` path the Gram is ``c I``, a scalar
     curvature ``q_iso + q_gram c`` and one prox call with a scalar
-    threshold, or a diagonal, whose per-entry curvature is built in the
-    block's slice of ``ctx.denom``.
+    threshold, or a diagonal, a per-entry curvature and threshold.
 
     Returns the term's value at the solution when the prox gives it (a
     nuclear term, from the singular values its thresholding produced; see
@@ -673,8 +673,7 @@ def _solve_block(ctx: "_RunContext", plan: _BlockPlan, q_iso, q_gram, v):
         s = q_iso + q_gram * plan.diag
         no_curvature = s <= 0.0
     else:
-        lo, hi = ctx.layout.bounds[plan.index]
-        s = np.multiply(plan.diag, q_gram, out=ctx.denom[lo:hi].reshape(v.shape))
+        s = plan.diag * q_gram
         s += q_iso
         no_curvature = np.any(s <= 0.0)
     if no_curvature:
@@ -733,30 +732,29 @@ def assemble_block(
     c: Sequence[np.ndarray],
     s_full: np.ndarray,
     beta: float,
-    G: WeightMatrix,
+    eta: float,
     smooth_res: Optional[np.ndarray],
     out: Optional[np.ndarray] = None,
     coords: Optional[np.ndarray] = None,
 ):
     """Build ``(q_iso, q_gram, lin)`` of block ``i``'s subproblem at anchor ``y``.
 
-    ``c`` holds the anchor's block images ``c_j = A_j y_j`` and ``s_full`` is
-    ``sum_j c_j - b + lam / beta``. With ``G = eta I + g A_i^T A_i`` the
-    linear term ``beta A_i^T (s_full - A_i y_i) - beta G y_i`` is built as
-    ``beta A_i^T (s_full - (1 + g) c_i) - beta eta y_i``: one adjoint and no
-    apply. The Gram coefficient ``1 + g`` is the plan's ``gram_factor``;
-    ``G`` supplies only its level ``eta``. The linearized weight (``g =
-    -1``) cancels the image term. ``coords``, the carried coordinates ``Y``
-    of ``y_i = fl(Q Y)`` in the block's range basis, builds the model in
-    them instead: anchor ``Y`` and operator :class:`_RangeBasis`. ``out``,
-    an array shaped like the anchor, receives ``lin`` when given; the phase
-    engine passes the block's slice of the new iterate, so the block is
-    then solved in place.
+    ``c`` holds the anchor's block images ``c_j = A_j y_j`` and ``s_full``
+    is ``sum_j c_j - b + lam / beta``. With the weight ``G = eta I + g A_i^T
+    A_i`` the linear term ``beta A_i^T (s_full - A_i y_i) - beta G y_i`` is
+    built as ``beta A_i^T (s_full - (1 + g) c_i) - beta eta y_i``: one
+    adjoint and no apply. ``eta`` is the block's level (see
+    :class:`SolverState`) and ``1 + g`` the plan's ``gram_factor``. The
+    linearized weight (``g = -1``) cancels the image term. ``coords``, the
+    carried coordinates ``Y`` of ``y_i = fl(Q Y)`` in the block's range
+    basis, builds the model in them instead: anchor ``Y`` and operator
+    :class:`_RangeBasis`. ``out``, an array shaped like the anchor, receives
+    ``lin`` when given; the phase engine passes the block's slice of the new
+    iterate, so the block is then solved in place.
     """
     plan = ctx.plans[i]
     op, yi = (plan.op, y[i]) if coords is None else (plan.basis, coords)
-    iso = G.eta
-    q_iso = plan.fold_iso + beta * iso
+    q_iso = plan.fold_iso + beta * eta
     q_gram = 0.0
     lin = np.empty(yi.shape) if out is None else out
     if plan.op.op_norm_sq > 0.0:
@@ -766,8 +764,8 @@ def assemble_block(
         np.multiply(op.adjoint(si), beta, out=lin)
     else:
         lin.fill(0.0)
-    if iso != 0.0:
-        lin -= (beta * iso) * yi
+    if eta != 0.0:
+        lin -= (beta * eta) * yi
     if plan.smooth_eta > 0.0 and smooth_res is not None:
         grad = ctx.smooth.weight * ctx.smooth.ops[i].adjoint(smooth_res)
         q_iso += plan.smooth_eta
@@ -791,9 +789,7 @@ class _RunContext:
     levels: list
     smooth: object
     b_scale: float
-    layout: _Layout
     smoothness: dict
-    denom: np.ndarray  # curvature scratch: a context runs one step at a time
     workers: int = 1
     executor: Optional[ThreadPoolExecutor] = None
 
@@ -833,9 +829,7 @@ def prepare_context(
             "second-block weight is zero: classical unregularized update, "
             "the averaged-iterate rate guarantee needs a positive weight"
         )
-    b = problem.b
-    b_scale = max(float(np.linalg.norm(b)), 1.0)
-    layout = _Layout(problem.block_shapes)
+    b_scale = max(float(np.linalg.norm(problem.b)), 1.0)
     return _RunContext(
         problem=problem,
         kind=kind,
@@ -846,9 +840,7 @@ def prepare_context(
         levels=levels,
         smooth=smooth,
         b_scale=b_scale,
-        layout=layout,
         smoothness=smoothness,
-        denom=np.empty(layout.size),
         workers=int(workers),
     )
 
@@ -867,11 +859,12 @@ def _run_phase(
     z: dict,
     lam: np.ndarray,
     beta: float,
-    G: Sequence[WeightMatrix],
+    eta: Sequence[float],
 ):
     """Update ``blocks`` in parallel, all anchored at ``y`` with images ``c``,
-    residual ``r = sum_j c_j - b`` and range coordinates ``z`` (``{i: X_i}``,
-    see :class:`SolverState`); ``blocks`` is not empty.
+    residual ``r = sum_j c_j - b``, range coordinates ``z`` (``{i: X_i}``)
+    and weight levels ``eta`` (see :class:`SolverState`); ``blocks`` is not
+    empty.
 
     Returns the new iterate, its block images, ``{i: value}`` for each
     updated block, its term's value at the new iterate as
@@ -901,9 +894,9 @@ def _run_phase(
             plan, v, Y = ctx.plans[i], xb[i], z.get(i)
             op, out = (plan.op, v) if Y is None else (plan.basis, None)
             q_iso, q_gram, w = assemble_block(
-                ctx, i, y, c, s_full, beta, G[i], smooth_res, out, Y
+                ctx, i, y, c, s_full, beta, eta[i], smooth_res, out, Y
             )
-            value = _solve_block(ctx, plan, q_iso, q_gram, w)  # w: v, or X
+            value = _solve_block(plan, q_iso, q_gram, w)  # w: v, or X
             if Y is not None:
                 np.matmul(plan.basis.Q, w, out=v)
             done.append((i, op.apply(w), value, None if Y is None else w))
@@ -935,12 +928,13 @@ def step(state: SolverState, ctx: _RunContext):
 
     Each phase updates its blocks in parallel, anchored at the iterate the
     previous phase left. Under ``madmm-bt`` a phase is recomputed with its
-    weights scaled by ``mu`` until :func:`_bt_accept` holds, with ``tau = 0``
-    for the first phase and ``config.tau`` for the second; accepted weights
-    carry over to the next iteration. A rejection with every coupled weight
-    past ``mu (eta'_i + tau)`` raises :class:`BacktrackingConsistencyError`
-    (see :func:`_bt_exhausted`). Returns the residual, the penalty the
-    iteration used, and its backtrack count.
+    coupled blocks' levels ``state.eta`` multiplied by ``mu`` until
+    :func:`_bt_accept` holds, with ``tau = 0`` for the first phase and
+    ``config.tau`` for the second; accepted levels carry over to the next
+    iteration. A rejection with every coupled level past ``mu (eta'_i +
+    tau)`` raises :class:`BacktrackingConsistencyError` (see
+    :func:`_bt_exhausted`). Returns the residual, the penalty the iteration
+    used, and its backtrack count.
 
     The block images ``A_i x_i``, their residual ``sum_i c_i - b``, the
     block term values the phases' proxes gave and the range coordinates
@@ -965,13 +959,13 @@ def step(state: SolverState, ctx: _RunContext):
             continue
         while True:
             x_new, c_new, values_new, z_new = _run_phase(
-                ctx, blocks, x, c, resid, z, state.lam, state.beta, state.G
+                ctx, blocks, x, c, resid, z, state.lam, state.beta, state.eta
             )
             if not backtracking or _bt_accept(
-                ctx, blocks, x, x_new, c, c_new, state.G, tau
+                ctx, blocks, x, x_new, c, c_new, state.eta, tau
             ):
                 break
-            if _bt_exhausted(ctx.smoothness[blocks], state.G, mu, tau):
+            if _bt_exhausted(ctx.smoothness[blocks], state.eta, mu, tau):
                 raise BacktrackingConsistencyError(
                     f"phase acceptance (tau={tau:g}) failed with every coupled "
                     f"weight at least mu={mu:g} times the level eta'_i + tau "
@@ -991,8 +985,8 @@ def step(state: SolverState, ctx: _RunContext):
     return resid, beta_used, backtracks
 
 
-def _bt_exhausted(sm: dict, G, mu: float, tau: float) -> bool:
-    """Whether a rejected phase's weights are all past where it must pass.
+def _bt_exhausted(sm: dict, eta, mu: float, tau: float) -> bool:
+    """Whether a rejected phase's levels ``eta`` are all past where it must pass.
 
     ``sm`` is the phase's :func:`phase_smoothness`. The test of
     :func:`_bt_accept` holds in exact arithmetic once every coupled block
@@ -1002,25 +996,23 @@ def _bt_exhausted(sm: dict, G, mu: float, tau: float) -> bool:
     the weights.
     """
     return all(
-        G[i].eta >= mu * (eta_p + tau) for i, (eta_p, _) in sm.items() if eta_p > 0.0
+        eta[i] >= mu * (eta_p + tau) for i, (eta_p, _) in sm.items() if eta_p > 0.0
     )
 
 
 def _bt_scale(ctx, blocks, state: SolverState, mu: float) -> None:
+    """Multiply the levels of ``blocks``' coupled blocks by ``mu``."""
     for i in blocks:
-        if ctx.A.operators[i].op_norm_sq == 0.0:
-            continue
-        state.G[i] = WeightMatrix.identity_minus_gram(
-            mu * state.G[i].eta, ctx.A.operators[i]
-        )
+        if ctx.A.operators[i].op_norm_sq > 0.0:
+            state.eta[i] = mu * state.eta[i]
 
 
 def _bt_accept(
-    ctx, blocks, anchor, updates, c_anchor, c_updates, G, tau: float
+    ctx, blocks, anchor, updates, c_anchor, c_updates, eta, tau: float
 ) -> bool:
     """``tau ||d||^2 <= sum_i eta_i ||d_i||^2 - ||sum_i A_i d_i||^2`` over ``blocks``.
 
-    ``eta_i = G[i].eta`` and ``d_i = updates[i] - anchor[i]``, restricted to
+    ``eta_i = eta[i]`` and ``d_i = updates[i] - anchor[i]``, restricted to
     constraint-coupled blocks; ``A_i d_i`` is taken from the block images as
     ``c_updates[i] - c_anchor[i]``. At ``tau = 0`` this is the first phase's
     test ``||A d||^2 <= sum_i eta_i ||d_i||^2``.
@@ -1034,7 +1026,7 @@ def _bt_accept(
         d = updates[i] - anchor[i]
         dsq = float(np.vdot(d, d))
         lhs += dsq
-        quad += G[i].eta * dsq
+        quad += eta[i] * dsq
         a_vec += c_updates[i] - c_anchor[i]
     return tau * lhs <= quad - float(np.vdot(a_vec, a_vec))
 
@@ -1086,7 +1078,7 @@ def run(
         x=x0,
         lam=np.zeros(out_shape),
         beta=config.beta0,
-        G=list(ctx.G0),
+        eta=[g.eta for g in ctx.G0],
         images=(x0, c0, np.subtract(0.0, problem.b), {}, z0),
     )
     stop_reason = "budget"

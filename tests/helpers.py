@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from mmadmm import solvers
+from mmadmm import blockspace, solvers
 from mmadmm.blockspace import BlockVector, DenseMatrixOp, ScaledIdentityOp
 from mmadmm.problems import ProblemSpec
 from mmadmm.prox import ProxFunction
@@ -170,7 +170,7 @@ def reference_solve_block(plan, q_iso, q_gram, lin, return_value=False):
     return (x, None) if return_value else x
 
 
-def reference_run_phase(ctx, blocks, y, c, r, z, lam, beta, G):
+def reference_run_phase(ctx, blocks, y, c, r, z, lam, beta, eta):
     """The phase update of ``solvers._run_phase``, block by block.
 
     Each block of ``blocks`` assembles its model, solves it on its own and
@@ -193,7 +193,7 @@ def reference_run_phase(ctx, blocks, y, c, r, z, lam, beta, G):
     images = list(c)
     for i in blocks:
         q_iso, q_gram, lin = assemble_block(
-            ctx, i, y, c, s_full, beta, G[i], smooth_res
+            ctx, i, y, c, s_full, beta, eta[i], smooth_res
         )
         new[i] = reference_solve_block(ctx.plans[i], q_iso, q_gram, lin)
         images[i] = ctx.plans[i].op.apply(new[i])
@@ -222,13 +222,14 @@ def reference_runs(plans, blocks, layout):
     )
 
 
-def reference_solve_run(ctx, run, curvatures, flat):
+def reference_solve_run(layout, scratch, run, curvatures, flat):
     """A run's models minimized together, which ``solvers._solve_block``
     must match bitwise block by block.
 
-    ``run`` is ``(plans, start, stop)`` and ``flat[start:stop]`` holds the
-    members' linear terms; an entrywise run is one prox call with a
-    per-entry threshold built in ``ctx.denom``. Returns the term value of a
+    ``run`` is ``(plans, start, stop)`` of ``layout`` and
+    ``flat[start:stop]`` holds the members' linear terms; an entrywise run
+    is one prox call with a per-entry threshold built in ``scratch``, an
+    array of ``layout.size``. Returns the term value of a
     run of one whose prox gives it, else ``None``.
     """
     plans, start, stop = run
@@ -247,17 +248,17 @@ def reference_solve_run(ctx, run, curvatures, flat):
         np.divide(v, -s, out=v)
         return plan.prox_term.prox(v, 1.0 / s, out=v, return_value=True)[1]
     for plan, (q_iso, q_gram) in zip(plans, curvatures):
-        lo, hi = ctx.layout.bounds[plan.index]
+        lo, hi = layout.bounds[plan.index]
         if isinstance(plan.diag, float):
-            ctx.denom[lo:hi] = q_iso + q_gram * plan.diag
+            scratch[lo:hi] = q_iso + q_gram * plan.diag
         else:
-            d = np.multiply(plan.diag.reshape(-1), q_gram, out=ctx.denom[lo:hi])
+            d = np.multiply(plan.diag.reshape(-1), q_gram, out=scratch[lo:hi])
             d += q_iso
-    denom = ctx.denom[start:stop]
+    denom = scratch[start:stop]
     if np.any(denom <= 0.0):
         for plan in plans:
-            lo, hi = ctx.layout.bounds[plan.index]
-            if np.any(ctx.denom[lo:hi] <= 0.0):
+            lo, hi = layout.bounds[plan.index]
+            if np.any(scratch[lo:hi] <= 0.0):
                 raise UnsupportedSubproblemError(
                     f"block {plan.index}: subproblem has no positive curvature"
                 )
@@ -270,7 +271,7 @@ def reference_solve_run(ctx, run, curvatures, flat):
     return None
 
 
-def reference_run_wide_phase(ctx, blocks, y, c, r, z, lam, beta, G):
+def reference_run_wide_phase(ctx, blocks, y, c, r, z, lam, beta, eta):
     """The phase update of ``solvers._run_phase`` by run-wide solves.
 
     All of a run's adjoints come first, then one :func:`reference_solve_run`
@@ -279,8 +280,11 @@ def reference_run_wide_phase(ctx, blocks, y, c, r, z, lam, beta, G):
     carried range coordinates ``Y``, always a run of one, is assembled in
     them (``assemble_block``'s ``coords``),
     solved by :func:`reference_solve_block`, and writes ``Q X`` and the
-    image ``R^T X`` at its rows; it carries its new ``X``.
+    image ``R^T X`` at its rows; it carries its new ``X``. The runs share
+    one curvature scratch array, each writing only its own span.
     """
+    layout = blockspace._Layout(ctx.problem.block_shapes)
+    scratch = np.empty(layout.size)
     s_full = r + lam / beta
     smooth_res = None
     if ctx.smooth is not None:
@@ -294,7 +298,7 @@ def reference_run_wide_phase(ctx, blocks, y, c, r, z, lam, beta, G):
         if i in z:
             plan = plans[0]
             model = assemble_block(
-                ctx, i, y, c, s_full, beta, G[i], smooth_res, coords=z[i]
+                ctx, i, y, c, s_full, beta, eta[i], smooth_res, coords=z[i]
             )
             X, value = reference_solve_block(plan, *model, return_value=True)
             Q, R, rows = plan.basis.Q, plan.basis.R, plan.basis.rows
@@ -304,14 +308,14 @@ def reference_run_wide_phase(ctx, blocks, y, c, r, z, lam, beta, G):
             return [image], value, X
         curvatures = [
             assemble_block(
-                ctx, p.index, y, c, s_full, beta, G[p.index], smooth_res, xb[p.index]
+                ctx, p.index, y, c, s_full, beta, eta[p.index], smooth_res, xb[p.index]
             )[:2]
             for p in plans
         ]
-        value = reference_solve_run(ctx, run, curvatures, x.flat)
+        value = reference_solve_run(layout, scratch, run, curvatures, x.flat)
         return [p.op.apply(xb[p.index]) for p in plans], value, None
 
-    runs = reference_runs(ctx.plans, blocks, ctx.layout)
+    runs = reference_runs(ctx.plans, blocks, layout)
     if ctx.executor is not None and len(runs) > 1:
         results = list(ctx.executor.map(work, runs))
     else:
@@ -414,7 +418,7 @@ def surrogate_axiom_gaps(
             smooth_res = smooth.residual(y_bv) if smooth is not None else None
             models = {
                 i: assemble_block(
-                    ctx, i, y_bv, c, s_full, beta, ctx.G0[i], smooth_res
+                    ctx, i, y_bv, c, s_full, beta, ctx.G0[i].eta, smooth_res
                 )
                 for i in blocks
             }

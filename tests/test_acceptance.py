@@ -478,7 +478,7 @@ def _bt_postconditions_ok():
         x=BlockVector.zeros(problem.block_shapes),
         lam=np.zeros(A.out_shape),
         beta=config.beta0,
-        G=list(ctx.G0),
+        eta=[g.eta for g in ctx.G0],
     )
     for _ in range(10):
         x_prev = state.x
@@ -489,7 +489,7 @@ def _bt_postconditions_ok():
         for i in part.b1:
             d = x_new[i] - x_prev[i]
             coupled += A.operators[i].apply(d)
-            allowance += state.G[i].eta * float(np.vdot(d, d))
+            allowance += state.eta[i] * float(np.vdot(d, d))
         if float(np.vdot(coupled, coupled)) > allowance:
             return False
         step_sq = quad = 0.0
@@ -497,7 +497,7 @@ def _bt_postconditions_ok():
         for i in part.b2:
             d = x_new[i] - x_prev[i]
             step_sq += float(np.vdot(d, d))
-            quad += state.G[i].eta * float(np.vdot(d, d))
+            quad += state.eta[i] * float(np.vdot(d, d))
             coupled2 += A.operators[i].apply(d)
         if config.tau * step_sq > quad - float(np.vdot(coupled2, coupled2)):
             return False

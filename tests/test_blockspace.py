@@ -151,6 +151,11 @@ class TestBlockVector:
         with pytest.raises(DimensionError):
             a.replace(0, np.zeros(3))
 
+    def test_no_blocks_raises(self):
+        for build in (lambda: BlockVector([]), lambda: BlockVector.zeros(())):
+            with pytest.raises(DimensionError, match="at least one block"):
+                build()
+
 
 class TestPackedBlockVector:
     """One flat buffer with per-block views; algebra against a per-block loop."""
@@ -333,6 +338,50 @@ class TestOperators:
                 assert cert >= Fraction(float(ref)) * (1 - 2**-60) * 2 ** (2 * e)
             assert cert <= Fraction(top_sq) * (1 + Fraction(1, 10**10)) * 2 ** (2 * e)
 
+    @pytest.mark.parametrize(
+        "rows, widths",
+        [
+            (50, (990, 990, 990)),  # nnsc's prefixes: chunks straddle pieces
+            (50, (160, 320)),  # chunk edges at piece edges: views only
+            (50, (0, 161, 0, 7)),  # empty pieces
+            (400, (80, 159, 1)),  # tall: the stack is formed
+            (3, (1,)),
+        ],
+    )
+    @pytest.mark.parametrize("scale", [1.0, 1e150, 1e-150])
+    def test_stacked_certificate_is_the_formed_stack(self, rows, widths, scale):
+        # The pieces are read chunk by chunk, with the chunk edges of the
+        # formed stack: the certificate is bitwise the formed stack's.
+        rng = np.random.default_rng(rows + len(widths))
+        mats = [scale * rng.standard_normal((rows, w)) for w in widths]
+        assert dense_norm_sq(*mats) == dense_norm_sq(np.hstack(mats))
+
+    def test_stacked_certificate_copies_only_straddling_chunks(self):
+        # The formed stack of three 50 x 1000 pieces took 1.2 MB; a joined
+        # chunk takes 64 kB.
+        rng = np.random.default_rng(32)
+        mats = [rng.standard_normal((50, 1000)) for _ in range(3)]
+        tracemalloc.start()
+        try:
+            dense_norm_sq(*mats)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < mats[0].nbytes / 2
+
+    def test_stacked_certificate_refusals(self):
+        with pytest.raises(ValueError, match="equal row counts"):
+            dense_norm_sq(np.ones((2, 4)), np.ones((3, 4)))
+        with pytest.raises(ValueError, match=re.escape("got shape (4,)")):
+            dense_norm_sq(np.ones((2, 4)), np.ones(4))
+        bad = np.ones((2, 3))
+        bad[1, 2] = np.nan
+        for mats in ((np.ones((2, 2)), bad), (bad, np.ones((2, 2)))):
+            with pytest.raises(ValueError, match="non-finite entries"):
+                dense_norm_sq(*mats)
+        # An empty stack, of no matrix or of empty ones, has norm 0.
+        assert dense_norm_sq() == dense_norm_sq(np.ones((0, 3)), np.ones((0, 2))) == 0.0
+
     @pytest.mark.parametrize("shape", [(), (3,), (2, 3, 4), (1, 1, 1)])
     def test_dense_certificate_needs_a_matrix(self, shape):
         # A 1-d input raised a bare IndexError and a 3-d one "too many
@@ -506,6 +555,41 @@ class TestOperators:
             op.adjoint(np.zeros(3))
 
 
+class TestOperatorShapes:
+    """Each operator refuses a factor or piece that does not fit its block."""
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: DenseMatrixOp(np.ones(3)), "needs a 2-d matrix"),
+            (lambda: LeftMultiplyOp(np.ones(3), (3, 2)), "2-d factor and block"),
+            (lambda: LeftMultiplyOp(np.ones((2, 3)), (3,)), "2-d factor and block"),
+            (lambda: LeftMultiplyOp(np.ones((2, 3)), (4, 2)), "columns must match"),
+            (lambda: RightMultiplyOp(np.ones(3), (2, 3)), "2-d factor and block"),
+            (lambda: RightMultiplyOp(np.ones((3, 2)), (3,)), "2-d factor and block"),
+            (lambda: RightMultiplyOp(np.ones((3, 2)), (2, 4)), "rows must match"),
+            (
+                lambda: StackedOp([(0, (3,), ScaledIdentityOp(1.0, (2,)))], 3, (2,)),
+                "piece shape mismatch",
+            ),
+            (
+                lambda: StackedOp([(0, (2,), ScaledIdentityOp(1.0, (2,)))], 2, (3,)),
+                "input-shape mismatch",
+            ),
+        ],
+    )
+    def test_mismatch_raises(self, build, message):
+        with pytest.raises(DimensionError, match=message):
+            build()
+
+    def test_family_needs_an_operator_and_one_block_each(self):
+        with pytest.raises(DimensionError, match="at least one operator"):
+            BlockOperatorFamily((), (2,))
+        A = BlockOperatorFamily((ScaledIdentityOp(1.0, (2,)),) * 2, (2,))
+        with pytest.raises(DimensionError, match="expected 2 blocks, got 1"):
+            A.apply(BlockVector([np.ones(2)]))
+
+
 class TestResidual:
     def test_feasible_scalar_pair(self):
         ops = (ScaledIdentityOp(1.0, (1,)), ScaledIdentityOp(1.0, (1,)))
@@ -633,6 +717,13 @@ class TestGramCross:
         z = ZeroOp((2,), (3,))
         d = DenseMatrixOp(np.ones((3, 2)))
         assert gram_cross_is_zero(z, d)
+
+    def test_zero_certificate_always_orthogonal(self):
+        # Not a ZeroOp, but its certificate is 0: no power step is taken.
+        z = ScaledIdentityOp(0.0, (3,))
+        d = DenseMatrixOp(np.ones((3, 3)))
+        assert z.op_norm_sq == 0.0
+        assert gram_cross_is_zero(z, d) and gram_cross_is_zero(d, z)
 
     def test_numeric_orthogonality_detected(self):
         a = DenseMatrixOp(np.array([[1.0], [0.0]]))

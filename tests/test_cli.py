@@ -547,6 +547,26 @@ class TestConfigFile:
         assert code == 1
         assert "unknown config key" in capsys.readouterr().err
 
+    def test_unknown_solver_rejected(self, tmp_path, capsys):
+        manifest = _generate_nnsc(tmp_path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("solver = admm-x\n")
+        capsys.readouterr()
+        code = main(
+            [
+                "solve",
+                "--manifest",
+                str(manifest),
+                "--trace",
+                str(tmp_path / "t.csv"),
+                "--config",
+                str(cfg),
+            ]
+        )
+        assert code == 1
+        assert "unknown solver 'admm-x'; options: gs, jacobi" in capsys.readouterr().err
+        assert not (tmp_path / "t.csv").exists()
+
     def test_repeated_key_rejected(self, tmp_path, capsys):
         manifest = _generate_nnsc(tmp_path)
         cfg = tmp_path / "run.cfg"
@@ -722,8 +742,9 @@ class TestPartitionStudy:
         assert got_b1 == chosen.b1
 
     def test_scans_once(self, tmp_path, capsys, monkeypatch):
-        # One scan: three footnote Gram certificates (n1 = 1, 2, 3), and the
-        # split is read from the scan that the curve comes from.
+        # One scan: two footnote Gram certificates (n1 = 2, 3; n1 = 1 reads
+        # its block's), and the split is read from the scan that the curve
+        # comes from.
         manifest = _generate_nnsc(tmp_path, n_blocks=5)
         calls = []
         footnote = partition.dense_norm_sq
@@ -738,7 +759,7 @@ class TestPartitionStudy:
             ["partition-study", "--manifest", str(manifest), "--out", str(out)]
         )
         assert code == 0
-        assert len(calls) == 3
+        assert len(calls) == 2
 
     def test_needs_two_blocks(self, tmp_path, capsys):
         manifest = _generate_nnsc(tmp_path, n_blocks=1)

@@ -173,6 +173,8 @@ class TestTheoremAlpha:
             theorem_alpha(problem, "madmm-bt", G, partition=Partition((0,), (1,)))
         with pytest.raises(ValueError, match="no rate constant"):
             theorem_alpha(problem, "l-admm-ps", G)
+        with pytest.raises(ValueError, match="unrecognized partition spec 'case1'"):
+            theorem_alpha(problem, "madmm", G, partition="case1")
 
     @pytest.mark.parametrize("tau", [math.nan, math.inf, -1.0, 0.0])
     def test_backtracking_tau_must_be_finite_and_positive(self, tau):
@@ -481,6 +483,24 @@ class TestVerifyKKT:
         x = BlockVector([b.copy()])
         assert verify_kkt(problem, x, np.array([0.0, 5.0]))[0]
         assert not verify_kkt(problem, x, np.array([0.0, -5.0]))[0]
+
+    def test_nonneg_cone_rejects_a_negative_point(self):
+        problem = _single(ProxFunction("indicator-nonneg"), np.array([-1.0]))
+        ok, report = verify_kkt(problem, BlockVector([np.array([-1.0])]), np.zeros(1))
+        assert not ok
+        assert report["failure"] == "block 0: nonnegativity violated"
+
+    def test_zero_column_dual_norm_bounded_by_weight(self):
+        # Column 1 is zero, so its dual column may have norm up to 2, not 3.
+        C = np.array([[3.0, 0.0], [4.0, 0.0]])
+        problem = _single(ProxFunction("l21", weight=2.0), C)
+        x = BlockVector([C.copy()])
+        lam = np.column_stack([-2.0 * C[:, 0] / 5.0, [0.0, -2.0]])
+        assert verify_kkt(problem, x, lam)[0]
+        lam[0, 1] = 3.0
+        ok, report = verify_kkt(problem, x, lam)
+        assert not ok
+        assert report["failure"] == "block 0: column 1 dual norm exceeds weight"
 
     def test_free_block_needs_zero_gradient(self):
         problem = _single(None, np.array([3.0]))

@@ -133,6 +133,15 @@ class TestTraceCSV:
         ]
         assert [r["beta"] for r in back] == [row.beta for row in result.trace]
 
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        write_trace_csv(path, [_row(1, 2.5), _row(2, 1.25)])
+        header, first, second = path.read_text().splitlines()
+        spaced = tmp_path / "spaced.csv"
+        spaced.write_text(f"{header}\n\n{first}\n   \n{second}\n\n")
+        assert read_trace_csv(spaced) == read_trace_csv(path)
+        assert len(read_trace_csv(spaced)) == 2
+
     def test_header_mismatch_rejected(self, tmp_path):
         path = tmp_path / "trace.csv"
         path.write_text("iter,objective\n1,2.0\n")

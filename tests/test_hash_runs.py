@@ -7,7 +7,11 @@ import shutil
 import subprocess
 import sys
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 TOOL = ROOT / "tools" / "hash_runs.py"
@@ -181,6 +185,40 @@ def test_a_run_that_raises_late_hashes_only_its_error(monkeypatch):
         outcomes.append(tool.hash_run(builders["quad"](), "jacobi", "geometric", 1, 6))
     assert outcomes[0] == outcomes[1]
     assert outcomes[0][0] == "RuntimeError" and outcomes[0][3] is None
+
+
+def test_both_state_layouts_hash_alike(monkeypatch):
+    # A package whose state keeps each block's weight ``G[i]`` rather than
+    # its level ``eta[i]`` hashes the same levels, so its lines match.
+    tool, builders = _import_tool(monkeypatch)
+    from mmadmm import solvers
+
+    real = solvers.run
+
+    def run_keeping_weights(*args, **kwargs):
+        result = real(*args, **kwargs)
+        state = vars(result.state).copy()
+        weights = [SimpleNamespace(eta=eta) for eta in state.pop("eta")]
+        return replace(result, state=SimpleNamespace(**state, G=weights))
+
+    def run_doubling_levels(*args, **kwargs):
+        result = real(*args, **kwargs)
+        result.state.eta = [2.0 * eta for eta in result.state.eta]
+        return result
+
+    for kind in ("madmm-bt", "jacobi"):
+        want = tool.hash_run(builders["quad"](), kind, "geometric", 1, 6)
+        assert want[0] == "budget"
+        with monkeypatch.context() as patch:
+            patch.setattr(solvers, "run", run_keeping_weights)
+            got = tool.hash_run(builders["quad"](), kind, "geometric", 1, 6)
+        assert got[:3] == want[:3]
+        np.testing.assert_array_equal(got[3][1], want[3][1])
+        # The levels are hashed: other levels give other digests.
+        with monkeypatch.context() as patch:
+            patch.setattr(solvers, "run", run_doubling_levels)
+            other = tool.hash_run(builders["quad"](), kind, "geometric", 1, 6)
+        assert other[1] != want[1] and other[2] != want[2]
 
 
 def test_the_grid_takes_every_thresholding_path(monkeypatch):

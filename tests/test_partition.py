@@ -151,7 +151,7 @@ class TestScan:
             return recorded
 
         monkeypatch.setattr(partition, "dense_norm_sq", recording(
-            "gram", partition.dense_norm_sq, lambda M: M.shape))
+            "gram", partition.dense_norm_sq, lambda *Ms: [M.shape for M in Ms]))
         monkeypatch.setattr(partition, "combined_op_norm_sq", recording(
             "power", partition.combined_op_norm_sq, lambda A, idx: list(idx)))
         return seen
@@ -160,9 +160,18 @@ class TestScan:
         problem = build_nonneg_sparse_coding(DataGenSpec(0, d=50, n=100))
         A = problem.family
         seen = self._footnotes(monkeypatch)
+        footnotes, prefix_norm_sq = [], partition._prefix_norm_sq
+
+        def recorded(A, indices):
+            footnotes.append(prefix_norm_sq(A, indices))
+            return footnotes[-1]
+
+        monkeypatch.setattr(partition, "_prefix_norm_sq", recorded)
         order, _ = case1_scan(list(A.norms_sq()), A)
-        assert [route for route, _, _ in seen] == ["gram"] * 3
-        for n1, (_, _, value) in enumerate(seen, start=1):
+        # The one-block prefix reads its block's certificate.
+        assert [route for route, _, _ in seen] == ["gram"] * 2
+        assert footnotes[0] == A.operators[order[0]].op_norm_sq
+        for n1, value in enumerate(footnotes, start=1):
             stacked = np.hstack([A.operators[i].matrix for i in order[:n1]])
             top = scipy.linalg.svd(stacked, compute_uv=False, lapack_driver="gesvd")
             exact = top[0] ** 2
@@ -186,11 +195,22 @@ class TestScan:
         order, _ = case1_scan([op.op_norm_sq for op in ops], A)
         assert order == (0, 1, 2, 3)
         assert [(route, key) for route, key, _ in seen] == [
-            ("gram", (4, 1)),
-            ("gram", (4, 2)),
+            ("gram", [(4, 1), (4, 1)]),
             ("power", [0, 1, 2]),
         ]
-        assert seen[2][2] == combined_op_norm_sq(A, [0, 1, 2])
+        assert seen[1][2] == combined_op_norm_sq(A, [0, 1, 2])
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_footnote_reads_the_prefix_in_place_on_nnsc(self, seed):
+        # No prefix is formed: each footnote is bitwise the certificate of
+        # the formed stack, a one-block prefix's its block's certificate.
+        spec = DataGenSpec(seed, sparsity=0.1, d=50, n=100)
+        A = build_nonneg_sparse_coding(spec).family
+        order, _ = case1_scan(list(A.norms_sq()), A)
+        for n1 in (1, 2, 3):
+            stacked = np.hstack([A.operators[i].matrix for i in order[:n1]])
+            got = partition._prefix_norm_sq(A, order[:n1])
+            assert got == dense_norm_sq(stacked)
 
 
 class TestCase1Partition:

@@ -322,6 +322,18 @@ class TestDefaultWeights:
         assert G == [WeightMatrix.zero()] * 2
         assert info == ["exact", "exact"]
 
+    def test_scalar_gram_at_its_curvature_bound_is_exact(self):
+        # A shared block whose curvature bound eta'_i is its own Gram's c
+        # (A_i^T A_i = c I) needs no iso weight: level 0 is the exact update.
+        ops = (ScaledIdentityOp(1.5, (2,)), ScaledIdentityOp(1.0, (2,)))
+        terms = (ProxFunction("l1"), ProxFunction("l1"))
+        problem = ProblemSpec("pair", [(ops, np.zeros(2))], ((2,), (2,)), terms)
+        c = ops[0].gram_rep()[1]
+        sm = {0: (c, False), 1: (2.0 * ops[1].op_norm_sq, False)}
+        G, info = default_weights(problem, "jacobi", smoothness={(): {}, (0, 1): sm})
+        assert info == ["exact", "iso"]
+        assert G[0] == WeightMatrix.zero()
+
     def test_scalar_gram_keeps_iso_weight(self):
         problem = l1_toy()
         G, info = default_weights(problem, "jacobi")
@@ -413,17 +425,10 @@ def _mini(op, term):
     return SimpleNamespace(family=fam, terms=(term,))
 
 
-def _run_context(shapes):
-    """The part of a run context that ``_solve_block`` reads."""
-    layout = _Layout(shapes)
-    return SimpleNamespace(layout=layout, denom=np.empty(layout.size))
-
-
 def _solve_block(plan, q_iso, q_gram, lin):
     """One block's subproblem, solved in place."""
-    ctx = _run_context([plan.op.in_shape])
     v = np.array(lin, dtype=float).reshape(plan.op.in_shape)
-    solvers._solve_block(ctx, plan, q_iso, q_gram, v)
+    solvers._solve_block(plan, q_iso, q_gram, v)
     return v
 
 
@@ -530,6 +535,15 @@ class TestBlockSolve:
         op = LeftMultiplyOp(rng.standard_normal((4, 3)), (3, 2))
         with pytest.raises(UnsupportedSubproblemError, match="cannot be combined"):
             _plan_block(_mini(op, ProxFunction("nuclear")), 0, WeightMatrix.scaled_identity(1.0), 0.0)
+
+    def test_eig_path_without_curvature_rejected(self):
+        # A Gram with a null direction and no iso weight: the model is flat
+        # along it.
+        op = DenseMatrixOp(np.array([[1.0, 0.0]]))
+        plan = _plan_block(_mini(op, None), 0, WeightMatrix.zero(), 0.0)
+        assert plan.path == "eig"
+        with pytest.raises(UnsupportedSubproblemError, match="loses curvature"):
+            _solve_block(plan, 0.0, 1.0, np.ones(2))
 
     def test_zero_curvature_rejected(self):
         op = ScaledIdentityOp(1.0, (2,))
@@ -837,7 +851,8 @@ class TestRunContract:
             assert np.all(np.isfinite(state.x.flat))
             seen.append(state.k)
 
-        with pytest.raises(DivergenceError) as err:
+        overflow = pytest.warns(RuntimeWarning, match="overflow")
+        with overflow, pytest.raises(DivergenceError) as err:
             run(problem, "jacobi", config, observe=observe)
         result = err.value.result
         # The diverged iterate has no trace row and is not observed.
@@ -880,7 +895,8 @@ class TestRunContract:
 
     def test_divergence_carries_partial_result(self):
         problem, config = _blowup()
-        with pytest.raises(DivergenceError) as err:
+        overflow = pytest.warns(RuntimeWarning, match="overflow")
+        with overflow, pytest.raises(DivergenceError) as err:
             run(problem, "jacobi", config)
         result = err.value.result
         assert result.stop_reason == "diverged"
@@ -1030,13 +1046,13 @@ class TestBacktracking:
             x=BlockVector.zeros(problem.block_shapes),
             lam=np.zeros(A.out_shape),
             beta=config.beta0,
-            G=list(ctx.G0),
+            eta=[g.eta for g in ctx.G0],
         )
         total_backtracks = 0
         saw_backtrack = False
         for _ in range(25):
             x_prev = state.x
-            etas_before = [g.eta for g in state.G]
+            etas_before = list(state.eta)
             _, _, backtracks = step(state, ctx)
             x_new = state.x
             total_backtracks += backtracks
@@ -1047,7 +1063,7 @@ class TestBacktracking:
             for i in part.b1:
                 d = x_new[i] - x_prev[i]
                 lhs_vec += A.operators[i].apply(d)
-                rhs += state.G[i].eta * float(np.vdot(d, d))
+                rhs += state.eta[i] * float(np.vdot(d, d))
             assert float(np.vdot(lhs_vec, lhs_vec)) <= rhs
 
             lhs = quad = 0.0
@@ -1056,21 +1072,21 @@ class TestBacktracking:
                 d = x_new[i] - x_prev[i]
                 dsq = float(np.vdot(d, d))
                 lhs += dsq
-                quad += state.G[i].eta * dsq
+                quad += state.eta[i] * dsq
                 a_vec += A.operators[i].apply(d)
             assert config.tau * lhs <= quad - float(np.vdot(a_vec, a_vec))
 
             powers = set()
             for side in (part.b1, part.b2):
                 ratios = {
-                    round(math.log(state.G[i].eta / etas_before[i], config.mu))
+                    round(math.log(state.eta[i] / etas_before[i], config.mu))
                     for i in side
                 }
                 assert len(ratios) == 1
                 powers.add((side, ratios.pop()))
             assert sum(m for _, m in powers) == backtracks
             for i in range(A.n):
-                assert state.G[i].eta >= etas_before[i]
+                assert state.eta[i] >= etas_before[i]
         assert saw_backtrack
         assert state.backtrack_count == total_backtracks
 
@@ -1153,6 +1169,34 @@ class TestBacktracking:
         assert result.stop_reason in ("budget", "converged")
         assert result.state.backtrack_count > 0
 
+    def test_rejection_scales_only_coupled_levels(self, monkeypatch):
+        # Each phase is rejected once: its coupled blocks' levels are
+        # multiplied by mu, and the uncoupled block's level stays as it is.
+        rng = np.random.default_rng(105)
+        ops = (
+            DenseMatrixOp(rng.standard_normal((4, 2))),
+            DenseMatrixOp(rng.standard_normal((4, 3))),
+            None,
+        )
+        shapes = ((2,), (3,), (2,))
+        terms = tuple(ProxFunction("sq-frobenius", 1.0) for _ in shapes)
+        problem = ProblemSpec("bt-free", [(ops, rng.standard_normal(4))], shapes, terms)
+        config = SolverConfig(partition=Partition((0,), (1, 2)), mu=3.0)
+        ctx = prepare_context(problem, "madmm-bt", config)
+        tested = []
+
+        def reject_first(ctx, blocks, *args):
+            tested.append(blocks)
+            return tested.count(blocks) > 1
+
+        monkeypatch.setattr(solvers, "_bt_accept", reject_first)
+        before = [ctx.G0[0].eta, ctx.G0[1].eta, 0.25]
+        state = SolverState(
+            x=BlockVector.zeros(shapes), lam=np.zeros(4), beta=1.0, eta=list(before)
+        )
+        assert step(state, ctx)[2] == 2
+        assert state.eta == [3.0 * before[0], 3.0 * before[1], 0.25]
+
     def test_acceptance_helpers_exclude_uncoupled_blocks(self):
         op = DenseMatrixOp(np.eye(2))
         zero = ZeroOp((3,), (2,))
@@ -1162,9 +1206,9 @@ class TestBacktracking:
         updates = {0: np.array([0.3, -0.1]), 1: np.array([5.0, 5.0, 5.0])}
         c_prev = [np.zeros(2), np.zeros(2)]
         c_new = {i: fam.operators[i].apply(v) for i, v in updates.items()}
-        G = [WeightMatrix.identity_minus_gram(3.0, op), WeightMatrix.zero()]
+        eta = [3.0, 0.0]
         for tau in (0.0, 1.3):
-            assert _bt_accept(ctx, (0, 1), x_prev, updates, c_prev, c_new, G, tau)
+            assert _bt_accept(ctx, (0, 1), x_prev, updates, c_prev, c_new, eta, tau)
 
     def test_acceptance_tie_passes_first_phase_test(self):
         # ||A d||^2 == eta ||d||^2 exactly: the first phase accepts a tie,
@@ -1174,9 +1218,9 @@ class TestBacktracking:
         x_prev = BlockVector([np.zeros(2)])
         updates = {0: np.array([0.5, 0.25])}
         c_prev, c_new = [np.zeros(2)], {0: updates[0]}
-        G = [WeightMatrix.identity_minus_gram(1.0, op)]
-        assert _bt_accept(ctx, (0,), x_prev, updates, c_prev, c_new, G, 0.0)
-        assert not _bt_accept(ctx, (0,), x_prev, updates, c_prev, c_new, G, 1.3)
+        eta = [1.0]
+        assert _bt_accept(ctx, (0,), x_prev, updates, c_prev, c_new, eta, 0.0)
+        assert not _bt_accept(ctx, (0,), x_prev, updates, c_prev, c_new, eta, 1.3)
 
 
 def _plans(ops, terms, weights):
@@ -1211,7 +1255,7 @@ class TestGroupSolve:
         plans = _plans(ops, (term,) * 4, weights)
         assert [plan.path for plan in plans] == ["diag"] * 4
         assert [plan.diag for plan in plans[:2]] == [2.25, 0.0]
-        ctx = _run_context([op.in_shape for op in ops])
+        layout = _Layout([op.in_shape for op in ops])
         for _ in range(5):
             curvatures = [
                 (plan.fold_iso + rng.uniform(0.2, 1.0), rng.uniform(0.5, 1.5))
@@ -1220,12 +1264,12 @@ class TestGroupSolve:
             lins = [3.0 * rng.standard_normal(op.in_shape) for op in ops]
             flat = np.concatenate([lin.ravel() for lin in lins])
             for plan, (lo, hi), (q_iso, q_gram), lin in zip(
-                plans, ctx.layout.bounds, curvatures, lins
+                plans, layout.bounds, curvatures, lins
             ):
                 v = flat[lo:hi].reshape(lin.shape)
-                solvers._solve_block(ctx, plan, q_iso, q_gram, v)
+                solvers._solve_block(plan, q_iso, q_gram, v)
             for plan, (lo, hi), (q_iso, q_gram), lin in zip(
-                plans, ctx.layout.bounds, curvatures, lins
+                plans, layout.bounds, curvatures, lins
             ):
                 want = reference_solve_block(plan, q_iso, q_gram, lin)
                 np.testing.assert_allclose(
@@ -1445,9 +1489,8 @@ class TestBlockImages:
             A = problem.family
 
             def fresh(x):
-                return SolverState(
-                    x=x, lam=np.zeros(A.out_shape), beta=0.5, G=list(ctx.G0)
-                )
+                eta = [g.eta for g in ctx.G0]
+                return SolverState(x=x, lam=np.zeros(A.out_shape), beta=0.5, eta=eta)
 
             state = fresh(BlockVector.zeros(problem.block_shapes))
             for _ in range(3):
@@ -1584,7 +1627,7 @@ class TestCarriedTermValues:
             x=BlockVector.zeros(problem.block_shapes),
             lam=np.zeros(out_shape),
             beta=1e-2,
-            G=list(ctx.G0),
+            eta=[g.eta for g in ctx.G0],
         )
         for _ in range(6):
             step(state, ctx)
@@ -1601,7 +1644,9 @@ class TestCarriedTermValues:
             random_blocks(np.random.default_rng(74), problem.block_shapes)
         )
         state.x, state.lam, state.beta = other, np.zeros(out_shape), 1e-2
-        ref = SolverState(x=other, lam=np.zeros(out_shape), beta=1e-2, G=list(state.G))
+        ref = SolverState(
+            x=other, lam=np.zeros(out_shape), beta=1e-2, eta=list(state.eta)
+        )
         step(state, ctx)
         step(ref, ctx)
         np.testing.assert_array_equal(state.x.flat, ref.x.flat)
@@ -1707,17 +1752,17 @@ class TestRangeBasis:
 
     @classmethod
     def _z_updates(cls, monkeypatch):
-        """Every update of block 0 (``Z``): ``(plan, Y, s_full, beta, G, Z,
+        """Every update of block 0 (``Z``): ``(plan, Y, s_full, beta, eta, Z,
         X, value)``. ``Y`` is the ``coords`` its ``assemble_block`` call read
-        (``None``: the full path); ``s_full``, ``beta`` and ``G`` are its
-        phase's; ``Z``, ``X`` and ``value`` are the block, coordinates
+        (``None``: the full path); ``s_full``, ``beta`` and the level ``eta``
+        are its phase's; ``Z``, ``X`` and ``value`` are the block, coordinates
         (``None``: none) and term value its phase wrote."""
         seen, read = [], cls._coords_read(monkeypatch)
         phase = solvers._run_phase
 
-        def spy_phase(ctx, blocks, y, c, r, z, lam, beta, G):
+        def spy_phase(ctx, blocks, y, c, r, z, lam, beta, eta):
             read.clear()
-            x, images, values, coords = phase(ctx, blocks, y, c, r, z, lam, beta, G)
+            x, images, values, coords = phase(ctx, blocks, y, c, r, z, lam, beta, eta)
             if 0 in blocks:
                 (Y,) = read
                 seen.append(
@@ -1726,7 +1771,7 @@ class TestRangeBasis:
                         Y,
                         r + lam / beta,
                         beta,
-                        G[0],
+                        eta[0],
                         x[0].copy(),
                         coords.get(0),
                         values[0],
@@ -1887,7 +1932,10 @@ class TestRangeBasis:
         assert list(state.images[4]) == [0]
         state.x = state.x.copy()
         ref = SolverState(
-            x=state.x.copy(), lam=state.lam.copy(), beta=state.beta, G=list(state.G)
+            x=state.x.copy(),
+            lam=state.lam.copy(),
+            beta=state.beta,
+            eta=list(state.eta),
         )
         ctx = prepare_context(problem, "madmm", config)
         seen = self._z_updates(monkeypatch)
@@ -1970,11 +2018,11 @@ class TestRangeBasis:
         assert run(problem, kind, config).state.k == 40
         assert len(seen) >= 40
         assert shapes.count((11, 18)) == len(seen) and (18, 18) not in shapes
-        for plan, Y, s_full, beta, G, Z, X, value in seen:
+        for plan, Y, s_full, beta, eta, Z, X, value in seen:
             assert Y is not None and X is not None
-            q = beta * G.eta
+            q = beta * eta
             Q, t = plan.basis.Q, 1.0 / q
-            V = -(beta * plan.op.adjoint(s_full) - (beta * G.eta) * (Q @ Y)) / q
+            V = -(beta * plan.op.adjoint(s_full) - q * (Q @ Y)) / q
             v_norm = np.linalg.norm(V)
             resid = np.linalg.norm(V - Q @ (Q.T @ V))
             assert resid <= 1e-12 * v_norm
@@ -2005,7 +2053,8 @@ class TestRangeBasis:
             y = BlockVector([z, *rest])
             c = [op.apply(blk) for op, blk in zip(A.operators, y.blocks)]
             r = A.image_sum(c) - problem.b
-            args = (ctx, (0,), y, c, r, carried, lam, beta, ctx.G0)
+            eta = [g.eta for g in ctx.G0]
+            args = (ctx, (0,), y, c, r, carried, lam, beta, eta)
             shapes.clear()
             got_x, got_c, _, got_z = solvers._run_phase(*args)
             assert shapes == [shape]
@@ -2016,8 +2065,8 @@ class TestRangeBasis:
                 np.testing.assert_array_equal(got_c[0], want_c[0])
             else:
                 s_full = r + lam / beta
-                lin = assemble_block(ctx, 0, y, c, s_full, beta, ctx.G0[0], None)[2]
-                bound = 1e-12 * np.linalg.norm(lin) / (beta * ctx.G0[0].eta)
+                lin = assemble_block(ctx, 0, y, c, s_full, beta, eta[0], None)[2]
+                bound = 1e-12 * np.linalg.norm(lin) / (beta * eta[0])
                 assert np.linalg.norm(got_x[0] - want_x[0]) <= bound
                 bound *= math.sqrt(ctx.plans[0].op.op_norm_sq)
                 assert np.linalg.norm(got_c[0] - want_c[0]) <= bound
@@ -2082,9 +2131,9 @@ class TestAssemblyReference:
             if ctx.smooth is not None:
                 smooth_res = ctx.smooth.residual(y)
             for i in range(A.n):
-                args = (s_full, beta, ctx.G0[i], smooth_res)
-                got = assemble_block(ctx, i, y, c, *args)
-                want = reference_assembly(ctx, i, y, *args)
+                G = ctx.G0[i]
+                got = assemble_block(ctx, i, y, c, s_full, beta, G.eta, smooth_res)
+                want = reference_assembly(ctx, i, y, s_full, beta, G, smooth_res)
                 assert got[0] == pytest.approx(want[0], rel=1e-12)
                 assert got[1] == want[1]
                 err = np.linalg.norm(got[2] - want[2])

@@ -217,7 +217,7 @@ class TestQuadSurrogateParallel:
         model = sum(
             subproblem_value(
                 ctx.plans[i],
-                *assemble_block(ctx, i, y, c, s_full, 1.0, G[i], None),
+                *assemble_block(ctx, i, y, c, s_full, 1.0, G[i].eta, None),
                 np.ones(1),
             )
             for i in range(2)
@@ -236,7 +236,7 @@ class TestQuadSurrogateParallel:
         s_full = problem.family.apply(y) - problem.b + lam / beta
         c = [op.apply(blk) for op, blk in zip(problem.family.operators, y.blocks)]
         for i, op in enumerate(problem.family.operators):
-            q = assemble_block(ctx, i, y, c, s_full, beta, ctx.G0[i], None)
+            q = assemble_block(ctx, i, y, c, s_full, beta, ctx.G0[i].eta, None)
             assert q[1] == 0.0
             for _ in range(20):
                 d = rng.standard_normal(y[i].shape)

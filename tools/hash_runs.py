@@ -152,10 +152,19 @@ def hash_run(
         full.update(repr(fields).encode())
         iterate.update(repr(fields[:1] + fields[2:]).encode())  # no objective
     both(result.state.lam.tobytes())
-    both(repr([g.eta for g in result.state.G]).encode())
+    both(repr(final_levels(result.state)).encode())
     both(result.stop_reason.encode())
     final = (result.state.k, result.state.x.flat.copy())
     return result.stop_reason, full.hexdigest(), iterate.hexdigest(), final
+
+
+def final_levels(state) -> list:
+    """Each block's weight level ``eta``: ``state.eta``, or, in a package
+    whose state keeps the weights ``G``, ``[g.eta for g in state.G]``; the
+    same float objects either way, so their ``repr`` is the same."""
+    if hasattr(state, "eta"):
+        return list(state.eta)
+    return [g.eta for g in state.G]
 
 
 def save_finals(path: Path, finals: dict) -> None:
