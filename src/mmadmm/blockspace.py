@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -929,8 +929,6 @@ def gram_cross_is_zero(op_i: BlockOperator, op_j: BlockOperator) -> bool:
     """
     if op_i.out_shape != op_j.out_shape:
         raise DimensionError("operators live in different constraint spaces")
-    if isinstance(op_i, ZeroOp) or isinstance(op_j, ZeroOp):
-        return True
     ci, cj = op_i.op_norm_sq, op_j.op_norm_sq
     if ci == 0.0 or cj == 0.0:
         return True

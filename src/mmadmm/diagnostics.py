@@ -24,8 +24,9 @@ from .solvers import (
     _KINDS,
     _check_penalties,
     _resolve_partition,
+    dual_update,
+    prepare_context,
     run,
-    start_weights,
 )
 
 __all__ = [
@@ -84,7 +85,7 @@ def hat_lambda(
 
     Equals the true next multiplier whenever the second phase does not move.
     """
-    return lam + beta * residual(problem.family, x_mixed, problem.b)
+    return dual_update(lam, beta, residual(problem.family, x_mixed, problem.b))
 
 
 def kkt_gap(
@@ -297,12 +298,13 @@ def bound_report(
     """Run ``kind`` under ``config``; row ``K <= K_max`` holds :func:`kkt_gap`
     at the ``1/beta_k``-weighted running average of the first ``K + 1``
     iterates and :func:`theorem_bound_rhs` at ``K``, with ``config``'s
-    ``beta0``, ``partition``, ``tau`` and :func:`start_weights`."""
+    ``beta0`` and ``tau`` and the run's own ``G0`` and ``partition`` from
+    :func:`prepare_context`, so ``"auto"`` is resolved once."""
     not_int = isinstance(K_max, bool) or not isinstance(K_max, numbers.Integral)
     if K_max is not None and (not_int or K_max < 0):
         raise ValueError(f"K_max must be None or an integer >= 0, got {K_max!r}")
-    G, _ = start_weights(problem, kind, config)
-    part, beta0 = config.partition, config.beta0
+    ctx = prepare_context(problem, kind, config)
+    G, part, beta0 = ctx.G0, ctx.partition, config.beta0
     alpha = theorem_alpha(problem, kind, G, partition=part, tau=config.tau)
     bundle = theorem_H0(problem, kind, G, beta0, partition=part)
     x0, lam0 = BlockVector.zeros(problem.block_shapes), np.zeros_like(cert.lambda_star)
@@ -318,9 +320,8 @@ def bound_report(
         lhs = kkt_gap((1.0 / total) * acc, cert, problem, alpha, beta0, star_image)
         rows.append((state.k - 1, lhs, num / (2.0 * total)))
 
-    if K_max is not None:
-        config = replace(config, max_iter=min(config.max_iter, K_max + 1))
-    run(problem, kind, config, observe=score)
+    cap = config.max_iter if K_max is None else min(config.max_iter, K_max + 1)
+    run(problem, kind, replace(config, partition=part, max_iter=cap), observe=score)
     return BoundReport(alpha, rows)
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numbers
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .blockspace import (

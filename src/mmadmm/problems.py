@@ -164,6 +164,18 @@ class ProblemSpec:
         n = len(self.block_shapes)
         if len(self.terms) != n:
             raise ValueError("one term entry per block is required (use None)")
+        if smooth is not None:
+            if len(smooth.ops) != n:
+                raise ValueError(
+                    f"the smooth coupling has {len(smooth.ops)} operators for "
+                    f"{n} blocks; give one per block (use None)"
+                )
+            for i, op in enumerate(smooth.ops):
+                if op is not None and op.in_shape != self.block_shapes[i]:
+                    raise DimensionError(
+                        f"block {i}: smooth coupling operator takes shape "
+                        f"{op.in_shape}, the block has shape {self.block_shapes[i]}"
+                    )
         self.family, self.b = stack_rows(rows, self.block_shapes)
         acting = {i for row in self.family.rows for i, _ in row}
         for i in range(n):

@@ -61,7 +61,6 @@ __all__ = [
     "run",
     "ergodic_average",
     "default_weights",
-    "start_weights",
     "phase_smoothness",
     "prepare_context",
     "assemble_block",
@@ -339,10 +338,7 @@ def _tight_weights(problem, coupled, margin, sm, config):
             yield i, WeightMatrix.zero(), "exact"
         elif gram_kind == "scalar":
             eta = margin * max(eta_p - op.gram_rep()[1], 0.0)
-            if eta == 0.0:
-                yield i, WeightMatrix.zero(), "exact"
-            else:
-                yield i, WeightMatrix.scaled_identity(eta), "iso"
+            yield i, WeightMatrix.scaled_identity(eta), "iso"
         else:
             yield from _linearized_weights(problem, (i,), margin, sm, config)
 
@@ -404,7 +400,7 @@ SOLVER_KINDS = tuple(_KINDS)
 
 
 def default_weights(problem, kind: str, partition=None, config=None, smoothness=None):
-    """The per-block proximal weights and weight levels ``run`` starts from.
+    """The kind's per-block proximal weights and weight levels.
 
     Runs the kind's weight rule over each phase of the kind's partition; the
     mixed kinds need ``partition``, the others ignore it. The margin is 1 for
@@ -413,7 +409,8 @@ def default_weights(problem, kind: str, partition=None, config=None, smoothness=
     the backtracking seed (default ``SolverConfig()``). ``smoothness`` maps
     each phase's blocks to its :func:`phase_smoothness` when the caller has
     it. A block without constraint coupling gets ``G_i = 0`` at level
-    ``unconstrained``.
+    ``unconstrained``. :func:`prepare_context` starts a run from these
+    unless ``config.weights`` overrides them.
     """
     config = config or SolverConfig()
     A = problem.family
@@ -425,19 +422,6 @@ def default_weights(problem, kind: str, partition=None, config=None, smoothness=
         for i, g, level in _KINDS[kind].weights(problem, coupled, margin, sm, config):
             G[i], levels[i] = g, level
     return G, levels
-
-
-def start_weights(problem, kind: str, config, partition=None, smoothness=None):
-    """The weights and levels :func:`run` starts from under ``config``; a caller
-    that has resolved ``config.partition`` passes it, and its ``smoothness``."""
-    if config.weights is None:
-        part = config.partition if partition is None else partition
-        return default_weights(problem, kind, part, config, smoothness)
-    if _KINDS[kind].backtrack:
-        raise ValueError("backtracking manages its own weights; do not pass overrides")
-    if len(config.weights) != problem.family.n:
-        raise ValueError("one weight per block is required")
-    return list(config.weights), ["user"] * problem.family.n
 
 
 def _resolve_partition(problem, kind: str, requested=None) -> Partition:
@@ -623,10 +607,6 @@ def _left_factor_basis(op):
 def _plan_block(problem, i: int, G: WeightMatrix, smooth_eta: float) -> _BlockPlan:
     op = problem.family.operators[i]
     prox_part, fold_iso = _folded_term(problem.terms[i])
-    if G.op is not None and G.op is not op:
-        raise UnsupportedSubproblemError(
-            f"block {i}: weight Gram must be built from the block's own operator"
-        )
     coupled = op.op_norm_sq > 0.0
     plan = _BlockPlan(
         index=i,
@@ -805,7 +785,8 @@ class _RunContext:
 def prepare_context(
     problem, kind: str, config: SolverConfig, workers: int = 1
 ) -> _RunContext:
-    """Validate solvability of every block and freeze the solve plans."""
+    """Validate every block and freeze the solve plans; the run starts from
+    ``G0``, ``config.weights`` if given, else :func:`default_weights`."""
     not_int = isinstance(workers, bool) or not isinstance(workers, numbers.Integral)
     if not_int or workers < 1:
         raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
@@ -817,9 +798,22 @@ def prepare_context(
         raise UnsupportedSubproblemError(
             "a joint smooth coupling requires a solver that linearizes it"
         )
-    G0, levels = start_weights(problem, kind, config, partition, smoothness)
+    n = problem.family.n
+    if config.weights is None:
+        G0, levels = default_weights(problem, kind, partition, config, smoothness)
+    else:
+        if row.backtrack:
+            raise ValueError("backtracking manages its own weights; do not pass overrides")
+        if len(config.weights) != n:
+            raise ValueError("one weight per block is required")
+        for i, G in enumerate(config.weights):
+            if G.op is not None and G.op is not problem.family.operators[i]:
+                raise UnsupportedSubproblemError(
+                    f"block {i}: weight Gram must be built from the block's own operator"
+                )
+        G0, levels = list(config.weights), ["user"] * n
     plans = []
-    for i in range(problem.family.n):
+    for i in range(n):
         eta_sm = 0.0
         if smooth is not None and smooth.ops[i] is not None:
             eta_sm = smooth.cert[i].eta

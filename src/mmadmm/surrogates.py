@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .blockspace import BlockVector, WeightMatrix
+from .blockspace import BlockVector, DimensionError, WeightMatrix
 
 __all__ = ["SmoothQuadCoupling"]
 
@@ -34,6 +34,14 @@ class SmoothQuadCoupling:
         self.weight = float(weight)
         self.ops = tuple(ops)
         self.offset = np.asarray(offset, dtype=float)
+        if not np.isfinite(self.offset).all():
+            raise ValueError("coupling offset has non-finite entries")
+        for i, op in enumerate(self.ops):
+            if op is not None and op.out_shape != self.offset.shape:
+                raise DimensionError(
+                    f"coupling operator {i} maps to shape {op.out_shape}, "
+                    f"the offset has shape {self.offset.shape}"
+                )
         self.support = tuple(i for i, op in enumerate(self.ops) if op is not None)
         k = len(self.support)
         self.cert = tuple(

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from mmadmm import solvers
 from mmadmm.blockspace import (
     BlockOperatorFamily,
     BlockVector,
@@ -412,6 +413,29 @@ class TestBoundReport:
         report = bound_report(problem, "madmm", replace(given, weights=None), cert)
         assert report.alpha == theorem_alpha(problem, "madmm", G, partition=part)
         assert bound_report(problem, "madmm", given, cert).rows == report.rows
+
+    def test_auto_partition_is_chosen_once(self, monkeypatch):
+        # The report takes the run's own partition: ``"auto"`` goes through
+        # ``choose_partition`` once, and the rows are those on that partition.
+        problem = quad_problem(6, d=8, dims=(3, 4, 2, 5), weights=(1.0, 2.0, 0.5, 1.5))
+        assert problem.recommended_partition is None
+        config = replace(self._config((), 1.0, iters=5), weights=None)
+        cert = quadratic_oracle(problem)
+        calls = []
+        choose = solvers.choose_partition
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return choose(*args, **kwargs)
+
+        monkeypatch.setattr(solvers, "choose_partition", counting)
+        report = bound_report(problem, "madmm", config, cert)
+        assert len(calls) == 1
+        pinned = replace(config, partition=choose(problem))
+        want = bound_report(problem, "madmm", pinned, cert)
+        assert len(calls) == 1
+        assert (report.alpha, report.rows) == (want.alpha, want.rows)
+        assert len(report.rows) == 5
 
     def test_ok_flags_violations(self):
         report = BoundReport(0.5, [(0, 1.0, 2.0), (1, 3.0, 1.0)])

@@ -1,10 +1,12 @@
 """Round trips and formats for the CSV, MatrixMarket, and manifest files."""
 
+from dataclasses import fields
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from mmadmm import fileio
 from mmadmm.fileio import (
     TRACE_HEADER,
     read_array_csv,
@@ -18,7 +20,7 @@ from mmadmm.fileio import (
     write_manifest,
     write_trace_csv,
 )
-from mmadmm.solvers import SolverConfig, run
+from mmadmm.solvers import IterationTrace, SolverConfig, run
 
 from helpers import l1_toy
 
@@ -141,6 +143,11 @@ class TestTraceCSV:
         spaced.write_text(f"{header}\n\n{first}\n   \n{second}\n\n")
         assert read_trace_csv(spaced) == read_trace_csv(path)
         assert len(read_trace_csv(spaced)) == 2
+
+    def test_schema_is_the_trace_dataclass(self):
+        # A new IterationTrace field changes the CSV schema: add it here on
+        # purpose, or send the data to a separate report.
+        assert fileio._TRACE_FIELDS == tuple(f.name for f in fields(IterationTrace))
 
     def test_header_mismatch_rejected(self, tmp_path):
         path = tmp_path / "trace.csv"

@@ -21,6 +21,7 @@ from mmadmm.problems import (
 )
 from mmadmm.prox import ProxFunction
 from mmadmm.solvers import SolverConfig, run
+from mmadmm.surrogates import SmoothQuadCoupling
 
 from helpers import random_blocks
 
@@ -757,6 +758,36 @@ class TestProblemSpecValidation:
                 [(ops, np.zeros(2))],
                 ((2,), (3,)),
                 (ProxFunction("l1"), ProxFunction("l1")),
+            )
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_smooth_coupling_needs_one_operator_per_block(self, count):
+        from mmadmm.blockspace import ScaledIdentityOp
+
+        ops = (ScaledIdentityOp(1.0, (2,)), ScaledIdentityOp(1.0, (2,)))
+        smooth = SmoothQuadCoupling(1.0, ops[:1] + (None,) * (count - 1), np.zeros(2))
+        with pytest.raises(ValueError, match=f"has {count} operators for 2 blocks"):
+            ProblemSpec(
+                "bad",
+                [(ops, np.zeros(2))],
+                ((2,), (2,)),
+                (ProxFunction("l1"), ProxFunction("l1")),
+                smooth=smooth,
+            )
+
+    def test_smooth_operator_must_take_its_block(self):
+        from mmadmm.blockspace import DenseMatrixOp, ScaledIdentityOp
+
+        ops = (ScaledIdentityOp(1.0, (2,)), DenseMatrixOp(np.ones((2, 3))))
+        coupling = (None, ScaledIdentityOp(1.0, (2,)))
+        smooth = SmoothQuadCoupling(1.0, coupling, np.zeros(2))
+        with pytest.raises(DimensionError, match="block 1: smooth coupling operator"):
+            ProblemSpec(
+                "bad",
+                [(ops, np.zeros(2))],
+                ((2,), (3,)),
+                (ProxFunction("l1"), ProxFunction("l1")),
+                smooth=smooth,
             )
 
     def test_orphan_block_rejected(self):

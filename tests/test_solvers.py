@@ -324,15 +324,18 @@ class TestDefaultWeights:
 
     def test_scalar_gram_at_its_curvature_bound_is_exact(self):
         # A shared block whose curvature bound eta'_i is its own Gram's c
-        # (A_i^T A_i = c I) needs no iso weight: level 0 is the exact update.
+        # (A_i^T A_i = c I) gets the iso weight at level 0, whose solve plan
+        # is the exact update's.
         ops = (ScaledIdentityOp(1.5, (2,)), ScaledIdentityOp(1.0, (2,)))
         terms = (ProxFunction("l1"), ProxFunction("l1"))
         problem = ProblemSpec("pair", [(ops, np.zeros(2))], ((2,), (2,)), terms)
         c = ops[0].gram_rep()[1]
         sm = {0: (c, False), 1: (2.0 * ops[1].op_norm_sq, False)}
         G, info = default_weights(problem, "jacobi", smoothness={(): {}, (0, 1): sm})
-        assert info == ["exact", "iso"]
-        assert G[0] == WeightMatrix.zero()
+        assert info == ["iso", "iso"]
+        assert G[0] == WeightMatrix.scaled_identity(0.0)
+        exact = _plan_block(problem, 0, WeightMatrix.zero(), 0.0)
+        assert _plan_block(problem, 0, G[0], 0.0) == exact
 
     def test_scalar_gram_keeps_iso_weight(self):
         problem = l1_toy()
@@ -518,11 +521,19 @@ class TestBlockSolve:
         assert np.linalg.norm(system) <= 1e-10
 
     def test_foreign_gram_rejected(self):
-        op = DenseMatrixOp(np.eye(3))
-        other = DenseMatrixOp(2 * np.eye(3))
-        G = WeightMatrix.identity_minus_gram(5.0, other)
-        with pytest.raises(UnsupportedSubproblemError, match="own operator"):
-            _plan_block(_mini(op, None), 0, G, 0.0)
+        # A Gram built from an equal operator that is not the block's own is
+        # refused before any block is planned: before block 0's l21 term,
+        # which a diagonal Gram cannot take.
+        ops = (MaskProjectionOp(np.eye(2) > 0), ScaledIdentityOp(1.0, (2, 2)))
+        terms = (ProxFunction("l21"), ProxFunction("l1"))
+        problem = ProblemSpec("pair", [(ops, np.zeros((2, 2)))], ((2, 2),) * 2, terms)
+        other = ScaledIdentityOp(1.0, (2, 2))
+        iso = WeightMatrix.scaled_identity(1.0)
+        G = (iso, WeightMatrix.identity_minus_gram(5.0, other))
+        with pytest.raises(UnsupportedSubproblemError, match="block 1: .*own operator"):
+            prepare_context(problem, "jacobi", SolverConfig(weights=G))
+        with pytest.raises(UnsupportedSubproblemError, match="block 0: .*entrywise"):
+            prepare_context(problem, "jacobi", SolverConfig(weights=(iso, iso)))
 
     def test_nonentrywise_term_with_diag_gram_rejected(self):
         rng = np.random.default_rng(91)
@@ -906,21 +917,25 @@ class TestRunContract:
             assert math.isfinite(row.residual_norm)
 
     def test_weight_override_validation(self):
+        # Each refusal, by prepare_context and by run, comes before the ones
+        # below it: a backtracking kind, the count, then a foreign Gram.
         problem = l1_toy()
-        with pytest.raises(ValueError, match="one weight per block"):
-            prepare_context(
-                problem,
-                "jacobi",
-                SolverConfig(weights=(WeightMatrix.zero(),)),
-            )
-        with pytest.raises(ValueError, match="manages its own weights"):
-            prepare_context(
-                problem,
-                "madmm-bt",
-                SolverConfig(
-                    weights=(WeightMatrix.zero(), WeightMatrix.zero())
-                ),
-            )
+        zero = WeightMatrix.zero()
+        foreign = WeightMatrix.identity_minus_gram(5.0, ScaledIdentityOp(1.0, (1,)))
+        bt = "backtracking manages its own weights; do not pass overrides"
+        count = "one weight per block is required"
+        own = "block 1: weight Gram must be built from the block's own operator"
+        cases = [
+            ("madmm-bt", (foreign,), ValueError, bt),
+            ("madmm-bt", (zero, zero), ValueError, bt),
+            ("jacobi", (foreign,), ValueError, count),
+            ("jacobi", (zero, foreign), UnsupportedSubproblemError, own),
+        ]
+        for kind, weights, error, message in cases:
+            for call in (prepare_context, run):
+                with pytest.raises(error) as err:
+                    call(problem, kind, SolverConfig(weights=weights))
+                assert type(err.value) is error and str(err.value) == message
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown solver kind"):

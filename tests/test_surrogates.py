@@ -10,6 +10,7 @@ from mmadmm.blockspace import (
     BlockOperatorFamily,
     BlockVector,
     DenseMatrixOp,
+    DimensionError,
     ScaledIdentityOp,
     WeightMatrix,
     stack_rows,
@@ -339,3 +340,14 @@ class TestSmoothQuadCoupling:
     def test_weight_validation(self):
         with pytest.raises(ValueError):
             SmoothQuadCoupling(0.0, (ScaledIdentityOp(1.0, (1,)),), np.zeros(1))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_offset_must_be_finite(self, bad):
+        ops = (ScaledIdentityOp(1.0, (2,)),)
+        with pytest.raises(ValueError, match="offset has non-finite entries"):
+            SmoothQuadCoupling(1.0, ops, np.array([0.0, bad]))
+
+    def test_operator_must_map_to_the_offset(self):
+        ops = (ScaledIdentityOp(1.0, (2,)), None, DenseMatrixOp(np.ones((3, 2))))
+        with pytest.raises(DimensionError, match=r"operator 2 maps to shape \(3,\)"):
+            SmoothQuadCoupling(1.0, ops, np.zeros(2))
