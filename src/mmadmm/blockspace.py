@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
@@ -40,6 +41,7 @@ __all__ = [
     "combined_op_norm_sq",
     "certified_lambda_max",
     "dense_norm_sq",
+    "dense_row_constant",
     "stack_rows",
     "dense_matrix",
 ]
@@ -242,6 +244,24 @@ class NormEstimate(NamedTuple):
     converged: bool
 
 
+def _dims(shape, kind: str) -> tuple:
+    """``shape`` as a tuple of ints; raises :class:`DimensionError` naming it
+    unless every dimension is a nonnegative integer other than a ``bool``."""
+    dims = tuple(shape)
+    for n in dims:  # plain ints first: every operator of every build comes here
+        if type(n) is not int or n < 0:
+            break
+    else:
+        return dims
+    if all(isinstance(n, numbers.Integral) and not isinstance(n, bool) for n in dims):
+        dims = tuple(map(int, dims))
+        if min(dims, default=0) >= 0:
+            return dims
+    raise DimensionError(
+        f"{kind} operator shape {dims} needs nonnegative integer dimensions"
+    )
+
+
 class BlockOperator:
     """Linear map from one block into the constraint space.
 
@@ -254,8 +274,8 @@ class BlockOperator:
     kind: str = "abstract"
 
     def __init__(self, in_shape: tuple, out_shape: tuple):
-        self.in_shape = tuple(in_shape)
-        self.out_shape = tuple(out_shape)
+        self.in_shape = _dims(in_shape, self.kind)
+        self.out_shape = _dims(out_shape, self.kind)
         self._norm_sq: Optional[float] = None
 
     def apply(self, v: np.ndarray) -> np.ndarray:
@@ -312,7 +332,11 @@ class BlockOperator:
 
 
 class DenseMatrixOp(BlockOperator):
-    """Dense matrix acting on a vector block: ``v -> M v``."""
+    """Dense matrix acting on a vector block: ``v -> M v``.
+
+    Its norm certificate keeps the Gram it is read from (:class:`_Gram`),
+    for :func:`dense_row_constant`.
+    """
 
     kind = "dense-matrix"
 
@@ -322,6 +346,7 @@ class DenseMatrixOp(BlockOperator):
             raise DimensionError("dense operator needs a 2-d matrix")
         super().__init__((matrix.shape[1],), (matrix.shape[0],))
         self.matrix = matrix
+        self._gram: Optional[_Gram] = None
 
     def apply(self, v):
         return self.matrix @ self._check_in(v)
@@ -332,7 +357,19 @@ class DenseMatrixOp(BlockOperator):
     def _compute_norm_sq(self):
         # The top eigenvalue of the smaller Gram, with the rounding of
         # forming it added in (see dense_norm_sq).
-        return dense_norm_sq(self.matrix)
+        self._gram = _dense_gram([self.matrix])
+        return _gram_norm_sq(self._gram)
+
+    def _output_gram(self) -> Optional["_Gram"]:
+        """The kept :class:`_Gram` of ``M M^T`` (``None`` when ``M`` is 0).
+
+        The certificate keeps the smaller Gram; for a tall ``M`` (fewer
+        columns than rows) that is ``M^T M``, so ``M M^T`` is formed here
+        once and kept in its place.
+        """
+        if self.op_norm_sq > 0.0 and not self._gram.out:
+            self._gram = _dense_gram([self.matrix], out=True)
+        return self._gram
 
     def gram_rep(self):
         return ("dense", self.matrix.T @ self.matrix)
@@ -624,6 +661,20 @@ def certified_lambda_max(grams: np.ndarray, rounding: float) -> float:
     return (lam + r) * (1.0 + (4 * d + 4) * _U)
 
 
+class _Gram(NamedTuple):
+    """A Gram kept with what certifies it, as :func:`_dense_gram` forms it.
+
+    ``H`` is the computed value of the exact Gram ``G`` of ``2^-s M``,
+    ``M M^T`` when ``out`` and ``M^T M`` otherwise, and ``rounding`` bounds
+    ``||E||_2`` for a symmetric ``E >= |H - G|`` (entrywise).
+    """
+
+    H: np.ndarray
+    rounding: float
+    s: int
+    out: bool
+
+
 def dense_norm_sq(*matrices: np.ndarray) -> float:
     """Certified ``||M||_2^2`` of ``M = [M_1 ... M_q]``, ``matrices`` side by side.
 
@@ -637,8 +688,9 @@ def dense_norm_sq(*matrices: np.ndarray) -> float:
     (below) that straddles two is joined, and a tall ``M`` is formed.
 
     Proof of the rounding bound. Let ``2^(e-1) <= max |M_ij| < 2^e`` and
-    ``S = 2^-s M``, transposed when tall, so ``S`` is ``d x k`` with ``d <=
-    k`` and ``N = dk`` entries. When ``|e| <= 128``, ``s = 0`` and ``S`` is
+    ``S = 2^-s M``, transposed when tall (unless :func:`_dense_gram` is
+    asked for ``M M^T``), so ``S`` is ``d x k``, ``N = dk`` entries, and the
+    Gram is ``S S^T``. When ``|e| <= 128``, ``s = 0`` and ``S`` is
     ``M`` itself: every entry is below ``2^128`` and ``N < 2^63``, so every
     sum below stays under ``2^321``, far from overflow. Otherwise ``s =
     e``, so ``|S_ij| < 1`` and nothing below overflows; this scaling is
@@ -672,6 +724,14 @@ def dense_norm_sq(*matrices: np.ndarray) -> float:
     scaled-back product ``2^(2s) lambda`` is exact unless it overflows,
     which raises, or lands below the normal range, where it is rounded up.
     """
+    return _gram_norm_sq(_dense_gram(matrices))
+
+
+def _dense_gram(matrices: Sequence[np.ndarray], out: bool = False) -> Optional[_Gram]:
+    """The :class:`_Gram` of ``M = [M_1 ... M_q]`` that :func:`dense_norm_sq`
+    certifies, with its checks and its rounding bound: the smaller of ``M
+    M^T`` and ``M^T M``, or ``M M^T`` when ``out``. ``None`` when ``M`` is
+    empty or zero."""
     pieces = [np.asarray(M, dtype=float) for M in matrices]
     for P in pieces:
         if P.ndim != 2:
@@ -684,11 +744,12 @@ def dense_norm_sq(*matrices: np.ndarray) -> float:
         raise ValueError("no norm certificate: the matrix has non-finite entries")
     top = max(tops, default=0.0)
     if top == 0.0:
-        return 0.0
+        return None
     e = math.frexp(top)[1]
     s = 0 if abs(e) <= _RAW_EXP else e
     S = pieces if s == 0 else [np.ldexp(P, -s) for P in pieces]
-    if S[0].shape[0] > sum(P.shape[1] for P in S):
+    tall = not out and S[0].shape[0] > sum(P.shape[1] for P in S)
+    if tall:
         S = [(S[0] if len(S) == 1 else np.hstack(S)).T]
     edges = np.cumsum([0] + [P.shape[1] for P in S])
     d, k = S[0].shape[0], int(edges[-1])
@@ -702,17 +763,86 @@ def dense_norm_sq(*matrices: np.ndarray) -> float:
     f = float(np.trace(H))
     p = -(-k // c)
     rounding = _gamma(c + p) * f / (1.0 - _gamma(c + p + d)) + 3.0 * d * k * _TINY
-    lam = certified_lambda_max(H, rounding)
+    return _Gram(H, rounding, s, not tall)
+
+
+def _gram_norm_sq(gram: Optional[_Gram]) -> float:
+    """The certified ``||M||_2^2`` that ``gram``, a Gram of ``M``, gives
+    (``0.0`` for ``None``); see :func:`dense_norm_sq`."""
+    if gram is None:
+        return 0.0
+    lam = certified_lambda_max(gram.H, gram.rounding)
     try:
-        out = math.ldexp(lam, 2 * s)
+        out = math.ldexp(lam, 2 * gram.s)
     except OverflowError:
         raise ValueError(
             "no norm certificate: the squared norm overflows the float range"
         ) from None
-    if math.ldexp(out, -2 * s) < lam:
+    if math.ldexp(out, -2 * gram.s) < lam:
         # Rounded down below the normal range: take the next float up.
         out = math.nextafter(out, math.inf)
     return out
+
+
+def dense_row_constant(pieces: Sequence[BlockOperator]) -> float:
+    """Certified ``c = lambda_max(sum_j A_j A_j^T / cert_j)`` of one row's pieces.
+
+    ``pieces`` are the operators ``A_j`` of some blocks in one constraint
+    row and ``cert_j`` their ``op_norm_sq``; a piece with ``cert_j = 0`` is
+    zero and drops out. With ``B_j = A_j / sqrt(cert_j)``, ``||[B_1 ...
+    B_q]||_2^2 = lambda_max(sum_j B_j B_j^T)``, so
+
+        ``||sum_j A_j d_j||^2 = ||sum_j B_j sqrt(cert_j) d_j||^2 <= c sum_j
+        cert_j ||d_j||^2``
+
+    for every ``d``, and ``c <= q`` as each ``||B_j||_2 <= 1``. The sum
+    is read from the Grams ``A_j A_j^T`` that the pieces' certificates keep
+    (:meth:`DenseMatrixOp._output_gram`); none is formed again. Returns
+    ``math.inf``, no bound, when a piece is not a :class:`DenseMatrixOp` or
+    the nonzero pieces have fewer columns in all than the row has entries
+    (their stacked input Gram is then the smaller one), and ``0.0`` when no
+    piece is nonzero.
+
+    Proof that the result is never below ``c``. Let ``m`` be the row's
+    length and, for each of the ``q`` nonzero pieces, ``H_j``, ``s_j`` and
+    ``r_j`` its kept Gram, scale exponent and rounding bound (``||E_j||_2
+    <= r_j`` for a symmetric ``E_j >= |H_j - G_j|``), ``G_j`` the exact
+    Gram of ``2^-s_j A_j`` and ``L_j = 2^(-2 s_j) cert_j``, exact as a
+    normal float (``cert_j`` in the units of ``H_j``). ``w_j``, the next
+    float above ``fl(1 / L_j)``, exceeds ``1 / L_j``, so ``T = sum_j w_j G_j
+    >= sum_j A_j A_j^T / cert_j`` (as forms). The computed ``K = fl(sum_j
+    fl(w_j H_j))`` errs by at most ``gamma_q sum_j w_j |H_j|`` (one product
+    and at most ``q - 1`` sums per entry), and ``|H_j| <= |G_j| + E_j``, so
+    ``|K - T| <= sum_j w_j ((1 + gamma_q) E_j + gamma_q |G_j|)``, a
+    symmetric bound. For a semidefinite ``G``, ``|G_ik| <= sqrt(G_ii
+    G_kk)``, so ``|| |G| ||_2 <= trace(G) <= m lambda_max(G)``, and
+    ``lambda_max(G_j) <= L_j`` with ``w_j L_j <= 1 + 4u``: the bound's
+    2-norm is at most ``(1 + gamma_q) R + gamma_q (1 + 4u) q m`` with ``R =
+    sum_j w_j r_j``. The rounding passed on, ``2 fl(R) + gamma_{q+2} q m``,
+    exceeds that: doubling covers ``gamma_q R`` and the ``q + 2`` roundings
+    of summing ``R`` and the total, and ``gamma_{q+2} / gamma_q >= 1 + 2/q``
+    covers ``4u`` and the 5 roundings of its term. Products that land below
+    the normal range add at most ``2^-1075`` each, so ``q m 2^-1074`` covers
+    them. :func:`certified_lambda_max` of ``K`` is then at least
+    ``lambda_max(T) >= c``.
+    """
+    if not all(isinstance(op, DenseMatrixOp) for op in pieces):
+        return math.inf
+    live = [op for op in pieces if op.op_norm_sq > 0.0]
+    if not live:
+        return 0.0
+    m = live[0].out_shape[0]
+    if sum(op.in_shape[0] for op in live) < m:
+        return math.inf
+    K = np.zeros((m, m))
+    R = 0.0
+    for op in live:
+        gram = op._output_gram()
+        w = math.nextafter(1.0 / math.ldexp(op.op_norm_sq, -2 * gram.s), math.inf)
+        K += w * gram.H
+        R += w * gram.rounding
+    q = len(live)
+    return certified_lambda_max(K, 2.0 * R + _gamma(q + 2) * q * m + q * m * _TINY)
 
 
 def _share_factor_certificates(ops) -> None:

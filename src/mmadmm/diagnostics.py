@@ -23,6 +23,7 @@ from .solvers import (
     UnsupportedSubproblemError,
     _KINDS,
     _check_penalties,
+    _iterate,
     _resolve_partition,
     dual_update,
     prepare_context,
@@ -299,11 +300,12 @@ def bound_report(
     at the ``1/beta_k``-weighted running average of the first ``K + 1``
     iterates and :func:`theorem_bound_rhs` at ``K``, with ``config``'s
     ``beta0`` and ``tau`` and the run's own ``G0`` and ``partition`` from
-    :func:`prepare_context`, so ``"auto"`` is resolved once."""
+    :func:`prepare_context`, which prepares the run once."""
     not_int = isinstance(K_max, bool) or not isinstance(K_max, numbers.Integral)
     if K_max is not None and (not_int or K_max < 0):
         raise ValueError(f"K_max must be None or an integer >= 0, got {K_max!r}")
-    ctx = prepare_context(problem, kind, config)
+    cap = config.max_iter if K_max is None else min(config.max_iter, K_max + 1)
+    ctx = prepare_context(problem, kind, replace(config, max_iter=cap))
     G, part, beta0 = ctx.G0, ctx.partition, config.beta0
     alpha = theorem_alpha(problem, kind, G, partition=part, tau=config.tau)
     bundle = theorem_H0(problem, kind, G, beta0, partition=part)
@@ -320,8 +322,7 @@ def bound_report(
         lhs = kkt_gap((1.0 / total) * acc, cert, problem, alpha, beta0, star_image)
         rows.append((state.k - 1, lhs, num / (2.0 * total)))
 
-    cap = config.max_iter if K_max is None else min(config.max_iter, K_max + 1)
-    run(problem, kind, replace(config, partition=part, max_iter=cap), observe=score)
+    _iterate(ctx, observe=score)
     return BoundReport(alpha, rows)
 
 

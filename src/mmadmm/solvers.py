@@ -43,6 +43,7 @@ from .blockspace import (
     LeftMultiplyOp,
     StackedOp,
     WeightMatrix,
+    dense_row_constant,
 )
 from .partition import Partition, choose_partition
 from .prox import ProxFunction
@@ -263,27 +264,39 @@ def ergodic_average(iterates: Sequence[BlockVector], betas: Sequence[float]):
 # ---------------------------------------------------------------------------
 
 
-def phase_smoothness(A: BlockOperatorFamily, blocks: Sequence[int]) -> dict:
+def phase_smoothness(
+    A: BlockOperatorFamily, blocks: Sequence[int], dense_rows: bool = False
+) -> dict:
     """Tight per-block curvature of ``0.5 ||sum_{i in blocks} A_i x_i||^2``.
 
     ``eta'_i`` sums ``k_r ||A_{r,i}||_2^2`` over the rows ``r`` of
     ``A.rows`` that block ``i`` acts in, where ``A_{r,i}`` is its piece
     there and ``k_r`` counts only blocks of this phase acting in row ``r``.
     On a family's default row this is ``n_eff ||A_i||_2^2``, ``n_eff`` the
-    phase's coupled blocks.
+    phase's coupled blocks. With ``dense_rows``, a row where two or more
+    of the phase's blocks act takes ``min(c_r, k_r)`` in place of ``k_r``,
+    ``c_r`` the :func:`dense_row_constant` of their pieces there (``inf``
+    unless they are all dense), which is as valid a majorant.
 
     Returns ``{i: (eta_i, alone_i)}`` where ``alone_i`` is true when no other
-    phase block shares a row with ``i``.
+    phase block shares a row with ``i``. Raises ``ValueError`` for a block
+    that is not an index of the family.
     """
     members = set(blocks)
+    for i in members:
+        is_int = isinstance(i, numbers.Integral) and not isinstance(i, bool)
+        if not (is_int and 0 <= i < A.n):
+            raise ValueError(f"phase_smoothness: the family has no block {i!r}")
     etas = {i: 0.0 for i in members}
     alone = {i: True for i in members}
     for row in A.rows:
         act = [(i, op) for i, op in row if i in members]
         k = len(act)
+        if dense_rows and k > 1:
+            k = min(k, dense_row_constant([op for _, op in act]))
         for i, op in act:
             etas[i] += k * op.op_norm_sq
-            if k > 1:
+            if len(act) > 1:
                 alone[i] = False
     return {i: (etas[i], alone[i]) for i in members}
 
@@ -327,7 +340,8 @@ def _tight_weights(problem, coupled, margin, sm, config):
     ``exact`` keeps ``G_i = 0`` for a block alone on its rows in its phase
     whose exact update has a closed form; ``iso`` is ``margin (eta'_i - c) I``
     when ``A_i^T A_i = c I``, keeping the Gram in the subproblem; otherwise
-    :func:`_linearized_weights` (``linearized``).
+    :func:`_linearized_weights` (``linearized``). Its kinds read ``eta'_i``
+    with the dense-row constants (:func:`phase_smoothness`).
     """
     for i in coupled:
         op = problem.family.operators[i]
@@ -378,6 +392,8 @@ class _Kind:
     term (``True``) or refuses a problem that has one (``False``).
     ``backtrack`` grows the weights by ``mu`` until each phase's test holds.
     ``rate_bound`` marks the kinds the diagnostics give a rate bound for.
+    ``dense_rows``: whether its :func:`phase_smoothness` takes the dense-row
+    constants; the others keep the block counts ``k_r``.
     """
 
     partition: str
@@ -385,12 +401,13 @@ class _Kind:
     smooth: bool = True
     backtrack: bool = False
     rate_bound: bool = False
+    dense_rows: bool = False
 
 
 _KINDS = {
-    "gs": _Kind("sequential", _tight_weights, rate_bound=True),
-    "jacobi": _Kind("parallel", _tight_weights, rate_bound=True),
-    "madmm": _Kind("mixed", _tight_weights, rate_bound=True),
+    "gs": _Kind("sequential", _tight_weights, rate_bound=True, dense_rows=True),
+    "jacobi": _Kind("parallel", _tight_weights, rate_bound=True, dense_rows=True),
+    "madmm": _Kind("mixed", _tight_weights, rate_bound=True, dense_rows=True),
     "madmm-bt": _Kind("mixed", _backtrack_seed, backtrack=True, rate_bound=True),
     "l-admm-ps": _Kind("parallel", _linearized_weights, smooth=False),
     "pl-admm-ps": _Kind("parallel", _linearized_weights),
@@ -407,17 +424,20 @@ def default_weights(problem, kind: str, partition=None, config=None, smoothness=
     first-phase blocks and slightly above 1 elsewhere, where the curvature
     bound must be dominated strictly. ``config`` supplies ``eta_scale`` for
     the backtracking seed (default ``SolverConfig()``). ``smoothness`` maps
-    each phase's blocks to its :func:`phase_smoothness` when the caller has
-    it. A block without constraint coupling gets ``G_i = 0`` at level
-    ``unconstrained``. :func:`prepare_context` starts a run from these
-    unless ``config.weights`` overrides them.
+    each phase's blocks to its :func:`phase_smoothness`, taken as the kind
+    takes it, when the caller has it. A block without constraint coupling
+    gets ``G_i = 0`` at level ``unconstrained``. :func:`prepare_context`
+    starts a run from these unless ``config.weights`` overrides them.
     """
     config = config or SolverConfig()
     A = problem.family
     G = [WeightMatrix.zero()] * A.n
     levels = ["unconstrained"] * A.n
     for blocks, margin in _phases(_resolve_partition(problem, kind, partition)):
-        sm = phase_smoothness(A, blocks) if smoothness is None else smoothness[blocks]
+        if smoothness is None:
+            sm = phase_smoothness(A, blocks, _KINDS[kind].dense_rows)
+        else:
+            sm = smoothness[blocks]
         coupled = [i for i in blocks if A.operators[i].op_norm_sq > 0.0]
         for i, g, level in _KINDS[kind].weights(problem, coupled, margin, sm, config):
             G[i], levels[i] = g, level
@@ -791,8 +811,11 @@ def prepare_context(
     if not_int or workers < 1:
         raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
     partition = _resolve_partition(problem, kind, config.partition)
-    smoothness = {b: phase_smoothness(problem.family, b) for b, _ in _phases(partition)}
     row = _KINDS[kind]
+    smoothness = {
+        b: phase_smoothness(problem.family, b, row.dense_rows)
+        for b, _ in _phases(partition)
+    }
     smooth = problem.smooth
     if smooth is not None and not row.smooth:
         raise UnsupportedSubproblemError(
@@ -1058,7 +1081,12 @@ def run(
     of its blocks, and the iterates are bitwise those of one worker.
     """
     config = config or SolverConfig()
-    ctx = prepare_context(problem, solver_kind, config, workers=workers)
+    return _iterate(prepare_context(problem, solver_kind, config, workers), observe)
+
+
+def _iterate(ctx: _RunContext, observe=None) -> SolverResult:
+    """:func:`run`'s iterations on the context :func:`prepare_context` made."""
+    problem, config = ctx.problem, ctx.config
     x0 = BlockVector.zeros(problem.block_shapes)
     out_shape = problem.family.out_shape
     c0 = [np.zeros(out_shape) for _ in range(x0.n)]

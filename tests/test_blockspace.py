@@ -582,12 +582,113 @@ class TestOperatorShapes:
         with pytest.raises(DimensionError, match=message):
             build()
 
+    @pytest.mark.parametrize(
+        "build, shape",
+        [
+            (lambda: ScaledIdentityOp(1.0, (-1,)), "(-1,)"),
+            (lambda: ScaledIdentityOp(1.0, (2.5,)), "(2.5,)"),
+            (lambda: ScaledIdentityOp(1.0, (True, 2)), "(True, 2)"),
+            (lambda: ZeroOp((-2,), (3,)), "(-2,)"),
+            (lambda: ZeroOp((2,), (3.0,)), "(3.0,)"),
+            (lambda: LeftMultiplyOp(np.ones((2, 2)), (2, -3)), "(2, -3)"),
+        ],
+    )
+    def test_dimension_must_be_a_nonnegative_integer(self, build, shape):
+        message = re.escape(f"shape {shape} needs nonnegative integer dimensions")
+        with pytest.raises(DimensionError, match=message):
+            build()
+
+    def test_zero_size_and_numpy_dimensions_are_legal(self):
+        assert DenseMatrixOp(np.ones((0, 3))).op_norm_sq == 0.0
+        op = ZeroOp((np.int64(0), 2), (np.int32(3),))
+        assert (op.in_shape, op.out_shape) == ((0, 2), (3,))
+        assert all(type(n) is int for n in op.in_shape + op.out_shape)
+
     def test_family_needs_an_operator_and_one_block_each(self):
         with pytest.raises(DimensionError, match="at least one operator"):
             BlockOperatorFamily((), (2,))
         A = BlockOperatorFamily((ScaledIdentityOp(1.0, (2,)),) * 2, (2,))
         with pytest.raises(DimensionError, match="expected 2 blocks, got 1"):
             A.apply(BlockVector([np.ones(2)]))
+
+
+def _stacked_norm_sq(ops):
+    """``sigma_max^2`` of ``[A_j / sqrt(cert_j)]`` over the nonzero pieces."""
+    live = [op for op in ops if op.op_norm_sq > 0.0]
+    stack = np.hstack([op.matrix / math.sqrt(op.op_norm_sq) for op in live])
+    s = scipy.linalg.svd(stack, compute_uv=False, lapack_driver="gesvd")
+    return float(s[0]) ** 2
+
+
+class TestDenseRowConstant:
+    @pytest.mark.parametrize("scale", [1.0, 2.0**-300, 2.0**300])
+    @pytest.mark.parametrize(
+        "rows, widths",
+        [(6, (3, 4)), (8, (3, 4, 2, 5)), (5, (7, 1, 9)), (4, (4, 4)), (3, (400, 2))],
+    )
+    def test_is_the_stacked_norm(self, rows, widths, scale):
+        rng = np.random.default_rng(rows * 100 + sum(widths))
+        ops = [DenseMatrixOp(scale * rng.standard_normal((rows, m))) for m in widths]
+        c = blockspace.dense_row_constant(ops)
+        top = _stacked_norm_sq(ops)
+        assert top <= c <= top * (1.0 + 1e-10)
+        assert c <= len(ops)
+
+    def test_mixed_scales_and_a_zero_piece(self):
+        rng = np.random.default_rng(7)
+        ops = [
+            DenseMatrixOp(2.0**-400 * rng.standard_normal((5, 6))),
+            DenseMatrixOp(np.zeros((5, 3))),
+            DenseMatrixOp(2.0**200 * rng.standard_normal((5, 2))),
+            DenseMatrixOp(rng.standard_normal((5, 4))),
+        ]
+        top = _stacked_norm_sq(ops)
+        assert top <= blockspace.dense_row_constant(ops) <= top * (1.0 + 1e-10)
+
+    def test_no_bound_from_other_pieces_or_a_tall_stack(self):
+        rng = np.random.default_rng(8)
+        dense = DenseMatrixOp(rng.standard_normal((4, 3)))
+        other = ScaledIdentityOp(1.0, (4,))
+        assert blockspace.dense_row_constant([dense, other]) == math.inf
+        # 3 + 0 columns against 4 rows: the stacked input Gram is smaller.
+        zero = DenseMatrixOp(np.zeros((4, 5)))
+        assert blockspace.dense_row_constant([dense, zero]) == math.inf
+        assert blockspace.dense_row_constant([zero, zero]) == 0.0
+        assert blockspace.dense_row_constant([]) == 0.0
+
+    def test_reads_each_gram_the_certificates_keep(self, monkeypatch):
+        # Each piece forms one Gram for its certificate; a tall piece forms
+        # its M M^T once more, and a second reading forms none.
+        rng = np.random.default_rng(9)
+        ops = [DenseMatrixOp(rng.standard_normal((6, m))) for m in (8, 2, 6, 3)]
+        calls = []
+        real = blockspace._dense_gram
+
+        def counted(matrices, out=False):
+            calls.append(out)
+            return real(matrices, out)
+
+        monkeypatch.setattr(blockspace, "_dense_gram", counted)
+        certs = [op.op_norm_sq for op in ops]
+        assert calls == [False] * 4
+        first = blockspace.dense_row_constant(ops)
+        assert calls == [False] * 4 + [True] * 2
+        assert blockspace.dense_row_constant(ops) == first
+        assert len(calls) == 6
+        # Keeping M M^T leaves each certificate as it was.
+        assert [op.op_norm_sq for op in ops] == certs
+        for op in ops:
+            gram = op._output_gram()
+            assert gram.out and gram.H.shape == (6, 6)
+
+    def test_kept_gram_is_the_certificates_own(self):
+        # The certificate read from the kept Gram is dense_norm_sq's, bit
+        # for bit, on every nnsc block.
+        ops = build_nonneg_sparse_coding(DataGenSpec(0, d=50, n=100)).family.operators
+        for op in ops:
+            assert op.op_norm_sq == dense_norm_sq(op.matrix)
+            assert op._gram.out == (op.in_shape[0] >= 50)
+            assert blockspace._gram_norm_sq(op._gram) == op.op_norm_sq
 
 
 class TestResidual:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from mmadmm import solvers
+from mmadmm import diagnostics, solvers
 from mmadmm.blockspace import (
     BlockOperatorFamily,
     BlockVector,
@@ -436,6 +436,41 @@ class TestBoundReport:
         assert len(calls) == 1
         assert (report.alpha, report.rows) == (want.alpha, want.rows)
         assert len(report.rows) == 5
+
+    def test_run_is_prepared_once(self, monkeypatch):
+        # The report runs the context it reads G0 and the partition from: one
+        # prepare_context per report (two when run prepared its own), and
+        # the rows are those of run()'s iterates.
+        problem = quad_problem(6, d=8, dims=(3, 4, 2, 5), weights=(1.0, 2.0, 0.5, 1.5))
+        config = replace(self._config((), 1.0, iters=6), weights=None, rho=1.1)
+        cert = quadratic_oracle(problem)
+        calls = []
+        prepare = solvers.prepare_context
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return prepare(*args, **kwargs)
+
+        monkeypatch.setattr(solvers, "prepare_context", counting)
+        monkeypatch.setattr(diagnostics, "prepare_context", counting)
+        report = bound_report(problem, "madmm", config, cert)
+        assert calls == ["madmm"]
+        ctx = prepare(problem, "madmm", config)
+        G, part = ctx.G0, ctx.partition
+        assert report.alpha == theorem_alpha(problem, "madmm", G, partition=part)
+        bundle = theorem_H0(problem, "madmm", G, 1.0, partition=part)
+        result, iterates = run_observed(problem, "madmm", config)
+        betas = [row.beta for row in result.trace]
+        x0 = BlockVector.zeros(problem.block_shapes)
+        lam0 = np.zeros_like(cert.lambda_star)
+        star = problem.family.apply(cert.x_star)
+        acc, total, want = x0, 0.0, []
+        for K, (x, beta) in enumerate(zip(iterates, betas)):
+            acc, total = acc + (1.0 / beta) * x, total + 1.0 / beta
+            lhs = kkt_gap((1.0 / total) * acc, cert, problem, report.alpha, 1.0, star)
+            want.append((K, lhs, theorem_bound_rhs(x0, lam0, cert, bundle, betas, K)))
+        assert report.rows == want
+        assert len(want) == 6
 
     def test_ok_flags_violations(self):
         report = BoundReport(0.5, [(0, 1.0, 2.0), (1, 3.0, 1.0)])

@@ -3,6 +3,7 @@
 import dataclasses
 import logging
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -68,6 +69,8 @@ from helpers import (
     reference_runs,
     reference_solve_block,
     run_observed,
+    surrogate_axiom_gaps,
+    surrogate_axioms_hold,
 )
 
 
@@ -314,6 +317,119 @@ class TestPhaseSmoothness:
             for i in blocks:
                 if ops[i].op_norm_sq > 0.0:
                     assert got[i] == want[i]
+
+    @pytest.mark.parametrize("bad", [4, 9, -1, True, 1.0])
+    def test_block_outside_the_family_rejected(self, bad):
+        # An unknown block used to count as uncoupled: {9: (0.0, True)}.
+        A = BlockOperatorFamily((ScaledIdentityOp(1.0, (2,)),) * 4, (2,))
+        message = re.escape(f"the family has no block {bad!r}")
+        for dense_rows in (False, True):
+            with pytest.raises(ValueError, match=message):
+                phase_smoothness(A, (0, bad), dense_rows)
+
+
+def _nnsc_100(seed):
+    """The benchmark's nnsc instance: d=50, n=100, blocks of 10 to 1,000."""
+    return build_nonneg_sparse_coding(DataGenSpec(seed, d=50, n=100))
+
+
+def _k_r_smoothness(problem, partition):
+    """Each phase's :func:`phase_smoothness` at the block counts ``k_r``."""
+    A = problem.family
+    return {b: phase_smoothness(A, b) for b in (partition.b1, partition.b2)}
+
+
+class TestDenseRowConstants:
+    """jacobi and madmm weigh a dense row's blocks by ``c_r ||A_i||^2``."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_nnsc_phase_constants_are_the_stacked_norms(self, seed):
+        problem = _nnsc_100(seed)
+        A = problem.family
+        ops = A.operators
+        madmm = prepare_context(problem, "madmm", SolverConfig())
+        jacobi = prepare_context(problem, "jacobi", SolverConfig())
+        phases = [
+            (madmm, madmm.partition.b1, 1.0),
+            (madmm, madmm.partition.b2, MARGIN_STRICT),
+            (jacobi, jacobi.partition.b2, MARGIN_STRICT),
+        ]
+        for ctx, blocks, margin in phases:
+            certs = [ops[i].op_norm_sq for i in blocks]
+            stack = np.hstack(
+                [ops[i].matrix / math.sqrt(c) for i, c in zip(blocks, certs)]
+            )
+            _, s, vt = scipy.linalg.svd(
+                stack, full_matrices=False, lapack_driver="gesvd"
+            )
+            top = float(s[0]) ** 2
+            c = blockspace.dense_row_constant([ops[i] for i in blocks])
+            assert top <= c <= top * (1.0 + 1e-10)
+            assert c <= len(blocks)
+            sm = ctx.smoothness[blocks]
+            assert sm == phase_smoothness(A, blocks, dense_rows=True)
+            for i, cert in zip(blocks, certs):
+                assert sm[i] == (c * cert, False)
+                assert ctx.G0[i].eta == margin * sm[i][0]
+                assert ctx.levels[i] == "linearized"
+            # Along the stack's top right singular vector, scaled back to
+            # the blocks, the majorant is tight: it holds at c_r and fails
+            # at 0.99 c_r.
+            parts = np.split(vt[0], np.cumsum([ops[i].in_shape[0] for i in blocks]))
+            d = [v / math.sqrt(cert) for v, cert in zip(parts, certs)]
+            image = sum(ops[i].apply(di) for i, di in zip(blocks, d))
+            lhs = float(image @ image)
+            rhs = sum(sm[i][0] * float(di @ di) for i, di in zip(blocks, d))
+            assert lhs <= rhs
+            assert lhs > 0.99 * rhs
+
+    def test_block_counts_stay_where_the_row_is_not_all_dense(self):
+        # l-admm-ps, pl-admm-ps and madmm-bt keep the k_r level on nnsc, and
+        # every kind keeps it on latlrr3 and on one-block phases: their
+        # weights are the k_r formula's, bit for bit.
+        nnsc = build_nonneg_sparse_coding(DataGenSpec(0, d=10, n=6, sparsity=0.2))
+        cases = [
+            (nnsc, ("madmm-bt", "l-admm-ps", "pl-admm-ps")),
+            (_latlrr3(), ("jacobi", "madmm", "madmm-bt", "l-admm-ps", "pl-admm-ps")),
+        ]
+        config = SolverConfig(eta_scale=0.03)
+        for problem, kinds in cases:
+            for kind in kinds:
+                ctx = prepare_context(problem, kind, config)
+                part = ctx.partition
+                G, levels = default_weights(
+                    problem, kind, part, config, _k_r_smoothness(problem, part)
+                )
+                got = [(g.eta.hex(), g.gram_coef, g.op) for g in ctx.G0]
+                assert got == [(g.eta.hex(), g.gram_coef, g.op) for g in G], kind
+                assert ctx.levels == levels
+        A = nnsc.family
+        for i in range(A.n):
+            assert phase_smoothness(A, (i,), True) == phase_smoothness(A, (i,))
+        # Where two dense pieces share a row, jacobi's level is lower.
+        ctx = prepare_context(nnsc, "jacobi", config)
+        G, _ = default_weights(
+            nnsc, "jacobi", ctx.partition, config, _k_r_smoothness(nnsc, ctx.partition)
+        )
+        assert all(a.eta < b.eta for a, b in zip(ctx.G0, G))
+
+    @pytest.mark.parametrize("kind", ["jacobi", "madmm"])
+    def test_block_models_majorize_at_the_row_constant_only(self, kind):
+        # The block models majorize the augmented Lagrangian with the new
+        # weights, and stop doing so at levels 0.99 c_r ||A_i||^2.
+        problem = build_nonneg_sparse_coding(
+            DataGenSpec(seed=4, d=5, n=4, block_dims=(3, 2, 4, 3))
+        )
+        assert surrogate_axioms_hold(surrogate_axiom_gaps(problem, kind))
+        ctx = prepare_context(problem, kind, SolverConfig())
+        low = [None] * problem.family.n
+        for sm in ctx.smoothness.values():
+            for i, (eta_p, _) in sm.items():
+                op = problem.family.operators[i]
+                low[i] = WeightMatrix.identity_minus_gram(0.99 * eta_p, op)
+        config = SolverConfig(weights=low, partition=ctx.partition)
+        gaps = surrogate_axiom_gaps(problem, kind, config=config)
+        assert not surrogate_axioms_hold(gaps)
 
 
 class TestDefaultWeights:

@@ -250,13 +250,14 @@ class TestQuadSurrogateParallel:
 
 class TestBlockModelAxioms:
     def test_fails_when_phase_weights_stop_majorizing(self):
-        # At 0.55 of the solver's level each G_i = eta I - A_i^T A_i is still
+        # The solver's level is 1.02 c_r ||A_i||^2, c_r = 1.35 the row's
+        # dense constant: at 0.9 of it each G_i = eta I - A_i^T A_i is still
         # PSD, but the all-parallel phase no longer majorizes its coupling.
         problem = quad_problem(3)
         ctx = prepare_context(problem, "jacobi", SolverConfig())
         weights = []
         for G, op in zip(ctx.G0, problem.family.operators):
-            low = WeightMatrix.identity_minus_gram(0.55 * G.eta, op)
+            low = WeightMatrix.identity_minus_gram(0.9 * G.eta, op)
             assert np.linalg.eigvalsh(low.to_dense(op.in_shape))[0] >= 0.0
             weights.append(low)
         gaps = surrogate_axiom_gaps(
