@@ -385,6 +385,8 @@ class ScaledIdentityOp(BlockOperator):
 
     def __init__(self, scale: float, shape: tuple):
         super().__init__(shape, shape)
+        if isinstance(scale, bool):
+            raise ValueError(f"identity scale must be a number, got {scale!r}")
         self.scale = float(scale)
         if not math.isfinite(self.scale):
             raise ValueError(f"identity scale must be finite, got {self.scale}")

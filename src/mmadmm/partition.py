@@ -43,7 +43,8 @@ class Partition:
     are disjoint and together cover all blocks. ``score`` is the
     ``L_B1 + L_B2`` value for sort-and-scan partitions, ``None`` otherwise.
     ``case`` tags the originating strategy: ``I``, ``II``, ``III``, or
-    ``user``.
+    ``user``. Each index must be a nonnegative integer (``bool`` is not
+    one); numpy integers are stored as ``int``.
     """
 
     b1: tuple
@@ -52,8 +53,15 @@ class Partition:
     score: Optional[float] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "b1", tuple(self.b1))
-        object.__setattr__(self, "b2", tuple(self.b2))
+        for side in ("b1", "b2"):
+            blocks = tuple(getattr(self, side))
+            for i in blocks:
+                is_int = isinstance(i, numbers.Integral) and not isinstance(i, bool)
+                if not (is_int and i >= 0):
+                    raise ValueError(
+                        f"{side} holds {i!r}, not a block index (a nonnegative integer)"
+                    )
+            object.__setattr__(self, side, tuple(int(i) for i in blocks))
         overlap = set(self.b1) & set(self.b2)
         if overlap:
             raise ValueError(f"blocks {sorted(overlap)} appear in both super blocks")

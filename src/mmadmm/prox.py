@@ -244,6 +244,8 @@ class ProxFunction:
     def __post_init__(self):
         if self.kind not in _ALL_KINDS:
             raise ValueError(f"unknown prox kind {self.kind!r}")
+        if isinstance(self.weight, bool):
+            raise ValueError(f"weight must be a number, got {self.weight!r}")
         if not (math.isfinite(self.weight) and self.weight >= 0):
             raise ValueError(
                 f"weight must be finite and nonnegative, got {self.weight}"

@@ -112,7 +112,8 @@ class SolverConfig:
     ||x_i^{k+1} - x_i^k|| / max(||b||, 1)`` falls below ``eps_primal``.
     ``weights`` overrides the automatic per-block proximal weights;
     ``partition`` may be a Partition or ``"auto"``.
-    Numeric fields are coerced to ``float``/``int`` and must be finite; an
+    Numeric fields are coerced to ``float``/``int`` and must be finite
+    (``bool`` is not a number); an
     ``int`` field takes an integral value only (``10.0`` but not ``2.5``),
     and an integer passes through exactly, however large.
     """
@@ -134,6 +135,8 @@ class SolverConfig:
         for f in fields(self):
             if isinstance(f.default, (int, float)):
                 value = getattr(self, f.name)
+                if isinstance(value, bool):
+                    raise ValueError(f"{f.name} must be a number, got {value!r}")
                 if isinstance(f.default, int) and isinstance(value, numbers.Integral):
                     setattr(self, f.name, int(value))
                     continue
@@ -202,12 +205,16 @@ class SolverState:
     block images ``c_i = A_i x_i`` of the iterate ``x``, their residual ``r
     = sum_i c_i - b``, ``f``, ``{i: value}`` of the block term values known
     at ``x`` (``None`` or absent: unknown), and ``z``, ``{i: X_i}`` of the
-    range coordinates with ``x_i = fl(Q_i X_i)`` of the blocks that have a
-    range basis and whose last update wrote them (see :class:`_RangeBasis`):
-    such a block solves in them, any other in full space. :func:`step`
-    recomputes the images, with no values and no coordinates, when they
-    belong to another iterate, so the blocks of a replaced iterate solve in
-    full space from then on.
+    range coordinates of the blocks that have a range basis and whose last
+    update solved in them (see :class:`_RangeBasis`): such a block solves in
+    them, any other in full space. ``X_i`` is block ``i``'s iterate, ``x_i =
+    fl(Q_i X_i)``, but its slice of ``x`` is written only where the iterate
+    leaves the engine (:func:`step` returns, :func:`run` observes, returns
+    or raises ``DivergenceError``); in between it keeps the last value
+    written, and the step norms, the backtracking test and the objective
+    read ``X_i`` or the carried value instead. :func:`step` recomputes the images, with no values and no
+    coordinates, when they belong to another iterate, so the blocks of a
+    replaced iterate solve in full space from then on.
     """
 
     x: BlockVector
@@ -525,8 +532,10 @@ class _RangeBasis(NamedTuple):
     R^T``, the block's operator on the ``r x n`` coordinates ``X`` of ``Z =
     Q X`` is :meth:`apply`, ``R^T X`` placed at ``rows``, with adjoint
     :meth:`adjoint`, ``u -> R u[rows]``. :func:`_run_phase` solves a block
-    whose iterate ``y_i = fl(Q Y)`` carries its coordinates ``Y`` on this
-    operator, anchored at ``Y``, and writes ``Q X``. Its model has no Gram
+    that carries its coordinates ``Y`` on this operator, anchored at ``Y``,
+    and carries the new ``X`` as its iterate; the full-space block ``y_i =
+    fl(Q Y)`` is written by :meth:`lift`, one product, only where the
+    iterate leaves the engine (see :class:`SolverState`). Its model has no Gram
     term (a nuclear term takes no left Gram, so its weight cancels it) and
     no smooth term, so, with ``U`` the ``r x n`` stack of ``s_full`` on
     ``rows`` and ``q = beta eta``, it thresholds ``W = -(beta R U - beta
@@ -549,8 +558,9 @@ class _RangeBasis(NamedTuple):
     Y) - Q Y| <= gamma_r |Q| |Y|`` entrywise (Higham, (3.13)), ``gamma_r =
     r u / (1 - r u)``, so ``||y_i - Q Y||_F <= gamma_r || |Q| ||_2
     ||Y||_F <= gamma_r sqrt(r) ||Y||_F``, about ``gamma_r ||Y||_F``. The
-    iterate is always written from its coordinates, so this gap is one
-    rounding at every update and does not accumulate. Further error comes
+    full-space block is only ever written from the coordinates, never
+    updated itself, so this gap is one rounding of the written block and
+    does not accumulate. Further error comes
     only from rounding the small products and thresholding ``W``
     (:func:`prox._svt` bounds it as for ``V``); by Weyl each kept value
     moves by at most ``||V - Q W||_2``. The image ``F Q X = R^T X + (F -
@@ -571,6 +581,10 @@ class _RangeBasis(NamedTuple):
         image = np.zeros(self.out_shape)
         image.reshape(-1)[self.rows] = (self.R.T @ X).reshape(-1)
         return image
+
+    def lift(self, X: np.ndarray, out: np.ndarray) -> None:
+        """Write the block ``fl(Q X)`` of coordinates ``X`` into ``out``."""
+        np.matmul(self.Q, X, out=out)
 
 
 def _range_basis(op, prox_part, smooth_eta: float):
@@ -892,8 +906,10 @@ def _run_phase(
     row (adjoint, then apply) while it is still in cache; the other blocks
     keep their images and coordinates. A block with carried coordinates
     ``z[i]`` takes the same two calls in them instead, on its range basis
-    (:class:`_RangeBasis`), writes ``Q X`` and carries ``X``; any other
-    block solves in full space and has none. With ``ctx.executor``, each of
+    (:class:`_RangeBasis`), and carries its new ``X`` as its iterate; its
+    slice of the new iterate is copied from ``y``, not written (see
+    :class:`SolverState`). Any other block solves in full space and has no
+    coordinates. With ``ctx.executor``, each of
     ``min(ctx.workers, len(blocks))`` contiguous shares of ``blocks`` goes
     to one worker; every block writes only its own slices, so the result is
     bitwise that of one worker.
@@ -914,8 +930,6 @@ def _run_phase(
                 ctx, i, y, c, s_full, beta, eta[i], smooth_res, out, Y
             )
             value = _solve_block(plan, q_iso, q_gram, w)  # w: v, or X
-            if Y is not None:
-                np.matmul(plan.basis.Q, w, out=v)
             done.append((i, op.apply(w), value, None if Y is None else w))
         return done
 
@@ -961,8 +975,26 @@ def step(state: SolverState, ctx: _RunContext):
     its images, values and coordinates; a block a phase leaves alone keeps
     its own. Images recomputed for an iterate that ``state.images`` does
     not belong to carry no coordinates, so from then on every block solves
-    in full space.
+    in full space. On return ``state.x`` is complete: each block that
+    carries coordinates ``X_i`` holds ``fl(Q_i X_i)``.
     """
+    out = _step(state, ctx)
+    _write_full(state, ctx)
+    return out
+
+
+def _write_full(state: SolverState, ctx: _RunContext) -> None:
+    """Write each block that carries range coordinates ``X_i`` into ``state.x``
+    as ``fl(Q_i X_i)``: one product per such block (see :class:`SolverState`)."""
+    x, *_, z = state.images
+    for i, X in z.items():
+        ctx.plans[i].basis.lift(X, out=x.blocks[i])
+
+
+def _step(state: SolverState, ctx: _RunContext):
+    """:func:`step` without writing the blocks that carry range coordinates:
+    their slices of ``state.x`` keep the values they had, and their
+    coordinates on ``state.images`` are their iterate."""
     backtracking = _KINDS[ctx.kind].backtrack
     mu = ctx.config.mu
     x = state.x
@@ -970,6 +1002,7 @@ def step(state: SolverState, ctx: _RunContext):
         c = [op.apply(v) for op, v in zip(ctx.A.operators, x.blocks)]
         state.images = (x, c, ctx.A.image_sum(c) - ctx.b, {}, {})
     _, c, resid, values, z = state.images
+    z_prev = z
     backtracks = 0
     for (blocks, _), tau in zip(_phases(ctx.partition), (0.0, ctx.config.tau)):
         if not blocks:
@@ -979,7 +1012,7 @@ def step(state: SolverState, ctx: _RunContext):
                 ctx, blocks, x, c, resid, z, state.lam, state.beta, state.eta
             )
             if not backtracking or _bt_accept(
-                ctx, blocks, x, x_new, c, c_new, state.eta, tau
+                ctx, blocks, x, x_new, c, c_new, state.eta, tau, z, z_new
             ):
                 break
             if _bt_exhausted(ctx.smoothness[blocks], state.eta, mu, tau):
@@ -995,7 +1028,7 @@ def step(state: SolverState, ctx: _RunContext):
     state.backtrack_count += backtracks
     state.lam = dual_update(state.lam, state.beta, resid)
     beta_used = state.beta
-    state.beta = _next_beta(ctx, state.beta, x, state.x)
+    state.beta = _next_beta(ctx, state.beta, x, state.x, z, z_prev)
     state.x = x
     state.images = (x, c, resid, values, z)
     state.k += 1
@@ -1024,15 +1057,28 @@ def _bt_scale(ctx, blocks, state: SolverState, mu: float) -> None:
             state.eta[i] = mu * state.eta[i]
 
 
+def _block_step(i: int, x_new, x_old, z_new, z_old) -> np.ndarray:
+    """``x_i^new - x_i^old``, from the range coordinates ``z`` when the new
+    iterate carries them for block ``i`` (then so did the old one, and
+    their slices of ``x`` may be stale; see :class:`SolverState`). ``Q_i``
+    has orthonormal columns, so in exact arithmetic both differences have
+    the same norm."""
+    if i in z_new:
+        return z_new[i] - z_old[i]
+    return x_new[i] - x_old[i]
+
+
 def _bt_accept(
-    ctx, blocks, anchor, updates, c_anchor, c_updates, eta, tau: float
+    ctx, blocks, anchor, updates, c_anchor, c_updates, eta, tau, z_anchor, z_updates
 ) -> bool:
     """``tau ||d||^2 <= sum_i eta_i ||d_i||^2 - ||sum_i A_i d_i||^2`` over ``blocks``.
 
     ``eta_i = eta[i]`` and ``d_i = updates[i] - anchor[i]``, restricted to
-    constraint-coupled blocks; ``A_i d_i`` is taken from the block images as
-    ``c_updates[i] - c_anchor[i]``. At ``tau = 0`` this is the first phase's
-    test ``||A d||^2 <= sum_i eta_i ||d_i||^2``.
+    constraint-coupled blocks, is taken by :func:`_block_step`, in the
+    range coordinates ``z_updates`` and ``z_anchor`` where they are given;
+    ``A_i d_i`` is taken from the block images as ``c_updates[i] -
+    c_anchor[i]``. At ``tau = 0`` this is the first phase's test ``||A
+    d||^2 <= sum_i eta_i ||d_i||^2``.
     """
     lhs = 0.0
     quad = 0.0
@@ -1040,7 +1086,7 @@ def _bt_accept(
     for i in blocks:
         if ctx.A.operators[i].op_norm_sq == 0.0:
             continue
-        d = updates[i] - anchor[i]
+        d = _block_step(i, updates, anchor, z_updates, z_anchor)
         dsq = float(np.vdot(d, d))
         lhs += dsq
         quad += eta[i] * dsq
@@ -1048,13 +1094,14 @@ def _bt_accept(
     return tau * lhs <= quad - float(np.vdot(a_vec, a_vec))
 
 
-def _next_beta(ctx, beta: float, x_new: BlockVector, x_prev: BlockVector) -> float:
+def _next_beta(ctx, beta: float, x_new, x_prev, z_new, z_prev) -> float:
+    """The next penalty; the adaptive schedule reads each :func:`_block_step`."""
     cfg = ctx.config
     if cfg.schedule == "geometric":
         return min(cfg.rho * beta, cfg.beta_max)
     worst = 0.0
-    for new, old in zip(x_new.blocks, x_prev.blocks):
-        d = new - old
+    for i in range(x_new.n):
+        d = _block_step(i, x_new, x_prev, z_new, z_prev)
         worst = max(worst, beta * math.sqrt(float(np.vdot(d, d))))
     if worst / ctx.b_scale <= cfg.eps_primal:
         return min(cfg.rho * beta, cfg.beta_max)
@@ -1076,7 +1123,10 @@ def run(
     ``max_iter`` is reached. Non-finite iterates raise ``DivergenceError``
     carrying the finite prefix of the trace. ``observe(state)`` runs after
     each finite iterate's trace row, before the stop test; an observer must
-    copy an iterate it keeps, as ``run`` reuses ``state.x``'s buffer.
+    copy an iterate it keeps, as ``run`` reuses ``state.x``'s buffer. The
+    iterate an observer sees, the one returned and the one a
+    ``DivergenceError`` carries are complete; between them a block that
+    carries range coordinates is not written (see :class:`SolverState`).
     ``workers`` threads share each phase, each solving one contiguous share
     of its blocks, and the iterates are bitwise those of one worker.
     """
@@ -1108,29 +1158,46 @@ def _iterate(ctx: _RunContext, observe=None) -> SolverResult:
     if ctx.workers > 1:
         ctx.executor = ThreadPoolExecutor(max_workers=ctx.workers)
     try:
-        for _ in range(config.max_iter):
-            x_prev = state.x
-            resid, beta_used, backtracks = step(state, ctx)
-            # ``x_prev`` is this loop's own (``step`` returns a new iterate)
+        for it in range(config.max_iter):
+            x_prev, z_prev = state.x, state.images[4]
+            resid, beta_used, backtracks = _step(state, ctx)
+            _, _, _, values, z = state.images
+            # ``x_prev`` is this loop's own (``_step`` returns a new iterate)
             # and dead from here on, so its buffer takes the step: a fresh
-            # full-length array here costs page faults every iteration.
+            # full-length array here costs page faults every iteration. The
+            # slices of the blocks in ``z`` were copied, not written, so
+            # their step is read from their coordinates.
             step_vec = np.subtract(state.x.flat, x_prev.flat, out=x_prev.flat)
-            step_norm = float(np.linalg.norm(step_vec))
+            step_sq = float(step_vec.dot(step_vec))
+            for i, X in z.items():
+                d = X - z_prev[i]
+                step_sq += float(np.vdot(d, d))
+            step_norm = math.sqrt(step_sq)
             resid_norm = float(np.linalg.norm(resid))
-            # The values the proxes gave belong to ``state.x`` (``step``
-            # keeps them with its images), so no nuclear block is rescored.
-            objective = problem.objective(state.x, state.images[3])
+            # The values the proxes gave belong to ``state.x`` (``_step``
+            # keeps them with its images), so no nuclear block is rescored
+            # and no stale slice is scored: a block in ``z`` without its
+            # value is written first.
+            if any(values.get(i) is None for i in z):
+                _write_full(state, ctx)
+            objective = problem.objective(state.x, values)
             if not (
                 math.isfinite(objective)
                 and math.isfinite(resid_norm)
                 and math.isfinite(step_norm)
             ):
+                _write_full(state, ctx)
                 result = SolverResult(state, state.trace, "diverged")
                 raise DivergenceError(
                     f"non-finite iterate at iteration {state.k}", result
                 )
             rel_resid = resid_norm / ctx.b_scale
             rel_step = step_norm / ctx.b_scale
+            converged = rel_resid <= config.eps_primal and rel_step <= config.eps_step
+            # The iterate leaves the engine here: complete it before the
+            # row's time is stamped, so the write counts as iteration time.
+            if converged or observe is not None or it == config.max_iter - 1:
+                _write_full(state, ctx)
             state.trace.append(
                 IterationTrace(
                     k=state.k,
@@ -1145,7 +1212,7 @@ def _iterate(ctx: _RunContext, observe=None) -> SolverResult:
             )
             if observe is not None:
                 observe(state)
-            if rel_resid <= config.eps_primal and rel_step <= config.eps_step:
+            if converged:
                 stop_reason = "converged"
                 break
     finally:

@@ -534,6 +534,12 @@ class TestOperators:
             with pytest.raises(ValueError, match="identity scale must be finite"):
                 ScaledIdentityOp(bad, (2,))
 
+    def test_bool_scale_rejected(self):
+        for flag in (True, False):
+            message = f"identity scale must be a number, got {flag}"
+            with pytest.raises(ValueError, match=message):
+                ScaledIdentityOp(flag, (2,))
+
     def test_non_finite_factor_has_no_certificate(self):
         # Each of these certified NaN, or failed deep inside the SVD.
         for bad in (math.nan, math.inf):

@@ -12,6 +12,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 TOOL = ROOT / "tools" / "hash_runs.py"
@@ -163,13 +164,48 @@ def _import_tool(monkeypatch):
     return tool, tool._load(ROOT / "src")
 
 
+def test_compare_checks_each_trace_column(tmp_path, monkeypatch):
+    # The saved trace columns round-trip; a trace that differs in one column
+    # only, beyond RTOL, fails the comparison and names that column, while
+    # rounding in it passes and is reported as the column's deviation.
+    tool, builders = _import_tool(monkeypatch)
+    status, *_, final = tool.hash_run(builders["quad"](), "jacobi", "geometric", 1, 6)
+    k, x, trace = final
+    assert status == "budget" and trace.shape == (6, len(tool.COLUMNS))
+    np.testing.assert_array_equal(trace[:, 0], np.arange(1, 7))
+    path = tmp_path / "runs.npz"
+    tool.save_finals(path, {"run": (status, final), "failed": ("ValueError", None)})
+    saved = tool.load_finals(path)
+    assert saved["failed"] == ("ValueError", None)
+    np.testing.assert_array_equal(saved["run"][1][2], trace)
+    assert tool.compare_finals({"run": (status, final)}, saved) == (
+        [],
+        0.0,
+        dict.fromkeys(tool.COLUMNS, 0.0),
+    )
+    j = tool.COLUMNS.index("residual_norm")
+    scale = np.max(np.abs(trace[:, j]))
+    for shift, moved in ((1e-12, False), (1e-6, True)):
+        other = trace.copy()
+        other[-1, j] += shift * scale
+        changes, worst, columns = tool.compare_finals(
+            {"run": (status, (k, x, other))}, saved
+        )
+        assert worst == 0.0
+        assert columns["residual_norm"] == pytest.approx(shift, rel=1e-3)
+        del columns["residual_norm"]
+        assert set(columns.values()) == {0.0}
+        want = ["run: trace column residual_norm deviates by 1.000e-06"]
+        assert changes == (want if moved else [])
+
+
 def test_a_run_that_raises_late_hashes_only_its_error(monkeypatch):
     # The observer has hashed three iterates when the run raises; the
     # digests must still be those of the error alone.
     tool, builders = _import_tool(monkeypatch)
     from mmadmm import solvers
 
-    step = solvers.step
+    step = solvers._step  # what ``run`` iterates
 
     def failing_at(k):
         def fail(state, ctx):
@@ -181,7 +217,7 @@ def test_a_run_that_raises_late_hashes_only_its_error(monkeypatch):
 
     outcomes = []
     for k in (0, 3):
-        monkeypatch.setattr(solvers, "step", failing_at(k))
+        monkeypatch.setattr(solvers, "_step", failing_at(k))
         outcomes.append(tool.hash_run(builders["quad"](), "jacobi", "geometric", 1, 6))
     assert outcomes[0] == outcomes[1]
     assert outcomes[0][0] == "RuntimeError" and outcomes[0][3] is None

@@ -1,5 +1,6 @@
 """Partition heuristics: scan scores, two-coloring, subgroup contraction."""
 
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -70,6 +71,28 @@ class TestPartitionContainer:
     def test_duplicates_rejected(self):
         with pytest.raises(ValueError):
             Partition((0, 0), (1,))
+
+    @pytest.mark.parametrize(
+        "b1, b2, side, bad",
+        [
+            ((0.5,), (1,), "b1", 0.5),
+            ((-1,), (0,), "b1", -1),
+            (("a",), (0,), "b1", "a"),
+            # True == 1, so this one would cover 4 blocks.
+            ((True, 2), (0, 3), "b1", True),
+            ((0,), (1, np.int64(-2)), "b2", np.int64(-2)),
+        ],
+        ids=["fraction", "negative", "string", "bool", "numpy-negative"],
+    )
+    def test_non_index_rejected_naming_side_and_value(self, b1, b2, side, bad):
+        message = f"^{side} holds {re.escape(repr(bad))}, not a block index"
+        with pytest.raises(ValueError, match=message):
+            Partition(b1, b2)
+
+    def test_numpy_indices_stored_as_int(self):
+        p = Partition(np.array([0, 2]), (np.int32(1), np.uint8(3)))
+        assert p == Partition((0, 2), (1, 3))
+        assert all(type(i) is int for i in p.b1 + p.b2)
 
 
 class TestScan:

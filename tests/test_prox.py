@@ -286,6 +286,10 @@ class TestProxFunction:
         for weight in (np.nan, np.inf):
             with pytest.raises(ValueError, match="weight must be finite"):
                 ProxFunction("l1", weight)
+        for flag in (True, False):
+            message = f"weight must be a number, got {flag}"
+            with pytest.raises(ValueError, match=message):
+                ProxFunction("l1", flag)
 
     def test_entrywise_flags(self):
         assert ProxFunction("l1").entrywise

@@ -3,7 +3,11 @@
 import dataclasses
 import logging
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -72,6 +76,8 @@ from helpers import (
     surrogate_axiom_gaps,
     surrogate_axioms_hold,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _blowup():
@@ -154,6 +160,19 @@ class TestSolverConfig:
             with pytest.raises(TypeError, match=message):
                 SolverConfig(weights=weights)
         assert SolverConfig(weights=[G]).weights == (G,)
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            f.name
+            for f in dataclasses.fields(SolverConfig)
+            if isinstance(f.default, (int, float))
+        ],
+    )
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_bool_is_not_a_number(self, name, flag):
+        with pytest.raises(ValueError, match=f"^{name} must be a number, got {flag}$"):
+            SolverConfig(**{name: flag})
 
     def test_int_field_keeps_large_integers_exact(self):
         big = 2**53 + 1
@@ -1338,8 +1357,9 @@ class TestBacktracking:
         c_prev = [np.zeros(2), np.zeros(2)]
         c_new = {i: fam.operators[i].apply(v) for i, v in updates.items()}
         eta = [3.0, 0.0]
+        args = (ctx, (0, 1), x_prev, updates, c_prev, c_new, eta)
         for tau in (0.0, 1.3):
-            assert _bt_accept(ctx, (0, 1), x_prev, updates, c_prev, c_new, eta, tau)
+            assert _bt_accept(*args, tau, {}, {})
 
     def test_acceptance_tie_passes_first_phase_test(self):
         # ||A d||^2 == eta ||d||^2 exactly: the first phase accepts a tie,
@@ -1350,8 +1370,9 @@ class TestBacktracking:
         updates = {0: np.array([0.5, 0.25])}
         c_prev, c_new = [np.zeros(2)], {0: updates[0]}
         eta = [1.0]
-        assert _bt_accept(ctx, (0,), x_prev, updates, c_prev, c_new, eta, 0.0)
-        assert not _bt_accept(ctx, (0,), x_prev, updates, c_prev, c_new, eta, 1.3)
+        args = (ctx, (0,), x_prev, updates, c_prev, c_new, eta)
+        assert _bt_accept(*args, 0.0, {}, {})
+        assert not _bt_accept(*args, 1.3, {}, {})
 
 
 def _plans(ops, terms, weights):
@@ -1887,7 +1908,8 @@ class TestRangeBasis:
         X, value)``. ``Y`` is the ``coords`` its ``assemble_block`` call read
         (``None``: the full path); ``s_full``, ``beta`` and the level ``eta``
         are its phase's; ``Z``, ``X`` and ``value`` are the block, coordinates
-        (``None``: none) and term value its phase wrote."""
+        (``None``: none) and term value its phase gave, ``Z`` lifted as ``Q
+        X`` from coordinates, as the phase leaves its slice unwritten."""
         seen, read = [], cls._coords_read(monkeypatch)
         phase = solvers._run_phase
 
@@ -1895,7 +1917,7 @@ class TestRangeBasis:
             read.clear()
             x, images, values, coords = phase(ctx, blocks, y, c, r, z, lam, beta, eta)
             if 0 in blocks:
-                (Y,) = read
+                (Y,), X = read, coords.get(0)
                 seen.append(
                     (
                         ctx.plans[0],
@@ -1903,8 +1925,8 @@ class TestRangeBasis:
                         r + lam / beta,
                         beta,
                         eta[0],
-                        x[0].copy(),
-                        coords.get(0),
+                        x[0].copy() if Y is None else ctx.plans[0].basis.Q @ X,
+                        X,
                         values[0],
                     )
                 )
@@ -1991,22 +2013,20 @@ class TestRangeBasis:
     def test_the_iterate_is_the_image_of_its_coordinates(
         self, kind, build, monkeypatch
     ):
+        # An observer sees Z written as fl(Q X) from the coordinates that
+        # are its iterate, at every iterate.
         problem = build()
-        original, checked = solvers.step, []
+        Q = prepare_context(problem, kind, SolverConfig()).plans[0].basis.Q
+        checked = []
 
-        def checked_step(state, ctx):
-            out = original(state, ctx)
+        def observe(state):
             x, _, _, _, z = state.images
-            assert list(z) == [0]
-            Q = ctx.plans[0].basis.Q
-            err = np.linalg.norm(x[0] - Q @ z[0])
-            assert err <= 1e-12 * np.linalg.norm(x[0])
+            assert x is state.x and list(z) == [0]
+            np.testing.assert_array_equal(x[0], Q @ z[0])
             checked.append(state.k)
-            return out
 
-        monkeypatch.setattr(solvers, "step", checked_step)
         config = SolverConfig(max_iter=40, eps_primal=0.0, eps_step=0.0)
-        assert run(problem, kind, config).state.k == 40
+        assert run(problem, kind, config, observe=observe).state.k == 40
         assert checked == list(range(1, 41))
 
     def test_a_retried_phase_reads_its_rejected_coordinates(self, monkeypatch):
@@ -2195,10 +2215,12 @@ class TestRangeBasis:
                 np.testing.assert_array_equal(got_x[0], want_x[0])
                 np.testing.assert_array_equal(got_c[0], want_c[0])
             else:
+                # The coordinates are the iterate; the slice is not written.
+                np.testing.assert_array_equal(got_x[0], y[0])
                 s_full = r + lam / beta
                 lin = assemble_block(ctx, 0, y, c, s_full, beta, eta[0], None)[2]
                 bound = 1e-12 * np.linalg.norm(lin) / (beta * eta[0])
-                assert np.linalg.norm(got_x[0] - want_x[0]) <= bound
+                assert np.linalg.norm(Q @ got_z[0] - want_x[0]) <= bound
                 bound *= math.sqrt(ctx.plans[0].op.op_norm_sq)
                 assert np.linalg.norm(got_c[0] - want_c[0]) <= bound
 
@@ -2243,6 +2265,194 @@ class TestRangeBasis:
         assert [row.objective for row in one.trace] == [
             row.objective for row in two.trace
         ]
+
+
+# Digests of latlrr3 runs at the benchmark's size (``perfbench``'s
+# instances, seeds 0-2), each over the trace without its step norm and wall
+# time, the final iterate, multiplier, penalty, levels and stop reason. They
+# were recorded before the range coordinates became the iterate inside a
+# run, with one OpenBLAS thread (the Haswell kernels of numpy 2.4's
+# scipy-openblas on x86-64); another BLAS build may round differently.
+_DIGEST_SCRIPT = """
+import hashlib
+from dataclasses import astuple
+from mmadmm import SolverConfig, build_latent_lrr, make_subspace_data, run
+
+for seed in range(3):
+    X = make_subspace_data(seed, d=50)
+    problem = build_latent_lrr(X, lam=0.1, formulation="3-block")
+    for kind in ("madmm", "madmm-bt", "jacobi", "l-admm-ps", "pl-admm-ps"):
+        schedules = ("geometric", "adaptive") if kind == "madmm" else ("geometric",)
+        for schedule in schedules:
+            result = run(problem, kind, SolverConfig(schedule=schedule))
+            h = hashlib.sha256()
+            for row in result.trace:
+                k, obj, res, rel, beta, _, bt, _ = astuple(row)
+                h.update(repr((k, obj, res, rel, beta, bt)).encode())
+            state = result.state
+            h.update(state.x.flat.tobytes())
+            h.update(state.lam.tobytes())
+            tail = (state.k, state.beta, list(state.eta), result.stop_reason)
+            h.update(repr(tail).encode())
+            print(seed, kind, schedule, state.k, h.hexdigest()[:16])
+"""
+_RUN_DIGESTS = """\
+0 madmm geometric 74 641294ec1ec53912
+0 madmm adaptive 79 ddfd97d4b57604fe
+0 madmm-bt geometric 75 02b88a7c60df2fee
+0 jacobi geometric 75 15de7d1e2a2aa087
+0 l-admm-ps geometric 75 5c6b1f7b81927897
+0 pl-admm-ps geometric 75 5c6b1f7b81927897
+1 madmm geometric 73 df12bb3b86296dcd
+1 madmm adaptive 78 380f846f3415718a
+1 madmm-bt geometric 73 b0f566082e839a6c
+1 jacobi geometric 73 2220f233906c538a
+1 l-admm-ps geometric 73 7c12127b3af2a849
+1 pl-admm-ps geometric 73 7c12127b3af2a849
+2 madmm geometric 74 2a7329bc889f92cc
+2 madmm adaptive 77 4d7f56d3b2a3882b
+2 madmm-bt geometric 75 5f8ebdbd6f70edc9
+2 jacobi geometric 76 f43276c746db075a
+2 l-admm-ps geometric 76 d99ea06dc5a01c5f
+2 pl-admm-ps geometric 76 d99ea06dc5a01c5f
+"""
+
+
+class TestCoordinatesAreTheIterate:
+    """Inside a run, a range-basis block's iterate is its coordinates ``X``;
+    ``fl(Q X)`` is written only where the iterate leaves the engine."""
+
+    @staticmethod
+    def _problem():
+        """latlrr3 on scaled data, whose Z moves from the first iterate."""
+        return build_latent_lrr(100.0 * _grid_subspace(), formulation="3-block")
+
+    @staticmethod
+    def _lifts(monkeypatch):
+        """The coordinates ``_RangeBasis.lift`` writes, one per product."""
+        lifts, lift = [], solvers._RangeBasis.lift
+
+        def counted(basis, X, out):
+            lifts.append(X)
+            return lift(basis, X, out)
+
+        monkeypatch.setattr(solvers._RangeBasis, "lift", counted)
+        return lifts
+
+    def test_runs_are_bitwise_those_recorded(self):
+        # Iterates, multipliers, objectives, residuals, iteration counts
+        # and the adaptive schedule's penalty path are the recorded ones.
+        env = {
+            **os.environ,
+            "OPENBLAS_NUM_THREADS": "1",
+            "PYTHONPATH": str(ROOT / "src"),
+        }
+        done = subprocess.run(
+            [sys.executable, "-c", _DIGEST_SCRIPT],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == _RUN_DIGESTS
+
+    @pytest.mark.parametrize("kind", ["madmm", "madmm-bt", "jacobi", "l-admm-ps"])
+    def test_step_norm_is_the_full_space_step(self, kind):
+        # From the coordinates, within rounding of the step between the
+        # complete iterates an observer sees, and bitwise the same with an
+        # observer as without one.
+        problem = self._problem()
+        config = SolverConfig(max_iter=60, eps_primal=0.0, eps_step=0.0)
+        plain = run(problem, kind, config)
+        seen = [np.zeros_like(plain.state.x.flat)]
+
+        def observe(state):
+            seen.append(state.x.flat.copy())
+
+        observed = run(problem, kind, config, observe=observe)
+        steps = [row.step_norm for row in observed.trace]
+        assert steps == [row.step_norm for row in plain.trace]
+        np.testing.assert_array_equal(observed.state.x.flat, plain.state.x.flat)
+        assert len(seen) == 61
+        for got, new, old in zip(steps, seen[1:], seen):
+            assert got == pytest.approx(np.linalg.norm(new - old), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("kind", ["madmm", "madmm-bt", "jacobi"])
+    def test_one_product_per_block_without_an_observer(self, kind, monkeypatch):
+        # One product when the run returns, converged or at its budget, and
+        # the returned Z is it; none at a zero budget; one per iterate for
+        # an observer.
+        problem = self._problem()
+        Q = prepare_context(problem, kind, SolverConfig()).plans[0].basis.Q
+        lifts = self._lifts(monkeypatch)
+        for config, stop in (
+            (SolverConfig(eps_primal=1e-2, eps_step=1e-2), "converged"),
+            (SolverConfig(max_iter=30, eps_primal=0.0, eps_step=0.0), "budget"),
+        ):
+            lifts.clear()
+            result = run(problem, kind, config)
+            assert result.stop_reason == stop and result.state.k > 1
+            assert len(lifts) == 1
+            x, *_, z = result.state.images
+            assert x is result.state.x
+            np.testing.assert_array_equal(x[0], Q @ z[0])
+        lifts.clear()
+        run(problem, kind, SolverConfig(max_iter=0))
+        assert lifts == []
+        config = SolverConfig(max_iter=7, eps_primal=0.0, eps_step=0.0)
+        run(problem, kind, config, observe=lambda state: None)
+        assert len(lifts) == 7
+
+    def test_the_adaptive_schedule_reads_the_coordinates(self):
+        # Z's slices of both iterates agree, as inside a run; its step is
+        # the one between its coordinates, and only that step holds the
+        # penalty back.
+        problem = self._problem()
+        ctx = prepare_context(problem, "madmm", SolverConfig(schedule="adaptive"))
+        x = BlockVector.zeros(problem.block_shapes)
+        X = np.zeros((ctx.plans[0].basis.Q.shape[1], x[0].shape[1]))
+        grown = ctx.config.rho * 1.0
+        assert solvers._next_beta(ctx, 1.0, x, x.copy(), {0: X}, {0: X}) == grown
+        assert solvers._next_beta(ctx, 1.0, x, x.copy(), {0: X + 1.0}, {0: X}) == 1.0
+
+    def test_a_direct_step_leaves_a_complete_iterate(self):
+        problem = self._problem()
+        config = SolverConfig(max_iter=5, eps_primal=0.0, eps_step=0.0)
+        state = run(problem, "madmm", config).state
+        ctx = prepare_context(problem, "madmm", config)
+        Q = ctx.plans[0].basis.Q
+        for _ in range(3):
+            step(state, ctx)
+            x, *_, z = state.images
+            assert x is state.x and list(z) == [0]
+            np.testing.assert_array_equal(state.x[0], Q @ z[0])
+            assert np.any(state.x[0] != 0.0)
+
+    def test_divergence_carries_a_complete_iterate(self):
+        # Z's weight a twentieth of its default: the run diverges, and the
+        # iterate it carries has Z written from its coordinates.
+        problem = self._problem()
+        ctx = prepare_context(problem, "jacobi", SolverConfig())
+        weights = list(ctx.G0)
+        weights[0] = WeightMatrix.identity_minus_gram(
+            0.05 * weights[0].eta, problem.family.operators[0]
+        )
+        config = SolverConfig(
+            beta0=1.0,
+            rho=1.0,
+            max_iter=2000,
+            eps_primal=0.0,
+            eps_step=0.0,
+            weights=weights,
+        )
+        with pytest.warns(RuntimeWarning), pytest.raises(DivergenceError) as err:
+            run(problem, "jacobi", config)
+        state = err.value.result.state
+        x, *_, z = state.images
+        assert x is state.x and list(z) == [0]
+        Q = ctx.plans[0].basis.Q
+        np.testing.assert_array_equal(state.x[0], Q @ z[0])
+        assert np.any(state.x[0] != 0.0)
 
 
 class TestAssemblyReference:

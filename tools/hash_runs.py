@@ -43,12 +43,16 @@ the runs' outcomes instead:
     python3 tools/hash_runs.py --src OLD/src --save before.npz > /dev/null
     python3 tools/hash_runs.py --compare before.npz > /dev/null
 
-``--save`` writes each run's stop reason, iteration count and final
-iterate; ``--compare`` reads such a file and reports, on standard error,
-every run whose stop reason or iteration count changed or whose final
-iterate deviates from the saved one by more than 1e-9 relative (the largest
-entry of the difference over the largest entry of the saved iterate), then
-the largest deviation. It exits 1 if any run did, else 0.
+``--save`` writes each run's stop reason, iteration count, final iterate
+and trace columns (every column but the wall time); ``--compare`` reads
+such a file and reports, on standard error, every run whose stop reason or
+iteration count changed or whose final iterate or a trace column deviates
+from the saved one by more than 1e-9 relative (the largest entry of the
+difference over the largest entry of the saved array), then each trace
+column's largest deviation over the runs and the final iterates' largest
+deviation. It exits 1 if any run did, else 0. So a change that should move
+one column by rounding only (say, a step norm taken in other coordinates)
+shows which columns moved and by how much.
 """
 
 from __future__ import annotations
@@ -67,6 +71,16 @@ SCHEDULES = ("geometric", "adaptive")
 WORKERS = (1, 2)
 PARTITIONS = ("auto", "case1", "case2", "case3")
 RTOL = 1e-9
+# The trace row without its wall time.
+COLUMNS = (
+    "k",
+    "objective",
+    "residual_norm",
+    "rel_residual",
+    "beta",
+    "step_norm",
+    "backtracks",
+)
 
 
 def _load(src: Path) -> dict:
@@ -116,8 +130,9 @@ def hash_run(
 ):
     """``(status, full sha256 hex, iterate sha256 hex, final)`` of one run.
 
-    ``final`` is ``(k, x)``, the iteration count and the flat final iterate,
-    or ``None`` when the run raised. ``choice`` names the partition as
+    ``final`` is ``(k, x, trace)``, the iteration count, the flat final
+    iterate and the trace's :data:`COLUMNS` as a ``(k, 7)`` float array, or
+    ``None`` when the run raised. ``choice`` names the partition as
     ``choose_partition`` takes it; an error in choosing it is the run's
     outcome.
     """
@@ -147,14 +162,15 @@ def hash_run(
         full, iterate = hashlib.sha256(), hashlib.sha256()
         both(f"{status}: {exc}".encode())
         return status, full.hexdigest(), iterate.hexdigest(), None
-    for row in result.trace:
-        fields = astuple(row)[:-1]  # without the wall time
+    rows = [astuple(row)[:-1] for row in result.trace]  # without the wall time
+    for fields in rows:
         full.update(repr(fields).encode())
         iterate.update(repr(fields[:1] + fields[2:]).encode())  # no objective
     both(result.state.lam.tobytes())
     both(repr(final_levels(result.state)).encode())
     both(result.stop_reason.encode())
-    final = (result.state.k, result.state.x.flat.copy())
+    trace = np.array(rows, dtype=float).reshape(len(rows), len(COLUMNS))
+    final = (result.state.k, result.state.x.flat.copy(), trace)
     return result.stop_reason, full.hexdigest(), iterate.hexdigest(), final
 
 
@@ -169,14 +185,17 @@ def final_levels(state) -> list:
 
 def save_finals(path: Path, finals: dict) -> None:
     """Write ``{run key: (status, final)}`` as ``.npz`` arrays (no pickles)."""
-    xs = [np.empty(0) if f is None else f[1] for _, f in finals.values()]
+    none = (-1, np.empty(0), np.empty((0, len(COLUMNS))))
+    ks, xs, traces = zip(*(none if f is None else f for _, f in finals.values()))
     np.savez(
         path,
         key=np.array(list(finals)),
         status=np.array([status for status, _ in finals.values()]),
-        k=np.array([-1 if f is None else f[0] for _, f in finals.values()]),
+        k=np.array(ks),
         offset=np.cumsum([0] + [x.size for x in xs]),
         x=np.concatenate([np.empty(0), *xs]),
+        trace_offset=np.cumsum([0] + [len(t) for t in traces]),
+        trace=np.concatenate([none[2], *traces]),
     )
 
 
@@ -184,10 +203,17 @@ def load_finals(path: Path) -> dict:
     """The ``{run key: (status, final)}`` that :func:`save_finals` wrote."""
     with np.load(path) as data:
         off, x = data["offset"], data["x"]
+        t_off, trace = data["trace_offset"], data["trace"]
         return {
-            str(key): (str(status), None if k < 0 else (int(k), x[a:b]))
-            for key, status, k, a, b in zip(
-                data["key"], data["status"], data["k"], off[:-1], off[1:]
+            str(key): (str(status), None if k < 0 else (int(k), x[a:b], trace[c:d]))
+            for key, status, k, a, b, c, d in zip(
+                data["key"],
+                data["status"],
+                data["k"],
+                off[:-1],
+                off[1:],
+                t_off[:-1],
+                t_off[1:],
             )
         }
 
@@ -202,8 +228,11 @@ def deviation(x: np.ndarray, ref: np.ndarray) -> float:
 
 
 def compare_finals(finals: dict, saved: dict) -> tuple:
-    """``(changes, largest deviation)``: what differs from ``saved`` beyond rounding."""
+    """``(changes, largest deviation, columns)``: what differs from ``saved``
+    beyond rounding, the final iterates' largest deviation, and
+    ``{column: largest deviation}`` over the trace :data:`COLUMNS`."""
     changes, worst = [], 0.0
+    columns = dict.fromkeys(COLUMNS, 0.0)
     for key, (status, final) in finals.items():
         if key not in saved:
             changes.append(f"{key}: not in the saved runs")
@@ -212,17 +241,25 @@ def compare_finals(finals: dict, saved: dict) -> tuple:
         if status != old_status:
             changes.append(f"{key}: stop reason {old_status} -> {status}")
         elif final is not None:
-            (k, x), (old_k, old_x) = final, old_final
+            (k, x, trace), (old_k, old_x, old_trace) = final, old_final
             if k != old_k:
                 changes.append(f"{key}: iterations {old_k} -> {k}")
-            elif x.shape != old_x.shape:
+                continue
+            if x.shape != old_x.shape:
                 changes.append(f"{key}: iterate size {old_x.size} -> {x.size}")
             else:
                 dev = deviation(x, old_x)
                 worst = max(worst, dev)
                 if dev > RTOL:
                     changes.append(f"{key}: final iterate deviates by {dev:.3e}")
-    return changes, worst
+            for j, name in enumerate(COLUMNS):
+                dev = deviation(trace[:, j], old_trace[:, j])
+                columns[name] = max(columns[name], dev)
+                if dev > RTOL:
+                    changes.append(
+                        f"{key}: trace column {name} deviates by {dev:.3e}"
+                    )
+    return changes, worst, columns
 
 
 def _subset(text: str, allowed, cast=str) -> tuple:
@@ -275,9 +312,14 @@ def main(argv=None) -> int:
         save_finals(args.save, finals)
     if saved is None:
         return 0
-    changes, worst = compare_finals(finals, saved)
+    changes, worst, columns = compare_finals(finals, saved)
     for change in changes:
         print(change, file=sys.stderr)
+    for name, dev in columns.items():
+        print(
+            f"trace column {name}: largest relative deviation {dev:.3e}",
+            file=sys.stderr,
+        )
     print(
         f"{len(finals)} runs compared: largest relative deviation {worst:.3e}, "
         f"{len(changes)} beyond {RTOL:g} or changed",
