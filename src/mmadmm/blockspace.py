@@ -57,9 +57,10 @@ _TINY = math.ldexp(1.0, -1074)
 # columns (latlrr3's X has 150) is one BLAS product, and a wider one sums
 # ceil(k / c) partial Grams, which keeps the rounding bound at
 # gamma_{c+p-1} rather than gamma_k (see there). The bound grows with c:
-# the certificates of nnsc's case-I prefixes (990 to 2,970 columns) sit up
-# to 8.2e-13 above the exact norm at 160 columns, 1.2e-12 at 256 and
-# 4.6e-12 at 1,024.
+# on nnsc's blocks (up to 1,000 columns) the certificates sit up to 6.7e-13
+# above the exact norm at 160 columns, 1.0e-12 at 256 and 3.9e-12 at 1,024,
+# and the case-I footnotes summed from their Grams 7.9e-13, 1.2e-12 and
+# 4.4e-12.
 _GRAM_CHUNK = 160
 # dense_norm_sq forms the Gram of the matrix itself, with no scaled copy,
 # when the binary exponent e of its top entry has |e| <= _RAW_EXP.
@@ -335,7 +336,7 @@ class DenseMatrixOp(BlockOperator):
     """Dense matrix acting on a vector block: ``v -> M v``.
 
     Its norm certificate keeps the Gram it is read from (:class:`_Gram`),
-    for :func:`dense_row_constant`.
+    for the sums of output Grams :func:`_gram_sum_norm_sq` certifies.
     """
 
     kind = "dense-matrix"
@@ -357,7 +358,7 @@ class DenseMatrixOp(BlockOperator):
     def _compute_norm_sq(self):
         # The top eigenvalue of the smaller Gram, with the rounding of
         # forming it added in (see dense_norm_sq).
-        self._gram = _dense_gram([self.matrix])
+        self._gram = _dense_gram(self.matrix)
         return _gram_norm_sq(self._gram)
 
     def _output_gram(self) -> Optional["_Gram"]:
@@ -368,7 +369,7 @@ class DenseMatrixOp(BlockOperator):
         once and kept in its place.
         """
         if self.op_norm_sq > 0.0 and not self._gram.out:
-            self._gram = _dense_gram([self.matrix], out=True)
+            self._gram = _dense_gram(self.matrix, out=True)
         return self._gram
 
     def gram_rep(self):
@@ -385,7 +386,7 @@ class ScaledIdentityOp(BlockOperator):
 
     def __init__(self, scale: float, shape: tuple):
         super().__init__(shape, shape)
-        if isinstance(scale, bool):
+        if isinstance(scale, (bool, np.bool_)):
             raise ValueError(f"identity scale must be a number, got {scale!r}")
         self.scale = float(scale)
         if not math.isfinite(self.scale):
@@ -667,8 +668,9 @@ class _Gram(NamedTuple):
     """A Gram kept with what certifies it, as :func:`_dense_gram` forms it.
 
     ``H`` is the computed value of the exact Gram ``G`` of ``2^-s M``,
-    ``M M^T`` when ``out`` and ``M^T M`` otherwise, and ``rounding`` bounds
-    ``||E||_2`` for a symmetric ``E >= |H - G|`` (entrywise).
+    ``M M^T`` when ``out``, else ``M^T M``, or a weighted sum of such;
+    ``rounding`` bounds ``||E||_2`` for a symmetric ``E >= |H - G|``
+    (entrywise).
     """
 
     H: np.ndarray
@@ -677,17 +679,15 @@ class _Gram(NamedTuple):
     out: bool
 
 
-def dense_norm_sq(*matrices: np.ndarray) -> float:
-    """Certified ``||M||_2^2`` of ``M = [M_1 ... M_q]``, ``matrices`` side by side.
+def dense_norm_sq(matrix: np.ndarray) -> float:
+    """Certified ``||M||_2^2`` of the 2-d ``matrix`` ``M``.
 
-    One matrix is ``M`` itself. The result is :func:`certified_lambda_max`
-    of ``M M^T`` or ``M^T M``, whichever is smaller, and never below the
-    exact ``||M||_2^2``. Empty and all-zero stacks give ``0.0``. Raises
-    ``ValueError`` when a matrix is not 2-d or the row counts differ, when
-    an entry is not finite, and when the squared norm overflows the float
-    range. The matrices are only read: the Gram is summed from them in place
-    unless the top entry is far from 1 in magnitude; only a chunk of columns
-    (below) that straddles two is joined, and a tall ``M`` is formed.
+    The result is :func:`certified_lambda_max` of ``M M^T`` or ``M^T M``,
+    whichever is smaller, and never below the exact ``||M||_2^2``. Empty
+    and all-zero matrices give ``0.0``. Raises ``ValueError`` when ``M`` is
+    not 2-d, when an entry is not finite, and when the squared norm
+    overflows the float range. ``M`` is only read: the Gram is summed from
+    it in place unless its top entry is far from 1 in magnitude.
 
     Proof of the rounding bound. Let ``2^(e-1) <= max |M_ij| < 2^e`` and
     ``S = 2^-s M``, transposed when tall (unless :func:`_dense_gram` is
@@ -726,41 +726,30 @@ def dense_norm_sq(*matrices: np.ndarray) -> float:
     scaled-back product ``2^(2s) lambda`` is exact unless it overflows,
     which raises, or lands below the normal range, where it is rounded up.
     """
-    return _gram_norm_sq(_dense_gram(matrices))
+    return _gram_norm_sq(_dense_gram(matrix))
 
 
-def _dense_gram(matrices: Sequence[np.ndarray], out: bool = False) -> Optional[_Gram]:
-    """The :class:`_Gram` of ``M = [M_1 ... M_q]`` that :func:`dense_norm_sq`
-    certifies, with its checks and its rounding bound: the smaller of ``M
-    M^T`` and ``M^T M``, or ``M M^T`` when ``out``. ``None`` when ``M`` is
-    empty or zero."""
-    pieces = [np.asarray(M, dtype=float) for M in matrices]
-    for P in pieces:
-        if P.ndim != 2:
-            raise ValueError(f"dense_norm_sq needs a 2-d matrix, got shape {P.shape}")
-        if P.shape[0] != pieces[0].shape[0]:
-            raise ValueError("dense_norm_sq stacks matrices of equal row counts")
-    pieces = [P for P in pieces if P.size]
-    tops = [max(float(P.max()), -float(P.min())) for P in pieces]
-    if not all(map(math.isfinite, tops)):
+def _dense_gram(matrix: np.ndarray, out: bool = False) -> Optional[_Gram]:
+    """The :class:`_Gram` that :func:`dense_norm_sq` certifies, checks
+    included: of ``M M^T`` when ``out``, else of the smaller of ``M M^T``
+    and ``M^T M``; ``None`` when ``M`` is empty or zero."""
+    M = np.asarray(matrix, dtype=float)
+    if M.ndim != 2:
+        raise ValueError(f"dense_norm_sq needs a 2-d matrix, got shape {M.shape}")
+    top = max(float(M.max()), -float(M.min())) if M.size else 0.0
+    if not math.isfinite(top):
         raise ValueError("no norm certificate: the matrix has non-finite entries")
-    top = max(tops, default=0.0)
     if top == 0.0:
         return None
     e = math.frexp(top)[1]
     s = 0 if abs(e) <= _RAW_EXP else e
-    S = pieces if s == 0 else [np.ldexp(P, -s) for P in pieces]
-    tall = not out and S[0].shape[0] > sum(P.shape[1] for P in S)
-    if tall:
-        S = [(S[0] if len(S) == 1 else np.hstack(S)).T]
-    edges = np.cumsum([0] + [P.shape[1] for P in S])
-    d, k = S[0].shape[0], int(edges[-1])
+    S = M if s == 0 else np.ldexp(M, -s)
+    tall = not out and M.shape[0] > M.shape[1]
+    S = S.T if tall else S
+    d, k = S.shape
     c = min(k, _GRAM_CHUNK)
     for j in range(0, k, c):
-        # Columns j to j + c of the stack, as each piece holds them (or none).
-        parts = [P[:, max(j - lo, 0) : max(j + c - lo, 0)] for P, lo in zip(S, edges)]
-        parts = [V for V in parts if V.shape[1]]
-        X = parts[0] if len(parts) == 1 else np.hstack(parts)
+        X = S[:, j : j + c]
         H = X @ X.T if j == 0 else np.add(H, X @ X.T, out=H)
     f = float(np.trace(H))
     p = -(-k // c)
@@ -786,6 +775,56 @@ def _gram_norm_sq(gram: Optional[_Gram]) -> float:
     return out
 
 
+def _gram_sum_norm_sq(pieces: Sequence[DenseMatrixOp], normalize=False) -> float:
+    """Certified ``lambda_max(sum_j v_j A_j A_j^T)`` over one row's dense pieces.
+
+    ``v_j`` is 1 (the case-I footnote's ``||[A_1 ... A_q]||_2^2``) or, with
+    ``normalize``, ``1 / cert_j`` (:func:`dense_row_constant`). Only the
+    Grams the certificates keep are read (:meth:`DenseMatrixOp._output_gram`).
+
+    Proof that the result is never below ``lambda = lambda_max(sum_j v_j A_j
+    A_j^T)``. Let ``m`` be the row's length and ``H_j``, ``r_j``, ``s_j``,
+    ``G_j = 2^(-2 s_j) A_j A_j^T`` and ``E_j`` the :class:`_Gram` of each of
+    the ``q`` nonzero pieces. With ``s = 0`` when ``normalize``, else ``max_j
+    s_j``, each ``w_j >= v_j 2^(2(s_j - s))`` (the next float above ``fl(1 /
+    L_j)``, ``L_j = 2^(-2 s_j) cert_j`` exact, or that power of two,
+    ``2^-1074`` if it underflows), so ``T = sum_j w_j G_j >= 2^(-2s) sum_j v_j
+    A_j A_j^T``. ``K = fl(sum_j fl(w_j H_j))`` errs by at most ``gamma_q sum_j
+    w_j |H_j|`` (Higham, section 3.1, as in :func:`dense_norm_sq`) and ``|H_j|
+    <= |G_j| + E_j``, while ``|| |G_j| ||_2 <= trace(G_j) <= t_j + m r_j``
+    (``|G_ik| <= sqrt(G_ii G_kk)`` for a semidefinite ``G``, and each
+    ``(E_j)_ii <= r_j``), ``t_j`` the exact sum of ``H_j``'s diagonal. So ``|K
+    - T|`` has a symmetric bound of 2-norm at most ``(1 + (m + 1) gamma_q) R +
+    gamma_q t``, ``R = sum_j w_j r_j``, ``t = sum_j w_j t_j``. The rounding
+    passed on, ``(1 + (m + 2) gamma_{q+2}) fl(R) + gamma_{q+2} fl(t) + (m + 5)
+    q 2^-1074``, exceeds it: as ``gamma_{q+2} >= (1 + 2/q) gamma_q``, the first
+    coefficient's excess ``gamma_q + 2 (m + 2) u`` covers the ``q`` roundings
+    of ``fl(R)`` and the 5 of this sum, the factor ``1 + 2/q`` the ``m + q`` of
+    ``fl(t)`` and those 5 while ``q (m + q + 5) < 2^50``, and the last term the
+    underflowing products (``m q 2^-1075`` on ``K``'s 2-norm, ``(2q + 2)
+    2^-1075`` in the scalars). :func:`certified_lambda_max` of ``K`` is then at
+    least ``2^(-2s) lambda``; the result is ``2^(2s)`` times it, rounded up
+    below the normal range (``ValueError`` on overflow).
+    """
+    live = [(op, op._output_gram()) for op in pieces if op.op_norm_sq > 0.0]
+    if not live:
+        return 0.0
+    m, q = live[0][0].out_shape[0], len(live)
+    s = 0 if normalize else max(gram.s for _, gram in live)
+    K, R, t = np.zeros((m, m)), 0.0, 0.0
+    for op, gram in live:
+        if normalize:
+            w = math.nextafter(1.0 / math.ldexp(op.op_norm_sq, -2 * gram.s), math.inf)
+        else:
+            w = math.ldexp(1.0, 2 * (gram.s - s)) or _TINY
+        K += w * gram.H
+        R += w * gram.rounding
+        t += w * float(np.trace(gram.H))
+    g = _gamma(q + 2)
+    rounding = (1.0 + (m + 2) * g) * R + g * t + (m + 5) * q * _TINY
+    return _gram_norm_sq(_Gram(K, rounding, s, True))
+
+
 def dense_row_constant(pieces: Sequence[BlockOperator]) -> float:
     """Certified ``c = lambda_max(sum_j A_j A_j^T / cert_j)`` of one row's pieces.
 
@@ -797,54 +836,18 @@ def dense_row_constant(pieces: Sequence[BlockOperator]) -> float:
         ``||sum_j A_j d_j||^2 = ||sum_j B_j sqrt(cert_j) d_j||^2 <= c sum_j
         cert_j ||d_j||^2``
 
-    for every ``d``, and ``c <= q`` as each ``||B_j||_2 <= 1``. The sum
-    is read from the Grams ``A_j A_j^T`` that the pieces' certificates keep
-    (:meth:`DenseMatrixOp._output_gram`); none is formed again. Returns
-    ``math.inf``, no bound, when a piece is not a :class:`DenseMatrixOp` or
-    the nonzero pieces have fewer columns in all than the row has entries
-    (their stacked input Gram is then the smaller one), and ``0.0`` when no
-    piece is nonzero.
-
-    Proof that the result is never below ``c``. Let ``m`` be the row's
-    length and, for each of the ``q`` nonzero pieces, ``H_j``, ``s_j`` and
-    ``r_j`` its kept Gram, scale exponent and rounding bound (``||E_j||_2
-    <= r_j`` for a symmetric ``E_j >= |H_j - G_j|``), ``G_j`` the exact
-    Gram of ``2^-s_j A_j`` and ``L_j = 2^(-2 s_j) cert_j``, exact as a
-    normal float (``cert_j`` in the units of ``H_j``). ``w_j``, the next
-    float above ``fl(1 / L_j)``, exceeds ``1 / L_j``, so ``T = sum_j w_j G_j
-    >= sum_j A_j A_j^T / cert_j`` (as forms). The computed ``K = fl(sum_j
-    fl(w_j H_j))`` errs by at most ``gamma_q sum_j w_j |H_j|`` (one product
-    and at most ``q - 1`` sums per entry), and ``|H_j| <= |G_j| + E_j``, so
-    ``|K - T| <= sum_j w_j ((1 + gamma_q) E_j + gamma_q |G_j|)``, a
-    symmetric bound. For a semidefinite ``G``, ``|G_ik| <= sqrt(G_ii
-    G_kk)``, so ``|| |G| ||_2 <= trace(G) <= m lambda_max(G)``, and
-    ``lambda_max(G_j) <= L_j`` with ``w_j L_j <= 1 + 4u``: the bound's
-    2-norm is at most ``(1 + gamma_q) R + gamma_q (1 + 4u) q m`` with ``R =
-    sum_j w_j r_j``. The rounding passed on, ``2 fl(R) + gamma_{q+2} q m``,
-    exceeds that: doubling covers ``gamma_q R`` and the ``q + 2`` roundings
-    of summing ``R`` and the total, and ``gamma_{q+2} / gamma_q >= 1 + 2/q``
-    covers ``4u`` and the 5 roundings of its term. Products that land below
-    the normal range add at most ``2^-1075`` each, so ``q m 2^-1074`` covers
-    them. :func:`certified_lambda_max` of ``K`` is then at least
-    ``lambda_max(T) >= c``.
+    for every ``d``, and ``c <= q`` as each ``||B_j||_2 <= 1``. It is
+    :func:`_gram_sum_norm_sq` with ``v_j = 1 / cert_j``, or ``math.inf``,
+    no bound, when a piece is not a :class:`DenseMatrixOp` or the nonzero
+    pieces have fewer columns in all than the row has entries (their
+    stacked input Gram is then the smaller one).
     """
     if not all(isinstance(op, DenseMatrixOp) for op in pieces):
         return math.inf
     live = [op for op in pieces if op.op_norm_sq > 0.0]
-    if not live:
-        return 0.0
-    m = live[0].out_shape[0]
-    if sum(op.in_shape[0] for op in live) < m:
+    if live and sum(op.in_shape[0] for op in live) < live[0].out_shape[0]:
         return math.inf
-    K = np.zeros((m, m))
-    R = 0.0
-    for op in live:
-        gram = op._output_gram()
-        w = math.nextafter(1.0 / math.ldexp(op.op_norm_sq, -2 * gram.s), math.inf)
-        K += w * gram.H
-        R += w * gram.rounding
-    q = len(live)
-    return certified_lambda_max(K, 2.0 * R + _gamma(q + 2) * q * m + q * m * _TINY)
+    return _gram_sum_norm_sq(live, normalize=True)
 
 
 def _share_factor_certificates(ops) -> None:
@@ -1025,7 +1028,7 @@ def combined_op_norm_sq(
     Power iteration as in :func:`estimate_op_norm_sq`, on one vector laid
     out as the stacked blocks, so not a certified bound. It scores the
     case-I prefixes that hold an operator other than
-    :class:`DenseMatrixOp`; all-dense prefixes take :func:`dense_norm_sq`.
+    :class:`DenseMatrixOp`; all-dense prefixes take a certificate.
     If the iteration does not settle within ``max_iter`` steps, the sum of
     the member certificates is returned, an upper bound since
     ``||[A_i]||^2 <= sum ||A_i||^2``.

@@ -11,6 +11,7 @@ and the CLI both resolve ``"auto"`` through it.
 
 from __future__ import annotations
 
+import math
 import numbers
 from collections import deque
 from dataclasses import dataclass
@@ -19,8 +20,8 @@ from typing import Optional, Sequence
 from .blockspace import (
     BlockOperatorFamily,
     DenseMatrixOp,
+    _gram_sum_norm_sq,
     combined_op_norm_sq,
-    dense_norm_sq,
     gram_cross_is_zero,
 )
 
@@ -103,17 +104,23 @@ def case1_scan(
     ``(n1 - 1) * sum - ||A_B1||^2`` with the combined-norm refinement applied
     only when ``A`` is supplied and ``n1 <= 3`` (the term is
     dropped for larger prefixes), and ``L_B2 = (n2 - 1) * sum``.
-    ``||A_B1||^2`` is :func:`dense_norm_sq` of the prefix's matrices,
-    stacked side by side, when every operator in the prefix is a
-    :class:`DenseMatrixOp` (of one block, its cached ``op_norm_sq``), and
-    :func:`combined_op_norm_sq` otherwise.
+    ``||A_B1||^2`` is certified from the Grams the prefix's certificates
+    keep (``blockspace._gram_sum_norm_sq``) when it is all
+    :class:`DenseMatrixOp`, else estimated by :func:`combined_op_norm_sq`.
+    Raises ``ValueError`` unless ``norms_sq`` are finite and nonnegative
+    and, when ``A`` is supplied, one per block of ``A``.
     """
     norms = [float(v) for v in norms_sq]
     n = len(norms)
     if n == 0:
         raise ValueError("at least one block norm is required")
-    if any(v < 0 for v in norms):
-        raise ValueError("squared norms must be nonnegative")
+    if A is not None and n != A.n:
+        raise ValueError(f"{n} squared norms given for a family of {A.n} blocks")
+    for i, v in enumerate(norms):
+        if not (math.isfinite(v) and v >= 0):
+            raise ValueError(
+                f"squared norms must be finite and nonnegative, got {v} at {i}"
+            )
     order = sorted(range(n), key=lambda i: (-norms[i], i))
     total = sum(norms)
     scores = []
@@ -131,11 +138,9 @@ def case1_scan(
 
 def _prefix_norm_sq(A: BlockOperatorFamily, indices: Sequence[int]) -> float:
     ops = [A.operators[i] for i in indices]
-    if not all(isinstance(op, DenseMatrixOp) for op in ops):
-        return combined_op_norm_sq(A, indices)
-    if len(ops) == 1:
-        return ops[0].op_norm_sq  # dense_norm_sq of its matrix, kept on op
-    return dense_norm_sq(*(op.matrix for op in ops))
+    if all(isinstance(op, DenseMatrixOp) for op in ops):
+        return _gram_sum_norm_sq(ops)
+    return combined_op_norm_sq(A, indices)
 
 
 def best_prefix(order: Sequence[int], scores: Sequence[float]) -> Partition:

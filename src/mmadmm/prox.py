@@ -244,7 +244,7 @@ class ProxFunction:
     def __post_init__(self):
         if self.kind not in _ALL_KINDS:
             raise ValueError(f"unknown prox kind {self.kind!r}")
-        if isinstance(self.weight, bool):
+        if isinstance(self.weight, (bool, np.bool_)):
             raise ValueError(f"weight must be a number, got {self.weight!r}")
         if not (math.isfinite(self.weight) and self.weight >= 0):
             raise ValueError(

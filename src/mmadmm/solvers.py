@@ -135,7 +135,7 @@ class SolverConfig:
         for f in fields(self):
             if isinstance(f.default, (int, float)):
                 value = getattr(self, f.name)
-                if isinstance(value, bool):
+                if isinstance(value, (bool, np.bool_)):
                     raise ValueError(f"{f.name} must be a number, got {value!r}")
                 if isinstance(f.default, int) and isinstance(value, numbers.Integral):
                     setattr(self, f.name, int(value))
@@ -1176,10 +1176,8 @@ def _iterate(ctx: _RunContext, observe=None) -> SolverResult:
             resid_norm = float(np.linalg.norm(resid))
             # The values the proxes gave belong to ``state.x`` (``_step``
             # keeps them with its images), so no nuclear block is rescored
-            # and no stale slice is scored: a block in ``z`` without its
-            # value is written first.
-            if any(values.get(i) is None for i in z):
-                _write_full(state, ctx)
+            # and no stale slice is scored: a block in ``z`` is nuclear and
+            # lacks its value only at weight 0, where ``value`` reads none.
             objective = problem.objective(state.x, values)
             if not (
                 math.isfinite(objective)

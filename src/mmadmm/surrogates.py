@@ -27,6 +27,8 @@ class SmoothQuadCoupling:
     """
 
     def __init__(self, weight: float, ops: Sequence, offset: np.ndarray):
+        if isinstance(weight, (bool, np.bool_)):
+            raise ValueError(f"coupling weight must be a number, got {weight!r}")
         if not (math.isfinite(weight) and weight > 0):
             raise ValueError(
                 f"coupling weight must be positive and finite, got {weight}"

@@ -9,11 +9,11 @@ import time
 
 import numpy as np
 
+from mmadmm import blockspace
 from mmadmm.blockspace import (
     BlockVector,
     DenseMatrixOp,
     WeightMatrix,
-    dense_norm_sq,
 )
 from mmadmm.cli import main
 from mmadmm.diagnostics import bound_report, quadratic_oracle, verify_kkt
@@ -115,7 +115,8 @@ def test_criterion_1_partition_study_equals_brute_force(
             l_b1 = (n1 - 1) * prefix
             if n1 <= 3:
                 ops = problem.family.operators
-                l_b1 -= dense_norm_sq(np.hstack([ops[i].matrix for i in order[:n1]]))
+                # The stacked prefix's certificate, from the blocks' Grams.
+                l_b1 -= blockspace._gram_sum_norm_sq([ops[i] for i in order[:n1]])
             score = l_b1 + (n - n1 - 1) * (total - prefix)
             brute.append(score)
             if best_score is None or score < best_score:

@@ -341,46 +341,59 @@ class TestOperators:
     @pytest.mark.parametrize(
         "rows, widths",
         [
-            (50, (990, 990, 990)),  # nnsc's prefixes: chunks straddle pieces
-            (50, (160, 320)),  # chunk edges at piece edges: views only
+            (50, (990, 990, 990)),  # nnsc's prefixes
+            (50, (160, 320)),
             (50, (0, 161, 0, 7)),  # empty pieces
-            (400, (80, 159, 1)),  # tall: the stack is formed
+            (400, (80, 159, 1)),  # tall pieces: each forms its M M^T
             (3, (1,)),
         ],
     )
     @pytest.mark.parametrize("scale", [1.0, 1e150, 1e-150])
     def test_stacked_certificate_is_the_formed_stack(self, rows, widths, scale):
-        # The pieces are read chunk by chunk, with the chunk edges of the
-        # formed stack: the certificate is bitwise the formed stack's.
+        # The pieces side by side are certified from the Grams their own
+        # certificates keep, never formed: the result bounds the formed
+        # stack's squared norm and is as tight as its certificate.
         rng = np.random.default_rng(rows + len(widths))
         mats = [scale * rng.standard_normal((rows, w)) for w in widths]
-        assert dense_norm_sq(*mats) == dense_norm_sq(np.hstack(mats))
+        got = blockspace._gram_sum_norm_sq([DenseMatrixOp(M) for M in mats])
+        top_sq, *wider = _top_sq_references(np.hstack(mats))
+        assert got >= top_sq
+        assert all(np.longdouble(got) >= ref for ref in wider)
+        assert got <= top_sq * (1 + 1e-10)
 
-    def test_stacked_certificate_copies_only_straddling_chunks(self):
-        # The formed stack of three 50 x 1000 pieces took 1.2 MB; a joined
-        # chunk takes 64 kB.
-        rng = np.random.default_rng(32)
-        mats = [rng.standard_normal((50, 1000)) for _ in range(3)]
-        tracemalloc.start()
-        try:
-            dense_norm_sq(*mats)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < mats[0].nbytes / 2
+    def test_stacked_certificate_of_pieces_at_distant_scales(self):
+        # One piece at 2^-1000 beside one at 1: its weight 2^-2000
+        # underflows, and the sum still bounds the stack and barely moves.
+        # A lone piece at 2^+-300 is certified in its own units and scaled
+        # back.
+        rng = np.random.default_rng(33)
+        B, C = rng.standard_normal((4, 5)), rng.standard_normal((4, 3))
+        ops = [DenseMatrixOp(np.ldexp(B, -1000)), DenseMatrixOp(C)]
+        got = blockspace._gram_sum_norm_sq(ops)
+        alone = blockspace._gram_sum_norm_sq(ops[1:])
+        assert alone <= got <= alone * (1 + 1e-15)
+        zero = DenseMatrixOp(np.zeros((4, 2)))
+        unit = blockspace._gram_sum_norm_sq([DenseMatrixOp(B), zero])
+        for e in (-300, 300):
+            got = blockspace._gram_sum_norm_sq([DenseMatrixOp(np.ldexp(B, e)), zero])
+            assert got == pytest.approx(math.ldexp(unit, 2 * e), rel=1e-15)
+        assert blockspace._gram_sum_norm_sq([zero]) == 0.0
 
     def test_stacked_certificate_refusals(self):
-        with pytest.raises(ValueError, match="equal row counts"):
-            dense_norm_sq(np.ones((2, 4)), np.ones((3, 4)))
-        with pytest.raises(ValueError, match=re.escape("got shape (4,)")):
-            dense_norm_sq(np.ones((2, 4)), np.ones(4))
         bad = np.ones((2, 3))
         bad[1, 2] = np.nan
-        for mats in ((np.ones((2, 2)), bad), (bad, np.ones((2, 2)))):
-            with pytest.raises(ValueError, match="non-finite entries"):
-                dense_norm_sq(*mats)
-        # An empty stack, of no matrix or of empty ones, has norm 0.
-        assert dense_norm_sq() == dense_norm_sq(np.ones((0, 3)), np.ones((0, 2))) == 0.0
+        with pytest.raises(ValueError, match="non-finite entries"):
+            blockspace._gram_sum_norm_sq(
+                [DenseMatrixOp(np.ones((2, 2))), DenseMatrixOp(bad)]
+            )
+        # Two pieces of squared norm 1.69e308 each: theirs are floats, the
+        # sum's overflows.
+        huge = [DenseMatrixOp(np.full((1, 1), 1.3e154))] * 2
+        assert math.isfinite(huge[0].op_norm_sq)
+        with pytest.raises(ValueError, match="overflows the float range"):
+            blockspace._gram_sum_norm_sq(huge)
+        # A matrix with no entries has norm 0.
+        assert dense_norm_sq(np.ones((0, 3))) == dense_norm_sq(np.ones((3, 0))) == 0.0
 
     @pytest.mark.parametrize("shape", [(), (3,), (2, 3, 4), (1, 1, 1)])
     def test_dense_certificate_needs_a_matrix(self, shape):
@@ -535,8 +548,8 @@ class TestOperators:
                 ScaledIdentityOp(bad, (2,))
 
     def test_bool_scale_rejected(self):
-        for flag in (True, False):
-            message = f"identity scale must be a number, got {flag}"
+        for flag in (True, False, np.True_):
+            message = f"identity scale must be a number, got {re.escape(repr(flag))}"
             with pytest.raises(ValueError, match=message):
                 ScaledIdentityOp(flag, (2,))
 
@@ -670,9 +683,9 @@ class TestDenseRowConstant:
         calls = []
         real = blockspace._dense_gram
 
-        def counted(matrices, out=False):
+        def counted(matrix, out=False):
             calls.append(out)
-            return real(matrices, out)
+            return real(matrix, out)
 
         monkeypatch.setattr(blockspace, "_dense_gram", counted)
         certs = [op.op_norm_sq for op in ops]

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from mmadmm import partition, problems
+from mmadmm import blockspace, partition, problems
 from mmadmm.cli import _CONFIG_FIELDS, build_parser, main
 from mmadmm.fileio import read_array_csv, read_array_mm, read_manifest, read_trace_csv
 from mmadmm.partition import case1_partition, case1_scan
@@ -742,24 +742,34 @@ class TestPartitionStudy:
         assert got_b1 == chosen.b1
 
     def test_scans_once(self, tmp_path, capsys, monkeypatch):
-        # One scan: two footnote Gram certificates (n1 = 2, 3; n1 = 1 reads
-        # its block's), and the split is read from the scan that the curve
-        # comes from.
+        # One scan: three footnote certificates (n1 = 1, 2, 3), read from
+        # the Grams the block certificates keep, and the split is read from
+        # the scan that the curve comes from.
         manifest = _generate_nnsc(tmp_path, n_blocks=5)
-        calls = []
-        footnote = partition.dense_norm_sq
+        calls, formed = [], []
+        footnote, gram = partition._gram_sum_norm_sq, blockspace._dense_gram
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return footnote(*args, **kwargs)
+        def counting(ops, *args, **kwargs):
+            calls.append([op.in_shape for op in ops])
+            return footnote(ops, *args, **kwargs)
 
-        monkeypatch.setattr(partition, "dense_norm_sq", counting)
+        def forming(matrix, out=False):
+            formed.append((matrix.shape, out))
+            return gram(matrix, out)
+
+        monkeypatch.setattr(partition, "_gram_sum_norm_sq", counting)
+        monkeypatch.setattr(blockspace, "_dense_gram", forming)
         out = tmp_path / "study.csv"
         code = main(
             ["partition-study", "--manifest", str(manifest), "--out", str(out)]
         )
         assert code == 0
-        assert len(calls) == 2
+        assert len(calls) == 3
+        # Each block's certificate forms its Gram once; the footnotes stack
+        # no matrix and form only the output Grams of the prefix's tall
+        # blocks (fewer columns than rows), once each.
+        assert sorted(formed[:5]) == [((6, m), False) for m in range(2, 7)]
+        assert formed[5:] == [((6, m), True) for (m,) in calls[-1] if m < 6]
 
     def test_needs_two_blocks(self, tmp_path, capsys):
         manifest = _generate_nnsc(tmp_path, n_blocks=1)

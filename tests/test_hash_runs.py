@@ -155,6 +155,32 @@ def test_compare_tells_rounding_from_changed_runs(tmp_path):
     ]
 
 
+def test_the_run_without_an_observer_is_checked(tmp_path):
+    # A package whose unobserved run leaves latlrr3's Z unwritten at its
+    # budget (x100: Z moves from the first iterate): the observed lines are
+    # the same, and the tool reports the run and exits 1, with or without
+    # --compare.
+    flags = ("--schedules", "geometric", "--workers", "1", "--iters", "3")
+    grid = dict(problems="latlrr3-x100,quad", kinds="madmm")
+    saved = tmp_path / "runs.npz"
+    lines = _hashes(*flags, "--save", saved, **grid)
+    stale = _copy_src(tmp_path / "stale")
+    _edit(
+        stale / "mmadmm" / "solvers.py",
+        r"^( +if converged or observe is not None) or it == config.max_iter - 1:$",
+        r"\1:",
+    )
+    for more in ((), ("--compare", saved)):
+        done = _tool("--src", stale, *flags, *more, **grid)
+        assert done.returncode == 1
+        assert done.stdout.splitlines() == lines
+        report = [line for line in done.stderr.splitlines() if "observer" in line]
+        assert report == [
+            "latlrr3-x100 madmm geometric 1: the run without an observer differs "
+            "in its final iterate"
+        ]
+
+
 def _import_tool(monkeypatch):
     """The tool as a module, and the grid's builders on this tree's package."""
     spec = importlib.util.spec_from_file_location("hash_runs", TOOL)
@@ -169,7 +195,9 @@ def test_compare_checks_each_trace_column(tmp_path, monkeypatch):
     # only, beyond RTOL, fails the comparison and names that column, while
     # rounding in it passes and is reported as the column's deviation.
     tool, builders = _import_tool(monkeypatch)
-    status, *_, final = tool.hash_run(builders["quad"](), "jacobi", "geometric", 1, 6)
+    status, _, _, final, _ = tool.hash_run(
+        builders["quad"](), "jacobi", "geometric", 1, 6
+    )
     k, x, trace = final
     assert status == "budget" and trace.shape == (6, len(tool.COLUMNS))
     np.testing.assert_array_equal(trace[:, 0], np.arange(1, 7))

@@ -1,5 +1,6 @@
 """Partition heuristics: scan scores, two-coloring, subgroup contraction."""
 
+import math
 import re
 from types import SimpleNamespace
 
@@ -17,7 +18,7 @@ from mmadmm.blockspace import (
     dense_norm_sq,
     gram_cross_is_zero,
 )
-from mmadmm import partition
+from mmadmm import blockspace, partition
 from mmadmm.partition import (
     Partition,
     best_prefix,
@@ -116,6 +117,22 @@ class TestScan:
         with pytest.raises(ValueError):
             case1_scan([1.0, -0.5])
 
+    @pytest.mark.parametrize("norms", [[1.0, 4.0, 9.0], [4.0]])
+    def test_norms_must_fit_the_family(self, norms):
+        # Three norms raised a bare IndexError inside the footnote; one
+        # scanned one block, scored with the family's block 0.
+        ops = (ScaledIdentityOp(1.0, (2,)), ScaledIdentityOp(2.0, (2,)))
+        A = BlockOperatorFamily(ops, (2,))
+        message = f"^{len(norms)} squared norms given for a family of 2 blocks$"
+        with pytest.raises(ValueError, match=message):
+            case1_scan(norms, A)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_norms_must_be_finite(self, bad):
+        # Both returned nan scores, which best_prefix then compared.
+        with pytest.raises(ValueError, match=f"got {bad} at 0$"):
+            case1_scan([bad, 1.0])
+
     def test_combined_norm_refinement_small_prefixes(self):
         rng = np.random.default_rng(70)
         ops = tuple(DenseMatrixOp(rng.standard_normal((6, 2))) for _ in range(5))
@@ -173,15 +190,15 @@ class TestScan:
 
             return recorded
 
-        monkeypatch.setattr(partition, "dense_norm_sq", recording(
-            "gram", partition.dense_norm_sq, lambda *Ms: [M.shape for M in Ms]))
+        monkeypatch.setattr(partition, "_gram_sum_norm_sq", recording(
+            "gram", partition._gram_sum_norm_sq,
+            lambda ops: [op.matrix.shape for op in ops]))
         monkeypatch.setattr(partition, "combined_op_norm_sq", recording(
             "power", partition.combined_op_norm_sq, lambda A, idx: list(idx)))
         return seen
 
     def test_footnote_is_the_stacked_norm_on_nnsc(self, monkeypatch):
-        problem = build_nonneg_sparse_coding(DataGenSpec(0, d=50, n=100))
-        A = problem.family
+        # Every prefix, of one block too, is certified from the kept Grams.
         seen = self._footnotes(monkeypatch)
         footnotes, prefix_norm_sq = [], partition._prefix_norm_sq
 
@@ -190,15 +207,17 @@ class TestScan:
             return footnotes[-1]
 
         monkeypatch.setattr(partition, "_prefix_norm_sq", recorded)
-        order, _ = case1_scan(list(A.norms_sq()), A)
-        # The one-block prefix reads its block's certificate.
-        assert [route for route, _, _ in seen] == ["gram"] * 2
-        assert footnotes[0] == A.operators[order[0]].op_norm_sq
-        for n1, value in enumerate(footnotes, start=1):
-            stacked = np.hstack([A.operators[i].matrix for i in order[:n1]])
-            top = scipy.linalg.svd(stacked, compute_uv=False, lapack_driver="gesvd")
-            exact = top[0] ** 2
-            assert exact <= value <= exact * (1 + 1e-12)
+        for seed in (0, 1, 2):
+            A = build_nonneg_sparse_coding(DataGenSpec(seed, d=50, n=100)).family
+            seen.clear()
+            footnotes.clear()
+            order, _ = case1_scan(list(A.norms_sq()), A)
+            assert [route for route, _, _ in seen] == ["gram"] * 3
+            for n1, value in enumerate(footnotes, start=1):
+                stacked = np.hstack([A.operators[i].matrix for i in order[:n1]])
+                top = scipy.linalg.svd(stacked, compute_uv=False, lapack_driver="gesvd")
+                exact = top[0] ** 2
+                assert exact <= value <= exact * (1 + 1e-12)
 
     def test_prefix_with_a_non_dense_operator_takes_the_power_iteration(
         self, monkeypatch
@@ -218,22 +237,31 @@ class TestScan:
         order, _ = case1_scan([op.op_norm_sq for op in ops], A)
         assert order == (0, 1, 2, 3)
         assert [(route, key) for route, key, _ in seen] == [
+            ("gram", [(4, 1)]),
             ("gram", [(4, 1), (4, 1)]),
             ("power", [0, 1, 2]),
         ]
-        assert seen[1][2] == combined_op_norm_sq(A, [0, 1, 2])
+        assert seen[2][2] == combined_op_norm_sq(A, [0, 1, 2])
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_footnote_reads_the_prefix_in_place_on_nnsc(self, seed):
-        # No prefix is formed: each footnote is bitwise the certificate of
-        # the formed stack, a one-block prefix's its block's certificate.
+    def test_footnote_reads_the_prefix_in_place_on_nnsc(self, seed, monkeypatch):
+        # After the block certificates, a case-I scan forms no Gram and
+        # stacks no matrix: each footnote sums the Grams they keep.
         spec = DataGenSpec(seed, sparsity=0.1, d=50, n=100)
         A = build_nonneg_sparse_coding(spec).family
-        order, _ = case1_scan(list(A.norms_sq()), A)
-        for n1 in (1, 2, 3):
-            stacked = np.hstack([A.operators[i].matrix for i in order[:n1]])
-            got = partition._prefix_norm_sq(A, order[:n1])
-            assert got == dense_norm_sq(stacked)
+        norms = list(A.norms_sq())
+        formed = []
+        real = blockspace._dense_gram
+
+        def counted(matrix, out=False):
+            formed.append(matrix.shape)
+            return real(matrix, out)
+
+        monkeypatch.setattr(blockspace, "_dense_gram", counted)
+        monkeypatch.setattr(np, "hstack", None)
+        order, scores = case1_scan(norms, A)
+        assert formed == []
+        assert len(scores) == 100 and all(map(math.isfinite, scores))
 
 
 class TestCase1Partition:
@@ -471,7 +499,7 @@ class TestChoosePartition:
             return counted
 
         # Neither footnote route runs: the dense Gram nor the power iteration.
-        for name in ("dense_norm_sq", "combined_op_norm_sq"):
+        for name in ("_gram_sum_norm_sq", "combined_op_norm_sq"):
             monkeypatch.setattr(partition, name, counting(getattr(partition, name)))
         for n1 in (1, 2, 3):
             part = choose_partition(problem, n1=n1)

@@ -286,8 +286,8 @@ class TestProxFunction:
         for weight in (np.nan, np.inf):
             with pytest.raises(ValueError, match="weight must be finite"):
                 ProxFunction("l1", weight)
-        for flag in (True, False):
-            message = f"weight must be a number, got {flag}"
+        for flag in (True, False, np.True_):
+            message = f"weight must be a number, got {re.escape(repr(flag))}"
             with pytest.raises(ValueError, match=message):
                 ProxFunction("l1", flag)
 

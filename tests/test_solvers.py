@@ -169,9 +169,10 @@ class TestSolverConfig:
             if isinstance(f.default, (int, float))
         ],
     )
-    @pytest.mark.parametrize("flag", [True, False])
+    @pytest.mark.parametrize("flag", [True, False, np.True_])
     def test_bool_is_not_a_number(self, name, flag):
-        with pytest.raises(ValueError, match=f"^{name} must be a number, got {flag}$"):
+        message = f"^{name} must be a number, got {re.escape(repr(flag))}$"
+        with pytest.raises(ValueError, match=message):
             SolverConfig(**{name: flag})
 
     def test_int_field_keeps_large_integers_exact(self):
@@ -2402,6 +2403,54 @@ class TestCoordinatesAreTheIterate:
         config = SolverConfig(max_iter=7, eps_primal=0.0, eps_step=0.0)
         run(problem, kind, config, observe=lambda state: None)
         assert len(lifts) == 7
+
+    @pytest.mark.parametrize("kind", ["madmm", "jacobi"])
+    def test_a_zero_weight_block_is_written_once(self, kind, monkeypatch):
+        # Z's nuclear term has weight 0, so its prox gives no value and
+        # ``value`` scores it 0.0 without reading its slice: a run without
+        # an observer still writes Z once, and watching it changes nothing.
+        X = 100.0 * _grid_subspace()
+        d, n = X.shape
+        ones = np.ones((1, n))
+        z_op = LeftMultiplyOp(X, (n, n))
+        rows = [
+            ((LeftMultiplyOp(ones, (n, n)), None, None), ones),
+            ((z_op, RightMultiplyOp(X, (d, d)), ScaledIdentityOp(-1.0, (d, n))), X),
+        ]
+        terms = (
+            ProxFunction("nuclear", 0.0),
+            ProxFunction("nuclear", 1.0),
+            ProxFunction("sq-frobenius", 0.1),
+        )
+        problem = ProblemSpec(
+            "latlrr3-z0",
+            rows,
+            ((n, n), (d, d), (d, n)),
+            terms,
+            recommended_partition=Partition((0,), (1, 2)),
+        )
+        config = SolverConfig(max_iter=30, eps_primal=0.0, eps_step=0.0)
+        assert prepare_context(problem, kind, config).plans[0].basis is not None
+        lifts = self._lifts(monkeypatch)
+        plain = run(problem, kind, config)
+        assert len(lifts) == 1
+        seen = []
+
+        def observe(state):
+            seen.append((state.x.copy(), dict(state.images[3])))
+
+        observed = run(problem, kind, config, observe=observe)
+        assert len(lifts) == 1 + 30
+        np.testing.assert_array_equal(observed.state.x.flat, plain.state.x.flat)
+        np.testing.assert_array_equal(observed.state.lam, plain.state.lam)
+        assert observed.state.eta == plain.state.eta
+        assert [dataclasses.replace(t, wall_time_ms=0.0) for t in observed.trace] == [
+            dataclasses.replace(t, wall_time_ms=0.0) for t in plain.trace
+        ]
+        for row, (x, values) in zip(observed.trace, seen, strict=True):
+            assert values.get(0) is None
+            assert row.objective == problem.objective(x, values)
+            assert row.objective == pytest.approx(problem.objective(x), rel=1e-12)
 
     def test_the_adaptive_schedule_reads_the_coordinates(self):
         # Z's slices of both iterates agree, as inside a run; its step is

@@ -2,6 +2,7 @@
 certificate, and the joint smooth term."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -337,6 +338,13 @@ class TestSmoothQuadCoupling:
                 * sum(_quad(f.cert[i], x[i] - y[i]) for i in range(2))
             )
             assert f.value(x) <= model + 1e-10
+
+    @pytest.mark.parametrize("flag", [True, np.True_])
+    def test_bool_weight_is_not_a_number(self, flag):
+        # True passed the positivity check as the weight 1.
+        message = f"coupling weight must be a number, got {re.escape(repr(flag))}"
+        with pytest.raises(ValueError, match=message):
+            _coupling(weight=flag)
 
     def test_weight_validation(self):
         with pytest.raises(ValueError):

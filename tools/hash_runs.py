@@ -25,7 +25,11 @@ only.
 Each iterate is hashed as ``run``'s observer hands it over, so no iterate
 is kept. A package from before ``run`` took ``observe`` cannot be hashed
 by this tool: run that tree's own ``tools/hash_runs.py`` on it instead and
-diff the lines.
+diff the lines. Each configuration is also run without an observer, as
+the benchmark and the CLI run it; a run whose final iterate, multiplier,
+levels, trace (without the wall time), stop reason or error differs
+bitwise from the observed run's is reported on standard error, and the
+tool then exits 1.
 
 The full grid is every solver kind on ten problems, both schedules and 1
 or 2 workers, 40 iterations each (280 runs). ``--problems``, ``--kinds``,
@@ -128,50 +132,78 @@ def _load(src: Path) -> dict:
 def hash_run(
     problem, kind: str, schedule: str, workers: int, iters: int, choice="auto"
 ):
-    """``(status, full sha256 hex, iterate sha256 hex, final)`` of one run.
+    """``(status, full sha256 hex, iterate sha256 hex, final, unobserved)``
+    of one run.
 
     ``final`` is ``(k, x, trace)``, the iteration count, the flat final
     iterate and the trace's :data:`COLUMNS` as a ``(k, 7)`` float array, or
     ``None`` when the run raised. ``choice`` names the partition as
     ``choose_partition`` takes it; an error in choosing it is the run's
-    outcome.
+    outcome. The same run is made again without an observer, the path the
+    benchmark and the CLI take; ``unobserved`` names each part of its
+    outcome (:func:`_outcome`) that differs bitwise from the observed one.
     """
-    from mmadmm.partition import choose_partition
-    from mmadmm.solvers import SolverConfig, run
-
     full, iterate = hashlib.sha256(), hashlib.sha256()
 
     def both(data: bytes):
         full.update(data)
         iterate.update(data)
 
+    def observe(state):
+        both(state.x.flat.tobytes())
+
+    setting = (problem, kind, schedule, workers, iters, choice)
+    result, error = _solve(*setting, observe)
+    plain = _outcome(*_solve(*setting, None))
+    outcome = _outcome(result, error)
+    unobserved = [part for part in outcome if outcome[part] != plain.get(part)]
+    if error is not None:
+        status = type(error).__name__
+        full, iterate = hashlib.sha256(), hashlib.sha256()
+        both(outcome["error"])
+        return status, full.hexdigest(), iterate.hexdigest(), None, unobserved
+    rows = [astuple(row)[:-1] for row in result.trace]  # without the wall time
+    for fields in rows:
+        full.update(repr(fields).encode())
+        iterate.update(repr(fields[:1] + fields[2:]).encode())  # no objective
+    both(outcome["multiplier"])
+    both(outcome["levels"])
+    both(outcome["stop reason"])
+    trace = np.array(rows, dtype=float).reshape(len(rows), len(COLUMNS))
+    final = (result.state.k, result.state.x.flat.copy(), trace)
+    digests = full.hexdigest(), iterate.hexdigest()
+    return result.stop_reason, *digests, final, unobserved
+
+
+def _solve(problem, kind, schedule, workers, iters, choice, observe):
+    """``(result, None)`` of one run, or ``(None, error)`` if it raised."""
+    from mmadmm.partition import choose_partition
+    from mmadmm.solvers import SolverConfig, run
+
     try:
         partition = "auto" if choice == "auto" else choose_partition(problem, choice)
         config = SolverConfig(
             max_iter=iters, eps_step=0.0, schedule=schedule, partition=partition
         )
-        result = run(
-            problem,
-            kind,
-            config,
-            workers=workers,
-            observe=lambda state: both(state.x.flat.tobytes()),
-        )
+        return run(problem, kind, config, workers=workers, observe=observe), None
     except Exception as exc:  # the error is the run's outcome; it is hashed
-        status = type(exc).__name__
-        full, iterate = hashlib.sha256(), hashlib.sha256()
-        both(f"{status}: {exc}".encode())
-        return status, full.hexdigest(), iterate.hexdigest(), None
-    rows = [astuple(row)[:-1] for row in result.trace]  # without the wall time
-    for fields in rows:
-        full.update(repr(fields).encode())
-        iterate.update(repr(fields[:1] + fields[2:]).encode())  # no objective
-    both(result.state.lam.tobytes())
-    both(repr(final_levels(result.state)).encode())
-    both(result.stop_reason.encode())
-    trace = np.array(rows, dtype=float).reshape(len(rows), len(COLUMNS))
-    final = (result.state.k, result.state.x.flat.copy(), trace)
-    return result.stop_reason, full.hexdigest(), iterate.hexdigest(), final
+        return None, exc
+
+
+def _outcome(result, error) -> dict:
+    """A run's outcome as bytes per part: the error it raised, or its final
+    iterate, multiplier, levels, trace without the wall time and stop
+    reason."""
+    if error is not None:
+        return {"error": f"{type(error).__name__}: {error}".encode()}
+    state = result.state
+    return {
+        "final iterate": state.x.flat.tobytes(),
+        "multiplier": state.lam.tobytes(),
+        "levels": repr(final_levels(state)).encode(),
+        "trace": repr([astuple(row)[:-1] for row in result.trace]).encode(),
+        "stop reason": result.stop_reason.encode(),
+    }
 
 
 def final_levels(state) -> list:
@@ -293,7 +325,7 @@ def main(argv=None) -> int:
     schedules = _subset(args.schedules, SCHEDULES)
     workers = _subset(args.workers, WORKERS, int)
     partitions = _subset(args.partitions, PARTITIONS)
-    finals = {}
+    finals, differs = {}, []
     for name in names:
         problem = builders[name]()
         for kind in kinds:
@@ -302,16 +334,23 @@ def main(argv=None) -> int:
                 label = kind if choice == "auto" else f"{kind}/{choice}"
                 for schedule in schedules:
                     for w in workers:
-                        *line, final = hash_run(
+                        *line, final, unobserved = hash_run(
                             problem, kind, schedule, w, args.iters, choice
                         )
                         key = f"{name} {label} {schedule} {w}"
                         finals[key] = (line[0], final)
                         print(key, *line, flush=True)
+                        if unobserved:
+                            differs.append(
+                                f"{key}: the run without an observer differs "
+                                f"in its {', '.join(unobserved)}"
+                            )
+    for line in differs:
+        print(line, file=sys.stderr)
     if args.save:
         save_finals(args.save, finals)
     if saved is None:
-        return 0
+        return 1 if differs else 0
     changes, worst, columns = compare_finals(finals, saved)
     for change in changes:
         print(change, file=sys.stderr)
@@ -325,7 +364,7 @@ def main(argv=None) -> int:
         f"{len(changes)} beyond {RTOL:g} or changed",
         file=sys.stderr,
     )
-    return 1 if changes else 0
+    return 1 if changes or differs else 0
 
 
 if __name__ == "__main__":
